@@ -12,25 +12,28 @@ counts nonzero eigenvalues outward from zero: positive frequencies ascending
 get indices +1, +2, ..., negative frequencies by increasing distance from
 zero get -1, -2, ... (each index counts multiplicity; a cluster carries the
 index of its first member).
+
+Two entry points solve the reduced pencil: `solve_bands` returns the lowest
+bands, and `continue_band` follows one band to a nearby theta (path
+tracking, finite-difference stencils, synthesis quadrature nodes).  Both go
+through the same solve and build a band only for the clusters they inspect.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
-    CutoffMismatch,
     GapViolation,
     MaterialError,
     MultiplicityInconsistent,
 )
 from .fourier import (
-    FourierField6,
     LatticeCutoff,
     MaterialSpec,
     base_material_matrix,
@@ -42,6 +45,8 @@ from .fourier import (
 
 DEFAULT_GAP_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
+# kernel of the pencil: eigenvalues of -iL below this fraction of the largest
+KERNEL_TOL = 1e-8
 
 
 class ClusterStraddle(UserWarning):
@@ -63,9 +68,6 @@ class BlochBand:
     eigvecs: np.ndarray
     band_index: int
     residual: float = 0.0
-
-    def eigvec_field(self, cutoff: LatticeCutoff, a: int) -> FourierField6:
-        return FourierField6(cutoff, self.theta, self.eigvecs[:, a].reshape(-1, 6))
 
 
 @dataclass
@@ -114,19 +116,22 @@ def dynamic_subspace_basis(spec: MaterialSpec, cutoff: LatticeCutoff, theta,
 # Eigen solve
 # ---------------------------------------------------------------------------
 
-def solve_bands(spec: MaterialSpec, cutoff: LatticeCutoff, theta, num_bands: int,
-                cluster_tol: Optional[float] = None) -> List[BlochBand]:
-    """Bands sorted by |omega| (negative first on ties), clustered by
-    multiplicity.  num_bands counts eigenvalues including multiplicity; a
-    cluster straddling the cut is kept whole (with a warning)."""
+class _Pencil(NamedTuple):
+    """Eigenpairs of the pencil reduced to the dynamic subspace at one theta,
+    sorted by |omega| (negative first on ties)."""
+
+    theta: np.ndarray
+    a0: np.ndarray
+    g: np.ndarray
+    dyn: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+
+
+def _solve_pencil(spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> _Pencil:
     theta = _check_theta(theta)
     a0, g = operator_matrices(spec, cutoff, theta)
     dyn = dynamic_subspace_basis(spec, cutoff, theta, a0)
-    if num_bands > dyn.shape[1]:
-        raise ValueError(
-            f"num_bands={num_bands} exceeds the dynamic subspace dimension {dyn.shape[1]}"
-        )
-
     herm = dyn.conj().T @ (-1j * g) @ dyn
     herm = 0.5 * (herm + herm.conj().T)
     mass = dyn.conj().T @ a0 @ dyn
@@ -138,13 +143,39 @@ def solve_bands(spec: MaterialSpec, cutoff: LatticeCutoff, theta, num_bands: int
 
     vals, vecs = scipy.linalg.eigh(herm, mass)
     order = np.lexsort((np.sign(vals), np.abs(vals)))
-    vals, vecs = vals[order], vecs[:, order]
+    return _Pencil(theta, a0, g, dyn, vals[order], vecs[:, order])
 
-    clusters = _cluster(vals, cluster_tol)
+
+def _cluster_band(p: _Pencil, sel: List[int], band_index: int) -> BlochBand:
+    """The cluster's eigenvectors lifted to the full space, plain-orthonormal
+    and gauge-fixed, with their residual in the unreduced pencil."""
+    omega = float(np.mean(p.vals[sel]))
+    psi = _fix_gauge(_orthonormalize(p.dyn @ p.vecs[:, sel]))
+    return BlochBand(
+        theta=p.theta,
+        omega=omega,
+        kappa=len(sel),
+        eigvecs=psi,
+        band_index=band_index,
+        residual=_residual(p.a0, p.g, psi, omega),
+    )
+
+
+def solve_bands(spec: MaterialSpec, cutoff: LatticeCutoff, theta, num_bands: int,
+                cluster_tol: Optional[float] = None) -> List[BlochBand]:
+    """Bands sorted by |omega| (negative first on ties), clustered by
+    multiplicity.  num_bands counts eigenvalues including multiplicity; a
+    cluster straddling the cut is kept whole (with a warning)."""
+    p = _solve_pencil(spec, cutoff, theta)
+    if num_bands > len(p.vals):
+        raise ValueError(
+            f"num_bands={num_bands} exceeds the dynamic subspace dimension {len(p.vals)}"
+        )
+
     bands: List[BlochBand] = []
     count = 0
-    indices = _band_indices(vals)
-    for sel in clusters:
+    indices = _band_indices(p.vals)
+    for sel in _cluster(p.vals, cluster_tol):
         if count >= num_bands:
             break
         if count + len(sel) > num_bands:
@@ -154,22 +185,54 @@ def solve_bands(spec: MaterialSpec, cutoff: LatticeCutoff, theta, num_bands: int
                 ClusterStraddle,
             )
         count += len(sel)
-        omega = float(np.mean(vals[sel]))
-        psi = dyn @ vecs[:, sel]
-        psi = _orthonormalize(psi)
-        psi = _fix_gauge(psi)
-        resid = _residual(a0, g, psi, omega)
-        bands.append(
-            BlochBand(
-                theta=theta,
-                omega=omega,
-                kappa=len(sel),
-                eigvecs=psi,
-                band_index=indices[sel[0]],
-                residual=resid,
-            )
-        )
+        bands.append(_cluster_band(p, sel, indices[sel[0]]))
     return bands
+
+
+def continue_band(spec: MaterialSpec, cutoff: LatticeCutoff, theta, prev: BlochBand,
+                  cluster_tol: Optional[float] = None) -> Tuple[BlochBand, float]:
+    """The continuation of `prev` at a nearby theta, and its gap to the rest
+    of the spectrum.
+
+    The continuation is matched by eigenvector overlap, not eigenvalue
+    proximity: layered media have symmetry-allowed exact crossings where the
+    nearest eigenvalue hops branches.  Candidates are the clusters with
+    |omega - prev.omega| < 0.2 * max(1, |prev.omega|), or all clusters if
+    none is that close.  theta is used unwrapped, so the coefficient
+    representation stays aligned with prev's across the cell boundary.  The
+    returned eigenbasis is rotated by the unitary maximizing its overlap with
+    prev's (subspace Procrustes).  Raises MultiplicityInconsistent if the
+    matched cluster's multiplicity differs from prev's.
+    """
+    p = _solve_pencil(spec, cutoff, theta)
+    clusters = _cluster(p.vals, cluster_tol)
+    omegas = np.array([np.mean(p.vals[sel]) for sel in clusters])
+    near = np.abs(omegas - prev.omega) < 0.2 * max(1.0, abs(prev.omega))
+    window = np.flatnonzero(near) if near.any() else range(len(clusters))
+    indices = _band_indices(p.vals)
+
+    best, best_c, best_overlap = None, -1, -1.0
+    for c in window:
+        cand = _cluster_band(p, clusters[c], indices[clusters[c][0]])
+        s = np.linalg.svd(cand.eigvecs.conj().T @ prev.eigvecs, compute_uv=False)
+        overlap = s.min() if len(s) >= prev.kappa else 0.0
+        if overlap > best_overlap:
+            best, best_c, best_overlap = cand, c, overlap
+    if best.kappa != prev.kappa:
+        raise MultiplicityInconsistent(
+            f"tracked cluster multiplicity changed from {prev.kappa} to {best.kappa} "
+            f"at theta={tuple(p.theta)}"
+        )
+    others = np.delete(omegas, best_c)
+    gap = float(np.min(np.abs(others - best.omega))) if len(others) else np.inf
+    best.eigvecs = procrustes_align(best.eigvecs, prev.eigvecs)
+    return best, gap
+
+
+def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """basis rotated by the unitary maximizing its overlap with ref."""
+    u, _s, vh = np.linalg.svd(basis.conj().T @ ref)
+    return basis @ (u @ vh)
 
 
 def _cluster(vals: np.ndarray, cluster_tol: Optional[float]) -> List[List[int]]:
@@ -233,8 +296,7 @@ def _residual(a0, g, psi, omega) -> float:
 # Projector and partial inverse
 # ---------------------------------------------------------------------------
 
-def build_projectors(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
-                     kernel_tol: Optional[float] = None) -> ProjectorPair:
+def build_projectors(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff) -> ProjectorPair:
     """Projector onto ker(i*omega*A0 - G) and the Moore-Penrose partial inverse.
 
     The pencil L = i*omega*A0 - G is anti-Hermitian, so -iL is Hermitian and
@@ -249,9 +311,7 @@ def build_projectors(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
     herm = band.omega * a0 + 1j * g  # -i * (i omega A0 - G)
     herm = 0.5 * (herm + herm.conj().T)
     s, u = np.linalg.eigh(herm)
-    scale = np.abs(s).max()
-    tol = kernel_tol if kernel_tol is not None else 1e-8 * scale
-    null = np.abs(s) <= tol
+    null = np.abs(s) <= KERNEL_TOL * np.abs(s).max()
     if null.sum() != band.kappa:
         raise MultiplicityInconsistent(
             f"discrete kernel dimension {int(null.sum())} != kappa {band.kappa}; "
@@ -274,10 +334,11 @@ def track_band(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
                max_step: float = 0.1) -> List[BlochBand]:
     """Follow the multiplicity-kappa cluster along a theta path.
 
-    Successive eigenbases are aligned by the maximal-overlap unitary
-    (subspace Procrustes).  If the cluster's gap to the rest of the spectrum
-    drops below gap_tol the constant-multiplicity assumption failed and
-    GapViolation is raised with the offending theta.
+    Each point continues the previous one (continue_band), so successive
+    eigenbases are aligned by the maximal-overlap unitary.  If the cluster's
+    gap to the rest of the spectrum drops below gap_tol the
+    constant-multiplicity assumption failed and GapViolation is raised with
+    the offending theta.
     """
     path = [np.asarray(t, dtype=float).reshape(3) for t in theta_path]
     for a, b in zip(path[:-1], path[1:]):
@@ -291,48 +352,9 @@ def track_band(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
             tracked.append(band)
             prev = band
             continue
-        cur = _resolve_near(spec, cutoff, theta, prev, gap_tol, cluster_tol)
-        cur = _align(prev, cur)
+        cur, gap = continue_band(spec, cutoff, theta, prev, cluster_tol)
+        if gap < gap_tol:
+            raise GapViolation(theta, gap, gap_tol)
         tracked.append(cur)
         prev = cur
     return tracked
-
-
-def _resolve_near(spec, cutoff, theta, prev: BlochBand, gap_tol, cluster_tol) -> BlochBand:
-    dyn_dim = 4 * cutoff.num_modes
-    bands = solve_bands(spec, cutoff, theta, dyn_dim, cluster_tol=cluster_tol)
-    all_vals = np.concatenate([[b.omega] * b.kappa for b in bands])
-    best = min(bands, key=lambda b: abs(b.omega - prev.omega))
-    if best.kappa != prev.kappa:
-        raise MultiplicityInconsistent(
-            f"tracked cluster multiplicity changed from {prev.kappa} to {best.kappa} "
-            f"at theta={tuple(theta)}"
-        )
-    outside = np.abs(all_vals - best.omega) > 1e-12 * max(1.0, abs(best.omega))
-    gap = np.min(np.abs(all_vals[outside] - best.omega)) if outside.any() else np.inf
-    if gap < gap_tol:
-        raise GapViolation(theta, gap, gap_tol)
-    return best
-
-
-def _align(prev: BlochBand, cur: BlochBand) -> BlochBand:
-    """Rotate cur's eigenbasis by the unitary maximizing overlap with prev's."""
-    overlap = cur.eigvecs.conj().T @ prev.eigvecs
-    u, _s, vh = np.linalg.svd(overlap)
-    rot = u @ vh
-    return BlochBand(
-        theta=cur.theta,
-        omega=cur.omega,
-        kappa=cur.kappa,
-        eigvecs=cur.eigvecs @ rot,
-        band_index=cur.band_index,
-        residual=cur.residual,
-    )
-
-
-def weighted_overlap(a: BlochBand, b: BlochBand) -> float:
-    """Smallest singular value of the subspace overlap (1 = identical spans)."""
-    if a.eigvecs.shape != b.eigvecs.shape:
-        raise CutoffMismatch("bands from different discretizations")
-    s = np.linalg.svd(a.eigvecs.conj().T @ b.eigvecs, compute_uv=False)
-    return float(s.min())

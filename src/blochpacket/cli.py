@@ -34,7 +34,7 @@ from .fieldio import (
     write_energy_csv,
     write_manifest,
 )
-from .harmonics import HarmonicField, difference, l2_norm, seminorm, weighted_indices
+from .harmonics import HarmonicField, difference, seminorm, weighted_indices
 from .oracles import ExactPacketSpec, synthesize_exact_packet, time_domain_solve
 from .rays import build_gamma, empirical_beta, ray_average
 from .wkb import assemble, assemble_harmonics, build_profiles, residual
@@ -102,8 +102,7 @@ class Pipeline:
     @property
     def gamma(self):
         if self._gamma is None:
-            self._gamma = build_gamma(self.band, self.projectors, self.cfg.material,
-                                      self.cfg.cutoff)
+            self._gamma = build_gamma(self.band, self.cfg.material, self.cfg.cutoff)
         return self._gamma
 
     @property
@@ -258,20 +257,10 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
                 sup[bd] = max(sup[bd], seminorm(diff, bd[0], bd[1]))
         return sup
 
-    # the scale sweep is independent per h over pure immutable inputs; results
-    # are reassembled in config order so the artifacts stay deterministic
-    workers = int(cfg.raw.get("workers", 1))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sups = list(pool.map(sweep, cfg.h_list))
-    else:
-        sups = [sweep(h) for h in cfg.h_list]
-
     rows = []
     sup0 = {}
-    for h, sup in zip(cfg.h_list, sups):
+    for h in cfg.h_list:
+        sup = sweep(h)
         for (beta, delta) in indices:
             label = f"x{''.join(map(str, beta))}_d{''.join(map(str, delta))}"
             rows.append((h, label, sup[(beta, delta)]))

@@ -2,6 +2,10 @@
 with independent finite-difference oracles and the propagation speed-limit
 certificate.
 
+The finite-difference oracles differentiate the eigenvalue of the band's
+continuation (bands.continue_band) at shifted theta, so each stencil point
+follows the same branch as the perturbative route.
+
 For a multiplicity-kappa cluster the first- and second-order kappa x kappa
 forms must be scalar multiples of the projected mass matrix Pi A0 Pi; the
 deviation from scalarity is computed and shipped as a runtime certificate
@@ -15,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bands import BlochBand, ProjectorPair, solve_bands
+from .bands import BlochBand, ProjectorPair, continue_band
 from .errors import MultiplicityInconsistent, SpeedLimitViolation
 from .fourier import (
     LatticeCutoff,
@@ -83,8 +87,8 @@ def _pencil_derivative_apply(xi, domega_xi: float, a0: np.ndarray,
 # Group velocity (first-order perturbation)
 # ---------------------------------------------------------------------------
 
-def group_velocity(band: BlochBand, projectors: ProjectorPair, spec: MaterialSpec,
-                   cutoff: LatticeCutoff, scalar_tol: float = SCALAR_TOL) -> np.ndarray:
+def group_velocity(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
+                   scalar_tol: float = SCALAR_TOL) -> np.ndarray:
     """V = -grad_theta omega from first-order perturbation theory.
 
     Per direction e_j the kappa x kappa form Psi^H [[0,-e_j^],[e_j^,0]] Psi
@@ -139,7 +143,7 @@ def hessian(band: BlochBand, projectors: ProjectorPair, spec: MaterialSpec,
     so H_ij = -2i * scalar part."""
     a0 = base_material_matrix(spec, cutoff)
     n = projected_mass(band, spec, cutoff, a0)
-    v = group_velocity(band, projectors, spec, cutoff, scalar_tol)
+    v = group_velocity(band, spec, cutoff, scalar_tol)
     psi = band.eigvecs
     q = projectors.Q
 
@@ -181,58 +185,34 @@ def hessian(band: BlochBand, projectors: ProjectorPair, spec: MaterialSpec,
 # Finite-difference oracles
 # ---------------------------------------------------------------------------
 
-def _omega_near(spec, cutoff, theta, band: BlochBand) -> float:
-    """Eigenvalue of the band's continuation at a shifted theta.
-
-    Matched by eigenvector overlap, not eigenvalue proximity: layered media
-    have symmetry-allowed exact crossings where the nearest eigenvalue hops
-    branches and would poison the finite-difference stencils.  theta is used
-    unwrapped so the coefficient representation stays aligned across the cell
-    boundary.
-    """
-    bands = solve_bands(spec, cutoff, theta, 4 * cutoff.num_modes)
-    window = [b for b in bands if abs(b.omega - band.omega) < 0.2 * max(1.0, abs(band.omega))]
-    if not window:
-        window = bands
-
-    def overlap(cand):
-        s = np.linalg.svd(cand.eigvecs.conj().T @ band.eigvecs, compute_uv=False)
-        return s.min() if len(s) >= band.kappa else 0.0
-
-    best = max(window, key=overlap)
-    if best.kappa != band.kappa:
-        raise MultiplicityInconsistent(
-            f"multiplicity changed to {best.kappa} at theta={tuple(theta)} in the "
-            "finite-difference stencil"
-        )
-    return best.omega
-
-
 def fd_group_velocity(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
-                      step: float = 1e-3, richardson: bool = True) -> np.ndarray:
-    """Central finite differences of the tracked eigenvalue (one Richardson
-    level by default): V = -grad omega."""
+                      step: float = 1e-3) -> np.ndarray:
+    """Central finite differences of the continued eigenvalue with one
+    Richardson level: V = -grad omega."""
+
+    def omega(shift):
+        return continue_band(spec, cutoff, band.theta + shift, band)[0].omega
 
     def stencil(hstep):
         grad = np.zeros(3)
         for j in range(3):
             e = np.zeros(3)
             e[j] = hstep
-            wp = _omega_near(spec, cutoff, band.theta + e, band)
-            wm = _omega_near(spec, cutoff, band.theta - e, band)
-            grad[j] = (wp - wm) / (2 * hstep)
+            grad[j] = (omega(e) - omega(-e)) / (2 * hstep)
         return grad
 
     g1 = stencil(step)
-    if not richardson:
-        return -g1
     g2 = stencil(step / 2)
     return -(4 * g2 - g1) / 3
 
 
 def fd_hessian(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
-               step: float = 1e-2, richardson: bool = True) -> np.ndarray:
-    """Second-order central differences of omega(theta), one Richardson level."""
+               step: float = 1e-2) -> np.ndarray:
+    """Second-order central differences of the continued eigenvalue
+    omega(theta), one Richardson level."""
+
+    def omega(shift):
+        return continue_band(spec, cutoff, band.theta + shift, band)[0].omega
 
     def stencil(h):
         hess = np.zeros((3, 3))
@@ -240,25 +220,21 @@ def fd_hessian(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
         for i in range(3):
             ei = np.zeros(3)
             ei[i] = h
-            wp = _omega_near(spec, cutoff, band.theta + ei, band)
-            wm = _omega_near(spec, cutoff, band.theta - ei, band)
-            hess[i, i] = (wp - 2 * w0 + wm) / h**2
+            hess[i, i] = (omega(ei) - 2 * w0 + omega(-ei)) / h**2
         for i in range(3):
             for j in range(i + 1, 3):
                 ei = np.zeros(3)
                 ej = np.zeros(3)
                 ei[i] = h
                 ej[j] = h
-                wpp = _omega_near(spec, cutoff, band.theta + ei + ej, band)
-                wpm = _omega_near(spec, cutoff, band.theta + ei - ej, band)
-                wmp = _omega_near(spec, cutoff, band.theta - ei + ej, band)
-                wmm = _omega_near(spec, cutoff, band.theta - ei - ej, band)
+                wpp = omega(ei + ej)
+                wpm = omega(ei - ej)
+                wmp = omega(-ei + ej)
+                wmm = omega(-ei - ej)
                 hess[i, j] = hess[j, i] = (wpp - wpm - wmp + wmm) / (4 * h**2)
         return hess
 
     h1 = stencil(step)
-    if not richardson:
-        return h1
     h2 = stencil(step / 2)
     return (4 * h2 - h1) / 3
 

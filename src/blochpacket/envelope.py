@@ -159,13 +159,34 @@ def evolve(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
 
     hess is the 3x3 dispersion Hessian; mean_modes the ray-averaged coupling
     (None or {} for free propagation).  Returns a new state at T + steps*dT.
+    The input must be contained in the inner half-box and the result must
+    stay out of the shell (BoxTooSmall otherwise).
     """
+    _check_contained(state)
+    out = _strang(state, hess, mean_modes, dT, steps)
+    _check_shell(out)
+    return out
+
+
+def _check_contained(state: EnvelopeState) -> None:
     inner, _shell = _mass_profile(state)
     if 1.0 - inner > INNER_MASS_TOL:
         raise BoxTooSmall(
             f"initial envelope is not contained in the inner half-box "
             f"(outside fraction {1.0 - inner:.3e})"
         )
+
+
+def _check_shell(state: EnvelopeState) -> None:
+    _inner, shell = _mass_profile(state)
+    if shell > SHELL_MASS_TOL:
+        raise BoxTooSmall(
+            f"envelope mass reached the box boundary (shell fraction {shell:.3e})"
+        )
+
+
+def _strang(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
+            dT: float, steps: int) -> EnvelopeState:
     w = state.values.copy()
     kappa = w.shape[0]
     mult = dispersion_multiplier(state.grid, np.asarray(hess, dtype=float), dT)
@@ -185,14 +206,7 @@ def evolve(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
         w = apply_half(w)
         w = np.fft.ifftn(mult[None, ...] * np.fft.fftn(w, axes=(1, 2, 3)), axes=(1, 2, 3))
         w = apply_half(w)
-
-    out = EnvelopeState(state.grid, w, state.T + steps * dT)
-    _inner, shell = _mass_profile(out)
-    if shell > SHELL_MASS_TOL:
-        raise BoxTooSmall(
-            f"envelope mass reached the box boundary (shell fraction {shell:.3e})"
-        )
-    return out
+    return EnvelopeState(state.grid, w, state.T + steps * dT)
 
 
 def weighted_norm(state: EnvelopeState, weight: np.ndarray) -> float:
@@ -233,6 +247,9 @@ class EnvelopeSolution:
     (d/dT)^m d^alpha w_a, where d/dT is evaluated through the equation
     (dispersion multiplier plus potential product) so repeated slow-time
     derivatives of all spatial derivatives are exact on the grid.
+
+    The box guards do not depend on the order of queries: containment is
+    checked once, on the initial data, and the shell on every state produced.
     """
 
     def __init__(self, initial: EnvelopeState, hess: np.ndarray,
@@ -242,6 +259,7 @@ class EnvelopeSolution:
         self.mean_modes = dict(mean_modes) if mean_modes else {}
         self.dT = float(dT)
         self.kappa = initial.kappa
+        _check_contained(initial)
         self._states = {float(initial.T): initial.copy()}
         self._hats = {}
         self._pot = None
@@ -269,11 +287,12 @@ class EnvelopeSolution:
             nfull = int(np.floor(remaining / self.dT + 1e-12))
             out = state
             if nfull > 0:
-                out = evolve(out, self.hess, self.mean_modes, self.dT, nfull)
+                out = _strang(out, self.hess, self.mean_modes, self.dT, nfull)
             rem = remaining - nfull * self.dT
             if rem > 1e-14:
-                out = evolve(out, self.hess, self.mean_modes, rem, 1)
+                out = _strang(out, self.hess, self.mean_modes, rem, 1)
             out = EnvelopeState(self.grid, out.values, T)
+        _check_shell(out)
         self._states[T] = out
         return out
 

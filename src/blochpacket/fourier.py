@@ -202,16 +202,6 @@ def curl_matrix(cutoff: LatticeCutoff, theta) -> np.ndarray:
     return mat
 
 
-def constant_curl_symbol(xi) -> np.ndarray:
-    """6x6 symbol sum_j xi_j A_j = [[0, -xi^],[xi^, 0]] of the constant-coefficient
-    curl part (the first-order symbol contracted with a direction xi)."""
-    cx = cross_matrix(xi)
-    out = np.zeros((6, 6), dtype=complex)
-    out[:3, 3:] = -cx
-    out[3:, :3] = cx
-    return out
-
-
 def apply_constant_symbol(xi, coeffs: np.ndarray) -> np.ndarray:
     """Apply the mode-diagonal 6x6 symbol [[0,-xi^],[xi^,0]] to a (K, 6) array."""
     e, b = coeffs[:, :3], coeffs[:, 3:]
@@ -251,24 +241,31 @@ def _check_theta(theta):
     return theta
 
 
+def transverse_pair(v):
+    """Orthonormal pair (u1, u2) spanning v^perp, with u1 ^ u2 = v_hat, for a
+    nonzero vector v of shape (3,) or a stack of them of shape (..., 3).
+
+    Tie-break: let a be the coordinate axis least parallel to v (lowest index
+    on ties); u2 = normalize(v_hat ^ e_a), u1 = u2 ^ v_hat.  Deterministic and
+    continuous in v away from axis switches.
+    """
+    v = np.asarray(v, dtype=float)
+    vhat = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    ea = np.eye(3)[np.argmin(np.abs(vhat), axis=-1)]
+    u2 = np.cross(vhat, ea)
+    u2 /= np.linalg.norm(u2, axis=-1, keepdims=True)
+    u1 = np.cross(u2, vhat)
+    return u1, u2
+
+
 def transverse_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
     """Orthonormal pair spanning (theta+n)^perp for each mode.
 
-    Returns (K, 2, 3): rows [i, 0] and [i, 1] are u1, u2 with
-    u1 ^ u2 = v_hat.  Tie-break: let a be the coordinate axis least parallel
-    to v (lowest index on ties); u2 = normalize(v_hat ^ e_a), u1 = u2 ^ v_hat.
-    Deterministic and continuous in theta away from axis switches.
+    Returns (K, 2, 3): rows [i, 0] and [i, 1] are the transverse_pair u1, u2
+    of theta + n (theta != 0 guarantees theta + n != 0 for every integer n).
     """
     theta = _check_theta(theta)
-    v = wavevectors(cutoff, theta)
-    vn = np.linalg.norm(v, axis=1)
-    # theta != 0 guarantees theta + n != 0 for every integer n
-    vhat = v / vn[:, None]
-    axis = np.argmin(np.abs(vhat), axis=1)
-    ea = np.eye(3)[axis]
-    u2 = np.cross(vhat, ea)
-    u2 /= np.linalg.norm(u2, axis=1)[:, None]
-    u1 = np.cross(u2, vhat)
+    u1, u2 = transverse_pair(wavevectors(cutoff, theta))
     return np.stack([u1, u2], axis=1)
 
 
@@ -416,17 +413,6 @@ def conv_apply(coefs: Dict[Mode, np.ndarray], cutoff: LatticeCutoff, arr: np.nda
         src, dst = cutoff.shift_indices(k)
         out[dst] += arr[src] @ mat.T
     return out
-
-
-def conv_matrix(coefs: Dict[Mode, np.ndarray], cutoff: LatticeCutoff, dim: int) -> np.ndarray:
-    """Dense (dim*K, dim*K) matrix of conv_apply."""
-    k = cutoff.num_modes
-    mat = np.zeros((dim * k, dim * k), dtype=complex)
-    for key, block in coefs.items():
-        src, dst = cutoff.shift_indices(key)
-        for s, d in zip(src, dst):
-            mat[dim * d : dim * d + dim, dim * s : dim * s + dim] += block
-    return mat
 
 
 def apply_material(spec: MaterialSpec, which: str, f: FourierField6) -> FourierField6:

@@ -47,7 +47,6 @@ def difference(a: HarmonicField, b: HarmonicField) -> HarmonicField:
     if a.h != b.h or a.grid != b.grid:
         raise ValueError("harmonic fields live on different grids or scales")
     keys = set(a.data) | set(b.data)
-    zero = None
     out = {}
     for n in keys:
         da = a.data.get(n)

@@ -11,20 +11,22 @@ time-domain integrator on layered configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .bands import BlochBand, solve_bands
+from .bands import BlochBand, continue_band, procrustes_align
 from .envelope import EnvelopeGrid
 from .errors import ConfigError, GaugeError, StabilityAnomaly
 from .fourier import (
     LatticeCutoff,
     MaterialSpec,
     FourierField6,
-    material_on_grid,
-    transverse_basis,
+    transverse_pair,
 )
+
+# smallest singular value of the overlap between adjacent nodes' eigenbases
+OVERLAP_TOL = 0.99
 
 # ---------------------------------------------------------------------------
 # Constant-coefficient closed form
@@ -45,7 +47,7 @@ def exact_constant_solution(theta, k=(0, 0, 0), e_pol=None, sign: int = +1):
         raise ConfigError("k + theta = 0 has no nonzero eigenfrequency")
     vhat = v / vn
     if e_pol is None:
-        e_pol = _transverse_pair(v)[0]
+        e_pol = transverse_pair(v)[0]
     e = np.asarray(e_pol, dtype=complex)
     if abs(np.dot(vhat, e)) > 1e-12:
         raise ConfigError("polarization must be orthogonal to k + theta")
@@ -53,19 +55,6 @@ def exact_constant_solution(theta, k=(0, 0, 0), e_pol=None, sign: int = +1):
     b = -sign * np.cross(vhat, e)
     scale = 1.0 / np.sqrt(2.0)
     return sign * vn, scale * e, scale * b
-
-
-def _transverse_pair(v):
-    """Deterministic orthonormal pair spanning v^perp (same tie-break as
-    transverse_basis)."""
-    vhat = v / np.linalg.norm(v)
-    axis = int(np.argmin(np.abs(vhat)))
-    ea = np.zeros(3)
-    ea[axis] = 1.0
-    u2 = np.cross(vhat, ea)
-    u2 /= np.linalg.norm(u2)
-    u1 = np.cross(u2, vhat)
-    return u1, u2
 
 
 def constant_spectrum(cutoff: LatticeCutoff, theta) -> np.ndarray:
@@ -158,32 +147,33 @@ class _NodeEigen:
     """Eigenpairs along the quadrature nodes with a continuous gauge.
 
     The center node carries the band's own eigenbasis; moving outward along
-    each spectrum axis, each node's basis is rotated by the maximal-overlap
-    unitary with its inward neighbor.  Falls back to a per-node closed form
-    for the vacuum medium, otherwise re-solves the eigenproblem per node.
+    each spectrum axis, each node continues its inward neighbor's band
+    (bands.continue_band, which also rotates the basis by the maximal-overlap
+    unitary).  The vacuum medium takes the closed form per node instead, as
+    an independent route, aligned the same way.
     """
 
     def __init__(self, band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
-                 packet: ExactPacketSpec, overlap_tol: float = 0.99):
+                 packet: ExactPacketSpec):
         self.band = band
         self.spec = spec
         self.cutoff = cutoff
         self.packet = packet
-        self.overlap_tol = overlap_tol
         self.vacuum = _is_vacuum(spec)
-        self._cache: Dict[Tuple[float, float, float], Tuple[float, np.ndarray]] = {}
+        self._cache: Dict[Tuple[float, float, float], BlochBand] = {}
 
     def eigen_at(self, zeta) -> Tuple[float, np.ndarray]:
         key = tuple(np.round(zeta, 14))
         if key not in self._cache:
             raise KeyError("node outside prepared quadrature set")
-        return self._cache[key]
+        node = self._cache[key]
+        return node.omega, node.eigvecs
 
     def prepare(self, zeta_nodes: np.ndarray):
         """Walk the tensor node set axis by axis from the center outward."""
         done = {}
         center = tuple(np.round(np.zeros(3), 14))
-        done[center] = (self.band.omega, self.band.eigvecs)
+        done[center] = self.band
 
         # visit order: sort nodes by ordering along successive axes so each
         # node has an inward neighbor already visited
@@ -205,29 +195,25 @@ class _NodeEigen:
                 best, bestd = cand, d
         return best
 
-    def _solve_aligned(self, zeta, prev):
-        prev_omega, prev_basis = prev
+    def _solve_aligned(self, zeta, prev: BlochBand) -> BlochBand:
         theta = self.band.theta + self.packet.h * zeta
         if self.vacuum:
             omega, basis = self._vacuum_pair(theta)
+            node = BlochBand(theta, omega, 2, procrustes_align(basis, prev.eigvecs),
+                             self.band.band_index)
         else:
-            bands = solve_bands(self.spec, self.cutoff, np.mod(theta, 1.0),
-                                4 * self.cutoff.num_modes)
-            best = min(bands, key=lambda b: abs(b.omega - prev_omega))
-            omega, basis = best.omega, best.eigvecs
-        overlap = basis.conj().T @ prev_basis
-        sv = np.linalg.svd(overlap, compute_uv=False)
-        if sv.min() < self.overlap_tol:
+            node, _gap = continue_band(self.spec, self.cutoff, theta, prev)
+        sv = np.linalg.svd(node.eigvecs.conj().T @ prev.eigvecs, compute_uv=False)
+        if sv.min() < OVERLAP_TOL:
             raise GaugeError(
-                f"eigenbasis overlap {sv.min():.4f} < {self.overlap_tol} between "
+                f"eigenbasis overlap {sv.min():.4f} < {OVERLAP_TOL} between "
                 f"adjacent quadrature nodes at zeta={tuple(zeta)}"
             )
-        u, _s, vh = np.linalg.svd(overlap)
-        return omega, basis @ (u @ vh)
+        return node
 
     def _vacuum_pair(self, theta):
         sign = 1 if self.band.omega > 0 else -1
-        u1, u2 = _transverse_pair(theta)
+        u1, u2 = transverse_pair(theta)
         omega, e1, b1 = exact_constant_solution(theta, (0, 0, 0), u1, sign)
         _, e2, b2 = exact_constant_solution(theta, (0, 0, 0), u2, sign)
         basis = np.zeros((6 * self.cutoff.num_modes, 2), dtype=complex)
@@ -271,7 +257,7 @@ def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand,
     nodes = _NodeEigen(band, spec, cutoff, packet)
     zeta, wts = _gl_nodes(packet, packet.nodes)
     zeta_c, wts_c = _gl_nodes(packet, packet.nodes_check)
-    nodes.prepare(np.concatenate([zeta, zeta_c], axis=0))
+    nodes.prepare(np.concatenate([zeta, zeta_c], axis=0) if estimate_error else zeta)
 
     main = _synthesize(packet, band, cutoff, nodes, zeta, wts, t, grid, points)
     err = 0.0
@@ -292,7 +278,6 @@ def _synthesize(packet, band, cutoff, nodes, zeta, wts, t, grid, points):
     h = packet.h
     harmonics = None
     samples = None
-    k6 = 6 * cutoff.num_modes
     modes = cutoff.modes
 
     if grid is not None:

@@ -19,12 +19,12 @@ richer almost-periodic coefficient classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .bands import BlochBand, ProjectorPair
+from .bands import BlochBand
 from .dispersion import projected_mass
 from .errors import BetaFitError, SmallDivisorWarning
 from .fourier import LatticeCutoff, MaterialSpec, modulation_apply
@@ -115,8 +115,7 @@ def _ray_divisor(eta, V) -> float:
 # Coupling assembly
 # ---------------------------------------------------------------------------
 
-def build_gamma(band: BlochBand, projectors: ProjectorPair, spec: MaterialSpec,
-                cutoff: LatticeCutoff) -> CouplingField:
+def build_gamma(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff) -> CouplingField:
     """Assemble the coupling field mode by mode.
 
     For each (t, x)-frequency eta of the modulations, the y-multiplication

@@ -21,7 +21,7 @@ class BandPipeline:
         self.band = next(b for b in self.bands if b.band_index == band_index)
         self.projectors = build_projectors(self.band, spec, self.cutoff)
         self.dispersion = hessian(self.band, self.projectors, spec, self.cutoff)
-        self.gamma = build_gamma(self.band, self.projectors, spec, self.cutoff)
+        self.gamma = build_gamma(self.band, spec, self.cutoff)
         self.ray = ray_average(self.gamma, self.dispersion.V)
 
     def envelope(self, grid: EnvelopeGrid, widths, weights, dT=1e-3) -> EnvelopeSolution:

@@ -93,7 +93,7 @@ def test_02_perturbation_identities(identity_pipe, aniso_pipe, rng):
             xi = rng.standard_normal(3)
             worst_first = max(worst_first, first_order_identity_residual(
                 pipe.band, pipe.spec, pipe.cutoff, xi, pipe.dispersion.V))
-        fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2, richardson=True)
+        fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
         worst_hess = max(worst_hess, float(np.max(np.abs(fd - pipe.dispersion.hessian))))
     elapsed = time.time() - t0
     report(
@@ -156,7 +156,7 @@ def test_05_envelope_conservation(modulated_pipe):
     # real symmetric permittivity modulation, no zero-order term
     spec = with_cos_modulation(identity_material(), (0.0, 0.0, 0.25, 0.0),
                                amplitude=0.1, target="eps1")
-    gamma = build_gamma(pipe.band, pipe.projectors, spec, pipe.cutoff)
+    gamma = build_gamma(pipe.band, spec, pipe.cutoff)
     ray = ray_average(gamma, pipe.dispersion.V)
     mass = projected_mass(pipe.band, spec, pipe.cutoff)
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 128, 1))

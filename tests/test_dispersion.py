@@ -65,13 +65,13 @@ def test_identity_hessian_closed_form(identity_pipe):
 
 def test_identity_hessian_vs_finite_differences(identity_pipe):
     pipe = identity_pipe
-    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2, richardson=True)
+    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
     assert np.max(np.abs(fd - pipe.dispersion.hessian)) < 1e-5
 
 
 def test_layered_hessian_vs_finite_differences(aniso_pipe):
     pipe = aniso_pipe
-    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2, richardson=True)
+    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
     assert np.max(np.abs(fd - pipe.dispersion.hessian)) < 1e-5
 
 
@@ -81,7 +81,7 @@ def test_offaxis_hessian_in_plane_vs_finite_differences(offaxis_layered_pipe):
     stay on the analytic branch; the theta_3 rows are checked on the isolated
     anisotropic band above."""
     pipe = offaxis_layered_pipe
-    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2, richardson=True)
+    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
     sub = np.ix_([0, 1], [0, 1])
     assert np.max(np.abs(fd[sub] - pipe.dispersion.hessian[sub])) < 1e-5
 

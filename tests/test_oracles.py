@@ -21,7 +21,7 @@ from blochpacket.oracles import (
     synthesize_exact_packet,
     time_domain_solve,
 )
-from blochpacket.presets import identity_material, layered, layered_anisotropic
+from blochpacket.presets import identity_material, layered, layered_anisotropic, scaled_identity
 
 THETA = np.array([0.3, 0.0, 0.0])
 
@@ -168,6 +168,29 @@ def test_synthesis_center_moves_at_group_velocity(identity_pipe):
     t1 = 2.0
     speed = (center(t1) - center(0.0)) / t1
     assert abs(speed - pipe.dispersion.V[0]) < 1e-2
+
+
+def test_synthesis_nodes_cross_cell_boundary():
+    """Non-vacuum nodes follow the band on the unwrapped theta lattice: the
+    spectrum support h*R = 0.25 around theta_1 = 0.95 crosses theta_1 = 1,
+    and every node's omega matches the medium's closed form
+    |theta + h*zeta - e_1| / 2 (eps = 4, band 1 sits on the mode n = -e_1)."""
+    from blochpacket.bands import solve_bands
+    from blochpacket.oracles import _NodeEigen, _gl_nodes
+
+    spec = scaled_identity(4.0)
+    cut = LatticeCutoff(1)
+    theta = np.array([0.95, 0.3, 0.0])
+    band = next(b for b in solve_bands(spec, cut, theta, 8) if b.band_index == 1)
+    packet = ExactPacketSpec(theta, 1 / 8, (3.0, 1.0, 1.0), [1.0, 0.0], axes=(0,),
+                             nodes=61)
+    zeta, _wts = _gl_nodes(packet, packet.nodes)
+    nodes = _NodeEigen(band, spec, cut, packet)
+    nodes.prepare(zeta)
+    e1 = np.array([1.0, 0.0, 0.0])
+    for z in zeta:
+        omega, _basis = nodes.eigen_at(z)
+        assert abs(omega - np.linalg.norm(theta + packet.h * z - e1) / 2) < 1e-12
 
 
 def test_synthesis_requires_static_medium(identity_pipe):

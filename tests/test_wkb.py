@@ -154,7 +154,7 @@ def test_residual_hand_assembled_order_two(identity_pipe):
     eta = (0.7, -0.4, 0.0, 0.0)
     amp = 0.15
     spec = with_cos_modulation(identity_material(), eta, amplitude=amp, target="eps1")
-    gamma = build_gamma(pipe.band, pipe.projectors, spec, pipe.cutoff)
+    gamma = build_gamma(pipe.band, spec, pipe.cutoff)
     ray = ray_average(gamma, pipe.dispersion.V)
 
     # x-constant envelope: single grid point per axis
