@@ -12,7 +12,14 @@ from .fourier import (
     norm,
     transverse_basis,
 )
-from .bands import BlochBand, ProjectorPair, build_projectors, solve_bands, track_band
+from .bands import (
+    BlochBand,
+    BlochOperator,
+    ProjectorPair,
+    build_projectors,
+    solve_bands,
+    track_band,
+)
 from .dispersion import (
     DispersionData,
     fd_group_velocity,
@@ -49,6 +56,7 @@ __all__ = [
     "norm",
     "transverse_basis",
     "BlochBand",
+    "BlochOperator",
     "ProjectorPair",
     "build_projectors",
     "solve_bands",

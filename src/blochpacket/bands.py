@@ -13,10 +13,12 @@ get indices +1, +2, ..., negative frequencies by increasing distance from
 zero get -1, -2, ... (each index counts multiplicity; a cluster carries the
 index of its first member).
 
-Two entry points solve the reduced pencil: `solve_bands` returns the lowest
-bands, and `continue_band` follows one band to a nearby theta (path
-tracking, finite-difference stencils, synthesis quadrature nodes).  Both go
-through the same solve and build a band only for the clusters they inspect.
+Everything downstream is built from one BlochOperator: the medium, the
+cutoff, theta, and the dense A0 and G assembled once.  Two entry points solve
+its reduced pencil: `solve_bands` returns the lowest bands, and
+`continue_band` follows one band to a nearby theta (path tracking,
+finite-difference stencils, synthesis quadrature nodes) through `op.at`,
+which reuses A0.  Both build a band only for the clusters they inspect.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    CutoffMismatch,
     GapViolation,
     MaterialError,
     MultiplicityInconsistent,
@@ -90,23 +93,45 @@ class ProjectorPair:
 # Operator assembly
 # ---------------------------------------------------------------------------
 
-def operator_matrices(spec: MaterialSpec, cutoff: LatticeCutoff, theta):
-    """Dense (A0, G) pair at this cutoff and Bloch frequency."""
-    theta = _check_theta(theta)
-    a0 = base_material_matrix(spec, cutoff)
-    g = curl_matrix(cutoff, theta)
-    return a0, g
+@dataclass(frozen=True, eq=False)
+class BlochOperator:
+    """The Bloch pencil i*omega*A0 - G(theta) of one medium at one cutoff and
+    theta, with A0 and G assembled densely once.  A0 does not depend on
+    theta, so operators at nearby theta (`at`) share it."""
+
+    spec: MaterialSpec
+    cutoff: LatticeCutoff
+    theta: np.ndarray
+    a0: np.ndarray
+    g: np.ndarray
+
+    @classmethod
+    def build(cls, spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> "BlochOperator":
+        theta = _check_theta(theta)
+        return cls(spec, cutoff, theta, base_material_matrix(spec, cutoff),
+                   curl_matrix(cutoff, theta))
+
+    def at(self, theta) -> "BlochOperator":
+        """The same medium and cutoff at another theta (A0 shared, G rebuilt)."""
+        theta = _check_theta(theta)
+        return BlochOperator(self.spec, self.cutoff, theta, self.a0,
+                             curl_matrix(self.cutoff, theta))
+
+    def pencil(self, omega: float, v: np.ndarray) -> np.ndarray:
+        """(i*omega*A0 - G) v."""
+        return 1j * omega * (self.a0 @ v) - self.g @ v
+
+    def check_band(self, band: BlochBand) -> None:
+        if not np.array_equal(band.theta, self.theta):
+            raise CutoffMismatch("band and operator are at different theta")
 
 
-def dynamic_subspace_basis(spec: MaterialSpec, cutoff: LatticeCutoff, theta,
-                           a0: Optional[np.ndarray] = None) -> np.ndarray:
+def dynamic_subspace_basis(op: BlochOperator) -> np.ndarray:
     """Columns spanning {v : div(eps0 E)=div(mu0 B)=0}, built by
     A0-orthogonalizing the transverse fields against the curl kernel."""
-    if a0 is None:
-        a0 = base_material_matrix(spec, cutoff)
-    t = transverse_field_basis(cutoff, theta)
-    ell = longitudinal_field_basis(cutoff, theta)
-    a0_ell = a0 @ ell
+    t = transverse_field_basis(op.cutoff, op.theta)
+    ell = longitudinal_field_basis(op.cutoff, op.theta)
+    a0_ell = op.a0 @ ell
     gram = ell.conj().T @ a0_ell
     coup = a0_ell.conj().T @ t
     return t - ell @ np.linalg.solve(gram, coup)
@@ -120,21 +145,17 @@ class _Pencil(NamedTuple):
     """Eigenpairs of the pencil reduced to the dynamic subspace at one theta,
     sorted by |omega| (negative first on ties)."""
 
-    theta: np.ndarray
-    a0: np.ndarray
-    g: np.ndarray
+    op: BlochOperator
     dyn: np.ndarray
     vals: np.ndarray
     vecs: np.ndarray
 
 
-def _solve_pencil(spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> _Pencil:
-    theta = _check_theta(theta)
-    a0, g = operator_matrices(spec, cutoff, theta)
-    dyn = dynamic_subspace_basis(spec, cutoff, theta, a0)
-    herm = dyn.conj().T @ (-1j * g) @ dyn
+def _solve_pencil(op: BlochOperator) -> _Pencil:
+    dyn = dynamic_subspace_basis(op)
+    herm = dyn.conj().T @ (-1j * op.g) @ dyn
     herm = 0.5 * (herm + herm.conj().T)
-    mass = dyn.conj().T @ a0 @ dyn
+    mass = dyn.conj().T @ op.a0 @ dyn
     mass = 0.5 * (mass + mass.conj().T)
     try:
         scipy.linalg.cholesky(mass)
@@ -143,7 +164,7 @@ def _solve_pencil(spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> _Pencil:
 
     vals, vecs = scipy.linalg.eigh(herm, mass)
     order = np.lexsort((np.sign(vals), np.abs(vals)))
-    return _Pencil(theta, a0, g, dyn, vals[order], vecs[:, order])
+    return _Pencil(op, dyn, vals[order], vecs[:, order])
 
 
 def _cluster_band(p: _Pencil, sel: List[int], band_index: int) -> BlochBand:
@@ -152,21 +173,21 @@ def _cluster_band(p: _Pencil, sel: List[int], band_index: int) -> BlochBand:
     omega = float(np.mean(p.vals[sel]))
     psi = _fix_gauge(_orthonormalize(p.dyn @ p.vecs[:, sel]))
     return BlochBand(
-        theta=p.theta,
+        theta=p.op.theta,
         omega=omega,
         kappa=len(sel),
         eigvecs=psi,
         band_index=band_index,
-        residual=_residual(p.a0, p.g, psi, omega),
+        residual=_residual(p.op, psi, omega),
     )
 
 
-def solve_bands(spec: MaterialSpec, cutoff: LatticeCutoff, theta, num_bands: int,
+def solve_bands(op: BlochOperator, num_bands: int,
                 cluster_tol: Optional[float] = None) -> List[BlochBand]:
     """Bands sorted by |omega| (negative first on ties), clustered by
     multiplicity.  num_bands counts eigenvalues including multiplicity; a
     cluster straddling the cut is kept whole (with a warning)."""
-    p = _solve_pencil(spec, cutoff, theta)
+    p = _solve_pencil(op)
     if num_bands > len(p.vals):
         raise ValueError(
             f"num_bands={num_bands} exceeds the dynamic subspace dimension {len(p.vals)}"
@@ -189,7 +210,7 @@ def solve_bands(spec: MaterialSpec, cutoff: LatticeCutoff, theta, num_bands: int
     return bands
 
 
-def continue_band(spec: MaterialSpec, cutoff: LatticeCutoff, theta, prev: BlochBand,
+def continue_band(op: BlochOperator, theta, prev: BlochBand,
                   cluster_tol: Optional[float] = None) -> Tuple[BlochBand, float]:
     """The continuation of `prev` at a nearby theta, and its gap to the rest
     of the spectrum.
@@ -204,7 +225,7 @@ def continue_band(spec: MaterialSpec, cutoff: LatticeCutoff, theta, prev: BlochB
     prev's (subspace Procrustes).  Raises MultiplicityInconsistent if the
     matched cluster's multiplicity differs from prev's.
     """
-    p = _solve_pencil(spec, cutoff, theta)
+    p = _solve_pencil(op.at(theta))
     clusters = _cluster(p.vals, cluster_tol)
     omegas = np.array([np.mean(p.vals[sel]) for sel in clusters])
     near = np.abs(omegas - prev.omega) < 0.2 * max(1.0, abs(prev.omega))
@@ -221,7 +242,7 @@ def continue_band(spec: MaterialSpec, cutoff: LatticeCutoff, theta, prev: BlochB
     if best.kappa != prev.kappa:
         raise MultiplicityInconsistent(
             f"tracked cluster multiplicity changed from {prev.kappa} to {best.kappa} "
-            f"at theta={tuple(p.theta)}"
+            f"at theta={tuple(p.op.theta)}"
         )
     others = np.delete(omegas, best_c)
     gap = float(np.min(np.abs(others - best.omega))) if len(others) else np.inf
@@ -287,8 +308,8 @@ def _fix_gauge(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _residual(a0, g, psi, omega) -> float:
-    r = 1j * omega * (a0 @ psi) - g @ psi
+def _residual(op: BlochOperator, psi, omega) -> float:
+    r = op.pencil(omega, psi)
     return float(np.linalg.norm(r) / max(np.linalg.norm(psi), 1e-300))
 
 
@@ -296,7 +317,7 @@ def _residual(a0, g, psi, omega) -> float:
 # Projector and partial inverse
 # ---------------------------------------------------------------------------
 
-def build_projectors(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff) -> ProjectorPair:
+def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
     """Projector onto ker(i*omega*A0 - G) and the Moore-Penrose partial inverse.
 
     The pencil L = i*omega*A0 - G is anti-Hermitian, so -iL is Hermitian and
@@ -307,8 +328,8 @@ def build_projectors(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff)
         raise ValueError(
             f"band residual {band.residual:.3e} exceeds {RESIDUAL_TOL:.0e}; refuse to build projectors"
         )
-    a0, g = operator_matrices(spec, cutoff, band.theta)
-    herm = band.omega * a0 + 1j * g  # -i * (i omega A0 - G)
+    op.check_band(band)
+    herm = band.omega * op.a0 + 1j * op.g  # -i * (i omega A0 - G)
     herm = 0.5 * (herm + herm.conj().T)
     s, u = np.linalg.eigh(herm)
     null = np.abs(s) <= KERNEL_TOL * np.abs(s).max()
@@ -328,9 +349,8 @@ def build_projectors(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff)
 # Band tracking along a theta path
 # ---------------------------------------------------------------------------
 
-def track_band(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
-               theta_path, gap_tol: float = DEFAULT_GAP_TOL,
-               cluster_tol: Optional[float] = None,
+def track_band(op: BlochOperator, band: BlochBand, theta_path,
+               gap_tol: float = DEFAULT_GAP_TOL, cluster_tol: Optional[float] = None,
                max_step: float = 0.1) -> List[BlochBand]:
     """Follow the multiplicity-kappa cluster along a theta path.
 
@@ -352,7 +372,7 @@ def track_band(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
             tracked.append(band)
             prev = band
             continue
-        cur, gap = continue_band(spec, cutoff, theta, prev, cluster_tol)
+        cur, gap = continue_band(op, theta, prev, cluster_tol)
         if gap < gap_tol:
             raise GapViolation(theta, gap, gap_tol)
         tracked.append(cur)

@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import build_projectors, solve_bands
+from .bands import BlochOperator, build_projectors, solve_bands, track_band
 from .config import RunConfig, load_config
-from .dispersion import fd_hessian, hessian, speed_limit_check
+from .dispersion import fd_hessian, hessian, projected_mass, speed_limit_check
 from .envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, weighted_norm
-from .dispersion import projected_mass
 from .errors import ConfigError, GammaPointError, HypothesisViolation, NumericalFailure
 from .fieldio import (
     dump_field,
@@ -50,9 +49,8 @@ def _cluster_covers(band, idx: int) -> bool:
     return band.band_index - band.kappa < idx <= band.band_index
 
 
-def select_band(cfg: RunConfig):
-    bands = solve_bands(cfg.material, cfg.cutoff, cfg.theta, cfg.num_bands,
-                        cluster_tol=cfg.tolerances.get("cluster_tol"))
+def select_band(cfg: RunConfig, op: BlochOperator):
+    bands = solve_bands(op, cfg.num_bands, cluster_tol=cfg.tolerances.get("cluster_tol"))
     sel = cfg.band_selector
     if "index" in sel:
         idx = int(sel["index"])
@@ -74,11 +72,13 @@ def select_band(cfg: RunConfig):
 
 
 class Pipeline:
-    """Shared lazy assembly of the per-band objects."""
+    """Shared lazy assembly of the per-band objects, all built from one
+    operator."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.band, self.all_bands = select_band(cfg)
+        self.op = BlochOperator.build(cfg.material, cfg.cutoff, cfg.theta)
+        self.band, self.all_bands = select_band(cfg, self.op)
         self._proj = None
         self._disp = None
         self._gamma = None
@@ -88,21 +88,20 @@ class Pipeline:
     @property
     def projectors(self):
         if self._proj is None:
-            self._proj = build_projectors(self.band, self.cfg.material, self.cfg.cutoff)
+            self._proj = build_projectors(self.band, self.op)
         return self._proj
 
     @property
     def dispersion(self):
         if self._disp is None:
-            self._disp = hessian(self.band, self.projectors, self.cfg.material,
-                                 self.cfg.cutoff,
+            self._disp = hessian(self.band, self.projectors, self.op,
                                  scalar_tol=self.cfg.tolerances["scalar_tol"])
         return self._disp
 
     @property
     def gamma(self):
         if self._gamma is None:
-            self._gamma = build_gamma(self.band, self.cfg.material, self.cfg.cutoff)
+            self._gamma = build_gamma(self.band, self.op)
         return self._gamma
 
     @property
@@ -133,7 +132,7 @@ class Pipeline:
 
     def profiles(self):
         return build_profiles(self.band, self.projectors, self.dispersion, self.ray,
-                              self.envelope, self.cfg.material, self.cfg.cutoff)
+                              self.envelope, self.op)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +144,11 @@ def cmd_bands(cfg: RunConfig, out: Path) -> None:
     rows = list(pipe.all_bands)
     path_spec = cfg.raw.get("theta_path")
     if path_spec:
-        from .bands import track_band
-
         end = np.asarray(path_spec["to"], dtype=float)
         steps = int(path_spec.get("steps", 8))
         path = [cfg.theta + (end - cfg.theta) * s / max(steps - 1, 1)
                 for s in range(steps)]
-        rows.extend(track_band(cfg.material, cfg.cutoff, pipe.band, path,
-                               gap_tol=cfg.tolerances["gap_tol"]))
+        rows.extend(track_band(pipe.op, pipe.band, path, gap_tol=cfg.tolerances["gap_tol"]))
     write_bands_csv(out / "bands.csv", rows)
     margin = speed_limit_check(cfg.material, pipe.dispersion.V, num_samples=200,
                                seed=cfg.seed)["worst_margin"]
@@ -164,7 +160,7 @@ def cmd_dispersion(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     rep = speed_limit_check(cfg.material, pipe.dispersion.V, num_samples=1000, seed=cfg.seed)
     write_dispersion_record(out / "dispersion.json", pipe.dispersion, rep["worst_margin"])
-    fd = fd_hessian(cfg.material, cfg.cutoff, pipe.band)
+    fd = fd_hessian(pipe.op, pipe.band)
     dev = float(np.max(np.abs(fd - pipe.dispersion.hessian)))
     (out / "dispersion_fd_check.json").write_text(json.dumps({
         "hessian_fd": [[float(v) for v in r] for r in fd],
@@ -185,7 +181,7 @@ def cmd_gamma(cfg: RunConfig, out: Path) -> None:
 def cmd_envelope(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     env = pipe.envelope
-    mass = projected_mass(pipe.band, cfg.material, cfg.cutoff)
+    mass = projected_mass(pipe.band, pipe.op)
     times = np.linspace(0.0, cfg.horizon, 9)
     rows = []
     for i, T in enumerate(times):
@@ -246,9 +242,10 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
                                  support_sigmas=cfg.packet.support_sigmas,
                                  nodes=nodes, nodes_check=nodes - 20)
         sup = {bd: 0.0 for bd in indices}
-        for t in np.linspace(0.0, cfg.horizon / h, 9):
-            synth = synthesize_exact_packet(packet, pipe.band, cfg.material, cfg.cutoff,
-                                            t, grid=cfg.grid, estimate_error=False)
+        times = np.linspace(0.0, cfg.horizon / h, 9)
+        synths = synthesize_exact_packet(packet, pipe.band, pipe.op, times, grid=cfg.grid,
+                                         estimate_error=False)
+        for t, synth in zip(times, synths):
             uh = HarmonicField(cfg.theta, h, t, cfg.grid, synth.harmonics)
             vh = HarmonicField(cfg.theta, h, t, cfg.grid,
                                assemble_harmonics(profs, h, t, cfg.grid, orders=orders))

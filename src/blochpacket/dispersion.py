@@ -15,19 +15,12 @@ deviation from scalarity is computed and shipped as a runtime certificate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bands import BlochBand, ProjectorPair, continue_band
+from .bands import BlochBand, BlochOperator, ProjectorPair, continue_band
 from .errors import MultiplicityInconsistent, SpeedLimitViolation
-from .fourier import (
-    LatticeCutoff,
-    MaterialSpec,
-    apply_constant_symbol,
-    base_material_matrix,
-    cross_matrix,
-)
+from .fourier import MaterialSpec, apply_constant_symbol, cross_matrix, trig_sum_on_grid
 
 SCALAR_TOL = 1e-8
 
@@ -46,14 +39,11 @@ class DispersionData:
 # kappa x kappa building blocks
 # ---------------------------------------------------------------------------
 
-def projected_mass(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
-                   a0: Optional[np.ndarray] = None) -> np.ndarray:
+def projected_mass(band: BlochBand, op: BlochOperator) -> np.ndarray:
     """kappa x kappa matrix of Pi A0 Pi in the band's eigenbasis.  Positive
     definite (the projected material is an isomorphism of the eigenspace)."""
-    if a0 is None:
-        a0 = base_material_matrix(spec, cutoff)
     psi = band.eigvecs
-    n = psi.conj().T @ a0 @ psi
+    n = psi.conj().T @ op.a0 @ psi
     return 0.5 * (n + n.conj().T)
 
 
@@ -87,7 +77,7 @@ def _pencil_derivative_apply(xi, domega_xi: float, a0: np.ndarray,
 # Group velocity (first-order perturbation)
 # ---------------------------------------------------------------------------
 
-def group_velocity(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
+def group_velocity(band: BlochBand, op: BlochOperator,
                    scalar_tol: float = SCALAR_TOL) -> np.ndarray:
     """V = -grad_theta omega from first-order perturbation theory.
 
@@ -95,8 +85,7 @@ def group_velocity(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
     equals -(d_j omega) * Pi A0 Pi; the scalar multiple is extracted and the
     deviation from scalarity must stay below scalar_tol.
     """
-    a0 = base_material_matrix(spec, cutoff)
-    n = projected_mass(band, spec, cutoff, a0)
+    n = projected_mass(band, op)
     psi = band.eigvecs
     v = np.zeros(3)
     forms = []
@@ -119,16 +108,14 @@ def group_velocity(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
     return v
 
 
-def first_order_identity_residual(band: BlochBand, spec: MaterialSpec,
-                                  cutoff: LatticeCutoff, xi, V) -> float:
+def first_order_identity_residual(band: BlochBand, op: BlochOperator, xi, V) -> float:
     """Norm of the projected pencil derivative Pi L'(xi) Pi given a group
     velocity V (from either the perturbation or the finite-difference route).
     Vanishes under constant multiplicity."""
-    a0 = base_material_matrix(spec, cutoff)
     psi = band.eigvecs
     xi = np.asarray(xi, dtype=float)
     domega = -float(np.dot(xi, V))
-    lp = _pencil_derivative_apply(xi, domega, a0, psi)
+    lp = _pencil_derivative_apply(xi, domega, op.a0, psi)
     return float(np.linalg.norm(psi.conj().T @ lp))
 
 
@@ -136,14 +123,14 @@ def first_order_identity_residual(band: BlochBand, spec: MaterialSpec,
 # Hessian (second-order perturbation)
 # ---------------------------------------------------------------------------
 
-def hessian(band: BlochBand, projectors: ProjectorPair, spec: MaterialSpec,
-            cutoff: LatticeCutoff, scalar_tol: float = SCALAR_TOL) -> DispersionData:
+def hessian(band: BlochBand, projectors: ProjectorPair, op: BlochOperator,
+            scalar_tol: float = SCALAR_TOL) -> DispersionData:
     """Dispersion Hessian d^2 omega/d theta^2 via second-order perturbation:
     the symmetrized form Psi^H L'(e_i) Q L'(e_j) Psi equals (i/2) H_ij Pi A0 Pi,
     so H_ij = -2i * scalar part."""
-    a0 = base_material_matrix(spec, cutoff)
-    n = projected_mass(band, spec, cutoff, a0)
-    v = group_velocity(band, spec, cutoff, scalar_tol)
+    a0 = op.a0
+    n = projected_mass(band, op)
+    v = group_velocity(band, op, scalar_tol)
     psi = band.eigvecs
     q = projectors.Q
 
@@ -185,13 +172,12 @@ def hessian(band: BlochBand, projectors: ProjectorPair, spec: MaterialSpec,
 # Finite-difference oracles
 # ---------------------------------------------------------------------------
 
-def fd_group_velocity(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
-                      step: float = 1e-3) -> np.ndarray:
+def fd_group_velocity(op: BlochOperator, band: BlochBand, step: float = 1e-3) -> np.ndarray:
     """Central finite differences of the continued eigenvalue with one
     Richardson level: V = -grad omega."""
 
     def omega(shift):
-        return continue_band(spec, cutoff, band.theta + shift, band)[0].omega
+        return continue_band(op, band.theta + shift, band)[0].omega
 
     def stencil(hstep):
         grad = np.zeros(3)
@@ -206,13 +192,12 @@ def fd_group_velocity(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand
     return -(4 * g2 - g1) / 3
 
 
-def fd_hessian(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
-               step: float = 1e-2) -> np.ndarray:
+def fd_hessian(op: BlochOperator, band: BlochBand, step: float = 1e-2) -> np.ndarray:
     """Second-order central differences of the continued eigenvalue
     omega(theta), one Richardson level."""
 
     def omega(shift):
-        return continue_band(spec, cutoff, band.theta + shift, band)[0].omega
+        return continue_band(op, band.theta + shift, band)[0].omega
 
     def stencil(h):
         hess = np.zeros((3, 3))
@@ -243,26 +228,14 @@ def fd_hessian(spec: MaterialSpec, cutoff: LatticeCutoff, band: BlochBand,
 # Speed limit
 # ---------------------------------------------------------------------------
 
-def _material_samples(coefs, y_samples: int, axes_used) -> np.ndarray:
-    """Sample a coefficient reconstruction on a grid collapsed along axes the
-    coefficients do not depend on (exact by translation invariance)."""
-    sizes = [y_samples if used else 1 for used in axes_used]
-    ys = [np.linspace(0.0, 2 * np.pi, s, endpoint=False) for s in sizes]
-    g1, g2, g3 = np.meshgrid(*ys, indexing="ij")
-    out = np.zeros(g1.shape + (3, 3), dtype=complex)
-    for n, mat in coefs.items():
-        phase = np.exp(1j * (n[0] * g1 + n[1] * g2 + n[2] * g3))
-        out += phase[..., None, None] * mat
-    return out.reshape(-1, 3, 3)
-
-
 def _pencil_tables(spec: MaterialSpec, y_samples: int):
-    axes_used = [
-        any(n[a] != 0 for coefs in (spec.eps0, spec.mu0) for n in coefs)
-        for a in range(3)
-    ]
-    eps = _material_samples(spec.eps0, y_samples, axes_used)
-    mu = _material_samples(spec.mu0, y_samples, axes_used)
+    # the grid collapses along axes the coefficients do not depend on (exact
+    # by translation invariance)
+    modes = list(spec.eps0) + list(spec.mu0)
+    ys = [np.linspace(0.0, 2 * np.pi, y_samples if any(n[a] != 0 for n in modes) else 1,
+                      endpoint=False) for a in range(3)]
+    eps = trig_sum_on_grid(spec.eps0, *ys).reshape(-1, 3, 3)
+    mu = trig_sum_on_grid(spec.mu0, *ys).reshape(-1, 3, 3)
     eps = 0.5 * (eps + np.conj(np.swapaxes(eps, -1, -2)))
     mu = 0.5 * (mu + np.conj(np.swapaxes(mu, -1, -2)))
     w, u = np.linalg.eigh(eps)

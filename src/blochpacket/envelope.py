@@ -30,6 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoxTooSmall
+from .fourier import trig_sum_on_grid
 
 INNER_MASS_TOL = 1e-8
 SHELL_MASS_TOL = 1e-6
@@ -107,14 +108,9 @@ class EnvelopeState:
 def potential_on_grid(grid: EnvelopeGrid, mean_modes: Dict, kappa: int) -> np.ndarray:
     """Evaluate the ray-averaged coupling sum_k a_k exp(i k.x) on the grid;
     shape (M1, M2, M3, kappa, kappa)."""
-    out = np.zeros(grid.shape + (kappa, kappa), dtype=complex)
     if not mean_modes:
-        return out
-    xs = grid.meshgrid()
-    for k, a in mean_modes.items():
-        phase = np.exp(1j * (k[0] * xs[0] + k[1] * xs[1] + k[2] * xs[2]))
-        out += phase[..., None, None] * a
-    return out
+        return np.zeros(grid.shape + (kappa, kappa), dtype=complex)
+    return trig_sum_on_grid(mean_modes, *(grid.axis_coords(a) for a in range(3)))
 
 
 def dispersion_multiplier(grid: EnvelopeGrid, hess: np.ndarray, dT: float) -> np.ndarray:

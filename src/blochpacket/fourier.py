@@ -441,6 +441,19 @@ def base_material_matrix(spec: MaterialSpec, cutoff: LatticeCutoff) -> np.ndarra
     return mat
 
 
+def modulation_a01_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff,
+                         arr: np.ndarray) -> np.ndarray:
+    """Apply A0^1(eta, .) (eps1 on the E block, mu1 on the B block) to a
+    (K, 6) array."""
+    eps_n, mu_n, _low = spec.modulation_at(eta)
+    out = np.zeros_like(arr)
+    if eps_n:
+        out[:, :3] = conv_apply(eps_n, cutoff, arr[:, :3])
+    if mu_n:
+        out[:, 3:] = conv_apply(mu_n, cutoff, arr[:, 3:])
+    return out
+
+
 def modulation_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff, arr: np.ndarray,
                      omega: float) -> np.ndarray:
     """Apply i*omega*A0^1(eta, .) + lower_order(eta, .) to a (K, 6) array.
@@ -448,12 +461,8 @@ def modulation_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff, arr: np.nda
     This is the y-multiplication operator carried by a single (t, x)-frequency
     of the slow modulations.
     """
-    eps_n, mu_n, low_n = spec.modulation_at(eta)
-    out = np.zeros_like(arr)
-    if eps_n:
-        out[:, :3] += 1j * omega * conv_apply(eps_n, cutoff, arr[:, :3])
-    if mu_n:
-        out[:, 3:] += 1j * omega * conv_apply(mu_n, cutoff, arr[:, 3:])
+    out = 1j * omega * modulation_a01_apply(spec, eta, cutoff, arr)
+    low_n = spec.modulation_at(eta)[2]
     if low_n:
         out += conv_apply(low_n, cutoff, arr)
     return out
@@ -470,14 +479,23 @@ def cell_grid(samples: int) -> np.ndarray:
     return np.stack([y1, y2, y3], axis=-1)
 
 
-def material_on_grid(coefs: Dict[Mode, np.ndarray], samples: int) -> np.ndarray:
-    """Reconstruct sum_n coef(n) exp(i n.y) on an S^3 grid; shape (S,S,S,3,3)."""
-    grid = cell_grid(samples)
-    out = np.zeros(grid.shape[:3] + next(iter(coefs.values())).shape, dtype=complex)
+def trig_sum_on_grid(coefs: Dict, y1: np.ndarray, y2: np.ndarray,
+                     y3: np.ndarray) -> np.ndarray:
+    """sum_n coef(n) exp(i n.y) on the tensor grid of three 1-D coordinate
+    axes; shape (len(y1), len(y2), len(y3)) + coefficient shape.  The
+    frequencies n may be integer cell harmonics or real wave vectors."""
+    g1, g2, g3 = np.meshgrid(y1, y2, y3, indexing="ij")
+    out = np.zeros(g1.shape + next(iter(coefs.values())).shape, dtype=complex)
     for n, mat in coefs.items():
-        phase = np.exp(1j * (grid @ np.asarray(n, dtype=float)))
+        phase = np.exp(1j * (n[0] * g1 + n[1] * g2 + n[2] * g3))
         out += phase[..., None, None] * mat
     return out
+
+
+def material_on_grid(coefs: Dict[Mode, np.ndarray], samples: int) -> np.ndarray:
+    """Reconstruct sum_n coef(n) exp(i n.y) on an S^3 grid; shape (S,S,S,3,3)."""
+    y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    return trig_sum_on_grid(coefs, y, y, y)
 
 
 def field_on_grid(f: FourierField6, samples: int, bloch_phase: bool = True) -> np.ndarray:

@@ -2,20 +2,22 @@
 medium, quadrature synthesis of exact wave packets from Bloch eigenpairs, and
 a pseudo-spectral time-domain integrator.
 
-These provide the second route of every dual-route check in the package: the
-eigensolver is checked against the constant-coefficient closed form, the
-multi-scale assembly against synthesized exact packets, and both against the
-time-domain integrator on layered configurations.
+These provide the second route of the dual-route checks in the package: the
+eigensolver is checked against the constant-coefficient closed form and the
+multi-scale assembly against synthesized exact packets.  The time-domain
+integrator is seeded with the assembled field and reports its energy and
+divergence traces; comparing its field with the assembly is not implemented
+yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .bands import BlochBand, continue_band, procrustes_align
+from .bands import BlochBand, BlochOperator, continue_band, procrustes_align
 from .envelope import EnvelopeGrid
 from .errors import ConfigError, GaugeError, StabilityAnomaly
 from .fourier import (
@@ -23,6 +25,7 @@ from .fourier import (
     MaterialSpec,
     FourierField6,
     transverse_pair,
+    trig_sum_on_grid,
 )
 
 # smallest singular value of the overlap between adjacent nodes' eigenbases
@@ -153,13 +156,11 @@ class _NodeEigen:
     an independent route, aligned the same way.
     """
 
-    def __init__(self, band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff,
-                 packet: ExactPacketSpec):
+    def __init__(self, band: BlochBand, op: BlochOperator, packet: ExactPacketSpec):
         self.band = band
-        self.spec = spec
-        self.cutoff = cutoff
+        self.op = op
         self.packet = packet
-        self.vacuum = _is_vacuum(spec)
+        self.vacuum = _is_vacuum(op.spec)
         self._cache: Dict[Tuple[float, float, float], BlochBand] = {}
 
     def eigen_at(self, zeta) -> Tuple[float, np.ndarray]:
@@ -202,7 +203,7 @@ class _NodeEigen:
             node = BlochBand(theta, omega, 2, procrustes_align(basis, prev.eigvecs),
                              self.band.band_index)
         else:
-            node, _gap = continue_band(self.spec, self.cutoff, theta, prev)
+            node, _gap = continue_band(self.op, theta, prev)
         sv = np.linalg.svd(node.eigvecs.conj().T @ prev.eigvecs, compute_uv=False)
         if sv.min() < OVERLAP_TOL:
             raise GaugeError(
@@ -216,8 +217,8 @@ class _NodeEigen:
         u1, u2 = transverse_pair(theta)
         omega, e1, b1 = exact_constant_solution(theta, (0, 0, 0), u1, sign)
         _, e2, b2 = exact_constant_solution(theta, (0, 0, 0), u2, sign)
-        basis = np.zeros((6 * self.cutoff.num_modes, 2), dtype=complex)
-        i = self.cutoff.index_of((0, 0, 0))
+        basis = np.zeros((6 * self.op.cutoff.num_modes, 2), dtype=complex)
+        i = self.op.cutoff.index_of((0, 0, 0))
         basis[6 * i : 6 * i + 3, 0] = e1
         basis[6 * i + 3 : 6 * i + 6, 0] = b1
         basis[6 * i : 6 * i + 3, 1] = e2
@@ -237,40 +238,42 @@ def _is_vacuum(spec: MaterialSpec) -> bool:
     return _only_identity(spec.eps0) and _only_identity(spec.mu0)
 
 
-def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand,
-                            spec: MaterialSpec, cutoff: LatticeCutoff, t: float,
+def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand, op: BlochOperator,
+                            times: Iterable[float],
                             grid: Optional[EnvelopeGrid] = None,
                             points: Optional[np.ndarray] = None,
-                            estimate_error: bool = True) -> SynthesisResult:
-    """Exact solution of the purely periodic problem as a Bloch-wave integral.
+                            estimate_error: bool = True) -> Iterator[SynthesisResult]:
+    """Exact solution of the purely periodic problem as a Bloch-wave integral,
+    one result per output time.
 
     Tensor Gauss-Legendre quadrature over the packet spectrum; per node the
     eigenpair comes from the gauge-aligned band (closed form for vacuum).
+    The nodes do not depend on t: they are prepared once, in this call, and
+    the per-time results are then produced lazily, so only one is held at a
+    time.
     With `grid`, returns the harmonic-resolved field {n: (6, shape)} such
     that  u(t, x) = sum_n exp(i ((theta + n).x + omega_c t)/h ...) -- more
     precisely each harmonic carries its own node frequencies; with `points`,
     returns direct samples u(t, x_p).  The quadrature error is estimated by
     comparing against the lower-order rule.
     """
-    if not spec.is_static():
+    if not op.spec.is_static():
         raise ConfigError("exact synthesis requires a purely periodic medium")
-    nodes = _NodeEigen(band, spec, cutoff, packet)
+    nodes = _NodeEigen(band, op, packet)
     zeta, wts = _gl_nodes(packet, packet.nodes)
     zeta_c, wts_c = _gl_nodes(packet, packet.nodes_check)
     nodes.prepare(np.concatenate([zeta, zeta_c], axis=0) if estimate_error else zeta)
 
-    main = _synthesize(packet, band, cutoff, nodes, zeta, wts, t, grid, points)
-    err = 0.0
-    if estimate_error:
-        check = _synthesize(packet, band, cutoff, nodes, zeta_c, wts_c, t, grid, points)
-        err = _synth_distance(main, check)
-    return SynthesisResult(
-        t=t,
-        harmonics=main[0],
-        samples=main[1],
-        quadrature_error=err,
-        node_count=len(zeta),
-    )
+    def result(t):
+        main = _synthesize(packet, band, op.cutoff, nodes, zeta, wts, t, grid, points)
+        err = 0.0
+        if estimate_error:
+            check = _synthesize(packet, band, op.cutoff, nodes, zeta_c, wts_c, t, grid, points)
+            err = _synth_distance(main, check)
+        return SynthesisResult(t=t, harmonics=main[0], samples=main[1],
+                               quadrature_error=err, node_count=len(zeta))
+
+    return map(result, times)
 
 
 def _synthesize(packet, band, cutoff, nodes, zeta, wts, t, grid, points):
@@ -346,19 +349,12 @@ class _GridMaterial:
         self.spec = spec
         self.h = float(h)
         self.grid = grid
-        xs = grid.meshgrid()
-        self.xs = xs
+        self.xs = grid.meshgrid()
+        ys = [grid.axis_coords(a) / self.h for a in range(3)]
         self.a00 = np.zeros(grid.shape + (6, 6), dtype=complex)
-        self.a00[..., :3, :3] = self._sample_base(spec.eps0)
-        self.a00[..., 3:, 3:] = self._sample_base(spec.mu0)
+        self.a00[..., :3, :3] = trig_sum_on_grid(spec.eps0, *ys)
+        self.a00[..., 3:, 3:] = trig_sum_on_grid(spec.mu0, *ys)
         self.static = spec.is_static()
-
-    def _sample_base(self, coefs):
-        out = np.zeros(self.grid.shape + (3, 3), dtype=complex)
-        for n, m in coefs.items():
-            ph = np.exp(1j * (n[0] * self.xs[0] + n[1] * self.xs[1] + n[2] * self.xs[2]) / self.h)
-            out += ph[..., None, None] * m
-        return out
 
     def _sample_modulation(self, coefs, t, dim):
         out = np.zeros(self.grid.shape + (dim, dim), dtype=complex)
@@ -447,10 +443,15 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
 
     a0_0 = mat.a0_at(0.0)
     dvec = np.einsum("xyzab,bxyz->axyz", a0_0, u0)
+    if mat.static:
+        inv_a0 = np.linalg.inv(a0_0)
+
+    def to_u(t, d):
+        inv = inv_a0 if mat.static else np.linalg.inv(mat.a0_at(t))
+        return np.einsum("xyzab,bxyz->axyz", inv, d)
 
     def rhs(t, d):
-        a0 = mat.a0_at(t) if not mat.static else a0_0
-        u = np.einsum("xyzab,bxyz->axyz", np.linalg.inv(a0), d)
+        u = to_u(t, d)
         out = np.empty_like(d)
         out[:3] = _spectral_curl(u[3:], ks)      # d/dt (eps E) = curl B - ...
         out[3:] = -_spectral_curl(u[:3], ks)     # d/dt (mu B) = -curl E - ...
@@ -458,14 +459,6 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
         if m is not None:
             out -= np.einsum("xyzab,bxyz->axyz", m, u)
         return out
-
-    if mat.static:
-        inv_a0 = np.linalg.inv(a0_0)
-
-    def to_u(t, d):
-        if mat.static:
-            return np.einsum("xyzab,bxyz->axyz", inv_a0, d)
-        return np.einsum("xyzab,bxyz->axyz", np.linalg.inv(mat.a0_at(t)), d)
 
     nsteps = max(1, int(np.ceil(t_final / dt)))
     dt = t_final / nsteps

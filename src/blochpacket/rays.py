@@ -24,10 +24,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .bands import BlochBand
+from .bands import BlochBand, BlochOperator
 from .dispersion import projected_mass
 from .errors import BetaFitError, SmallDivisorWarning
-from .fourier import LatticeCutoff, MaterialSpec, modulation_apply
+from .fourier import modulation_apply
 
 Eta = Tuple[float, float, float, float]
 
@@ -115,7 +115,7 @@ def _ray_divisor(eta, V) -> float:
 # Coupling assembly
 # ---------------------------------------------------------------------------
 
-def build_gamma(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff) -> CouplingField:
+def build_gamma(band: BlochBand, op: BlochOperator) -> CouplingField:
     """Assemble the coupling field mode by mode.
 
     For each (t, x)-frequency eta of the modulations, the y-multiplication
@@ -124,12 +124,13 @@ def build_gamma(band: BlochBand, spec: MaterialSpec, cutoff: LatticeCutoff) -> C
     by the inverse of the projected mass matrix.
     """
     psi = band.eigvecs
-    n = projected_mass(band, spec, cutoff)
+    n = projected_mass(band, op)
     modes: Dict[Eta, np.ndarray] = {}
-    for eta in spec.modulation_frequencies():
+    for eta in op.spec.modulation_frequencies():
         sandwich = np.empty((band.kappa, band.kappa), dtype=complex)
         for a in range(band.kappa):
-            col = modulation_apply(spec, eta, cutoff, psi[:, a].reshape(-1, 6), band.omega)
+            col = modulation_apply(op.spec, eta, op.cutoff, psi[:, a].reshape(-1, 6),
+                                   band.omega)
             sandwich[:, a] = psi.conj().T @ col.reshape(-1)
         modes[eta] = np.linalg.solve(n, sandwich)
     return CouplingField(modes=modes, kappa=band.kappa)

@@ -34,19 +34,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bands import BlochBand, ProjectorPair
+from .bands import BlochBand, BlochOperator, ProjectorPair
 from .dispersion import DispersionData
 from .envelope import EnvelopeSolution
 from .errors import CutoffMismatch
-from .fourier import (
-    LatticeCutoff,
-    MaterialSpec,
-    apply_curl_direction,
-    base_material_matrix,
-    curl_matrix,
-    modulation_apply,
-    conv_apply,
-)
+from .fourier import apply_curl_direction, modulation_a01_apply, modulation_apply
 from .rays import RayAverageData
 
 Eta = Tuple[float, float, float, float]
@@ -54,49 +46,6 @@ FieldKey = Tuple[int, int, Tuple[int, int, int]]
 TermTable = Dict[Tuple[Eta, FieldKey], np.ndarray]
 
 _ZETA: Eta = (0.0, 0.0, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Operator bundle
-# ---------------------------------------------------------------------------
-
-class _Operators:
-    """Dense/structured operators at the carrier (omega, theta)."""
-
-    def __init__(self, spec: MaterialSpec, cutoff: LatticeCutoff, omega: float, theta):
-        self.spec = spec
-        self.cutoff = cutoff
-        self.omega = float(omega)
-        self.a0 = base_material_matrix(spec, cutoff)
-        self.g = curl_matrix(cutoff, theta)
-        self.mod_etas = spec.modulation_frequencies()
-
-    def cell(self, vec: np.ndarray) -> np.ndarray:
-        """Bloch pencil i*omega*A0 - G."""
-        return 1j * self.omega * (self.a0 @ vec) - self.g @ vec
-
-    def a0_apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.a0 @ vec
-
-    def curl_dir(self, j: int, vec: np.ndarray) -> np.ndarray:
-        """[[0, e_j^],[-e_j^, 0]] (coefficient of d/dx_j in the curl)."""
-        return apply_curl_direction(j, vec.reshape(-1, 6)).reshape(-1)
-
-    def modulation(self, eta, vec: np.ndarray) -> np.ndarray:
-        """i*omega*A0^1(eta,.) + M(eta,.)."""
-        return modulation_apply(self.spec, eta, self.cutoff,
-                                vec.reshape(-1, 6), self.omega).reshape(-1)
-
-    def modulation_a01(self, eta, vec: np.ndarray) -> np.ndarray:
-        """A0^1(eta,.) alone (no omega factor, no zero-order term)."""
-        eps_n, mu_n, _low = self.spec.modulation_at(eta)
-        arr = vec.reshape(-1, 6)
-        out = np.zeros_like(arr)
-        if eps_n:
-            out[:, :3] = conv_apply(eps_n, self.cutoff, arr[:, :3])
-        if mu_n:
-            out[:, 3:] = conv_apply(mu_n, self.cutoff, arr[:, 3:])
-        return out.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +84,30 @@ def _shift_eta(eta: Eta, other) -> Eta:
     return tuple(float(a + b) for a, b in zip(eta, other))
 
 
-def op_cell(table: TermTable, ops: _Operators) -> TermTable:
+def _curl_dir(j: int, vec: np.ndarray) -> np.ndarray:
+    """[[0, e_j^],[-e_j^, 0]] (coefficient of d/dx_j in the curl)."""
+    return apply_curl_direction(j, vec.reshape(-1, 6)).reshape(-1)
+
+
+def _modulation(op: BlochOperator, eta, vec: np.ndarray, omega: float) -> np.ndarray:
+    """i*omega*A0^1(eta,.) + M(eta,.)."""
+    return modulation_apply(op.spec, eta, op.cutoff, vec.reshape(-1, 6), omega).reshape(-1)
+
+
+def _modulation_a01(op: BlochOperator, eta, vec: np.ndarray) -> np.ndarray:
+    """A0^1(eta,.) alone (no omega factor, no zero-order term)."""
+    return modulation_a01_apply(op.spec, eta, op.cutoff, vec.reshape(-1, 6)).reshape(-1)
+
+
+def op_cell(table: TermTable, op: BlochOperator, omega: float) -> TermTable:
+    """Bloch pencil i*omega*A0 - G at the carrier."""
     out: TermTable = {}
     for (eta, key), vec in table.items():
-        _add(out, eta, key, ops.cell(vec))
+        _add(out, eta, key, op.pencil(omega, vec))
     return out
 
 
-def op_envelope(table: TermTable, ops: _Operators, V: np.ndarray) -> TermTable:
+def op_envelope(table: TermTable, op: BlochOperator, V: np.ndarray) -> TermTable:
     """Envelope-scale operator A0 d_t - curl_x on exp(i eta.(t,x)) D(x - Vt) phi.
 
     d_t hits the phase (i eta_0) and transports D (-V.grad); each d_{x_j}
@@ -150,35 +115,37 @@ def op_envelope(table: TermTable, ops: _Operators, V: np.ndarray) -> TermTable:
     """
     out: TermTable = {}
     for (eta, key), vec in table.items():
-        a0v = ops.a0_apply(vec)
+        a0v = op.a0 @ vec
         if eta[0] != 0.0:
             _add(out, eta, key, 1j * eta[0] * a0v)
         for j in range(3):
-            cjv = ops.curl_dir(j, vec)
+            cjv = _curl_dir(j, vec)
             if eta[1 + j] != 0.0:
                 _add(out, eta, key, -1j * eta[1 + j] * cjv)
             _add(out, eta, _bump_alpha(key, j), -V[j] * a0v - cjv)
     return out
 
 
-def op_slow(table: TermTable, ops: _Operators) -> TermTable:
+def op_slow(table: TermTable, op: BlochOperator, omega: float) -> TermTable:
     """Slow-scale operator A0 d_T + sum_eta' exp(i eta'.(t,x)) (i w A0^1 + M)."""
     out: TermTable = {}
+    mod_etas = op.spec.modulation_frequencies()
     for (eta, key), vec in table.items():
-        _add(out, eta, _bump_tder(key), ops.a0_apply(vec))
-        for eta_mod in ops.mod_etas:
-            mv = ops.modulation(eta_mod, vec)
+        _add(out, eta, _bump_tder(key), op.a0 @ vec)
+        for eta_mod in mod_etas:
+            mv = _modulation(op, eta_mod, vec, omega)
             if np.any(mv):
                 _add(out, _shift_eta(eta, eta_mod), key, mv)
     return out
 
 
-def op_dt_modulation(table: TermTable, ops: _Operators, V: np.ndarray) -> TermTable:
+def op_dt_modulation(table: TermTable, op: BlochOperator, V: np.ndarray) -> TermTable:
     """d_t (A0^1 .) -- the order-h^2 leftover of the slow material derivative."""
     out: TermTable = {}
+    mod_etas = op.spec.modulation_frequencies()
     for (eta, key), vec in table.items():
-        for eta_mod in ops.mod_etas:
-            mv = ops.modulation_a01(eta_mod, vec)
+        for eta_mod in mod_etas:
+            mv = _modulation_a01(op, eta_mod, vec)
             if not np.any(mv):
                 continue
             eta_new = _shift_eta(eta, eta_mod)
@@ -189,12 +156,13 @@ def op_dt_modulation(table: TermTable, ops: _Operators, V: np.ndarray) -> TermTa
     return out
 
 
-def op_dT_modulation(table: TermTable, ops: _Operators) -> TermTable:
+def op_dT_modulation(table: TermTable, op: BlochOperator) -> TermTable:
     """A0^1 d_T -- the order-h^3 leftover of the slow material derivative."""
     out: TermTable = {}
+    mod_etas = op.spec.modulation_frequencies()
     for (eta, key), vec in table.items():
-        for eta_mod in ops.mod_etas:
-            mv = ops.modulation_a01(eta_mod, vec)
+        for eta_mod in mod_etas:
+            mv = _modulation_a01(op, eta_mod, vec)
             if np.any(mv):
                 _add(out, _shift_eta(eta, eta_mod), _bump_tder(key), mv)
     return out
@@ -214,8 +182,7 @@ class ProfileSet:
     dispersion: DispersionData
     ray_data: Optional[RayAverageData]
     envelope: EnvelopeSolution
-    spec: MaterialSpec
-    cutoff: LatticeCutoff
+    op: BlochOperator
     w0: TermTable
     w1: TermTable
     w2: TermTable
@@ -227,14 +194,10 @@ class ProfileSet:
     def tables(self) -> List[TermTable]:
         return [self.w0, self.w1, self.w2]
 
-    def operators(self) -> _Operators:
-        return _Operators(self.spec, self.cutoff, self.band.omega, self.band.theta)
-
 
 def build_profiles(band: BlochBand, projectors: ProjectorPair,
                    dispersion: DispersionData, ray_data: Optional[RayAverageData],
-                   envelope_solution: EnvelopeSolution, spec: MaterialSpec,
-                   cutoff: LatticeCutoff) -> ProfileSet:
+                   envelope_solution: EnvelopeSolution, op: BlochOperator) -> ProfileSet:
     """Construct the three profiles.
 
     * w0: envelope components times the band eigenvectors.
@@ -252,8 +215,8 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
         raise CutoffMismatch("envelope component count does not match the band multiplicity")
     if ray_data is not None and ray_data.kappa != band.kappa:
         raise CutoffMismatch("ray-average data does not match the band multiplicity")
+    op.check_band(band)
 
-    ops = _Operators(spec, cutoff, band.omega, band.theta)
     q = projectors.Q
     psi = band.eigvecs
     kappa = band.kappa
@@ -265,7 +228,7 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
 
     # complement part of the first corrector: -Q (envelope operator) w0
     w1: TermTable = {}
-    for (eta, key), vec in op_envelope(w0, ops, V).items():
+    for (eta, key), vec in op_envelope(w0, op, V).items():
         _add(w1, eta, key, -(q @ vec))
 
     # eigenspace part: -(fluctuation integral) w0
@@ -283,12 +246,12 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
     # second corrector solves (cell pencil) w2 = -(what w1 and w0 leave at the
     # next order), complement part only
     w2: TermTable = {}
-    for (eta, key), vec in _merge(op_envelope(w1, ops, V), op_slow(w0, ops)).items():
+    for (eta, key), vec in _merge(op_envelope(w1, op, V), op_slow(w0, op, band.omega)).items():
         _add(w2, eta, key, -(q @ vec))
 
     return ProfileSet(band=band, projectors=projectors, dispersion=dispersion,
-                      ray_data=ray_data, envelope=envelope_solution, spec=spec,
-                      cutoff=cutoff, w0=w0, w1=w1, w2=w2)
+                      ray_data=ray_data, envelope=envelope_solution, op=op,
+                      w0=w0, w1=w1, w2=w2)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +312,20 @@ def residual(profiles: ProfileSet, h: float, t_max: Optional[float] = None,
     Orders r_{-1}, r_0, r_1 vanish by construction; 'r2' and 'r3' are the
     leading surviving terms of the error budget.
     """
-    ops = profiles.operators()
+    op = profiles.op
+    omega = profiles.band.omega
     V = profiles.dispersion.V
     if t_max is None:
         t_max = 1.0 / h
     orders = {
-        "r-1": op_cell(profiles.w0, ops),
-        "r0": _merge(op_cell(profiles.w1, ops), op_envelope(profiles.w0, ops, V)),
-        "r1": _merge(op_cell(profiles.w2, ops), op_envelope(profiles.w1, ops, V),
-                     op_slow(profiles.w0, ops)),
-        "r2": _merge(op_envelope(profiles.w2, ops, V), op_slow(profiles.w1, ops),
-                     op_dt_modulation(profiles.w0, ops, V)),
-        "r3": _merge(op_slow(profiles.w2, ops), op_dt_modulation(profiles.w1, ops, V),
-                     op_dT_modulation(profiles.w0, ops)),
+        "r-1": op_cell(profiles.w0, op, omega),
+        "r0": _merge(op_cell(profiles.w1, op, omega), op_envelope(profiles.w0, op, V)),
+        "r1": _merge(op_cell(profiles.w2, op, omega), op_envelope(profiles.w1, op, V),
+                     op_slow(profiles.w0, op, omega)),
+        "r2": _merge(op_envelope(profiles.w2, op, V), op_slow(profiles.w1, op, omega),
+                     op_dt_modulation(profiles.w0, op, V)),
+        "r3": _merge(op_slow(profiles.w2, op, omega), op_dt_modulation(profiles.w1, op, V),
+                     op_dT_modulation(profiles.w0, op)),
     }
 
     grid = profiles.envelope.grid
@@ -418,7 +382,7 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     band = profiles.band
-    cutoff = profiles.cutoff
+    cutoff = profiles.op.cutoff
     T = h * t
     x_comoving = pts - profiles.dispersion.V[None, :] * t
 
@@ -475,7 +439,7 @@ def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
             field_cache[key] = np.fft.ifftn(hat * shift)
         return field_cache[key]
 
-    modes = profiles.cutoff.modes
+    modes = profiles.op.cutoff.modes
     harm: Dict[Tuple[int, int, int], np.ndarray] = {
         tuple(n): np.zeros((6,) + grid.shape, dtype=complex) for n in modes
     }

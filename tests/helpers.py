@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from blochpacket.bands import build_projectors, solve_bands
+from blochpacket.bands import BlochOperator, build_projectors, solve_bands
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.fourier import LatticeCutoff
@@ -17,11 +17,12 @@ class BandPipeline:
         self.spec = spec
         self.cutoff = LatticeCutoff(cutoff) if not isinstance(cutoff, LatticeCutoff) else cutoff
         self.theta = np.asarray(theta, dtype=float)
-        self.bands = solve_bands(spec, self.cutoff, self.theta, num_bands)
+        self.op = BlochOperator.build(spec, self.cutoff, self.theta)
+        self.bands = solve_bands(self.op, num_bands)
         self.band = next(b for b in self.bands if b.band_index == band_index)
-        self.projectors = build_projectors(self.band, spec, self.cutoff)
-        self.dispersion = hessian(self.band, self.projectors, spec, self.cutoff)
-        self.gamma = build_gamma(self.band, spec, self.cutoff)
+        self.projectors = build_projectors(self.band, self.op)
+        self.dispersion = hessian(self.band, self.projectors, self.op)
+        self.gamma = build_gamma(self.band, self.op)
         self.ray = ray_average(self.gamma, self.dispersion.V)
 
     def envelope(self, grid: EnvelopeGrid, widths, weights, dT=1e-3) -> EnvelopeSolution:
@@ -31,4 +32,4 @@ class BandPipeline:
 
     def profiles(self, envelope):
         return build_profiles(self.band, self.projectors, self.dispersion, self.ray,
-                              envelope, self.spec, self.cutoff)
+                              envelope, self.op)

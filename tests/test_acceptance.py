@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from blochpacket.bands import solve_bands
+from blochpacket.bands import BlochOperator, solve_bands
 from blochpacket.dispersion import (
     fd_hessian,
     first_order_identity_residual,
@@ -55,7 +55,7 @@ def report(name, ok, detail):
 def test_01_constant_coefficient_bands():
     t0 = time.time()
     cut = LatticeCutoff(2)
-    bands = solve_bands(identity_material(), cut, THETA, 4 * cut.num_modes)
+    bands = solve_bands(BlochOperator.build(identity_material(), cut, THETA), 4 * cut.num_modes)
     computed = np.sort(np.concatenate([[b.omega] * b.kappa for b in bands]))
     exact = np.sort(constant_spectrum(cut, THETA))
     err = float(np.max(np.abs(computed - exact)))
@@ -92,8 +92,8 @@ def test_02_perturbation_identities(identity_pipe, aniso_pipe, rng):
         for _ in range(5):
             xi = rng.standard_normal(3)
             worst_first = max(worst_first, first_order_identity_residual(
-                pipe.band, pipe.spec, pipe.cutoff, xi, pipe.dispersion.V))
-        fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
+                pipe.band, pipe.op, xi, pipe.dispersion.V))
+        fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
         worst_hess = max(worst_hess, float(np.max(np.abs(fd - pipe.dispersion.hessian))))
     elapsed = time.time() - t0
     report(
@@ -156,9 +156,10 @@ def test_05_envelope_conservation(modulated_pipe):
     # real symmetric permittivity modulation, no zero-order term
     spec = with_cos_modulation(identity_material(), (0.0, 0.0, 0.25, 0.0),
                                amplitude=0.1, target="eps1")
-    gamma = build_gamma(pipe.band, spec, pipe.cutoff)
+    op = BlochOperator.build(spec, pipe.cutoff, pipe.theta)
+    gamma = build_gamma(pipe.band, op)
     ray = ray_average(gamma, pipe.dispersion.V)
-    mass = projected_mass(pipe.band, spec, pipe.cutoff)
+    mass = projected_mass(pipe.band, op)
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 128, 1))
     st = gaussian_state(grid, (1.0, 1.5, 1.0), np.array([1.0, 0.5j]) / np.sqrt(1.25))
     n0 = weighted_norm(st, mass)
@@ -226,9 +227,10 @@ def test_07_convergence_rate(identity_pipe):
         packet = ExactPacketSpec(THETA, h, widths, weights, axes=(1,),
                                  nodes=101, nodes_check=81)
         worst = 0.0
-        for t in np.linspace(0.0, 1.0 / h, 9):
-            synth = synthesize_exact_packet(packet, pipe.band, pipe.spec, pipe.cutoff,
-                                            t, grid=grid, estimate_error=False)
+        times = np.linspace(0.0, 1.0 / h, 9)
+        synths = synthesize_exact_packet(packet, pipe.band, pipe.op, times, grid=grid,
+                                         estimate_error=False)
+        for t, synth in zip(times, synths):
             uh = HarmonicField(THETA, h, t, grid, synth.harmonics)
             vh = HarmonicField(THETA, h, t, grid,
                                assemble_harmonics(profs, h, t, grid))
@@ -244,9 +246,10 @@ def test_07_convergence_rate(identity_pipe):
     packet = ExactPacketSpec(THETA, h, widths, weights, axes=(1,),
                              nodes=101, nodes_check=81)
     worst0 = 0.0
-    for t in np.linspace(0.0, 1.0 / h, 9):
-        synth = synthesize_exact_packet(packet, pipe.band, pipe.spec, pipe.cutoff,
-                                        t, grid=grid, estimate_error=False)
+    times = np.linspace(0.0, 1.0 / h, 9)
+    synths = synthesize_exact_packet(packet, pipe.band, pipe.op, times, grid=grid,
+                                     estimate_error=False)
+    for t, synth in zip(times, synths):
         uh = HarmonicField(THETA, h, t, grid, synth.harmonics)
         vh = HarmonicField(THETA, h, t, grid,
                            assemble_harmonics(profs0, h, t, grid, orders=(0,)))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from blochpacket.bands import (
+    BlochOperator,
     build_projectors,
-    operator_matrices,
     solve_bands,
     track_band,
 )
-from blochpacket.errors import GapViolation, MaterialError, MultiplicityInconsistent
-from blochpacket.fourier import LatticeCutoff, MaterialSpec, base_material_matrix
+from blochpacket.errors import CutoffMismatch, GapViolation, MaterialError, MultiplicityInconsistent
+from blochpacket.fourier import LatticeCutoff, MaterialSpec, base_material_matrix, curl_matrix
 from blochpacket.oracles import constant_spectrum
 from blochpacket.presets import identity_material, layered, scaled_identity
 
@@ -23,7 +23,7 @@ THETA = np.array([0.3, 0.0, 0.0])
 # ---------------------------------------------------------------------------
 
 def test_identity_lowest_clusters():
-    bands = solve_bands(identity_material(), LatticeCutoff(1), THETA, 8)
+    bands = solve_bands(BlochOperator.build(identity_material(), LatticeCutoff(1), THETA), 8)
     lows = sorted((b.omega, b.kappa) for b in bands)
     assert lows == [(-0.7, 2), (-0.3, 2), (0.3, 2), (0.7, 2)]
     for b in bands:
@@ -33,7 +33,7 @@ def test_identity_lowest_clusters():
 def test_identity_full_spectrum_matches_closed_form():
     cut = LatticeCutoff(1)
     spec = identity_material()
-    bands = solve_bands(spec, cut, THETA, 4 * cut.num_modes)
+    bands = solve_bands(BlochOperator.build(spec, cut, THETA), 4 * cut.num_modes)
     computed = np.sort(np.concatenate([[b.omega] * b.kappa for b in bands]))
     exact = np.sort(constant_spectrum(cut, THETA))
     assert np.allclose(computed, exact, atol=1e-10)
@@ -41,15 +41,16 @@ def test_identity_full_spectrum_matches_closed_form():
 
 def test_scaled_identity_halves_frequencies():
     cut = LatticeCutoff(1)
-    ref = solve_bands(identity_material(), cut, THETA, 8)
-    scaled = solve_bands(scaled_identity(eps=4.0), cut, THETA, 8)
+    ref = solve_bands(BlochOperator.build(identity_material(), cut, THETA), 8)
+    scaled = solve_bands(BlochOperator.build(scaled_identity(eps=4.0), cut, THETA), 8)
     for a, b in zip(ref, scaled):
         assert abs(b.omega - a.omega / 2) < 1e-12
         assert a.kappa == b.kappa
 
 
 def test_plus_minus_pairing():
-    bands = solve_bands(layered(0.2), LatticeCutoff(1), np.array([0.3, 0.2, 0.0]), 12)
+    bands = solve_bands(BlochOperator.build(layered(0.2), LatticeCutoff(1),
+                                            np.array([0.3, 0.2, 0.0])), 12)
     omegas = sorted(b.omega for b in bands for _ in range(b.kappa))
     for w in omegas:
         assert any(abs(w + v) < 1e-11 for v in omegas)
@@ -61,8 +62,8 @@ def test_layered_cutoff_refinement():
     (4,0,0) must match (8,0,0) to 1e-8 relative."""
     spec = layered(amplitude=0.2)
     theta = np.array([0.3, 0.2, 0.0])
-    coarse = solve_bands(spec, LatticeCutoff((4, 0, 0)), theta, 12)
-    fine = solve_bands(spec, LatticeCutoff((8, 0, 0)), theta, 24)
+    coarse = solve_bands(BlochOperator.build(spec, LatticeCutoff((4, 0, 0)), theta), 12)
+    fine = solve_bands(BlochOperator.build(spec, LatticeCutoff((8, 0, 0)), theta), 24)
     fine_omegas = np.array([b.omega for b in fine])
     for b in coarse[:8]:
         nearest = fine_omegas[np.argmin(np.abs(fine_omegas - b.omega))]
@@ -92,12 +93,12 @@ def test_orthonormality(offaxis_layered_pipe):
 def test_indefinite_material_rejected():
     bad = MaterialSpec(eps0={(0, 0, 0): -np.eye(3)}, mu0={(0, 0, 0): np.eye(3)})
     with pytest.raises(MaterialError):
-        solve_bands(bad, LatticeCutoff(1), THETA, 4)
+        solve_bands(BlochOperator.build(bad, LatticeCutoff(1), THETA), 4)
 
 
 def test_num_bands_exceeding_dynamic_dimension():
     with pytest.raises(ValueError):
-        solve_bands(identity_material(), LatticeCutoff(0), THETA, 5)
+        solve_bands(BlochOperator.build(identity_material(), LatticeCutoff(0), THETA), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def test_projector_rank_and_structure(identity_pipe):
 def test_projector_identities_random_probes(identity_pipe, rng):
     pipe = identity_pipe
     proj = pipe.projectors
-    a0, g = operator_matrices(pipe.spec, pipe.cutoff, pipe.theta)
+    a0, g = base_material_matrix(pipe.spec, pipe.cutoff), curl_matrix(pipe.cutoff, pipe.theta)
     pencil = 1j * pipe.band.omega * a0 - g
     eye = np.eye(pencil.shape[0])
     for _ in range(20):
@@ -142,7 +143,7 @@ def test_projector_identities_random_probes(identity_pipe, rng):
 
 def test_partial_inverse_matches_dense_pinv(identity_pipe):
     pipe = identity_pipe
-    a0, g = operator_matrices(pipe.spec, pipe.cutoff, pipe.theta)
+    a0, g = base_material_matrix(pipe.spec, pipe.cutoff), curl_matrix(pipe.cutoff, pipe.theta)
     pencil = 1j * pipe.band.omega * a0 - g
     dense = np.linalg.pinv(pencil, rcond=1e-10)
     assert np.linalg.norm(pipe.projectors.Q - dense) < 1e-9 * np.linalg.norm(dense)
@@ -153,7 +154,12 @@ def test_projector_multiplicity_diagnostic(identity_pipe):
 
     band = dataclasses.replace(identity_pipe.band, kappa=3)
     with pytest.raises(MultiplicityInconsistent):
-        build_projectors(band, identity_pipe.spec, identity_pipe.cutoff)
+        build_projectors(band, identity_pipe.op)
+
+
+def test_projectors_reject_operator_at_other_theta(identity_pipe):
+    with pytest.raises(CutoffMismatch):
+        build_projectors(identity_pipe.band, identity_pipe.op.at(THETA + [0.01, 0.0, 0.0]))
 
 
 def test_projector_not_weighted_orthogonal(offaxis_layered_pipe):
@@ -173,7 +179,7 @@ def test_projector_not_weighted_orthogonal(offaxis_layered_pipe):
 def test_track_identity_linear_omega(identity_pipe):
     pipe = identity_pipe
     path = [THETA + np.array([0.1 * s, 0.0, 0.0]) for s in np.linspace(0, 1, 6)]
-    tracked = track_band(pipe.spec, pipe.cutoff, pipe.band, path)
+    tracked = track_band(pipe.op, pipe.band, path)
     for tb, th in zip(tracked, path):
         assert abs(tb.omega - th[0]) < 1e-12
         assert tb.kappa == 2
@@ -181,16 +187,16 @@ def test_track_identity_linear_omega(identity_pipe):
 
 def test_track_single_point_returns_input(identity_pipe):
     pipe = identity_pipe
-    out = track_band(pipe.spec, pipe.cutoff, pipe.band, [pipe.band.theta])
+    out = track_band(pipe.op, pipe.band, [pipe.band.theta])
     assert out[0] is pipe.band
 
 
 def test_track_layered_matches_per_point_resolve(offaxis_layered_pipe):
     pipe = offaxis_layered_pipe
     path = [pipe.theta + np.array([0.0, 0.02 * s, 0.0]) for s in range(4)]
-    tracked = track_band(pipe.spec, pipe.cutoff, pipe.band, path)
+    tracked = track_band(pipe.op, pipe.band, path)
     for tb, th in zip(tracked, path):
-        fresh = solve_bands(pipe.spec, pipe.cutoff, th, 8)
+        fresh = solve_bands(pipe.op.at(th), 8)
         nearest = min(fresh, key=lambda b: abs(b.omega - tb.omega))
         assert abs(nearest.omega - tb.omega) < 1e-11
         overlap = np.linalg.svd(tb.eigvecs.conj().T @ nearest.eigvecs,
@@ -201,7 +207,7 @@ def test_track_layered_matches_per_point_resolve(offaxis_layered_pipe):
 def test_track_gauge_continuity(identity_pipe):
     pipe = identity_pipe
     path = [THETA + np.array([0.03 * s, 0.012 * s, 0.0]) for s in range(5)]
-    tracked = track_band(pipe.spec, pipe.cutoff, pipe.band, path)
+    tracked = track_band(pipe.op, pipe.band, path)
     for a, b in zip(tracked[:-1], tracked[1:]):
         overlap = a.eigvecs.conj().T @ b.eigvecs
         # aligned bases stay close to the identity, not just the same span
@@ -214,15 +220,16 @@ def test_track_gap_violation():
     spec = layered(amplitude=0.2)
     cut = LatticeCutoff(2)
     start = np.array([0.3, 0.2, 0.0])
-    pipe_bands = solve_bands(spec, cut, start, 4)
+    op = BlochOperator.build(spec, cut, start)
+    pipe_bands = solve_bands(op, 4)
     band = next(b for b in pipe_bands if b.band_index == 1)
     path = [start + np.array([0.0, -0.05 * s, 0.0]) for s in range(5)]
     with pytest.raises((GapViolation, MultiplicityInconsistent)):
-        track_band(spec, cut, band, path, gap_tol=1e-6)
+        track_band(op, band, path, gap_tol=1e-6)
 
 
 def test_track_step_bound(identity_pipe):
     pipe = identity_pipe
     with pytest.raises(ValueError):
-        track_band(pipe.spec, pipe.cutoff, pipe.band,
+        track_band(pipe.op, pipe.band,
                    [THETA, THETA + np.array([0.5, 0.0, 0.0])])

@@ -73,6 +73,28 @@ def test_hypothesis_violation_exits_3(tmp_path):
     assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_dispersion_assembles_material_once(tmp_path, monkeypatch):
+    """One operator per run: the dispersion command, including the 26 shifted
+    band solves of its finite-difference Hessian, assembles A0 exactly once."""
+    import sys
+
+    import blochpacket.fourier as fourier
+
+    original = fourier.base_material_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("blochpacket") and getattr(mod, "base_material_matrix", None) is original:
+            monkeypatch.setattr(mod, "base_material_matrix", counted)
+    cfg = write_config(tmp_path)
+    assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Artifacts
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def test_mirror_band_group_velocity(identity_pipe_minus):
 
 def test_group_velocity_vs_finite_differences(identity_pipe):
     pipe = identity_pipe
-    fd = fd_group_velocity(pipe.spec, pipe.cutoff, pipe.band, step=1e-3)
+    fd = fd_group_velocity(pipe.op, pipe.band, step=1e-3)
     assert np.max(np.abs(fd - pipe.dispersion.V)) < 1e-6
 
 
@@ -41,13 +41,13 @@ def test_layered_group_velocity_vs_finite_differences(aniso_pipe):
     # the anisotropic layered band is well isolated, so the stencil stays
     # inside the band's analyticity ball
     pipe = aniso_pipe
-    fd = fd_group_velocity(pipe.spec, pipe.cutoff, pipe.band, step=1e-3)
+    fd = fd_group_velocity(pipe.op, pipe.band, step=1e-3)
     assert np.max(np.abs(fd - pipe.dispersion.V)) < 1e-6
 
 
 def test_offaxis_layered_group_velocity_vs_finite_differences(offaxis_layered_pipe):
     pipe = offaxis_layered_pipe
-    fd = fd_group_velocity(pipe.spec, pipe.cutoff, pipe.band, step=1e-3)
+    fd = fd_group_velocity(pipe.op, pipe.band, step=1e-3)
     assert np.max(np.abs(fd - pipe.dispersion.V)) < 1e-6
 
 
@@ -65,13 +65,13 @@ def test_identity_hessian_closed_form(identity_pipe):
 
 def test_identity_hessian_vs_finite_differences(identity_pipe):
     pipe = identity_pipe
-    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
+    fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
     assert np.max(np.abs(fd - pipe.dispersion.hessian)) < 1e-5
 
 
 def test_layered_hessian_vs_finite_differences(aniso_pipe):
     pipe = aniso_pipe
-    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
+    fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
     assert np.max(np.abs(fd - pipe.dispersion.hessian)) < 1e-5
 
 
@@ -81,7 +81,7 @@ def test_offaxis_hessian_in_plane_vs_finite_differences(offaxis_layered_pipe):
     stay on the analytic branch; the theta_3 rows are checked on the isolated
     anisotropic band above."""
     pipe = offaxis_layered_pipe
-    fd = fd_hessian(pipe.spec, pipe.cutoff, pipe.band, step=1e-2)
+    fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
     sub = np.ix_([0, 1], [0, 1])
     assert np.max(np.abs(fd[sub] - pipe.dispersion.hessian[sub])) < 1e-5
 
@@ -90,8 +90,7 @@ def test_first_order_projection_vanishes(identity_pipe, offaxis_layered_pipe, rn
     for pipe in (identity_pipe, offaxis_layered_pipe):
         for _ in range(5):
             xi = rng.standard_normal(3)
-            res = first_order_identity_residual(pipe.band, pipe.spec, pipe.cutoff,
-                                                xi, pipe.dispersion.V)
+            res = first_order_identity_residual(pipe.band, pipe.op, xi, pipe.dispersion.V)
             assert res < 1e-10 * (1 + np.linalg.norm(xi))
 
 

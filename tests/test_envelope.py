@@ -13,6 +13,7 @@ from blochpacket.envelope import (
     l2_norm,
     weighted_norm,
 )
+from blochpacket.bands import BlochOperator
 from blochpacket.errors import BoxTooSmall
 
 
@@ -81,9 +82,10 @@ def test_conservation_long_run(modulated_pipe):
     pipe = modulated_pipe
     spec = with_cos_modulation(identity_material(), (0.0, 0.0, 0.25, 0.0),
                                amplitude=0.1, target="eps1")
-    gamma = build_gamma(pipe.band, spec, pipe.cutoff)
+    op = BlochOperator.build(spec, pipe.cutoff, pipe.theta)
+    gamma = build_gamma(pipe.band, op)
     ray = ray_average(gamma, pipe.dispersion.V)
-    mass = projected_mass(pipe.band, spec, pipe.cutoff)
+    mass = projected_mass(pipe.band, op)
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 128, 1))
     st = gaussian_state(grid, (1.0, 1.5, 1.0), [1.0, 0.5j])
     n0 = weighted_norm(st, mass)
@@ -100,9 +102,10 @@ def test_dissipative_norm_decreases(modulated_pipe):
 
     pipe = modulated_pipe
     spec = with_ohmic_loss(identity_material(), 0.05)
-    gamma = build_gamma(pipe.band, spec, pipe.cutoff)
+    op = BlochOperator.build(spec, pipe.cutoff, pipe.theta)
+    gamma = build_gamma(pipe.band, op)
     ray = ray_average(gamma, pipe.dispersion.V)
-    mass = projected_mass(pipe.band, spec, pipe.cutoff)
+    mass = projected_mass(pipe.band, op)
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 96, 1))
     st = gaussian_state(grid, (1.0, 1.5, 1.0), [1.0, 0.5j])
     norms = [weighted_norm(st, mass)]

@@ -4,6 +4,7 @@ the time-domain integrator."""
 import numpy as np
 import pytest
 
+from blochpacket.bands import BlochOperator, solve_bands
 from blochpacket.envelope import EnvelopeGrid
 from blochpacket.errors import ConfigError
 from blochpacket.fourier import (
@@ -69,8 +70,7 @@ def test_solver_cross_check_subspace_angle(identity_pipe):
     pipe = identity_pipe
     cut = pipe.cutoff
     computed = np.sort(np.concatenate([[b.omega] * b.kappa for b in
-                                       __import__("blochpacket.bands", fromlist=["solve_bands"]).solve_bands(
-                                           pipe.spec, cut, THETA, 4 * cut.num_modes)]))
+                                       solve_bands(pipe.op, 4 * cut.num_modes)]))
     exact = np.sort(constant_spectrum(cut, THETA))
     assert np.max(np.abs(computed - exact)) < 1e-10
     # subspace angle of the omega = +0.3 eigenplane
@@ -101,15 +101,15 @@ def test_synthesis_initial_data_vs_uniform_rule(packet_setup):
     """Gauss-Legendre synthesis at t=0 against an independent uniform-grid
     (FFT-style trapezoid) quadrature of the same Bloch integral."""
     pipe, packet, grid = packet_setup
-    res = synthesize_exact_packet(packet, pipe.band, pipe.spec, pipe.cutoff, 0.0,
-                                  grid=grid, estimate_error=False)
+    res, = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0],
+                                   grid=grid, estimate_error=False)
     gl = res.harmonics[(0, 0, 0)]
 
     # uniform-rule reconstruction with the closed-form eigenpair gauge chained
     # from the band basis, matching the synthesis convention
     from blochpacket.oracles import _NodeEigen, _gl_nodes
 
-    nodes = _NodeEigen(pipe.band, pipe.spec, pipe.cutoff, packet)
+    nodes = _NodeEigen(pipe.band, pipe.op, packet)
     r = packet.support_sigmas / packet.widths[1]
     zs = np.linspace(-r, r, 4001)
     zeta = np.zeros((len(zs), 3))
@@ -141,8 +141,8 @@ def test_synthesis_quadrature_estimate(identity_pipe):
     for n in (41, 101):
         packet = ExactPacketSpec(THETA, h, (1.0, 1.5, 1.0), weights, axes=(1,),
                                  nodes=n, nodes_check=n - 10)
-        res = synthesize_exact_packet(packet, pipe.band, pipe.spec, pipe.cutoff,
-                                      2.0, grid=grid, estimate_error=False)
+        res, = synthesize_exact_packet(packet, pipe.band, pipe.op, [2.0],
+                                       grid=grid, estimate_error=False)
         fields[n] = HarmonicField(THETA, h, 2.0, grid, res.harmonics)
     diff = l2_norm(difference(fields[41], fields[101]))
     assert diff < 1e-8 * l2_norm(fields[101])
@@ -159,14 +159,14 @@ def test_synthesis_center_moves_at_group_velocity(identity_pipe):
     grid = EnvelopeGrid((16 * np.pi,) * 3, (192, 1, 1))
     x1 = grid.axis_coords(0)
 
-    def center(t):
-        res = synthesize_exact_packet(packet, pipe.band, pipe.spec, pipe.cutoff,
-                                      t, grid=grid, estimate_error=False)
+    def center(res):
         dens = sum(np.sum(np.abs(d) ** 2, axis=0)[:, 0, 0] for d in res.harmonics.values())
         return float(np.sum(x1 * dens) / np.sum(dens))
 
     t1 = 2.0
-    speed = (center(t1) - center(0.0)) / t1
+    res0, res1 = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0, t1], grid=grid,
+                                         estimate_error=False)
+    speed = (center(res1) - center(res0)) / t1
     assert abs(speed - pipe.dispersion.V[0]) < 1e-2
 
 
@@ -175,22 +175,63 @@ def test_synthesis_nodes_cross_cell_boundary():
     spectrum support h*R = 0.25 around theta_1 = 0.95 crosses theta_1 = 1,
     and every node's omega matches the medium's closed form
     |theta + h*zeta - e_1| / 2 (eps = 4, band 1 sits on the mode n = -e_1)."""
-    from blochpacket.bands import solve_bands
     from blochpacket.oracles import _NodeEigen, _gl_nodes
 
-    spec = scaled_identity(4.0)
-    cut = LatticeCutoff(1)
-    theta = np.array([0.95, 0.3, 0.0])
-    band = next(b for b in solve_bands(spec, cut, theta, 8) if b.band_index == 1)
+    op = BlochOperator.build(scaled_identity(4.0), LatticeCutoff(1), np.array([0.95, 0.3, 0.0]))
+    theta = op.theta
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
     packet = ExactPacketSpec(theta, 1 / 8, (3.0, 1.0, 1.0), [1.0, 0.0], axes=(0,),
                              nodes=61)
     zeta, _wts = _gl_nodes(packet, packet.nodes)
-    nodes = _NodeEigen(band, spec, cut, packet)
+    nodes = _NodeEigen(band, op, packet)
     nodes.prepare(zeta)
     e1 = np.array([1.0, 0.0, 0.0])
     for z in zeta:
         omega, _basis = nodes.eigen_at(z)
         assert abs(omega - np.linalg.norm(theta + packet.h * z - e1) / 2) < 1e-12
+
+
+def test_multi_time_synthesis_matches_single_times(monkeypatch):
+    """One call for several output times prepares the quadrature nodes once
+    (the node eigenpairs do not depend on t) and returns, per time, exactly
+    the harmonics and quadrature error of a single-time call."""
+    import blochpacket.oracles as oracles
+
+    prepares, solves = [], []
+    prepare, continue_band = oracles._NodeEigen.prepare, oracles.continue_band
+
+    def counted_prepare(self, zeta):
+        prepares.append(len(zeta))
+        return prepare(self, zeta)
+
+    def counted_continue(*args, **kwargs):
+        solves.append(args[1])
+        return continue_band(*args, **kwargs)
+
+    monkeypatch.setattr(oracles._NodeEigen, "prepare", counted_prepare)
+    monkeypatch.setattr(oracles, "continue_band", counted_continue)
+
+    op = BlochOperator.build(scaled_identity(4.0), LatticeCutoff(1), THETA)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    packet = ExactPacketSpec(THETA, 1 / 16, (1.0, 1.5, 1.0), [1.0, 0.0], axes=(1,),
+                             nodes=21, nodes_check=15)
+    grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1))
+    times = [0.0, 1.5, 4.0]
+    multi = list(synthesize_exact_packet(packet, band, op, times, grid=grid))
+    assert len(prepares) == 1
+    node_solves = len(solves)
+    assert node_solves > 0
+
+    for t, res in zip(times, multi):
+        prepares.clear()
+        solves.clear()
+        single, = synthesize_exact_packet(packet, band, op, [t], grid=grid)
+        assert len(prepares) == 1 and len(solves) == node_solves
+        assert res.t == single.t == t
+        assert res.quadrature_error == single.quadrature_error
+        assert res.harmonics.keys() == single.harmonics.keys()
+        for n in res.harmonics:
+            assert np.array_equal(res.harmonics[n], single.harmonics[n])
 
 
 def test_synthesis_requires_static_medium(identity_pipe):
@@ -199,8 +240,8 @@ def test_synthesis_requires_static_medium(identity_pipe):
     spec = with_ohmic_loss(identity_material(), 0.1)
     packet = ExactPacketSpec(THETA, 1 / 8, (1.0, 1.5, 1.0), [1.0, 0.0], axes=(1,))
     with pytest.raises(ConfigError):
-        synthesize_exact_packet(packet, identity_pipe.band, spec,
-                                identity_pipe.cutoff, 0.0,
+        synthesize_exact_packet(packet, identity_pipe.band,
+                                BlochOperator.build(spec, identity_pipe.cutoff, THETA), [0.0],
                                 grid=EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1)))
 
 
@@ -223,16 +264,15 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
     xs = grid.meshgrid()
     pts = np.stack([g.ravel() for g in xs], axis=-1)
 
-    def field(t):
-        res = synthesize_exact_packet(packet, pipe.band, pipe.spec, pipe.cutoff,
-                                      t, points=pts, estimate_error=False)
-        return res.samples.T.reshape((6,) + grid.shape)
-
     t0 = 0.5
     s = 1e-3
     c4 = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * s)
-    dudt = sum(c * field(t0 + o) for c, o in zip(c4, np.array([-2, -1, 1, 2]) * s))
-    u = field(t0)
+    times = t0 + np.array([-2, -1, 1, 2, 0]) * s
+    fields = [res.samples.T.reshape((6,) + grid.shape) for res in
+              synthesize_exact_packet(packet, pipe.band, pipe.op, times, points=pts,
+                                      estimate_error=False)]
+    dudt = sum(c * f for c, f in zip(c4, fields[:4]))
+    u = fields[4]
     ks = grid.wave_meshgrid()
     from blochpacket.oracles import _spectral_curl
 

@@ -4,6 +4,7 @@ exponent."""
 import numpy as np
 import pytest
 
+from blochpacket.bands import BlochOperator
 from blochpacket.errors import SmallDivisorWarning
 from blochpacket.rays import (
     CouplingField,
@@ -27,7 +28,8 @@ def test_gamma_ohmic_closed_form(identity_pipe):
     eigenvectors split half their weight into E, so gamma = sigma/2 * I."""
     sigma = 0.08
     spec = with_ohmic_loss(identity_material(), sigma)
-    gamma = build_gamma(identity_pipe.band, spec, identity_pipe.cutoff)
+    gamma = build_gamma(identity_pipe.band,
+                        BlochOperator.build(spec, identity_pipe.cutoff, identity_pipe.theta))
     assert list(gamma.modes) == [(0.0, 0.0, 0.0, 0.0)]
     assert np.allclose(gamma.modes[(0.0, 0.0, 0.0, 0.0)],
                        (sigma / 2) * np.eye(2), atol=1e-12)
@@ -43,8 +45,9 @@ def test_gamma_antihermitian_for_symmetric_modulation(modulated_pipe):
     spec = with_cos_modulation(identity_material(), (0.7, -0.4, 0.0, 0.0),
                                amplitude=0.15, target="eps1")
     pipe = modulated_pipe
-    gamma = build_gamma(pipe.band, spec, pipe.cutoff)
-    n = projected_mass(pipe.band, spec, pipe.cutoff)
+    op = BlochOperator.build(spec, pipe.cutoff, pipe.theta)
+    gamma = build_gamma(pipe.band, op)
+    n = projected_mass(pipe.band, op)
     for (t, x) in [(0.0, np.zeros(3)), (0.7, np.array([1.0, -2.0, 0.5]))]:
         m = n @ gamma.at(t, x) / 1j
         assert np.allclose(m, m.conj().T, atol=1e-12)

@@ -60,15 +60,14 @@ def test_no_fluctuation_terms_without_modulation(identity_profiles):
 def test_first_corrector_matches_dense_pencil_solve(identity_pipe, identity_profiles):
     """The complement part solves (cell pencil) w = -(envelope operator) w0;
     cross-check one vector against a dense pseudo-inverse solve."""
-    from blochpacket.bands import operator_matrices
+    from blochpacket.fourier import base_material_matrix, curl_matrix
 
     pipe = identity_pipe
-    a0, g = operator_matrices(pipe.spec, pipe.cutoff, pipe.theta)
+    a0, g = base_material_matrix(pipe.spec, pipe.cutoff), curl_matrix(pipe.cutoff, pipe.theta)
     pencil = 1j * pipe.band.omega * a0 - g
     dense_pinv = np.linalg.pinv(pencil, rcond=1e-10)
-    ops = identity_profiles.operators()
     mw0 = __import__("blochpacket.wkb", fromlist=["op_envelope"]).op_envelope(
-        identity_profiles.w0, ops, identity_profiles.dispersion.V
+        identity_profiles.w0, identity_profiles.op, identity_profiles.dispersion.V
     )
     for key, vec in mw0.items():
         got = identity_profiles.w1[key]
@@ -81,7 +80,7 @@ def test_upstream_mismatch_rejected(identity_pipe, offaxis_layered_pipe):
     with pytest.raises(CutoffMismatch):
         build_profiles(identity_pipe.band, offaxis_layered_pipe.projectors,
                        identity_pipe.dispersion, identity_pipe.ray, env,
-                       identity_pipe.spec, identity_pipe.cutoff)
+                       identity_pipe.op)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_schrodinger_operator_identity(identity_pipe, offaxis_layered_pipe, rng)
 
     for pipe in (identity_pipe, offaxis_layered_pipe):
         a0 = base_material_matrix(pipe.spec, pipe.cutoff)
-        n = projected_mass(pipe.band, pipe.spec, pipe.cutoff, a0)
+        n = projected_mass(pipe.band, pipe.op)
         psi = pipe.band.eigvecs
         v = pipe.dispersion.V
         hess = pipe.dispersion.hessian
@@ -145,6 +144,7 @@ def test_residual_hand_assembled_order_two(identity_pipe):
     """Single non-resonant modulation mode, x-constant envelope: the order-2
     residual reduces to finitely many explicit terms which are re-assembled
     here by hand (dense operators, explicit phase calculus) and compared."""
+    from blochpacket.bands import BlochOperator
     from blochpacket.fourier import base_material_matrix, curl_matrix
     from blochpacket.presets import identity_material, with_cos_modulation
     from blochpacket.rays import build_gamma, ray_average
@@ -154,7 +154,8 @@ def test_residual_hand_assembled_order_two(identity_pipe):
     eta = (0.7, -0.4, 0.0, 0.0)
     amp = 0.15
     spec = with_cos_modulation(identity_material(), eta, amplitude=amp, target="eps1")
-    gamma = build_gamma(pipe.band, spec, pipe.cutoff)
+    op = BlochOperator.build(spec, pipe.cutoff, pipe.theta)
+    gamma = build_gamma(pipe.band, op)
     ray = ray_average(gamma, pipe.dispersion.V)
 
     # x-constant envelope: single grid point per axis
@@ -163,15 +164,13 @@ def test_residual_hand_assembled_order_two(identity_pipe):
     weights /= np.linalg.norm(weights)
     init = gaussian_state(grid1, (1.0, 1.0, 1.0), weights)
     env = EnvelopeSolution(init, pipe.dispersion.hessian, ray.mean_modes)
-    profs = build_profiles(pipe.band, pipe.projectors, pipe.dispersion, ray, env,
-                           spec, pipe.cutoff)
+    profs = build_profiles(pipe.band, pipe.projectors, pipe.dispersion, ray, env, op)
 
-    ops = profs.operators()
     t, x = 0.8, np.array([0.4, -0.2, 1.0])
     table_r2 = wkb._merge(
-        wkb.op_envelope(profs.w2, ops, pipe.dispersion.V),
-        wkb.op_slow(profs.w1, ops),
-        wkb.op_dt_modulation(profs.w0, ops, pipe.dispersion.V),
+        wkb.op_envelope(profs.w2, op, pipe.dispersion.V),
+        wkb.op_slow(profs.w1, op, pipe.band.omega),
+        wkb.op_dt_modulation(profs.w0, op, pipe.dispersion.V),
     )
     got, _mag = evaluate_table(profs, table_r2, 0.0, t, (x - pipe.dispersion.V * t)[None, :])
 
