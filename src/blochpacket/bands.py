@@ -11,21 +11,33 @@ Eigenvalues are returned grouped into multiplicity clusters.  Band numbering
 counts nonzero eigenvalues outward from zero: positive frequencies ascending
 get indices +1, +2, ..., negative frequencies by increasing distance from
 zero get -1, -2, ... (each index counts multiplicity; a cluster carries the
-index of its first member).
+index of its first member).  Clusters are listed by |omega|; a +-pair whose
+|omega| agree within the cluster tolerance lists the negative one first.
 
 Everything downstream is built from one BlochOperator: the medium, the
-cutoff, theta, and the dense A0 and G assembled once.  Two entry points solve
-its reduced pencil: `solve_bands` returns the lowest bands, and
-`continue_band` follows one band to a nearby theta (path tracking,
-finite-difference stencils, synthesis quadrature nodes) through `op.at`,
-which reuses A0.  Both build a band only for the clusters they inspect.
+cutoff, theta, the dense A0 and G assembled once, and the mode classes.  A0
+couples plane-wave modes n, m only when n - m is in the Fourier support of
+eps0 or mu0, and G, the transverse and longitudinal fields are diagonal over
+modes; so the pencil splits into one block per class of modes connected by
+that support (a layered medium at cutoff N has (2N+1)^2 classes, a medium
+structured along all three axes has one).  The reduced pencil and the
+partial inverse are solved class by class, and only the clusters a caller
+inspects are lifted to full 6K vectors.  Two entry points solve the pencil:
+`solve_bands` returns the lowest bands, and `continue_band` follows one band
+to a nearby theta (path tracking, finite-difference stencils, synthesis
+quadrature nodes) through `op.at`, which reuses A0 and the classes.
+
+The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
+phase that makes its largest entry real positive, kappa > 1 the rotation onto
+transverse unit fields of the fourier.transverse_pair frame (see _fix_gauge).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -40,9 +52,10 @@ from .fourier import (
     LatticeCutoff,
     MaterialSpec,
     base_material_matrix,
+    block_diagonal,
     curl_matrix,
-    longitudinal_field_basis,
-    transverse_field_basis,
+    longitudinal_field_blocks,
+    transverse_field_blocks,
     _check_theta,
 )
 
@@ -50,6 +63,8 @@ DEFAULT_GAP_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
 # kernel of the pencil: eigenvalues of -iL below this fraction of the largest
 KERNEL_TOL = 1e-8
+# relative margin within which two frame overlaps count as tied in _fix_gauge
+GAUGE_TIE_TOL = 1e-8
 
 
 class ClusterStraddle(UserWarning):
@@ -96,42 +111,71 @@ class ProjectorPair:
 @dataclass(frozen=True, eq=False)
 class BlochOperator:
     """The Bloch pencil i*omega*A0 - G(theta) of one medium at one cutoff and
-    theta, with A0 and G assembled densely once.  A0 does not depend on
-    theta, so operators at nearby theta (`at`) share it."""
+    theta, with A0 and G assembled densely once, and the mode classes over
+    which the pencil is block diagonal (mode_classes).  A0 and the classes do
+    not depend on theta, so operators at nearby theta (`at`) share them."""
 
     spec: MaterialSpec
     cutoff: LatticeCutoff
     theta: np.ndarray
     a0: np.ndarray
     g: np.ndarray
+    classes: Tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> "BlochOperator":
         theta = _check_theta(theta)
         return cls(spec, cutoff, theta, base_material_matrix(spec, cutoff),
-                   curl_matrix(cutoff, theta))
+                   curl_matrix(cutoff, theta), mode_classes(spec, cutoff))
 
     def at(self, theta) -> "BlochOperator":
-        """The same medium and cutoff at another theta (A0 shared, G rebuilt)."""
+        """The same medium and cutoff at another theta (A0 and the classes
+        shared, G rebuilt)."""
         theta = _check_theta(theta)
-        return BlochOperator(self.spec, self.cutoff, theta, self.a0,
-                             curl_matrix(self.cutoff, theta))
+        return dataclasses.replace(self, theta=theta, g=curl_matrix(self.cutoff, theta))
 
     def pencil(self, omega: float, v: np.ndarray) -> np.ndarray:
         """(i*omega*A0 - G) v."""
         return 1j * omega * (self.a0 @ v) - self.g @ v
+
+    def class_blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per mode class: its modes, its rows among the 6K unknowns, and its
+        diagonal blocks of A0 and G (the off-diagonal blocks vanish).  A class
+        of every mode yields A0 and G themselves, not copies."""
+        for modes in self.classes:
+            rows = (6 * modes[:, None] + np.arange(6)).ravel()
+            if len(modes) == self.cutoff.num_modes:
+                yield modes, rows, self.a0, self.g
+                continue
+            ix = np.ix_(rows, rows)
+            yield modes, rows, self.a0[ix], self.g[ix]
 
     def check_band(self, band: BlochBand) -> None:
         if not np.array_equal(band.theta, self.theta):
             raise CutoffMismatch("band and operator are at different theta")
 
 
-def dynamic_subspace_basis(op: BlochOperator) -> np.ndarray:
-    """Columns spanning {v : div(eps0 E)=div(mu0 B)=0}, built by
-    A0-orthogonalizing the transverse fields against the curl kernel."""
-    t = transverse_field_basis(op.cutoff, op.theta)
-    ell = longitudinal_field_basis(op.cutoff, op.theta)
-    a0_ell = op.a0 @ ell
+def mode_classes(spec: MaterialSpec, cutoff: LatticeCutoff) -> Tuple[np.ndarray, ...]:
+    """Connected components of the cutoff's mode lattice under shifts by the
+    Fourier support of eps0 and mu0, as ascending mode-index arrays ordered
+    by their first index."""
+    label = np.arange(cutoff.num_modes)
+    edges = [cutoff.shift_indices(k) for k in set(spec.eps0) | set(spec.mu0) if any(k)]
+    changed = True
+    while changed:
+        before = label.copy()
+        for src, dst in edges:
+            np.minimum.at(label, dst, label[src])
+            np.minimum.at(label, src, label[dst])
+        changed = not np.array_equal(label, before)
+    return tuple(np.flatnonzero(label == root) for root in np.unique(label))
+
+
+def dynamic_subspace_basis(a0: np.ndarray, t: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Columns spanning {v : div(eps0 E)=div(mu0 B)=0} within one mode class
+    (a0 its block of A0, t and ell its transverse and longitudinal unit
+    fields), built by A0-orthogonalizing t against the curl kernel ell."""
+    a0_ell = a0 @ ell
     gram = ell.conj().T @ a0_ell
     coup = a0_ell.conj().T @ t
     return t - ell @ np.linalg.solve(gram, coup)
@@ -143,35 +187,51 @@ def dynamic_subspace_basis(op: BlochOperator) -> np.ndarray:
 
 class _Pencil(NamedTuple):
     """Eigenpairs of the pencil reduced to the dynamic subspace at one theta,
-    sorted by |omega| (negative first on ties)."""
+    class by class.  vals holds every eigenvalue sorted by |omega| (negative
+    first on exact ties); eigenvalue i is column col[i] of class owner[i],
+    whose rows, dynamic basis and reduced eigenvectors are blocks[owner[i]]."""
 
     op: BlochOperator
-    dyn: np.ndarray
+    frame: np.ndarray  # (K, 6, 4) transverse unit fields per mode
+    blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     vals: np.ndarray
-    vecs: np.ndarray
+    owner: np.ndarray
+    col: np.ndarray
 
 
 def _solve_pencil(op: BlochOperator) -> _Pencil:
-    dyn = dynamic_subspace_basis(op)
-    herm = dyn.conj().T @ (-1j * op.g) @ dyn
-    herm = 0.5 * (herm + herm.conj().T)
-    mass = dyn.conj().T @ op.a0 @ dyn
-    mass = 0.5 * (mass + mass.conj().T)
-    try:
-        scipy.linalg.cholesky(mass)
-    except scipy.linalg.LinAlgError as exc:
-        raise MaterialError("material mass matrix is not positive definite") from exc
-
-    vals, vecs = scipy.linalg.eigh(herm, mass)
+    frame = transverse_field_blocks(op.cutoff, op.theta)
+    kernel = longitudinal_field_blocks(op.cutoff, op.theta)
+    blocks, vals, owner, col = [], [], [], []
+    for c, (modes, rows, a0, g) in enumerate(op.class_blocks()):
+        dyn = dynamic_subspace_basis(a0, block_diagonal(frame[modes]),
+                                     block_diagonal(kernel[modes]))
+        herm = _hermitian_part(dyn.conj().T @ (-1j * g) @ dyn)
+        mass = _hermitian_part(dyn.conj().T @ a0 @ dyn)
+        try:
+            scipy.linalg.cholesky(mass)
+        except scipy.linalg.LinAlgError as exc:
+            raise MaterialError("material mass matrix is not positive definite") from exc
+        w, v = scipy.linalg.eigh(herm, mass)
+        blocks.append((rows, dyn, v))
+        vals.append(w)
+        owner.append(np.full(len(w), c))
+        col.append(np.arange(len(w)))
+    vals = np.concatenate(vals)
     order = np.lexsort((np.sign(vals), np.abs(vals)))
-    return _Pencil(op, dyn, vals[order], vecs[:, order])
+    return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner)[order],
+                   np.concatenate(col)[order])
 
 
 def _cluster_band(p: _Pencil, sel: List[int], band_index: int) -> BlochBand:
     """The cluster's eigenvectors lifted to the full space, plain-orthonormal
     and gauge-fixed, with their residual in the unreduced pencil."""
     omega = float(np.mean(p.vals[sel]))
-    psi = _fix_gauge(_orthonormalize(p.dyn @ p.vecs[:, sel]))
+    psi = np.zeros((6 * p.op.cutoff.num_modes, len(sel)), dtype=complex)
+    for j, i in enumerate(sel):
+        rows, dyn, vecs = p.blocks[p.owner[i]]
+        psi[rows, j] = dyn @ vecs[:, p.col[i]]
+    psi = _fix_gauge(_orthonormalize(psi), p.frame)
     return BlochBand(
         theta=p.op.theta,
         omega=omega,
@@ -184,8 +244,8 @@ def _cluster_band(p: _Pencil, sel: List[int], band_index: int) -> BlochBand:
 
 def solve_bands(op: BlochOperator, num_bands: int,
                 cluster_tol: Optional[float] = None) -> List[BlochBand]:
-    """Bands sorted by |omega| (negative first on ties), clustered by
-    multiplicity.  num_bands counts eigenvalues including multiplicity; a
+    """Bands sorted by |omega| (negative first when |omega| agree within the
+    cluster tolerance), clustered by multiplicity.  num_bands counts eigenvalues including multiplicity; a
     cluster straddling the cut is kept whole (with a warning)."""
     p = _solve_pencil(op)
     if num_bands > len(p.vals):
@@ -258,8 +318,14 @@ def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _cluster(vals: np.ndarray, cluster_tol: Optional[float]) -> List[List[int]]:
     """Group indices of sorted-by-|omega| eigenvalues into clusters of equal
-    omega.  The branches are tracked separately so that +-pairs interleaved
-    by rounding still cluster correctly; branches never merge."""
+    omega, listed by |omega|, negative first among clusters whose |omega|
+    agree within the tolerance.  The branches are tracked separately so that
+    +-pairs interleaved by rounding still cluster correctly; branches never
+    merge."""
+
+    def tol(ref):
+        return cluster_tol if cluster_tol is not None else default_cluster_tol(ref)
+
     clusters: List[List[int]] = []
     open_cluster = {1: None, -1: None}
     for i in range(len(vals)):
@@ -267,15 +333,22 @@ def _cluster(vals: np.ndarray, cluster_tol: Optional[float]) -> List[List[int]]:
         cur = open_cluster[sgn]
         if cur is not None:
             ref = vals[cur[0]]
-            tol = cluster_tol if cluster_tol is not None else default_cluster_tol(ref)
-            if abs(vals[i] - ref) < tol:
+            if abs(vals[i] - ref) < tol(ref):
                 cur.append(i)
                 continue
         cur = [i]
         clusters.append(cur)
         open_cluster[sgn] = cur
-    clusters.sort(key=lambda sel: (abs(vals[sel[0]]), np.sign(vals[sel[0]])))
-    return clusters
+    clusters.sort(key=lambda sel: abs(vals[sel[0]]))
+    # the |omega| of each cluster's tie group: the first cluster of the group
+    keys, head = [], None
+    for sel in clusters:
+        mag = abs(vals[sel[0]])
+        if head is None or mag - head >= tol(head):
+            head = mag
+        keys.append((head, vals[sel[0]] >= 0))
+    order = sorted(range(len(clusters)), key=keys.__getitem__)
+    return [clusters[c] for c in order]
 
 
 def _band_indices(vals: np.ndarray) -> np.ndarray:
@@ -298,14 +371,37 @@ def _orthonormalize(psi: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _fix_gauge(psi: np.ndarray) -> np.ndarray:
-    """For kappa = 1, rotate the phase so the largest-magnitude entry is real
-    positive.  Multi-dimensional clusters keep the orthonormal basis as is."""
-    if psi.shape[1] == 1:
+def _fix_gauge(psi: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """A basis of span(psi) that depends on the span only.
+
+    kappa = 1: the phase that makes the largest-magnitude entry real
+    positive.  kappa > 1: the Procrustes rotation onto kappa transverse unit
+    fields of the (K, 6, 4) frame (E or B along u1, u2 of
+    fourier.transverse_pair at one mode).  They are picked by pivoted
+    Gram-Schmidt on their overlaps with the span: largest remaining overlap
+    first, lowest column on ties within GAUGE_TIE_TOL.  A vacuum kappa = 2
+    band thus comes out u1- and u2-polarized.
+    """
+    kappa = psi.shape[1]
+    if kappa == 1:
         j = np.argmax(np.abs(psi[:, 0]))
-        phase = psi[j, 0] / abs(psi[j, 0])
-        psi = psi / phase
-    return psi
+        return psi / (psi[j, 0] / abs(psi[j, 0]))
+    overlap = np.einsum("kiq,kij->qkj", psi.reshape(-1, 6, kappa).conj(),
+                        frame).reshape(kappa, -1)
+    rest = overlap.copy()
+    picks = []
+    for _ in range(kappa):
+        norms = np.linalg.norm(rest, axis=0)
+        j = int(np.flatnonzero(norms >= (1.0 - GAUGE_TIE_TOL) * norms.max())[0])
+        picks.append(j)
+        q = rest[:, j] / norms[j]
+        rest -= np.outer(q, q.conj() @ rest)
+    u, _s, vh = np.linalg.svd(overlap[:, picks])
+    return psi @ (u @ vh)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
 
 
 def _residual(op: BlochOperator, psi, omega) -> float:
@@ -321,27 +417,36 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
     """Projector onto ker(i*omega*A0 - G) and the Moore-Penrose partial inverse.
 
     The pencil L = i*omega*A0 - G is anti-Hermitian, so -iL is Hermitian and
-    a single eigendecomposition yields both the kernel projector and the
-    pseudo-inverse with the exact defining identities.
+    its eigendecomposition, one per mode class, yields both the kernel
+    projector and the pseudo-inverse with the exact defining identities.  The
+    kernel threshold is relative to the largest |eigenvalue| over all classes.
     """
     if band.residual > RESIDUAL_TOL:
         raise ValueError(
             f"band residual {band.residual:.3e} exceeds {RESIDUAL_TOL:.0e}; refuse to build projectors"
         )
     op.check_band(band)
-    herm = band.omega * op.a0 + 1j * op.g  # -i * (i omega A0 - G)
-    herm = 0.5 * (herm + herm.conj().T)
-    s, u = np.linalg.eigh(herm)
-    null = np.abs(s) <= KERNEL_TOL * np.abs(s).max()
-    if null.sum() != band.kappa:
+    # eigenpairs of -i * (i omega A0 - G) per class; the matrix is not kept
+    spectra = [(rows, *np.linalg.eigh(_hermitian_part(band.omega * a0 + 1j * g)))
+               for _modes, rows, a0, g in op.class_blocks()]
+    smax = max(np.abs(s).max() for _rows, s, _u in spectra)
+    null_dim = sum(int(np.sum(np.abs(s) <= KERNEL_TOL * smax)) for _rows, s, _u in spectra)
+    if null_dim != band.kappa:
         raise MultiplicityInconsistent(
-            f"discrete kernel dimension {int(null.sum())} != kappa {band.kappa}; "
+            f"discrete kernel dimension {null_dim} != kappa {band.kappa}; "
             "check the cluster tolerance"
         )
     psi = band.eigvecs
     pi = psi @ psi.conj().T
-    nz = ~null
-    q = (u[:, nz] * (1.0 / (1j * s[nz]))) @ u[:, nz].conj().T
+    # each class's block of Q first, then Q itself: the dense Q is not held
+    # while a block is being formed
+    inverses = []
+    for rows, s, u in spectra:
+        nz = np.abs(s) > KERNEL_TOL * smax
+        inverses.append((rows, (u[:, nz] * (1.0 / (1j * s[nz]))) @ u[:, nz].conj().T))
+    q = np.zeros_like(pi)
+    for rows, block in inverses:
+        q[np.ix_(rows, rows)] = block
     return ProjectorPair(Pi=pi, Q=q, basis=psi, omega=band.omega, theta=band.theta)
 
 

@@ -276,32 +276,46 @@ def longitudinal_unit(cutoff: LatticeCutoff, theta) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix of a (k, r, c) stack of blocks; shape (k*r, k*c)."""
+    k, r, c = blocks.shape
+    out = np.zeros((k, r, k, c), dtype=blocks.dtype)
+    i = np.arange(k)
+    out[i, :, i, :] = blocks
+    return out.reshape(k * r, k * c)
+
+
+def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
+    """(K, 6, 4) per-mode blocks of transverse_field_basis."""
+    u = transverse_basis(cutoff, theta)
+    blocks = np.zeros((cutoff.num_modes, 6, 4), dtype=complex)
+    for a in range(2):
+        blocks[:, :3, a] = u[:, a]
+        blocks[:, 3:, 2 + a] = u[:, a]
+    return blocks
+
+
+def longitudinal_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
+    """(K, 6, 2) per-mode blocks of longitudinal_field_basis."""
+    vhat = longitudinal_unit(cutoff, theta)
+    blocks = np.zeros((cutoff.num_modes, 6, 2), dtype=complex)
+    blocks[:, :3, 0] = vhat
+    blocks[:, 3:, 1] = vhat
+    return blocks
+
+
 def transverse_field_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
     """(6K, 4K) matrix whose columns are the transverse E/B unit fields.
 
     Column order: per mode (E,u1), (E,u2), (B,u1), (B,u2).  The span is the
     plain-orthogonal complement of the discrete curl kernel.
     """
-    k = cutoff.num_modes
-    u = transverse_basis(cutoff, theta)
-    cols = np.zeros((6 * k, 4 * k), dtype=complex)
-    for i in range(k):
-        cols[6 * i : 6 * i + 3, 4 * i + 0] = u[i, 0]
-        cols[6 * i : 6 * i + 3, 4 * i + 1] = u[i, 1]
-        cols[6 * i + 3 : 6 * i + 6, 4 * i + 2] = u[i, 0]
-        cols[6 * i + 3 : 6 * i + 6, 4 * i + 3] = u[i, 1]
-    return cols
+    return block_diagonal(transverse_field_blocks(cutoff, theta))
 
 
 def longitudinal_field_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
     """(6K, 2K) matrix of the per-mode curl-kernel fields (E and B along theta+n)."""
-    k = cutoff.num_modes
-    vhat = longitudinal_unit(cutoff, theta)
-    cols = np.zeros((6 * k, 2 * k), dtype=complex)
-    for i in range(k):
-        cols[6 * i : 6 * i + 3, 2 * i + 0] = vhat[i]
-        cols[6 * i + 3 : 6 * i + 6, 2 * i + 1] = vhat[i]
-    return cols
+    return block_diagonal(longitudinal_field_blocks(cutoff, theta))
 
 
 # ---------------------------------------------------------------------------

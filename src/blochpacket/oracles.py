@@ -180,21 +180,16 @@ class _NodeEigen:
         # node has an inward neighbor already visited
         keys = [tuple(np.round(z, 14)) for z in zeta_nodes]
         uniq = sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z)))
+        visited = np.empty((len(uniq) + 1, 3))  # the keys of `done`, in visit order
+        visited[0] = center
         for z in uniq:
             if z in done:
                 continue
-            prev = self._inward_neighbor(z, done)
-            done[z] = self._solve_aligned(np.asarray(z), done[prev])
+            n = len(done)
+            prev = done[tuple(visited[_inward_neighbor(z, visited[:n])])]
+            done[z] = self._solve_aligned(np.asarray(z), prev)
+            visited[n] = z
         self._cache = done
-
-    def _inward_neighbor(self, z, done):
-        best = None
-        bestd = np.inf
-        for cand in done:
-            d = np.linalg.norm(np.asarray(z) - np.asarray(cand))
-            if d < bestd:
-                best, bestd = cand, d
-        return best
 
     def _solve_aligned(self, zeta, prev: BlochBand) -> BlochBand:
         theta = self.band.theta + self.packet.h * zeta
@@ -224,6 +219,11 @@ class _NodeEigen:
         basis[6 * i : 6 * i + 3, 1] = e2
         basis[6 * i + 3 : 6 * i + 6, 1] = b2
         return omega, basis
+
+
+def _inward_neighbor(z, visited: np.ndarray) -> int:
+    """Row of the visited node nearest to z (the first one on ties)."""
+    return int(np.argmin(np.linalg.norm(np.asarray(z) - visited, axis=1)))
 
 
 def _is_vacuum(spec: MaterialSpec) -> bool:

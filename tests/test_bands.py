@@ -3,19 +3,44 @@ refinement, and band tracking."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blochpacket.bands import (
     BlochOperator,
+    _fix_gauge,
     build_projectors,
+    mode_classes,
     solve_bands,
     track_band,
 )
 from blochpacket.errors import CutoffMismatch, GapViolation, MaterialError, MultiplicityInconsistent
-from blochpacket.fourier import LatticeCutoff, MaterialSpec, base_material_matrix, curl_matrix
+from blochpacket.fourier import (
+    LatticeCutoff,
+    MaterialSpec,
+    base_material_matrix,
+    curl_matrix,
+    longitudinal_field_basis,
+    transverse_field_basis,
+    transverse_field_blocks,
+    transverse_pair,
+)
 from blochpacket.oracles import constant_spectrum
 from blochpacket.presets import identity_material, layered, scaled_identity
 
 THETA = np.array([0.3, 0.0, 0.0])
+THETA_OFF = np.array([0.3, 0.2, 0.0])
+
+
+def cosine_3d(amplitude=0.2):
+    """eps0(y) = 1 + amplitude * (cos y1 + cos y2 + cos y3), mu0 = 1."""
+    eye = np.eye(3, dtype=complex)
+    eps0 = {(0, 0, 0): eye}
+    for a in range(3):
+        n = [0, 0, 0]
+        for sign in (1, -1):
+            n[a] = sign
+            eps0[tuple(n)] = 0.5 * amplitude * eye
+    return MaterialSpec(eps0=eps0, mu0={(0, 0, 0): eye}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +124,114 @@ def test_indefinite_material_rejected():
 def test_num_bands_exceeding_dynamic_dimension():
     with pytest.raises(ValueError):
         solve_bands(BlochOperator.build(identity_material(), LatticeCutoff(0), THETA), 5)
+
+
+# ---------------------------------------------------------------------------
+# Mode classes and the block-by-block solve
+# ---------------------------------------------------------------------------
+
+def test_mode_class_counts():
+    cut = LatticeCutoff(2)
+    eye = np.eye(3, dtype=complex)
+    parity = MaterialSpec(eps0={(0, 0, 0): eye, (2, 0, 0): 0.1 * eye, (-2, 0, 0): 0.1 * eye},
+                          mu0={(0, 0, 0): eye}).validate()
+    cases = [
+        (layered(0.2), [5] * 25),
+        (identity_material(), [1] * cut.num_modes),
+        (parity, [3] * 25 + [2] * 25),
+        (cosine_3d(), [cut.num_modes]),
+    ]
+    for spec, sizes in cases:
+        classes = mode_classes(spec, cut)
+        assert [len(c) for c in classes] == sizes
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(cut.num_modes))
+    # the parity split: even and odd n1 on each transverse line
+    for c in mode_classes(parity, cut):
+        n1 = cut.modes[c][:, 0]
+        assert len(set(n1 % 2)) == 1 and len(set(map(tuple, cut.modes[c][:, 1:]))) == 1
+
+
+def test_single_class_yields_the_operator_matrices():
+    """A medium with one class solves on A0 and G themselves: no 6K x 6K copy."""
+    op = BlochOperator.build(cosine_3d(), LatticeCutoff(1), THETA_OFF)
+    (_modes, rows, a0, g), = op.class_blocks()
+    assert a0 is op.a0 and g is op.g
+    assert np.array_equal(rows, np.arange(6 * op.cutoff.num_modes))
+
+
+def _dense_pencil(op):
+    """Eigenvalues (sorted) and eigenvectors of the reduced pencil solved as
+    one dense generalized problem on all 4K transverse unknowns."""
+    t = transverse_field_basis(op.cutoff, op.theta)
+    ell = longitudinal_field_basis(op.cutoff, op.theta)
+    a0_ell = op.a0 @ ell
+    dyn = t - ell @ np.linalg.solve(ell.conj().T @ a0_ell, a0_ell.conj().T @ t)
+    herm = dyn.conj().T @ (-1j * op.g) @ dyn
+    mass = dyn.conj().T @ op.a0 @ dyn
+    vals, vecs = scipy.linalg.eigh(0.5 * (herm + herm.conj().T), 0.5 * (mass + mass.conj().T))
+    return vals, dyn @ vecs
+
+
+@pytest.mark.parametrize("spec, cutoff", [(layered(0.2), 2), (cosine_3d(), 1)],
+                         ids=["layered", "cosine_3d"])
+def test_block_solve_matches_dense_pencil(spec, cutoff):
+    op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
+    vals, vecs = _dense_pencil(op)
+    bands = solve_bands(op, len(vals))
+    got = np.sort(np.concatenate([[b.omega] * b.kappa for b in bands]))
+    assert np.max(np.abs(got - vals)) < 1e-12
+    for b in bands[:12]:
+        sel = np.abs(vals - b.omega) < 1e-8
+        assert sel.sum() == b.kappa
+        ref, _r = np.linalg.qr(vecs[:, sel])
+        overlap = np.linalg.svd(b.eigvecs.conj().T @ ref, compute_uv=False)
+        assert overlap.min() > 1 - 1e-10
+
+
+def test_partial_inverse_vanishes_between_classes(offaxis_layered_pipe):
+    pipe = offaxis_layered_pipe
+    owner = np.empty(6 * pipe.cutoff.num_modes, dtype=int)
+    for c, modes in enumerate(pipe.op.classes):
+        owner[(6 * modes[:, None] + np.arange(6)).ravel()] = c
+    q = pipe.projectors.Q
+    assert not np.any(q[owner[:, None] != owner[None, :]])
+    pencil = 1j * pipe.band.omega * pipe.op.a0 - pipe.op.g
+    dense = np.linalg.pinv(pencil, rcond=1e-10)
+    assert np.linalg.norm(q - dense) < 1e-9 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("spec, cutoff, theta",
+                         [(identity_material(), 1, THETA), (layered(0.2), 2, THETA_OFF)],
+                         ids=["identity", "layered"])
+def test_plus_minus_pairs_list_negative_first(spec, cutoff, theta):
+    bands = solve_bands(BlochOperator.build(spec, LatticeCutoff(cutoff), theta), 60)
+    pairs = 0
+    for i, b in enumerate(bands):
+        if b.omega > 0:
+            partners = [j for j, c in enumerate(bands)
+                        if abs(c.omega + b.omega) < 1e-8 * max(1.0, b.omega)]
+            if partners:
+                pairs += 1
+                assert partners == [i - 1]
+    assert pairs >= 5
+
+
+def test_cluster_gauge_depends_on_span_only(rng):
+    op = BlochOperator.build(identity_material(), LatticeCutoff(1), THETA)
+    frame = transverse_field_blocks(op.cutoff, op.theta)
+    bands = [b for b in solve_bands(op, 24) if b.kappa > 1]
+    assert {b.kappa for b in bands} == {2, 8}
+    for b in bands:
+        z = rng.standard_normal((b.kappa, b.kappa)) + 1j * rng.standard_normal((b.kappa, b.kappa))
+        w, _r = np.linalg.qr(z)
+        assert np.max(np.abs(_fix_gauge(b.eigvecs @ w, frame) - b.eigvecs)) < 1e-12
+    # the vacuum kappa = 2 band is u1- and u2-polarized
+    band = next(b for b in bands if b.band_index == 1)
+    i0 = op.cutoff.index_of((0, 0, 0))
+    e = band.eigvecs[6 * i0 : 6 * i0 + 3]
+    for col, u in zip(e.T, transverse_pair(THETA)):
+        assert np.linalg.norm(col - (u @ col) * u) < 1e-12
+        assert abs((u @ col) - 1 / np.sqrt(2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,16 @@ def test_offaxis_hessian_in_plane_vs_finite_differences(offaxis_layered_pipe):
     assert np.max(np.abs(fd[sub] - pipe.dispersion.hessian[sub])) < 1e-5
 
 
+def test_fd_hessian_error_falls_as_step_to_the_fourth(offaxis_layered_pipe):
+    """The gap between the finite-difference and the perturbative Hessian is
+    the stencil's truncation error: with one Richardson level it falls as
+    step^4, so each halving divides it by at least 8."""
+    pipe = offaxis_layered_pipe
+    errs = [np.max(np.abs(fd_hessian(pipe.op, pipe.band, step=s) - pipe.dispersion.hessian))
+            for s in (2e-2, 1e-2, 5e-3)]
+    assert errs[0] > 8 * errs[1] > 64 * errs[2]
+
+
 def test_first_order_projection_vanishes(identity_pipe, offaxis_layered_pipe, rng):
     for pipe in (identity_pipe, offaxis_layered_pipe):
         for _ in range(5):

@@ -129,6 +129,28 @@ def test_synthesis_initial_data_vs_uniform_rule(packet_setup):
     assert np.max(np.abs(got - acc)) < 1e-7 * np.max(np.abs(acc))
 
 
+def test_inward_neighbor_matches_reference_loop():
+    """The vectorized inward-neighbour search picks the node a linear scan
+    over the visited nodes picks, ties included (first minimum)."""
+    from blochpacket.oracles import _inward_neighbor
+
+    x, _w = np.polynomial.legendre.leggauss(9)
+    grids = np.meshgrid(4 * x, 4 * x, [0.0], indexing="ij")
+    keys = {tuple(np.round(z, 14)) for z in np.stack([g.ravel() for g in grids], axis=-1)}
+    order = [tuple(np.round(np.zeros(3), 14))]
+    for z in sorted(keys, key=lambda z: (np.abs(z).max(), np.linalg.norm(z))):
+        if z in order:
+            continue
+        best, bestd = None, np.inf
+        for cand in order:
+            d = np.linalg.norm(np.asarray(z) - np.asarray(cand))
+            if d < bestd:
+                best, bestd = cand, d
+        assert order[_inward_neighbor(z, np.array(order))] == best
+        order.append(z)
+    assert len(order) == 81
+
+
 def test_synthesis_quadrature_estimate(identity_pipe):
     """On a box the 41-node rule resolves, synthesis with 41 nodes agrees with
     a dense 101-node reference to 1e-8."""
