@@ -15,11 +15,12 @@ index of its first member).  Clusters are listed by |omega|; a +-pair whose
 |omega| agree within the cluster tolerance lists the negative one first.
 
 Everything downstream is built from one BlochOperator: the medium, the
-cutoff, theta, the dense A0 and G assembled once, and the mode classes.  A0
-couples plane-wave modes n, m only when n - m is in the Fourier support of
-eps0 or mu0, and G, the transverse and longitudinal fields are diagonal over
-modes; so the pencil splits into one block per class of modes connected by
-that support (a layered medium at cutoff N has (2N+1)^2 classes, a medium
+cutoff, theta, the mode classes, one A0 block per class and one G block per
+mode (nothing 6K x 6K unless one class holds every mode).  A0 couples
+plane-wave modes n, m only when n - m is in the Fourier support of eps0 or
+mu0, and G, the transverse and longitudinal fields are diagonal over modes;
+so the pencil splits into one block per class of modes connected by that
+support (a layered medium at cutoff N has (2N+1)^2 classes, a medium
 structured along all three axes has one).  The reduced pencil and the
 partial inverse are solved class by class, and only the clusters a caller
 inspects are lifted to full 6K vectors.  Two entry points solve the pencil:
@@ -35,6 +36,7 @@ transverse unit fields of the fourier.transverse_pair frame (see _fix_gauge).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
@@ -51,6 +53,7 @@ from .errors import (
 from .fourier import (
     LatticeCutoff,
     MaterialSpec,
+    apply_mode_blocks,
     base_material_matrix,
     block_diagonal,
     curl_matrix,
@@ -90,18 +93,23 @@ class BlochBand:
 
 @dataclass
 class ProjectorPair:
-    """Plain-orthogonal projector onto the eigenspace and the partial inverse
-    of the Bloch pencil i*omega*A0 - G.
-
-    Pi and Q satisfy Pi^2 = Pi = Pi^H, Q Pi = Pi Q = 0 and
-    (i*omega*A0 - G) Q = I - Pi.
+    """Eigenspace basis and partial inverse Q of the Bloch pencil
+    L = i*omega*A0 - G.  With Pi = basis basis^H, Q Pi = Pi Q = 0 and
+    L Q = I - Pi.  Q is held as one (rows, dense block) pair per mode class
+    and applied by apply_q; neither Pi nor Q is formed as a 6K x 6K matrix.
     """
 
-    Pi: np.ndarray
-    Q: np.ndarray
     basis: np.ndarray  # (6K, kappa), the gauge actually used downstream
     omega: float
     theta: np.ndarray
+    q_blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    def apply_q(self, v: np.ndarray) -> np.ndarray:
+        """Q v for v of shape (6K,) or (6K, m)."""
+        out = np.empty(v.shape, dtype=complex)
+        for rows, q in self.q_blocks:
+            out[rows] = q @ v[rows]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,44 +119,49 @@ class ProjectorPair:
 @dataclass(frozen=True, eq=False)
 class BlochOperator:
     """The Bloch pencil i*omega*A0 - G(theta) of one medium at one cutoff and
-    theta, with A0 and G assembled densely once, and the mode classes over
-    which the pencil is block diagonal (mode_classes).  A0 and the classes do
-    not depend on theta, so operators at nearby theta (`at`) share them."""
+    theta: the mode classes over which it is block diagonal (mode_classes),
+    one (rows, dense block) pair of A0 per class, and G's (K, 6, 6) per-mode
+    blocks.  No array is 6K x 6K unless one class holds every mode.  A0 and
+    the classes do not depend on theta, so `at` (nearby theta) shares them."""
 
     spec: MaterialSpec
     cutoff: LatticeCutoff
     theta: np.ndarray
-    a0: np.ndarray
-    g: np.ndarray
     classes: Tuple[np.ndarray, ...]
+    a0_blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    g_blocks: np.ndarray
 
     @classmethod
     def build(cls, spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> "BlochOperator":
         theta = _check_theta(theta)
-        return cls(spec, cutoff, theta, base_material_matrix(spec, cutoff),
-                   curl_matrix(cutoff, theta), mode_classes(spec, cutoff))
+        classes = mode_classes(spec, cutoff)
+        rows = [(6 * modes[:, None] + np.arange(6)).ravel() for modes in classes]
+        return cls(spec, cutoff, theta, classes,
+                   tuple(zip(rows, base_material_matrix(spec, cutoff, classes))),
+                   curl_matrix(cutoff, theta))
 
     def at(self, theta) -> "BlochOperator":
         """The same medium and cutoff at another theta (A0 and the classes
         shared, G rebuilt)."""
         theta = _check_theta(theta)
-        return dataclasses.replace(self, theta=theta, g=curl_matrix(self.cutoff, theta))
+        return dataclasses.replace(self, theta=theta, g_blocks=curl_matrix(self.cutoff, theta))
+
+    def apply_a0(self, v: np.ndarray) -> np.ndarray:
+        """A0 v for v of shape (6K,) or (6K, m), one class block at a time."""
+        out = np.empty(v.shape, dtype=complex)
+        for rows, a0 in self.a0_blocks:
+            out[rows] = a0 @ v[rows]
+        return out
 
     def pencil(self, omega: float, v: np.ndarray) -> np.ndarray:
-        """(i*omega*A0 - G) v."""
-        return 1j * omega * (self.a0 @ v) - self.g @ v
+        """(i*omega*A0 - G) v for v of shape (6K,) or (6K, m)."""
+        return 1j * omega * self.apply_a0(v) - apply_mode_blocks(self.g_blocks, v)
 
-    def class_blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per mode class: its modes, its rows among the 6K unknowns, and its
-        diagonal blocks of A0 and G (the off-diagonal blocks vanish).  A class
-        of every mode yields A0 and G themselves, not copies."""
-        for modes in self.classes:
-            rows = (6 * modes[:, None] + np.arange(6)).ravel()
-            if len(modes) == self.cutoff.num_modes:
-                yield modes, rows, self.a0, self.g
-                continue
-            ix = np.ix_(rows, rows)
-            yield modes, rows, self.a0[ix], self.g[ix]
+    def class_blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per mode class: its modes, its rows among the 6K unknowns and its
+        stored block of A0 (the pencil couples no two classes)."""
+        for modes, (rows, a0) in zip(self.classes, self.a0_blocks):
+            yield modes, rows, a0
 
     def check_band(self, band: BlochBand) -> None:
         if not np.array_equal(band.theta, self.theta):
@@ -203,10 +216,10 @@ def _solve_pencil(op: BlochOperator) -> _Pencil:
     frame = transverse_field_blocks(op.cutoff, op.theta)
     kernel = longitudinal_field_blocks(op.cutoff, op.theta)
     blocks, vals, owner, col = [], [], [], []
-    for c, (modes, rows, a0, g) in enumerate(op.class_blocks()):
+    for c, (modes, rows, a0) in enumerate(op.class_blocks()):
         dyn = dynamic_subspace_basis(a0, block_diagonal(frame[modes]),
                                      block_diagonal(kernel[modes]))
-        herm = _hermitian_part(dyn.conj().T @ (-1j * g) @ dyn)
+        herm = _hermitian_part(dyn.conj().T @ (-1j * apply_mode_blocks(op.g_blocks[modes], dyn)))
         mass = _hermitian_part(dyn.conj().T @ a0 @ dyn)
         try:
             scipy.linalg.cholesky(mass)
@@ -223,10 +236,9 @@ def _solve_pencil(op: BlochOperator) -> _Pencil:
                    np.concatenate(col)[order])
 
 
-def _cluster_band(p: _Pencil, sel: List[int], band_index: int) -> BlochBand:
-    """The cluster's eigenvectors lifted to the full space, plain-orthonormal
-    and gauge-fixed, with their residual in the unreduced pencil."""
-    omega = float(np.mean(p.vals[sel]))
+def _cluster_band(p: _Pencil, sel: List[int], omega: float, band_index: int) -> BlochBand:
+    """The cluster at omega (from _cluster_omegas) lifted to the full space,
+    plain-orthonormal and gauge-fixed, with its residual in the pencil."""
     psi = np.zeros((6 * p.op.cutoff.num_modes, len(sel)), dtype=complex)
     for j, i in enumerate(sel):
         rows, dyn, vecs = p.blocks[p.owner[i]]
@@ -234,7 +246,7 @@ def _cluster_band(p: _Pencil, sel: List[int], band_index: int) -> BlochBand:
     psi = _fix_gauge(_orthonormalize(psi), p.frame)
     return BlochBand(
         theta=p.op.theta,
-        omega=omega,
+        omega=float(omega),
         kappa=len(sel),
         eigvecs=psi,
         band_index=band_index,
@@ -256,7 +268,9 @@ def solve_bands(op: BlochOperator, num_bands: int,
     bands: List[BlochBand] = []
     count = 0
     indices = _band_indices(p.vals)
-    for sel in _cluster(p.vals, cluster_tol):
+    clusters = _cluster(p.vals, cluster_tol)
+    omegas = _cluster_omegas(p.vals, clusters)
+    for sel, omega in zip(clusters, omegas):
         if count >= num_bands:
             break
         if count + len(sel) > num_bands:
@@ -266,7 +280,7 @@ def solve_bands(op: BlochOperator, num_bands: int,
                 ClusterStraddle,
             )
         count += len(sel)
-        bands.append(_cluster_band(p, sel, indices[sel[0]]))
+        bands.append(_cluster_band(p, sel, omega, indices[sel[0]]))
     return bands
 
 
@@ -287,14 +301,14 @@ def continue_band(op: BlochOperator, theta, prev: BlochBand,
     """
     p = _solve_pencil(op.at(theta))
     clusters = _cluster(p.vals, cluster_tol)
-    omegas = np.array([np.mean(p.vals[sel]) for sel in clusters])
+    omegas = _cluster_omegas(p.vals, clusters)
     near = np.abs(omegas - prev.omega) < 0.2 * max(1.0, abs(prev.omega))
     window = np.flatnonzero(near) if near.any() else range(len(clusters))
     indices = _band_indices(p.vals)
 
     best, best_c, best_overlap = None, -1, -1.0
     for c in window:
-        cand = _cluster_band(p, clusters[c], indices[clusters[c][0]])
+        cand = _cluster_band(p, clusters[c], omegas[c], indices[clusters[c][0]])
         s = np.linalg.svd(cand.eigvecs.conj().T @ prev.eigvecs, compute_uv=False)
         overlap = s.min() if len(s) >= prev.kappa else 0.0
         if overlap > best_overlap:
@@ -349,6 +363,13 @@ def _cluster(vals: np.ndarray, cluster_tol: Optional[float]) -> List[List[int]]:
         keys.append((head, vals[sel[0]] >= 0))
     order = sorted(range(len(clusters)), key=keys.__getitem__)
     return [clusters[c] for c in order]
+
+
+def _cluster_omegas(vals: np.ndarray, clusters: List[List[int]]) -> np.ndarray:
+    """Mean eigenvalue of every cluster, in one pass over the spectrum."""
+    members = np.fromiter(itertools.chain.from_iterable(clusters), dtype=int, count=len(vals))
+    label = np.repeat(np.arange(len(clusters)), [len(sel) for sel in clusters])
+    return np.bincount(label, weights=vals[members]) / np.bincount(label)
 
 
 def _band_indices(vals: np.ndarray) -> np.ndarray:
@@ -427,8 +448,12 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
         )
     op.check_band(band)
     # eigenpairs of -i * (i omega A0 - G) per class; the matrix is not kept
-    spectra = [(rows, *np.linalg.eigh(_hermitian_part(band.omega * a0 + 1j * g)))
-               for _modes, rows, a0, g in op.class_blocks()]
+    spectra = []
+    for modes, rows, a0 in op.class_blocks():
+        herm = band.omega * a0
+        i = np.arange(len(modes))
+        herm.reshape(len(modes), 6, len(modes), 6)[i, :, i, :] += 1j * op.g_blocks[modes]
+        spectra.append((rows, *np.linalg.eigh(_hermitian_part(herm))))
     smax = max(np.abs(s).max() for _rows, s, _u in spectra)
     null_dim = sum(int(np.sum(np.abs(s) <= KERNEL_TOL * smax)) for _rows, s, _u in spectra)
     if null_dim != band.kappa:
@@ -436,18 +461,12 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
             f"discrete kernel dimension {null_dim} != kappa {band.kappa}; "
             "check the cluster tolerance"
         )
-    psi = band.eigvecs
-    pi = psi @ psi.conj().T
-    # each class's block of Q first, then Q itself: the dense Q is not held
-    # while a block is being formed
-    inverses = []
+    q_blocks = []
     for rows, s, u in spectra:
         nz = np.abs(s) > KERNEL_TOL * smax
-        inverses.append((rows, (u[:, nz] * (1.0 / (1j * s[nz]))) @ u[:, nz].conj().T))
-    q = np.zeros_like(pi)
-    for rows, block in inverses:
-        q[np.ix_(rows, rows)] = block
-    return ProjectorPair(Pi=pi, Q=q, basis=psi, omega=band.omega, theta=band.theta)
+        q_blocks.append((rows, (u[:, nz] * (1.0 / (1j * s[nz]))) @ u[:, nz].conj().T))
+    return ProjectorPair(basis=band.eigvecs, omega=band.omega, theta=band.theta,
+                         q_blocks=tuple(q_blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bands import BlochBand, BlochOperator, ProjectorPair, continue_band
 from .errors import MultiplicityInconsistent, SpeedLimitViolation
-from .fourier import MaterialSpec, apply_constant_symbol, cross_matrix, trig_sum_on_grid
+from .fourier import (MaterialSpec, apply_mode_blocks, cross_matrix, symbol_matrix,
+                      trig_sum_on_grid)
 
 SCALAR_TOL = 1e-8
 
@@ -43,7 +44,7 @@ def projected_mass(band: BlochBand, op: BlochOperator) -> np.ndarray:
     """kappa x kappa matrix of Pi A0 Pi in the band's eigenbasis.  Positive
     definite (the projected material is an isomorphism of the eigenspace)."""
     psi = band.eigvecs
-    n = psi.conj().T @ op.a0 @ psi
+    n = psi.conj().T @ op.apply_a0(psi)
     return 0.5 * (n + n.conj().T)
 
 
@@ -56,21 +57,11 @@ def _scalar_part(f: np.ndarray, n: np.ndarray):
     return s, f - s * n
 
 
-def _apply_symbol_block(xi, block: np.ndarray) -> np.ndarray:
-    """Apply the mode-diagonal 6x6 symbol [[0,-xi^],[xi^,0]] to a (6K, m) block."""
-    k6, m = block.shape
-    arr = block.T.reshape(m, k6 // 6, 6)
-    out = np.empty_like(arr)
-    for a in range(m):
-        out[a] = apply_constant_symbol(xi, arr[a])
-    return out.reshape(m, k6).T
-
-
-def _pencil_derivative_apply(xi, domega_xi: float, a0: np.ndarray,
+def _pencil_derivative_apply(xi, domega_xi: float, op: BlochOperator,
                              block: np.ndarray) -> np.ndarray:
     """theta-derivative of the Bloch pencil in direction xi applied to a block:
     i * [ (xi.grad omega) A0 + [[0,-xi^],[xi^,0]] ]."""
-    return 1j * (domega_xi * (a0 @ block) + _apply_symbol_block(xi, block))
+    return 1j * (domega_xi * op.apply_a0(block) + apply_mode_blocks(symbol_matrix(xi), block))
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +80,8 @@ def group_velocity(band: BlochBand, op: BlochOperator,
     psi = band.eigvecs
     v = np.zeros(3)
     forms = []
-    for j in range(3):
-        ej = np.zeros(3)
-        ej[j] = 1.0
-        f = psi.conj().T @ _apply_symbol_block(ej, psi)
+    for j, symbol in enumerate(symbol_matrix(np.eye(3))):
+        f = psi.conj().T @ apply_mode_blocks(symbol, psi)
         s, dev = _scalar_part(f, n)
         forms.append((j, f, s, dev))
         # f ~ -(d_j omega) N, so d_j omega = -s and V_j = -d_j omega = s
@@ -115,7 +104,7 @@ def first_order_identity_residual(band: BlochBand, op: BlochOperator, xi, V) -> 
     psi = band.eigvecs
     xi = np.asarray(xi, dtype=float)
     domega = -float(np.dot(xi, V))
-    lp = _pencil_derivative_apply(xi, domega, op.a0, psi)
+    lp = _pencil_derivative_apply(xi, domega, op, psi)
     return float(np.linalg.norm(psi.conj().T @ lp))
 
 
@@ -128,22 +117,20 @@ def hessian(band: BlochBand, projectors: ProjectorPair, op: BlochOperator,
     """Dispersion Hessian d^2 omega/d theta^2 via second-order perturbation:
     the symmetrized form Psi^H L'(e_i) Q L'(e_j) Psi equals (i/2) H_ij Pi A0 Pi,
     so H_ij = -2i * scalar part."""
-    a0 = op.a0
     n = projected_mass(band, op)
     v = group_velocity(band, op, scalar_tol)
     psi = band.eigvecs
-    q = projectors.Q
 
     axes = np.eye(3)
-    lp_psi = [_pencil_derivative_apply(axes[j], -v[j], a0, psi) for j in range(3)]
-    q_lp_psi = [q @ b for b in lp_psi]
+    lp_psi = [_pencil_derivative_apply(axes[j], -v[j], op, psi) for j in range(3)]
+    q_lp_psi = [projectors.apply_q(b) for b in lp_psi]
 
     h = np.zeros((3, 3))
     devs = []
     for i in range(3):
         for j in range(i, 3):
-            m_ij = psi.conj().T @ _pencil_derivative_apply(axes[i], -v[i], a0, q_lp_psi[j])
-            m_ji = psi.conj().T @ _pencil_derivative_apply(axes[j], -v[j], a0, q_lp_psi[i])
+            m_ij = psi.conj().T @ _pencil_derivative_apply(axes[i], -v[i], op, q_lp_psi[j])
+            m_ji = psi.conj().T @ _pencil_derivative_apply(axes[j], -v[j], op, q_lp_psi[i])
             sym = 0.5 * (m_ij + m_ji)
             s, dev = _scalar_part(sym, n)
             devs.append((np.linalg.norm(sym), dev))

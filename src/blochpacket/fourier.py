@@ -27,7 +27,7 @@ Mode enumeration is the fixed lexicographic bijection
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -170,11 +170,13 @@ def wavevectors(cutoff: LatticeCutoff, theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cross_matrix(v) -> np.ndarray:
-    """3x3 matrix of u -> v ^ u."""
-    v = np.asarray(v)
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]], dtype=complex
-    )
+    """3x3 matrix of u -> v ^ u for v of shape (3,), or stacked for (..., 3).
+    Filled by index: np.cross costs several times more per call."""
+    v = np.asarray(v, dtype=complex)
+    out = np.zeros(v.shape + (3,), dtype=complex)
+    out[..., [2, 0, 1], [1, 2, 0]] = v
+    out[..., [1, 2, 0], [2, 0, 1]] = -v
+    return out
 
 
 def apply_curl_block(f: FourierField6) -> FourierField6:
@@ -190,34 +192,32 @@ def apply_curl_block(f: FourierField6) -> FourierField6:
     return FourierField6(f.cutoff, f.theta, out)
 
 
-def curl_matrix(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """Dense (6K, 6K) matrix of apply_curl_block; mode-major ordering."""
-    k = cutoff.num_modes
-    v = wavevectors(cutoff, theta)
-    mat = np.zeros((6 * k, 6 * k), dtype=complex)
-    for i in range(k):
-        cx = cross_matrix(v[i])
-        mat[6 * i : 6 * i + 3, 6 * i + 3 : 6 * i + 6] = 1j * cx
-        mat[6 * i + 3 : 6 * i + 6, 6 * i : 6 * i + 3] = -1j * cx
-    return mat
-
-
-def apply_constant_symbol(xi, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the mode-diagonal 6x6 symbol [[0,-xi^],[xi^,0]] to a (K, 6) array."""
-    e, b = coeffs[:, :3], coeffs[:, 3:]
-    out = np.empty_like(coeffs)
-    xi = np.asarray(xi, dtype=float)
-    out[:, :3] = -np.cross(np.broadcast_to(xi, e.shape), b)
-    out[:, 3:] = np.cross(np.broadcast_to(xi, e.shape), e)
+def symbol_matrix(xi) -> np.ndarray:
+    """6x6 symbol [[0,-xi^],[xi^,0]] for xi of shape (3,), or a stack of them
+    for xi of shape (..., 3)."""
+    cx = cross_matrix(xi)
+    out = np.zeros(cx.shape[:-2] + (6, 6), dtype=complex)
+    out[..., :3, 3:] = -cx
+    out[..., 3:, :3] = cx
     return out
+
+
+def apply_mode_blocks(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply mode-diagonal 6x6 blocks, (K, 6, 6) or one (6, 6) for every mode,
+    to coefficients of shape (6K,) or (6K, m) in mode-major order."""
+    return (blocks @ v.reshape(len(v) // 6, 6, -1)).reshape(v.shape)
+
+
+def curl_matrix(cutoff: LatticeCutoff, theta) -> np.ndarray:
+    """(K, 6, 6) per-mode blocks of apply_curl_block, -i times the symbol at
+    theta + n (the curl block couples no two modes)."""
+    return -1j * symbol_matrix(wavevectors(cutoff, theta))
 
 
 def apply_curl_direction(j: int, coeffs: np.ndarray) -> np.ndarray:
     """Apply the 6x6 block [[0, e_j^],[-e_j^, 0]] (the coefficient of d/dx_j in
-    the curl block) to a (K, 6) array."""
-    ej = np.zeros(3)
-    ej[j] = 1.0
-    return -apply_constant_symbol(ej, coeffs)
+    the curl block, minus the symbol at e_j) to a (K, 6) array."""
+    return -(coeffs @ symbol_matrix(np.eye(3)[j]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,12 @@ def block_diagonal(blocks: np.ndarray) -> np.ndarray:
 
 
 def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(K, 6, 4) per-mode blocks of transverse_field_basis."""
+    """(K, 6, 4) per-mode transverse E/B unit fields.
+
+    Column order per mode: (E,u1), (E,u2), (B,u1), (B,u2) with u1, u2 the
+    transverse_basis pair.  Per mode they span the plain-orthogonal
+    complement of the curl kernel.
+    """
     u = transverse_basis(cutoff, theta)
     blocks = np.zeros((cutoff.num_modes, 6, 4), dtype=complex)
     for a in range(2):
@@ -296,26 +301,12 @@ def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
 
 
 def longitudinal_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(K, 6, 2) per-mode blocks of longitudinal_field_basis."""
+    """(K, 6, 2) per-mode curl-kernel fields: E and B along theta + n."""
     vhat = longitudinal_unit(cutoff, theta)
     blocks = np.zeros((cutoff.num_modes, 6, 2), dtype=complex)
     blocks[:, :3, 0] = vhat
     blocks[:, 3:, 1] = vhat
     return blocks
-
-
-def transverse_field_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(6K, 4K) matrix whose columns are the transverse E/B unit fields.
-
-    Column order: per mode (E,u1), (E,u2), (B,u1), (B,u2).  The span is the
-    plain-orthogonal complement of the discrete curl kernel.
-    """
-    return block_diagonal(transverse_field_blocks(cutoff, theta))
-
-
-def longitudinal_field_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(6K, 2K) matrix of the per-mode curl-kernel fields (E and B along theta+n)."""
-    return block_diagonal(longitudinal_field_blocks(cutoff, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +433,25 @@ def apply_material(spec: MaterialSpec, which: str, f: FourierField6) -> FourierF
     return FourierField6(f.cutoff, f.theta, out)
 
 
-def base_material_matrix(spec: MaterialSpec, cutoff: LatticeCutoff) -> np.ndarray:
-    """Dense (6K, 6K) matrix of the block-diagonal base material (eps0 on E,
-    mu0 on B)."""
-    k = cutoff.num_modes
-    mat = np.zeros((6 * k, 6 * k), dtype=complex)
+def base_material_matrix(spec: MaterialSpec, cutoff: LatticeCutoff,
+                         classes) -> List[np.ndarray]:
+    """Dense (6n, 6n) blocks of the block-diagonal base material (eps0 on E,
+    mu0 on B), one per mode class of n modes in its mode order.  The classes
+    must be unions of bands.mode_classes, which the material never couples."""
+    owner = np.empty(cutoff.num_modes, dtype=int)
+    pos = np.empty(cutoff.num_modes, dtype=int)
+    for c, modes in enumerate(classes):
+        owner[modes] = c
+        pos[modes] = np.arange(len(modes))
+    blocks = [np.zeros((len(modes), 6, len(modes), 6), dtype=complex) for modes in classes]
     for coefs, off in ((spec.eps0, 0), (spec.mu0, 3)):
-        for key, block in coefs.items():
+        for key, coef in coefs.items():
             src, dst = cutoff.shift_indices(key)
-            for s, d in zip(src, dst):
-                mat[6 * d + off : 6 * d + off + 3, 6 * s + off : 6 * s + off + 3] += block
-    return mat
+            for c, blk in enumerate(blocks):
+                sel = owner[dst] == c
+                # dst is one-to-one in src, so no entry is hit twice
+                blk[pos[dst[sel]], off : off + 3, pos[src[sel]], off : off + 3] += coef
+    return [blk.reshape(6 * len(modes), -1) for blk, modes in zip(blocks, classes)]
 
 
 def modulation_a01_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff,

@@ -84,11 +84,6 @@ def _shift_eta(eta: Eta, other) -> Eta:
     return tuple(float(a + b) for a, b in zip(eta, other))
 
 
-def _curl_dir(j: int, vec: np.ndarray) -> np.ndarray:
-    """[[0, e_j^],[-e_j^, 0]] (coefficient of d/dx_j in the curl)."""
-    return apply_curl_direction(j, vec.reshape(-1, 6)).reshape(-1)
-
-
 def _modulation(op: BlochOperator, eta, vec: np.ndarray, omega: float) -> np.ndarray:
     """i*omega*A0^1(eta,.) + M(eta,.)."""
     return modulation_apply(op.spec, eta, op.cutoff, vec.reshape(-1, 6), omega).reshape(-1)
@@ -115,11 +110,11 @@ def op_envelope(table: TermTable, op: BlochOperator, V: np.ndarray) -> TermTable
     """
     out: TermTable = {}
     for (eta, key), vec in table.items():
-        a0v = op.a0 @ vec
+        a0v = op.apply_a0(vec)
         if eta[0] != 0.0:
             _add(out, eta, key, 1j * eta[0] * a0v)
         for j in range(3):
-            cjv = _curl_dir(j, vec)
+            cjv = apply_curl_direction(j, vec.reshape(-1, 6)).reshape(-1)
             if eta[1 + j] != 0.0:
                 _add(out, eta, key, -1j * eta[1 + j] * cjv)
             _add(out, eta, _bump_alpha(key, j), -V[j] * a0v - cjv)
@@ -131,7 +126,7 @@ def op_slow(table: TermTable, op: BlochOperator, omega: float) -> TermTable:
     out: TermTable = {}
     mod_etas = op.spec.modulation_frequencies()
     for (eta, key), vec in table.items():
-        _add(out, eta, _bump_tder(key), op.a0 @ vec)
+        _add(out, eta, _bump_tder(key), op.apply_a0(vec))
         for eta_mod in mod_etas:
             mv = _modulation(op, eta_mod, vec, omega)
             if np.any(mv):
@@ -217,7 +212,6 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
         raise CutoffMismatch("ray-average data does not match the band multiplicity")
     op.check_band(band)
 
-    q = projectors.Q
     psi = band.eigvecs
     kappa = band.kappa
     V = dispersion.V
@@ -229,7 +223,7 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
     # complement part of the first corrector: -Q (envelope operator) w0
     w1: TermTable = {}
     for (eta, key), vec in op_envelope(w0, op, V).items():
-        _add(w1, eta, key, -(q @ vec))
+        _add(w1, eta, key, -projectors.apply_q(vec))
 
     # eigenspace part: -(fluctuation integral) w0
     if ray_data is not None:
@@ -247,7 +241,7 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
     # next order), complement part only
     w2: TermTable = {}
     for (eta, key), vec in _merge(op_envelope(w1, op, V), op_slow(w0, op, band.omega)).items():
-        _add(w2, eta, key, -(q @ vec))
+        _add(w2, eta, key, -projectors.apply_q(vec))
 
     return ProfileSet(band=band, projectors=projectors, dispersion=dispersion,
                       ray_data=ray_data, envelope=envelope_solution, op=op,

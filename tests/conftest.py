@@ -1,8 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS/OpenMP thread unless the caller chose otherwise, set before numpy
+# loads: the timing-gated tests then do not depend on how busy the machine is
+# (a multi-threaded BLAS on a loaded host can spin many times longer).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 

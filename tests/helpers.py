@@ -5,7 +5,7 @@ import numpy as np
 from blochpacket.bands import BlochOperator, build_projectors, solve_bands
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
-from blochpacket.fourier import LatticeCutoff
+from blochpacket.fourier import FourierField6, LatticeCutoff, apply_curl_block, apply_material
 from blochpacket.rays import build_gamma, ray_average
 from blochpacket.wkb import build_profiles
 
@@ -33,3 +33,20 @@ class BandPipeline:
     def profiles(self, envelope):
         return build_profiles(self.band, self.projectors, self.dispersion, self.ray,
                               envelope, self.op)
+
+
+def dense_operator(spec, cutoff, theta):
+    """Dense (6K, 6K) A0 and G, one column per unit field through
+    apply_material and apply_curl_block: a reference that does not depend on
+    how BlochOperator stores them.  Meant for small cutoffs."""
+    cutoff = LatticeCutoff(cutoff) if not isinstance(cutoff, LatticeCutoff) else cutoff
+    k6 = 6 * cutoff.num_modes
+    a0 = np.empty((k6, k6), dtype=complex)
+    g = np.empty((k6, k6), dtype=complex)
+    for j in range(k6):
+        unit = np.zeros(k6, dtype=complex)
+        unit[j] = 1.0
+        f = FourierField6(cutoff, theta, unit.reshape(-1, 6))
+        a0[:, j] = apply_material(spec, "A0", f).flat
+        g[:, j] = apply_curl_block(f).flat
+    return a0, g

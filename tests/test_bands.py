@@ -1,9 +1,12 @@
 """Bloch eigensolver: closed-form cross-checks, projector identities, cutoff
 refinement, and band tracking."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from helpers import dense_operator
 
 from blochpacket.bands import (
     BlochOperator,
@@ -17,10 +20,8 @@ from blochpacket.errors import CutoffMismatch, GapViolation, MaterialError, Mult
 from blochpacket.fourier import (
     LatticeCutoff,
     MaterialSpec,
-    base_material_matrix,
-    curl_matrix,
-    longitudinal_field_basis,
-    transverse_field_basis,
+    block_diagonal,
+    longitudinal_field_blocks,
     transverse_field_blocks,
     transverse_pair,
 )
@@ -99,10 +100,8 @@ def test_divergence_constraints(offaxis_layered_pipe):
     """Eigenvectors satisfy div(eps0 E) = div(mu0 B) = 0 discretely: they are
     A0-orthogonal to the curl kernel."""
     pipe = offaxis_layered_pipe
-    from blochpacket.fourier import longitudinal_field_basis
-
-    a0 = base_material_matrix(pipe.spec, pipe.cutoff)
-    ell = longitudinal_field_basis(pipe.cutoff, pipe.theta)
+    a0, _g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
+    ell = block_diagonal(longitudinal_field_blocks(pipe.cutoff, pipe.theta))
     for b in pipe.bands:
         coupling = ell.conj().T @ (a0 @ b.eigvecs)
         assert np.linalg.norm(coupling) < 1e-9 * np.linalg.norm(b.eigvecs)
@@ -151,23 +150,60 @@ def test_mode_class_counts():
         assert len(set(n1 % 2)) == 1 and len(set(map(tuple, cut.modes[c][:, 1:]))) == 1
 
 
-def test_single_class_yields_the_operator_matrices():
-    """A medium with one class solves on A0 and G themselves: no 6K x 6K copy."""
+def test_single_class_yields_the_stored_block():
+    """A medium with one class solves on its stored A0 block: no 6K x 6K copy."""
     op = BlochOperator.build(cosine_3d(), LatticeCutoff(1), THETA_OFF)
-    (_modes, rows, a0, g), = op.class_blocks()
-    assert a0 is op.a0 and g is op.g
+    (_modes, rows, a0), = op.class_blocks()
+    assert a0 is op.a0_blocks[0][1]
     assert np.array_equal(rows, np.arange(6 * op.cutoff.num_modes))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("spec", [layered(0.2), identity_material(), cosine_3d()],
+                         ids=["layered", "identity", "cosine_3d"])
+def test_operator_blocks_match_dense_reference(spec, cutoff):
+    """The per-class A0 blocks and per-mode G blocks are the dense operator's
+    diagonal blocks, and the dense operator has nothing outside them."""
+    op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
+    a0, g = dense_operator(spec, op.cutoff, op.theta)
+    covered = np.zeros(a0.shape, dtype=bool)
+    for modes, rows, a0_block in op.class_blocks():
+        ix = np.ix_(rows, rows)
+        assert np.array_equal(a0_block, a0[ix])
+        assert np.array_equal(block_diagonal(op.g_blocks[modes]), g[ix])
+        covered[ix] = True
+    assert not np.any(a0[~covered]) and not np.any(g[~covered])
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_no_dense_operator_arrays_held(offaxis_layered_pipe):
+    """A layered medium (25 classes at cutoff 2): neither the operator nor the
+    projector pair holds an array of 6K rows and 6K columns."""
+    pipe = offaxis_layered_pipe
+    k6 = 6 * pipe.cutoff.num_modes
+    for obj in (pipe.op, pipe.projectors):
+        for f in dataclasses.fields(obj):
+            for arr in _arrays(getattr(obj, f.name)):
+                assert arr.shape[:2] != (k6, k6), f.name
 
 
 def _dense_pencil(op):
     """Eigenvalues (sorted) and eigenvectors of the reduced pencil solved as
     one dense generalized problem on all 4K transverse unknowns."""
-    t = transverse_field_basis(op.cutoff, op.theta)
-    ell = longitudinal_field_basis(op.cutoff, op.theta)
-    a0_ell = op.a0 @ ell
+    a0, g = dense_operator(op.spec, op.cutoff, op.theta)
+    t = block_diagonal(transverse_field_blocks(op.cutoff, op.theta))
+    ell = block_diagonal(longitudinal_field_blocks(op.cutoff, op.theta))
+    a0_ell = a0 @ ell
     dyn = t - ell @ np.linalg.solve(ell.conj().T @ a0_ell, a0_ell.conj().T @ t)
-    herm = dyn.conj().T @ (-1j * op.g) @ dyn
-    mass = dyn.conj().T @ op.a0 @ dyn
+    herm = dyn.conj().T @ (-1j * g) @ dyn
+    mass = dyn.conj().T @ a0 @ dyn
     vals, vecs = scipy.linalg.eigh(0.5 * (herm + herm.conj().T), 0.5 * (mass + mass.conj().T))
     return vals, dyn @ vecs
 
@@ -188,14 +224,22 @@ def test_block_solve_matches_dense_pencil(spec, cutoff):
         assert overlap.min() > 1 - 1e-10
 
 
+def _dense_pi_q(proj):
+    """The projector and the partial inverse as dense matrices: basis basis^H,
+    and apply_q on the unit columns."""
+    pi = proj.basis @ proj.basis.conj().T
+    return pi, proj.apply_q(np.eye(len(pi), dtype=complex))
+
+
 def test_partial_inverse_vanishes_between_classes(offaxis_layered_pipe):
     pipe = offaxis_layered_pipe
     owner = np.empty(6 * pipe.cutoff.num_modes, dtype=int)
     for c, modes in enumerate(pipe.op.classes):
         owner[(6 * modes[:, None] + np.arange(6)).ravel()] = c
-    q = pipe.projectors.Q
+    _pi, q = _dense_pi_q(pipe.projectors)
     assert not np.any(q[owner[:, None] != owner[None, :]])
-    pencil = 1j * pipe.band.omega * pipe.op.a0 - pipe.op.g
+    a0, g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
+    pencil = 1j * pipe.band.omega * a0 - g
     dense = np.linalg.pinv(pencil, rcond=1e-10)
     assert np.linalg.norm(q - dense) < 1e-9 * np.linalg.norm(dense)
 
@@ -240,10 +284,10 @@ def test_cluster_gauge_depends_on_span_only(rng):
 
 def test_projector_rank_and_structure(identity_pipe):
     pipe = identity_pipe
-    proj = pipe.projectors
-    assert np.linalg.matrix_rank(proj.Pi, tol=1e-10) == 2
-    assert np.allclose(proj.Pi @ proj.Pi, proj.Pi, atol=1e-12)
-    assert np.allclose(proj.Pi, proj.Pi.conj().T, atol=1e-12)
+    pi, _q = _dense_pi_q(pipe.projectors)
+    assert np.linalg.matrix_rank(pi, tol=1e-10) == 2
+    assert np.allclose(pi @ pi, pi, atol=1e-12)
+    assert np.allclose(pi, pi.conj().T, atol=1e-12)
     # supported on the n = 0 transverse modes with b = -(theta ^ e)/omega
     cut = pipe.cutoff
     i0 = cut.index_of((0, 0, 0))
@@ -252,39 +296,38 @@ def test_projector_rank_and_structure(identity_pipe):
     vec = np.zeros(6 * cut.num_modes, dtype=complex)
     vec[6 * i0 : 6 * i0 + 3] = e
     vec[6 * i0 + 3 : 6 * i0 + 6] = b
-    assert np.linalg.norm(proj.Pi @ vec - vec) < 1e-10 * np.linalg.norm(vec)
+    assert np.linalg.norm(pi @ vec - vec) < 1e-10 * np.linalg.norm(vec)
     # and annihilates the longitudinal direction
     kvec = np.zeros_like(vec)
     kvec[6 * i0 : 6 * i0 + 3] = THETA / np.linalg.norm(THETA)
-    assert np.linalg.norm(proj.Pi @ kvec) < 1e-10
+    assert np.linalg.norm(pi @ kvec) < 1e-10
 
 
 def test_projector_identities_random_probes(identity_pipe, rng):
     pipe = identity_pipe
-    proj = pipe.projectors
-    a0, g = base_material_matrix(pipe.spec, pipe.cutoff), curl_matrix(pipe.cutoff, pipe.theta)
+    pi, q = _dense_pi_q(pipe.projectors)
+    a0, g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
     pencil = 1j * pipe.band.omega * a0 - g
     eye = np.eye(pencil.shape[0])
     for _ in range(20):
         v = rng.standard_normal(pencil.shape[0]) + 1j * rng.standard_normal(pencil.shape[0])
-        assert np.linalg.norm(proj.Pi @ (proj.Q @ v)) < 1e-10 * np.linalg.norm(v)
-        assert np.linalg.norm(proj.Q @ (proj.Pi @ v)) < 1e-10 * np.linalg.norm(v)
-        lhs = pencil @ (proj.Q @ v)
-        rhs = (eye - proj.Pi) @ v
+        assert np.linalg.norm(pi @ (q @ v)) < 1e-10 * np.linalg.norm(v)
+        assert np.linalg.norm(q @ (pi @ v)) < 1e-10 * np.linalg.norm(v)
+        lhs = pencil @ (q @ v)
+        rhs = (eye - pi) @ v
         assert np.linalg.norm(lhs - rhs) < 1e-10 * np.linalg.norm(v)
 
 
 def test_partial_inverse_matches_dense_pinv(identity_pipe):
     pipe = identity_pipe
-    a0, g = base_material_matrix(pipe.spec, pipe.cutoff), curl_matrix(pipe.cutoff, pipe.theta)
+    a0, g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
     pencil = 1j * pipe.band.omega * a0 - g
     dense = np.linalg.pinv(pencil, rcond=1e-10)
-    assert np.linalg.norm(pipe.projectors.Q - dense) < 1e-9 * np.linalg.norm(dense)
+    _pi, q = _dense_pi_q(pipe.projectors)
+    assert np.linalg.norm(q - dense) < 1e-9 * np.linalg.norm(dense)
 
 
 def test_projector_multiplicity_diagnostic(identity_pipe):
-    import dataclasses
-
     band = dataclasses.replace(identity_pipe.band, kappa=3)
     with pytest.raises(MultiplicityInconsistent):
         build_projectors(band, identity_pipe.op)
@@ -299,8 +342,8 @@ def test_projector_not_weighted_orthogonal(offaxis_layered_pipe):
     """With nonconstant eps0 the eigenprojector is plain-orthogonal but not
     orthogonal for the material-weighted product."""
     pipe = offaxis_layered_pipe
-    a0 = base_material_matrix(pipe.spec, pipe.cutoff)
-    pi = pipe.projectors.Pi
+    a0, _g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
+    pi, _q = _dense_pi_q(pipe.projectors)
     comm = pi @ a0 - a0 @ pi
     assert np.linalg.norm(comm) > 1e-3
 

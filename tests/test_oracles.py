@@ -371,11 +371,13 @@ def test_time_domain_stationary_gradients_fixed():
 def test_dynamic_stationary_weighted_orthogonality(offaxis_layered_pipe):
     """Eigenvectors of the dynamic problem are orthogonal to curl-free data in
     the material-weighted product."""
-    from blochpacket.fourier import base_material_matrix, longitudinal_field_basis
+    from helpers import dense_operator
+
+    from blochpacket.fourier import block_diagonal, longitudinal_field_blocks
 
     pipe = offaxis_layered_pipe
-    a0 = base_material_matrix(pipe.spec, pipe.cutoff)
-    ell = longitudinal_field_basis(pipe.cutoff, pipe.theta)
+    a0, _g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
+    ell = block_diagonal(longitudinal_field_blocks(pipe.cutoff, pipe.theta))
     for b in pipe.bands[:4]:
         val = np.abs(ell.conj().T @ (a0 @ b.eigvecs)).max()
         assert val < 1e-10

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import dense_operator
 
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.errors import CutoffMismatch
@@ -60,10 +61,8 @@ def test_no_fluctuation_terms_without_modulation(identity_profiles):
 def test_first_corrector_matches_dense_pencil_solve(identity_pipe, identity_profiles):
     """The complement part solves (cell pencil) w = -(envelope operator) w0;
     cross-check one vector against a dense pseudo-inverse solve."""
-    from blochpacket.fourier import base_material_matrix, curl_matrix
-
     pipe = identity_pipe
-    a0, g = base_material_matrix(pipe.spec, pipe.cutoff), curl_matrix(pipe.cutoff, pipe.theta)
+    a0, g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
     pencil = 1j * pipe.band.omega * a0 - g
     dense_pinv = np.linalg.pinv(pencil, rcond=1e-10)
     mw0 = __import__("blochpacket.wkb", fromlist=["op_envelope"]).op_envelope(
@@ -95,10 +94,10 @@ def test_schrodinger_operator_identity(identity_pipe, offaxis_layered_pipe, rng)
     i, which is where the sign convention of the operator identity lives);
     checked as kappa x kappa matrices."""
     from blochpacket.dispersion import projected_mass
-    from blochpacket.fourier import apply_curl_direction, base_material_matrix
+    from blochpacket.fourier import apply_curl_direction
 
     for pipe in (identity_pipe, offaxis_layered_pipe):
-        a0 = base_material_matrix(pipe.spec, pipe.cutoff)
+        a0, _g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
         n = projected_mass(pipe.band, pipe.op)
         psi = pipe.band.eigvecs
         v = pipe.dispersion.V
@@ -117,7 +116,7 @@ def test_schrodinger_operator_identity(identity_pipe, offaxis_layered_pipe, rng)
                 return out
 
             mpsi = m_apply(psi)
-            rhs = psi.conj().T @ m_apply(pipe.projectors.Q @ mpsi)
+            rhs = psi.conj().T @ m_apply(pipe.projectors.apply_q(mpsi))
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, abs(q_xi))
 
 
@@ -145,7 +144,6 @@ def test_residual_hand_assembled_order_two(identity_pipe):
     residual reduces to finitely many explicit terms which are re-assembled
     here by hand (dense operators, explicit phase calculus) and compared."""
     from blochpacket.bands import BlochOperator
-    from blochpacket.fourier import base_material_matrix, curl_matrix
     from blochpacket.presets import identity_material, with_cos_modulation
     from blochpacket.rays import build_gamma, ray_average
     import blochpacket.wkb as wkb
@@ -177,11 +175,10 @@ def test_residual_hand_assembled_order_two(identity_pipe):
     # hand assembly: w0 = Psi . weights (constant), gamma has two modes +-eta,
     # g = sum c_pm (e^{i eta.(t,x)} - e^{i eta_s.(x - V t)}), Pi w1 = -g w0,
     # (I - Pi) w1 = 0 (no x-derivatives), w2 = -Q (M w1 + N w0).
-    a0 = base_material_matrix(spec, pipe.cutoff)
-    g_big = curl_matrix(pipe.cutoff, pipe.theta)
+    a0, _g = dense_operator(spec, pipe.cutoff, pipe.theta)
     psi = pipe.band.eigvecs
     v = pipe.dispersion.V
-    q = pipe.projectors.Q
+    q = pipe.projectors.apply_q(np.eye(len(a0), dtype=complex))
     w0vec = psi @ weights
     etas = [np.array(eta), -np.array(eta)]
     coefs = [gamma.modes[tuple(np.array(eta))], gamma.modes[tuple(-np.array(eta))]]
