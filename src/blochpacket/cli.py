@@ -249,9 +249,8 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
             uh = HarmonicField(cfg.theta, h, t, cfg.grid, synth.harmonics)
             vh = HarmonicField(cfg.theta, h, t, cfg.grid,
                                assemble_harmonics(profs, h, t, cfg.grid, orders=orders))
-            diff = difference(uh, vh)
-            for bd in indices:
-                sup[bd] = max(sup[bd], seminorm(diff, bd[0], bd[1]))
+            for bd, value in seminorm(difference(uh, vh), indices).items():
+                sup[bd] = max(sup[bd], value)
         return sup
 
     rows = []

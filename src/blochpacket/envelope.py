@@ -80,6 +80,15 @@ class EnvelopeGrid:
         return int(np.prod(self.shape))
 
 
+def varying_axes(arr: np.ndarray) -> Tuple[int, ...]:
+    """The grid axes of arr (its last three) that have more than one point.
+
+    A transform along a size-1 axis is the identity, so these are the only
+    axes an FFT of grid data needs.
+    """
+    return tuple(a for a in (-3, -2, -1) if arr.shape[a] > 1)
+
+
 @dataclass
 class EnvelopeState:
     """kappa-component complex field on the grid at slow time T."""
@@ -185,23 +194,21 @@ def _strang(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
             dT: float, steps: int) -> EnvelopeState:
     w = state.values.copy()
     kappa = w.shape[0]
+    if not mean_modes:
+        # potential-free flow is a single exact multiplier step
+        mult = dispersion_multiplier(state.grid, np.asarray(hess, dtype=float), steps * dT)
+        w = np.fft.ifftn(mult[None, ...] * np.fft.fftn(w, axes=(1, 2, 3)), axes=(1, 2, 3))
+        return EnvelopeState(state.grid, w, state.T + steps * dT)
+
     mult = dispersion_multiplier(state.grid, np.asarray(hess, dtype=float), dT)
-
-    half = None
-    if mean_modes:
-        pot = potential_on_grid(state.grid, mean_modes, kappa)
-        half = scipy.linalg.expm(-0.5 * dT * pot.reshape(-1, kappa, kappa))
-        half = half.reshape(state.grid.shape + (kappa, kappa))
-
-    def apply_half(arr):
-        if half is None:
-            return arr
-        return np.einsum("xyzab,bxyz->axyz", half, arr)
+    pot = potential_on_grid(state.grid, mean_modes, kappa)
+    half = scipy.linalg.expm(-0.5 * dT * pot.reshape(-1, kappa, kappa))
+    half = half.reshape(state.grid.shape + (kappa, kappa))
 
     for _ in range(steps):
-        w = apply_half(w)
+        w = np.einsum("xyzab,bxyz->axyz", half, w)
         w = np.fft.ifftn(mult[None, ...] * np.fft.fftn(w, axes=(1, 2, 3)), axes=(1, 2, 3))
-        w = apply_half(w)
+        w = np.einsum("xyzab,bxyz->axyz", half, w)
     return EnvelopeState(state.grid, w, state.T + steps * dT)
 
 
@@ -261,8 +268,9 @@ class EnvelopeSolution:
         self._pot = None
         if self.mean_modes:
             self._pot = potential_on_grid(self.grid, self.mean_modes, self.kappa)
-        ks = self.grid.wave_meshgrid()
-        self._q = sum(self.hess[i, j] * ks[i] * ks[j] for i in range(3) for j in range(3))
+        self._ks = self.grid.wave_meshgrid()
+        self._q = sum(self.hess[i, j] * self._ks[i] * self._ks[j]
+                      for i in range(3) for j in range(3))
 
     # -- stepping ----------------------------------------------------------
 
@@ -274,11 +282,7 @@ class EnvelopeSolution:
         state = self._states[base_T]
         remaining = T - base_T
         if not self.mean_modes:
-            # potential-free flow is a single exact multiplier step
-            mult = np.exp(0.5j * self._q * remaining)
-            vals = np.fft.ifftn(mult[None] * np.fft.fftn(state.values, axes=(1, 2, 3)),
-                                axes=(1, 2, 3))
-            out = EnvelopeState(self.grid, vals, T)
+            out = _strang(state, self.hess, None, remaining, 1)
         else:
             nfull = int(np.floor(remaining / self.dT + 1e-12))
             out = state
@@ -287,7 +291,7 @@ class EnvelopeSolution:
             rem = remaining - nfull * self.dT
             if rem > 1e-14:
                 out = _strang(out, self.hess, self.mean_modes, rem, 1)
-            out = EnvelopeState(self.grid, out.values, T)
+        out = EnvelopeState(self.grid, out.values, T)
         _check_shell(out)
         self._states[T] = out
         return out
@@ -323,11 +327,9 @@ class EnvelopeSolution:
             hat = base[component]
         else:
             hat = hats[tder][component]
-        if any(alpha):
-            ks = self.grid.wave_meshgrid()
-            for a in range(3):
-                for _ in range(int(alpha[a])):
-                    hat = 1j * ks[a] * hat
+        for a in range(3):
+            for _ in range(int(alpha[a])):
+                hat = 1j * self._ks[a] * hat
         return hat
 
     def eval_hat_at(self, hat: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -11,10 +11,13 @@ norms and the semiclassical seminorms
 
     || x^beta (h d_x)^delta u ||_{L2}
 
-are computed per harmonic and summed: (h d_x) acts per harmonic as
-i (theta + n) + h * (spectral derivative), and the polynomial weight
-multiplies the envelope values directly (meaningful while the packet stays
-inside the box).
+are computed per harmonic and summed.  All harmonics are stacked into one
+(K, 6, M1, M2, M3) array and transformed by one forward FFT over the axes
+with more than one point; (h d_x) acts per harmonic as the Fourier symbol
+i (theta + n + h k), so every distinct delta costs one inverse FFT of the
+stack, shared by all weights beta.  The polynomial weight multiplies the
+envelope values directly, in physical space (meaningful while the packet
+stays inside the box).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .envelope import EnvelopeGrid
+from .envelope import EnvelopeGrid, varying_axes
 
 Harmonics = Dict[Tuple[int, int, int], np.ndarray]
 
@@ -84,24 +87,34 @@ def weighted_indices(order: int, axes: Tuple[int, ...]) -> List[Tuple[Tuple[int,
     return sorted(set(out))
 
 
-def seminorm(field: HarmonicField, beta, delta) -> float:
-    """|| x^beta (h d_x)^delta u ||_{L2}, derivatives applied before weights."""
+def seminorm(field: HarmonicField, pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float]:
+    """{(beta, delta): || x^beta (h d_x)^delta u ||_{L2}} for every pair,
+    derivatives applied before weights."""
     grid = field.grid
+    keys = list(field.data)
+    stack = np.stack([field.data[n] for n in keys])
+    carriers = field.theta[None, :] + np.asarray(keys, dtype=float)
+    axes = varying_axes(stack)
     ks = grid.wave_meshgrid()
     xs = grid.meshgrid()
-    weight = np.ones(grid.shape)
-    for a in range(3):
-        for _ in range(int(beta[a])):
-            weight = weight * xs[a]
     dv = grid.cell_volume
-    total = 0.0
-    for n, d in field.data.items():
-        carrier = field.theta + np.asarray(n, dtype=float)
-        cur = d
-        for a in range(3):
-            for _ in range(int(delta[a])):
-                hat = np.fft.fftn(cur, axes=(1, 2, 3))
-                dcur = np.fft.ifftn(1j * ks[a][None] * hat, axes=(1, 2, 3))
-                cur = 1j * carrier[a] * cur + field.h * dcur
-        total += float(np.sum(np.abs(weight[None] * cur) ** 2))
-    return float(np.sqrt(total * dv))
+    pairs = list(pairs)
+    hat = np.fft.fftn(stack, axes=axes)
+    out = {}
+    for delta in sorted({d for _b, d in pairs}):
+        vals = stack
+        if any(delta):
+            symbol = np.ones((len(keys),) + grid.shape, dtype=complex)
+            for a in range(3):
+                if delta[a]:
+                    sym_a = 1j * (carriers[:, a, None, None, None] + field.h * ks[a][None])
+                    symbol = symbol * sym_a ** delta[a]
+            vals = np.fft.ifftn(symbol[:, None] * hat, axes=axes)
+        density = np.sum(vals.real ** 2 + vals.imag ** 2, axis=(0, 1))
+        for beta in sorted({b for b, d in pairs if d == delta}):
+            weight = np.ones(grid.shape)
+            for a in range(3):
+                for _ in range(beta[a]):
+                    weight = weight * xs[a]
+            out[(beta, delta)] = float(np.sqrt(np.sum(weight ** 2 * density) * dv))
+    return out

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .bands import BlochBand, BlochOperator, continue_band, procrustes_align
-from .envelope import EnvelopeGrid
+from .envelope import EnvelopeGrid, varying_axes
 from .errors import ConfigError, GaugeError, StabilityAnomaly
 from .fourier import (
     LatticeCutoff,
@@ -390,21 +390,21 @@ class _GridMaterial:
 
 
 def _spectral_curl(field3: np.ndarray, ks) -> np.ndarray:
-    """curl of a (3, M1, M2, M3) grid field via FFT derivatives."""
-    hats = np.fft.fftn(field3, axes=(1, 2, 3))
-    d = [1j * ks[a][None, ...] * hats for a in range(3)]
-    dfield = [np.fft.ifftn(d[a], axes=(1, 2, 3)) for a in range(3)]
-    curl = np.empty_like(field3)
-    curl[0] = dfield[1][2] - dfield[2][1]
-    curl[1] = dfield[2][0] - dfield[0][2]
-    curl[2] = dfield[0][1] - dfield[1][0]
-    return curl
+    """curl of a (3, M1, M2, M3) grid field, formed in Fourier space: one
+    forward and one inverse FFT over the varying axes."""
+    axes = varying_axes(field3)
+    hat = np.fft.fftn(field3, axes=axes)
+    curl = np.empty_like(hat)
+    curl[0] = 1j * (ks[1] * hat[2] - ks[2] * hat[1])
+    curl[1] = 1j * (ks[2] * hat[0] - ks[0] * hat[2])
+    curl[2] = 1j * (ks[0] * hat[1] - ks[1] * hat[0])
+    return np.fft.ifftn(curl, axes=axes)
 
 
 def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
-    hats = np.fft.fftn(field3, axes=(1, 2, 3))
-    out = 1j * (ks[0] * hats[0] + ks[1] * hats[1] + ks[2] * hats[2])
-    return np.fft.ifftn(out)
+    axes = varying_axes(field3)
+    hat = np.fft.fftn(field3, axes=axes)
+    return np.fft.ifftn(1j * (ks[0] * hat[0] + ks[1] * hat[1] + ks[2] * hat[2]), axes=axes)
 
 
 def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,

@@ -270,18 +270,22 @@ def _phases(etas, t: float, x: np.ndarray) -> Dict[Eta, np.ndarray]:
 
 
 def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
-                   x_comoving: np.ndarray):
+                   x_comoving: np.ndarray,
+                   fields: Optional[Dict[FieldKey, np.ndarray]] = None):
     """Evaluate a term table at slow time T, time t, and comoving points.
 
     Physical positions are x = x_comoving + V t; the envelope is evaluated at
-    x_comoving directly.  Returns (values (P, 6K), magnitude (P,)) where
-    magnitude is the triangle-inequality bound sum |coef| * |phi| used as the
-    cancellation scale.
+    x_comoving directly.  `fields` holds the envelope values at these points
+    for (at least) the table's keys, when a caller evaluating several tables
+    has computed them once; otherwise they are evaluated here.  Returns
+    (values (P, 6K), magnitude (P,)) where magnitude is the
+    triangle-inequality bound sum |coef| * |phi| used as the cancellation
+    scale.
     """
     pts = np.asarray(x_comoving, dtype=float).reshape(-1, 3)
     x_phys = pts + profiles.dispersion.V[None, :] * t
-    keys = {key for (_eta, key) in table}
-    fields = _field_values(profiles, keys, T, pts)
+    if fields is None:
+        fields = _field_values(profiles, {key for (_eta, key) in table}, T, pts)
     phases = _phases({eta for (eta, _key) in table}, t, x_phys)
     dim = profiles.band.eigvecs.shape[0]
     vals = np.zeros((len(pts), dim), dtype=complex)
@@ -291,6 +295,23 @@ def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
         vals += coef[:, None] * vec[None, :]
         mag += np.abs(coef) * np.linalg.norm(vec)
     return vals, mag
+
+
+def residual_orders(profiles: ProfileSet) -> Dict[str, TermTable]:
+    """Term tables of the residual orders r_{-1} .. r_3."""
+    op = profiles.op
+    omega = profiles.band.omega
+    V = profiles.dispersion.V
+    return {
+        "r-1": op_cell(profiles.w0, op, omega),
+        "r0": _merge(op_cell(profiles.w1, op, omega), op_envelope(profiles.w0, op, V)),
+        "r1": _merge(op_cell(profiles.w2, op, omega), op_envelope(profiles.w1, op, V),
+                     op_slow(profiles.w0, op, omega)),
+        "r2": _merge(op_envelope(profiles.w2, op, V), op_slow(profiles.w1, op, omega),
+                     op_dt_modulation(profiles.w0, op, V)),
+        "r3": _merge(op_slow(profiles.w2, op, omega), op_dt_modulation(profiles.w1, op, V),
+                     op_dT_modulation(profiles.w0, op)),
+    }
 
 
 def residual(profiles: ProfileSet, h: float, t_max: Optional[float] = None,
@@ -306,21 +327,9 @@ def residual(profiles: ProfileSet, h: float, t_max: Optional[float] = None,
     Orders r_{-1}, r_0, r_1 vanish by construction; 'r2' and 'r3' are the
     leading surviving terms of the error budget.
     """
-    op = profiles.op
-    omega = profiles.band.omega
-    V = profiles.dispersion.V
     if t_max is None:
         t_max = 1.0 / h
-    orders = {
-        "r-1": op_cell(profiles.w0, op, omega),
-        "r0": _merge(op_cell(profiles.w1, op, omega), op_envelope(profiles.w0, op, V)),
-        "r1": _merge(op_cell(profiles.w2, op, omega), op_envelope(profiles.w1, op, V),
-                     op_slow(profiles.w0, op, omega)),
-        "r2": _merge(op_envelope(profiles.w2, op, V), op_slow(profiles.w1, op, omega),
-                     op_dt_modulation(profiles.w0, op, V)),
-        "r3": _merge(op_slow(profiles.w2, op, omega), op_dt_modulation(profiles.w1, op, V),
-                     op_dT_modulation(profiles.w0, op)),
-    }
+    orders = residual_orders(profiles)
 
     grid = profiles.envelope.grid
     axes = []
@@ -334,20 +343,18 @@ def residual(profiles: ProfileSet, h: float, t_max: Optional[float] = None,
     pts = np.stack([g.ravel() for g in xg], axis=-1)
     ts = np.linspace(0.0, t_max, num_t)
 
-    report = {}
-    for name, table in orders.items():
-        worst_abs = 0.0
-        worst_scale = 0.0
-        for t in ts:
-            vals, mag = evaluate_table(profiles, table, h * t, t, pts)
-            worst_abs = max(worst_abs, float(np.linalg.norm(vals, axis=1).max()))
-            worst_scale = max(worst_scale, float(mag.max()))
-        report[name] = {
-            "abs": worst_abs,
-            "scale": worst_scale,
-            "rel": worst_abs / max(worst_scale, 1e-300),
-        }
-    return report
+    keys = {key for table in orders.values() for (_eta, key) in table}
+    worst = {name: [0.0, 0.0] for name in orders}
+    for t in ts:
+        fields = _field_values(profiles, keys, h * t, pts)
+        for name, table in orders.items():
+            vals, mag = evaluate_table(profiles, table, h * t, t, pts, fields=fields)
+            worst[name][0] = max(worst[name][0], float(np.linalg.norm(vals, axis=1).max()))
+            worst[name][1] = max(worst[name][1], float(mag.max()))
+    return {
+        name: {"abs": w_abs, "scale": w_scale, "rel": w_abs / max(w_scale, 1e-300)}
+        for name, (w_abs, w_scale) in worst.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +441,13 @@ def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
         return field_cache[key]
 
     modes = profiles.op.cutoff.modes
-    harm: Dict[Tuple[int, int, int], np.ndarray] = {
-        tuple(n): np.zeros((6,) + grid.shape, dtype=complex) for n in modes
-    }
+    harm = np.zeros((len(modes), 6) + grid.shape, dtype=complex)
     for j in orders:
         for (eta, key), vec in tables[j].items():
             vals = field_on_grid(key)
             phase = np.exp(1j * (eta[0] * t + eta[1] * xs[0] + eta[2] * xs[1] + eta[3] * xs[2]))
             coef = (h ** j) * carrier_t * phase * vals
             v6 = vec.reshape(-1, 6)
-            for i, n in enumerate(modes):
-                block = v6[i]
-                if not np.any(block):
-                    continue
-                harm[tuple(n)] += block[:, None, None, None] * coef[None, ...]
-    return harm
+            rows = np.flatnonzero(np.any(v6, axis=1))
+            harm[rows] += v6[rows, :, None, None, None] * coef[None, None]
+    return {tuple(n): d for n, d in zip(modes, harm)}

@@ -7,7 +7,7 @@ from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.fourier import FourierField6, LatticeCutoff, apply_curl_block, apply_material
 from blochpacket.rays import build_gamma, ray_average
-from blochpacket.wkb import build_profiles
+from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
 
 
 class BandPipeline:
@@ -50,3 +50,93 @@ def dense_operator(spec, cutoff, theta):
         a0[:, j] = apply_material(spec, "A0", f).flat
         g[:, j] = apply_curl_block(f).flat
     return a0, g
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the batched transforms in src/
+# ---------------------------------------------------------------------------
+
+def seminorm_reference(field, beta, delta) -> float:
+    """|| x^beta (h d_x)^delta u ||_{L2} for one pair, harmonic by harmonic,
+    each derivative by its own forward and inverse 3-axis FFT."""
+    grid = field.grid
+    ks = grid.wave_meshgrid()
+    xs = grid.meshgrid()
+    weight = np.ones(grid.shape)
+    for a in range(3):
+        for _ in range(int(beta[a])):
+            weight = weight * xs[a]
+    total = 0.0
+    for n, d in field.data.items():
+        carrier = field.theta + np.asarray(n, dtype=float)
+        cur = d
+        for a in range(3):
+            for _ in range(int(delta[a])):
+                hat = np.fft.fftn(cur, axes=(1, 2, 3))
+                dcur = np.fft.ifftn(1j * ks[a][None] * hat, axes=(1, 2, 3))
+                cur = 1j * carrier[a] * cur + field.h * dcur
+        total += float(np.sum(np.abs(weight[None] * cur) ** 2))
+    return float(np.sqrt(total * grid.cell_volume))
+
+
+def spectral_curl_reference(field3, ks):
+    """curl of a (3, M1, M2, M3) field: one 3-axis forward FFT and one 3-axis
+    inverse FFT per derivative direction."""
+    hats = np.fft.fftn(field3, axes=(1, 2, 3))
+    dfield = [np.fft.ifftn(1j * ks[a][None] * hats, axes=(1, 2, 3)) for a in range(3)]
+    curl = np.empty_like(field3, dtype=complex)
+    curl[0] = dfield[1][2] - dfield[2][1]
+    curl[1] = dfield[2][0] - dfield[0][2]
+    curl[2] = dfield[0][1] - dfield[1][0]
+    return curl
+
+
+def spectral_div_reference(field3, ks):
+    hats = np.fft.fftn(field3, axes=(1, 2, 3))
+    return np.fft.ifftn(1j * (ks[0] * hats[0] + ks[1] * hats[1] + ks[2] * hats[2]))
+
+
+def assemble_harmonics_reference(profiles, h, t, grid, orders=(0, 1, 2)):
+    """assemble_harmonics with every table entry added mode by mode."""
+    T = h * t
+    env = profiles.envelope
+    tables = profiles.tables()
+    xs = grid.meshgrid()
+    ks = grid.wave_meshgrid()
+    vt = profiles.dispersion.V * t
+    shift = np.exp(-1j * (ks[0] * vt[0] + ks[1] * vt[1] + ks[2] * vt[2]))
+    carrier_t = np.exp(1j * profiles.band.omega * t / h)
+    modes = profiles.op.cutoff.modes
+    harm = {tuple(n): np.zeros((6,) + grid.shape, dtype=complex) for n in modes}
+    for j in orders:
+        for (eta, key), vec in tables[j].items():
+            a, m, alpha = key
+            vals = np.fft.ifftn(env.field_hat(a, m, alpha, T) * shift)
+            phase = np.exp(1j * (eta[0] * t + eta[1] * xs[0] + eta[2] * xs[1] + eta[3] * xs[2]))
+            coef = (h ** j) * carrier_t * phase * vals
+            v6 = vec.reshape(-1, 6)
+            for i, n in enumerate(modes):
+                if np.any(v6[i]):
+                    harm[tuple(n)] += v6[i][:, None, None, None] * coef[None, ...]
+    return harm
+
+
+def residual_reference(profiles, h, t_max, num_t=5, num_x=5):
+    """wkb.residual with each order evaluating its own envelope values."""
+    orders = residual_orders(profiles)
+    grid = profiles.envelope.grid
+    axes = [np.zeros(1) if grid.shape[a] == 1
+            else np.linspace(-grid.lengths[a] / 8, grid.lengths[a] / 8, num_x)
+            for a in range(3)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    report = {}
+    for name, table in orders.items():
+        worst_abs = 0.0
+        worst_scale = 0.0
+        for t in np.linspace(0.0, t_max, num_t):
+            vals, mag = evaluate_table(profiles, table, h * t, t, pts)
+            worst_abs = max(worst_abs, float(np.linalg.norm(vals, axis=1).max()))
+            worst_scale = max(worst_scale, float(mag.max()))
+        report[name] = {"abs": worst_abs, "scale": worst_scale,
+                        "rel": worst_abs / max(worst_scale, 1e-300)}
+    return report

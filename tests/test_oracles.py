@@ -309,6 +309,21 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
 # Time domain
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("shape", [(64, 1, 1), (16, 1, 8), (8, 8, 8)])
+def test_spectral_curl_div_match_3axis_reference(shape, rng):
+    from helpers import spectral_curl_reference, spectral_div_reference
+
+    from blochpacket.oracles import _spectral_curl, _spectral_div
+
+    grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
+    ks = grid.wave_meshgrid()
+    field3 = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+    for got, ref in ((_spectral_curl(field3, ks), spectral_curl_reference(field3, ks)),
+                     (_spectral_div(field3, ks), spectral_div_reference(field3, ks))):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def _plane_wave_initial(grid, theta, k, h):
     omega, e, b = exact_constant_solution(theta, k)
     xs = grid.meshgrid()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import dense_operator
+from helpers import assemble_harmonics_reference, dense_operator, residual_reference
 
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.errors import CutoffMismatch
@@ -131,6 +131,21 @@ def test_residual_hierarchy_vanishes(which, identity_profiles, modulated_profile
     for order in ("r-1", "r0", "r1"):
         assert rep[order]["abs"] <= 1e-9 * max(rep["r1"]["scale"], 1e-12)
     assert rep["r2"]["abs"] > 0  # the budget orders are genuinely nonzero
+
+
+def test_residual_shares_envelope_values_across_orders():
+    """Evaluating the union of the orders' keys once per time gives the same
+    report, bit for bit, as evaluating each order on its own."""
+    from pathlib import Path
+
+    from blochpacket.cli import Pipeline
+    from blochpacket.config import load_config
+
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "wkb_modulated.json")
+    profs = Pipeline(cfg).profiles()
+    h = cfg.h_list[0]
+    assert residual(profs, h, t_max=cfg.horizon / h) == \
+        residual_reference(profs, h, t_max=cfg.horizon / h)
 
 
 def test_residual_ablation_restores_first_order(modulated_profiles):
@@ -309,6 +324,22 @@ def test_assemble_deterministic(identity_profiles):
     a = assemble(identity_profiles, 1 / 8, 0.0, pts)
     b = assemble(identity_profiles, 1 / 8, 0.0, pts)
     assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("which", ["identity", "modulated", "layered"])
+def test_assemble_harmonics_matches_mode_loop(which, identity_profiles, modulated_profiles,
+                                              offaxis_layered_pipe):
+    if which == "layered":  # entries with many nonzero mode blocks
+        pipe = offaxis_layered_pipe
+        profs = pipe.profiles(pipe.envelope(GRID, (1.0, 1.5, 1.0), [1.0]))
+    else:
+        profs = identity_profiles if which == "identity" else modulated_profiles
+    got = assemble_harmonics(profs, 1 / 8, 3.0, GRID)
+    ref = assemble_harmonics_reference(profs, 1 / 8, 3.0, GRID)
+    assert set(got) == set(ref)
+    scale = max(np.abs(d).max() for d in ref.values())
+    for n in ref:
+        assert np.abs(got[n] - ref[n]).max() <= 1e-15 * scale
 
 
 def test_norm_stable_in_h(identity_profiles):
