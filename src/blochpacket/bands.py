@@ -122,12 +122,15 @@ class BlochOperator:
     theta: the mode classes over which it is block diagonal (mode_classes),
     one (rows, dense block) pair of A0 per class, and G's (K, 6, 6) per-mode
     blocks.  No array is 6K x 6K unless one class holds every mode.  A0 and
-    the classes do not depend on theta, so `at` (nearby theta) shares them."""
+    the classes do not depend on theta, so `at` (nearby theta) shares them.
+    a0_groups stacks the equal-size class blocks, one (rows, blocks) pair per
+    size, for apply_a0; a0_blocks holds views into it, class by class."""
 
     spec: MaterialSpec
     cutoff: LatticeCutoff
     theta: np.ndarray
     classes: Tuple[np.ndarray, ...]
+    a0_groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     a0_blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     g_blocks: np.ndarray
 
@@ -136,9 +139,17 @@ class BlochOperator:
         theta = _check_theta(theta)
         classes = mode_classes(spec, cutoff)
         rows = [(6 * modes[:, None] + np.arange(6)).ravel() for modes in classes]
-        return cls(spec, cutoff, theta, classes,
-                   tuple(zip(rows, base_material_matrix(spec, cutoff, classes))),
-                   curl_matrix(cutoff, theta))
+        blocks = base_material_matrix(spec, cutoff, classes)
+        groups, views = [], {}
+        for size in sorted({len(r) for r in rows}):
+            members = [c for c, r in enumerate(rows) if len(r) == size]
+            # a lone block is stacked as a view: no copy of a 6K x 6K block
+            stack = (blocks[members[0]][None] if len(members) == 1
+                     else np.stack([blocks[c] for c in members]))
+            groups.append((np.stack([rows[c] for c in members]), stack))
+            views.update((c, (groups[-1][0][i], stack[i])) for i, c in enumerate(members))
+        return cls(spec, cutoff, theta, classes, tuple(groups),
+                   tuple(views[c] for c in range(len(classes))), curl_matrix(cutoff, theta))
 
     def at(self, theta) -> "BlochOperator":
         """The same medium and cutoff at another theta (A0 and the classes
@@ -147,10 +158,12 @@ class BlochOperator:
         return dataclasses.replace(self, theta=theta, g_blocks=curl_matrix(self.cutoff, theta))
 
     def apply_a0(self, v: np.ndarray) -> np.ndarray:
-        """A0 v for v of shape (6K,) or (6K, m), one class block at a time."""
+        """A0 v for v of shape (6K,) or (6K, m), one batched product over the
+        stacked class blocks of each size."""
         out = np.empty(v.shape, dtype=complex)
-        for rows, a0 in self.a0_blocks:
-            out[rows] = a0 @ v[rows]
+        for rows, a0 in self.a0_groups:
+            x = v[rows]
+            out[rows] = (a0 @ x.reshape(x.shape[:2] + (-1,))).reshape(x.shape)
         return out
 
     def pencil(self, omega: float, v: np.ndarray) -> np.ndarray:

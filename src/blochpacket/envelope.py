@@ -264,7 +264,7 @@ class EnvelopeSolution:
         self.kappa = initial.kappa
         _check_contained(initial)
         self._states = {float(initial.T): initial.copy()}
-        self._hats = {}
+        self._hats = (None, None)  # (T, tables) of the latest T asked for
         self._pot = None
         if self.mean_modes:
             self._pot = potential_on_grid(self.grid, self.mean_modes, self.kappa)
@@ -299,13 +299,15 @@ class EnvelopeSolution:
     # -- spectral derivative fields -----------------------------------------
 
     def _hat_tables(self, T: float):
-        if T in self._hats:
-            return self._hats[T]
+        """Spectra of w, d_T w and d_T^2 w at T; only the latest T is kept,
+        since every caller walks its times in order."""
+        if self._hats[0] == T:
+            return self._hats[1]
         c0 = np.fft.fftn(self.state_at(T).values, axes=(1, 2, 3))
         hats = [c0]
         for _ in range(2):
             hats.append(self._slow_derivative(hats[-1]))
-        self._hats[T] = hats
+        self._hats = (T, hats)
         return hats
 
     def _slow_derivative(self, chat: np.ndarray) -> np.ndarray:
@@ -332,24 +334,28 @@ class EnvelopeSolution:
                 hat = 1j * self._ks[a] * hat
         return hat
 
-    def eval_hat_at(self, hat: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate a Fourier-coefficient array at arbitrary points (P, 3).
+    def eval_hats_at(self, hats, points: np.ndarray) -> np.ndarray:
+        """Evaluate Fourier-coefficient arrays (a sequence of (M1, M2, M3)
+        arrays, one per field) at arbitrary points (P, 3); returns (n, P).
 
         Direct (nonuniform) Fourier summation, exact for the band-limited
-        grid representation; points are interpreted periodically.
+        grid representation; points are interpreted periodically.  The
+        per-axis factors exp(i (x - x0) k) are built once for all fields;
+        each field is contracted on its own (an all-field product would hold
+        n times the intermediate), longest axis first by a matrix product.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        scale = 1.0 / self.grid.num_points
-        # contract one axis at a time to avoid a P x M1 x M2 x M3 intermediate;
+        order = tuple(int(a) for a in np.argsort(self.grid.shape, kind="stable")[::-1])
+        m_long, m_mid, m_short = (self.grid.shape[a] for a in order)
         # FFT coefficients are relative to the first grid point, not x = 0
-        k1 = self.grid.axis_wavenumbers(0)
-        k2 = self.grid.axis_wavenumbers(1)
-        k3 = self.grid.axis_wavenumbers(2)
-        x0 = [self.grid.axis_coords(a)[0] for a in range(3)]
-        e1 = np.exp(1j * np.outer(pts[:, 0] - x0[0], k1))
-        e2 = np.exp(1j * np.outer(pts[:, 1] - x0[1], k2))
-        e3 = np.exp(1j * np.outer(pts[:, 2] - x0[2], k3))
-        tmp = np.einsum("abc,pc->abp", hat, e3, optimize=True)
-        tmp = np.einsum("abp,pb->ap", tmp, e2, optimize=True)
-        out = np.einsum("ap,pa->p", tmp, e1, optimize=True)
-        return out * scale
+        e_long, e_mid, e_short = (
+            np.exp(1j * np.outer(pts[:, a] - self.grid.axis_coords(a)[0],
+                                 self.grid.axis_wavenumbers(a)))
+            for a in order
+        )
+        out = np.empty((len(hats), len(pts)), dtype=complex)
+        for i, hat in enumerate(hats):
+            tmp = e_long @ np.transpose(hat, order).reshape(m_long, -1)
+            tmp = tmp.reshape(len(pts), m_mid, m_short) @ e_short[:, :, None]
+            out[i] = (tmp[..., 0] * e_mid).sum(axis=1)
+        return out / self.grid.num_points

@@ -27,6 +27,7 @@ Mode enumeration is the fixed lexicographic bijection
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -75,12 +76,14 @@ class LatticeCutoff:
     def num_modes(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def modes(self) -> np.ndarray:
-        """(K, 3) integer array in enumeration order."""
+        """(K, 3) integer array in enumeration order, built once and read-only."""
         grids = [np.arange(-b, b + 1) for b in self.nmax]
         n1, n2, n3 = np.meshgrid(*grids, indexing="ij")
-        return np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=-1)
+        modes = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=-1)
+        modes.flags.writeable = False
+        return modes
 
     def index_of(self, n) -> int:
         n = tuple(int(v) for v in n)

@@ -263,53 +263,51 @@ def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand, op: BlochO
     zeta, wts = _gl_nodes(packet, packet.nodes)
     zeta_c, wts_c = _gl_nodes(packet, packet.nodes_check)
     nodes.prepare(np.concatenate([zeta, zeta_c], axis=0) if estimate_error else zeta)
+    main = _synthesize(packet, band, op.cutoff, nodes, zeta, wts, grid, points)
+    if estimate_error:
+        check = _synthesize(packet, band, op.cutoff, nodes, zeta_c, wts_c, grid, points)
 
     def result(t):
-        main = _synthesize(packet, band, op.cutoff, nodes, zeta, wts, t, grid, points)
-        err = 0.0
-        if estimate_error:
-            check = _synthesize(packet, band, op.cutoff, nodes, zeta_c, wts_c, t, grid, points)
-            err = _synth_distance(main, check)
-        return SynthesisResult(t=t, harmonics=main[0], samples=main[1],
+        fields = main(t)
+        err = _synth_distance(fields, check(t)) if estimate_error else 0.0
+        return SynthesisResult(t=t, harmonics=fields[0], samples=fields[1],
                                quadrature_error=err, node_count=len(zeta))
 
     return map(result, times)
 
 
-def _synthesize(packet, band, cutoff, nodes, zeta, wts, t, grid, points):
+def _synthesize(packet, band, cutoff, nodes, zeta, wts, grid, points):
+    """The quadrature sum over one node set as a function of t, returning
+    (harmonics, samples).  Only the node weights amp_q exp(i omega_q t / h)
+    depend on t: the (6K, Q) node vectors and the spatial phases
+    exp(i x.zeta_q) are built once, and each time is one product over nodes."""
     amp = packet.spectrum_amplitude(zeta) * wts
-    h = packet.h
-    harmonics = None
-    samples = None
-    modes = cutoff.modes
-
+    keep = np.flatnonzero(amp != 0.0)
+    amp, zeta = amp[keep], zeta[keep]
+    pairs = [nodes.eigen_at(z) for z in zeta]
+    omegas = np.array([omega for omega, _basis in pairs])
+    vecs = np.stack([basis @ packet.weights for _omega, basis in pairs], axis=1)
     if grid is not None:
-        xs = grid.meshgrid()
-        acc = np.zeros((cutoff.num_modes, 6) + grid.shape, dtype=complex)
+        xs = np.stack([g.ravel() for g in grid.meshgrid()], axis=-1)
+        grid_phase = np.exp(1j * (zeta @ xs.T))                             # (Q, M)
     if points is not None:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        samp = np.zeros((len(pts), 6), dtype=complex)
+        point_phase = np.exp(1j * (pts @ zeta.T))                           # (P, Q)
+        # full physical phase: (P, K) carriers exp(i (theta + n).x / h) too
+        carrier = np.exp(1j * ((pts / packet.h) @ (band.theta[:, None] + cutoff.modes.T)))
 
-    for q in range(len(zeta)):
-        if amp[q] == 0.0:
-            continue
-        omega_q, basis = nodes.eigen_at(zeta[q])
-        vec = (basis @ packet.weights).reshape(cutoff.num_modes, 6)
-        phase_t = np.exp(1j * t * omega_q / h)
+    def at(t):
+        coef = amp * np.exp(1j * t * omegas / packet.h)
+        harmonics = samples = None
         if grid is not None:
-            ph = np.exp(1j * (zeta[q][0] * xs[0] + zeta[q][1] * xs[1] + zeta[q][2] * xs[2]))
-            acc += (amp[q] * phase_t) * vec[..., None, None, None] * ph[None, None, ...]
+            acc = ((vecs * coef) @ grid_phase).reshape((cutoff.num_modes, 6) + grid.shape)
+            harmonics = {tuple(n): acc[i] for i, n in enumerate(cutoff.modes)}
         if points is not None:
-            # full physical phase: exp(i (theta + n).x / h) and exp(i x.zeta)
-            ph = np.exp(1j * (pts @ zeta[q]))
-            carrier = np.exp(1j * ((pts / h) @ (band.theta[:, None] + modes.T)))
-            samp += (amp[q] * phase_t) * np.einsum("pk,kc,p->pc", carrier, vec, ph)
+            per_mode = ((point_phase * coef) @ vecs.T).reshape(len(pts), cutoff.num_modes, 6)
+            samples = np.einsum("pk,pkc->pc", carrier, per_mode)
+        return harmonics, samples
 
-    if grid is not None:
-        harmonics = {tuple(n): acc[i] for i, n in enumerate(modes)}
-    if points is not None:
-        samples = samp
-    return harmonics, samples
+    return at
 
 
 def _synth_distance(a, b) -> float:
@@ -389,16 +387,20 @@ class _GridMaterial:
         return 1.0 / np.sqrt(max(eps_min * mu_min, 1e-300))
 
 
-def _spectral_curl(field3: np.ndarray, ks) -> np.ndarray:
-    """curl of a (3, M1, M2, M3) grid field, formed in Fourier space: one
-    forward and one inverse FFT over the varying axes."""
-    axes = varying_axes(field3)
-    hat = np.fft.fftn(field3, axes=axes)
-    curl = np.empty_like(hat)
-    curl[0] = 1j * (ks[1] * hat[2] - ks[2] * hat[1])
-    curl[1] = 1j * (ks[2] * hat[0] - ks[0] * hat[2])
-    curl[2] = 1j * (ks[0] * hat[1] - ks[1] * hat[0])
-    return np.fft.ifftn(curl, axes=axes)
+def _curl_pair(u: np.ndarray, ks) -> np.ndarray:
+    """(curl B, -curl E) of a (6, M1, M2, M3) grid field (E, B), formed in
+    Fourier space: one forward and one inverse FFT of all six components over
+    the varying axes."""
+    axes = varying_axes(u)
+    hat = np.fft.fftn(u, axes=axes)
+    out = np.empty_like(hat)
+    out[0] = 1j * (ks[1] * hat[5] - ks[2] * hat[4])
+    out[1] = 1j * (ks[2] * hat[3] - ks[0] * hat[5])
+    out[2] = 1j * (ks[0] * hat[4] - ks[1] * hat[3])
+    out[3] = 1j * (ks[2] * hat[1] - ks[1] * hat[2])
+    out[4] = 1j * (ks[0] * hat[2] - ks[2] * hat[0])
+    out[5] = 1j * (ks[1] * hat[0] - ks[0] * hat[1])
+    return np.fft.ifftn(out, axes=axes)
 
 
 def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
@@ -452,9 +454,7 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
 
     def rhs(t, d):
         u = to_u(t, d)
-        out = np.empty_like(d)
-        out[:3] = _spectral_curl(u[3:], ks)      # d/dt (eps E) = curl B - ...
-        out[3:] = -_spectral_curl(u[:3], ks)     # d/dt (mu B) = -curl E - ...
+        out = _curl_pair(u, ks)      # d/dt (eps E, mu B) = (curl B, -curl E) - M u
         m = mat.m_at(t)
         if m is not None:
             out -= np.einsum("xyzab,bxyz->axyz", m, u)

@@ -30,6 +30,7 @@ package's main correctness certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -189,6 +190,12 @@ class ProfileSet:
     def tables(self) -> List[TermTable]:
         return [self.w0, self.w1, self.w2]
 
+    @cached_property
+    def residual_tables(self) -> Dict[str, TermTable]:
+        """residual_orders(self), built on first use and kept: the tables do
+        not depend on h or on the sample times."""
+        return residual_orders(self)
+
 
 def build_profiles(band: BlochBand, projectors: ProjectorPair,
                    dispersion: DispersionData, ray_data: Optional[RayAverageData],
@@ -254,12 +261,9 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
 
 def _field_values(profiles: ProfileSet, keys, T: float, pts: np.ndarray) -> Dict[FieldKey, np.ndarray]:
     env = profiles.envelope
-    out = {}
-    for key in keys:
-        a, m, alpha = key
-        hat = env.field_hat(a, m, alpha, T)
-        out[key] = env.eval_hat_at(hat, pts)
-    return out
+    keys = list(keys)
+    hats = [env.field_hat(*key, T) for key in keys]
+    return dict(zip(keys, env.eval_hats_at(hats, pts)))
 
 
 def _phases(etas, t: float, x: np.ndarray) -> Dict[Eta, np.ndarray]:
@@ -329,7 +333,7 @@ def residual(profiles: ProfileSet, h: float, t_max: Optional[float] = None,
     """
     if t_max is None:
         t_max = 1.0 / h
-    orders = residual_orders(profiles)
+    orders = profiles.residual_tables
 
     grid = profiles.envelope.grid
     axes = []

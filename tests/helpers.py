@@ -53,7 +53,7 @@ def dense_operator(spec, cutoff, theta):
 
 
 # ---------------------------------------------------------------------------
-# Loop references for the batched transforms in src/
+# Loop references for the batched transforms and products in src/
 # ---------------------------------------------------------------------------
 
 def seminorm_reference(field, beta, delta) -> float:
@@ -140,3 +140,57 @@ def residual_reference(profiles, h, t_max, num_t=5, num_x=5):
         report[name] = {"abs": worst_abs, "scale": worst_scale,
                         "rel": worst_abs / max(worst_scale, 1e-300)}
     return report
+
+
+def apply_a0_reference(op, v):
+    """BlochOperator.apply_a0 one class block at a time."""
+    out = np.empty(v.shape, dtype=complex)
+    for rows, a0 in op.a0_blocks:
+        out[rows] = a0 @ v[rows]
+    return out
+
+
+def synthesize_reference(packet, band, cutoff, nodes, zeta, wts, t, grid, points):
+    """The quadrature sum of oracles._synthesize at one time, node by node:
+    each node adds its full (K, 6, M) product (grid) or its per-point
+    carrier contraction (points)."""
+    amp = packet.spectrum_amplitude(zeta) * wts
+    h = packet.h
+    harmonics = None
+    samples = None
+    modes = cutoff.modes
+    if grid is not None:
+        xs = grid.meshgrid()
+        acc = np.zeros((cutoff.num_modes, 6) + grid.shape, dtype=complex)
+    if points is not None:
+        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        samp = np.zeros((len(pts), 6), dtype=complex)
+    for q in range(len(zeta)):
+        if amp[q] == 0.0:
+            continue
+        omega_q, basis = nodes.eigen_at(zeta[q])
+        vec = (basis @ packet.weights).reshape(cutoff.num_modes, 6)
+        phase_t = np.exp(1j * t * omega_q / h)
+        if grid is not None:
+            ph = np.exp(1j * (zeta[q][0] * xs[0] + zeta[q][1] * xs[1] + zeta[q][2] * xs[2]))
+            acc += (amp[q] * phase_t) * vec[..., None, None, None] * ph[None, None, ...]
+        if points is not None:
+            ph = np.exp(1j * (pts @ zeta[q]))
+            carrier = np.exp(1j * ((pts / h) @ (band.theta[:, None] + modes.T)))
+            samp += (amp[q] * phase_t) * np.einsum("pk,kc,p->pc", carrier, vec, ph)
+    if grid is not None:
+        harmonics = {tuple(n): acc[i] for i, n in enumerate(modes)}
+    if points is not None:
+        samples = samp
+    return harmonics, samples
+
+
+def eval_hat_at_reference(grid, hat, points):
+    """One field's Fourier coefficients at points (P, 3), contracted axis by
+    axis with einsum."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    e = [np.exp(1j * np.outer(pts[:, a] - grid.axis_coords(a)[0], grid.axis_wavenumbers(a)))
+         for a in range(3)]
+    tmp = np.einsum("abc,pc->abp", hat, e[2], optimize=True)
+    tmp = np.einsum("abp,pb->ap", tmp, e[1], optimize=True)
+    return np.einsum("ap,pa->p", tmp, e[0], optimize=True) / grid.num_points

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import dense_operator
+from helpers import apply_a0_reference, dense_operator
 
 from blochpacket.bands import (
     BlochOperator,
@@ -42,6 +42,14 @@ def cosine_3d(amplitude=0.2):
             n[a] = sign
             eps0[tuple(n)] = 0.5 * amplitude * eye
     return MaterialSpec(eps0=eps0, mu0={(0, 0, 0): eye}).validate()
+
+
+def parity_layered():
+    """eps0(y) = 1 + 0.2 cos(2 y1): even and odd n1 form separate classes, of
+    two sizes at cutoff 2."""
+    eye = np.eye(3, dtype=complex)
+    return MaterialSpec(eps0={(0, 0, 0): eye, (2, 0, 0): 0.1 * eye, (-2, 0, 0): 0.1 * eye},
+                        mu0={(0, 0, 0): eye}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +139,7 @@ def test_num_bands_exceeding_dynamic_dimension():
 
 def test_mode_class_counts():
     cut = LatticeCutoff(2)
-    eye = np.eye(3, dtype=complex)
-    parity = MaterialSpec(eps0={(0, 0, 0): eye, (2, 0, 0): 0.1 * eye, (-2, 0, 0): 0.1 * eye},
-                          mu0={(0, 0, 0): eye}).validate()
+    parity = parity_layered()
     cases = [
         (layered(0.2), [5] * 25),
         (identity_material(), [1] * cut.num_modes),
@@ -159,11 +165,13 @@ def test_single_class_yields_the_stored_block():
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])
-@pytest.mark.parametrize("spec", [layered(0.2), identity_material(), cosine_3d()],
-                         ids=["layered", "identity", "cosine_3d"])
+@pytest.mark.parametrize("spec",
+                         [layered(0.2), identity_material(), cosine_3d(), parity_layered()],
+                         ids=["layered", "identity", "cosine_3d", "parity"])
 def test_operator_blocks_match_dense_reference(spec, cutoff):
     """The per-class A0 blocks and per-mode G blocks are the dense operator's
-    diagonal blocks, and the dense operator has nothing outside them."""
+    diagonal blocks, and the dense operator has nothing outside them; the
+    batched apply_a0 equals the class-by-class product to 1e-15."""
     op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
     a0, g = dense_operator(spec, op.cutoff, op.theta)
     covered = np.zeros(a0.shape, dtype=bool)
@@ -173,6 +181,10 @@ def test_operator_blocks_match_dense_reference(spec, cutoff):
         assert np.array_equal(block_diagonal(op.g_blocks[modes]), g[ix])
         covered[ix] = True
     assert not np.any(a0[~covered]) and not np.any(g[~covered])
+    v = np.random.default_rng(5).standard_normal((len(a0), 3)) * (1 + 1j)
+    for probe in (v, v[:, 0]):
+        ref = apply_a0_reference(op, probe)
+        assert np.linalg.norm(op.apply_a0(probe) - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 def _arrays(value):

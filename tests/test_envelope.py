@@ -6,6 +6,7 @@ import pytest
 
 from blochpacket.envelope import (
     EnvelopeGrid,
+    EnvelopeSolution,
     EnvelopeState,
     dispersion_multiplier,
     evolve,
@@ -195,3 +196,36 @@ def test_state_at_independent_of_query_order(modulated_pipe, T):
         assert direct is stepped
     else:
         assert np.max(np.abs(direct - stepped)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_field_hat_independent_of_query_order(modulated_pipe):
+    """Spectral fields at T do not depend on which times were asked for
+    before: only the latest T's tables are kept, and a revisited T is rebuilt."""
+    grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 64, 1))
+
+    def fields(times):
+        env = modulated_pipe.envelope(grid, (1.0, 1.5, 1.0), [1.0, 0.5j], dT=2e-3)
+        return [env.field_hat(1, 2, (0, 1, 0), T) for T in times]
+
+    late, early, again = fields([0.4, 0.1, 0.4])
+    assert np.array_equal(early, fields([0.1])[0])
+    assert np.array_equal(again, late) and np.array_equal(late, fields([0.4])[0])
+    assert not np.array_equal(early, late)
+
+
+@pytest.mark.parametrize("shape", [(1, 96, 1), (192, 1, 1), (8, 8, 8)])
+def test_eval_hats_at_matches_per_key_reference(shape):
+    """Several fields' spectra evaluated at points in one call equal each
+    field's own axis-by-axis einsum evaluation, to 1e-12 relative."""
+    from helpers import eval_hat_at_reference
+
+    grid = EnvelopeGrid((20.0, 24.0, 28.0), shape)
+    env = EnvelopeSolution(gaussian_state(grid, (1.0, 1.0, 1.0), [1.0]), np.eye(3), None)
+    rng = np.random.default_rng(11)
+    hats = rng.standard_normal((5,) + shape) + 1j * rng.standard_normal((5,) + shape)
+    pts = rng.uniform(-15.0, 15.0, (37, 3))  # some outside the box: read periodically
+    got = env.eval_hats_at(hats, pts)
+    assert got.shape == (5, 37)
+    for hat, row in zip(hats, got):
+        ref = eval_hat_at_reference(grid, hat, pts)
+        assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)

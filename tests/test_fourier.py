@@ -42,6 +42,10 @@ def test_cutoff_enumeration_roundtrip():
         assert cut.index_of(n) == i
     with pytest.raises(KeyError):
         cut.index_of((3, 0, 0))
+    # built once and shared, so no caller may write to it
+    assert cut.modes is cut.modes
+    with pytest.raises(ValueError):
+        cut.modes[0, 0] = 5
 
 
 def test_cutoff_anisotropic():

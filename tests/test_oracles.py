@@ -256,6 +256,35 @@ def test_multi_time_synthesis_matches_single_times(monkeypatch):
             assert np.array_equal(res.harmonics[n], single.harmonics[n])
 
 
+@pytest.mark.parametrize("which", ["identity", "layered"])
+def test_synthesize_matches_node_loop(which, identity_pipe, offaxis_layered_pipe):
+    """One matrix product over the nodes per output time gives the node-by-node
+    quadrature sum, on the grid and at points, to 1e-12 relative."""
+    from helpers import synthesize_reference
+
+    from blochpacket.oracles import _NodeEigen, _gl_nodes, _synthesize
+
+    pipe = identity_pipe if which == "identity" else offaxis_layered_pipe
+    weights = np.ones(pipe.band.kappa) / np.sqrt(pipe.band.kappa)
+    packet = ExactPacketSpec(pipe.theta, 1 / 32, (3.0, 1.0, 1.0), weights, axes=(0,),
+                             nodes=21)
+    zeta, wts = _gl_nodes(packet, packet.nodes)
+    nodes = _NodeEigen(pipe.band, pipe.op, packet)
+    nodes.prepare(zeta)
+    grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (48, 1, 1))
+    pts = np.random.default_rng(7).uniform(-8.0, 8.0, (29, 3))
+    synth = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, grid, pts)
+    for t in (0.0, 1.5, 4.0):
+        harmonics, samples = synth(t)
+        ref_harmonics, ref_samples = synthesize_reference(packet, pipe.band, pipe.cutoff, nodes,
+                                                          zeta, wts, t, grid, pts)
+        assert harmonics.keys() == ref_harmonics.keys()
+        got = np.stack([harmonics[n] for n in ref_harmonics])
+        ref = np.stack(list(ref_harmonics.values()))
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(samples - ref_samples) <= 1e-12 * np.linalg.norm(ref_samples)
+
+
 def test_synthesis_requires_static_medium(identity_pipe):
     from blochpacket.presets import with_ohmic_loss
 
@@ -296,11 +325,9 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
     dudt = sum(c * f for c, f in zip(c4, fields[:4]))
     u = fields[4]
     ks = grid.wave_meshgrid()
-    from blochpacket.oracles import _spectral_curl
+    from blochpacket.oracles import _curl_pair
 
-    residual = dudt.copy()  # vacuum: d/dt u - (curl B, -curl E) = 0
-    residual[:3] -= _spectral_curl(u[3:], ks)
-    residual[3:] += _spectral_curl(u[:3], ks)
+    residual = dudt - _curl_pair(u, ks)  # vacuum: d/dt u - (curl B, -curl E) = 0
     scale = np.max(np.abs(u))
     assert np.max(np.abs(residual)) < 1e-7 * scale
 
@@ -311,14 +338,19 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
 
 @pytest.mark.parametrize("shape", [(64, 1, 1), (16, 1, 8), (8, 8, 8)])
 def test_spectral_curl_div_match_3axis_reference(shape, rng):
+    """The six-component curl pair (curl B, -curl E) of the RK4 right-hand
+    side equals two 3-axis reference curls, and the divergence its reference."""
     from helpers import spectral_curl_reference, spectral_div_reference
 
-    from blochpacket.oracles import _spectral_curl, _spectral_div
+    from blochpacket.oracles import _curl_pair, _spectral_div
 
     grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
     ks = grid.wave_meshgrid()
     field3 = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
-    for got, ref in ((_spectral_curl(field3, ks), spectral_curl_reference(field3, ks)),
+    field6 = np.concatenate([field3, np.roll(field3.conj(), 1, axis=0)])  # (E, B), B != E
+    pair = np.concatenate([spectral_curl_reference(field6[3:], ks),
+                           -spectral_curl_reference(field6[:3], ks)])
+    for got, ref in ((_curl_pair(field6, ks), pair),
                      (_spectral_div(field3, ks), spectral_div_reference(field3, ks))):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

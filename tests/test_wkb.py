@@ -14,6 +14,7 @@ from blochpacket.wkb import (
     evaluate_table,
     op_cell,
     residual,
+    residual_orders,
 )
 
 GRID = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 64, 1))
@@ -133,19 +134,30 @@ def test_residual_hierarchy_vanishes(which, identity_profiles, modulated_profile
     assert rep["r2"]["abs"] > 0  # the budget orders are genuinely nonzero
 
 
-def test_residual_shares_envelope_values_across_orders():
+def test_residual_shares_envelope_values_across_orders(monkeypatch):
     """Evaluating the union of the orders' keys once per time gives the same
-    report, bit for bit, as evaluating each order on its own."""
+    report, bit for bit, as evaluating each order on its own with freshly
+    built order tables; over the three h of the config the tables are built
+    once."""
     from pathlib import Path
 
+    import blochpacket.wkb as wkb
     from blochpacket.cli import Pipeline
     from blochpacket.config import load_config
 
     cfg = load_config(Path(__file__).parent.parent / "configs" / "wkb_modulated.json")
     profs = Pipeline(cfg).profiles()
-    h = cfg.h_list[0]
-    assert residual(profs, h, t_max=cfg.horizon / h) == \
-        residual_reference(profs, h, t_max=cfg.horizon / h)
+    builds = []
+
+    def counted_orders(profiles):
+        builds.append(profiles)
+        return residual_orders(profiles)
+
+    monkeypatch.setattr(wkb, "residual_orders", counted_orders)
+    reports = {h: residual(profs, h, t_max=cfg.horizon / h) for h in cfg.h_list}
+    assert len(reports) == 3 and len(builds) == 1 and builds[0] is profs
+    for h, report in reports.items():
+        assert report == residual_reference(profs, h, t_max=cfg.horizon / h)
 
 
 def test_residual_ablation_restores_first_order(modulated_profiles):
