@@ -15,18 +15,20 @@ index of its first member).  Clusters are listed by |omega|; a +-pair whose
 |omega| agree within the cluster tolerance lists the negative one first.
 
 Everything downstream is built from one BlochOperator: the medium, the
-cutoff, theta, the mode classes, one A0 block per class and one G block per
-mode (nothing 6K x 6K unless one class holds every mode).  A0 couples
-plane-wave modes n, m only when n - m is in the Fourier support of eps0 or
-mu0, and G, the transverse and longitudinal fields are diagonal over modes;
-so the pencil splits into one block per class of modes connected by that
-support (a layered medium at cutoff N has (2N+1)^2 classes, a medium
-structured along all three axes has one).  The reduced pencil and the
-partial inverse are solved class by class, and only the clusters a caller
-inspects are lifted to full 6K vectors.  Two entry points solve the pencil:
-`solve_bands` returns the lowest bands, and `continue_band` follows one band
-to a nearby theta (path tracking, finite-difference stencils, synthesis
-quadrature nodes) through `op.at`, which reuses A0 and the classes.
+cutoff, theta, A0 as blocks of the mode classes and G as one block per mode
+(nothing 6K x 6K unless one class holds every mode).  A0 couples plane-wave
+modes n, m only when n - m is in the Fourier support of eps0 or mu0, and G,
+the transverse and longitudinal fields are diagonal over modes; so the
+pencil splits into one block per class of modes connected by that support
+(a layered medium at cutoff N has (2N+1)^2 classes, a medium structured
+along all three axes has one).  The classes are held one way, stacked by
+size: every stage (apply_blocks for A0 and the partial inverse, the reduced
+pencil, the projectors) makes one batched pass per class size, and only the
+clusters a caller inspects are lifted to full 6K vectors.  Two entry points
+solve the pencil: `solve_bands` returns the lowest bands, and
+`continue_band` follows one band to a nearby theta (path tracking,
+finite-difference stencils, synthesis quadrature nodes) through `op.at`,
+which reuses A0 and the class groups.
 
 The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
 phase that makes its largest entry real positive, kappa > 1 the rotation onto
@@ -39,7 +41,7 @@ import dataclasses
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -68,6 +70,8 @@ RESIDUAL_TOL = 1e-9
 KERNEL_TOL = 1e-8
 # relative margin within which two frame overlaps count as tied in _fix_gauge
 GAUGE_TIE_TOL = 1e-8
+# largest theta step between successive points of a tracked path
+MAX_TRACK_STEP = 0.1
 
 
 class ClusterStraddle(UserWarning):
@@ -95,8 +99,9 @@ class BlochBand:
 class ProjectorPair:
     """Eigenspace basis and partial inverse Q of the Bloch pencil
     L = i*omega*A0 - G.  With Pi = basis basis^H, Q Pi = Pi Q = 0 and
-    L Q = I - Pi.  Q is held as one (rows, dense block) pair per mode class
-    and applied by apply_q; neither Pi nor Q is formed as a 6K x 6K matrix.
+    L Q = I - Pi.  Q is held as one (rows, stacked dense blocks) pair per
+    class size, like A0 in BlochOperator, and applied by apply_q; neither Pi
+    nor Q is formed as a 6K x 6K matrix.
     """
 
     basis: np.ndarray  # (6K, kappa), the gauge actually used downstream
@@ -106,10 +111,18 @@ class ProjectorPair:
 
     def apply_q(self, v: np.ndarray) -> np.ndarray:
         """Q v for v of shape (6K,) or (6K, m)."""
-        out = np.empty(v.shape, dtype=complex)
-        for rows, q in self.q_blocks:
-            out[rows] = q @ v[rows]
-        return out
+        return apply_blocks(self.q_blocks, v)
+
+
+def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
+    """Apply a matrix that is block diagonal over the mode classes, given as
+    (rows (n, r), blocks (n, r, r)) pairs that together cover every row, to v
+    of shape (6K,) or (6K, m): one batched product per pair."""
+    out = np.empty(v.shape, dtype=complex)
+    for rows, stack in blocks:
+        x = v[rows]
+        out[rows] = (stack @ x.reshape(x.shape[:2] + (-1,))).reshape(x.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,62 +132,41 @@ class ProjectorPair:
 @dataclass(frozen=True, eq=False)
 class BlochOperator:
     """The Bloch pencil i*omega*A0 - G(theta) of one medium at one cutoff and
-    theta: the mode classes over which it is block diagonal (mode_classes),
-    one (rows, dense block) pair of A0 per class, and G's (K, 6, 6) per-mode
-    blocks.  No array is 6K x 6K unless one class holds every mode.  A0 and
-    the classes do not depend on theta, so `at` (nearby theta) shares them.
-    a0_groups stacks the equal-size class blocks, one (rows, blocks) pair per
-    size, for apply_a0; a0_blocks holds views into it, class by class."""
+    theta.  A0 is block diagonal over the mode classes (mode_classes); the
+    classes are held by size, one (modes (n, m), rows (n, 6m), A0 blocks
+    (n, 6m, 6m)) group per class size m, and G as (K, 6, 6) per-mode blocks.
+    No array is 6K x 6K unless one class holds every mode.  A0 and the
+    groups do not depend on theta, so `at` (nearby theta) shares them."""
 
     spec: MaterialSpec
     cutoff: LatticeCutoff
     theta: np.ndarray
-    classes: Tuple[np.ndarray, ...]
-    a0_groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-    a0_blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    groups: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     g_blocks: np.ndarray
 
     @classmethod
     def build(cls, spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> "BlochOperator":
         theta = _check_theta(theta)
         classes = mode_classes(spec, cutoff)
-        rows = [(6 * modes[:, None] + np.arange(6)).ravel() for modes in classes]
-        blocks = base_material_matrix(spec, cutoff, classes)
-        groups, views = [], {}
-        for size in sorted({len(r) for r in rows}):
-            members = [c for c, r in enumerate(rows) if len(r) == size]
-            # a lone block is stacked as a view: no copy of a 6K x 6K block
-            stack = (blocks[members[0]][None] if len(members) == 1
-                     else np.stack([blocks[c] for c in members]))
-            groups.append((np.stack([rows[c] for c in members]), stack))
-            views.update((c, (groups[-1][0][i], stack[i])) for i, c in enumerate(members))
-        return cls(spec, cutoff, theta, classes, tuple(groups),
-                   tuple(views[c] for c in range(len(classes))), curl_matrix(cutoff, theta))
+        modes = [np.stack([c for c in classes if len(c) == m])
+                 for m in sorted({len(c) for c in classes})]
+        rows = [(6 * mm[..., None] + np.arange(6)).reshape(len(mm), -1) for mm in modes]
+        a0 = base_material_matrix(spec, cutoff, modes)
+        return cls(spec, cutoff, theta, tuple(zip(modes, rows, a0)), curl_matrix(cutoff, theta))
 
     def at(self, theta) -> "BlochOperator":
-        """The same medium and cutoff at another theta (A0 and the classes
+        """The same medium and cutoff at another theta (A0 and the groups
         shared, G rebuilt)."""
         theta = _check_theta(theta)
         return dataclasses.replace(self, theta=theta, g_blocks=curl_matrix(self.cutoff, theta))
 
     def apply_a0(self, v: np.ndarray) -> np.ndarray:
-        """A0 v for v of shape (6K,) or (6K, m), one batched product over the
-        stacked class blocks of each size."""
-        out = np.empty(v.shape, dtype=complex)
-        for rows, a0 in self.a0_groups:
-            x = v[rows]
-            out[rows] = (a0 @ x.reshape(x.shape[:2] + (-1,))).reshape(x.shape)
-        return out
+        """A0 v for v of shape (6K,) or (6K, m)."""
+        return apply_blocks([(rows, a0) for _modes, rows, a0 in self.groups], v)
 
     def pencil(self, omega: float, v: np.ndarray) -> np.ndarray:
         """(i*omega*A0 - G) v for v of shape (6K,) or (6K, m)."""
         return 1j * omega * self.apply_a0(v) - apply_mode_blocks(self.g_blocks, v)
-
-    def class_blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per mode class: its modes, its rows among the 6K unknowns and its
-        stored block of A0 (the pencil couples no two classes)."""
-        for modes, (rows, a0) in zip(self.classes, self.a0_blocks):
-            yield modes, rows, a0
 
     def check_band(self, band: BlochBand) -> None:
         if not np.array_equal(band.theta, self.theta):
@@ -198,12 +190,13 @@ def mode_classes(spec: MaterialSpec, cutoff: LatticeCutoff) -> Tuple[np.ndarray,
 
 
 def dynamic_subspace_basis(a0: np.ndarray, t: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """Columns spanning {v : div(eps0 E)=div(mu0 B)=0} within one mode class
-    (a0 its block of A0, t and ell its transverse and longitudinal unit
-    fields), built by A0-orthogonalizing t against the curl kernel ell."""
+    """Columns spanning {v : div(eps0 E)=div(mu0 B)=0} within mode classes
+    (a0 their (..., 6m, 6m) blocks of A0, t and ell their transverse and
+    longitudinal unit fields), built by A0-orthogonalizing t against the curl
+    kernel ell."""
     a0_ell = a0 @ ell
-    gram = ell.conj().T @ a0_ell
-    coup = a0_ell.conj().T @ t
+    gram = _adjoint(ell) @ a0_ell
+    coup = _adjoint(a0_ell) @ t
     return t - ell @ np.linalg.solve(gram, coup)
 
 
@@ -213,40 +206,43 @@ def dynamic_subspace_basis(a0: np.ndarray, t: np.ndarray, ell: np.ndarray) -> np
 
 class _Pencil(NamedTuple):
     """Eigenpairs of the pencil reduced to the dynamic subspace at one theta,
-    class by class.  vals holds every eigenvalue sorted by |omega| (negative
-    first on exact ties); eigenvalue i is column col[i] of class owner[i],
-    whose rows, dynamic basis and reduced eigenvectors are blocks[owner[i]]."""
+    group by group.  vals holds every eigenvalue sorted by |omega| (negative
+    first on exact ties); with (g, c, k) = owner[:, i], eigenvalue i is
+    column k of member c of group g, whose rows, dynamic bases and reduced
+    eigenvectors are the stacks in blocks[g]."""
 
     op: BlochOperator
     frame: np.ndarray  # (K, 6, 4) transverse unit fields per mode
     blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     vals: np.ndarray
-    owner: np.ndarray
-    col: np.ndarray
+    owner: np.ndarray  # (3, number of eigenvalues)
 
 
 def _solve_pencil(op: BlochOperator) -> _Pencil:
     frame = transverse_field_blocks(op.cutoff, op.theta)
     kernel = longitudinal_field_blocks(op.cutoff, op.theta)
-    blocks, vals, owner, col = [], [], [], []
-    for c, (modes, rows, a0) in enumerate(op.class_blocks()):
+    blocks, vals, owner = [], [], []
+    for g, (modes, rows, a0) in enumerate(op.groups):
         dyn = dynamic_subspace_basis(a0, block_diagonal(frame[modes]),
                                      block_diagonal(kernel[modes]))
-        herm = _hermitian_part(dyn.conj().T @ (-1j * apply_mode_blocks(op.g_blocks[modes], dyn)))
-        mass = _hermitian_part(dyn.conj().T @ a0 @ dyn)
+        g_dyn = (op.g_blocks[modes] @ dyn.reshape(modes.shape + (6, -1))).reshape(dyn.shape)
+        herm = _hermitian_part(_adjoint(dyn) @ (-1j * g_dyn))
+        mass = _hermitian_part(_adjoint(dyn) @ a0 @ dyn)
         try:
-            scipy.linalg.cholesky(mass)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(mass)
+        except np.linalg.LinAlgError as exc:
             raise MaterialError("material mass matrix is not positive definite") from exc
-        w, v = scipy.linalg.eigh(herm, mass)
-        blocks.append((rows, dyn, v))
-        vals.append(w)
-        owner.append(np.full(len(w), c))
-        col.append(np.arange(len(w)))
+        w = np.empty(herm.shape[:2])
+        vecs = np.empty_like(herm)
+        # member by member: scipy batches eigh only from releases past its declared floor
+        for i in range(len(herm)):
+            w[i], vecs[i] = scipy.linalg.eigh(herm[i], mass[i])
+        blocks.append((rows, dyn, vecs))
+        vals.append(w.ravel())
+        owner.append(np.vstack([np.full(w.size, g), np.indices(w.shape).reshape(2, -1)]))
     vals = np.concatenate(vals)
     order = np.lexsort((np.sign(vals), np.abs(vals)))
-    return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner)[order],
-                   np.concatenate(col)[order])
+    return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner, axis=1)[:, order])
 
 
 def _cluster_band(p: _Pencil, sel: List[int], omega: float, band_index: int) -> BlochBand:
@@ -254,8 +250,9 @@ def _cluster_band(p: _Pencil, sel: List[int], omega: float, band_index: int) -> 
     plain-orthonormal and gauge-fixed, with its residual in the pencil."""
     psi = np.zeros((6 * p.op.cutoff.num_modes, len(sel)), dtype=complex)
     for j, i in enumerate(sel):
-        rows, dyn, vecs = p.blocks[p.owner[i]]
-        psi[rows, j] = dyn @ vecs[:, p.col[i]]
+        g, c, k = p.owner[:, i]
+        rows, dyn, vecs = p.blocks[g]
+        psi[rows[c], j] = dyn[c] @ vecs[c][:, k]
     psi = _fix_gauge(_orthonormalize(psi), p.frame)
     return BlochBand(
         theta=p.op.theta,
@@ -387,16 +384,8 @@ def _cluster_omegas(vals: np.ndarray, clusters: List[List[int]]) -> np.ndarray:
 
 def _band_indices(vals: np.ndarray) -> np.ndarray:
     """Signed band index per eigenvalue in the |omega|-sorted array."""
-    idx = np.empty(len(vals), dtype=int)
-    pos = neg = 0
-    for i, v in enumerate(vals):
-        if v >= 0:
-            pos += 1
-            idx[i] = pos
-        else:
-            neg += 1
-            idx[i] = -neg
-    return idx
+    pos = vals >= 0
+    return np.where(pos, np.cumsum(pos), -np.cumsum(~pos))
 
 
 def _orthonormalize(psi: np.ndarray) -> np.ndarray:
@@ -434,8 +423,13 @@ def _fix_gauge(psi: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return psi @ (u @ vh)
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _adjoint(m))
 
 
 def _residual(op: BlochOperator, psi, omega) -> float:
@@ -451,21 +445,25 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
     """Projector onto ker(i*omega*A0 - G) and the Moore-Penrose partial inverse.
 
     The pencil L = i*omega*A0 - G is anti-Hermitian, so -iL is Hermitian and
-    its eigendecomposition, one per mode class, yields both the kernel
-    projector and the pseudo-inverse with the exact defining identities.  The
-    kernel threshold is relative to the largest |eigenvalue| over all classes.
+    its eigendecomposition, one per mode class (one batched call per class
+    size), yields both the kernel projector and the pseudo-inverse with the
+    exact defining identities.  The kernel threshold is relative to the
+    largest |eigenvalue| over all classes.
     """
     if band.residual > RESIDUAL_TOL:
         raise ValueError(
             f"band residual {band.residual:.3e} exceeds {RESIDUAL_TOL:.0e}; refuse to build projectors"
         )
     op.check_band(band)
-    # eigenpairs of -i * (i omega A0 - G) per class; the matrix is not kept
+    # eigenpairs of -i * (i omega A0 - G) per class, stacked by class size;
+    # the matrix is not kept
     spectra = []
-    for modes, rows, a0 in op.class_blocks():
+    for modes, rows, a0 in op.groups:
         herm = band.omega * a0
-        i = np.arange(len(modes))
-        herm.reshape(len(modes), 6, len(modes), 6)[i, :, i, :] += 1j * op.g_blocks[modes]
+        n, m = modes.shape
+        i = np.arange(m)
+        # the paired mode index moves to the front of the indexed view
+        herm.reshape(n, m, 6, m, 6)[:, i, :, i, :] += 1j * op.g_blocks[modes].swapaxes(0, 1)
         spectra.append((rows, *np.linalg.eigh(_hermitian_part(herm))))
     smax = max(np.abs(s).max() for _rows, s, _u in spectra)
     null_dim = sum(int(np.sum(np.abs(s) <= KERNEL_TOL * smax)) for _rows, s, _u in spectra)
@@ -476,8 +474,10 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
         )
     q_blocks = []
     for rows, s, u in spectra:
-        nz = np.abs(s) > KERNEL_TOL * smax
-        q_blocks.append((rows, (u[:, nz] * (1.0 / (1j * s[nz]))) @ u[:, nz].conj().T))
+        # kernel columns get weight 0: Q is the inverse off the kernel only
+        inv = np.divide(1.0, 1j * s, out=np.zeros(s.shape, dtype=complex),
+                        where=np.abs(s) > KERNEL_TOL * smax)
+        q_blocks.append((rows, (u * inv[:, None, :]) @ _adjoint(u)))
     return ProjectorPair(basis=band.eigvecs, omega=band.omega, theta=band.theta,
                          q_blocks=tuple(q_blocks))
 
@@ -487,8 +487,8 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
 # ---------------------------------------------------------------------------
 
 def track_band(op: BlochOperator, band: BlochBand, theta_path,
-               gap_tol: float = DEFAULT_GAP_TOL, cluster_tol: Optional[float] = None,
-               max_step: float = 0.1) -> List[BlochBand]:
+               gap_tol: float = DEFAULT_GAP_TOL,
+               cluster_tol: Optional[float] = None) -> List[BlochBand]:
     """Follow the multiplicity-kappa cluster along a theta path.
 
     Each point continues the previous one (continue_band), so successive
@@ -499,19 +499,16 @@ def track_band(op: BlochOperator, band: BlochBand, theta_path,
     """
     path = [np.asarray(t, dtype=float).reshape(3) for t in theta_path]
     for a, b in zip(path[:-1], path[1:]):
-        if np.linalg.norm(b - a) > max_step:
+        if np.linalg.norm(b - a) > MAX_TRACK_STEP:
             raise ValueError("theta path step exceeds the tracking bound")
 
     tracked: List[BlochBand] = []
-    prev = band
     for theta in path:
         if not tracked and np.allclose(theta, band.theta, rtol=0, atol=1e-15):
             tracked.append(band)
-            prev = band
             continue
-        cur, gap = continue_band(op, theta, prev, cluster_tol)
+        cur, gap = continue_band(op, theta, tracked[-1] if tracked else band, cluster_tol)
         if gap < gap_tol:
             raise GapViolation(theta, gap, gap_tol)
         tracked.append(cur)
-        prev = cur
     return tracked

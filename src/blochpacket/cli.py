@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,37 +80,26 @@ class Pipeline:
         self.cfg = cfg
         self.op = BlochOperator.build(cfg.material, cfg.cutoff, cfg.theta)
         self.band, self.all_bands = select_band(cfg, self.op)
-        self._proj = None
-        self._disp = None
-        self._gamma = None
-        self._ray = None
-        self._env = None
+        # profile orders assembled: all three for full-profile seeding
+        self.orders = (0, 1, 2) if cfg.seeding == "full_profile" else (0,)
 
-    @property
+    @cached_property
     def projectors(self):
-        if self._proj is None:
-            self._proj = build_projectors(self.band, self.op)
-        return self._proj
+        return build_projectors(self.band, self.op)
 
-    @property
+    @cached_property
     def dispersion(self):
-        if self._disp is None:
-            self._disp = hessian(self.band, self.projectors, self.op,
-                                 scalar_tol=self.cfg.tolerances["scalar_tol"])
-        return self._disp
+        return hessian(self.band, self.projectors, self.op,
+                       scalar_tol=self.cfg.tolerances["scalar_tol"])
 
-    @property
+    @cached_property
     def gamma(self):
-        if self._gamma is None:
-            self._gamma = build_gamma(self.band, self.op)
-        return self._gamma
+        return build_gamma(self.band, self.op)
 
-    @property
+    @cached_property
     def ray(self):
-        if self._ray is None:
-            self._ray = ray_average(self.gamma, self.dispersion.V,
-                                    divisor_tol=self.cfg.tolerances["divisor_tol"])
-        return self._ray
+        return ray_average(self.gamma, self.dispersion.V,
+                           divisor_tol=self.cfg.tolerances["divisor_tol"])
 
     def packet_weights(self) -> np.ndarray:
         w = self.cfg.packet.weights
@@ -122,13 +112,11 @@ class Pipeline:
             )
         return w / np.linalg.norm(w)
 
-    @property
+    @cached_property
     def envelope(self) -> EnvelopeSolution:
-        if self._env is None:
-            init = gaussian_state(self.cfg.grid, self.cfg.packet.widths, self.packet_weights())
-            self._env = EnvelopeSolution(init, self.dispersion.hessian,
-                                         self.ray.mean_modes, dT=self.cfg.envelope_dT)
-        return self._env
+        init = gaussian_state(self.cfg.grid, self.cfg.packet.widths, self.packet_weights())
+        return EnvelopeSolution(init, self.dispersion.hessian, self.ray.mean_modes,
+                                dT=self.cfg.envelope_dT)
 
     def profiles(self):
         return build_profiles(self.band, self.projectors, self.dispersion, self.ray,
@@ -203,11 +191,10 @@ def cmd_wkb(cfg: RunConfig, out: Path) -> None:
     h = cfg.h_list[0]
     rep = residual(profs, h, t_max=cfg.horizon / h)
     (out / "residual.json").write_text(json.dumps(rep, indent=1, sort_keys=True) + "\n")
-    orders = (0, 1, 2) if cfg.seeding == "full_profile" else (0,)
     xs = cfg.grid.meshgrid()
     pts = np.stack([g.ravel() for g in xs], axis=-1)
     for label, t in (("initial", 0.0), ("final", cfg.horizon / h)):
-        fld = assemble(profs, h, t, pts, orders=orders)
+        fld = assemble(profs, h, t, pts, orders=pipe.orders)
         dump_field(out / f"wkb_{label}.bwpk",
                    fld.samples.T.reshape((6,) + cfg.grid.shape),
                    cfg.grid, time=t, h=h, theta=cfg.theta, omega=pipe.band.omega)
@@ -231,7 +218,6 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
         _validate_certificate(cfg, out, pipe)
         return
     profs = pipe.profiles()
-    orders = (0, 1, 2) if cfg.seeding == "full_profile" else (0,)
     nodes = _auto_nodes(cfg, pipe.dispersion.hessian)
     weights = pipe.packet_weights()
     indices = weighted_indices(2, tuple(a for a in cfg.packet.axes))
@@ -248,7 +234,7 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
         for t, synth in zip(times, synths):
             uh = HarmonicField(cfg.theta, h, t, cfg.grid, synth.harmonics)
             vh = HarmonicField(cfg.theta, h, t, cfg.grid,
-                               assemble_harmonics(profs, h, t, cfg.grid, orders=orders))
+                               assemble_harmonics(profs, h, t, cfg.grid, orders=pipe.orders))
             for bd, value in seminorm(difference(uh, vh), indices).items():
                 sup[bd] = max(sup[bd], value)
         return sup
@@ -303,8 +289,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> None:
     grid = EnvelopeGrid(td["grid"]["lengths"], td["grid"]["shape"]) if "grid" in td else cfg.grid
     xs = grid.meshgrid()
     pts = np.stack([g.ravel() for g in xs], axis=-1)
-    orders = (0, 1, 2) if cfg.seeding == "full_profile" else (0,)
-    seed_field = assemble(profs, h, 0.0, pts, orders=orders)
+    seed_field = assemble(profs, h, 0.0, pts, orders=pipe.orders)
     initial = seed_field.samples.T.reshape((6,) + grid.shape)
     t_final = float(td.get("t_final", 1.0))
     result = time_domain_solve(cfg.material, h, initial, grid, t_final,

@@ -24,6 +24,10 @@ from .fourier import (MaterialSpec, apply_mode_blocks, cross_matrix, symbol_matr
                       trig_sum_on_grid)
 
 SCALAR_TOL = 1e-8
+# samples per structured axis of the y-grid that tau_max maximizes over
+Y_SAMPLES = 17
+# margin below zero that speed_limit_check still accepts as round-off
+SPEED_TOL = 1e-9
 
 
 @dataclass
@@ -159,68 +163,56 @@ def hessian(band: BlochBand, projectors: ProjectorPair, op: BlochOperator,
 # Finite-difference oracles
 # ---------------------------------------------------------------------------
 
+def _continued_omega(op: BlochOperator, band: BlochBand):
+    """omega(shift): the eigenvalue of the band continued to theta + shift."""
+    return lambda shift: continue_band(op, band.theta + shift, band)[0].omega
+
+
+def _richardson(stencil, step: float) -> np.ndarray:
+    """One Richardson level over a second-order stencil(step)."""
+    coarse = stencil(step)
+    return (4 * stencil(step / 2) - coarse) / 3
+
+
 def fd_group_velocity(op: BlochOperator, band: BlochBand, step: float = 1e-3) -> np.ndarray:
     """Central finite differences of the continued eigenvalue with one
     Richardson level: V = -grad omega."""
-
-    def omega(shift):
-        return continue_band(op, band.theta + shift, band)[0].omega
+    omega = _continued_omega(op, band)
 
     def stencil(hstep):
-        grad = np.zeros(3)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = hstep
-            grad[j] = (omega(e) - omega(-e)) / (2 * hstep)
-        return grad
+        return np.array([(omega(e) - omega(-e)) / (2 * hstep) for e in hstep * np.eye(3)])
 
-    g1 = stencil(step)
-    g2 = stencil(step / 2)
-    return -(4 * g2 - g1) / 3
+    return -_richardson(stencil, step)
 
 
 def fd_hessian(op: BlochOperator, band: BlochBand, step: float = 5e-3) -> np.ndarray:
     """Second-order central differences of the continued eigenvalue
     omega(theta), one Richardson level.  Its truncation error falls as
     step^4 (about 7e-9 at the default step on the shipped layered band)."""
-
-    def omega(shift):
-        return continue_band(op, band.theta + shift, band)[0].omega
+    omega = _continued_omega(op, band)
 
     def stencil(h):
         hess = np.zeros((3, 3))
-        w0 = band.omega
+        e = h * np.eye(3)
         for i in range(3):
-            ei = np.zeros(3)
-            ei[i] = h
-            hess[i, i] = (omega(ei) - 2 * w0 + omega(-ei)) / h**2
-        for i in range(3):
-            for j in range(i + 1, 3):
-                ei = np.zeros(3)
-                ej = np.zeros(3)
-                ei[i] = h
-                ej[j] = h
-                wpp = omega(ei + ej)
-                wpm = omega(ei - ej)
-                wmp = omega(-ei + ej)
-                wmm = omega(-ei - ej)
-                hess[i, j] = hess[j, i] = (wpp - wpm - wmp + wmm) / (4 * h**2)
+            hess[i, i] = (omega(e[i]) - 2 * band.omega + omega(-e[i])) / h**2
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            hess[i, j] = hess[j, i] = (omega(e[i] + e[j]) - omega(e[i] - e[j])
+                                       - omega(-e[i] + e[j]) + omega(-e[i] - e[j])) / (4 * h**2)
         return hess
 
-    h1 = stencil(step)
-    h2 = stencil(step / 2)
-    return (4 * h2 - h1) / 3
+    return _richardson(stencil, step)
 
 
 # ---------------------------------------------------------------------------
 # Speed limit
 # ---------------------------------------------------------------------------
 
-def _pencil_tables(spec: MaterialSpec, y_samples: int):
+def _pencil_tables(spec: MaterialSpec):
     # the grid collapses along axes the coefficients do not depend on (exact
     # by translation invariance)
     modes = list(spec.eps0) + list(spec.mu0)
-    ys = [np.linspace(0.0, 2 * np.pi, y_samples if any(n[a] != 0 for n in modes) else 1,
+    ys = [np.linspace(0.0, 2 * np.pi, Y_SAMPLES if any(n[a] != 0 for n in modes) else 1,
                       endpoint=False) for a in range(3)]
     eps = trig_sum_on_grid(spec.eps0, *ys).reshape(-1, 3, 3)
     mu = trig_sum_on_grid(spec.mu0, *ys).reshape(-1, 3, 3)
@@ -240,30 +232,30 @@ def _tau_max_from_tables(xi, eps_inv_sqrt, inv_mu) -> float:
     return float(np.sqrt(max(tau2.max(), 0.0)))
 
 
-def tau_max(spec: MaterialSpec, xi, y_samples: int = 17) -> float:
+def tau_max(spec: MaterialSpec, xi) -> float:
     """Largest root of the constant-coefficient symbol pencil, maximized over
-    a y-sample grid.
+    a y-sample grid of Y_SAMPLES points per axis.
 
     Per point the nonzero roots satisfy tau^2 eps e = cross(xi)^T mu^{-1}
     cross(xi) e, a 3x3 Hermitian-definite problem.  The grid maximum is a
     lower bound of the true sup, exact up to grid resolution for smooth specs
     (the grid collapses along axes the coefficients do not depend on).
     """
-    eps_inv_sqrt, inv_mu = _pencil_tables(spec, y_samples)
+    eps_inv_sqrt, inv_mu = _pencil_tables(spec)
     return _tau_max_from_tables(np.asarray(xi, dtype=float), eps_inv_sqrt, inv_mu)
 
 
 def speed_limit_check(spec: MaterialSpec, V, num_samples: int = 1000,
-                      y_samples: int = 17, tol: float = 1e-9, seed: int = 0) -> dict:
-    """Verify xi.V <= tau_max(-xi) + tol over random unit directions.
+                      seed: int = 0) -> dict:
+    """Verify xi.V <= tau_max(-xi) + SPEED_TOL over random unit directions.
 
     Returns {'worst_margin', 'worst_xi', 'num_samples'}; raises
-    SpeedLimitViolation if any margin drops below -tol (a solver bug: the
+    SpeedLimitViolation if any margin drops below -SPEED_TOL (a solver bug: the
     packet cannot outrun the medium).
     """
     rng = np.random.default_rng(seed)
     v = np.asarray(V, dtype=float)
-    eps_inv_sqrt, inv_mu = _pencil_tables(spec, y_samples)
+    eps_inv_sqrt, inv_mu = _pencil_tables(spec)
     worst = np.inf
     worst_xi = None
     for _ in range(num_samples):
@@ -272,7 +264,7 @@ def speed_limit_check(spec: MaterialSpec, V, num_samples: int = 1000,
         margin = _tau_max_from_tables(-xi, eps_inv_sqrt, inv_mu) - float(np.dot(xi, v))
         if margin < worst:
             worst, worst_xi = margin, xi
-    if worst < -tol:
+    if worst < -SPEED_TOL:
         raise SpeedLimitViolation(
             f"group velocity violates the propagation bound: margin {worst:.3e} "
             f"along xi={tuple(np.round(worst_xi, 6))}"

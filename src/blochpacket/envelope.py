@@ -122,15 +122,20 @@ def potential_on_grid(grid: EnvelopeGrid, mean_modes: Dict, kappa: int) -> np.nd
     return trig_sum_on_grid(mean_modes, *(grid.axis_coords(a) for a in range(3)))
 
 
-def dispersion_multiplier(grid: EnvelopeGrid, hess: np.ndarray, dT: float) -> np.ndarray:
-    """Fourier multiplier exp(+ (i/2) q(k,k) dT) of the exact dispersion flow."""
+def dispersion_form(grid: EnvelopeGrid, hess: np.ndarray) -> np.ndarray:
+    """q(k, k) = sum_ij hess_ij k_i k_j on the grid's wavenumbers."""
     ks = grid.wave_meshgrid()
     q = np.zeros(grid.shape)
     for i in range(3):
         for j in range(3):
             if hess[i, j] != 0.0:
                 q = q + hess[i, j] * ks[i] * ks[j]
-    return np.exp(0.5j * q * dT)
+    return q
+
+
+def dispersion_multiplier(grid: EnvelopeGrid, hess: np.ndarray, dT: float) -> np.ndarray:
+    """Fourier multiplier exp(+ (i/2) q(k,k) dT) of the exact dispersion flow."""
+    return np.exp(0.5j * dispersion_form(grid, hess) * dT)
 
 
 def _mass_profile(state: EnvelopeState):
@@ -154,64 +159,6 @@ def _mass_profile(state: EnvelopeState):
     return float(dens[inner].sum() / total), float(dens[shell].sum() / total)
 
 
-# ---------------------------------------------------------------------------
-# Strang stepper
-# ---------------------------------------------------------------------------
-
-def evolve(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
-           dT: float, steps: int) -> EnvelopeState:
-    """Advance the envelope by `steps` Strang steps of size dT.
-
-    hess is the 3x3 dispersion Hessian; mean_modes the ray-averaged coupling
-    (None or {} for free propagation).  Returns a new state at T + steps*dT.
-    The input must be contained in the inner half-box and the result must
-    stay out of the shell (BoxTooSmall otherwise).
-    """
-    _check_contained(state)
-    out = _strang(state, hess, mean_modes, dT, steps)
-    _check_shell(out)
-    return out
-
-
-def _check_contained(state: EnvelopeState) -> None:
-    inner, _shell = _mass_profile(state)
-    if 1.0 - inner > INNER_MASS_TOL:
-        raise BoxTooSmall(
-            f"initial envelope is not contained in the inner half-box "
-            f"(outside fraction {1.0 - inner:.3e})"
-        )
-
-
-def _check_shell(state: EnvelopeState) -> None:
-    _inner, shell = _mass_profile(state)
-    if shell > SHELL_MASS_TOL:
-        raise BoxTooSmall(
-            f"envelope mass reached the box boundary (shell fraction {shell:.3e})"
-        )
-
-
-def _strang(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
-            dT: float, steps: int) -> EnvelopeState:
-    w = state.values.copy()
-    kappa = w.shape[0]
-    if not mean_modes:
-        # potential-free flow is a single exact multiplier step
-        mult = dispersion_multiplier(state.grid, np.asarray(hess, dtype=float), steps * dT)
-        w = np.fft.ifftn(mult[None, ...] * np.fft.fftn(w, axes=(1, 2, 3)), axes=(1, 2, 3))
-        return EnvelopeState(state.grid, w, state.T + steps * dT)
-
-    mult = dispersion_multiplier(state.grid, np.asarray(hess, dtype=float), dT)
-    pot = potential_on_grid(state.grid, mean_modes, kappa)
-    half = scipy.linalg.expm(-0.5 * dT * pot.reshape(-1, kappa, kappa))
-    half = half.reshape(state.grid.shape + (kappa, kappa))
-
-    for _ in range(steps):
-        w = np.einsum("xyzab,bxyz->axyz", half, w)
-        w = np.fft.ifftn(mult[None, ...] * np.fft.fftn(w, axes=(1, 2, 3)), axes=(1, 2, 3))
-        w = np.einsum("xyzab,bxyz->axyz", half, w)
-    return EnvelopeState(state.grid, w, state.T + steps * dT)
-
-
 def weighted_norm(state: EnvelopeState, weight: np.ndarray) -> float:
     """Grid quadrature of <W w, w> with a constant kappa x kappa weight
     (typically the projected mass matrix Pi A0 Pi)."""
@@ -224,7 +171,7 @@ def l2_norm(state: EnvelopeState) -> float:
     return float(np.sqrt(np.sum(np.abs(state.values) ** 2) * state.grid.cell_volume))
 
 
-def gaussian_state(grid: EnvelopeGrid, widths, weights, T: float = 0.0) -> EnvelopeState:
+def gaussian_state(grid: EnvelopeGrid, widths, weights) -> EnvelopeState:
     """Packet exp((-x_a^2 / (2 widths_a^2)) summed over varying axes) times the
     kappa-component weight vector.  Axes with one grid point are skipped."""
     weights = np.asarray(weights, dtype=complex)
@@ -234,7 +181,14 @@ def gaussian_state(grid: EnvelopeGrid, widths, weights, T: float = 0.0) -> Envel
         if grid.shape[a] > 1:
             expo = expo - xs[a] ** 2 / (2.0 * float(widths[a]) ** 2)
     prof = np.exp(expo)
-    return EnvelopeState(grid, weights[:, None, None, None] * prof[None, ...], T)
+    return EnvelopeState(grid, weights[:, None, None, None] * prof[None, ...])
+
+
+def evolve(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
+           dT: float, steps: int) -> EnvelopeState:
+    """The state `steps` Strang steps of size dT after `state`, through
+    EnvelopeSolution (so with its box guards)."""
+    return EnvelopeSolution(state, hess, mean_modes, dT).state_at(state.T + steps * dT)
 
 
 # ---------------------------------------------------------------------------
@@ -246,54 +200,79 @@ class EnvelopeSolution:
     """Envelope initial-value problem with lazy stepping and spectral access
     to derivative fields.
 
+    state_at(T) is a function of T alone: a potential-free flow is one exact
+    multiplier step from the initial data; otherwise it takes floor(T/dT)
+    whole Strang steps (from the latest whole-step state held, or from the
+    initial data) and then one step of the remainder, which is never stepped
+    on from.  Only the initial and the latest whole-step state are kept.
+
     Provides, at any slow time T, the Fourier coefficients of
     (d/dT)^m d^alpha w_a, where d/dT is evaluated through the equation
     (dispersion multiplier plus potential product) so repeated slow-time
     derivatives of all spatial derivatives are exact on the grid.
 
     The box guards do not depend on the order of queries: containment is
-    checked once, on the initial data, and the shell on every state produced.
+    checked once, on the initial data, and the shell on every state returned.
     """
 
     def __init__(self, initial: EnvelopeState, hess: np.ndarray,
                  mean_modes: Optional[Dict], dT: float = 1e-3):
         self.grid = initial.grid
-        self.hess = np.asarray(hess, dtype=float)
-        self.mean_modes = dict(mean_modes) if mean_modes else {}
         self.dT = float(dT)
         self.kappa = initial.kappa
-        _check_contained(initial)
-        self._states = {float(initial.T): initial.copy()}
+        outside = 1.0 - _mass_profile(initial)[0]
+        if outside > INNER_MASS_TOL:
+            raise BoxTooSmall(f"initial envelope is not contained in the inner half-box "
+                              f"(outside fraction {outside:.3e})")
+        self._initial = initial.copy()
+        self._latest = (0, self._initial.values)  # (whole steps, values)
         self._hats = (None, None)  # (T, tables) of the latest T asked for
-        self._pot = None
-        if self.mean_modes:
-            self._pot = potential_on_grid(self.grid, self.mean_modes, self.kappa)
         self._ks = self.grid.wave_meshgrid()
-        self._q = sum(self.hess[i, j] * self._ks[i] * self._ks[j]
-                      for i in range(3) for j in range(3))
+        self._q = dispersion_form(self.grid, np.asarray(hess, dtype=float))
+        self._pot = potential_on_grid(self.grid, mean_modes, self.kappa) if mean_modes else None
+        self._step_ops = self._strang_ops(self.dT)
 
     # -- stepping ----------------------------------------------------------
 
+    def _strang_ops(self, dT: float):
+        """Dispersion multiplier and potential half-step exponentials (None
+        without a potential) of one Strang step of size dT."""
+        mult = np.exp(0.5j * self._q * dT)
+        if self._pot is None:
+            return mult, None
+        half = scipy.linalg.expm(-0.5 * dT * self._pot.reshape(-1, self.kappa, self.kappa))
+        return mult, half.reshape(self._pot.shape)
+
+    @staticmethod
+    def _strang(w: np.ndarray, ops) -> np.ndarray:
+        mult, half = ops
+        if half is not None:
+            w = np.einsum("xyzab,bxyz->axyz", half, w)
+        axes = varying_axes(w)
+        w = np.fft.ifftn(mult[None, ...] * np.fft.fftn(w, axes=axes), axes=axes)
+        if half is not None:
+            w = np.einsum("xyzab,bxyz->axyz", half, w)
+        return w
+
     def state_at(self, T: float) -> EnvelopeState:
         T = float(T)
-        if T in self._states:
-            return self._states[T]
-        base_T = max(t for t in self._states if t <= T + 1e-15)
-        state = self._states[base_T]
-        remaining = T - base_T
-        if not self.mean_modes:
-            out = _strang(state, self.hess, None, remaining, 1)
-        else:
-            nfull = int(np.floor(remaining / self.dT + 1e-12))
-            out = state
-            if nfull > 0:
-                out = _strang(out, self.hess, self.mean_modes, self.dT, nfull)
-            rem = remaining - nfull * self.dT
-            if rem > 1e-14:
-                out = _strang(out, self.hess, self.mean_modes, rem, 1)
-        out = EnvelopeState(self.grid, out.values, T)
-        _check_shell(out)
-        self._states[T] = out
+        elapsed = T - self._initial.T
+        if elapsed < 0:
+            raise ValueError(f"T={T} precedes the initial data at T={self._initial.T}")
+        # a potential-free flow is exact: no whole steps, one step of all of T
+        nfull = 0 if self._pot is None else int(np.floor(elapsed / self.dT + 1e-12))
+        n, w = self._latest if self._latest[0] <= nfull else (0, self._initial.values)
+        for _ in range(nfull - n):
+            w = self._strang(w, self._step_ops)
+        self._latest = (nfull, w)
+        rem = elapsed - nfull * self.dT
+        if rem > 1e-14:
+            w = self._strang(w, self._strang_ops(rem))
+        out = EnvelopeState(self.grid, w, T)
+        shell = _mass_profile(out)[1]
+        if shell > SHELL_MASS_TOL:
+            raise BoxTooSmall(f"envelope mass reached the box boundary "
+                              f"(shell fraction {shell:.3e})")
         return out
 
     # -- spectral derivative fields -----------------------------------------

@@ -280,12 +280,14 @@ def longitudinal_unit(cutoff: LatticeCutoff, theta) -> np.ndarray:
 
 
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal matrix of a (k, r, c) stack of blocks; shape (k*r, k*c)."""
-    k, r, c = blocks.shape
-    out = np.zeros((k, r, k, c), dtype=blocks.dtype)
+    """Dense block-diagonal matrix of a (..., k, r, c) stack of blocks; shape
+    (..., k*r, k*c), one matrix per leading index."""
+    *lead, k, r, c = blocks.shape
+    out = np.zeros((*lead, k, r, k, c), dtype=blocks.dtype)
     i = np.arange(k)
-    out[i, :, i, :] = blocks
-    return out.reshape(k * r, k * c)
+    # the paired index moves to the front of the indexed view
+    out[..., i, :, i, :] = np.moveaxis(blocks, -3, 0)
+    return out.reshape(*lead, k * r, k * c)
 
 
 def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
@@ -437,24 +439,28 @@ def apply_material(spec: MaterialSpec, which: str, f: FourierField6) -> FourierF
 
 
 def base_material_matrix(spec: MaterialSpec, cutoff: LatticeCutoff,
-                         classes) -> List[np.ndarray]:
-    """Dense (6n, 6n) blocks of the block-diagonal base material (eps0 on E,
-    mu0 on B), one per mode class of n modes in its mode order.  The classes
-    must be unions of bands.mode_classes, which the material never couples."""
-    owner = np.empty(cutoff.num_modes, dtype=int)
+                         groups) -> List[np.ndarray]:
+    """Dense blocks of the block-diagonal base material (eps0 on E, mu0 on B):
+    for each (n, m) array of n mode classes of m modes, one (n, 6m, 6m) stack
+    in the classes' mode order.  The classes must be unions of
+    bands.mode_classes, which the material never couples."""
+    group = np.empty(cutoff.num_modes, dtype=int)
+    member = np.empty(cutoff.num_modes, dtype=int)
     pos = np.empty(cutoff.num_modes, dtype=int)
-    for c, modes in enumerate(classes):
-        owner[modes] = c
-        pos[modes] = np.arange(len(modes))
-    blocks = [np.zeros((len(modes), 6, len(modes), 6), dtype=complex) for modes in classes]
+    for g, modes in enumerate(groups):
+        group[modes] = g
+        member[modes] = np.arange(len(modes))[:, None]
+        pos[modes] = np.arange(modes.shape[1])
+    stacks = [np.zeros((n, m, 6, m, 6), dtype=complex) for n, m in (g.shape for g in groups)]
     for coefs, off in ((spec.eps0, 0), (spec.mu0, 3)):
         for key, coef in coefs.items():
             src, dst = cutoff.shift_indices(key)
-            for c, blk in enumerate(blocks):
-                sel = owner[dst] == c
+            for g, stack in enumerate(stacks):
+                sel = group[dst] == g
+                d, s = dst[sel], src[sel]
                 # dst is one-to-one in src, so no entry is hit twice
-                blk[pos[dst[sel]], off : off + 3, pos[src[sel]], off : off + 3] += coef
-    return [blk.reshape(6 * len(modes), -1) for blk, modes in zip(blocks, classes)]
+                stack[member[d], pos[d], off : off + 3, pos[s], off : off + 3] += coef
+    return [stack.reshape(len(stack), 6 * stack.shape[1], -1) for stack in stacks]
 
 
 def modulation_a01_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff,
@@ -514,21 +520,15 @@ def material_on_grid(coefs: Dict[Mode, np.ndarray], samples: int) -> np.ndarray:
     return trig_sum_on_grid(coefs, y, y, y)
 
 
-def field_on_grid(f: FourierField6, samples: int, bloch_phase: bool = True) -> np.ndarray:
-    """Evaluate the field on an S^3 y-grid; shape (S, S, S, 6).
-
-    With bloch_phase the full theta-quasi-periodic field exp(i theta.y) * (...)
-    is returned; without it only the 2*pi-periodic part.
-    """
+def field_on_grid(f: FourierField6, samples: int) -> np.ndarray:
+    """Evaluate the full theta-quasi-periodic field exp(i theta.y) * (...) on
+    an S^3 y-grid; shape (S, S, S, 6)."""
     y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     c = f.coeffs.reshape(f.cutoff.shape + (6,))
     phases = [np.exp(1j * np.outer(y, np.arange(-b, b + 1))) for b in f.cutoff.nmax]
     out = np.einsum("xa,yb,zc,abcd->xyzd", phases[0], phases[1], phases[2], c,
                     optimize=True)
-    if bloch_phase:
-        grid = cell_grid(samples)
-        out = out * np.exp(1j * (grid @ f.theta))[..., None]
-    return out
+    return out * np.exp(1j * (cell_grid(samples) @ f.theta))[..., None]
 
 
 def grid_inner(u: np.ndarray, v: np.ndarray) -> complex:

@@ -12,7 +12,7 @@ yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -30,6 +30,10 @@ from .fourier import (
 
 # smallest singular value of the overlap between adjacent nodes' eigenbases
 OVERLAP_TOL = 0.99
+# time-domain trace: about this many rows, the first at t = 0
+NUM_TRACE = 65
+# admissible time-domain energy growth: exp(STABILITY_MARGIN * rate * t)
+STABILITY_MARGIN = 10.0
 
 # ---------------------------------------------------------------------------
 # Constant-coefficient closed form
@@ -333,7 +337,6 @@ class TimeDomainResult:
     field: np.ndarray                 # (6, M1, M2, M3) at t_final
     trace: np.ndarray                 # rows (t, energy, div_eps_E, div_mu_B)
     dt: float
-    snapshots: Dict[float, np.ndarray] = field(default_factory=dict)
 
 
 class _GridMaterial:
@@ -411,9 +414,7 @@ def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
 
 def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
                       grid: EnvelopeGrid, t_final: float, dt: Optional[float] = None,
-                      cfl: float = 0.5, num_trace: int = 65,
-                      snapshot_times: Tuple[float, ...] = (),
-                      stability_margin: float = 10.0) -> TimeDomainResult:
+                      cfl: float = 0.5) -> TimeDomainResult:
     """Integrate the dynamic equations with pseudo-spectral derivatives and RK4.
 
     The stepped variable is the flux density (epsilon E, mu B); the grid must
@@ -462,7 +463,7 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
 
     nsteps = max(1, int(np.ceil(t_final / dt)))
     dt = t_final / nsteps
-    trace_every = max(1, nsteps // max(num_trace - 1, 1))
+    trace_every = max(1, nsteps // (NUM_TRACE - 1))
 
     dv = grid.cell_volume
     def diagnostics(t, d):
@@ -475,8 +476,6 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     trace = [(0.0, *diagnostics(0.0, dvec))]
     e0 = trace[0][1]
     growth = _growth_rate_bound(spec, h)
-    snapshots: Dict[float, np.ndarray] = {}
-    want = sorted(float(s) for s in snapshot_times)
 
     t = 0.0
     for step in range(1, nsteps + 1):
@@ -486,20 +485,17 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
         k4 = rhs(t + dt, dvec + dt * k3)
         dvec = dvec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = step * dt
-        while want and t >= want[0] - dt / 2:
-            snapshots[want.pop(0)] = to_u(t, dvec).copy()
         if step % trace_every == 0 or step == nsteps:
             row = (t, *diagnostics(t, dvec))
             trace.append(row)
-            bound = e0 * np.exp(stability_margin * max(growth, 1e-14) * t) + 1e-9 * e0
+            bound = e0 * np.exp(STABILITY_MARGIN * max(growth, 1e-14) * t) + 1e-9 * e0
             if row[1] > max(bound, e0 * (1 + 1e-6)):
                 raise StabilityAnomaly(
                     f"energy {row[1]:.6e} at t={t:.3f} exceeds the growth bound "
                     f"{bound:.6e} (rate {growth:.3e})"
                 )
 
-    return TimeDomainResult(grid=grid, field=to_u(t, dvec), trace=np.asarray(trace),
-                            dt=dt, snapshots=snapshots)
+    return TimeDomainResult(grid=grid, field=to_u(t, dvec), trace=np.asarray(trace), dt=dt)
 
 
 def _growth_rate_bound(spec: MaterialSpec, h: float) -> float:

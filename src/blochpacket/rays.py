@@ -33,6 +33,10 @@ Eta = Tuple[float, float, float, float]
 
 EXACT_RESONANCE_TOL = 1e-13
 DEFAULT_DIVISOR_TOL = 1e-9
+# empirical_beta: ray origins, and quadrature steps per period of the fastest
+# ray oscillation
+BETA_RAY_ORIGINS = (np.zeros(3), np.array([0.7, -0.3, 0.2]), np.array([-1.1, 0.4, 0.9]))
+BETA_STEPS_PER_PERIOD = 64
 
 
 @dataclass
@@ -173,8 +177,7 @@ def ray_average(gamma: CouplingField, V, divisor_tol: float = DEFAULT_DIVISOR_TO
 # Empirical growth exponent
 # ---------------------------------------------------------------------------
 
-def empirical_beta(gamma: CouplingField, V, T_list, x_samples=None,
-                   steps_per_unit: int = 64) -> float:
+def empirical_beta(gamma: CouplingField, V, T_list) -> float:
     """Numerical estimate of the fluctuation growth exponent.
 
     Integrates gamma - mean along rays (trapezoid prefix sums at a resolution
@@ -187,21 +190,19 @@ def empirical_beta(gamma: CouplingField, V, T_list, x_samples=None,
     """
     V = np.asarray(V, dtype=float)
     data = ray_average(gamma, V)
-    if x_samples is None:
-        x_samples = [np.zeros(3), np.array([0.7, -0.3, 0.2]), np.array([-1.1, 0.4, 0.9])]
     T_list = sorted(float(t) for t in T_list)
     if len(T_list) < 2:
         raise ValueError("need at least two horizons to fit a growth exponent")
 
     # fastest oscillation along the ray sets the quadrature resolution
     divisors = [abs(_ray_divisor(eta, V)) for eta in gamma.modes] + [1.0]
-    dt = 2 * np.pi / (steps_per_unit * max(divisors))
+    dt = 2 * np.pi / (BETA_STEPS_PER_PERIOD * max(divisors))
     T_max = T_list[-1]
     nsteps = int(np.ceil(T_max / dt))
     ts = np.linspace(0.0, T_max, nsteps + 1)
 
     norms = []
-    for x0 in x_samples:
+    for x0 in BETA_RAY_ORIGINS:
         mean_x0 = data.mean_at(x0)
         vals = np.stack([gamma.at(t, x0 + V * t) - mean_x0 for t in ts])
         inc = 0.5 * (vals[1:] + vals[:-1]) * (ts[1] - ts[0])

@@ -142,10 +142,17 @@ def residual_reference(profiles, h, t_max, num_t=5, num_x=5):
     return report
 
 
+def class_blocks(op):
+    """(modes, rows, A0 block) of each mode class, read out of the operator's
+    per-size groups."""
+    for modes, rows, a0 in op.groups:
+        yield from zip(modes, rows, a0)
+
+
 def apply_a0_reference(op, v):
     """BlochOperator.apply_a0 one class block at a time."""
     out = np.empty(v.shape, dtype=complex)
-    for rows, a0 in op.a0_blocks:
+    for _modes, rows, a0 in class_blocks(op):
         out[rows] = a0 @ v[rows]
     return out
 

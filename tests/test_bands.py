@@ -6,8 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import apply_a0_reference, dense_operator
+from helpers import apply_a0_reference, class_blocks, dense_operator
 
+from blochpacket import bands
 from blochpacket.bands import (
     BlochOperator,
     _fix_gauge,
@@ -20,6 +21,7 @@ from blochpacket.errors import CutoffMismatch, GapViolation, MaterialError, Mult
 from blochpacket.fourier import (
     LatticeCutoff,
     MaterialSpec,
+    base_material_matrix,
     block_diagonal,
     longitudinal_field_blocks,
     transverse_field_blocks,
@@ -156,12 +158,22 @@ def test_mode_class_counts():
         assert len(set(n1 % 2)) == 1 and len(set(map(tuple, cut.modes[c][:, 1:]))) == 1
 
 
-def test_single_class_yields_the_stored_block():
-    """A medium with one class solves on its stored A0 block: no 6K x 6K copy."""
+def test_single_class_yields_the_stored_block(monkeypatch):
+    """A medium with one class solves on its stored A0 block: the one group
+    holds the array base_material_matrix filled, not a copy, and op.at
+    shares it."""
+    filled = []
+
+    def keep(*args):
+        filled.extend(base_material_matrix(*args))
+        return filled
+
+    monkeypatch.setattr(bands, "base_material_matrix", keep)
     op = BlochOperator.build(cosine_3d(), LatticeCutoff(1), THETA_OFF)
-    (_modes, rows, a0), = op.class_blocks()
-    assert a0 is op.a0_blocks[0][1]
-    assert np.array_equal(rows, np.arange(6 * op.cutoff.num_modes))
+    (_modes, rows, a0), = op.groups
+    assert a0 is filled[0] and op.at(THETA).groups[0][2] is a0
+    assert a0.shape == (1, 6 * op.cutoff.num_modes, 6 * op.cutoff.num_modes)
+    assert np.array_equal(rows[0], np.arange(6 * op.cutoff.num_modes))
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])
@@ -175,7 +187,7 @@ def test_operator_blocks_match_dense_reference(spec, cutoff):
     op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
     a0, g = dense_operator(spec, op.cutoff, op.theta)
     covered = np.zeros(a0.shape, dtype=bool)
-    for modes, rows, a0_block in op.class_blocks():
+    for modes, rows, a0_block in class_blocks(op):
         ix = np.ix_(rows, rows)
         assert np.array_equal(a0_block, a0[ix])
         assert np.array_equal(block_diagonal(op.g_blocks[modes]), g[ix])
@@ -220,8 +232,9 @@ def _dense_pencil(op):
     return vals, dyn @ vecs
 
 
-@pytest.mark.parametrize("spec, cutoff", [(layered(0.2), 2), (cosine_3d(), 1)],
-                         ids=["layered", "cosine_3d"])
+@pytest.mark.parametrize("spec, cutoff",
+                         [(layered(0.2), 2), (cosine_3d(), 1), (parity_layered(), 2)],
+                         ids=["layered", "cosine_3d", "parity"])
 def test_block_solve_matches_dense_pencil(spec, cutoff):
     op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
     vals, vecs = _dense_pencil(op)
@@ -246,7 +259,7 @@ def _dense_pi_q(proj):
 def test_partial_inverse_vanishes_between_classes(offaxis_layered_pipe):
     pipe = offaxis_layered_pipe
     owner = np.empty(6 * pipe.cutoff.num_modes, dtype=int)
-    for c, modes in enumerate(pipe.op.classes):
+    for c, modes in enumerate(mode_classes(pipe.spec, pipe.cutoff)):
         owner[(6 * modes[:, None] + np.arange(6)).ravel()] = c
     _pi, q = _dense_pi_q(pipe.projectors)
     assert not np.any(q[owner[:, None] != owner[None, :]])
@@ -331,12 +344,19 @@ def test_projector_identities_random_probes(identity_pipe, rng):
 
 
 def test_partial_inverse_matches_dense_pinv(identity_pipe):
-    pipe = identity_pipe
-    a0, g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
-    pencil = 1j * pipe.band.omega * a0 - g
-    dense = np.linalg.pinv(pencil, rcond=1e-10)
-    _pi, q = _dense_pi_q(pipe.projectors)
-    assert np.linalg.norm(q - dense) < 1e-9 * np.linalg.norm(dense)
+    """Also on parity_layered, whose classes come in two sizes: apply_q over
+    both stacks is the dense pseudo-inverse."""
+    parity = BlochOperator.build(parity_layered(), LatticeCutoff(2), THETA_OFF)
+    assert len(parity.groups) == 2
+    parity_band = next(b for b in solve_bands(parity, 4) if b.band_index == 1)
+    cases = [(identity_pipe.op, identity_pipe.band, identity_pipe.projectors),
+             (parity, parity_band, build_projectors(parity_band, parity))]
+    for op, band, projectors in cases:
+        a0, g = dense_operator(op.spec, op.cutoff, op.theta)
+        pencil = 1j * band.omega * a0 - g
+        dense = np.linalg.pinv(pencil, rcond=1e-10)
+        _pi, q = _dense_pi_q(projectors)
+        assert np.linalg.norm(q - dense) < 1e-9 * np.linalg.norm(dense)
 
 
 def test_projector_multiplicity_diagnostic(identity_pipe):

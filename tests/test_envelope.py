@@ -1,6 +1,8 @@
 """Envelope stepper: closed-form propagation, conservation, splitting order,
 and the box guards."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_free_gaussian_closed_form():
     (correctly) aborts."""
     grid = EnvelopeGrid((24.0, 24.0, 24.0), (64, 64, 64))
     st = gaussian_state(grid, (1.0, 1.0, 1.0), [1.0])
-    out = evolve(st, np.eye(3), None, 1e-3, 1000)
+    out = EnvelopeSolution(st, np.eye(3), None, 1e-3).state_at(1000 * 1e-3)
     exact = _free_gaussian_exact(grid, (1.0, 1.0, 1.0), 1.0)
     assert np.max(np.abs(out.values[0] - exact)) <= 1e-8
 
@@ -47,8 +49,9 @@ def test_constant_potential_scalar_factor():
     st = gaussian_state(grid, (1.0, 1.0, 1.0), [1.0])
     c = 0.3 + 0.2j
     hess = np.diag([0.0, 1.0, 0.0])
-    free = evolve(st, hess, None, 1e-3, 500)
-    damped = evolve(st, hess, {(0.0, 0.0, 0.0): c * np.eye(1)}, 1e-3, 500)
+    free = EnvelopeSolution(st, hess, None, 1e-3).state_at(500 * 1e-3)
+    damped = EnvelopeSolution(st, hess, {(0.0, 0.0, 0.0): c * np.eye(1)}, 1e-3)
+    damped = damped.state_at(500 * 1e-3)
     T = 0.5
     assert np.allclose(damped.values, free.values * np.exp(-c * T), atol=1e-10)
 
@@ -60,7 +63,7 @@ def test_anisotropic_hessian_freezes_flat_axis():
     st = gaussian_state(grid, (1.0, 1.2, 1.0), [1.0])
     hess = np.diag([0.0, 1 / 0.3, 0.0])
     T = 0.4
-    out = evolve(st, hess, None, 2e-3, 200)
+    out = EnvelopeSolution(st, hess, None, 2e-3).state_at(200 * 2e-3)
     xs = grid.meshgrid()
     za = 1.0 - 1j * (1 / 0.3) * T / 1.2**2
     exact = np.exp(-xs[0] ** 2 / 2.0) * za**-0.5 * np.exp(-xs[1] ** 2 / (2 * 1.2**2 * za))
@@ -90,7 +93,8 @@ def test_conservation_long_run(modulated_pipe):
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 128, 1))
     st = gaussian_state(grid, (1.0, 1.5, 1.0), [1.0, 0.5j])
     n0 = weighted_norm(st, mass)
-    out = evolve(st, pipe.dispersion.hessian, ray.mean_modes, 1e-3, 1000)
+    env = EnvelopeSolution(st, pipe.dispersion.hessian, ray.mean_modes, 1e-3)
+    out = env.state_at(1000 * 1e-3)
     n1 = weighted_norm(out, mass)
     assert abs(n1 - n0) / n0 <= 1e-10
 
@@ -109,11 +113,8 @@ def test_dissipative_norm_decreases(modulated_pipe):
     mass = projected_mass(pipe.band, op)
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 96, 1))
     st = gaussian_state(grid, (1.0, 1.5, 1.0), [1.0, 0.5j])
-    norms = [weighted_norm(st, mass)]
-    cur = st
-    for _ in range(4):
-        cur = evolve(cur, pipe.dispersion.hessian, ray.mean_modes, 1e-3, 100)
-        norms.append(weighted_norm(cur, mass))
+    env = EnvelopeSolution(st, pipe.dispersion.hessian, ray.mean_modes, 1e-3)
+    norms = [weighted_norm(env.state_at(n * 1e-3), mass) for n in (0, 100, 200, 300, 400)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
@@ -124,11 +125,17 @@ def test_strang_second_order(modulated_pipe):
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 96, 1))
     st = gaussian_state(grid, (1.0, 1.5, 1.0), [1.0, 0.5j])
     T = 0.32
-    ref = evolve(st, pipe.dispersion.hessian, pipe.ray.mean_modes, T / 1024, 1024)
+
+    def evolved(n):
+        dT = T / n
+        env = EnvelopeSolution(st, pipe.dispersion.hessian, pipe.ray.mean_modes, dT)
+        return env.state_at(n * dT)
+
+    ref = evolved(1024)
     errs = []
     dts = [T / 16, T / 32, T / 64]
     for n in (16, 32, 64):
-        out = evolve(st, pipe.dispersion.hessian, pipe.ray.mean_modes, T / n, n)
+        out = evolved(n)
         errs.append(float(np.max(np.abs(out.values - ref.values))))
     slope = -np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.1
@@ -148,7 +155,7 @@ def test_spectral_resolution_saturated(identity_pipe):
     for m in (96, 192):
         grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, m, 1))
         st = gaussian_state(grid, (1.0, 1.5, 1.0), [1.0, 0.0])
-        out[m] = evolve(st, hess, None, 1e-3, 200)
+        out[m] = EnvelopeSolution(st, hess, None, 1e-3).state_at(200 * 1e-3)
     coarse = out[96].values[:, :, :, 0]
     fine = out[192].values[:, :, ::2, 0]
     assert np.max(np.abs(coarse - fine)) < 1e-10
@@ -164,7 +171,8 @@ def test_growth_bound(modulated_pipe):
     pot = potential_on_grid(grid, pipe.ray.mean_modes, pipe.band.kappa)
     bound_rate = float(np.linalg.norm(pot.reshape(-1, 2, 2), ord=2, axis=(1, 2)).max())
     T = 0.8
-    out = evolve(st, pipe.dispersion.hessian, pipe.ray.mean_modes, 2e-3, 400)
+    env = EnvelopeSolution(st, pipe.dispersion.hessian, pipe.ray.mean_modes, 2e-3)
+    out = env.state_at(400 * 2e-3)
     assert l2_norm(out) <= np.exp(bound_rate * T) * l2_norm(st) * (1 + 1e-12)
 
 
@@ -196,6 +204,27 @@ def test_state_at_independent_of_query_order(modulated_pipe, T):
         assert direct is stepped
     else:
         assert np.max(np.abs(direct - stepped)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_state_at_depends_on_T_alone():
+    """On the shipped modulated config (dT = 2e-3) a query at 0.25 gives the
+    same bits after a query at 0.0015 as on its own: a remainder step is
+    never a base for later stepping."""
+    from blochpacket.cli import Pipeline
+    from blochpacket.config import load_config
+
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "wkb_modulated.json")
+    pipe = Pipeline(cfg)
+
+    def solution():
+        init = gaussian_state(cfg.grid, cfg.packet.widths, pipe.packet_weights())
+        return EnvelopeSolution(init, pipe.dispersion.hessian, pipe.ray.mean_modes,
+                                dT=cfg.envelope_dT)
+
+    env = solution()
+    env.state_at(0.0015)
+    assert cfg.envelope_dT == 2e-3
+    assert np.array_equal(env.state_at(0.25).values, solution().state_at(0.25).values)
 
 
 def test_field_hat_independent_of_query_order(modulated_pipe):
