@@ -230,7 +230,7 @@ class EnvelopeSolution:
         self._ks = self.grid.wave_meshgrid()
         self._q = dispersion_form(self.grid, np.asarray(hess, dtype=float))
         self._pot = potential_on_grid(self.grid, mean_modes, self.kappa) if mean_modes else None
-        self._step_ops = self._strang_ops(self.dT)
+        self._step_ops = self._strang_ops(self.dT) if mean_modes else None
 
     # -- stepping ----------------------------------------------------------
 
