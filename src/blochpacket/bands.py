@@ -23,12 +23,13 @@ pencil splits into one block per class of modes connected by that support
 (a layered medium at cutoff N has (2N+1)^2 classes, a medium structured
 along all three axes has one).  The classes are held one way, stacked by
 size: every stage (apply_blocks for A0 and the partial inverse, the reduced
-pencil, the projectors) makes one batched pass per class size, and only the
-clusters a caller inspects are lifted to full 6K vectors.  Two entry points
-solve the pencil: `solve_bands` returns the lowest bands, and
-`continue_band` follows one band to a nearby theta (path tracking,
-finite-difference stencils, synthesis quadrature nodes) through `op.at`,
-which reuses A0 and the class groups.
+pencil, the projectors) makes one batched pass per class size.  Eigenvalues
+are computed for every class, eigenvectors only for the classes owning a
+cluster a caller inspects, and only those clusters are lifted to full 6K
+vectors.  Two entry points solve the pencil: `solve_bands` returns the
+lowest bands, and `continue_band` follows one band to a nearby theta (path
+tracking, finite-difference stencils, synthesis quadrature nodes) through
+`op.at`, which reuses A0 and the class groups.
 
 The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
 phase that makes its largest entry real positive, kappa > 1 the rotation onto
@@ -38,13 +39,11 @@ transverse unit fields of the fourier.transverse_pair frame (see _fix_gauge).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import warnings
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CutoffMismatch,
@@ -78,8 +77,8 @@ class ClusterStraddle(UserWarning):
     """num_bands landed inside a multiplicity cluster; the cluster was kept whole."""
 
 
-def default_cluster_tol(omega: float) -> float:
-    return 1e-8 * max(1.0, abs(omega))
+def default_cluster_tol(omega):
+    return 1e-8 * np.maximum(1.0, np.abs(omega))
 
 
 @dataclass
@@ -205,17 +204,19 @@ def dynamic_subspace_basis(a0: np.ndarray, t: np.ndarray, ell: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 
 class _Pencil(NamedTuple):
-    """Eigenpairs of the pencil reduced to the dynamic subspace at one theta,
-    group by group.  vals holds every eigenvalue sorted by |omega| (negative
-    first on exact ties); with (g, c, k) = owner[:, i], eigenvalue i is
-    column k of member c of group g, whose rows, dynamic bases and reduced
-    eigenvectors are the stacks in blocks[g]."""
+    """The pencil on the dynamic subspace at one theta, group by group.  vals
+    holds every eigenvalue sorted by |omega| (negative first on exact ties);
+    with (g, c, k) = owner[:, i], eigenvalue i is column k of member c of
+    group g, whose rows, dynamic bases, inv(L)^H (L the mass's Cholesky
+    factor) and reduced pencils are the stacks in blocks[g].  vecs keeps the
+    eigenvectors of the members whose clusters were read."""
 
     op: BlochOperator
     frame: np.ndarray  # (K, 6, 4) transverse unit fields per mode
-    blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     vals: np.ndarray
     owner: np.ndarray  # (3, number of eigenvalues)
+    vecs: Dict[Tuple[int, int], np.ndarray]
 
 
 def _solve_pencil(op: BlochOperator) -> _Pencil:
@@ -226,33 +227,33 @@ def _solve_pencil(op: BlochOperator) -> _Pencil:
         dyn = dynamic_subspace_basis(a0, block_diagonal(frame[modes]),
                                      block_diagonal(kernel[modes]))
         g_dyn = (op.g_blocks[modes] @ dyn.reshape(modes.shape + (6, -1))).reshape(dyn.shape)
-        herm = _hermitian_part(_adjoint(dyn) @ (-1j * g_dyn))
         mass = _hermitian_part(_adjoint(dyn) @ a0 @ dyn)
         try:
-            np.linalg.cholesky(mass)
+            chol = np.linalg.cholesky(mass)
         except np.linalg.LinAlgError as exc:
             raise MaterialError("material mass matrix is not positive definite") from exc
-        w = np.empty(herm.shape[:2])
-        vecs = np.empty_like(herm)
-        # member by member: scipy batches eigh only from releases past its declared floor
-        for i in range(len(herm)):
-            w[i], vecs[i] = scipy.linalg.eigh(herm[i], mass[i])
-        blocks.append((rows, dyn, vecs))
+        # herm x = w mass x  <=>  red y = w y with x = inv(L)^H y
+        lift = _adjoint(np.linalg.inv(chol))
+        red = _hermitian_part(_adjoint(lift) @ (_adjoint(dyn) @ (-1j * g_dyn)) @ lift)
+        w = np.linalg.eigvalsh(red)
+        blocks.append((rows, dyn, lift, red))
         vals.append(w.ravel())
         owner.append(np.vstack([np.full(w.size, g), np.indices(w.shape).reshape(2, -1)]))
     vals = np.concatenate(vals)
     order = np.lexsort((np.sign(vals), np.abs(vals)))
-    return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner, axis=1)[:, order])
+    return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner, axis=1)[:, order], {})
 
 
 def _cluster_band(p: _Pencil, sel: List[int], omega: float, band_index: int) -> BlochBand:
-    """The cluster at omega (from _cluster_omegas) lifted to the full space,
+    """The cluster at omega (from _cluster) lifted to the full space,
     plain-orthonormal and gauge-fixed, with its residual in the pencil."""
     psi = np.zeros((6 * p.op.cutoff.num_modes, len(sel)), dtype=complex)
     for j, i in enumerate(sel):
-        g, c, k = p.owner[:, i]
-        rows, dyn, vecs = p.blocks[g]
-        psi[rows[c], j] = dyn[c] @ vecs[c][:, k]
+        g, c, k = p.owner[:, i].tolist()
+        rows, dyn, lift, red = p.blocks[g]
+        if (g, c) not in p.vecs:
+            p.vecs[g, c] = lift[c] @ np.linalg.eigh(red[c])[1]
+        psi[rows[c], j] = dyn[c] @ p.vecs[g, c][:, k]
     psi = _fix_gauge(_orthonormalize(psi), p.frame)
     return BlochBand(
         theta=p.op.theta,
@@ -264,8 +265,7 @@ def _cluster_band(p: _Pencil, sel: List[int], omega: float, band_index: int) -> 
     )
 
 
-def solve_bands(op: BlochOperator, num_bands: int,
-                cluster_tol: Optional[float] = None) -> List[BlochBand]:
+def solve_bands(op: BlochOperator, num_bands: int) -> List[BlochBand]:
     """Bands sorted by |omega| (negative first when |omega| agree within the
     cluster tolerance), clustered by multiplicity.  num_bands counts eigenvalues including multiplicity; a
     cluster straddling the cut is kept whole (with a warning)."""
@@ -278,8 +278,7 @@ def solve_bands(op: BlochOperator, num_bands: int,
     bands: List[BlochBand] = []
     count = 0
     indices = _band_indices(p.vals)
-    clusters = _cluster(p.vals, cluster_tol)
-    omegas = _cluster_omegas(p.vals, clusters)
+    clusters, omegas = _cluster(p.vals)
     for sel, omega in zip(clusters, omegas):
         if count >= num_bands:
             break
@@ -294,8 +293,7 @@ def solve_bands(op: BlochOperator, num_bands: int,
     return bands
 
 
-def continue_band(op: BlochOperator, theta, prev: BlochBand,
-                  cluster_tol: Optional[float] = None) -> Tuple[BlochBand, float]:
+def continue_band(op: BlochOperator, theta, prev: BlochBand) -> Tuple[BlochBand, float]:
     """The continuation of `prev` at a nearby theta, and its gap to the rest
     of the spectrum.
 
@@ -310,8 +308,7 @@ def continue_band(op: BlochOperator, theta, prev: BlochBand,
     matched cluster's multiplicity differs from prev's.
     """
     p = _solve_pencil(op.at(theta))
-    clusters = _cluster(p.vals, cluster_tol)
-    omegas = _cluster_omegas(p.vals, clusters)
+    clusters, omegas = _cluster(p.vals)
     near = np.abs(omegas - prev.omega) < 0.2 * max(1.0, abs(prev.omega))
     window = np.flatnonzero(near) if near.any() else range(len(clusters))
     indices = _band_indices(p.vals)
@@ -340,46 +337,33 @@ def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return basis @ (u @ vh)
 
 
-def _cluster(vals: np.ndarray, cluster_tol: Optional[float]) -> List[List[int]]:
+def _cluster(vals: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
     """Group indices of sorted-by-|omega| eigenvalues into clusters of equal
     omega, listed by |omega|, negative first among clusters whose |omega|
-    agree within the tolerance.  The branches are tracked separately so that
-    +-pairs interleaved by rounding still cluster correctly; branches never
-    merge."""
-
-    def tol(ref):
-        return cluster_tol if cluster_tol is not None else default_cluster_tol(ref)
-
+    agree within the tolerance, and the mean eigenvalue of each.  The
+    branches are tracked separately so that +-pairs interleaved by rounding
+    still cluster correctly; branches never merge."""
+    w = vals.tolist()
+    tol = default_cluster_tol(vals).tolist()
     clusters: List[List[int]] = []
-    open_cluster = {1: None, -1: None}
-    for i in range(len(vals)):
-        sgn = 1 if vals[i] >= 0 else -1
-        cur = open_cluster[sgn]
-        if cur is not None:
-            ref = vals[cur[0]]
-            if abs(vals[i] - ref) < tol(ref):
-                cur.append(i)
-                continue
+    open_cluster = {True: None, False: None}
+    for i, v in enumerate(w):
+        cur = open_cluster[v >= 0]
+        if cur is not None and abs(v - w[cur[0]]) < tol[cur[0]]:
+            cur.append(i)
+            continue
         cur = [i]
         clusters.append(cur)
-        open_cluster[sgn] = cur
-    clusters.sort(key=lambda sel: abs(vals[sel[0]]))
+        open_cluster[v >= 0] = cur
+    clusters.sort(key=lambda sel: abs(w[sel[0]]))
     # the |omega| of each cluster's tie group: the first cluster of the group
     keys, head = [], None
     for sel in clusters:
-        mag = abs(vals[sel[0]])
-        if head is None or mag - head >= tol(head):
-            head = mag
-        keys.append((head, vals[sel[0]] >= 0))
-    order = sorted(range(len(clusters)), key=keys.__getitem__)
-    return [clusters[c] for c in order]
-
-
-def _cluster_omegas(vals: np.ndarray, clusters: List[List[int]]) -> np.ndarray:
-    """Mean eigenvalue of every cluster, in one pass over the spectrum."""
-    members = np.fromiter(itertools.chain.from_iterable(clusters), dtype=int, count=len(vals))
-    label = np.repeat(np.arange(len(clusters)), [len(sel) for sel in clusters])
-    return np.bincount(label, weights=vals[members]) / np.bincount(label)
+        if head is None or abs(w[sel[0]]) - abs(w[head]) >= tol[head]:
+            head = sel[0]
+        keys.append((abs(w[head]), w[sel[0]] >= 0))
+    clusters = [clusters[c] for c in sorted(range(len(clusters)), key=keys.__getitem__)]
+    return clusters, np.array([sum(w[i] for i in sel) / len(sel) for sel in clusters])
 
 
 def _band_indices(vals: np.ndarray) -> np.ndarray:
@@ -487,8 +471,7 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
 # ---------------------------------------------------------------------------
 
 def track_band(op: BlochOperator, band: BlochBand, theta_path,
-               gap_tol: float = DEFAULT_GAP_TOL,
-               cluster_tol: Optional[float] = None) -> List[BlochBand]:
+               gap_tol: float = DEFAULT_GAP_TOL) -> List[BlochBand]:
     """Follow the multiplicity-kappa cluster along a theta path.
 
     Each point continues the previous one (continue_band), so successive
@@ -507,7 +490,7 @@ def track_band(op: BlochOperator, band: BlochBand, theta_path,
         if not tracked and np.allclose(theta, band.theta, rtol=0, atol=1e-15):
             tracked.append(band)
             continue
-        cur, gap = continue_band(op, theta, tracked[-1] if tracked else band, cluster_tol)
+        cur, gap = continue_band(op, theta, tracked[-1] if tracked else band)
         if gap < gap_tol:
             raise GapViolation(theta, gap, gap_tol)
         tracked.append(cur)

@@ -51,7 +51,7 @@ def _cluster_covers(band, idx: int) -> bool:
 
 
 def select_band(cfg: RunConfig, op: BlochOperator):
-    bands = solve_bands(op, cfg.num_bands, cluster_tol=cfg.tolerances.get("cluster_tol"))
+    bands = solve_bands(op, cfg.num_bands)
     sel = cfg.band_selector
     if "index" in sel:
         idx = int(sel["index"])

@@ -16,7 +16,6 @@ from .fieldio import material_from_dict
 from .fourier import LatticeCutoff, MaterialSpec
 
 DEFAULT_TOLERANCES = {
-    "cluster_tol": None,      # None: 1e-8 * max(1, |omega|)
     "gap_tol": 1e-6,
     "divisor_tol": 1e-9,
     "scalar_tol": 1e-8,
@@ -78,10 +77,11 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     _require(all(a > b for a, b in zip(h_list, h_list[1:])), "h_list must be strictly decreasing")
 
     tol = dict(DEFAULT_TOLERANCES)
+    unknown = set(doc.get("tolerances", {})) - set(tol)
+    _require(not unknown, f"unknown tolerances {sorted(unknown)}; settable: {sorted(tol)}")
     tol.update(doc.get("tolerances", {}))
     for name, val in tol.items():
-        if val is not None:
-            _require(val > 0, f"tolerance {name} must be positive")
+        _require(isinstance(val, (int, float)) and val > 0, f"tolerance {name} must be positive")
 
     horizon = float(doc.get("horizon", 1.0))
     _require(horizon > 0, "horizon must be positive")

@@ -196,6 +196,11 @@ class ProfileSet:
         not depend on h or on the sample times."""
         return residual_orders(self)
 
+    @cached_property
+    def residual_norms(self) -> Dict[str, Dict[Tuple[Eta, FieldKey], float]]:
+        """The norm of every entry of residual_tables, kept beside them."""
+        return {name: _norms(table) for name, table in self.residual_tables.items()}
+
 
 def build_profiles(band: BlochBand, projectors: ProjectorPair,
                    dispersion: DispersionData, ray_data: Optional[RayAverageData],
@@ -273,15 +278,20 @@ def _phases(etas, t: float, x: np.ndarray) -> Dict[Eta, np.ndarray]:
     }
 
 
+def _norms(table: TermTable) -> Dict[Tuple[Eta, FieldKey], float]:
+    return {entry: np.linalg.norm(vec) for entry, vec in table.items()}
+
+
 def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
                    x_comoving: np.ndarray,
-                   fields: Optional[Dict[FieldKey, np.ndarray]] = None):
+                   fields: Optional[Dict[FieldKey, np.ndarray]] = None,
+                   norms: Optional[Dict[Tuple[Eta, FieldKey], float]] = None):
     """Evaluate a term table at slow time T, time t, and comoving points.
 
     Physical positions are x = x_comoving + V t; the envelope is evaluated at
-    x_comoving directly.  `fields` holds the envelope values at these points
-    for (at least) the table's keys, when a caller evaluating several tables
-    has computed them once; otherwise they are evaluated here.  Returns
+    x_comoving directly.  `fields` (the envelope values at these points for
+    at least the table's keys) and `norms` (the norm of every table entry)
+    come from a caller that computed them once, or are computed here.  Returns
     (values (P, 6K), magnitude (P,)) where magnitude is the
     triangle-inequality bound sum |coef| * |phi| used as the cancellation
     scale.
@@ -290,6 +300,7 @@ def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
     x_phys = pts + profiles.dispersion.V[None, :] * t
     if fields is None:
         fields = _field_values(profiles, {key for (_eta, key) in table}, T, pts)
+    norms = _norms(table) if norms is None else norms
     phases = _phases({eta for (eta, _key) in table}, t, x_phys)
     dim = profiles.band.eigvecs.shape[0]
     vals = np.zeros((len(pts), dim), dtype=complex)
@@ -297,7 +308,7 @@ def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
     for (eta, key), vec in table.items():
         coef = phases[eta] * fields[key]
         vals += coef[:, None] * vec[None, :]
-        mag += np.abs(coef) * np.linalg.norm(vec)
+        mag += np.abs(coef) * norms[eta, key]
     return vals, mag
 
 
@@ -352,7 +363,8 @@ def residual(profiles: ProfileSet, h: float, t_max: Optional[float] = None,
     for t in ts:
         fields = _field_values(profiles, keys, h * t, pts)
         for name, table in orders.items():
-            vals, mag = evaluate_table(profiles, table, h * t, t, pts, fields=fields)
+            vals, mag = evaluate_table(profiles, table, h * t, t, pts, fields=fields,
+                                       norms=profiles.residual_norms[name])
             worst[name][0] = max(worst[name][0], float(np.linalg.norm(vals, axis=1).max()))
             worst[name][1] = max(worst[name][1], float(mag.max()))
     return {

@@ -5,7 +5,8 @@ import numpy as np
 from blochpacket.bands import BlochOperator, build_projectors, solve_bands
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
-from blochpacket.fourier import FourierField6, LatticeCutoff, apply_curl_block, apply_material
+from blochpacket.fourier import (FourierField6, LatticeCutoff, MaterialSpec, apply_curl_block,
+                                 apply_material, cross_matrix, trig_sum_on_grid)
 from blochpacket.rays import build_gamma, ray_average
 from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
 
@@ -33,6 +34,26 @@ class BandPipeline:
     def profiles(self, envelope):
         return build_profiles(self.band, self.projectors, self.dispersion, self.ray,
                               envelope, self.op)
+
+
+def cosine_3d(amplitude=0.2):
+    """eps0(y) = 1 + amplitude * (cos y1 + cos y2 + cos y3), mu0 = 1."""
+    eye = np.eye(3, dtype=complex)
+    eps0 = {(0, 0, 0): eye}
+    for a in range(3):
+        n = [0, 0, 0]
+        for sign in (1, -1):
+            n[a] = sign
+            eps0[tuple(n)] = 0.5 * amplitude * eye
+    return MaterialSpec(eps0=eps0, mu0={(0, 0, 0): eye}).validate()
+
+
+def parity_layered():
+    """eps0(y) = 1 + 0.2 cos(2 y1): even and odd n1 form separate classes, of
+    two sizes at cutoff 2."""
+    eye = np.eye(3, dtype=complex)
+    return MaterialSpec(eps0={(0, 0, 0): eye, (2, 0, 0): 0.1 * eye, (-2, 0, 0): 0.1 * eye},
+                        mu0={(0, 0, 0): eye}).validate()
 
 
 def dense_operator(spec, cutoff, theta):
@@ -201,3 +222,35 @@ def eval_hat_at_reference(grid, hat, points):
     tmp = np.einsum("abc,pc->abp", hat, e[2], optimize=True)
     tmp = np.einsum("abp,pb->ap", tmp, e[1], optimize=True)
     return np.einsum("ap,pa->p", tmp, e[0], optimize=True) / grid.num_points
+
+
+def speed_limit_reference(spec, V, num_samples, seed):
+    """speed_limit_check's worst (margin, xi), one direction at a time: per
+    direction the symbol matrices eps^{-1/2} cx(xi)^H mu^{-1} cx(xi)
+    eps^{-1/2} over the y-sample grid by einsum, their Hermitian part and one
+    eigvalsh, on a grid of 17 points along each axis the medium varies on."""
+    modes = list(spec.eps0) + list(spec.mu0)
+    ys = [np.linspace(0.0, 2 * np.pi, 17 if any(n[a] != 0 for n in modes) else 1,
+                      endpoint=False) for a in range(3)]
+    eps = trig_sum_on_grid(spec.eps0, *ys).reshape(-1, 3, 3)
+    mu = trig_sum_on_grid(spec.mu0, *ys).reshape(-1, 3, 3)
+    eps = 0.5 * (eps + np.conj(np.swapaxes(eps, -1, -2)))
+    mu = 0.5 * (mu + np.conj(np.swapaxes(mu, -1, -2)))
+    w, u = np.linalg.eigh(eps)
+    eps_inv_sqrt = np.einsum("nij,nj,nkj->nik", u, 1.0 / np.sqrt(w), u.conj())
+    inv_mu = np.linalg.inv(mu)
+    rng = np.random.default_rng(seed)
+    v = np.asarray(V, dtype=float)
+    worst, worst_xi = np.inf, None
+    for _ in range(num_samples):
+        xi = rng.standard_normal(3)
+        xi /= np.linalg.norm(xi)
+        cx = cross_matrix(-xi)
+        k = np.einsum("ij,njk,kl->nil", cx.conj().T, inv_mu, cx)
+        m = np.einsum("nij,njk,nkl->nil", eps_inv_sqrt, k, eps_inv_sqrt)
+        m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+        tau = float(np.sqrt(max(np.linalg.eigvalsh(m)[:, -1].max(), 0.0)))
+        margin = tau - float(np.dot(xi, v))
+        if margin < worst:
+            worst, worst_xi = margin, xi
+    return worst, worst_xi

@@ -6,13 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import apply_a0_reference, class_blocks, dense_operator
+from helpers import apply_a0_reference, class_blocks, cosine_3d, dense_operator, parity_layered
 
 from blochpacket import bands
 from blochpacket.bands import (
     BlochOperator,
     _fix_gauge,
     build_projectors,
+    continue_band,
     mode_classes,
     solve_bands,
     track_band,
@@ -32,26 +33,6 @@ from blochpacket.presets import identity_material, layered, scaled_identity
 
 THETA = np.array([0.3, 0.0, 0.0])
 THETA_OFF = np.array([0.3, 0.2, 0.0])
-
-
-def cosine_3d(amplitude=0.2):
-    """eps0(y) = 1 + amplitude * (cos y1 + cos y2 + cos y3), mu0 = 1."""
-    eye = np.eye(3, dtype=complex)
-    eps0 = {(0, 0, 0): eye}
-    for a in range(3):
-        n = [0, 0, 0]
-        for sign in (1, -1):
-            n[a] = sign
-            eps0[tuple(n)] = 0.5 * amplitude * eye
-    return MaterialSpec(eps0=eps0, mu0={(0, 0, 0): eye}).validate()
-
-
-def parity_layered():
-    """eps0(y) = 1 + 0.2 cos(2 y1): even and odd n1 form separate classes, of
-    two sizes at cutoff 2."""
-    eye = np.eye(3, dtype=complex)
-    return MaterialSpec(eps0={(0, 0, 0): eye, (2, 0, 0): 0.1 * eye, (-2, 0, 0): 0.1 * eye},
-                        mu0={(0, 0, 0): eye}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +213,67 @@ def _dense_pencil(op):
     return vals, dyn @ vecs
 
 
+def _pencils(monkeypatch):
+    """Every reduced pencil that the band solves build, in call order."""
+    built = []
+    solve = bands._solve_pencil
+    monkeypatch.setattr(bands, "_solve_pencil", lambda op: built.append(solve(op)) or built[-1])
+    return built
+
+
 @pytest.mark.parametrize("spec, cutoff",
                          [(layered(0.2), 2), (cosine_3d(), 1), (parity_layered(), 2)],
                          ids=["layered", "cosine_3d", "parity"])
-def test_block_solve_matches_dense_pencil(spec, cutoff):
+def test_block_solve_matches_dense_pencil(spec, cutoff, monkeypatch):
+    """All bands of the dynamic subspace: every class member's eigenvectors
+    get built, and every cluster's eigenspace is the dense pencil's."""
+    pencils = _pencils(monkeypatch)
     op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
     vals, vecs = _dense_pencil(op)
     bands = solve_bands(op, len(vals))
+    (p,) = pencils
+    assert set(p.vecs) == set(map(tuple, p.owner[:2].T.tolist()))
     got = np.sort(np.concatenate([[b.omega] * b.kappa for b in bands]))
     assert np.max(np.abs(got - vals)) < 1e-12
-    for b in bands[:12]:
+    for b in bands:
         sel = np.abs(vals - b.omega) < 1e-8
         assert sel.sum() == b.kappa
         ref, _r = np.linalg.qr(vecs[:, sel])
         overlap = np.linalg.svd(b.eigvecs.conj().T @ ref, compute_uv=False)
         assert overlap.min() > 1 - 1e-10
+
+
+def test_eigenvectors_built_only_for_clusters_read(monkeypatch):
+    """Layered medium, 25 classes: solve_bands builds eigenvectors only for
+    the members owning a returned cluster, continue_band only for members
+    owning a cluster near the tracked omega."""
+    pencils = _pencils(monkeypatch)
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
+    got = solve_bands(op, 4)
+    continue_band(op, THETA_OFF + [0.005, 0.0, 0.0], got[1])
+    solved, continued = pencils
+    omegas = np.array([b.omega for b in got])
+    near = np.abs(solved.vals[:, None] - omegas).min(axis=1) < 1e-8
+    assert set(solved.vecs) == set(map(tuple, solved.owner[:2, near].T.tolist()))
+    assert len(solved.vecs) < 25 and 0 < len(continued.vecs) < 25
+
+
+def test_continuation_across_symmetry_allowed_crossing():
+    """theta2 = 0.45 -> 0.55 crosses theta2 = 1/2, where the band of the
+    transverse mode n2 = 0 meets, by the mirror symmetry of the layers, that
+    of n2 = -1.  The nearest omega after the step is the other branch (in
+    another class, so with no overlap); the continuation must stay on its
+    own."""
+    start = np.array([0.3, 0.45, 0.0])
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), start)
+    band = next(b for b in solve_bands(op, 4) if b.band_index == 1)
+    end = start + [0.0, 0.1, 0.0]
+    cont, gap = continue_band(op, end, band)
+    nearest = min(solve_bands(op.at(end), 8), key=lambda b: abs(b.omega - band.omega))
+    assert abs(nearest.omega - band.omega) < 1e-12 < abs(cont.omega - band.omega)
+    assert np.linalg.norm(nearest.eigvecs.conj().T @ cont.eigvecs) == 0.0
+    assert abs(cont.eigvecs.conj().T @ band.eigvecs).item() > 0.9
+    assert cont.kappa == 1 and cont.residual < bands.RESIDUAL_TOL and gap > bands.DEFAULT_GAP_TOL
 
 
 def _dense_pi_q(proj):

@@ -57,6 +57,12 @@ def test_negative_tolerance_exits_2(tmp_path):
     assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_unknown_tolerance_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"tolerances": {"cluster_tol": 1e-6}})
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "cluster_tol" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["bands", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -4,6 +4,7 @@ propagation speed limit, each checked against an independent route."""
 import numpy as np
 import pytest
 
+from blochpacket import dispersion
 from blochpacket.dispersion import (
     fd_group_velocity,
     fd_hessian,
@@ -14,6 +15,7 @@ from blochpacket.dispersion import (
 )
 from blochpacket.errors import SpeedLimitViolation
 from blochpacket.presets import identity_material, scaled_identity
+from helpers import BandPipeline, cosine_3d, speed_limit_reference
 
 THETA = np.array([0.3, 0.0, 0.0])
 
@@ -137,8 +139,6 @@ def test_speed_limit_identity(identity_pipe):
 
 def test_speed_limit_scaled_medium():
     pipe_spec = scaled_identity(eps=4.0)
-    from helpers import BandPipeline
-
     pipe = BandPipeline(pipe_spec, 1, THETA, band_index=1)
     assert np.linalg.norm(pipe.dispersion.V) <= 0.5 + 1e-12
     rep = speed_limit_check(pipe_spec, pipe.dispersion.V, num_samples=200, seed=2)
@@ -154,3 +154,24 @@ def test_speed_limit_layered(offaxis_layered_pipe):
 def test_speed_limit_violation_detected():
     with pytest.raises(SpeedLimitViolation):
         speed_limit_check(identity_material(), [2.0, 0.0, 0.0], num_samples=50, seed=4)
+
+
+@pytest.mark.parametrize("case, num_samples", [
+    # 17 grid points: 240 directions per chunk, so 1000 ends on a partial chunk
+    ("layered", 1000), ("layered_anisotropic", 1000),
+    # exactly two chunks
+    ("layered", 480),
+    # one direction's 17^3 grid exceeds the chunk budget
+    ("cosine_3d", 20),
+])
+def test_speed_limit_matches_direction_loop(case, num_samples, offaxis_layered_pipe, aniso_pipe):
+    if case == "cosine_3d":
+        pipe = BandPipeline(cosine_3d(), 1, [0.3, 0.2, 0.0])
+        assert 17 ** 3 > dispersion.TAU_CHUNK
+    else:
+        pipe = offaxis_layered_pipe if case == "layered" else aniso_pipe
+        assert dispersion.TAU_CHUNK // 17 == 240
+    rep = speed_limit_check(pipe.spec, pipe.dispersion.V, num_samples=num_samples, seed=7)
+    worst, worst_xi = speed_limit_reference(pipe.spec, pipe.dispersion.V, num_samples, seed=7)
+    assert np.array_equal(rep["worst_xi"], worst_xi)
+    assert abs(rep["worst_margin"] - worst) <= 1e-14
