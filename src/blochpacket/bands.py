@@ -1,11 +1,20 @@
 """Bloch eigenproblem for the periodic Maxwell operator at fixed theta.
 
 The spectral problem  i*omega*A0*psi = G*psi  (A0 the block material, G the
-curl block at theta) is solved on the dynamic subspace, i.e. on fields whose
-E and B parts satisfy the discrete divergence constraints div(eps0 E) =
-div(mu0 B) = 0.  That subspace is the A0-orthogonal complement of the curl
-kernel; restricted there the problem is Hermitian definite and has no zero
-eigenvalues.
+curl block at theta) is solved on the transverse unknowns.  G vanishes on
+the curl kernel (E and B along theta + n) and maps into its plain-orthogonal
+complement, so with T the (K, 6, 4) frame of transverse unit fields
+(fourier.transverse_field_blocks), -iG = T Gt T^H with Gt = T^H (-iG) T one
+4x4 block per mode.  Since AB and BA share their nonzero eigenvalues, the
+nonzero spectrum of -iG x = omega A0 x is that of Gt T^H inv(A0) T, hence of
+the Hermitian L^H Gt L with L L^H = T^H inv(A0) T: 4K unknowns, no zero
+eigenvalues.  An eigenvector y lifts to x = inv(A0) T inv(L)^H y, which
+satisfies the discrete divergence constraints div(eps0 E) = div(mu0 B) = 0
+by construction (A0 x lies in the span of T, which is plain-orthogonal to
+the curl kernel).  inv(A0) enters as li^H li, li the inverse Cholesky
+factor of each class block of A0: BlochOperator.build computes it once
+(and raises MaterialError if A0 is not positive definite), and `op.at`
+shares it.
 
 Eigenvalues are returned grouped into multiplicity clusters.  Band numbering
 counts nonzero eigenvalues outward from zero: positive frequencies ascending
@@ -17,8 +26,8 @@ index of its first member).  Clusters are listed by |omega|; a +-pair whose
 Everything downstream is built from one BlochOperator: the medium, the
 cutoff, theta, A0 as blocks of the mode classes and G as one block per mode
 (nothing 6K x 6K unless one class holds every mode).  A0 couples plane-wave
-modes n, m only when n - m is in the Fourier support of eps0 or mu0, and G,
-the transverse and longitudinal fields are diagonal over modes; so the
+modes n, m only when n - m is in the Fourier support of eps0 or mu0, and G
+and the transverse frame are diagonal over modes; so the
 pencil splits into one block per class of modes connected by that support
 (a layered medium at cutoff N has (2N+1)^2 classes, a medium structured
 along all three axes has one).  The classes are held one way, stacked by
@@ -29,7 +38,9 @@ cluster a caller inspects, and only those clusters are lifted to full 6K
 vectors.  Two entry points solve the pencil: `solve_bands` returns the
 lowest bands, and `continue_band` follows one band to a nearby theta (path
 tracking, finite-difference stencils, synthesis quadrature nodes) through
-`op.at`, which reuses A0 and the class groups.
+`op.at`, which reuses A0, its factor and the class groups; it scores the
+candidate clusters on their orthonormal columns, and only the matched one
+is rotated onto the previous basis and gets a residual.
 
 The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
 phase that makes its largest entry real positive, kappa > 1 the rotation onto
@@ -44,6 +55,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     CutoffMismatch,
@@ -56,9 +68,7 @@ from .fourier import (
     MaterialSpec,
     apply_mode_blocks,
     base_material_matrix,
-    block_diagonal,
     curl_matrix,
-    longitudinal_field_blocks,
     transverse_field_blocks,
     _check_theta,
 )
@@ -133,14 +143,17 @@ class BlochOperator:
     """The Bloch pencil i*omega*A0 - G(theta) of one medium at one cutoff and
     theta.  A0 is block diagonal over the mode classes (mode_classes); the
     classes are held by size, one (modes (n, m), rows (n, 6m), A0 blocks
-    (n, 6m, 6m)) group per class size m, and G as (K, 6, 6) per-mode blocks.
-    No array is 6K x 6K unless one class holds every mode.  A0 and the
-    groups do not depend on theta, so `at` (nearby theta) shares them."""
+    (n, 6m, 6m), li) group per class size m, and G as (K, 6, 6) per-mode
+    blocks; li is inv(C) for the Cholesky factor C C^H of each A0 block, so
+    inv(A0) = li^H li.  build raises MaterialError when a block is not
+    positive definite.  No array is 6K x 6K unless one class holds every
+    mode.  A0, li and the groups do not depend on theta, so `at` (nearby
+    theta) shares them."""
 
     spec: MaterialSpec
     cutoff: LatticeCutoff
     theta: np.ndarray
-    groups: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    groups: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     g_blocks: np.ndarray
 
     @classmethod
@@ -151,17 +164,18 @@ class BlochOperator:
                  for m in sorted({len(c) for c in classes})]
         rows = [(6 * mm[..., None] + np.arange(6)).reshape(len(mm), -1) for mm in modes]
         a0 = base_material_matrix(spec, cutoff, modes)
-        return cls(spec, cutoff, theta, tuple(zip(modes, rows, a0)), curl_matrix(cutoff, theta))
+        return cls(spec, cutoff, theta, tuple(zip(modes, rows, a0, map(_inverse_factor, a0))),
+                   curl_matrix(cutoff, theta))
 
     def at(self, theta) -> "BlochOperator":
-        """The same medium and cutoff at another theta (A0 and the groups
-        shared, G rebuilt)."""
+        """The same medium and cutoff at another theta (A0, its factor and the
+        groups shared, G rebuilt)."""
         theta = _check_theta(theta)
         return dataclasses.replace(self, theta=theta, g_blocks=curl_matrix(self.cutoff, theta))
 
     def apply_a0(self, v: np.ndarray) -> np.ndarray:
         """A0 v for v of shape (6K,) or (6K, m)."""
-        return apply_blocks([(rows, a0) for _modes, rows, a0 in self.groups], v)
+        return apply_blocks([(rows, a0) for _modes, rows, a0, _li in self.groups], v)
 
     def pencil(self, omega: float, v: np.ndarray) -> np.ndarray:
         """(i*omega*A0 - G) v for v of shape (6K,) or (6K, m)."""
@@ -188,15 +202,12 @@ def mode_classes(spec: MaterialSpec, cutoff: LatticeCutoff) -> Tuple[np.ndarray,
     return tuple(np.flatnonzero(label == root) for root in np.unique(label))
 
 
-def dynamic_subspace_basis(a0: np.ndarray, t: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """Columns spanning {v : div(eps0 E)=div(mu0 B)=0} within mode classes
-    (a0 their (..., 6m, 6m) blocks of A0, t and ell their transverse and
-    longitudinal unit fields), built by A0-orthogonalizing t against the curl
-    kernel ell."""
-    a0_ell = a0 @ ell
-    gram = _adjoint(ell) @ a0_ell
-    coup = _adjoint(a0_ell) @ t
-    return t - ell @ np.linalg.solve(gram, coup)
+def _inverse_factor(a0: np.ndarray) -> np.ndarray:
+    """inv(C) for the Cholesky factor C C^H = a0 of each block of a stack."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(a0))
+    except np.linalg.LinAlgError as exc:
+        raise MaterialError("base material A0 is not positive definite") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +215,18 @@ def dynamic_subspace_basis(a0: np.ndarray, t: np.ndarray, ell: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 
 class _Pencil(NamedTuple):
-    """The pencil on the dynamic subspace at one theta, group by group.  vals
-    holds every eigenvalue sorted by |omega| (negative first on exact ties);
-    with (g, c, k) = owner[:, i], eigenvalue i is column k of member c of
-    group g, whose rows, dynamic bases, inv(L)^H (L the mass's Cholesky
-    factor) and reduced pencils are the stacks in blocks[g].  vecs keeps the
-    eigenvectors of the members whose clusters were read."""
+    """The pencil on the transverse unknowns at one theta, group by group
+    (see the module docstring): W = li T, L L^H = W^H W and red = L^H Gt L
+    per class.  vals holds every eigenvalue of red sorted by |omega|
+    (negative first on exact ties); with (g, c, k) = owner[:, i], eigenvalue
+    i is column k of member c of group g, whose rows, li, W, L and red are
+    the stacks in blocks[g].  vecs keeps inv(L)^H times the eigenvectors of
+    red for the members whose clusters were read; column k lifts to the
+    eigenvector li^H W inv(L)^H y_k."""
 
     op: BlochOperator
     frame: np.ndarray  # (K, 6, 4) transverse unit fields per mode
-    blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    blocks: List[Tuple[np.ndarray, ...]]
     vals: np.ndarray
     owner: np.ndarray  # (3, number of eigenvalues)
     vecs: Dict[Tuple[int, int], np.ndarray]
@@ -221,44 +234,45 @@ class _Pencil(NamedTuple):
 
 def _solve_pencil(op: BlochOperator) -> _Pencil:
     frame = transverse_field_blocks(op.cutoff, op.theta)
-    kernel = longitudinal_field_blocks(op.cutoff, op.theta)
+    g_t = _adjoint(frame) @ (-1j * op.g_blocks) @ frame
     blocks, vals, owner = [], [], []
-    for g, (modes, rows, a0) in enumerate(op.groups):
-        dyn = dynamic_subspace_basis(a0, block_diagonal(frame[modes]),
-                                     block_diagonal(kernel[modes]))
-        g_dyn = (op.g_blocks[modes] @ dyn.reshape(modes.shape + (6, -1))).reshape(dyn.shape)
-        mass = _hermitian_part(_adjoint(dyn) @ a0 @ dyn)
-        try:
-            chol = np.linalg.cholesky(mass)
-        except np.linalg.LinAlgError as exc:
-            raise MaterialError("material mass matrix is not positive definite") from exc
-        # herm x = w mass x  <=>  red y = w y with x = inv(L)^H y
-        lift = _adjoint(np.linalg.inv(chol))
-        red = _hermitian_part(_adjoint(lift) @ (_adjoint(dyn) @ (-1j * g_dyn)) @ lift)
-        w = np.linalg.eigvalsh(red)
-        blocks.append((rows, dyn, lift, red))
-        vals.append(w.ravel())
-        owner.append(np.vstack([np.full(w.size, g), np.indices(w.shape).reshape(2, -1)]))
+    for g, (modes, rows, _a0, li) in enumerate(op.groups):
+        n, m = modes.shape
+        # W = li T one mode column block at a time: T couples no two modes
+        w = (li.reshape(n, 6 * m, m, 6).swapaxes(1, 2) @ frame[modes]).swapaxes(1, 2)
+        w = w.reshape(n, 6 * m, 4 * m)
+        chol = np.linalg.cholesky(_adjoint(w) @ w)
+        g_chol = (g_t[modes] @ chol.reshape(n, m, 4, 4 * m)).reshape(chol.shape)
+        red = _hermitian_part(_adjoint(chol) @ g_chol)
+        vals_g = np.linalg.eigvalsh(red)
+        blocks.append((rows, li, w, chol, red))
+        vals.append(vals_g.ravel())
+        owner.append(np.vstack([np.full(vals_g.size, g), np.indices(vals_g.shape).reshape(2, -1)]))
     vals = np.concatenate(vals)
     order = np.lexsort((np.sign(vals), np.abs(vals)))
     return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner, axis=1)[:, order], {})
 
 
-def _cluster_band(p: _Pencil, sel: List[int], omega: float, band_index: int) -> BlochBand:
-    """The cluster at omega (from _cluster) lifted to the full space,
-    plain-orthonormal and gauge-fixed, with its residual in the pencil."""
+def _cluster_span(p: _Pencil, sel: List[int]) -> np.ndarray:
+    """Plain-orthonormal columns spanning the eigenspace of the cluster sel
+    (from _cluster), lifted to the full space."""
     psi = np.zeros((6 * p.op.cutoff.num_modes, len(sel)), dtype=complex)
     for j, i in enumerate(sel):
         g, c, k = p.owner[:, i].tolist()
-        rows, dyn, lift, red = p.blocks[g]
+        rows, li, w, chol, red = p.blocks[g]
         if (g, c) not in p.vecs:
-            p.vecs[g, c] = lift[c] @ np.linalg.eigh(red[c])[1]
-        psi[rows[c], j] = dyn[c] @ p.vecs[g, c][:, k]
-    psi = _fix_gauge(_orthonormalize(psi), p.frame)
+            p.vecs[g, c] = scipy.linalg.solve_triangular(
+                chol[c], np.linalg.eigh(red[c])[1], trans="C", lower=True)
+        psi[rows[c], j] = _adjoint(li[c]) @ (w[c] @ p.vecs[g, c][:, k])
+    return _orthonormalize(psi)
+
+
+def _band(p: _Pencil, psi: np.ndarray, omega: float, band_index: int) -> BlochBand:
+    """The band with eigenbasis psi at omega, with its residual in the pencil."""
     return BlochBand(
         theta=p.op.theta,
         omega=float(omega),
-        kappa=len(sel),
+        kappa=psi.shape[1],
         eigvecs=psi,
         band_index=band_index,
         residual=_residual(p.op, psi, omega),
@@ -289,7 +303,8 @@ def solve_bands(op: BlochOperator, num_bands: int) -> List[BlochBand]:
                 ClusterStraddle,
             )
         count += len(sel)
-        bands.append(_cluster_band(p, sel, omega, indices[sel[0]]))
+        psi = _fix_gauge(_cluster_span(p, sel), p.frame)
+        bands.append(_band(p, psi, omega, indices[sel[0]]))
     return bands
 
 
@@ -313,22 +328,26 @@ def continue_band(op: BlochOperator, theta, prev: BlochBand) -> Tuple[BlochBand,
     window = np.flatnonzero(near) if near.any() else range(len(clusters))
     indices = _band_indices(p.vals)
 
+    # the overlap depends on the span only, so candidates are scored on
+    # their orthonormal columns before any gauge is fixed
     best, best_c, best_overlap = None, -1, -1.0
     for c in window:
-        cand = _cluster_band(p, clusters[c], omegas[c], indices[clusters[c][0]])
-        s = np.linalg.svd(cand.eigvecs.conj().T @ prev.eigvecs, compute_uv=False)
+        span = _cluster_span(p, clusters[c])
+        s = np.linalg.svd(span.conj().T @ prev.eigvecs, compute_uv=False)
         overlap = s.min() if len(s) >= prev.kappa else 0.0
         if overlap > best_overlap:
-            best, best_c, best_overlap = cand, c, overlap
-    if best.kappa != prev.kappa:
+            best, best_c, best_overlap = span, c, overlap
+    if best.shape[1] != prev.kappa:
         raise MultiplicityInconsistent(
-            f"tracked cluster multiplicity changed from {prev.kappa} to {best.kappa} "
+            f"tracked cluster multiplicity changed from {prev.kappa} to {best.shape[1]} "
             f"at theta={tuple(p.op.theta)}"
         )
+    omega = omegas[best_c]
     others = np.delete(omegas, best_c)
-    gap = float(np.min(np.abs(others - best.omega))) if len(others) else np.inf
-    best.eigvecs = procrustes_align(best.eigvecs, prev.eigvecs)
-    return best, gap
+    gap = float(np.min(np.abs(others - omega))) if len(others) else np.inf
+    # the Procrustes rotation fixes the gauge from the span alone
+    psi = procrustes_align(best, prev.eigvecs)
+    return _band(p, psi, omega, indices[clusters[best_c][0]]), gap
 
 
 def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -442,7 +461,7 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
     # eigenpairs of -i * (i omega A0 - G) per class, stacked by class size;
     # the matrix is not kept
     spectra = []
-    for modes, rows, a0 in op.groups:
+    for modes, rows, a0, _li in op.groups:
         herm = band.omega * a0
         n, m = modes.shape
         i = np.arange(m)

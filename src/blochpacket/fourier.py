@@ -1,7 +1,7 @@
 """Plane-wave representation of periodic 6-component fields and the basic
 operators acting on them: the curl block at Bloch frequency theta, material
-multiplication (coefficient-space convolution), and the transverse /
-longitudinal mode splitting.
+multiplication (coefficient-space convolution), and the transverse unit
+fields of each mode.
 
 Conventions
 -----------
@@ -224,7 +224,7 @@ def apply_curl_direction(j: int, coeffs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Transverse / longitudinal splitting
+# Transverse splitting
 # ---------------------------------------------------------------------------
 
 def _check_theta(theta):
@@ -272,24 +272,6 @@ def transverse_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
     return np.stack([u1, u2], axis=1)
 
 
-def longitudinal_unit(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(K, 3) unit vectors along theta + n (the per-mode curl kernel direction)."""
-    theta = _check_theta(theta)
-    v = wavevectors(cutoff, theta)
-    return v / np.linalg.norm(v, axis=1)[:, None]
-
-
-def block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal matrix of a (..., k, r, c) stack of blocks; shape
-    (..., k*r, k*c), one matrix per leading index."""
-    *lead, k, r, c = blocks.shape
-    out = np.zeros((*lead, k, r, k, c), dtype=blocks.dtype)
-    i = np.arange(k)
-    # the paired index moves to the front of the indexed view
-    out[..., i, :, i, :] = np.moveaxis(blocks, -3, 0)
-    return out.reshape(*lead, k * r, k * c)
-
-
 def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
     """(K, 6, 4) per-mode transverse E/B unit fields.
 
@@ -302,15 +284,6 @@ def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
     for a in range(2):
         blocks[:, :3, a] = u[:, a]
         blocks[:, 3:, 2 + a] = u[:, a]
-    return blocks
-
-
-def longitudinal_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(K, 6, 2) per-mode curl-kernel fields: E and B along theta + n."""
-    vhat = longitudinal_unit(cutoff, theta)
-    blocks = np.zeros((cutoff.num_modes, 6, 2), dtype=complex)
-    blocks[:, :3, 0] = vhat
-    blocks[:, 3:, 1] = vhat
     return blocks
 
 

@@ -5,8 +5,9 @@ import numpy as np
 from blochpacket.bands import BlochOperator, build_projectors, solve_bands
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
-from blochpacket.fourier import (FourierField6, LatticeCutoff, MaterialSpec, apply_curl_block,
-                                 apply_material, cross_matrix, trig_sum_on_grid)
+from blochpacket.fourier import (FourierField6, LatticeCutoff, MaterialSpec, _check_theta,
+                                 apply_curl_block, apply_material, cross_matrix, trig_sum_on_grid,
+                                 wavevectors)
 from blochpacket.rays import build_gamma, ray_average
 from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
 
@@ -54,6 +55,33 @@ def parity_layered():
     eye = np.eye(3, dtype=complex)
     return MaterialSpec(eps0={(0, 0, 0): eye, (2, 0, 0): 0.1 * eye, (-2, 0, 0): 0.1 * eye},
                         mu0={(0, 0, 0): eye}).validate()
+
+
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix of a (..., k, r, c) stack of blocks; shape
+    (..., k*r, k*c), one matrix per leading index."""
+    *lead, k, r, c = blocks.shape
+    out = np.zeros((*lead, k, r, k, c), dtype=blocks.dtype)
+    i = np.arange(k)
+    # the paired index moves to the front of the indexed view
+    out[..., i, :, i, :] = np.moveaxis(blocks, -3, 0)
+    return out.reshape(*lead, k * r, k * c)
+
+
+def longitudinal_unit(cutoff: LatticeCutoff, theta) -> np.ndarray:
+    """(K, 3) unit vectors along theta + n (the per-mode curl kernel direction)."""
+    theta = _check_theta(theta)
+    v = wavevectors(cutoff, theta)
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def longitudinal_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
+    """(K, 6, 2) per-mode curl-kernel fields: E and B along theta + n."""
+    vhat = longitudinal_unit(cutoff, theta)
+    blocks = np.zeros((cutoff.num_modes, 6, 2), dtype=complex)
+    blocks[:, :3, 0] = vhat
+    blocks[:, 3:, 1] = vhat
+    return blocks
 
 
 def dense_operator(spec, cutoff, theta):
@@ -166,7 +194,7 @@ def residual_reference(profiles, h, t_max, num_t=5, num_x=5):
 def class_blocks(op):
     """(modes, rows, A0 block) of each mode class, read out of the operator's
     per-size groups."""
-    for modes, rows, a0 in op.groups:
+    for modes, rows, a0, _li in op.groups:
         yield from zip(modes, rows, a0)
 
 

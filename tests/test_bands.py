@@ -6,7 +6,15 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import apply_a0_reference, class_blocks, cosine_3d, dense_operator, parity_layered
+from helpers import (
+    apply_a0_reference,
+    block_diagonal,
+    class_blocks,
+    cosine_3d,
+    dense_operator,
+    longitudinal_field_blocks,
+    parity_layered,
+)
 
 from blochpacket import bands
 from blochpacket.bands import (
@@ -23,8 +31,6 @@ from blochpacket.fourier import (
     LatticeCutoff,
     MaterialSpec,
     base_material_matrix,
-    block_diagonal,
-    longitudinal_field_blocks,
     transverse_field_blocks,
     transverse_pair,
 )
@@ -106,9 +112,11 @@ def test_orthonormality(offaxis_layered_pipe):
 
 
 def test_indefinite_material_rejected():
+    """The A0 factor is computed when the operator is built, so building the
+    operator alone rejects an indefinite material."""
     bad = MaterialSpec(eps0={(0, 0, 0): -np.eye(3)}, mu0={(0, 0, 0): np.eye(3)})
     with pytest.raises(MaterialError):
-        solve_bands(BlochOperator.build(bad, LatticeCutoff(1), THETA), 4)
+        BlochOperator.build(bad, LatticeCutoff(1), THETA)
 
 
 def test_num_bands_exceeding_dynamic_dimension():
@@ -151,10 +159,23 @@ def test_single_class_yields_the_stored_block(monkeypatch):
 
     monkeypatch.setattr(bands, "base_material_matrix", keep)
     op = BlochOperator.build(cosine_3d(), LatticeCutoff(1), THETA_OFF)
-    (_modes, rows, a0), = op.groups
+    (_modes, rows, a0, _li), = op.groups
     assert a0 is filled[0] and op.at(THETA).groups[0][2] is a0
     assert a0.shape == (1, 6 * op.cutoff.num_modes, 6 * op.cutoff.num_modes)
     assert np.array_equal(rows[0], np.arange(6 * op.cutoff.num_modes))
+
+
+@pytest.mark.parametrize("spec", [cosine_3d(), parity_layered()], ids=["cosine_3d", "parity"])
+def test_at_shares_the_a0_factor(spec):
+    """Each group's li is the inverse of the Cholesky factor of its A0
+    blocks, computed once by build: op.at holds the same array."""
+    op = BlochOperator.build(spec, LatticeCutoff(2), THETA_OFF)
+    moved = op.at(THETA)
+    for (_m, _r, a0, li), (_m2, _r2, a0_at, li_at) in zip(op.groups, moved.groups):
+        assert a0_at is a0 and li_at is li
+        eye = np.eye(a0.shape[-1])
+        assert np.max(np.abs(li @ a0 @ li.conj().swapaxes(-1, -2) - eye)) < 1e-12
+        assert not np.any(np.triu(li, 1))
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])
@@ -200,8 +221,10 @@ def test_no_dense_operator_arrays_held(offaxis_layered_pipe):
 
 
 def _dense_pencil(op):
-    """Eigenvalues (sorted) and eigenvectors of the reduced pencil solved as
-    one dense generalized problem on all 4K transverse unknowns."""
+    """Eigenvalues (sorted) and eigenvectors of the pencil solved as one
+    dense generalized problem on the dynamic subspace: the 4K transverse
+    fields A0-orthogonalized against the curl kernel, a route independent of
+    the solver's reduction through inv(A0)."""
     a0, g = dense_operator(op.spec, op.cutoff, op.theta)
     t = block_diagonal(transverse_field_blocks(op.cutoff, op.theta))
     ell = block_diagonal(longitudinal_field_blocks(op.cutoff, op.theta))
@@ -241,6 +264,25 @@ def test_block_solve_matches_dense_pencil(spec, cutoff, monkeypatch):
         ref, _r = np.linalg.qr(vecs[:, sel])
         overlap = np.linalg.svd(b.eigvecs.conj().T @ ref, compute_uv=False)
         assert overlap.min() > 1 - 1e-10
+
+
+@pytest.mark.parametrize("spec, cutoff", [(layered(0.2), 2), (cosine_3d(), 1)],
+                         ids=["layered", "cosine_3d"])
+def test_continuation_matches_dense_pencil(spec, cutoff):
+    """continue_band at a finite-difference stencil point: its eigenvalue is
+    the dense pencil's to 1e-12, and its eigenspace the dense eigenspace
+    (projectors within 1e-9)."""
+    op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    theta = THETA_OFF + [5e-3, 2.5e-3, 0.0]
+    cont, _gap = continue_band(op, theta, band)
+    vals, vecs = _dense_pencil(op.at(theta))
+    sel = np.abs(vals - cont.omega) < 1e-8
+    assert sel.sum() == cont.kappa
+    assert np.max(np.abs(vals[sel] - cont.omega)) < 1e-12
+    ref, _r = np.linalg.qr(vecs[:, sel])
+    dist = cont.eigvecs @ cont.eigvecs.conj().T - ref @ ref.conj().T
+    assert np.linalg.norm(dist, 2) < 1e-9
 
 
 def test_eigenvectors_built_only_for_clusters_read(monkeypatch):

@@ -3,7 +3,7 @@ Parseval, and the pointwise coercivity inequality."""
 
 import numpy as np
 import pytest
-from helpers import dense_operator
+from helpers import block_diagonal, dense_operator, longitudinal_unit
 
 from blochpacket.errors import CutoffMismatch, GammaPointError, MaterialError
 from blochpacket.fourier import (
@@ -12,12 +12,10 @@ from blochpacket.fourier import (
     MaterialSpec,
     apply_curl_block,
     apply_material,
-    block_diagonal,
     cell_grid,
     field_on_grid,
     grid_inner,
     inner,
-    longitudinal_unit,
     material_on_grid,
     norm,
     random_field,

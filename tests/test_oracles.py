@@ -418,9 +418,7 @@ def test_time_domain_stationary_gradients_fixed():
 def test_dynamic_stationary_weighted_orthogonality(offaxis_layered_pipe):
     """Eigenvectors of the dynamic problem are orthogonal to curl-free data in
     the material-weighted product."""
-    from helpers import dense_operator
-
-    from blochpacket.fourier import block_diagonal, longitudinal_field_blocks
+    from helpers import block_diagonal, dense_operator, longitudinal_field_blocks
 
     pipe = offaxis_layered_pipe
     a0, _g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
