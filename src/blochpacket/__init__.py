@@ -2,16 +2,7 @@
 structure, group velocity and dispersion, slowly varying envelope dynamics,
 and multi-scale wave-packet assembly with residual verification."""
 
-from .fourier import (
-    FourierField6,
-    LatticeCutoff,
-    MaterialSpec,
-    apply_curl_block,
-    apply_material,
-    inner,
-    norm,
-    transverse_basis,
-)
+from .fourier import LatticeCutoff, MaterialSpec, transverse_basis
 from .bands import (
     BlochBand,
     BlochOperator,
@@ -47,13 +38,8 @@ from .oracles import (
 )
 
 __all__ = [
-    "FourierField6",
     "LatticeCutoff",
     "MaterialSpec",
-    "apply_curl_block",
-    "apply_material",
-    "inner",
-    "norm",
     "transverse_basis",
     "BlochBand",
     "BlochOperator",

@@ -189,7 +189,7 @@ def cmd_wkb(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     profs = pipe.profiles()
     h = cfg.h_list[0]
-    rep = residual(profs, h, t_max=cfg.horizon / h)
+    rep = residual(profs, [h], cfg.horizon)[h]
     (out / "residual.json").write_text(json.dumps(rep, indent=1, sort_keys=True) + "\n")
     xs = cfg.grid.meshgrid()
     pts = np.stack([g.ravel() for g in xs], axis=-1)
@@ -265,8 +265,7 @@ def _validate_certificate(cfg: RunConfig, out: Path, pipe: Pipeline) -> None:
     profs = pipe.profiles()
     rows = []
     summary = {}
-    for h in cfg.h_list:
-        rep = residual(profs, h, t_max=cfg.horizon / h)
+    for h, rep in residual(profs, cfg.h_list, cfg.horizon).items():
         bound = (rep["r2"]["abs"] * h**2 + rep["r3"]["abs"] * h**3) * (cfg.horizon / h)
         rows.append((h, "residual_certificate", bound))
         summary[f"{h:.10g}"] = {"order_bound": bound, "residual": rep}

@@ -65,7 +65,10 @@ def load_config(path) -> RunConfig:
 
 def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     material = _parse_material(doc.get("material"), base_dir)
-    cutoff = LatticeCutoff(doc.get("cutoff", 1))
+    try:
+        cutoff = LatticeCutoff(doc.get("cutoff", 1))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     theta = np.asarray(doc.get("theta", [0.3, 0.0, 0.0]), dtype=float)
     _require(theta.shape == (3,), "theta must have 3 components")
@@ -87,7 +90,11 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     _require(horizon > 0, "horizon must be positive")
 
     grid_doc = doc.get("grid", {"lengths": [16 * np.pi] * 3, "shape": [1, 192, 1]})
-    grid = EnvelopeGrid(grid_doc["lengths"], grid_doc["shape"])
+    _require("lengths" in grid_doc and "shape" in grid_doc, "grid needs 'lengths' and 'shape'")
+    try:
+        grid = EnvelopeGrid(grid_doc["lengths"], grid_doc["shape"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     pk = doc.get("packet", {})
     weights = pk.get("weights")
@@ -100,7 +107,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         support_sigmas=float(pk.get("support_sigmas", 6.0)),
     )
     _require(all(0 <= a <= 2 for a in packet.axes), "packet axes must be in {0,1,2}")
-    _require(all(w > 0 for w in packet.widths), "packet widths must be positive")
+    _require(len(packet.widths) == 3 and all(w > 0 for w in packet.widths),
+             "packet widths must be 3 positive numbers")
 
     seeding = doc.get("seeding", "full_profile")
     _require(seeding in ("full_profile", "leading_only"),

@@ -167,10 +167,6 @@ def weighted_norm(state: EnvelopeState, weight: np.ndarray) -> float:
     return float(np.real(val) * state.grid.cell_volume)
 
 
-def l2_norm(state: EnvelopeState) -> float:
-    return float(np.sqrt(np.sum(np.abs(state.values) ** 2) * state.grid.cell_volume))
-
-
 def gaussian_state(grid: EnvelopeGrid, widths, weights) -> EnvelopeState:
     """Packet exp((-x_a^2 / (2 widths_a^2)) summed over varying axes) times the
     kappa-component weight vector.  Axes with one grid point are skipped."""

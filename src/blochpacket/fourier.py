@@ -1,7 +1,8 @@
 """Plane-wave representation of periodic 6-component fields and the basic
-operators acting on them: the curl block at Bloch frequency theta, material
-multiplication (coefficient-space convolution), and the transverse unit
-fields of each mode.
+operators acting on them: the curl block at Bloch frequency theta as
+per-mode 6x6 blocks, material multiplication (coefficient-space
+convolution), and the transverse unit fields of each mode.  A field is its
+coefficient array: (K, 6), or (6K,) flattened mode-major, with K modes.
 
 Conventions
 -----------
@@ -32,7 +33,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import CutoffMismatch, GammaPointError, MaterialError
+from .errors import GammaPointError, MaterialError
 
 Mode = Tuple[int, int, int]
 ModKey = Tuple[Tuple[float, float, float, float], Mode]
@@ -109,60 +110,6 @@ class LatticeCutoff:
         return src, dst
 
 
-# ---------------------------------------------------------------------------
-# Fields
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FourierField6:
-    """(E, B) field at Bloch frequency theta as a (K, 6) coefficient array."""
-
-    cutoff: LatticeCutoff
-    theta: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float).reshape(3)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.cutoff.num_modes, 6):
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} != ({self.cutoff.num_modes}, 6)"
-            )
-
-    def copy(self) -> "FourierField6":
-        return FourierField6(self.cutoff, self.theta, self.coeffs.copy())
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
-
-
-def zero_field(cutoff: LatticeCutoff, theta) -> FourierField6:
-    return FourierField6(cutoff, theta, np.zeros((cutoff.num_modes, 6), dtype=complex))
-
-
-def random_field(cutoff: LatticeCutoff, theta, rng) -> FourierField6:
-    c = rng.standard_normal((cutoff.num_modes, 6)) + 1j * rng.standard_normal(
-        (cutoff.num_modes, 6)
-    )
-    return FourierField6(cutoff, theta, c)
-
-
-def _check_compatible(f: FourierField6, g: FourierField6):
-    if f.cutoff != g.cutoff or not np.allclose(f.theta, g.theta, atol=0, rtol=0):
-        raise CutoffMismatch("fields built on different cutoffs or Bloch frequencies")
-
-
-def inner(f: FourierField6, g: FourierField6) -> complex:
-    """Plain L2 inner product <f, g>, linear in f, conjugate-linear in g."""
-    _check_compatible(f, g)
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
-
-
-def norm(f: FourierField6) -> float:
-    return float(np.linalg.norm(f.coeffs))
-
-
 def wavevectors(cutoff: LatticeCutoff, theta) -> np.ndarray:
     """(K, 3) array of theta + n over the cutoff set."""
     return np.asarray(theta, dtype=float)[None, :] + cutoff.modes
@@ -182,19 +129,6 @@ def cross_matrix(v) -> np.ndarray:
     return out
 
 
-def apply_curl_block(f: FourierField6) -> FourierField6:
-    """Curl block: per mode n, (E, B)(n) -> (i(theta+n)^B(n), -i(theta+n)^E(n)).
-
-    Anti-Hermitian in the plain coefficient inner product.
-    """
-    v = wavevectors(f.cutoff, f.theta)
-    e, b = f.coeffs[:, :3], f.coeffs[:, 3:]
-    out = np.empty_like(f.coeffs)
-    out[:, :3] = 1j * np.cross(v, b)
-    out[:, 3:] = -1j * np.cross(v, e)
-    return FourierField6(f.cutoff, f.theta, out)
-
-
 def symbol_matrix(xi) -> np.ndarray:
     """6x6 symbol [[0,-xi^],[xi^,0]] for xi of shape (3,), or a stack of them
     for xi of shape (..., 3)."""
@@ -212,8 +146,9 @@ def apply_mode_blocks(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def curl_matrix(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(K, 6, 6) per-mode blocks of apply_curl_block, -i times the symbol at
-    theta + n (the curl block couples no two modes)."""
+    """(K, 6, 6) per-mode blocks of the curl block, (E, B)(n) ->
+    (i(theta+n)^B(n), -i(theta+n)^E(n)): -i times the symbol at theta + n
+    (the curl block couples no two modes)."""
     return -1j * symbol_matrix(wavevectors(cutoff, theta))
 
 
@@ -398,19 +333,6 @@ def conv_apply(coefs: Dict[Mode, np.ndarray], cutoff: LatticeCutoff, arr: np.nda
     return out
 
 
-def apply_material(spec: MaterialSpec, which: str, f: FourierField6) -> FourierField6:
-    """Multiply by a base material: 'eps0' acts on the E block, 'mu0' on the B
-    block, 'A0' block-diagonally on both.  The untouched block passes through."""
-    out = f.coeffs.copy()
-    if which in ("eps0", "A0"):
-        out[:, :3] = conv_apply(spec.eps0, f.cutoff, f.coeffs[:, :3])
-    if which in ("mu0", "A0"):
-        out[:, 3:] = conv_apply(spec.mu0, f.cutoff, f.coeffs[:, 3:])
-    if which not in ("eps0", "mu0", "A0"):
-        raise ValueError(f"unknown material selector {which!r}")
-    return FourierField6(f.cutoff, f.theta, out)
-
-
 def base_material_matrix(spec: MaterialSpec, cutoff: LatticeCutoff,
                          groups) -> List[np.ndarray]:
     """Dense blocks of the block-diagonal base material (eps0 on E, mu0 on B):
@@ -467,13 +389,6 @@ def modulation_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff, arr: np.nda
 # Grid reconstruction (used for validation and test oracles)
 # ---------------------------------------------------------------------------
 
-def cell_grid(samples: int) -> np.ndarray:
-    """Uniform y-grid on [0, 2pi)^3, shape (S, S, S, 3)."""
-    y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    y1, y2, y3 = np.meshgrid(y, y, y, indexing="ij")
-    return np.stack([y1, y2, y3], axis=-1)
-
-
 def trig_sum_on_grid(coefs: Dict, y1: np.ndarray, y2: np.ndarray,
                      y3: np.ndarray) -> np.ndarray:
     """sum_n coef(n) exp(i n.y) on the tensor grid of three 1-D coordinate
@@ -491,19 +406,3 @@ def material_on_grid(coefs: Dict[Mode, np.ndarray], samples: int) -> np.ndarray:
     """Reconstruct sum_n coef(n) exp(i n.y) on an S^3 grid; shape (S,S,S,3,3)."""
     y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     return trig_sum_on_grid(coefs, y, y, y)
-
-
-def field_on_grid(f: FourierField6, samples: int) -> np.ndarray:
-    """Evaluate the full theta-quasi-periodic field exp(i theta.y) * (...) on
-    an S^3 y-grid; shape (S, S, S, 6)."""
-    y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    c = f.coeffs.reshape(f.cutoff.shape + (6,))
-    phases = [np.exp(1j * np.outer(y, np.arange(-b, b + 1))) for b in f.cutoff.nmax]
-    out = np.einsum("xa,yb,zc,abcd->xyzd", phases[0], phases[1], phases[2], c,
-                    optimize=True)
-    return out * np.exp(1j * (cell_grid(samples) @ f.theta))[..., None]
-
-
-def grid_inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Cell-averaged L2 inner product of two (S,S,S,d) grid fields."""
-    return complex(np.sum(u * np.conj(v)) / np.prod(u.shape[:3]))

@@ -41,10 +41,6 @@ class HarmonicField:
     grid: EnvelopeGrid
     data: Harmonics  # n -> (6, M1, M2, M3)
 
-    def copy(self) -> "HarmonicField":
-        return HarmonicField(self.theta, self.h, self.t, self.grid,
-                             {n: d.copy() for n, d in self.data.items()})
-
 
 def difference(a: HarmonicField, b: HarmonicField) -> HarmonicField:
     if a.h != b.h or a.grid != b.grid:
@@ -61,12 +57,6 @@ def difference(a: HarmonicField, b: HarmonicField) -> HarmonicField:
         else:
             out[n] = da - db
     return HarmonicField(a.theta, a.h, a.t, a.grid, out)
-
-
-def l2_norm(field: HarmonicField) -> float:
-    dv = field.grid.cell_volume
-    total = sum(float(np.sum(np.abs(d) ** 2)) for d in field.data.values())
-    return float(np.sqrt(total * dv))
 
 
 def weighted_indices(order: int, axes: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

@@ -20,13 +20,7 @@ import numpy as np
 from .bands import BlochBand, BlochOperator, continue_band, procrustes_align
 from .envelope import EnvelopeGrid, varying_axes
 from .errors import ConfigError, GaugeError, StabilityAnomaly
-from .fourier import (
-    LatticeCutoff,
-    MaterialSpec,
-    FourierField6,
-    transverse_pair,
-    trig_sum_on_grid,
-)
+from .fourier import LatticeCutoff, MaterialSpec, transverse_pair, trig_sum_on_grid
 
 # smallest singular value of the overlap between adjacent nodes' eigenbases
 OVERLAP_TOL = 0.99
@@ -74,14 +68,13 @@ def constant_spectrum(cutoff: LatticeCutoff, theta) -> np.ndarray:
     return vals[order]
 
 
-def constant_eigenfield(cutoff: LatticeCutoff, theta, k, e_pol, sign: int = +1) -> FourierField6:
-    """Single-mode closed-form eigenvector as a coefficient field."""
-    omega, e, b = exact_constant_solution(theta, k, e_pol, sign)
-    coeffs = np.zeros((cutoff.num_modes, 6), dtype=complex)
+def constant_eigenfield(cutoff: LatticeCutoff, theta, k, e_pol, sign: int = +1) -> np.ndarray:
+    """Single-mode closed-form eigenvector as flat (6K,) coefficients."""
+    _omega, e, b = exact_constant_solution(theta, k, e_pol, sign)
     i = cutoff.index_of(k)
-    coeffs[i, :3] = e
-    coeffs[i, 3:] = b
-    return FourierField6(cutoff, theta, coeffs)
+    vec = np.zeros(6 * cutoff.num_modes, dtype=complex)
+    vec[6 * i : 6 * i + 6] = np.concatenate([e, b])
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +206,9 @@ class _NodeEigen:
 
     def _vacuum_pair(self, theta):
         sign = 1 if self.band.omega > 0 else -1
-        u1, u2 = transverse_pair(theta)
-        omega, e1, b1 = exact_constant_solution(theta, (0, 0, 0), u1, sign)
-        _, e2, b2 = exact_constant_solution(theta, (0, 0, 0), u2, sign)
-        basis = np.zeros((6 * self.op.cutoff.num_modes, 2), dtype=complex)
-        i = self.op.cutoff.index_of((0, 0, 0))
-        basis[6 * i : 6 * i + 3, 0] = e1
-        basis[6 * i + 3 : 6 * i + 6, 0] = b1
-        basis[6 * i : 6 * i + 3, 1] = e2
-        basis[6 * i + 3 : 6 * i + 6, 1] = b2
-        return omega, basis
+        basis = np.stack([constant_eigenfield(self.op.cutoff, theta, (0, 0, 0), u, sign)
+                          for u in transverse_pair(theta)], axis=1)
+        return sign * np.linalg.norm(theta), basis  # the closed form's omega
 
 
 def _inward_neighbor(z, visited: np.ndarray) -> int:

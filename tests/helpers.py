@@ -5,11 +5,14 @@ import numpy as np
 from blochpacket.bands import BlochOperator, build_projectors, solve_bands
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
-from blochpacket.fourier import (FourierField6, LatticeCutoff, MaterialSpec, _check_theta,
-                                 apply_curl_block, apply_material, cross_matrix, trig_sum_on_grid,
-                                 wavevectors)
+from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
+                                 cross_matrix, trig_sum_on_grid, wavevectors)
 from blochpacket.rays import build_gamma, ray_average
 from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
+
+
+# the (beta, delta) pair of harmonics.seminorm that is the plain L2 norm
+L2 = ((0, 0, 0), (0, 0, 0))
 
 
 class BandPipeline:
@@ -84,6 +87,39 @@ def longitudinal_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
     return blocks
 
 
+def random_coeffs(cutoff: LatticeCutoff, rng) -> np.ndarray:
+    """Random complex (K, 6) coefficients of a field."""
+    shape = (cutoff.num_modes, 6)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def apply_curl_block(cutoff: LatticeCutoff, theta, coeffs: np.ndarray) -> np.ndarray:
+    """Curl block on (K, 6) coefficients by cross products: per mode n,
+    (E, B)(n) -> (i(theta+n)^B(n), -i(theta+n)^E(n))."""
+    v = wavevectors(cutoff, theta)
+    out = np.empty_like(coeffs, dtype=complex)
+    out[:, :3] = 1j * np.cross(v, coeffs[:, 3:])
+    out[:, 3:] = -1j * np.cross(v, coeffs[:, :3])
+    return out
+
+
+def apply_material(spec: MaterialSpec, cutoff: LatticeCutoff, coeffs: np.ndarray) -> np.ndarray:
+    """Base material A0 on (K, 6) coefficients by convolution: eps0 on the E
+    block, mu0 on the B block."""
+    out = np.empty_like(coeffs, dtype=complex)
+    out[:, :3] = conv_apply(spec.eps0, cutoff, coeffs[:, :3])
+    out[:, 3:] = conv_apply(spec.mu0, cutoff, coeffs[:, 3:])
+    return out
+
+
+def grid_values(cutoff: LatticeCutoff, theta, coeffs: np.ndarray, samples: int) -> np.ndarray:
+    """The theta-quasi-periodic field of (K, 6) coefficients on an S^3 cell
+    grid, shape (S, S, S, 6, 1)."""
+    y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    terms = {tuple(k): c[:, None] for k, c in zip(wavevectors(cutoff, theta), coeffs)}
+    return trig_sum_on_grid(terms, y, y, y)
+
+
 def dense_operator(spec, cutoff, theta):
     """Dense (6K, 6K) A0 and G, one column per unit field through
     apply_material and apply_curl_block: a reference that does not depend on
@@ -93,11 +129,10 @@ def dense_operator(spec, cutoff, theta):
     a0 = np.empty((k6, k6), dtype=complex)
     g = np.empty((k6, k6), dtype=complex)
     for j in range(k6):
-        unit = np.zeros(k6, dtype=complex)
-        unit[j] = 1.0
-        f = FourierField6(cutoff, theta, unit.reshape(-1, 6))
-        a0[:, j] = apply_material(spec, "A0", f).flat
-        g[:, j] = apply_curl_block(f).flat
+        unit = np.zeros((cutoff.num_modes, 6), dtype=complex)
+        unit.flat[j] = 1.0
+        a0[:, j] = apply_material(spec, cutoff, unit).ravel()
+        g[:, j] = apply_curl_block(cutoff, theta, unit).ravel()
     return a0, g
 
 

@@ -68,6 +68,20 @@ def test_missing_config_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"shape": [1, 128, 1]}},
+    {"grid": {"lengths": [L, L], "shape": [1, 128, 1]}},
+    {"grid": {"lengths": [L, L, L], "shape": [1, 0, 1]}},
+    {"cutoff": -1},
+    {"packet": {"widths": [1.0, 1.5], "axes": [1]},
+     "grid": {"lengths": [L, L, L], "shape": [1, 128, 16]}},
+], ids=["grid_without_lengths", "two_grid_lengths", "zero_grid_size", "negative_cutoff",
+        "two_packet_widths"])
+def test_malformed_config_value_exits_2(tmp_path, overrides):
+    cfg = write_config(tmp_path, overrides)
+    assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_hypothesis_violation_exits_3(tmp_path):
     """The on-axis layered kappa=2 cluster is not a constant-multiplicity band:
     the dispersion step must fail with exit code 3."""

@@ -13,7 +13,6 @@ from blochpacket.envelope import (
     dispersion_multiplier,
     evolve,
     gaussian_state,
-    l2_norm,
     weighted_norm,
 )
 from blochpacket.bands import BlochOperator
@@ -173,7 +172,9 @@ def test_growth_bound(modulated_pipe):
     T = 0.8
     env = EnvelopeSolution(st, pipe.dispersion.hessian, pipe.ray.mean_modes, 2e-3)
     out = env.state_at(400 * 2e-3)
-    assert l2_norm(out) <= np.exp(bound_rate * T) * l2_norm(st) * (1 + 1e-12)
+    eye = np.eye(st.kappa)
+    assert (np.sqrt(weighted_norm(out, eye))
+            <= np.exp(bound_rate * T) * np.sqrt(weighted_norm(st, eye)) * (1 + 1e-12))
 
 
 def test_box_guard_rejects_wide_packet():

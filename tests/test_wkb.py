@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from helpers import assemble_harmonics_reference, dense_operator, residual_reference
+from helpers import L2, assemble_harmonics_reference, dense_operator, residual_reference
 
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.errors import CutoffMismatch
-from blochpacket.harmonics import HarmonicField, l2_norm
+from blochpacket.harmonics import HarmonicField, seminorm
 from blochpacket.wkb import (
     assemble,
     assemble_harmonics,
@@ -128,17 +128,18 @@ def test_schrodinger_operator_identity(identity_pipe, offaxis_layered_pipe, rng)
 @pytest.mark.parametrize("which", ["identity", "modulated"])
 def test_residual_hierarchy_vanishes(which, identity_profiles, modulated_profiles):
     profs = identity_profiles if which == "identity" else modulated_profiles
-    rep = residual(profs, h=1 / 8, t_max=4.0, num_t=3, num_x=3)
+    rep = residual(profs, [1 / 8], horizon=0.5, num_t=3, num_x=3)[1 / 8]
     for order in ("r-1", "r0", "r1"):
         assert rep[order]["abs"] <= 1e-9 * max(rep["r1"]["scale"], 1e-12)
     assert rep["r2"]["abs"] > 0  # the budget orders are genuinely nonzero
 
 
 def test_residual_shares_envelope_values_across_orders(monkeypatch):
-    """Evaluating the union of the orders' keys once per time gives the same
-    report, bit for bit, as evaluating each order on its own with freshly
-    built order tables; over the three h of the config the tables are built
-    once."""
+    """Evaluating the union of the orders' keys once per slow time for every
+    h gives the same report, bit for bit, as evaluating each order and each h
+    on its own with freshly built order tables; over the three h of the
+    config the tables are built once and the envelope is stepped to the
+    horizon once."""
     from pathlib import Path
 
     import blochpacket.wkb as wkb
@@ -153,16 +154,25 @@ def test_residual_shares_envelope_values_across_orders(monkeypatch):
         builds.append(profiles)
         return residual_orders(profiles)
 
+    steps = []
+    strang = EnvelopeSolution._strang
+
+    def counted_strang(w, ops):
+        steps.append(1)
+        return strang(w, ops)
+
     monkeypatch.setattr(wkb, "residual_orders", counted_orders)
-    reports = {h: residual(profs, h, t_max=cfg.horizon / h) for h in cfg.h_list}
-    assert len(reports) == 3 and len(builds) == 1 and builds[0] is profs
+    monkeypatch.setattr(EnvelopeSolution, "_strang", staticmethod(counted_strang))
+    reports = residual(profs, cfg.h_list, cfg.horizon)
+    assert list(reports) == list(cfg.h_list) and len(builds) == 1 and builds[0] is profs
+    assert len(steps) == round(cfg.horizon / cfg.envelope_dT) == 500
     for h, report in reports.items():
         assert report == residual_reference(profs, h, t_max=cfg.horizon / h)
 
 
 def test_residual_ablation_restores_first_order(modulated_profiles):
-    rep = residual(modulated_profiles.with_ablation(drop_w2=True), h=1 / 8,
-                   t_max=4.0, num_t=3, num_x=3)
+    rep = residual(modulated_profiles.with_ablation(drop_w2=True), [1 / 8],
+                   horizon=0.5, num_t=3, num_x=3)[1 / 8]
     assert rep["r1"]["abs"] > 1e-3 * rep["r1"]["scale"]
 
 
@@ -359,7 +369,8 @@ def test_norm_stable_in_h(identity_profiles):
     norms = {}
     for h in (1 / 8, 1 / 16, 1 / 32):
         harm = assemble_harmonics(identity_profiles, h, 0.0, GRID)
-        norms[h] = l2_norm(HarmonicField(identity_profiles.band.theta, h, 0.0, GRID, harm))
+        field = HarmonicField(identity_profiles.band.theta, h, 0.0, GRID, harm)
+        norms[h] = seminorm(field, [L2])[L2]
     base = norms[1 / 32]
     assert abs(norms[1 / 8] - base) < 0.4 * base * (1 / 8)
     assert abs(norms[1 / 16] - base) < 0.4 * base * (1 / 16)
