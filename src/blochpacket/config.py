@@ -55,6 +55,14 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _number(value, key: str) -> float:
+    """value as a float, or a ConfigError naming the key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
+
+
 def load_config(path) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -75,7 +83,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     _require(np.any(theta != 0.0), "theta must be nonzero (the tracked band needs a nonzero Bloch frequency)")
     _require(np.all((theta >= 0.0) & (theta < 1.0)), "theta components must lie in [0, 1)")
 
-    h_list = tuple(float(h) for h in doc.get("h_list", [1 / 8, 1 / 16, 1 / 32]))
+    h_list = tuple(_number(h, "h_list") for h in doc.get("h_list", [1 / 8, 1 / 16, 1 / 32]))
     _require(len(h_list) >= 1 and all(h > 0 for h in h_list), "h_list must contain positive scales")
     _require(all(a > b for a, b in zip(h_list, h_list[1:])), "h_list must be strictly decreasing")
 
@@ -86,8 +94,10 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     for name, val in tol.items():
         _require(isinstance(val, (int, float)) and val > 0, f"tolerance {name} must be positive")
 
-    horizon = float(doc.get("horizon", 1.0))
+    horizon = _number(doc.get("horizon", 1.0), "horizon")
+    envelope_dT = _number(doc.get("envelope_dT", 1e-3), "envelope_dT")
     _require(horizon > 0, "horizon must be positive")
+    _require(envelope_dT > 0, "envelope_dT must be positive")
 
     grid_doc = doc.get("grid", {"lengths": [16 * np.pi] * 3, "shape": [1, 192, 1]})
     _require("lengths" in grid_doc and "shape" in grid_doc, "grid needs 'lengths' and 'shape'")
@@ -99,7 +109,10 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     pk = doc.get("packet", {})
     weights = pk.get("weights")
     if weights is not None:
-        weights = np.array([complex(c[0], c[1]) for c in weights])
+        _require(all(isinstance(c, list) and len(c) == 2 for c in weights),
+                 "packet.weights entries must be [re, im] pairs")
+        weights = np.array([complex(_number(re, "packet.weights"), _number(im, "packet.weights"))
+                            for re, im in weights])
     packet = PacketConfig(
         widths=tuple(pk.get("widths", (1.0, 1.5, 1.0))),
         weights=weights,
@@ -124,7 +137,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         h_list=h_list,
         horizon=horizon,
         grid=grid,
-        envelope_dT=float(doc.get("envelope_dT", 1e-3)),
+        envelope_dT=envelope_dT,
         tolerances=tol,
         seeding=seeding,
         seed=int(doc.get("seed", 0)),

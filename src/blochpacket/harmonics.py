@@ -11,9 +11,11 @@ norms and the semiclassical seminorms
 
     || x^beta (h d_x)^delta u ||_{L2}
 
-are computed per harmonic and summed.  All harmonics are stacked into one
-(K, 6, M1, M2, M3) array and transformed by one forward FFT over the axes
-with more than one point; (h d_x) acts per harmonic as the Fourier symbol
+are computed per harmonic and summed.  A field holds only the harmonics
+that can be nonzero (an absent harmonic is zero), so a field on one mode
+class holds that class's modes alone.  The held harmonics are stacked into
+one (|held|, 6, M1, M2, M3) array and transformed by one forward FFT over the
+axes with more than one point; (h d_x) acts per harmonic as the Fourier symbol
 i (theta + n + h k), so every distinct delta costs one inverse FFT of the
 stack, shared by all weights beta.  The polynomial weight multiplies the
 envelope values directly, in physical space (meaningful while the packet
@@ -35,6 +37,10 @@ Harmonics = Dict[Tuple[int, int, int], np.ndarray]
 
 @dataclass
 class HarmonicField:
+    """Harmonic-resolved field: data holds every cell harmonic n that can be
+    nonzero, and an absent harmonic is zero.  difference and seminorm work
+    on any key set."""
+
     theta: np.ndarray
     h: float
     t: float

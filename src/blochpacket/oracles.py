@@ -13,7 +13,7 @@ yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -270,30 +270,37 @@ def _synthesize(packet, band, cutoff, nodes, zeta, wts, grid, points):
     """The quadrature sum over one node set as a function of t, returning
     (harmonics, samples).  Only the node weights amp_q exp(i omega_q t / h)
     depend on t: the (6K, Q) node vectors and the spatial phases
-    exp(i x.zeta_q) are built once, and each time is one product over nodes."""
+    exp(i x.zeta_q) are built once, and each time is one product over nodes.
+    Only the modes whose node-vector rows are not all zero (the band's mode
+    class) enter the products and the harmonics; every other harmonic is
+    zero."""
     amp = packet.spectrum_amplitude(zeta) * wts
     keep = np.flatnonzero(amp != 0.0)
     amp, zeta = amp[keep], zeta[keep]
     pairs = [nodes.eigen_at(z) for z in zeta]
     omegas = np.array([omega for omega, _basis in pairs])
     vecs = np.stack([basis @ packet.weights for _omega, basis in pairs], axis=1)
+    vecs = vecs.reshape(cutoff.num_modes, 6, len(zeta))
+    held = np.flatnonzero(np.any(vecs, axis=(1, 2)))
+    vecs = vecs[held].reshape(6 * len(held), len(zeta))
+    modes = cutoff.modes[held]
     if grid is not None:
         xs = np.stack([g.ravel() for g in grid.meshgrid()], axis=-1)
         grid_phase = np.exp(1j * (zeta @ xs.T))                             # (Q, M)
     if points is not None:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         point_phase = np.exp(1j * (pts @ zeta.T))                           # (P, Q)
-        # full physical phase: (P, K) carriers exp(i (theta + n).x / h) too
-        carrier = np.exp(1j * ((pts / packet.h) @ (band.theta[:, None] + cutoff.modes.T)))
+        # full physical phase: (P, |held|) carriers exp(i (theta + n).x / h) too
+        carrier = np.exp(1j * ((pts / packet.h) @ (band.theta[:, None] + modes.T)))
 
     def at(t):
         coef = amp * np.exp(1j * t * omegas / packet.h)
         harmonics = samples = None
         if grid is not None:
-            acc = ((vecs * coef) @ grid_phase).reshape((cutoff.num_modes, 6) + grid.shape)
-            harmonics = {tuple(n): acc[i] for i, n in enumerate(cutoff.modes)}
+            acc = ((vecs * coef) @ grid_phase).reshape((len(held), 6) + grid.shape)
+            harmonics = {tuple(n): d for n, d in zip(modes, acc)}
         if points is not None:
-            per_mode = ((point_phase * coef) @ vecs.T).reshape(len(pts), cutoff.num_modes, 6)
+            per_mode = ((point_phase * coef) @ vecs.T).reshape(len(pts), len(held), 6)
             samples = np.einsum("pk,pkc->pc", carrier, per_mode)
         return harmonics, samples
 
@@ -305,8 +312,9 @@ def _synth_distance(a, b) -> float:
     hb, sb = b
     err = 0.0
     if ha is not None:
-        num = sum(np.linalg.norm(ha[n] - hb[n]) ** 2 for n in ha)
-        den = sum(np.linalg.norm(ha[n]) ** 2 for n in ha)
+        # an absent harmonic is zero
+        num = sum(np.linalg.norm(ha.get(n, 0) - hb.get(n, 0)) ** 2 for n in set(ha) | set(hb))
+        den = sum(np.linalg.norm(d) ** 2 for d in ha.values())
         err = max(err, float(np.sqrt(num / max(den, 1e-300))))
     if sa is not None:
         err = max(err, float(np.linalg.norm(sa - sb) / max(np.linalg.norm(sa), 1e-300)))
@@ -328,8 +336,10 @@ class TimeDomainResult:
 class _GridMaterial:
     """epsilon^h, mu^h, M^h evaluated on the spatial grid.
 
-    The base periodic part is sampled at y = x/h once; slow modulations are
-    re-evaluated per requested time (cheap: finitely many modes).
+    A0 = diag(epsilon, mu) is held as its two 3x3 blocks, each an
+    (M1, M2, M3, 3, 3) stack.  The base periodic part is sampled at y = x/h
+    once; slow modulations are re-evaluated per requested time (cheap:
+    finitely many modes).
     """
 
     def __init__(self, spec: MaterialSpec, h: float, grid: EnvelopeGrid):
@@ -338,9 +348,7 @@ class _GridMaterial:
         self.grid = grid
         self.xs = grid.meshgrid()
         ys = [grid.axis_coords(a) / self.h for a in range(3)]
-        self.a00 = np.zeros(grid.shape + (6, 6), dtype=complex)
-        self.a00[..., :3, :3] = trig_sum_on_grid(spec.eps0, *ys)
-        self.a00[..., 3:, 3:] = trig_sum_on_grid(spec.mu0, *ys)
+        self.a00 = (trig_sum_on_grid(spec.eps0, *ys), trig_sum_on_grid(spec.mu0, *ys))
         self.static = spec.is_static()
 
     def _sample_modulation(self, coefs, t, dim):
@@ -353,15 +361,14 @@ class _GridMaterial:
             out += ph[..., None, None] * m
         return out
 
-    def a0_at(self, t: float) -> np.ndarray:
-        if self.static:
-            return self.a00
-        out = self.a00.copy()
+    def a0_at(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The (epsilon, mu) block stacks at time t."""
+        eps, mu = self.a00
         if self.spec.eps1:
-            out[..., :3, :3] += self.h**2 * self._sample_modulation(self.spec.eps1, t, 3)
+            eps = eps + self.h**2 * self._sample_modulation(self.spec.eps1, t, 3)
         if self.spec.mu1:
-            out[..., 3:, 3:] += self.h**2 * self._sample_modulation(self.spec.mu1, t, 3)
-        return out
+            mu = mu + self.h**2 * self._sample_modulation(self.spec.mu1, t, 3)
+        return eps, mu
 
     def m_at(self, t: float) -> Optional[np.ndarray]:
         if not self.spec.lower_order:
@@ -369,27 +376,47 @@ class _GridMaterial:
         return self.h * self._sample_modulation(self.spec.lower_order, t, 6)
 
     def wave_speed_bound(self) -> float:
-        eps_min = np.linalg.eigvalsh(0.5 * (self.a00[..., :3, :3] +
-                                            np.conj(np.swapaxes(self.a00[..., :3, :3], -1, -2)))).min()
-        mu_min = np.linalg.eigvalsh(0.5 * (self.a00[..., 3:, 3:] +
-                                           np.conj(np.swapaxes(self.a00[..., 3:, 3:], -1, -2)))).min()
+        eps_min, mu_min = (np.linalg.eigvalsh(0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))).min()
+                           for b in self.a00)
         return 1.0 / np.sqrt(max(eps_min * mu_min, 1e-300))
+
+
+def _grid_major(blocks) -> List[np.ndarray]:
+    """(M1, M2, M3, 3, 3) block stacks as (3, 3, M1, M2, M3) arrays, the
+    layout _apply_blocks reads."""
+    return [np.ascontiguousarray(np.moveaxis(b, (-2, -1), (0, 1))) for b in blocks]
+
+
+def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
+    """diag(b_E, b_B) applied to a (6, M1, M2, M3) field, each block a
+    (3, 3, M1, M2, M3) array, by multiply-sums over the block columns."""
+    return np.concatenate([(b * w).sum(axis=1) for b, w in zip(blocks, (v[:3], v[3:]))])
 
 
 def _curl_pair(u: np.ndarray, ks) -> np.ndarray:
     """(curl B, -curl E) of a (6, M1, M2, M3) grid field (E, B), formed in
-    Fourier space: one forward and one inverse FFT of all six components over
-    the varying axes."""
+    Fourier space over the varying axes.  The derivative along axis d reads
+    and writes only the components across d, so one forward FFT transforms
+    the components that some varying axis reads (4 of 6 when one axis
+    varies) and one inverse FFT the ones it fills; the rest are zero."""
     axes = varying_axes(u)
-    hat = np.fft.fftn(u, axes=axes)
-    out = np.empty_like(hat)
-    out[0] = 1j * (ks[1] * hat[5] - ks[2] * hat[4])
-    out[1] = 1j * (ks[2] * hat[3] - ks[0] * hat[5])
-    out[2] = 1j * (ks[0] * hat[4] - ks[1] * hat[3])
-    out[3] = 1j * (ks[2] * hat[1] - ks[1] * hat[2])
-    out[4] = 1j * (ks[0] * hat[2] - ks[2] * hat[0])
-    out[5] = 1j * (ks[1] * hat[0] - ks[0] * hat[1])
-    return np.fft.ifftn(out, axes=axes)
+    dirs = [a + 3 for a in axes]
+    comps = [c for c in range(3) if any(d != c for d in dirs)]
+    rows = comps + [3 + c for c in comps]
+    at = {r: i for i, r in enumerate(rows)}
+    hat = np.fft.fftn(u[rows], axes=axes)
+    out_hat = np.zeros_like(hat)
+    for d in dirs:
+        # d/dx_d adds -d_d F_e2 to (curl F)_e1 and d_d F_e1 to (curl F)_e2
+        e1, e2 = (d + 1) % 3, (d + 2) % 3
+        ik = 1j * ks[d]
+        out_hat[at[e1]] -= ik * hat[at[3 + e2]]
+        out_hat[at[e2]] += ik * hat[at[3 + e1]]
+        out_hat[at[3 + e1]] += ik * hat[at[e2]]
+        out_hat[at[3 + e2]] -= ik * hat[at[e1]]
+    out = np.zeros(u.shape, dtype=complex)
+    out[rows] = np.fft.ifftn(out_hat, axes=axes)
+    return out
 
 
 def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
@@ -398,15 +425,30 @@ def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
     return np.fft.ifftn(1j * (ks[0] * hat[0] + ks[1] * hat[1] + ks[2] * hat[2]), axes=axes)
 
 
+def _rhs(d: np.ndarray, inv_a0, m: Optional[np.ndarray], ks) -> np.ndarray:
+    """d/dt (eps E, mu B) = (curl B, -curl E) - M u with u = inv(A0) d, for
+    inv(A0) as _grid_major block stacks and M an (M1, M2, M3, 6, 6) stack
+    or None."""
+    u = _apply_blocks(inv_a0, d)
+    out = _curl_pair(u, ks)
+    if m is not None:
+        out -= np.einsum("xyzab,bxyz->axyz", m, u)
+    return out
+
+
 def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
                       grid: EnvelopeGrid, t_final: float, dt: Optional[float] = None,
                       cfl: float = 0.5) -> TimeDomainResult:
     """Integrate the dynamic equations with pseudo-spectral derivatives and RK4.
 
     The stepped variable is the flux density (epsilon E, mu B); the grid must
-    resolve the fast scale (>= 8 points per material period 2*pi*h).  The
-    energy and the divergence invariants are traced; if the energy exceeds
-    the admissible growth bound a StabilityAnomaly is raised.
+    resolve the fast scale (>= 8 points per material period 2*pi*h).  inv(A0)
+    is held as its two 3x3 block stacks, inverted once for a static medium
+    and once per distinct stage time otherwise: at the step's midpoint
+    (shared by k2 and k3) and at its end (shared by k4, the next step's k1
+    and the trace).  The curl transforms only the components its varying
+    axes reach.  The energy and the divergence invariants are traced; if the
+    energy exceeds the admissible growth bound a StabilityAnomaly is raised.
     """
     mat = _GridMaterial(spec, h, grid)
     for a in range(3):
@@ -430,49 +472,43 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     if u0.shape != (6,) + grid.shape:
         raise ConfigError(f"initial field shape {u0.shape} != {(6,) + grid.shape}")
 
-    a0_0 = mat.a0_at(0.0)
-    dvec = np.einsum("xyzab,bxyz->axyz", a0_0, u0)
-    if mat.static:
-        inv_a0 = np.linalg.inv(a0_0)
+    def material(t):
+        """inv(A0) as _grid_major block stacks, and M, at time t."""
+        return _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)]), mat.m_at(t)
 
-    def to_u(t, d):
-        inv = inv_a0 if mat.static else np.linalg.inv(mat.a0_at(t))
-        return np.einsum("xyzab,bxyz->axyz", inv, d)
-
-    def rhs(t, d):
-        u = to_u(t, d)
-        out = _curl_pair(u, ks)      # d/dt (eps E, mu B) = (curl B, -curl E) - M u
-        m = mat.m_at(t)
-        if m is not None:
-            out -= np.einsum("xyzab,bxyz->axyz", m, u)
-        return out
+    dvec = _apply_blocks(_grid_major(mat.a0_at(0.0)), u0)
+    now = material(0.0)
 
     nsteps = max(1, int(np.ceil(t_final / dt)))
     dt = t_final / nsteps
     trace_every = max(1, nsteps // (NUM_TRACE - 1))
 
     dv = grid.cell_volume
-    def diagnostics(t, d):
-        u = to_u(t, d)
+    def diagnostics(d, inv_a0):
+        u = _apply_blocks(inv_a0, d)
         energy = float(np.real(np.sum(np.conj(u) * d)) * dv)
         div_e = float(np.linalg.norm(_spectral_div(d[:3], ks)) * np.sqrt(dv))
         div_b = float(np.linalg.norm(_spectral_div(d[3:], ks)) * np.sqrt(dv))
         return energy, div_e, div_b
 
-    trace = [(0.0, *diagnostics(0.0, dvec))]
+    trace = [(0.0, *diagnostics(dvec, now[0]))]
     e0 = trace[0][1]
     growth = _growth_rate_bound(spec, h)
 
     t = 0.0
     for step in range(1, nsteps + 1):
-        k1 = rhs(t, dvec)
-        k2 = rhs(t + dt / 2, dvec + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, dvec + dt / 2 * k2)
-        k4 = rhs(t + dt, dvec + dt * k3)
-        dvec = dvec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # k2 and k3 share the midpoint; k4 shares the end with the trace and
+        # the next step's k1
+        mid, end = (now, now) if mat.static else (material(t + dt / 2), material(step * dt))
         t = step * dt
+        k1 = _rhs(dvec, *now, ks)
+        k2 = _rhs(dvec + dt / 2 * k1, *mid, ks)
+        k3 = _rhs(dvec + dt / 2 * k2, *mid, ks)
+        k4 = _rhs(dvec + dt * k3, *end, ks)
+        dvec = dvec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        now = end
         if step % trace_every == 0 or step == nsteps:
-            row = (t, *diagnostics(t, dvec))
+            row = (t, *diagnostics(dvec, now[0]))
             trace.append(row)
             bound = e0 * np.exp(STABILITY_MARGIN * max(growth, 1e-14) * t) + 1e-9 * e0
             if row[1] > max(bound, e0 * (1 + 1e-6)):
@@ -481,7 +517,8 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
                     f"{bound:.6e} (rate {growth:.3e})"
                 )
 
-    return TimeDomainResult(grid=grid, field=to_u(t, dvec), trace=np.asarray(trace), dt=dt)
+    return TimeDomainResult(grid=grid, field=_apply_blocks(now[0], dvec),
+                            trace=np.asarray(trace), dt=dt)
 
 
 def _growth_rate_bound(spec: MaterialSpec, h: float) -> float:

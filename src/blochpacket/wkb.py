@@ -37,7 +37,7 @@ import numpy as np
 
 from .bands import BlochBand, BlochOperator, ProjectorPair
 from .dispersion import DispersionData
-from .envelope import EnvelopeSolution
+from .envelope import EnvelopeSolution, varying_axes
 from .errors import CutoffMismatch
 from .fourier import apply_curl_direction, modulation_a01_apply, modulation_apply
 from .rays import RayAverageData
@@ -405,23 +405,19 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
     T = h * t
     x_comoving = pts - profiles.dispersion.V[None, :] * t
 
-    modes = cutoff.modes
-    ey = np.exp(1j * ((pts / h) @ modes.T))  # (P, K)
+    tables = [profiles.tables()[j] for j in orders]
+    held = _held_modes(tables, cutoff.num_modes)
+    ey = np.exp(1j * ((pts / h) @ cutoff.modes[held].T))  # (P, |held|)
 
-    tables = profiles.tables()
-    keys = set()
-    etas = set()
-    for j in orders:
-        keys |= {key for (_eta, key) in tables[j]}
-        etas |= {eta for (eta, _key) in tables[j]}
-    fields = _field_values(profiles, keys, T, x_comoving)
-    phases = _phases(etas, t, pts)
+    fields = _field_values(profiles, {key for table in tables for (_eta, key) in table},
+                           T, x_comoving)
+    phases = _phases({eta for table in tables for (eta, _key) in table}, t, pts)
 
     out = np.zeros((len(pts), 6), dtype=complex)
-    for j in orders:
-        for (eta, key), vec in tables[j].items():
+    for j, table in zip(orders, tables):
+        for (eta, key), vec in table.items():
             coef = (h ** j) * phases[eta] * fields[key]
-            out += coef[:, None] * (ey @ vec.reshape(-1, 6))
+            out += coef[:, None] * (ey @ vec.reshape(-1, 6)[held])
 
     carrier = np.exp(1j * (band.omega * t + pts @ band.theta) / h)
     out *= carrier[:, None]
@@ -429,19 +425,33 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
                     points=pts, samples=out)
 
 
+def _held_modes(tables, num_modes: int) -> np.ndarray:
+    """The modes (sorted indices) on which some entry of the tables has a
+    nonzero cell-profile row: the only harmonics the tables can fill."""
+    nonzero = np.zeros(num_modes, dtype=bool)
+    for table in tables:
+        for vec in table.values():
+            nonzero |= np.any(vec.reshape(-1, 6), axis=1)
+    return np.flatnonzero(nonzero)
+
+
 def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
                        orders: Tuple[int, ...] = (0, 1, 2)) -> Dict[Tuple[int, int, int], np.ndarray]:
     """Harmonic-resolved assembly on an envelope grid.
 
     Returns {n: (6, M1, M2, M3)} with the field equal to
-    sum_n exp(i (theta + n).x / h + i omega t / h) D_n(x).  Requires every
-    (t, x) frequency carried by the profiles to be commensurate with the box
-    (guaranteed for purely periodic media, where no such frequencies occur).
+    sum_n exp(i (theta + n).x / h + i omega t / h) D_n(x), holding only the
+    modes on which some cell profile of the requested orders is nonzero
+    (every other harmonic is zero).  The envelope factors of all distinct
+    keys are transformed by one inverse FFT over the varying axes.
+    Requires every (t, x) frequency carried by the profiles to be
+    commensurate with the box (guaranteed for purely periodic media, where
+    no such frequencies occur).
     """
     band = profiles.band
     T = h * t
     env = profiles.envelope
-    tables = profiles.tables()
+    tables = [profiles.tables()[j] for j in orders]
     xs = grid.meshgrid()
     ks = grid.wave_meshgrid()
     vt = profiles.dispersion.V * t
@@ -449,23 +459,18 @@ def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
     shift = np.exp(-1j * (ks[0] * vt[0] + ks[1] * vt[1] + ks[2] * vt[2]))
     carrier_t = np.exp(1j * band.omega * t / h)
 
-    field_cache: Dict[FieldKey, np.ndarray] = {}
-
-    def envelope_on_grid(key):
-        if key not in field_cache:
-            a, m, alpha = key
-            hat = env.field_hat(a, m, alpha, T)
-            field_cache[key] = np.fft.ifftn(hat * shift)
-        return field_cache[key]
+    keys = sorted({key for table in tables for (_eta, key) in table})
+    hats = np.stack([env.field_hat(*key, T) * shift for key in keys])
+    envelope_on_grid = dict(zip(keys, np.fft.ifftn(hats, axes=varying_axes(hats))))
 
     modes = profiles.op.cutoff.modes
-    harm = np.zeros((len(modes), 6) + grid.shape, dtype=complex)
-    for j in orders:
-        for (eta, key), vec in tables[j].items():
-            vals = envelope_on_grid(key)
+    held = _held_modes(tables, len(modes))
+    harm = np.zeros((len(held), 6) + grid.shape, dtype=complex)
+    for j, table in zip(orders, tables):
+        for (eta, key), vec in table.items():
             phase = np.exp(1j * (eta[0] * t + eta[1] * xs[0] + eta[2] * xs[1] + eta[3] * xs[2]))
-            coef = (h ** j) * carrier_t * phase * vals
-            v6 = vec.reshape(-1, 6)
+            coef = (h ** j) * carrier_t * phase * envelope_on_grid[key]
+            v6 = vec.reshape(-1, 6)[held]
             rows = np.flatnonzero(np.any(v6, axis=1))
             harm[rows] += v6[rows, :, None, None, None] * coef[None, None]
-    return {tuple(n): d for n, d in zip(modes, harm)}
+    return {tuple(n): d for n, d in zip(modes[held], harm)}

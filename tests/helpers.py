@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from blochpacket.bands import BlochOperator, build_projectors, solve_bands
+from blochpacket.bands import BlochOperator, build_projectors, mode_classes, solve_bands
 from blochpacket.dispersion import hessian
-from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
+from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
                                  cross_matrix, trig_sum_on_grid, wavevectors)
 from blochpacket.rays import build_gamma, ray_average
@@ -38,6 +38,14 @@ class BandPipeline:
     def profiles(self, envelope):
         return build_profiles(self.band, self.projectors, self.dispersion, self.ray,
                               envelope, self.op)
+
+
+def band_class_modes(pipe) -> set:
+    """The modes, as tuples, of the mode class that carries the pipeline's
+    band eigenvectors."""
+    vecs = pipe.band.eigvecs.reshape(pipe.cutoff.num_modes, -1)
+    (modes,) = [c for c in mode_classes(pipe.spec, pipe.cutoff) if np.any(vecs[c])]
+    return {tuple(pipe.cutoff.modes[i]) for i in modes}
 
 
 def cosine_3d(amplitude=0.2):
@@ -317,3 +325,55 @@ def speed_limit_reference(spec, V, num_samples, seed):
         if margin < worst:
             worst, worst_xi = margin, xi
     return worst, worst_xi
+
+
+def rk4_rhs_reference(mat, t, d, ks):
+    """The RK4 right-hand side d/dt (eps E, mu B) = (curl B, -curl E) - M u at
+    time t of a grid material (oracles._GridMaterial): u = inv(A0) d with one
+    6x6 inverse per grid point applied by einsum, and all six components of
+    u transformed by one FFT pair over the varying axes."""
+    eps, mu = mat.a0_at(t)
+    a0 = np.zeros(eps.shape[:3] + (6, 6), dtype=complex)
+    a0[..., :3, :3] = eps
+    a0[..., 3:, 3:] = mu
+    u = np.einsum("xyzab,bxyz->axyz", np.linalg.inv(a0), d)
+    axes = varying_axes(u)
+    hat = np.fft.fftn(u, axes=axes)
+    out = np.empty_like(hat)
+    out[0] = 1j * (ks[1] * hat[5] - ks[2] * hat[4])
+    out[1] = 1j * (ks[2] * hat[3] - ks[0] * hat[5])
+    out[2] = 1j * (ks[0] * hat[4] - ks[1] * hat[3])
+    out[3] = 1j * (ks[2] * hat[1] - ks[1] * hat[2])
+    out[4] = 1j * (ks[0] * hat[2] - ks[2] * hat[0])
+    out[5] = 1j * (ks[1] * hat[0] - ks[0] * hat[1])
+    out = np.fft.ifftn(out, axes=axes)
+    m = mat.m_at(t)
+    if m is not None:
+        out -= np.einsum("xyzab,bxyz->axyz", m, u)
+    return out
+
+
+def rk4_per_stage_reference(spec, h, u0, grid, t_final, dt):
+    """The final field of oracles.time_domain_solve's RK4 stepping, with the
+    material evaluated and inverted afresh at every stage: k1 at the step's
+    start, k2 and k3 at its midpoint, k4 at its end."""
+    from blochpacket.oracles import _apply_blocks, _grid_major, _GridMaterial, _rhs
+
+    mat = _GridMaterial(spec, h, grid)
+    ks = grid.wave_meshgrid()
+
+    def material(t):
+        return _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)]), mat.m_at(t)
+
+    d = _apply_blocks(_grid_major(mat.a0_at(0.0)), np.asarray(u0, dtype=complex))
+    nsteps = max(1, int(np.ceil(t_final / dt)))
+    dt = t_final / nsteps
+    t = 0.0
+    for step in range(1, nsteps + 1):
+        k1 = _rhs(d, *material(t), ks)
+        k2 = _rhs(d + dt / 2 * k1, *material(t + dt / 2), ks)
+        k3 = _rhs(d + dt / 2 * k2, *material(t + dt / 2), ks)
+        t = step * dt
+        k4 = _rhs(d + dt * k3, *material(t), ks)
+        d = d + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return _apply_blocks(material(t)[0], d)

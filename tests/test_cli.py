@@ -82,6 +82,35 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"h_list": ["a"]}, "h_list"),
+    ({"packet": {"widths": [1.0, 1.5, 1.0], "weights": [[1.0]], "axes": [1]}}, "packet.weights"),
+    ({"envelope_dT": -0.001}, "envelope_dT"),
+], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT"])
+def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, overrides)
+    assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_validate_identity_seminorm_stacks_one_harmonic(tmp_path, monkeypatch):
+    """On the shipped identity config every harmonic but n = 0 is zero, so
+    each seminorm call of validate holds that one harmonic."""
+    import blochpacket.cli as cli
+
+    sizes = []
+    original = cli.seminorm
+
+    def counted(field, pairs):
+        sizes.append(len(field.data))
+        return original(field, pairs)
+
+    monkeypatch.setattr(cli, "seminorm", counted)
+    cfg = Path(__file__).parents[1] / "configs" / "validate_identity.json"
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert sizes == [1] * 27  # 9 output times for each of the 3 h
+
+
 def test_hypothesis_violation_exits_3(tmp_path):
     """The on-axis layered kappa=2 cluster is not a constant-multiplicity band:
     the dispersion step must fail with exit code 3."""

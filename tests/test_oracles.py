@@ -254,8 +254,9 @@ def test_multi_time_synthesis_matches_single_times(monkeypatch):
 @pytest.mark.parametrize("which", ["identity", "layered"])
 def test_synthesize_matches_node_loop(which, identity_pipe, offaxis_layered_pipe):
     """One matrix product over the nodes per output time gives the node-by-node
-    quadrature sum, on the grid and at points, to 1e-12 relative."""
-    from helpers import synthesize_reference
+    quadrature sum, on the grid and at points, to 1e-12 relative; the grid
+    harmonics held are the modes of the band's class."""
+    from helpers import band_class_modes, synthesize_reference
 
     from blochpacket.oracles import _NodeEigen, _gl_nodes, _synthesize
 
@@ -273,11 +274,14 @@ def test_synthesize_matches_node_loop(which, identity_pipe, offaxis_layered_pipe
         harmonics, samples = synth(t)
         ref_harmonics, ref_samples = synthesize_reference(packet, pipe.band, pipe.cutoff, nodes,
                                                           zeta, wts, t, grid, pts)
-        assert harmonics.keys() == ref_harmonics.keys()
-        got = np.stack([harmonics[n] for n in ref_harmonics])
-        ref = np.stack(list(ref_harmonics.values()))
+        # a harmonic is held, or absent and exactly zero in the reference
+        assert set(harmonics) <= set(ref_harmonics)
+        assert all(not np.any(d) for n, d in ref_harmonics.items() if n not in harmonics)
+        got = np.stack([harmonics[n] for n in harmonics])
+        ref = np.stack([ref_harmonics[n] for n in harmonics])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(samples - ref_samples) <= 1e-12 * np.linalg.norm(ref_samples)
+    assert set(harmonics) == band_class_modes(pipe)
 
 
 def test_synthesis_requires_static_medium(identity_pipe):
@@ -349,6 +353,61 @@ def test_spectral_curl_div_match_3axis_reference(shape, rng):
                      (_spectral_div(field3, ks), spectral_div_reference(field3, ks))):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["static", "ohmic"])
+@pytest.mark.parametrize("shape", [(64, 1, 1), (16, 1, 8)])
+def test_rk4_rhs_matches_6x6_reference(shape, lossy, rng):
+    """The RK4 right-hand side from the 3x3 inverse blocks and the curl of the
+    components its varying axes reach equals the stage with a 6x6 inverse
+    applied by einsum and all six components transformed."""
+    from helpers import rk4_rhs_reference
+
+    from blochpacket.oracles import _grid_major, _GridMaterial, _rhs
+    from blochpacket.presets import with_ohmic_loss
+
+    spec = layered_anisotropic()
+    if lossy:
+        spec = with_ohmic_loss(spec, 0.3)
+    grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
+    mat = _GridMaterial(spec, 1 / 4, grid)
+    ks = grid.wave_meshgrid()
+    d = rng.standard_normal((6,) + shape) + 1j * rng.standard_normal((6,) + shape)
+    got = _rhs(d, _grid_major([np.linalg.inv(b) for b in mat.a0_at(0.0)]), mat.m_at(0.0), ks)
+    ref = rk4_rhs_reference(mat, 0.0, d, ks)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_modulated_rk4_evaluates_material_once_per_stage_time(monkeypatch):
+    """A modulated medium is evaluated twice at t = 0 (A0 for the initial flux,
+    then its inverse) and twice per step: at the midpoint, shared by k2 and
+    k3, and at the end, shared by k4, the trace and the next step's k1.  The
+    result is bit-identical to stepping that evaluates it afresh at every
+    stage."""
+    from helpers import rk4_per_stage_reference
+
+    from blochpacket.oracles import _GridMaterial
+    from blochpacket.presets import with_cos_modulation
+
+    h = 1 / 4
+    spec = with_cos_modulation(layered(amplitude=0.2), (1.3, 0.25, 0.0, 0.0), amplitude=0.2)
+    grid = EnvelopeGrid((10 * np.pi, 2 * np.pi, 2 * np.pi), (640, 1, 1))
+    u0, _omega = _plane_wave_initial(grid, THETA, (0, 0, 0), h)
+    t_final, dt = 0.3, 3e-3
+    ref = rk4_per_stage_reference(spec, h, u0, grid, t_final, dt)
+
+    calls = []
+    original = _GridMaterial.a0_at
+
+    def counted(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(_GridMaterial, "a0_at", counted)
+    res = time_domain_solve(spec, h, u0, grid, t_final, dt=dt)
+    nsteps = round(t_final / res.dt)
+    assert len(calls) == 2 * nsteps + 2
+    assert np.array_equal(res.field, ref)
 
 
 def _plane_wave_initial(grid, theta, k, h):
