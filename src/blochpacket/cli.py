@@ -23,7 +23,7 @@ import numpy as np
 from .bands import BlochOperator, build_projectors, solve_bands, track_band
 from .config import RunConfig, load_config
 from .dispersion import fd_hessian, hessian, projected_mass, speed_limit_check
-from .envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, weighted_norm
+from .envelope import EnvelopeSolution, gaussian_state, weighted_norm
 from .errors import ConfigError, GammaPointError, HypothesisViolation, NumericalFailure
 from .fieldio import (
     dump_field,
@@ -191,8 +191,7 @@ def cmd_wkb(cfg: RunConfig, out: Path) -> None:
     h = cfg.h_list[0]
     rep = residual(profs, [h], cfg.horizon)[h]
     (out / "residual.json").write_text(json.dumps(rep, indent=1, sort_keys=True) + "\n")
-    xs = cfg.grid.meshgrid()
-    pts = np.stack([g.ravel() for g in xs], axis=-1)
+    pts = cfg.grid.points().reshape(-1, 3)
     for label, t in (("initial", 0.0), ("final", cfg.horizon / h)):
         fld = assemble(profs, h, t, pts, orders=pipe.orders)
         dump_field(out / f"wkb_{label}.bwpk",
@@ -285,9 +284,8 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> None:
     profs = pipe.profiles()
     h = cfg.h_list[0]
     td = cfg.time_domain
-    grid = EnvelopeGrid(td["grid"]["lengths"], td["grid"]["shape"]) if "grid" in td else cfg.grid
-    xs = grid.meshgrid()
-    pts = np.stack([g.ravel() for g in xs], axis=-1)
+    grid = cfg.time_domain_grid
+    pts = grid.points().reshape(-1, 3)
     seed_field = assemble(profs, h, 0.0, pts, orders=pipe.orders)
     initial = seed_field.samples.T.reshape((6,) + grid.shape)
     t_final = float(td.get("t_final", 1.0))

@@ -20,6 +20,16 @@ DEFAULT_TOLERANCES = {
     "divisor_tol": 1e-9,
     "scalar_tol": 1e-8,
 }
+# the settable keys of each config section; a dotted name is a nested section
+SECTION_KEYS = {
+    "packet": ("widths", "weights", "axes", "support_sigmas"),
+    "band": ("index", "omega_target", "kappa"),
+    "grid": ("lengths", "shape"),
+    "time_domain": ("grid", "t_final", "dt", "cfl"),
+    "time_domain.grid": ("lengths", "shape"),
+    "theta_path": ("to", "steps"),
+    "tolerances": tuple(DEFAULT_TOLERANCES),
+}
 
 
 @dataclass
@@ -47,12 +57,32 @@ class RunConfig:
     seed: int
     output: str
     time_domain: dict
+    time_domain_grid: EnvelopeGrid  # time_domain.grid, or grid when absent
     raw: dict = field(default_factory=dict)
 
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _section(doc: dict, name: str, keys) -> dict:
+    """The section at a dotted name ({} when absent); a key not in `keys` is refused."""
+    section = doc
+    for part in name.split("."):
+        section = section.get(part, {})
+        _require(isinstance(section, dict), f"{name} must be a JSON object")
+    unknown = set(section) - set(keys)
+    _require(not unknown, f"unknown {name} keys {sorted(unknown)}; settable: {sorted(keys)}")
+    return section
+
+
+def _grid(doc: dict, name: str) -> EnvelopeGrid:
+    _require("lengths" in doc and "shape" in doc, f"{name} needs 'lengths' and 'shape'")
+    try:
+        return EnvelopeGrid(doc["lengths"], doc["shape"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _number(value, key: str) -> float:
@@ -72,6 +102,7 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
+    sections = {name: _section(doc, name, keys) for name, keys in SECTION_KEYS.items()}
     material = _parse_material(doc.get("material"), base_dir)
     try:
         cutoff = LatticeCutoff(doc.get("cutoff", 1))
@@ -87,10 +118,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     _require(len(h_list) >= 1 and all(h > 0 for h in h_list), "h_list must contain positive scales")
     _require(all(a > b for a, b in zip(h_list, h_list[1:])), "h_list must be strictly decreasing")
 
-    tol = dict(DEFAULT_TOLERANCES)
-    unknown = set(doc.get("tolerances", {})) - set(tol)
-    _require(not unknown, f"unknown tolerances {sorted(unknown)}; settable: {sorted(tol)}")
-    tol.update(doc.get("tolerances", {}))
+    tol = {**DEFAULT_TOLERANCES, **sections["tolerances"]}
     for name, val in tol.items():
         _require(isinstance(val, (int, float)) and val > 0, f"tolerance {name} must be positive")
 
@@ -99,14 +127,11 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     _require(horizon > 0, "horizon must be positive")
     _require(envelope_dT > 0, "envelope_dT must be positive")
 
-    grid_doc = doc.get("grid", {"lengths": [16 * np.pi] * 3, "shape": [1, 192, 1]})
-    _require("lengths" in grid_doc and "shape" in grid_doc, "grid needs 'lengths' and 'shape'")
-    try:
-        grid = EnvelopeGrid(grid_doc["lengths"], grid_doc["shape"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = _grid(doc.get("grid", {"lengths": [16 * np.pi] * 3, "shape": [1, 192, 1]}), "grid")
+    td = sections["time_domain"]
+    td_grid = _grid(td["grid"], "time_domain.grid") if "grid" in td else grid
 
-    pk = doc.get("packet", {})
+    pk = sections["packet"]
     weights = pk.get("weights")
     if weights is not None:
         _require(all(isinstance(c, list) and len(c) == 2 for c in weights),
@@ -142,7 +167,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         seeding=seeding,
         seed=int(doc.get("seed", 0)),
         output=doc.get("output", "out"),
-        time_domain=doc.get("time_domain", {}),
+        time_domain=td,
+        time_domain_grid=td_grid,
         raw=doc,
     )
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .bands import BlochBand, BlochOperator, ProjectorPair, continue_band
 from .errors import MultiplicityInconsistent, SpeedLimitViolation
-from .fourier import (MaterialSpec, apply_mode_blocks, cross_matrix, symbol_matrix,
-                      trig_sum_on_grid)
+from .fourier import MaterialSpec, apply_mode_blocks, cross_matrix, symbol_matrix, trig_sum
 
 SCALAR_TOL = 1e-8
 # samples per structured axis of the y-grid that tau_max maximizes over
@@ -217,8 +216,8 @@ def _symbol_tables(spec: MaterialSpec) -> np.ndarray:
     modes = list(spec.eps0) + list(spec.mu0)
     ys = [np.linspace(0.0, 2 * np.pi, Y_SAMPLES if any(n[a] != 0 for n in modes) else 1,
                       endpoint=False) for a in range(3)]
-    eps = trig_sum_on_grid(spec.eps0, *ys).reshape(-1, 3, 3)
-    mu = trig_sum_on_grid(spec.mu0, *ys).reshape(-1, 3, 3)
+    pts = np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1)
+    eps, mu = (trig_sum(c, pts).reshape(-1, 3, 3) for c in (spec.eps0, spec.mu0))
     eps = 0.5 * (eps + np.conj(np.swapaxes(eps, -1, -2)))
     mu = 0.5 * (mu + np.conj(np.swapaxes(mu, -1, -2)))
     w, u = np.linalg.eigh(eps)

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoxTooSmall
-from .fourier import trig_sum_on_grid
+from .fourier import trig_sum
 
 INNER_MASS_TOL = 1e-8
 SHELL_MASS_TOL = 1e-6
@@ -67,6 +67,10 @@ class EnvelopeGrid:
 
     def meshgrid(self):
         return np.meshgrid(*[self.axis_coords(a) for a in range(3)], indexing="ij")
+
+    def points(self) -> np.ndarray:
+        """(M1, M2, M3, 3) stacked coordinates of the grid points."""
+        return np.stack(self.meshgrid(), axis=-1)
 
     def wave_meshgrid(self):
         return np.meshgrid(*[self.axis_wavenumbers(a) for a in range(3)], indexing="ij")
@@ -111,16 +115,8 @@ class EnvelopeState:
 
 
 # ---------------------------------------------------------------------------
-# Potential and dispersion tables
+# Dispersion table
 # ---------------------------------------------------------------------------
-
-def potential_on_grid(grid: EnvelopeGrid, mean_modes: Dict, kappa: int) -> np.ndarray:
-    """Evaluate the ray-averaged coupling sum_k a_k exp(i k.x) on the grid;
-    shape (M1, M2, M3, kappa, kappa)."""
-    if not mean_modes:
-        return np.zeros(grid.shape + (kappa, kappa), dtype=complex)
-    return trig_sum_on_grid(mean_modes, *(grid.axis_coords(a) for a in range(3)))
-
 
 def dispersion_form(grid: EnvelopeGrid, hess: np.ndarray) -> np.ndarray:
     """q(k, k) = sum_ij hess_ij k_i k_j on the grid's wavenumbers."""
@@ -225,7 +221,8 @@ class EnvelopeSolution:
         self._hats = (None, None)  # (T, tables) of the latest T asked for
         self._ks = self.grid.wave_meshgrid()
         self._q = dispersion_form(self.grid, np.asarray(hess, dtype=float))
-        self._pot = potential_on_grid(self.grid, mean_modes, self.kappa) if mean_modes else None
+        # the ray-averaged coupling on the grid, (M1, M2, M3, kappa, kappa)
+        self._pot = trig_sum(mean_modes, self.grid.points()) if mean_modes else None
         self._step_ops = self._strang_ops(self.dT) if mean_modes else None
 
     # -- stepping ----------------------------------------------------------

@@ -271,7 +271,8 @@ class MaterialSpec:
                         f"{name}: coefficient at {neg} must equal the conjugate "
                         f"transpose of the coefficient at {n}"
                     )
-            grid = material_on_grid(coefs, _POSITIVITY_GRID)
+            y = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
+            grid = trig_sum(coefs, np.stack(np.meshgrid(y, y, y, indexing="ij"), axis=-1))
             herm = 0.5 * (grid + np.conj(np.swapaxes(grid, -1, -2)))
             eigs = np.linalg.eigvalsh(herm)
             if eigs.min() <= _POSITIVITY_TOL:
@@ -386,23 +387,16 @@ def modulation_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff, arr: np.nda
 
 
 # ---------------------------------------------------------------------------
-# Grid reconstruction (used for validation and test oracles)
+# Trigonometric sums
 # ---------------------------------------------------------------------------
 
-def trig_sum_on_grid(coefs: Dict, y1: np.ndarray, y2: np.ndarray,
-                     y3: np.ndarray) -> np.ndarray:
-    """sum_n coef(n) exp(i n.y) on the tensor grid of three 1-D coordinate
-    axes; shape (len(y1), len(y2), len(y3)) + coefficient shape.  The
-    frequencies n may be integer cell harmonics or real wave vectors."""
-    g1, g2, g3 = np.meshgrid(y1, y2, y3, indexing="ij")
-    out = np.zeros(g1.shape + next(iter(coefs.values())).shape, dtype=complex)
-    for n, mat in coefs.items():
-        phase = np.exp(1j * (n[0] * g1 + n[1] * g2 + n[2] * g3))
-        out += phase[..., None, None] * mat
+def trig_sum(coefs: Dict, points) -> np.ndarray:
+    """sum_k coef(k) exp(i k.p) at points p (..., d), frequencies k of length d
+    (cell harmonics, real wave vectors, (t, x) frequencies); shape
+    points.shape[:-1] + coefficient shape.  A tensor grid passes its stacked meshgrid."""
+    p = np.asarray(points, dtype=float)
+    out = np.zeros(p.shape[:-1] + next(iter(coefs.values())).shape, dtype=complex)
+    for k, coef in coefs.items():
+        arg = sum((k[a] * p[..., a] for a in range(1, len(k))), k[0] * p[..., 0])
+        out += np.exp(1j * arg)[..., None, None] * coef
     return out
-
-
-def material_on_grid(coefs: Dict[Mode, np.ndarray], samples: int) -> np.ndarray:
-    """Reconstruct sum_n coef(n) exp(i n.y) on an S^3 grid; shape (S,S,S,3,3)."""
-    y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    return trig_sum_on_grid(coefs, y, y, y)

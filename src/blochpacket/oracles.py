@@ -20,7 +20,7 @@ import numpy as np
 from .bands import BlochBand, BlochOperator, continue_band, procrustes_align
 from .envelope import EnvelopeGrid, varying_axes
 from .errors import ConfigError, GaugeError, StabilityAnomaly
-from .fourier import LatticeCutoff, MaterialSpec, transverse_pair, trig_sum_on_grid
+from .fourier import LatticeCutoff, MaterialSpec, transverse_pair, trig_sum
 
 # smallest singular value of the overlap between adjacent nodes' eigenbases
 OVERLAP_TOL = 0.99
@@ -285,7 +285,7 @@ def _synthesize(packet, band, cutoff, nodes, zeta, wts, grid, points):
     vecs = vecs[held].reshape(6 * len(held), len(zeta))
     modes = cutoff.modes[held]
     if grid is not None:
-        xs = np.stack([g.ravel() for g in grid.meshgrid()], axis=-1)
+        xs = grid.points().reshape(-1, 3)
         grid_phase = np.exp(1j * (zeta @ xs.T))                             # (Q, M)
     if points is not None:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -339,41 +339,39 @@ class _GridMaterial:
     A0 = diag(epsilon, mu) is held as its two 3x3 blocks, each an
     (M1, M2, M3, 3, 3) stack.  The base periodic part is sampled at y = x/h
     once; slow modulations are re-evaluated per requested time (cheap:
-    finitely many modes).
+    finitely many modes).  The medium is static when no modulation depends
+    on t (every eta has eta_0 = 0).
     """
 
     def __init__(self, spec: MaterialSpec, h: float, grid: EnvelopeGrid):
         self.spec = spec
         self.h = float(h)
-        self.grid = grid
-        self.xs = grid.meshgrid()
-        ys = [grid.axis_coords(a) / self.h for a in range(3)]
-        self.a00 = (trig_sum_on_grid(spec.eps0, *ys), trig_sum_on_grid(spec.mu0, *ys))
-        self.static = spec.is_static()
+        self.points = grid.points()
+        self.a00 = tuple(trig_sum(c, self.points / self.h) for c in (spec.eps0, spec.mu0))
+        self.static = all(eta[0] == 0.0 for eta in spec.modulation_frequencies())
 
-    def _sample_modulation(self, coefs, t, dim):
-        out = np.zeros(self.grid.shape + (dim, dim), dtype=complex)
+    def _waves(self, coefs, t: float) -> dict:
+        """The (eta, n) modes of a modulation at time t as wave vectors
+        eta_x + n/h, each coefficient times exp(i eta_0 t)."""
+        waves = {}
         for (eta, n), m in coefs.items():
-            ph = np.exp(
-                1j * (eta[0] * t + eta[1] * self.xs[0] + eta[2] * self.xs[1] + eta[3] * self.xs[2])
-                + 1j * (n[0] * self.xs[0] + n[1] * self.xs[1] + n[2] * self.xs[2]) / self.h
-            )
-            out += ph[..., None, None] * m
-        return out
+            k = tuple(e + v / self.h for e, v in zip(eta[1:], n))
+            waves[k] = waves.get(k, 0.0) + np.exp(1j * eta[0] * t) * m
+        return waves
 
     def a0_at(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """The (epsilon, mu) block stacks at time t."""
         eps, mu = self.a00
         if self.spec.eps1:
-            eps = eps + self.h**2 * self._sample_modulation(self.spec.eps1, t, 3)
+            eps = eps + self.h**2 * trig_sum(self._waves(self.spec.eps1, t), self.points)
         if self.spec.mu1:
-            mu = mu + self.h**2 * self._sample_modulation(self.spec.mu1, t, 3)
+            mu = mu + self.h**2 * trig_sum(self._waves(self.spec.mu1, t), self.points)
         return eps, mu
 
     def m_at(self, t: float) -> Optional[np.ndarray]:
         if not self.spec.lower_order:
             return None
-        return self.h * self._sample_modulation(self.spec.lower_order, t, 6)
+        return self.h * trig_sum(self._waves(self.spec.lower_order, t), self.points)
 
     def wave_speed_bound(self) -> float:
         eps_min, mu_min = (np.linalg.eigvalsh(0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))).min()

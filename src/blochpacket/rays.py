@@ -14,7 +14,8 @@ modulations are.  Splitting its modes by the ray divisor eta.(1, V) gives
 
 For finite sums g is bounded, so the growth exponent beta is 0; empirical_beta
 estimates the exponent numerically as a cross-check and as the hook for
-richer almost-periodic coefficient classes.
+richer almost-periodic coefficient classes.  The field and its parts are
+coefficient maps only; fourier.trig_sum evaluates them at points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .bands import BlochBand, BlochOperator
 from .dispersion import projected_mass
 from .errors import BetaFitError, SmallDivisorWarning
-from .fourier import modulation_apply
+from .fourier import modulation_apply, trig_sum
 
 Eta = Tuple[float, float, float, float]
 
@@ -47,13 +48,6 @@ class CouplingField:
     modes: Dict[Eta, np.ndarray]
     kappa: int
 
-    def at(self, t: float, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.kappa, self.kappa), dtype=complex)
-        for eta, a in self.modes.items():
-            out += a * np.exp(1j * (eta[0] * t + np.dot(eta[1:], x)))
-        return out
-
 
 @dataclass
 class RayAverageData:
@@ -62,8 +56,8 @@ class RayAverageData:
     mean_modes: spatial frequency -> kappa x kappa; the ray average as a
         function of the comoving coordinate x - V t.
     fluctuation_modes: eta -> raw coupling coefficient of each non-resonant
-        mode (divisors are re-derived at evaluation time, so reconstructing
-        the original field from the two parts is exact).
+        mode (divisors are applied by fluctuation_terms, so the two parts
+        partition the field's modes exactly).
     beta: growth exponent of the fluctuation integral; 0 for finite sums.
     """
 
@@ -73,42 +67,14 @@ class RayAverageData:
     fluctuation_modes: Dict[Eta, np.ndarray]
     beta: float = 0.0
 
-    def mean_at(self, x_comoving) -> np.ndarray:
-        x = np.asarray(x_comoving, dtype=float)
-        out = np.zeros((self.kappa, self.kappa), dtype=complex)
-        for k, a in self.mean_modes.items():
-            out += a * np.exp(1j * np.dot(k, x))
-        return out
-
-    def fluctuation_at(self, t: float, x) -> np.ndarray:
-        """g(t, x): exact integral of the non-resonant part along the ray
-        through (t, x), vanishing at t = 0."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.kappa, self.kappa), dtype=complex)
-        for eta, a in self.fluctuation_modes.items():
-            div = 1j * _ray_divisor(eta, self.V)
-            full = np.exp(1j * (eta[0] * t + np.dot(eta[1:], x)))
-            comoving = np.exp(1j * np.dot(eta[1:], x - self.V * t))
-            out += (a / div) * (full - comoving)
-        return out
-
     def fluctuation_terms(self) -> List[Tuple[Eta, np.ndarray]]:
-        """(eta, a_eta / (i eta.(1,V))) pairs: the closed-form g as the
+        """(eta, a_eta / (i eta.(1,V))) pairs: the closed-form g, the exact
+        integral of the non-resonant part along rays with g(0, x) = 0, as the
         difference of a full-phase and a comoving-phase trigonometric sum."""
         return [
             (eta, a / (1j * _ray_divisor(eta, self.V)))
             for eta, a in self.fluctuation_modes.items()
         ]
-
-    def reconstruct(self) -> CouplingField:
-        """Merge the two parts back into the original coupling field."""
-        modes: Dict[Eta, np.ndarray] = {}
-        for k, a in self.mean_modes.items():
-            eta = (-float(np.dot(k, self.V)), *k)
-            modes[eta] = modes.get(eta, 0.0) + a
-        for eta, a in self.fluctuation_modes.items():
-            modes[eta] = modes.get(eta, 0.0) + a
-        return CouplingField(modes=modes, kappa=self.kappa)
 
 
 def _ray_divisor(eta, V) -> float:
@@ -185,38 +151,33 @@ def empirical_beta(gamma: CouplingField, V, T_list) -> float:
     running sup of ||g|| over [T/2, T] -- the point value g(T) oscillates for
     bounded fluctuations and would alias phase into the fit.  The slope of
     log sup-norm against log T is returned, clipped at zero.  If the
-    fluctuation is negligible (< 1e-12) at every horizon the exponent is 0 by
-    convention; a non-finite fit raises BetaFitError.
+    fluctuation vanishes (no non-resonant mode) or is negligible (< 1e-12) at
+    every horizon the exponent is 0 by convention; a non-finite fit raises
+    BetaFitError.
     """
     V = np.asarray(V, dtype=float)
     data = ray_average(gamma, V)
     T_list = sorted(float(t) for t in T_list)
     if len(T_list) < 2:
         raise ValueError("need at least two horizons to fit a growth exponent")
+    if not data.fluctuation_modes:
+        return 0.0
 
     # fastest oscillation along the ray sets the quadrature resolution
     divisors = [abs(_ray_divisor(eta, V)) for eta in gamma.modes] + [1.0]
     dt = 2 * np.pi / (BETA_STEPS_PER_PERIOD * max(divisors))
-    T_max = T_list[-1]
-    nsteps = int(np.ceil(T_max / dt))
-    ts = np.linspace(0.0, T_max, nsteps + 1)
+    ts = np.linspace(0.0, T_list[-1], int(np.ceil(T_list[-1] / dt)) + 1)
 
     norms = []
     for x0 in BETA_RAY_ORIGINS:
-        mean_x0 = data.mean_at(x0)
-        vals = np.stack([gamma.at(t, x0 + V * t) - mean_x0 for t in ts])
+        mean_x0 = trig_sum(data.mean_modes, x0) if data.mean_modes else 0.0
+        vals = trig_sum(gamma.modes, np.column_stack([ts, x0 + V * ts[:, None]])) - mean_x0
         inc = 0.5 * (vals[1:] + vals[:-1]) * (ts[1] - ts[0])
-        prefix = np.concatenate([np.zeros((1, gamma.kappa, gamma.kappa)),
-                                 np.cumsum(inc, axis=0)])
-        gnorm = np.linalg.norm(prefix, axis=(1, 2))
-        norms.append(gnorm)
+        prefix = np.cumsum(np.concatenate([np.zeros((1,) + inc.shape[1:]), inc]), axis=0)
+        norms.append(np.linalg.norm(prefix, axis=(1, 2)))
     gnorm = np.max(norms, axis=0)
 
-    sups = []
-    for T in T_list:
-        sel = (ts >= T / 2) & (ts <= T)
-        sups.append(float(gnorm[sel].max()))
-    sups = np.asarray(sups)
+    sups = np.array([gnorm[(ts >= T / 2) & (ts <= T)].max() for T in T_list])
     if np.all(sups < 1e-12):
         return 0.0
     slope = np.polyfit(np.log(T_list), np.log(np.maximum(sups, 1e-300)), 1)[0]

@@ -40,9 +40,8 @@ from .dispersion import DispersionData
 from .envelope import EnvelopeSolution, varying_axes
 from .errors import CutoffMismatch
 from .fourier import apply_curl_direction, modulation_a01_apply, modulation_apply
-from .rays import RayAverageData
+from .rays import Eta, RayAverageData
 
-Eta = Tuple[float, float, float, float]
 FieldKey = Tuple[int, int, Tuple[int, int, int]]
 TermTable = Dict[Tuple[Eta, FieldKey], np.ndarray]
 
@@ -272,10 +271,8 @@ def _field_values(profiles: ProfileSet, keys, T: float, pts: np.ndarray) -> Dict
 
 
 def _phases(etas, t: float, x: np.ndarray) -> Dict[Eta, np.ndarray]:
-    return {
-        eta: np.exp(1j * (eta[0] * t + x @ np.asarray(eta[1:])))
-        for eta in etas
-    }
+    """exp(i (eta_0 t + eta_x.x)) at points x of shape (..., 3), per eta."""
+    return {eta: np.exp(1j * (eta[0] * t + x @ np.asarray(eta[1:]))) for eta in etas}
 
 
 def _norms(table: TermTable) -> Dict[Tuple[Eta, FieldKey], float]:
@@ -354,8 +351,7 @@ def residual(profiles: ProfileSet, hs, horizon: float, num_t: int = 5,
         else:
             L = grid.lengths[a]
             axes.append(np.linspace(-L / 8, L / 8, num_x))
-    xg = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in xg], axis=-1)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     keys = {key for table in orders.values() for (_eta, key) in table}
     worst = {h: {name: [0.0, 0.0] for name in orders} for h in hs}
@@ -452,7 +448,6 @@ def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
     T = h * t
     env = profiles.envelope
     tables = [profiles.tables()[j] for j in orders]
-    xs = grid.meshgrid()
     ks = grid.wave_meshgrid()
     vt = profiles.dispersion.V * t
 
@@ -462,14 +457,14 @@ def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
     keys = sorted({key for table in tables for (_eta, key) in table})
     hats = np.stack([env.field_hat(*key, T) * shift for key in keys])
     envelope_on_grid = dict(zip(keys, np.fft.ifftn(hats, axes=varying_axes(hats))))
+    phases = _phases({eta for table in tables for (eta, _key) in table}, t, grid.points())
 
     modes = profiles.op.cutoff.modes
     held = _held_modes(tables, len(modes))
     harm = np.zeros((len(held), 6) + grid.shape, dtype=complex)
     for j, table in zip(orders, tables):
         for (eta, key), vec in table.items():
-            phase = np.exp(1j * (eta[0] * t + eta[1] * xs[0] + eta[2] * xs[1] + eta[3] * xs[2]))
-            coef = (h ** j) * carrier_t * phase * envelope_on_grid[key]
+            coef = (h ** j) * carrier_t * phases[eta] * envelope_on_grid[key]
             v6 = vec.reshape(-1, 6)[held]
             rows = np.flatnonzero(np.any(v6, axis=1))
             harm[rows] += v6[rows, :, None, None, None] * coef[None, None]

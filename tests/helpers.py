@@ -6,8 +6,9 @@ from blochpacket.bands import BlochOperator, build_projectors, mode_classes, sol
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
-                                 cross_matrix, trig_sum_on_grid, wavevectors)
-from blochpacket.rays import build_gamma, ray_average
+                                 cross_matrix, trig_sum, wavevectors)
+from blochpacket.rays import (BETA_RAY_ORIGINS, BETA_STEPS_PER_PERIOD, build_gamma,
+                              ray_average)
 from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
 
 
@@ -125,7 +126,7 @@ def grid_values(cutoff: LatticeCutoff, theta, coeffs: np.ndarray, samples: int) 
     grid, shape (S, S, S, 6, 1)."""
     y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     terms = {tuple(k): c[:, None] for k, c in zip(wavevectors(cutoff, theta), coeffs)}
-    return trig_sum_on_grid(terms, y, y, y)
+    return trig_sum(terms, np.stack(np.meshgrid(y, y, y, indexing="ij"), axis=-1))
 
 
 def dense_operator(spec, cutoff, theta):
@@ -303,8 +304,9 @@ def speed_limit_reference(spec, V, num_samples, seed):
     modes = list(spec.eps0) + list(spec.mu0)
     ys = [np.linspace(0.0, 2 * np.pi, 17 if any(n[a] != 0 for n in modes) else 1,
                       endpoint=False) for a in range(3)]
-    eps = trig_sum_on_grid(spec.eps0, *ys).reshape(-1, 3, 3)
-    mu = trig_sum_on_grid(spec.mu0, *ys).reshape(-1, 3, 3)
+    pts = np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1)
+    eps = trig_sum(spec.eps0, pts).reshape(-1, 3, 3)
+    mu = trig_sum(spec.mu0, pts).reshape(-1, 3, 3)
     eps = 0.5 * (eps + np.conj(np.swapaxes(eps, -1, -2)))
     mu = 0.5 * (mu + np.conj(np.swapaxes(mu, -1, -2)))
     w, u = np.linalg.eigh(eps)
@@ -377,3 +379,69 @@ def rk4_per_stage_reference(spec, h, u0, grid, t_final, dt):
         k4 = _rhs(d + dt * k3, *material(t), ks)
         d = d + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return _apply_blocks(material(t)[0], d)
+
+
+def fluctuation_values(data, points) -> np.ndarray:
+    """g at (t, x) points (..., 4) from RayAverageData.fluctuation_terms, as
+    build_profiles uses them: sum c (exp(i eta.(t, x)) - exp(i eta_x.(x - V t)))."""
+    full, comoving = {}, {}
+    for eta, c in data.fluctuation_terms():
+        full[eta] = c
+        key = (-float(np.dot(eta[1:], data.V)), *eta[1:])
+        comoving[key] = comoving.get(key, 0.0) + c
+    return trig_sum(full, points) - trig_sum(comoving, points)
+
+
+def transport_defect(pipe, rng, num_samples) -> float:
+    """max |(d_t + V.d_x) g - (gamma - mean(x - V t))| over random (t, x),
+    derivatives taken by fourth-order finite differences of the closed-form
+    g; every stencil point is evaluated in one trig_sum per sum."""
+    data = pipe.ray
+    s = 1e-3
+    c4 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * s)
+    base = np.column_stack([rng.uniform(0.2, 5.0, num_samples),
+                            rng.uniform(-2, 2, size=(num_samples, 3))])
+    # stencil points (sample, direction of (t, x), offset, coordinate)
+    stencil = base[:, None, None] + s * np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * np.eye(4)[:, None]
+    deriv = np.einsum("o,sdoij->sdij", c4, fluctuation_values(data, stencil))
+    lhs = np.einsum("d,sdij->sij", np.concatenate([[1.0], data.V]), deriv)
+    rhs = (trig_sum(pipe.gamma.modes, base)
+           - trig_sum(data.mean_modes, base[:, 1:] - data.V * base[:, :1]))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def partition_is_exact(gamma, data) -> bool:
+    """Every coupling mode lands in exactly one part of the ray-average
+    split, unchanged: the non-resonant ones in fluctuation_modes, the
+    resonant ones summed into mean_modes by spatial frequency."""
+    fluct, sums = {}, {}
+    for eta, a in gamma.modes.items():
+        part, key = (fluct, eta) if eta in data.fluctuation_modes else (sums, eta[1:])
+        part[key] = part.get(key, 0.0) + a
+    return all(set(got) == set(want) and all(np.array_equal(got[k], want[k]) for k in want)
+               for got, want in ((data.fluctuation_modes, fluct), (data.mean_modes, sums)))
+
+
+def empirical_beta_reference(gamma, V, T_list) -> float:
+    """rays.empirical_beta with the coupling summed mode by mode at one ray
+    point at a time: the same quadrature, sup windows and fit."""
+    V = np.asarray(V, dtype=float)
+    data = ray_average(gamma, V)
+    T_list = sorted(float(t) for t in T_list)
+    divisors = [abs(eta[0] + np.dot(eta[1:], V)) for eta in gamma.modes] + [1.0]
+    dt = 2 * np.pi / (BETA_STEPS_PER_PERIOD * max(divisors))
+    ts = np.linspace(0.0, T_list[-1], int(np.ceil(T_list[-1] / dt)) + 1)
+    zero = np.zeros((gamma.kappa, gamma.kappa), dtype=complex)
+    norms = []
+    for x0 in BETA_RAY_ORIGINS:
+        mean_x0 = sum((a * np.exp(1j * np.dot(k, x0)) for k, a in data.mean_modes.items()), zero)
+        vals = np.stack([sum((a * np.exp(1j * (eta[0] * t + np.dot(eta[1:], x0 + V * t)))
+                              for eta, a in gamma.modes.items()), zero) - mean_x0 for t in ts])
+        inc = 0.5 * (vals[1:] + vals[:-1]) * (ts[1] - ts[0])
+        prefix = np.concatenate([zero[None], np.cumsum(inc, axis=0)])
+        norms.append(np.linalg.norm(prefix, axis=(1, 2)))
+    gnorm = np.max(norms, axis=0)
+    sups = np.array([gnorm[(ts >= T / 2) & (ts <= T)].max() for T in T_list])
+    if np.all(sups < 1e-12):
+        return 0.0
+    return float(max(np.polyfit(np.log(T_list), np.log(np.maximum(sups, 1e-300)), 1)[0], 0.0))

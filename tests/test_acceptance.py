@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import L2, grid_values, random_coeffs
+from helpers import L2, grid_values, partition_is_exact, random_coeffs, transport_defect
 
 from blochpacket.bands import BlochOperator, solve_bands
 from blochpacket.dispersion import (
@@ -316,31 +316,9 @@ def test_09_ray_average_algebra(modulated_pipe):
     from blochpacket.rays import empirical_beta
 
     pipe = modulated_pipe
-    data = pipe.ray
-    v = data.V
-    rng = np.random.default_rng(5)
-    s = 1e-3
-    c4 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * s)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * s
-    worst = 0.0
-    for _ in range(8):
-        t = float(rng.uniform(0.2, 5.0))
-        x = rng.uniform(-2, 2, size=3)
-        dt = sum(c * data.fluctuation_at(t + o, x) for c, o in zip(c4, offs))
-        dx = np.zeros_like(dt)
-        for j in range(3):
-            ej = np.zeros(3)
-            ej[j] = 1.0
-            dx += v[j] * sum(c * data.fluctuation_at(t, x + o * ej)
-                             for c, o in zip(c4, offs))
-        rhs = pipe.gamma.at(t, x) - data.mean_at(x - v * t)
-        worst = max(worst, float(np.max(np.abs(dt + dx - rhs))))
-
-    rebuilt = data.reconstruct()
-    exact = set(rebuilt.modes) == set(pipe.gamma.modes) and all(
-        np.array_equal(rebuilt.modes[k], pipe.gamma.modes[k]) for k in pipe.gamma.modes
-    )
-    beta = empirical_beta(pipe.gamma, v, [10.0, 100.0, 1000.0])
+    worst = transport_defect(pipe, np.random.default_rng(5), 8)
+    exact = partition_is_exact(pipe.gamma, pipe.ray)
+    beta = empirical_beta(pipe.gamma, pipe.ray.V, [10.0, 100.0, 1000.0])
     report(
         "criterion 9 (ray-average algebra)",
         worst <= 1e-9 and exact and beta <= 0.05,

@@ -63,6 +63,18 @@ def test_unknown_tolerance_exits_2(tmp_path, capsys):
     assert "cluster_tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["packet", "band", "grid", "time_domain",
+                                     "time_domain.grid", "theta_path"])
+def test_unknown_section_key_exits_2(tmp_path, capsys, section):
+    """A misspelt key in any config section exits 2 with a message that names
+    it and lists the section's settable keys."""
+    outer, _, inner = section.partition(".")
+    typo = {inner: {"misspelt": 1}} if inner else {"misspelt": 1}
+    cfg = write_config(tmp_path, {outer: typo})
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown {section} keys ['misspelt']; settable: [" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["bands", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -72,11 +84,12 @@ def test_missing_config_exits_2(tmp_path):
     {"grid": {"shape": [1, 128, 1]}},
     {"grid": {"lengths": [L, L], "shape": [1, 128, 1]}},
     {"grid": {"lengths": [L, L, L], "shape": [1, 0, 1]}},
+    {"time_domain": {"grid": {"shape": [64, 1, 1]}}},
     {"cutoff": -1},
     {"packet": {"widths": [1.0, 1.5], "axes": [1]},
      "grid": {"lengths": [L, L, L], "shape": [1, 128, 16]}},
-], ids=["grid_without_lengths", "two_grid_lengths", "zero_grid_size", "negative_cutoff",
-        "two_packet_widths"])
+], ids=["grid_without_lengths", "two_grid_lengths", "zero_grid_size",
+        "time_domain_grid_without_lengths", "negative_cutoff", "two_packet_widths"])
 def test_malformed_config_value_exits_2(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

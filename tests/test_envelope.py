@@ -165,9 +165,9 @@ def test_growth_bound(modulated_pipe):
     pipe = modulated_pipe
     grid = EnvelopeGrid((1.0, 16 * np.pi, 1.0), (1, 96, 1))
     st = gaussian_state(grid, (1.0, 1.5, 1.0), [1.0, 0.5j])
-    from blochpacket.envelope import potential_on_grid
+    from blochpacket.fourier import trig_sum
 
-    pot = potential_on_grid(grid, pipe.ray.mean_modes, pipe.band.kappa)
+    pot = trig_sum(pipe.ray.mean_modes, grid.points())
     bound_rate = float(np.linalg.norm(pot.reshape(-1, 2, 2), ord=2, axis=(1, 2)).max())
     T = 0.8
     env = EnvelopeSolution(st, pipe.dispersion.hessian, pipe.ray.mean_modes, 2e-3)

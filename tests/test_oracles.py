@@ -378,36 +378,54 @@ def test_rk4_rhs_matches_6x6_reference(shape, lossy, rng):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def _material_calls(spec, monkeypatch):
+    """Step spec for 100 RK4 steps on a 640-point grid; return the times of
+    the a0_at calls and whether the field is bit-identical to stepping that
+    evaluates the material afresh at every stage."""
+    from helpers import rk4_per_stage_reference
+
+    from blochpacket.oracles import _GridMaterial
+
+    h, t_final, dt = 1 / 4, 0.3, 3e-3
+    grid = EnvelopeGrid((10 * np.pi, 2 * np.pi, 2 * np.pi), (640, 1, 1))
+    u0, _omega = _plane_wave_initial(grid, THETA, (0, 0, 0), h)
+    ref = rk4_per_stage_reference(spec, h, u0, grid, t_final, dt)
+    calls = []
+    original = _GridMaterial.a0_at
+    monkeypatch.setattr(_GridMaterial, "a0_at",
+                        lambda self, t: calls.append(t) or original(self, t))
+    res = time_domain_solve(spec, h, u0, grid, t_final, dt=dt)
+    assert round(t_final / res.dt) == 100
+    return calls, np.array_equal(res.field, ref)
+
+
 def test_modulated_rk4_evaluates_material_once_per_stage_time(monkeypatch):
     """A modulated medium is evaluated twice at t = 0 (A0 for the initial flux,
     then its inverse) and twice per step: at the midpoint, shared by k2 and
     k3, and at the end, shared by k4, the trace and the next step's k1.  The
     result is bit-identical to stepping that evaluates it afresh at every
     stage."""
-    from helpers import rk4_per_stage_reference
-
-    from blochpacket.oracles import _GridMaterial
     from blochpacket.presets import with_cos_modulation
 
-    h = 1 / 4
     spec = with_cos_modulation(layered(amplitude=0.2), (1.3, 0.25, 0.0, 0.0), amplitude=0.2)
-    grid = EnvelopeGrid((10 * np.pi, 2 * np.pi, 2 * np.pi), (640, 1, 1))
-    u0, _omega = _plane_wave_initial(grid, THETA, (0, 0, 0), h)
-    t_final, dt = 0.3, 3e-3
-    ref = rk4_per_stage_reference(spec, h, u0, grid, t_final, dt)
+    calls, exact = _material_calls(spec, monkeypatch)
+    assert len(calls) == 2 * 100 + 2  # 2 nsteps + 2
+    assert exact
 
-    calls = []
-    original = _GridMaterial.a0_at
 
-    def counted(self, t):
-        calls.append(t)
-        return original(self, t)
+@pytest.mark.parametrize("which", ["ohmic", "eps1_along_x"])
+def test_time_independent_medium_evaluates_material_at_start_only(which, monkeypatch):
+    """A medium whose modulations all have eta_0 = 0 (constant Ohmic loss, or
+    an eps1 that varies along x only) is evaluated at t = 0 only, and every
+    step reuses that inverse, bit-identically."""
+    from blochpacket.presets import with_cos_modulation, with_ohmic_loss
 
-    monkeypatch.setattr(_GridMaterial, "a0_at", counted)
-    res = time_domain_solve(spec, h, u0, grid, t_final, dt=dt)
-    nsteps = round(t_final / res.dt)
-    assert len(calls) == 2 * nsteps + 2
-    assert np.array_equal(res.field, ref)
+    base = layered(amplitude=0.2)
+    spec = (with_ohmic_loss(base, 0.1) if which == "ohmic"
+            else with_cos_modulation(base, (0.0, 0.25, 0.0, 0.0), amplitude=0.2))
+    calls, exact = _material_calls(spec, monkeypatch)
+    assert calls == [0.0, 0.0]
+    assert exact
 
 
 def _plane_wave_initial(grid, theta, k, h):

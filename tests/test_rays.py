@@ -3,9 +3,12 @@ exponent."""
 
 import numpy as np
 import pytest
+from helpers import (empirical_beta_reference, fluctuation_values, partition_is_exact,
+                     transport_defect)
 
 from blochpacket.bands import BlochOperator
 from blochpacket.errors import SmallDivisorWarning
+from blochpacket.fourier import trig_sum
 from blochpacket.rays import (
     CouplingField,
     build_gamma,
@@ -48,9 +51,8 @@ def test_gamma_antihermitian_for_symmetric_modulation(modulated_pipe):
     op = BlochOperator.build(spec, pipe.cutoff, pipe.theta)
     gamma = build_gamma(pipe.band, op)
     n = projected_mass(pipe.band, op)
-    for (t, x) in [(0.0, np.zeros(3)), (0.7, np.array([1.0, -2.0, 0.5]))]:
-        m = n @ gamma.at(t, x) / 1j
-        assert np.allclose(m, m.conj().T, atol=1e-12)
+    m = n @ trig_sum(gamma.modes, [[0.0, 0.0, 0.0, 0.0], [0.7, 1.0, -2.0, 0.5]]) / 1j
+    assert np.allclose(m, np.conj(np.swapaxes(m, -1, -2)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +68,10 @@ def test_constant_coupling_is_its_own_average():
     g0 = np.array([[0.3 + 0.1j]])
     gamma = _single_mode((0, 0, 0, 0), g0)
     data = ray_average(gamma, [1.0, 0.0, 0.0])
-    assert np.allclose(data.mean_at(np.zeros(3)), g0)
+    assert np.allclose(trig_sum(data.mean_modes, np.zeros(3)), g0)
     assert data.fluctuation_modes == {}
+    assert data.fluctuation_terms() == []
     assert data.beta == 0.0
-    assert np.allclose(data.fluctuation_at(3.0, np.array([1.0, 2.0, 3.0])), 0.0)
 
 
 def test_cos_t_coupling_integrates_to_sin_t(rng):
@@ -83,9 +85,10 @@ def test_cos_t_coupling_integrates_to_sin_t(rng):
     v = rng.standard_normal(3)
     data = ray_average(gamma, v)
     assert data.mean_modes == {}
-    for t in (0.0, 0.9, 4.2):
-        x = rng.standard_normal(3)
-        assert np.allclose(data.fluctuation_at(t, x), np.sin(t) * g0, atol=1e-12)
+    ts = np.array([0.0, 0.9, 4.2])
+    pts = np.column_stack([ts, rng.standard_normal((3, 3))])
+    assert np.allclose(fluctuation_values(data, pts), np.sin(ts)[:, None, None] * g0,
+                       atol=1e-12)
 
 
 def test_comoving_coupling_is_all_average():
@@ -99,19 +102,17 @@ def test_comoving_coupling_is_all_average():
     )
     data = ray_average(gamma, v)
     assert data.fluctuation_modes == {}
-    for t in (0.0, 2.0):
-        x = np.array([0.3, -0.7, 2.0])
-        expect = gamma.at(t, x)
-        got = data.mean_at(x - v * t)
-        assert np.allclose(got, expect, atol=1e-12)
+    ts = np.array([0.0, 2.0])
+    x = np.array([0.3, -0.7, 2.0])
+    expect = trig_sum(gamma.modes, np.column_stack([ts, np.tile(x, (2, 1))]))
+    got = trig_sum(data.mean_modes, x - v * ts[:, None])
+    assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_partition_reconstructs_exactly(modulated_pipe):
     pipe = modulated_pipe
-    rebuilt = pipe.ray.reconstruct()
-    assert set(rebuilt.modes) == set(pipe.gamma.modes)
-    for eta, m in pipe.gamma.modes.items():
-        assert np.array_equal(rebuilt.modes[eta], m)
+    assert pipe.ray.mean_modes and pipe.ray.fluctuation_modes
+    assert partition_is_exact(pipe.gamma, pipe.ray)
 
 
 def test_small_divisor_is_hard_error():
@@ -125,26 +126,8 @@ def test_small_divisor_is_hard_error():
 # ---------------------------------------------------------------------------
 
 def test_transport_identity_pointwise(modulated_pipe):
-    """(d_t + V.d_x) g = gamma - mean(x - V t) to 1e-9, derivatives taken by
-    fourth-order finite differences of the closed form."""
-    pipe = modulated_pipe
-    data = pipe.ray
-    v = data.V
-    rng = np.random.default_rng(7)
-    s = 1e-3
-    c4 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * s)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * s
-    for _ in range(6):
-        t = float(rng.uniform(0.2, 5.0))
-        x = rng.uniform(-2, 2, size=3)
-        dt = sum(c * data.fluctuation_at(t + o, x) for c, o in zip(c4, offs))
-        dx = np.zeros_like(dt)
-        for j in range(3):
-            ej = np.zeros(3)
-            ej[j] = 1.0
-            dx += v[j] * sum(c * data.fluctuation_at(t, x + o * ej) for c, o in zip(c4, offs))
-        rhs = pipe.gamma.at(t, x) - data.mean_at(x - v * t)
-        assert np.max(np.abs(dt + dx - rhs)) < 1e-9
+    """(d_t + V.d_x) g = gamma - mean(x - V t) to 1e-9."""
+    assert transport_defect(modulated_pipe, np.random.default_rng(7), 6) < 1e-9
 
 
 def test_time_average_converges_at_rate(modulated_pipe):
@@ -152,7 +135,7 @@ def test_time_average_converges_at_rate(modulated_pipe):
     pipe = modulated_pipe
     data = pipe.ray
     x0 = np.array([0.4, -1.1, 0.2])
-    mean = data.mean_at(x0)
+    mean = trig_sum(data.mean_modes, x0)
     errs = {}
     for T in (100.0, 1000.0):
         n = int(64 * T)
@@ -160,7 +143,8 @@ def test_time_average_converges_at_rate(modulated_pipe):
         w = np.ones(n + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w *= (T / n) / 3.0
-        acc = sum(wt * pipe.gamma.at(t, x0 + data.V * t) for wt, t in zip(w, ts))
+        vals = trig_sum(pipe.gamma.modes, np.column_stack([ts, x0 + data.V * ts[:, None]]))
+        acc = np.tensordot(w, vals, axes=1)
         errs[T] = np.max(np.abs(acc / T - mean))
     assert errs[1000.0] < 2e-3
     # O(1/T) up to the oscillatory prefactor of the boundary term
@@ -199,3 +183,18 @@ def test_beta_two_mode(rng):
     )
     beta = empirical_beta(gamma, v, [10.0, 100.0, 1000.0])
     assert beta <= 0.05
+
+
+@pytest.mark.parametrize("which", ["modulated", "two_mode_eta_x"])
+def test_empirical_beta_matches_point_loop(which, modulated_pipe):
+    """The ray sums in one trig_sum per ray origin give the exponent of the
+    loop that sums the coupling at one ray point at a time, bit for bit.  The
+    short first horizon keeps the fitted slope off its clip at zero."""
+    gamma, v = modulated_pipe.gamma, modulated_pipe.dispersion.V
+    if which == "two_mode_eta_x":  # one resonant mode, one not, both with eta_x != 0
+        v = np.array([-0.8, 0.3, 0.0])
+        gamma = CouplingField(modes={(0.4, 0.5, 0.0, 0.0): np.array([[0.3, 0.1j], [0.2, -0.4]]),
+                                     (1.1, 0.0, -0.6, 0.0): np.array([[0.7, 0.0], [0.05j, 0.2]])},
+                              kappa=2)
+    beta = empirical_beta(gamma, v, [2.0, 10.0, 20.0])
+    assert beta > 0.0 and beta == empirical_beta_reference(gamma, v, [2.0, 10.0, 20.0])
