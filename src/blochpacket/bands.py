@@ -32,15 +32,20 @@ pencil splits into one block per class of modes connected by that support
 (a layered medium at cutoff N has (2N+1)^2 classes, a medium structured
 along all three axes has one).  The classes are held one way, stacked by
 size: every stage (apply_blocks for A0 and the partial inverse, the reduced
-pencil, the projectors) makes one batched pass per class size.  Eigenvalues
-are computed for every class, eigenvectors only for the classes owning a
-cluster a caller inspects, and only those clusters are lifted to full 6K
-vectors.  Two entry points solve the pencil: `solve_bands` returns the
-lowest bands, and `continue_band` follows one band to a nearby theta (path
-tracking, finite-difference stencils, synthesis quadrature nodes) through
-`op.at`, which reuses A0, its factor and the class groups; it scores the
-candidate clusters on their orthonormal columns, and only the matched one
-is rotated onto the previous basis and gets a residual.
+pencil, the projectors) makes one batched pass per class size.  Two entry
+points solve the pencil.  `solve_bands` returns the lowest bands; it
+computes the eigenvalues of every class.  `continue_band` follows one band
+to a nearby theta (path tracking, finite-difference stencils, synthesis
+quadrature nodes) through `op.at`, which reuses A0, its factor, its norms
+and the class groups.  It solves only the classes whose spectral floor
+(_floors: min |theta + n| over the class's modes over the inf-norm of its
+A0 block) lies below its candidate window, and reports the exact gap (a
+layered medium at cutoff 2 solves 1 of its 25 classes; a medium with one
+class always solves it).  It scores the candidate clusters on their
+orthonormal columns, and only the matched one is rotated onto the previous
+basis and gets a residual.  Either way eigenvectors are built only for the
+classes owning a cluster a caller inspects, and only those clusters are
+lifted to full 6K vectors.
 
 The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
 phase that makes its largest entry real positive, kappa > 1 the rotation onto
@@ -52,7 +57,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -70,6 +75,7 @@ from .fourier import (
     base_material_matrix,
     curl_matrix,
     transverse_field_blocks,
+    wavevectors,
     _check_theta,
 )
 
@@ -147,14 +153,16 @@ class BlochOperator:
     blocks; li is inv(C) for the Cholesky factor C C^H of each A0 block, so
     inv(A0) = li^H li.  build raises MaterialError when a block is not
     positive definite.  No array is 6K x 6K unless one class holds every
-    mode.  A0, li and the groups do not depend on theta, so `at` (nearby
-    theta) shares them."""
+    mode.  a0_norms holds the inf-norm of each A0 block, which bounds its
+    largest eigenvalue (see _floors).  A0, li, the groups and the norms do
+    not depend on theta, so `at` (nearby theta) shares them."""
 
     spec: MaterialSpec
     cutoff: LatticeCutoff
     theta: np.ndarray
     groups: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     g_blocks: np.ndarray
+    a0_norms: Tuple[np.ndarray, ...]  # per group, the inf-norm of each A0 block
 
     @classmethod
     def build(cls, spec: MaterialSpec, cutoff: LatticeCutoff, theta) -> "BlochOperator":
@@ -165,11 +173,12 @@ class BlochOperator:
         rows = [(6 * mm[..., None] + np.arange(6)).reshape(len(mm), -1) for mm in modes]
         a0 = base_material_matrix(spec, cutoff, modes)
         return cls(spec, cutoff, theta, tuple(zip(modes, rows, a0, map(_inverse_factor, a0))),
-                   curl_matrix(cutoff, theta))
+                   curl_matrix(cutoff, theta),
+                   tuple(np.abs(a).sum(axis=-1).max(axis=-1) for a in a0))
 
     def at(self, theta) -> "BlochOperator":
-        """The same medium and cutoff at another theta (A0, its factor and the
-        groups shared, G rebuilt)."""
+        """The same medium and cutoff at another theta (A0, its factor, its
+        norms and the groups shared, G rebuilt)."""
         theta = _check_theta(theta)
         return dataclasses.replace(self, theta=theta, g_blocks=curl_matrix(self.cutoff, theta))
 
@@ -217,26 +226,34 @@ def _inverse_factor(a0: np.ndarray) -> np.ndarray:
 class _Pencil(NamedTuple):
     """The pencil on the transverse unknowns at one theta, group by group
     (see the module docstring): W = li T, L L^H = W^H W and red = L^H Gt L
-    per class.  vals holds every eigenvalue of red sorted by |omega|
-    (negative first on exact ties); with (g, c, k) = owner[:, i], eigenvalue
-    i is column k of member c of group g, whose rows, li, W, L and red are
-    the stacks in blocks[g].  vecs keeps inv(L)^H times the eigenvectors of
-    red for the members whose clusters were read; column k lifts to the
-    eigenvector li^H W inv(L)^H y_k."""
+    per solved class member.  vals holds every eigenvalue of the solved
+    members' red sorted by |omega| (negative first on exact ties); with
+    (g, c, k) = owner[:, i], eigenvalue i is column k of the c-th solved
+    member of group g, whose rows, li, W, L and red are the stacks in
+    blocks[g] (None when no member of the group was solved).  vecs keeps
+    inv(L)^H times the eigenvectors of red for the members whose clusters
+    were read; column k lifts to the eigenvector li^H W inv(L)^H y_k."""
 
     op: BlochOperator
     frame: np.ndarray  # (K, 6, 4) transverse unit fields per mode
-    blocks: List[Tuple[np.ndarray, ...]]
+    blocks: List[Optional[Tuple[np.ndarray, ...]]]
     vals: np.ndarray
     owner: np.ndarray  # (3, number of eigenvalues)
     vecs: Dict[Tuple[int, int], np.ndarray]
 
 
-def _solve_pencil(op: BlochOperator) -> _Pencil:
+def _solve_pencil(op: BlochOperator, members: Optional[List[np.ndarray]] = None) -> _Pencil:
+    """The reduced pencil of every class member, or, given one boolean mask
+    per group, of the members it selects."""
     frame = transverse_field_blocks(op.cutoff, op.theta)
     g_t = _adjoint(frame) @ (-1j * op.g_blocks) @ frame
     blocks, vals, owner = [], [], []
     for g, (modes, rows, _a0, li) in enumerate(op.groups):
+        if members is not None and not members[g].all():
+            if not members[g].any():
+                blocks.append(None)
+                continue
+            modes, rows, li = modes[members[g]], rows[members[g]], li[members[g]]
         n, m = modes.shape
         # W = li T one mode column block at a time: T couples no two modes
         w = (li.reshape(n, 6 * m, m, 6).swapaxes(1, 2) @ frame[modes]).swapaxes(1, 2)
@@ -249,8 +266,37 @@ def _solve_pencil(op: BlochOperator) -> _Pencil:
         vals.append(vals_g.ravel())
         owner.append(np.vstack([np.full(vals_g.size, g), np.indices(vals_g.shape).reshape(2, -1)]))
     vals = np.concatenate(vals)
-    order = np.lexsort((np.sign(vals), np.abs(vals)))
+    order = _by_magnitude(vals)
     return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner, axis=1)[:, order], {})
+
+
+def _by_magnitude(vals: np.ndarray) -> np.ndarray:
+    """The order of vals by |omega|, negative first on exact ties."""
+    return np.lexsort((np.sign(vals), np.abs(vals)))
+
+
+def _floors(op: BlochOperator) -> List[np.ndarray]:
+    """Per group, a lower bound on |omega| over the eigenvalues of each class
+    member's reduced pencil: min over its modes of |theta + n|, divided by
+    the inf-norm of its A0 block.  Every eigenvalue of L^H Gt L satisfies
+    |omega| >= sigma_min(Gt) lambda_min(T^H inv(A0) T); the 4x4 block of Gt
+    at mode n has singular values |theta + n|, and T has orthonormal columns,
+    so lambda_min(T^H inv(A0) T) >= 1 / lambda_max(A0) >= 1 / ||A0||_inf
+    (A0 is Hermitian)."""
+    k = np.linalg.norm(wavevectors(op.cutoff, op.theta), axis=-1)
+    return [k[modes].min(axis=1) / norms
+            for (modes, _rows, _a0, _li), norms in zip(op.groups, op.a0_norms)]
+
+
+def _below(floors: List[np.ndarray], bound: float) -> List[np.ndarray]:
+    """Per group, the members whose floor lies below bound widened by four
+    cluster tolerances.  A cluster spans less than one tolerance and holds
+    its mean, so every cluster with a member below bound is solved whole,
+    and a cluster cut at the edge of the solved part lies within two
+    tolerances of a cluster of the full spectrum (the gap pass needs that
+    margin)."""
+    bound = bound + 4 * default_cluster_tol(bound)
+    return [f < bound for f in floors]
 
 
 def _cluster_span(p: _Pencil, sel: List[int]) -> np.ndarray:
@@ -321,11 +367,29 @@ def continue_band(op: BlochOperator, theta, prev: BlochBand) -> Tuple[BlochBand,
     returned eigenbasis is rotated by the unitary maximizing its overlap with
     prev's (subspace Procrustes).  Raises MultiplicityInconsistent if the
     matched cluster's multiplicity differs from prev's.
+
+    Only the class members that can reach the candidates are solved: those
+    whose floor (_floors) lies below |prev.omega| + 0.2 * max(1,
+    |prev.omega|).  A member left out has no eigenvalue below that reach, so
+    the candidates, the match, its eigenvectors and its band index are those
+    of the full spectrum.  The gap is exact too: it is the distance from
+    omega to the nearest other cluster of the full spectrum, because a
+    second pass solves every member left out whose floor lies within the
+    first pass's gap of |omega|.  When no cluster is near, every member is
+    solved.
     """
-    p = _solve_pencil(op.at(theta))
+    op = op.at(theta)
+    half = 0.2 * max(1.0, abs(prev.omega))
+    floors = _floors(op)
+    solved = _below(floors, abs(prev.omega) + half)
+    p = _solve_pencil(op, solved)
     clusters, omegas = _cluster(p.vals)
-    near = np.abs(omegas - prev.omega) < 0.2 * max(1.0, abs(prev.omega))
-    window = np.flatnonzero(near) if near.any() else range(len(clusters))
+    window = np.flatnonzero(np.abs(omegas - prev.omega) < half)
+    if not len(window):
+        solved = [np.ones_like(s) for s in solved]
+        p = _solve_pencil(op)
+        clusters, omegas = _cluster(p.vals)
+        window = range(len(clusters))
     indices = _band_indices(p.vals)
 
     # the overlap depends on the span only, so candidates are scored on
@@ -343,11 +407,21 @@ def continue_band(op: BlochOperator, theta, prev: BlochBand) -> Tuple[BlochBand,
             f"at theta={tuple(p.op.theta)}"
         )
     omega = omegas[best_c]
-    others = np.delete(omegas, best_c)
-    gap = float(np.min(np.abs(others - omega))) if len(others) else np.inf
+    gap = _gap(omegas, omega)
+    more = [b & ~s for b, s in zip(_below(floors, abs(omega) + gap), solved)]
+    if any(m.any() for m in more):
+        vals = np.concatenate([p.vals, _solve_pencil(op, more).vals])
+        gap = _gap(_cluster(vals[_by_magnitude(vals)])[1], omega)
     # the Procrustes rotation fixes the gauge from the span alone
     psi = procrustes_align(best, prev.eigvecs)
     return _band(p, psi, omega, indices[clusters[best_c][0]]), gap
+
+
+def _gap(omegas: np.ndarray, omega: float) -> float:
+    """Distance from omega, one of the cluster means, to the nearest other
+    (cluster means are distinct)."""
+    others = omegas[omegas != omega]
+    return float(np.min(np.abs(others - omega))) if len(others) else np.inf
 
 
 def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> np.ndarray:

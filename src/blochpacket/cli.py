@@ -130,13 +130,9 @@ class Pipeline:
 def cmd_bands(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     rows = list(pipe.all_bands)
-    path_spec = cfg.raw.get("theta_path")
-    if path_spec:
-        end = np.asarray(path_spec["to"], dtype=float)
-        steps = int(path_spec.get("steps", 8))
-        path = [cfg.theta + (end - cfg.theta) * s / max(steps - 1, 1)
-                for s in range(steps)]
-        rows.extend(track_band(pipe.op, pipe.band, path, gap_tol=cfg.tolerances["gap_tol"]))
+    if cfg.theta_path:
+        rows.extend(track_band(pipe.op, pipe.band, cfg.theta_path,
+                               gap_tol=cfg.tolerances["gap_tol"]))
     write_bands_csv(out / "bands.csv", rows)
     margin = speed_limit_check(cfg.material, pipe.dispersion.V, num_samples=200,
                                seed=cfg.seed)["worst_margin"]
@@ -161,7 +157,7 @@ def cmd_gamma(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     beta_fit = 0.0
     if pipe.ray.fluctuation_modes:
-        beta_fit = empirical_beta(pipe.gamma, pipe.dispersion.V, [10.0, 100.0, 1000.0])
+        beta_fit = empirical_beta(pipe.gamma, pipe.ray, [10.0, 100.0, 1000.0])
     write_coupling_json(out / "coupling.json", pipe.gamma, pipe.ray, beta_fit)
     print(f"wrote coupling.json ({len(pipe.gamma.modes)} modes, beta_fit {beta_fit:.3f})")
 
@@ -201,14 +197,36 @@ def cmd_wkb(cfg: RunConfig, out: Path) -> None:
           f"(max |r1| rel {rep['r1']['rel']:.3e})")
 
 
-def _auto_nodes(cfg: RunConfig, hess: np.ndarray) -> int:
+def _auto_nodes(cfg: RunConfig, V: np.ndarray, hess: np.ndarray) -> int:
     """Gauss-Legendre nodes per spectrum axis: resolve the spatial phase
-    x.zeta out to the box edge plus the accumulated dispersion phase over the
-    horizon, with margin.  A rule of n nodes resolves about 2n radians."""
+    x.zeta out to the box edge, the transport phase V.zeta t that the packet
+    picks up by t = horizon/h at the smallest h, and the accumulated
+    dispersion phase over the horizon, with margin.  A rule of n nodes
+    resolves about 2n radians."""
     half = max(cfg.grid.lengths[a] / 2 for a in cfg.packet.axes)
     radius = max(cfg.packet.support_sigmas / cfg.packet.widths[a] for a in cfg.packet.axes)
-    phase = half * radius + 0.5 * cfg.horizon * float(np.linalg.norm(hess, 2)) * radius**2
+    speed = max(abs(V[a]) for a in cfg.packet.axes)
+    phase = (half * radius + speed * radius * cfg.horizon / min(cfg.h_list)
+             + 0.5 * cfg.horizon * float(np.linalg.norm(hess, 2)) * radius**2)
     return int(np.ceil(phase / 2)) + 25
+
+
+def _check_box(cfg: RunConfig, V: np.ndarray) -> None:
+    """Refuse a packet that transport carries to the box edge: by
+    t = horizon/h it has moved |V_a| horizon/h along packet axis a, and
+    there it must still fit, with its support, in half the box.  The
+    assembly wraps periodically and the synthesis does not, so past the edge
+    the two disagree whatever their accuracy."""
+    for h in cfg.h_list:
+        for a in cfg.packet.axes:
+            shift = abs(V[a]) * cfg.horizon / h
+            support = cfg.packet.support_sigmas * cfg.packet.widths[a]
+            half = cfg.grid.lengths[a] / 2
+            if shift + support > half:
+                raise ConfigError(
+                    f"packet reaches the box edge on axis {a} at h={h:g}: transport "
+                    f"|V_a| horizon/h = {shift:.4g} plus support {support:.4g} = "
+                    f"{shift + support:.4g} exceeds the half-box {half:.4g}")
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> None:
@@ -216,8 +234,9 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
     if not cfg.material.is_static():
         _validate_certificate(cfg, out, pipe)
         return
+    _check_box(cfg, pipe.dispersion.V)
     profs = pipe.profiles()
-    nodes = _auto_nodes(cfg, pipe.dispersion.hessian)
+    nodes = _auto_nodes(cfg, pipe.dispersion.V, pipe.dispersion.hessian)
     weights = pipe.packet_weights()
     indices = weighted_indices(2, tuple(a for a in cfg.packet.axes))
 

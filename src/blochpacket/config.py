@@ -58,6 +58,7 @@ class RunConfig:
     output: str
     time_domain: dict
     time_domain_grid: EnvelopeGrid  # time_domain.grid, or grid when absent
+    theta_path: Tuple[np.ndarray, ...] = ()  # points tracked by `bands`, theta first
     raw: dict = field(default_factory=dict)
 
 
@@ -91,6 +92,25 @@ def _number(value, key: str) -> float:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
+
+
+def _theta_path(section: dict, theta: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`steps` evenly spaced points from theta to theta_path.to, both ends
+    included (none when the section is absent or empty)."""
+    if not section:
+        return ()
+    _require("to" in section, "theta_path needs 'to'")
+    try:
+        end = np.asarray(section["to"], dtype=float)
+    except (TypeError, ValueError):
+        end = None
+    _require(end is not None and end.shape == (3,) and np.all(np.isfinite(end)),
+             f"theta_path.to: expected 3 numbers, got {section['to']!r}")
+    steps = _number(section.get("steps", 8), "theta_path.steps")
+    _require(steps >= 1 and steps.is_integer(),
+             f"theta_path.steps: expected a positive integer, got {section.get('steps')!r}")
+    steps = int(steps)
+    return tuple(theta + (end - theta) * s / max(steps - 1, 1) for s in range(steps))
 
 
 def load_config(path) -> RunConfig:
@@ -169,6 +189,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         output=doc.get("output", "out"),
         time_domain=td,
         time_domain_grid=td_grid,
+        theta_path=_theta_path(sections["theta_path"], theta),
         raw=doc,
     )
 

@@ -143,20 +143,21 @@ def ray_average(gamma: CouplingField, V, divisor_tol: float = DEFAULT_DIVISOR_TO
 # Empirical growth exponent
 # ---------------------------------------------------------------------------
 
-def empirical_beta(gamma: CouplingField, V, T_list) -> float:
+def empirical_beta(gamma: CouplingField, data: RayAverageData, T_list) -> float:
     """Numerical estimate of the fluctuation growth exponent.
 
-    Integrates gamma - mean along rays (trapezoid prefix sums at a resolution
-    set by the fastest ray oscillation) and records, per horizon T, the
-    running sup of ||g|| over [T/2, T] -- the point value g(T) oscillates for
-    bounded fluctuations and would alias phase into the fit.  The slope of
-    log sup-norm against log T is returned, clipped at zero.  If the
-    fluctuation vanishes (no non-resonant mode) or is negligible (< 1e-12) at
-    every horizon the exponent is 0 by convention; a non-finite fit raises
-    BetaFitError.
+    data is the ray average of gamma (ray_average), so the exponent reads
+    the same partition, at the same divisor tolerance, as the rest of the
+    run.  Integrates gamma - mean along rays (trapezoid prefix sums at a
+    resolution set by the fastest ray oscillation) and records, per horizon
+    T, the running sup of ||g|| over [T/2, T] -- the point value g(T)
+    oscillates for bounded fluctuations and would alias phase into the fit.
+    The slope of log sup-norm against log T is returned, clipped at zero.
+    If the fluctuation vanishes (no non-resonant mode) or is negligible
+    (< 1e-12) at every horizon the exponent is 0 by convention; a
+    non-finite fit raises BetaFitError.
     """
-    V = np.asarray(V, dtype=float)
-    data = ray_average(gamma, V)
+    V = data.V
     T_list = sorted(float(t) for t in T_list)
     if len(T_list) < 2:
         raise ValueError("need at least two horizons to fit a growth exponent")

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from blochpacket import bands
 from blochpacket.bands import BlochOperator, build_projectors, mode_classes, solve_bands
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
@@ -240,6 +241,30 @@ def class_blocks(op):
     per-size groups."""
     for modes, rows, a0, _li in op.groups:
         yield from zip(modes, rows, a0)
+
+
+def continue_band_reference(op, theta, prev):
+    """bands.continue_band solving every class member at the new theta: the
+    candidate clusters, the match by overlap, the band index and the gap all
+    read the full spectrum."""
+    p = bands._solve_pencil(op.at(theta))
+    clusters, omegas = bands._cluster(p.vals)
+    near = np.abs(omegas - prev.omega) < 0.2 * max(1.0, abs(prev.omega))
+    window = np.flatnonzero(near) if near.any() else range(len(clusters))
+    best, best_c, best_overlap = None, -1, -1.0
+    for c in window:
+        span = bands._cluster_span(p, clusters[c])
+        s = np.linalg.svd(span.conj().T @ prev.eigvecs, compute_uv=False)
+        overlap = s.min() if len(s) >= prev.kappa else 0.0
+        if overlap > best_overlap:
+            best, best_c, best_overlap = span, c, overlap
+    assert best.shape[1] == prev.kappa
+    omega = omegas[best_c]
+    others = np.delete(omegas, best_c)
+    gap = float(np.min(np.abs(others - omega))) if len(others) else np.inf
+    psi = bands.procrustes_align(best, prev.eigvecs)
+    index = bands._band_indices(p.vals)[clusters[best_c][0]]
+    return bands._band(p, psi, omega, index), gap
 
 
 def apply_a0_reference(op, v):

@@ -318,7 +318,7 @@ def test_09_ray_average_algebra(modulated_pipe):
     pipe = modulated_pipe
     worst = transport_defect(pipe, np.random.default_rng(5), 8)
     exact = partition_is_exact(pipe.gamma, pipe.ray)
-    beta = empirical_beta(pipe.gamma, pipe.ray.V, [10.0, 100.0, 1000.0])
+    beta = empirical_beta(pipe.gamma, pipe.ray, [10.0, 100.0, 1000.0])
     report(
         "criterion 9 (ray-average algebra)",
         worst <= 1e-9 and exact and beta <= 0.05,

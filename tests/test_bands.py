@@ -10,6 +10,7 @@ from helpers import (
     apply_a0_reference,
     block_diagonal,
     class_blocks,
+    continue_band_reference,
     cosine_3d,
     dense_operator,
     longitudinal_field_blocks,
@@ -35,7 +36,7 @@ from blochpacket.fourier import (
     transverse_pair,
 )
 from blochpacket.oracles import constant_spectrum
-from blochpacket.presets import identity_material, layered, scaled_identity
+from blochpacket.presets import identity_material, layered, layered_anisotropic, scaled_identity
 
 THETA = np.array([0.3, 0.0, 0.0])
 THETA_OFF = np.array([0.3, 0.2, 0.0])
@@ -240,7 +241,8 @@ def _pencils(monkeypatch):
     """Every reduced pencil that the band solves build, in call order."""
     built = []
     solve = bands._solve_pencil
-    monkeypatch.setattr(bands, "_solve_pencil", lambda op: built.append(solve(op)) or built[-1])
+    monkeypatch.setattr(bands, "_solve_pencil",
+                        lambda op, members=None: built.append(solve(op, members)) or built[-1])
     return built
 
 
@@ -316,6 +318,114 @@ def test_continuation_across_symmetry_allowed_crossing():
     assert np.linalg.norm(nearest.eigvecs.conj().T @ cont.eigvecs) == 0.0
     assert abs(cont.eigvecs.conj().T @ band.eigvecs).item() > 0.9
     assert cont.kappa == 1 and cont.residual < bands.RESIDUAL_TOL and gap > bands.DEFAULT_GAP_TOL
+
+
+PRESETS = [(layered(0.2), 2), (layered_anisotropic(), 2), (parity_layered(), 2),
+           (cosine_3d(), 1), (identity_material(), 2)]
+PRESET_IDS = ["layered", "layered_anisotropic", "parity", "cosine_3d", "identity"]
+
+
+@pytest.mark.parametrize("theta", [THETA_OFF, [0.45, 0.1, 0.7], [-0.2, 1.05, 0.3]],
+                         ids=["offaxis", "oblique", "unwrapped"])
+@pytest.mark.parametrize("spec, cutoff", PRESETS, ids=PRESET_IDS)
+def test_class_floor_bounds_its_spectrum(spec, cutoff, theta):
+    """Each class member's smallest |eigenvalue| from a full solve is at
+    least its floor (up to round-off); on the identity, one mode per class,
+    the floor is attained."""
+    op = BlochOperator.build(spec, LatticeCutoff(cutoff), theta)
+    p = bands._solve_pencil(op)
+    floors = bands._floors(op)
+    lowest = {}
+    for v, (g, c, _k) in zip(np.abs(p.vals), p.owner.T.tolist()):
+        lowest.setdefault((g, c), v)
+    assert len(lowest) == sum(len(f) for f in floors)
+    slack = np.array([lowest[g, c] - floors[g][c] for g, c in lowest])
+    assert slack.min() >= -1e-14
+    if len(op.groups[0][0][0]) == 1:
+        assert np.abs(slack).max() < 1e-14
+
+
+def _assert_same_continuation(op, theta, prev):
+    """continue_band against the all-classes reference: omega, band index and
+    gap agree exactly, the eigenvectors to 1e-14."""
+    got, gap = continue_band(op, theta, prev)
+    ref, ref_gap = continue_band_reference(op, theta, prev)
+    assert (got.omega, got.band_index, got.kappa, gap) == (ref.omega, ref.band_index,
+                                                           ref.kappa, ref_gap)
+    assert np.max(np.abs(got.eigvecs - ref.eigvecs)) <= 1e-14
+    assert got.residual == ref.residual
+    return got, gap
+
+
+@pytest.mark.parametrize("spec, cutoff, theta",
+                         [(spec, cutoff, THETA if name == "layered_anisotropic" else THETA_OFF)
+                          for (spec, cutoff), name in zip(PRESETS, PRESET_IDS)], ids=PRESET_IDS)
+def test_windowed_continuation_matches_all_classes_at_stencil_points(spec, cutoff, theta):
+    """Off axis, except for the anisotropic layers, which alone split the
+    polarizations on axis: elsewhere a kappa = 2 cluster there splits at
+    the stencil points."""
+    op = BlochOperator.build(spec, LatticeCutoff(cutoff), theta)
+    for band in solve_bands(op, 8)[:4]:
+        for shift in (5e-3 * np.eye(3)[0], -1e-2 * np.eye(3)[1], [5e-3, -5e-3, 5e-3]):
+            _assert_same_continuation(op, op.theta + shift, band)
+
+
+def test_windowed_continuation_matches_all_classes_along_a_path():
+    """The bands_layered theta path: each step continues the previous one."""
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    for s in range(1, 5):
+        band, _gap = _assert_same_continuation(op, THETA_OFF + [0.0, 0.02 * s, 0.0], band)
+
+
+def test_windowed_continuation_matches_all_classes_across_crossing():
+    start = np.array([0.3, 0.45, 0.0])
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), start)
+    band = next(b for b in solve_bands(op, 4) if b.band_index == 1)
+    _assert_same_continuation(op, start + [0.0, 0.1, 0.0], band)
+
+
+def test_windowed_continuation_falls_back_to_every_class(monkeypatch):
+    """No cluster lies within 0.2 * 10 of omega = 10 (the spectrum at cutoff 2
+    stays below 4), so every class member is solved and the match is by
+    overlap alone."""
+    pencils = _pencils(monkeypatch)
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    far = dataclasses.replace(band, omega=10.0)
+    pencils.clear()
+    got, _gap = _assert_same_continuation(op, THETA_OFF + [5e-3, 0.0, 0.0], far)
+    assert got.band_index == 1
+    assert len(pencils[1].vals) == 4 * op.cutoff.num_modes
+
+
+def test_windowed_continuation_gap_pass(monkeypatch):
+    """Identity at cutoff 1, omega = 0.3: the window reaches 0.5, so the first
+    pass solves the mode n = 0 alone (+-0.3, gap 0.6).  The mode (-1, 0, 0)
+    (|omega| 0.7, floor 0.7 < 0.3 + 0.6) is solved by the gap pass, and the
+    gap shrinks to the full spectrum's 0.4."""
+    pencils = _pencils(monkeypatch)
+    op = BlochOperator.build(identity_material(), LatticeCutoff(1), THETA)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    pencils.clear()
+    got, gap = _assert_same_continuation(op, THETA + [1e-3, 0.0, 0.0], band)
+    first, second = pencils[:2]
+    assert sorted(np.abs(first.vals)) == pytest.approx([0.301] * 4, abs=1e-12)
+    assert sorted(np.abs(second.vals)) == pytest.approx([0.699] * 4, abs=1e-12)
+    assert gap == pytest.approx(0.398, abs=1e-12) and got.kappa == 2
+
+
+def test_continuation_solves_one_of_25_classes(monkeypatch):
+    """Layered at cutoff 2 (25 classes of 5 modes): a stencil continuation of
+    band 1 solves the one class that can reach its window."""
+    pencils = _pencils(monkeypatch)
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    pencils.clear()
+    continue_band(op, THETA_OFF + [5e-3, 0.0, 0.0], band)
+    (p,) = pencils
+    assert sum(len(f) for f in bands._floors(op)) == 25
+    assert len(set(map(tuple, p.owner[:2].T.tolist()))) == 1 and len(p.vals) == 20
 
 
 def _dense_pi_q(proj):

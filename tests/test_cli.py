@@ -99,7 +99,11 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
     ({"h_list": ["a"]}, "h_list"),
     ({"packet": {"widths": [1.0, 1.5, 1.0], "weights": [[1.0]], "axes": [1]}}, "packet.weights"),
     ({"envelope_dT": -0.001}, "envelope_dT"),
-], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT"])
+    ({"theta_path": {"to": [0.3, 0.1, 0.0], "steps": "x"}}, "theta_path.steps"),
+    ({"theta_path": {"to": [0.3, 0.1], "steps": 3}}, "theta_path.to"),
+    ({"theta_path": {"to": [0.3, 0.1, 0.0], "steps": 0}}, "theta_path.steps"),
+], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT",
+        "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -122,6 +126,36 @@ def test_validate_identity_seminorm_stacks_one_harmonic(tmp_path, monkeypatch):
     cfg = Path(__file__).parents[1] / "configs" / "validate_identity.json"
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert sizes == [1] * 27  # 9 output times for each of the 3 h
+
+
+def test_gamma_and_wkb_share_the_divisor_tolerance(tmp_path):
+    """A coupling mode with ray divisor 1e-10 passes a divisor_tol of 1e-12:
+    wkb, which partitions the coupling once, and gamma, whose growth
+    exponent reads that partition, both accept it."""
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "wkb_modulated.json").read_text())
+    doc["material"]["modulations"].append(
+        {"kind": "cos", "eta": [1.0, 1.0 + 1e-10, 0.0, 0.0], "amplitude": 0.1, "target": "eps1"})
+    doc["tolerances"] = {"divisor_tol": 1e-12}
+    cfg = tmp_path / "near_resonant.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("wkb", "gamma"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+
+
+def test_validate_refuses_packet_carried_to_box_edge(tmp_path, capsys):
+    """The along-V layered packet: V_0 = -0.78 carries it 0.78 * 64 = 50 along
+    axis 0 by t = 1/h at h = 1/64, plus a support of 6 * 3 = 18, against a
+    half-box of 50.25.  The synthesis does not wrap, so this run once gave a
+    slope of -3.92; validate refuses it up front."""
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "bands_layered.json").read_text())
+    doc.update({"theta": [0.25, 0.2, 0.0], "h_list": [1 / 16, 1 / 32, 1 / 64],
+                "packet": {"widths": [3.0, 1.0, 1.0], "weights": [[1.0, 0.0]], "axes": [0]},
+                "grid": {"lengths": [100.5, 2 * np.pi, 2 * np.pi], "shape": [192, 1, 1]}})
+    cfg = tmp_path / "along_v.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "box edge on axis 0 at h=0.015625" in err and "half-box 50.25" in err
 
 
 def test_hypothesis_violation_exits_3(tmp_path):

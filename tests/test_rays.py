@@ -161,13 +161,13 @@ def test_beta_bounded_oscillation(rng):
         modes={(1.0, 0.0, 0.0, 0.0): 0.5 * g0, (-1.0, 0.0, 0.0, 0.0): 0.5 * g0},
         kappa=2,
     )
-    beta = empirical_beta(gamma, [-1.0, 0.0, 0.0], [10.0, 100.0, 1000.0])
+    beta = empirical_beta(gamma, ray_average(gamma, [-1.0, 0.0, 0.0]), [10.0, 100.0, 1000.0])
     assert beta <= 0.05
 
 
 def test_beta_constant_coupling_degenerate():
     gamma = _single_mode((0.0, 0.0, 0.0, 0.0), np.array([[2.0]]))
-    beta = empirical_beta(gamma, [1.0, 0.0, 0.0], [10.0, 100.0])
+    beta = empirical_beta(gamma, ray_average(gamma, [1.0, 0.0, 0.0]), [10.0, 100.0])
     assert beta == 0.0
 
 
@@ -181,7 +181,7 @@ def test_beta_two_mode(rng):
         },
         kappa=1,
     )
-    beta = empirical_beta(gamma, v, [10.0, 100.0, 1000.0])
+    beta = empirical_beta(gamma, ray_average(gamma, v), [10.0, 100.0, 1000.0])
     assert beta <= 0.05
 
 
@@ -196,5 +196,5 @@ def test_empirical_beta_matches_point_loop(which, modulated_pipe):
         gamma = CouplingField(modes={(0.4, 0.5, 0.0, 0.0): np.array([[0.3, 0.1j], [0.2, -0.4]]),
                                      (1.1, 0.0, -0.6, 0.0): np.array([[0.7, 0.0], [0.05j, 0.2]])},
                               kappa=2)
-    beta = empirical_beta(gamma, v, [2.0, 10.0, 20.0])
+    beta = empirical_beta(gamma, ray_average(gamma, v), [2.0, 10.0, 20.0])
     assert beta > 0.0 and beta == empirical_beta_reference(gamma, v, [2.0, 10.0, 20.0])
