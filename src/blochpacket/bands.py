@@ -235,7 +235,7 @@ class _Pencil(NamedTuple):
     were read; column k lifts to the eigenvector li^H W inv(L)^H y_k."""
 
     op: BlochOperator
-    frame: np.ndarray  # (K, 6, 4) transverse unit fields per mode
+    frame: Optional[np.ndarray]  # (K, 6, 4) transverse unit fields per mode
     blocks: List[Optional[Tuple[np.ndarray, ...]]]
     vals: np.ndarray
     owner: np.ndarray  # (3, number of eigenvalues)
@@ -244,9 +244,10 @@ class _Pencil(NamedTuple):
 
 def _solve_pencil(op: BlochOperator, members: Optional[List[np.ndarray]] = None) -> _Pencil:
     """The reduced pencil of every class member, or, given one boolean mask
-    per group, of the members it selects."""
-    frame = transverse_field_blocks(op.cutoff, op.theta)
-    g_t = _adjoint(frame) @ (-1j * op.g_blocks) @ frame
+    per group, of the members it selects.  The transverse frame and Gt are
+    built for the solved members' modes only, so `frame` is the whole frame
+    when every member is solved and None otherwise."""
+    frame = transverse_field_blocks(op.cutoff, op.theta) if members is None else None
     blocks, vals, owner = [], [], []
     for g, (modes, rows, _a0, li) in enumerate(op.groups):
         if members is not None and not members[g].all():
@@ -255,11 +256,13 @@ def _solve_pencil(op: BlochOperator, members: Optional[List[np.ndarray]] = None)
                 continue
             modes, rows, li = modes[members[g]], rows[members[g]], li[members[g]]
         n, m = modes.shape
+        t = transverse_field_blocks(op.cutoff, op.theta, modes) if frame is None else frame[modes]
+        g_t = _adjoint(t) @ (-1j * op.g_blocks[modes]) @ t
         # W = li T one mode column block at a time: T couples no two modes
-        w = (li.reshape(n, 6 * m, m, 6).swapaxes(1, 2) @ frame[modes]).swapaxes(1, 2)
+        w = (li.reshape(n, 6 * m, m, 6).swapaxes(1, 2) @ t).swapaxes(1, 2)
         w = w.reshape(n, 6 * m, 4 * m)
         chol = np.linalg.cholesky(_adjoint(w) @ w)
-        g_chol = (g_t[modes] @ chol.reshape(n, m, 4, 4 * m)).reshape(chol.shape)
+        g_chol = (g_t @ chol.reshape(n, m, 4, 4 * m)).reshape(chol.shape)
         red = _hermitian_part(_adjoint(chol) @ g_chol)
         vals_g = np.linalg.eigvalsh(red)
         blocks.append((rows, li, w, chol, red))

@@ -10,6 +10,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import presets
+from .bands import MAX_TRACK_STEP
 from .envelope import EnvelopeGrid
 from .errors import ConfigError
 from .fieldio import material_from_dict
@@ -110,7 +111,11 @@ def _theta_path(section: dict, theta: np.ndarray) -> Tuple[np.ndarray, ...]:
     _require(steps >= 1 and steps.is_integer(),
              f"theta_path.steps: expected a positive integer, got {section.get('steps')!r}")
     steps = int(steps)
-    return tuple(theta + (end - theta) * s / max(steps - 1, 1) for s in range(steps))
+    path = tuple(theta + (end - theta) * s / max(steps - 1, 1) for s in range(steps))
+    step = max((np.linalg.norm(b - a) for a, b in zip(path[:-1], path[1:])), default=0.0)
+    _require(step <= MAX_TRACK_STEP, f"theta_path.steps: a step of {step:.4g} exceeds "
+             f"the tracking bound {MAX_TRACK_STEP}")
+    return path
 
 
 def load_config(path) -> RunConfig:

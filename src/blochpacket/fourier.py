@@ -207,18 +207,20 @@ def transverse_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
     return np.stack([u1, u2], axis=1)
 
 
-def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """(K, 6, 4) per-mode transverse E/B unit fields.
+def transverse_field_blocks(cutoff: LatticeCutoff, theta, modes=None) -> np.ndarray:
+    """(K, 6, 4) per-mode transverse E/B unit fields, or, given an array of
+    mode indices, those of its modes (shape modes.shape + (6, 4)).
 
     Column order per mode: (E,u1), (E,u2), (B,u1), (B,u2) with u1, u2 the
     transverse_basis pair.  Per mode they span the plain-orthogonal
     complement of the curl kernel.
     """
-    u = transverse_basis(cutoff, theta)
-    blocks = np.zeros((cutoff.num_modes, 6, 4), dtype=complex)
+    v = wavevectors(cutoff, _check_theta(theta))
+    u = transverse_pair(v if modes is None else v[modes])
+    blocks = np.zeros(u[0].shape[:-1] + (6, 4), dtype=complex)
     for a in range(2):
-        blocks[:, :3, a] = u[:, a]
-        blocks[:, 3:, 2 + a] = u[:, a]
+        blocks[..., :3, a] = u[a]
+        blocks[..., 3:, 2 + a] = u[a]
     return blocks
 
 

@@ -13,7 +13,7 @@ yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,22 +40,23 @@ def exact_constant_solution(theta, k=(0, 0, 0), e_pol=None, sign: int = +1):
     electric part runs over (k+theta)^perp and the magnetic part is
     -sign * unit(k+theta) ^ e.  Returns (omega, e, b) for a chosen
     polarization (default: first vector of the deterministic transverse
-    pair), with (e, b) normalized so |e|^2 + |b|^2 = 1.
+    pair), with (e, b) normalized so |e|^2 + |b|^2 = 1.  theta (and e_pol)
+    may be (Q, 3) stacks; omega is then (Q,) and e, b are (Q, 3).
     """
     v = np.asarray(theta, dtype=float) + np.asarray(k, dtype=float)
-    vn = np.linalg.norm(v)
-    if vn == 0.0:
+    vn = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(vn == 0.0):
         raise ConfigError("k + theta = 0 has no nonzero eigenfrequency")
     vhat = v / vn
     if e_pol is None:
         e_pol = transverse_pair(v)[0]
     e = np.asarray(e_pol, dtype=complex)
-    if abs(np.dot(vhat, e)) > 1e-12:
+    if np.any(np.abs(np.sum(vhat * e, axis=-1)) > 1e-12):
         raise ConfigError("polarization must be orthogonal to k + theta")
-    e = e / np.linalg.norm(e)
+    e = e / np.linalg.norm(e, axis=-1, keepdims=True)
     b = -sign * np.cross(vhat, e)
     scale = 1.0 / np.sqrt(2.0)
-    return sign * vn, scale * e, scale * b
+    return sign * vn[..., 0], scale * e, scale * b
 
 
 def constant_spectrum(cutoff: LatticeCutoff, theta) -> np.ndarray:
@@ -66,15 +67,6 @@ def constant_spectrum(cutoff: LatticeCutoff, theta) -> np.ndarray:
     vals = np.concatenate([mags, mags, -mags, -mags])
     order = np.lexsort((np.sign(vals), np.abs(vals)))
     return vals[order]
-
-
-def constant_eigenfield(cutoff: LatticeCutoff, theta, k, e_pol, sign: int = +1) -> np.ndarray:
-    """Single-mode closed-form eigenvector as flat (6K,) coefficients."""
-    _omega, e, b = exact_constant_solution(theta, k, e_pol, sign)
-    i = cutoff.index_of(k)
-    vec = np.zeros(6 * cutoff.num_modes, dtype=complex)
-    vec[6 * i : 6 * i + 6] = np.concatenate([e, b])
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +141,9 @@ class _NodeEigen:
     The center node carries the band's own eigenbasis; moving outward along
     each spectrum axis, each node continues its inward neighbor's band
     (bands.continue_band, which also rotates the basis by the maximal-overlap
-    unitary).  The vacuum medium takes the closed form per node instead, as
-    an independent route, aligned the same way.
+    unitary).  The vacuum medium takes the closed form instead, as an
+    independent route: evaluated for the whole node set at once, then
+    aligned node by node the same way.
     """
 
     def __init__(self, band: BlochBand, op: BlochOperator, packet: ExactPacketSpec):
@@ -169,29 +162,27 @@ class _NodeEigen:
 
     def prepare(self, zeta_nodes: np.ndarray):
         """Walk the tensor node set axis by axis from the center outward."""
-        done = {}
         center = tuple(np.round(np.zeros(3), 14))
-        done[center] = self.band
+        done = {center: self.band}
 
         # visit order: sort nodes by ordering along successive axes so each
         # node has an inward neighbor already visited
         keys = [tuple(np.round(z, 14)) for z in zeta_nodes]
-        uniq = sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z)))
+        uniq = [z for z in sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z)))
+                if z != center]
+        thetas = self.band.theta + self.packet.h * np.array(uniq).reshape(-1, 3)
+        closed = self._vacuum_nodes(thetas) if self.vacuum else [None] * len(uniq)
         visited = np.empty((len(uniq) + 1, 3))  # the keys of `done`, in visit order
         visited[0] = center
-        for z in uniq:
-            if z in done:
-                continue
-            n = len(done)
+        for n, (z, theta, pair) in enumerate(zip(uniq, thetas, closed), start=1):
             prev = done[tuple(visited[_inward_neighbor(z, visited[:n])])]
-            done[z] = self._solve_aligned(np.asarray(z), prev)
+            done[z] = self._solve_aligned(z, theta, prev, pair)
             visited[n] = z
         self._cache = done
 
-    def _solve_aligned(self, zeta, prev: BlochBand) -> BlochBand:
-        theta = self.band.theta + self.packet.h * zeta
-        if self.vacuum:
-            omega, basis = self._vacuum_pair(theta)
+    def _solve_aligned(self, zeta, theta, prev: BlochBand, pair) -> BlochBand:
+        if pair is not None:
+            omega, basis = pair
             node = BlochBand(theta, omega, 2, procrustes_align(basis, prev.eigvecs),
                              self.band.band_index)
         else:
@@ -204,11 +195,16 @@ class _NodeEigen:
             )
         return node
 
-    def _vacuum_pair(self, theta):
+    def _vacuum_nodes(self, thetas: np.ndarray):
+        """The closed-form (omega, (6K, 2) basis) at each of the (Q, 3) thetas:
+        the band's sign, both transverse_pair polarizations, in mode n = 0."""
         sign = 1 if self.band.omega > 0 else -1
-        basis = np.stack([constant_eigenfield(self.op.cutoff, theta, (0, 0, 0), u, sign)
-                          for u in transverse_pair(theta)], axis=1)
-        return sign * np.linalg.norm(theta), basis  # the closed form's omega
+        basis = np.zeros((len(thetas), self.op.cutoff.num_modes, 6, 2), dtype=complex)
+        i = self.op.cutoff.index_of((0, 0, 0))
+        for col, u in enumerate(transverse_pair(thetas)):
+            omega, basis[:, i, :3, col], basis[:, i, 3:, col] = exact_constant_solution(
+                thetas, e_pol=u, sign=sign)
+        return zip(omega, basis.reshape(len(thetas), -1, 2))
 
 
 def _inward_neighbor(z, visited: np.ndarray) -> int:
@@ -391,47 +387,64 @@ def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
     return np.concatenate([(b * w).sum(axis=1) for b, w in zip(blocks, (v[:3], v[3:]))])
 
 
-def _curl_pair(u: np.ndarray, ks) -> np.ndarray:
-    """(curl B, -curl E) of a (6, M1, M2, M3) grid field (E, B), formed in
-    Fourier space over the varying axes.  The derivative along axis d reads
-    and writes only the components across d, so one forward FFT transforms
-    the components that some varying axis reads (4 of 6 when one axis
-    varies) and one inverse FFT the ones it fills; the rest are zero."""
-    axes = varying_axes(u)
-    dirs = [a + 3 for a in axes]
-    comps = [c for c in range(3) if any(d != c for d in dirs)]
-    rows = comps + [3 + c for c in comps]
-    at = {r: i for i, r in enumerate(rows)}
-    hat = np.fft.fftn(u[rows], axes=axes)
-    out_hat = np.zeros_like(hat)
-    for d in dirs:
+class _CurlPlan(NamedTuple):
+    """(curl B, -curl E) on one grid: the derivative along axis d reads and
+    writes only the components across d, so the pair reads the rows `read`
+    of a (6, M1, M2, M3) field (E, B) and writes the rows `write` (4 of 6
+    each when one axis varies).  terms[i] lists the (+-i k_d, position in
+    `read`) products that make written row i in Fourier space."""
+
+    axes: Tuple[int, ...]
+    read: List[int]
+    write: List[int]
+    terms: List[List[Tuple[np.ndarray, int]]]
+
+
+def _curl_plan(shape, ks) -> _CurlPlan:
+    axes = tuple(a for a in (-3, -2, -1) if shape[a] > 1)
+    terms: Dict[int, List[Tuple[np.ndarray, int]]] = {}
+    for d in axes:
         # d/dx_d adds -d_d F_e2 to (curl F)_e1 and d_d F_e1 to (curl F)_e2
         e1, e2 = (d + 1) % 3, (d + 2) % 3
         ik = 1j * ks[d]
-        out_hat[at[e1]] -= ik * hat[at[3 + e2]]
-        out_hat[at[e2]] += ik * hat[at[3 + e1]]
-        out_hat[at[3 + e1]] += ik * hat[at[e2]]
-        out_hat[at[3 + e2]] -= ik * hat[at[e1]]
-    out = np.zeros(u.shape, dtype=complex)
-    out[rows] = np.fft.ifftn(out_hat, axes=axes)
-    return out
+        for row, coef, src in ((e1, -ik, 3 + e2), (e2, ik, 3 + e1),
+                               (3 + e1, ik, e2), (3 + e2, -ik, e1)):
+            terms.setdefault(row, []).append((coef, src))
+    read = sorted({src for row in terms.values() for _coef, src in row})
+    return _CurlPlan(axes, read, sorted(terms),
+                     [[(c, read.index(s)) for c, s in terms[row]] for row in sorted(terms)])
+
+
+def _curl_rows(plan: _CurlPlan, u_read: np.ndarray) -> np.ndarray:
+    """The rows plan.write of (curl B, -curl E), from the rows plan.read of
+    the grid field (E, B): one forward FFT, one product per term and one
+    inverse FFT over the varying axes (plain fft and ifft when there is one)."""
+    one = len(plan.axes) == 1
+    hat = np.fft.fft(u_read, axis=plan.axes[0]) if one else np.fft.fftn(u_read, axes=plan.axes)
+    out = np.zeros((len(plan.write),) + hat.shape[1:], dtype=complex)
+    for acc, terms in zip(out, plan.terms):
+        for coef, src in terms:
+            acc += coef * hat[src]
+    return np.fft.ifft(out, axis=plan.axes[0]) if one else np.fft.ifftn(out, axes=plan.axes)
 
 
 def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
     axes = varying_axes(field3)
-    hat = np.fft.fftn(field3, axes=axes)
-    return np.fft.ifftn(1j * (ks[0] * hat[0] + ks[1] * hat[1] + ks[2] * hat[2]), axes=axes)
+    hat = np.fft.fftn(field3[list(axes)], axes=axes)
+    return np.fft.ifftn(1j * sum(ks[a] * h for a, h in zip(axes, hat)), axes=axes)
 
 
-def _rhs(d: np.ndarray, inv_a0, m: Optional[np.ndarray], ks) -> np.ndarray:
-    """d/dt (eps E, mu B) = (curl B, -curl E) - M u with u = inv(A0) d, for
-    inv(A0) as _grid_major block stacks and M an (M1, M2, M3, 6, 6) stack
-    or None."""
-    u = _apply_blocks(inv_a0, d)
-    out = _curl_pair(u, ks)
-    if m is not None:
-        out -= np.einsum("xyzab,bxyz->axyz", m, u)
-    return out
+def _rhs(plan: _CurlPlan, d: np.ndarray, inv_rows, m: Optional[np.ndarray]) -> np.ndarray:
+    """d/dt (eps E, mu B) = (curl B, -curl E) - M u with u = inv(A0) d, from
+    rows of both _grid_major inverse blocks as one (2, r, 3, M1, M2, M3)
+    stack: without M (None) the rows plan.read, returning the rows
+    plan.write; with M, an (M1, M2, M3, 6, 6) stack, all six."""
+    u = (inv_rows * d.reshape((2, 1, 3) + d.shape[1:])).sum(axis=2).reshape((-1,) + d.shape[1:])
+    if m is None:
+        return _curl_rows(plan, u)
+    out = np.zeros_like(u)
+    out[plan.write] = _curl_rows(plan, u[plan.read])
+    return out - np.einsum("xyzab,bxyz->axyz", m, u)
 
 
 def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
@@ -444,8 +457,12 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     is held as its two 3x3 block stacks, inverted once for a static medium
     and once per distinct stage time otherwise: at the step's midpoint
     (shared by k2 and k3) and at its end (shared by k4, the next step's k1
-    and the trace).  The curl transforms only the components its varying
-    axes reach.  The energy and the divergence invariants are traced; if the
+    and the trace).  The step is planned once from the grid (_CurlPlan):
+    each stage applies only the inverse-block rows the curl reads, and
+    transforms only the components its varying axes reach.  Without a
+    lower-order term M the rows the curl does not write have zero RK4
+    increments, so they are held fixed and only the others step; with M all
+    six step.  The energy and the divergence invariants are traced; if the
     energy exceeds the admissible growth bound a StabilityAnomaly is raised.
     """
     mat = _GridMaterial(spec, h, grid)
@@ -469,10 +486,21 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     u0 = np.asarray(initial, dtype=complex)
     if u0.shape != (6,) + grid.shape:
         raise ConfigError(f"initial field shape {u0.shape} != {(6,) + grid.shape}")
+    plan = _curl_plan(grid.shape, ks)
+    # the components of E and B a stage reads, and the rows of the flux it steps
+    comps, stepped = [r for r in plan.read if r < 3], plan.write
+    if spec.lower_order:
+        comps, stepped = [0, 1, 2], list(range(6))
 
     def material(t):
-        """inv(A0) as _grid_major block stacks, and M, at time t."""
-        return _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)]), mat.m_at(t)
+        """inv(A0) as _grid_major blocks, their rows `comps` for _rhs, and M, at t."""
+        inv_a0 = _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)])
+        return inv_a0, np.stack([b[comps] for b in inv_a0]), mat.m_at(t)
+
+    def stage(d, c, k):
+        out = d.copy()
+        out[stepped] += c * k
+        return out
 
     dvec = _apply_blocks(_grid_major(mat.a0_at(0.0)), u0)
     now = material(0.0)
@@ -499,11 +527,11 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
         # the next step's k1
         mid, end = (now, now) if mat.static else (material(t + dt / 2), material(step * dt))
         t = step * dt
-        k1 = _rhs(dvec, *now, ks)
-        k2 = _rhs(dvec + dt / 2 * k1, *mid, ks)
-        k3 = _rhs(dvec + dt / 2 * k2, *mid, ks)
-        k4 = _rhs(dvec + dt * k3, *end, ks)
-        dvec = dvec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = _rhs(plan, dvec, *now[1:])
+        k2 = _rhs(plan, stage(dvec, dt / 2, k1), *mid[1:])
+        k3 = _rhs(plan, stage(dvec, dt / 2, k2), *mid[1:])
+        k4 = _rhs(plan, stage(dvec, dt, k3), *end[1:])
+        dvec[stepped] += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         now = end
         if step % trace_every == 0 or step == nsteps:
             row = (t, *diagnostics(dvec, now[0]))

@@ -196,9 +196,10 @@ class ProfileSet:
         return residual_orders(self)
 
     @cached_property
-    def residual_norms(self) -> Dict[str, Dict[Tuple[Eta, FieldKey], float]]:
-        """The norm of every entry of residual_tables, kept beside them."""
-        return {name: _norms(table) for name, table in self.residual_tables.items()}
+    def residual_stacks(self) -> Dict[str, Tuple[np.ndarray, ...]]:
+        """_stack of every table of residual_tables, kept beside them."""
+        dim = self.band.eigvecs.shape[0]
+        return {name: _stack(table, dim) for name, table in self.residual_tables.items()}
 
 
 def build_profiles(band: BlochBand, projectors: ProjectorPair,
@@ -275,38 +276,39 @@ def _phases(etas, t: float, x: np.ndarray) -> Dict[Eta, np.ndarray]:
     return {eta: np.exp(1j * (eta[0] * t + x @ np.asarray(eta[1:]))) for eta in etas}
 
 
-def _norms(table: TermTable) -> Dict[Tuple[Eta, FieldKey], float]:
-    return {entry: np.linalg.norm(vec) for entry, vec in table.items()}
+def _stack(table: TermTable, dim: int) -> Tuple[np.ndarray, ...]:
+    """The columns some vector of the table fills, the vectors on them as one
+    (E, columns) array in table order, and the vectors' norms (E,)."""
+    vecs = np.array(list(table.values()), dtype=complex).reshape(len(table), dim)
+    cols = np.flatnonzero(np.any(vecs, axis=0))
+    return cols, vecs[:, cols], np.array([np.linalg.norm(vec) for vec in vecs])
 
 
 def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
                    x_comoving: np.ndarray,
                    fields: Optional[Dict[FieldKey, np.ndarray]] = None,
-                   norms: Optional[Dict[Tuple[Eta, FieldKey], float]] = None):
+                   stack: Optional[Tuple[np.ndarray, ...]] = None):
     """Evaluate a term table at slow time T, time t, and comoving points.
 
     Physical positions are x = x_comoving + V t; the envelope is evaluated at
     x_comoving directly.  `fields` (the envelope values at these points for
-    at least the table's keys) and `norms` (the norm of every table entry)
-    come from a caller that computed them once, or are computed here.  Returns
-    (values (P, 6K), magnitude (P,)) where magnitude is the
+    at least the table's keys) and `stack` (the table's vectors and norms,
+    _stack) come from a caller that computed them once, or are computed
+    here.  Returns (values (P, 6K), magnitude (P,)) where magnitude is the
     triangle-inequality bound sum |coef| * |phi| used as the cancellation
-    scale.
+    scale; each is one product of the (P, E) entry coefficients.
     """
     pts = np.asarray(x_comoving, dtype=float).reshape(-1, 3)
     x_phys = pts + profiles.dispersion.V[None, :] * t
     if fields is None:
         fields = _field_values(profiles, {key for (_eta, key) in table}, T, pts)
-    norms = _norms(table) if norms is None else norms
+    cols, vecs, norms = _stack(table, profiles.band.eigvecs.shape[0]) if stack is None else stack
     phases = _phases({eta for (eta, _key) in table}, t, x_phys)
-    dim = profiles.band.eigvecs.shape[0]
-    vals = np.zeros((len(pts), dim), dtype=complex)
-    mag = np.zeros(len(pts))
-    for (eta, key), vec in table.items():
-        coef = phases[eta] * fields[key]
-        vals += coef[:, None] * vec[None, :]
-        mag += np.abs(coef) * norms[eta, key]
-    return vals, mag
+    coef = np.array([phases[eta] * fields[key] for (eta, key) in table],
+                    dtype=complex).reshape(len(table), len(pts)).T
+    vals = np.zeros((len(pts), profiles.band.eigvecs.shape[0]), dtype=complex)
+    vals[:, cols] = coef @ vecs
+    return vals, np.abs(coef) @ norms
 
 
 def residual_orders(profiles: ProfileSet) -> Dict[str, TermTable]:
@@ -360,7 +362,7 @@ def residual(profiles: ProfileSet, hs, horizon: float, num_t: int = 5,
         for h, per_order in worst.items():
             for name, table in orders.items():
                 vals, mag = evaluate_table(profiles, table, T, T / h, pts, fields=fields,
-                                           norms=profiles.residual_norms[name])
+                                           stack=profiles.residual_stacks[name])
                 w = per_order[name]
                 w[0] = max(w[0], float(np.linalg.norm(vals, axis=1).max()))
                 w[1] = max(w[1], float(mag.max()))

@@ -7,7 +7,8 @@ from blochpacket.bands import BlochOperator, build_projectors, mode_classes, sol
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
-                                 cross_matrix, trig_sum, wavevectors)
+                                 cross_matrix, transverse_pair, trig_sum, wavevectors)
+from blochpacket.oracles import _curl_plan, _curl_rows, _inward_neighbor, exact_constant_solution
 from blochpacket.rays import (BETA_RAY_ORIGINS, BETA_STEPS_PER_PERIOD, build_gamma,
                               ray_average)
 from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
@@ -95,6 +96,15 @@ def longitudinal_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
     blocks[:, :3, 0] = vhat
     blocks[:, 3:, 1] = vhat
     return blocks
+
+
+def constant_eigenfield(cutoff: LatticeCutoff, theta, k, e_pol, sign: int = +1) -> np.ndarray:
+    """Single-mode closed-form vacuum eigenvector as flat (6K,) coefficients."""
+    _omega, e, b = exact_constant_solution(theta, k, e_pol, sign)
+    i = cutoff.index_of(k)
+    vec = np.zeros(6 * cutoff.num_modes, dtype=complex)
+    vec[6 * i : 6 * i + 6] = np.concatenate([e, b])
+    return vec
 
 
 def random_coeffs(cutoff: LatticeCutoff, rng) -> np.ndarray:
@@ -215,6 +225,22 @@ def assemble_harmonics_reference(profiles, h, t, grid, orders=(0, 1, 2)):
     return harm
 
 
+def evaluate_table_reference(profiles, table, T, t, x_comoving):
+    """wkb.evaluate_table entry by entry: each table entry adds its (P, 6K)
+    outer product to the values and |coef| * |vec| to the magnitude."""
+    pts = np.asarray(x_comoving, dtype=float).reshape(-1, 3)
+    x_phys = pts + profiles.dispersion.V[None, :] * t
+    env = profiles.envelope
+    vals = np.zeros((len(pts), profiles.band.eigvecs.shape[0]), dtype=complex)
+    mag = np.zeros(len(pts))
+    for (eta, key), vec in table.items():
+        (field,) = env.eval_hats_at([env.field_hat(*key, T)], pts)
+        coef = np.exp(1j * (eta[0] * t + x_phys @ np.asarray(eta[1:]))) * field
+        vals += coef[:, None] * vec[None, :]
+        mag += np.abs(coef) * np.linalg.norm(vec)
+    return vals, mag
+
+
 def residual_reference(profiles, h, t_max, num_t=5, num_x=5):
     """wkb.residual with each order evaluating its own envelope values."""
     orders = residual_orders(profiles)
@@ -310,6 +336,27 @@ def synthesize_reference(packet, band, cutoff, nodes, zeta, wts, t, grid, points
     return harmonics, samples
 
 
+def vacuum_walk_reference(band, cutoff, h, zeta_nodes) -> dict:
+    """oracles._NodeEigen.prepare on the vacuum, one node at a time: in the
+    same visit order, each node's two constant_eigenfield vectors aligned to
+    its inward neighbour's basis.  Returns {node key: (omega, basis)}."""
+    sign = 1 if band.omega > 0 else -1
+    center = tuple(np.round(np.zeros(3), 14))
+    done = {center: (band.omega, band.eigvecs)}
+    keys = [tuple(np.round(z, 14)) for z in zeta_nodes]
+    visited = [np.zeros(3)]
+    for z in sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z))):
+        if z in done:
+            continue
+        _omega, prev = done[tuple(visited[_inward_neighbor(z, np.array(visited))])]
+        theta = band.theta + h * np.asarray(z)
+        basis = np.stack([constant_eigenfield(cutoff, theta, (0, 0, 0), u, sign)
+                          for u in transverse_pair(theta)], axis=1)
+        done[z] = (sign * np.linalg.norm(theta), bands.procrustes_align(basis, prev))
+        visited.append(np.asarray(z))
+    return done
+
+
 def eval_hat_at_reference(grid, hat, points):
     """One field's Fourier coefficients at points (P, 3), contracted axis by
     axis with einsum."""
@@ -380,11 +427,60 @@ def rk4_rhs_reference(mat, t, d, ks):
     return out
 
 
-def rk4_per_stage_reference(spec, h, u0, grid, t_final, dt):
-    """The final field of oracles.time_domain_solve's RK4 stepping, with the
-    material evaluated and inverted afresh at every stage: k1 at the step's
-    start, k2 and k3 at its midpoint, k4 at its end."""
-    from blochpacket.oracles import _apply_blocks, _grid_major, _GridMaterial, _rhs
+def planned_curl_pair(u, ks):
+    """The six rows of (curl B, -curl E) from oracles' planned curl: the rows
+    the plan writes, zero elsewhere."""
+    plan = _curl_plan(u.shape[1:], ks)
+    out = np.zeros(u.shape, dtype=complex)
+    out[plan.write] = _curl_rows(plan, u[plan.read])
+    return out
+
+
+def apply_blocks_reference(blocks, v):
+    """diag(b_E, b_B) applied to a (6, M1, M2, M3) field, each block a
+    (3, 3, M1, M2, M3) array, by multiply-sums over the block columns."""
+    return np.concatenate([(b * w).sum(axis=1) for b, w in zip(blocks, (v[:3], v[3:]))])
+
+
+def curl_pair_reference(u, ks):
+    """(curl B, -curl E) of a (6, M1, M2, M3) grid field (E, B) as six rows:
+    one forward FFT of the components some varying axis reads, the terms
+    accumulated axis by axis into a zeroed array, and one inverse FFT."""
+    axes = varying_axes(u)
+    dirs = [a + 3 for a in axes]
+    comps = [c for c in range(3) if any(d != c for d in dirs)]
+    rows = comps + [3 + c for c in comps]
+    at = {r: i for i, r in enumerate(rows)}
+    hat = np.fft.fftn(u[rows], axes=axes)
+    out_hat = np.zeros_like(hat)
+    for d in dirs:
+        e1, e2 = (d + 1) % 3, (d + 2) % 3
+        ik = 1j * ks[d]
+        out_hat[at[e1]] -= ik * hat[at[3 + e2]]
+        out_hat[at[e2]] += ik * hat[at[3 + e1]]
+        out_hat[at[3 + e1]] += ik * hat[at[e2]]
+        out_hat[at[3 + e2]] -= ik * hat[at[e1]]
+    out = np.zeros(u.shape, dtype=complex)
+    out[rows] = np.fft.ifftn(out_hat, axes=axes)
+    return out
+
+
+def rhs_reference(d, inv_a0, m, ks):
+    """The RK4 right-hand side on all six rows: u = inv(A0) d from every row
+    of the _grid_major inverse blocks, curl_pair_reference, minus M u."""
+    u = apply_blocks_reference(inv_a0, d)
+    out = curl_pair_reference(u, ks)
+    if m is not None:
+        out -= np.einsum("xyzab,bxyz->axyz", m, u)
+    return out
+
+
+def six_row_rk4_reference(spec, h, u0, grid, t_final, dt):
+    """The final field of time_domain_solve's RK4 stepping as it was before
+    the step was planned: all six rows stepped by rhs_reference, and the
+    material evaluated once per distinct stage time (the step's midpoint and
+    end; once in all for a static medium)."""
+    from blochpacket.oracles import _grid_major, _GridMaterial
 
     mat = _GridMaterial(spec, h, grid)
     ks = grid.wave_meshgrid()
@@ -392,18 +488,47 @@ def rk4_per_stage_reference(spec, h, u0, grid, t_final, dt):
     def material(t):
         return _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)]), mat.m_at(t)
 
-    d = _apply_blocks(_grid_major(mat.a0_at(0.0)), np.asarray(u0, dtype=complex))
+    d = apply_blocks_reference(_grid_major(mat.a0_at(0.0)), np.asarray(u0, dtype=complex))
+    now = material(0.0)
     nsteps = max(1, int(np.ceil(t_final / dt)))
     dt = t_final / nsteps
     t = 0.0
     for step in range(1, nsteps + 1):
-        k1 = _rhs(d, *material(t), ks)
-        k2 = _rhs(d + dt / 2 * k1, *material(t + dt / 2), ks)
-        k3 = _rhs(d + dt / 2 * k2, *material(t + dt / 2), ks)
+        mid, end = (now, now) if mat.static else (material(t + dt / 2), material(step * dt))
         t = step * dt
-        k4 = _rhs(d + dt * k3, *material(t), ks)
+        k1 = rhs_reference(d, *now, ks)
+        k2 = rhs_reference(d + dt / 2 * k1, *mid, ks)
+        k3 = rhs_reference(d + dt / 2 * k2, *mid, ks)
+        k4 = rhs_reference(d + dt * k3, *end, ks)
         d = d + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return _apply_blocks(material(t)[0], d)
+        now = end
+    return apply_blocks_reference(now[0], d)
+
+
+def rk4_per_stage_reference(spec, h, u0, grid, t_final, dt):
+    """The final field of six-row RK4 stepping (rhs_reference) with the
+    material evaluated and inverted afresh at every stage: k1 at the step's
+    start, k2 and k3 at its midpoint, k4 at its end."""
+    from blochpacket.oracles import _grid_major, _GridMaterial
+
+    mat = _GridMaterial(spec, h, grid)
+    ks = grid.wave_meshgrid()
+
+    def material(t):
+        return _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)]), mat.m_at(t)
+
+    d = apply_blocks_reference(_grid_major(mat.a0_at(0.0)), np.asarray(u0, dtype=complex))
+    nsteps = max(1, int(np.ceil(t_final / dt)))
+    dt = t_final / nsteps
+    t = 0.0
+    for step in range(1, nsteps + 1):
+        k1 = rhs_reference(d, *material(t), ks)
+        k2 = rhs_reference(d + dt / 2 * k1, *material(t + dt / 2), ks)
+        k3 = rhs_reference(d + dt / 2 * k2, *material(t + dt / 2), ks)
+        t = step * dt
+        k4 = rhs_reference(d + dt * k3, *material(t), ks)
+        d = d + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return apply_blocks_reference(material(t)[0], d)
 
 
 def fluctuation_values(data, points) -> np.ndarray:

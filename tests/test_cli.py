@@ -102,8 +102,10 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
     ({"theta_path": {"to": [0.3, 0.1, 0.0], "steps": "x"}}, "theta_path.steps"),
     ({"theta_path": {"to": [0.3, 0.1], "steps": 3}}, "theta_path.to"),
     ({"theta_path": {"to": [0.3, 0.1, 0.0], "steps": 0}}, "theta_path.steps"),
+    ({"theta_path": {"to": [0.3, 0.6, 0.0], "steps": 2}}, "theta_path.steps"),
 ], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT",
-        "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps"])
+        "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps",
+        "path_step_over_tracking_bound"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

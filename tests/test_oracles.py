@@ -3,7 +3,7 @@ the time-domain integrator."""
 
 import numpy as np
 import pytest
-from helpers import L2, apply_curl_block
+from helpers import L2, apply_curl_block, constant_eigenfield
 
 from blochpacket.bands import BlochOperator, solve_bands
 from blochpacket.envelope import EnvelopeGrid
@@ -12,7 +12,6 @@ from blochpacket.fourier import LatticeCutoff
 from blochpacket.harmonics import HarmonicField, difference, seminorm
 from blochpacket.oracles import (
     ExactPacketSpec,
-    constant_eigenfield,
     constant_spectrum,
     exact_constant_solution,
     synthesize_exact_packet,
@@ -122,6 +121,30 @@ def test_synthesis_initial_data_vs_uniform_rule(packet_setup):
         acc += amp[q] * vec[:, None] * np.exp(1j * x2 * zs[q])[None, :]
     got = gl[:, 0, :, 0]
     assert np.max(np.abs(got - acc)) < 1e-7 * np.max(np.abs(acc))
+
+
+@pytest.mark.parametrize("axes", [(1,), (0, 1)])
+def test_batched_vacuum_walk_matches_node_by_node_walk(axes, identity_pipe):
+    """The vacuum closed form evaluated for the whole node set at once, then
+    aligned node by node, gives the omega (to a few ulp: a stacked norm sums
+    in another order than one vector's) and, to 1e-14, the eigenvectors of a
+    walk that builds each node's constant_eigenfield vectors on its own: on
+    a line of nodes and on a tensor set with tied distances."""
+    from helpers import vacuum_walk_reference
+
+    from blochpacket.oracles import _gl_nodes, _NodeEigen
+
+    pipe = identity_pipe
+    packet = ExactPacketSpec(THETA, 1 / 32, (2.0, 2.0, 1.0), [1.0, 0.0], axes=axes, nodes=11)
+    zeta, _wts = _gl_nodes(packet, packet.nodes)
+    nodes = _NodeEigen(pipe.band, pipe.op, packet)
+    nodes.prepare(zeta)
+    ref = vacuum_walk_reference(pipe.band, pipe.cutoff, packet.h, zeta)
+    for z in zeta:
+        omega, basis = nodes.eigen_at(z)
+        ref_omega, ref_basis = ref[tuple(np.round(z, 14))]
+        assert abs(omega - ref_omega) <= 4 * np.finfo(float).eps * abs(ref_omega)
+        assert np.max(np.abs(basis - ref_basis)) <= 1e-14
 
 
 def test_inward_neighbor_matches_reference_loop():
@@ -324,9 +347,9 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
     dudt = sum(c * f for c, f in zip(c4, fields[:4]))
     u = fields[4]
     ks = grid.wave_meshgrid()
-    from blochpacket.oracles import _curl_pair
+    from helpers import planned_curl_pair
 
-    residual = dudt - _curl_pair(u, ks)  # vacuum: d/dt u - (curl B, -curl E) = 0
+    residual = dudt - planned_curl_pair(u, ks)  # vacuum: d/dt u - (curl B, -curl E) = 0
     scale = np.max(np.abs(u))
     assert np.max(np.abs(residual)) < 1e-7 * scale
 
@@ -337,11 +360,12 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
 
 @pytest.mark.parametrize("shape", [(64, 1, 1), (16, 1, 8), (8, 8, 8)])
 def test_spectral_curl_div_match_3axis_reference(shape, rng):
-    """The six-component curl pair (curl B, -curl E) of the RK4 right-hand
-    side equals two 3-axis reference curls, and the divergence its reference."""
-    from helpers import spectral_curl_reference, spectral_div_reference
+    """The planned curl pair (curl B, -curl E) of the RK4 right-hand side,
+    zero in the rows it does not write, equals two 3-axis reference curls,
+    and the divergence its reference."""
+    from helpers import planned_curl_pair, spectral_curl_reference, spectral_div_reference
 
-    from blochpacket.oracles import _curl_pair, _spectral_div
+    from blochpacket.oracles import _spectral_div
 
     grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
     ks = grid.wave_meshgrid()
@@ -349,7 +373,7 @@ def test_spectral_curl_div_match_3axis_reference(shape, rng):
     field6 = np.concatenate([field3, np.roll(field3.conj(), 1, axis=0)])  # (E, B), B != E
     pair = np.concatenate([spectral_curl_reference(field6[3:], ks),
                            -spectral_curl_reference(field6[:3], ks)])
-    for got, ref in ((_curl_pair(field6, ks), pair),
+    for got, ref in ((planned_curl_pair(field6, ks), pair),
                      (_spectral_div(field3, ks), spectral_div_reference(field3, ks))):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -358,12 +382,14 @@ def test_spectral_curl_div_match_3axis_reference(shape, rng):
 @pytest.mark.parametrize("lossy", [False, True], ids=["static", "ohmic"])
 @pytest.mark.parametrize("shape", [(64, 1, 1), (16, 1, 8)])
 def test_rk4_rhs_matches_6x6_reference(shape, lossy, rng):
-    """The RK4 right-hand side from the 3x3 inverse blocks and the curl of the
-    components its varying axes reach equals the stage with a 6x6 inverse
-    applied by einsum and all six components transformed."""
+    """The planned RK4 right-hand side, from the rows of the 3x3 inverse
+    blocks the curl reads and the curl of the components its varying axes
+    reach, equals the stage with a 6x6 inverse applied by einsum and all six
+    components transformed.  Without M the rows it does not return are
+    exactly zero in the reference; with M it returns all six."""
     from helpers import rk4_rhs_reference
 
-    from blochpacket.oracles import _grid_major, _GridMaterial, _rhs
+    from blochpacket.oracles import _curl_plan, _grid_major, _GridMaterial, _rhs
     from blochpacket.presets import with_ohmic_loss
 
     spec = layered_anisotropic()
@@ -372,10 +398,38 @@ def test_rk4_rhs_matches_6x6_reference(shape, lossy, rng):
     grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
     mat = _GridMaterial(spec, 1 / 4, grid)
     ks = grid.wave_meshgrid()
+    plan = _curl_plan(shape, ks)
+    read, rows = (plan.read, plan.write) if not lossy else (list(range(6)),) * 2
     d = rng.standard_normal((6,) + shape) + 1j * rng.standard_normal((6,) + shape)
-    got = _rhs(d, _grid_major([np.linalg.inv(b) for b in mat.a0_at(0.0)]), mat.m_at(0.0), ks)
+    inv_a0 = _grid_major([np.linalg.inv(b) for b in mat.a0_at(0.0)])
+    inv_rows = np.stack([b[[r for r in read if r < 3]] for b in inv_a0])
+    got = np.zeros(d.shape, dtype=complex)
+    got[rows] = _rhs(plan, d, inv_rows, mat.m_at(0.0))
     ref = rk4_rhs_reference(mat, 0.0, d, ks)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert not np.any(np.delete(ref, rows, axis=0))
+
+
+@pytest.mark.parametrize("case", ["static_layered", "grid_16_1_8", "ohmic", "modulated"])
+def test_planned_step_matches_six_row_stepping(case, rng):
+    """time_domain_solve's planned step (the inverse-block rows the curl
+    reads, the rows it writes stepped and the others held) gives, bit for
+    bit, the final field of stepping all six rows with the unplanned
+    right-hand side: one varying axis, two varying axes, a lossy medium
+    (all six rows step) and a t-modulated medium."""
+    from helpers import six_row_rk4_reference
+
+    from blochpacket.presets import with_cos_modulation, with_ohmic_loss
+
+    spec = {"static_layered": layered_anisotropic(), "grid_16_1_8": layered_anisotropic(),
+            "ohmic": with_ohmic_loss(layered_anisotropic(), 0.3),
+            "modulated": with_cos_modulation(layered(amplitude=0.2), (1.3, 0.25, 0.0, 0.0),
+                                             amplitude=0.2)}[case]
+    grid = (EnvelopeGrid((3.0, 7.0, 1.5), (16, 1, 8)) if case == "grid_16_1_8"
+            else EnvelopeGrid((9.0, 7.0, 5.0), (64, 1, 1)))
+    u0 = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal((6,) + grid.shape)
+    res = time_domain_solve(spec, 1 / 4, u0, grid, 0.2, dt=0.01)
+    assert np.array_equal(res.field, six_row_rk4_reference(spec, 1 / 4, u0, grid, 0.2, 0.01))
 
 
 def _material_calls(spec, monkeypatch):

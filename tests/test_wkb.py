@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from helpers import (L2, assemble_harmonics_reference, band_class_modes, dense_operator,
-                     residual_reference)
+                     evaluate_table_reference, residual_reference)
 
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.errors import CutoffMismatch
@@ -169,6 +169,25 @@ def test_residual_shares_envelope_values_across_orders(monkeypatch):
     assert len(steps) == round(cfg.horizon / cfg.envelope_dT) == 500
     for h, report in reports.items():
         assert report == residual_reference(profs, h, t_max=cfg.horizon / h)
+
+
+@pytest.mark.parametrize("which", ["identity", "modulated"])
+def test_evaluate_table_matches_entry_loop(which, identity_profiles, modulated_profiles):
+    """Each residual order evaluated as one product over its stacked entries
+    gives the entry-by-entry sum to 1e-14 of its magnitude, and the same
+    magnitude; an empty table gives zeros."""
+    profs = identity_profiles if which == "identity" else modulated_profiles
+    pts = np.stack([np.zeros(5), np.linspace(-6.0, 6.0, 5), np.zeros(5)], axis=-1)
+    T, t = 0.25, 0.25 * 16
+    for name, table in profs.residual_tables.items():
+        vals, mag = evaluate_table(profs, table, T, t, pts, stack=profs.residual_stacks[name])
+        ref_vals, ref_mag = evaluate_table_reference(profs, table, T, t, pts)
+        scale = max(ref_mag.max(), 1e-300)
+        assert np.abs(vals - ref_vals).max() <= 1e-14 * scale
+        assert np.abs(mag - ref_mag).max() <= 1e-14 * scale
+    vals, mag = evaluate_table(profs, {}, T, t, pts)
+    assert vals.shape == (len(pts), profs.band.eigvecs.shape[0]) and not np.any(vals)
+    assert mag.shape == (len(pts),) and not np.any(mag)
 
 
 def test_residual_ablation_restores_first_order(modulated_profiles):
