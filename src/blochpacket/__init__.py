@@ -2,7 +2,7 @@
 structure, group velocity and dispersion, slowly varying envelope dynamics,
 and multi-scale wave-packet assembly with residual verification."""
 
-from .fourier import LatticeCutoff, MaterialSpec, transverse_basis
+from .fourier import LatticeCutoff, MaterialSpec
 from .bands import (
     BlochBand,
     BlochOperator,
@@ -18,7 +18,6 @@ from .dispersion import (
     group_velocity,
     hessian,
     speed_limit_check,
-    tau_max,
 )
 from .rays import CouplingField, RayAverageData, build_gamma, empirical_beta, ray_average
 from .envelope import (
@@ -40,7 +39,6 @@ from .oracles import (
 __all__ = [
     "LatticeCutoff",
     "MaterialSpec",
-    "transverse_basis",
     "BlochBand",
     "BlochOperator",
     "ProjectorPair",
@@ -53,7 +51,6 @@ __all__ = [
     "group_velocity",
     "hessian",
     "speed_limit_check",
-    "tau_max",
     "CouplingField",
     "RayAverageData",
     "build_gamma",

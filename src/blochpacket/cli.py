@@ -54,16 +54,16 @@ def select_band(cfg: RunConfig, op: BlochOperator):
     bands = solve_bands(op, cfg.num_bands)
     sel = cfg.band_selector
     if "index" in sel:
-        idx = int(sel["index"])
+        idx = sel["index"]
         for b in bands:
             if _cluster_covers(b, idx):
                 return b, bands
         raise ConfigError(f"band index {idx} not among the first {cfg.num_bands} bands")
     if "omega_target" in sel:
-        target = float(sel["omega_target"])
+        target = sel["omega_target"]
         best = min(bands, key=lambda b: abs(b.omega - target))
         want_kappa = sel.get("kappa")
-        if want_kappa is not None and best.kappa != int(want_kappa):
+        if want_kappa is not None and best.kappa != want_kappa:
             raise ConfigError(
                 f"band nearest omega={target} has multiplicity {best.kappa}, "
                 f"expected {want_kappa}"
@@ -302,19 +302,17 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     profs = pipe.profiles()
     h = cfg.h_list[0]
-    td = cfg.time_domain
     grid = cfg.time_domain_grid
     pts = grid.points().reshape(-1, 3)
     seed_field = assemble(profs, h, 0.0, pts, orders=pipe.orders)
     initial = seed_field.samples.T.reshape((6,) + grid.shape)
-    t_final = float(td.get("t_final", 1.0))
-    result = time_domain_solve(cfg.material, h, initial, grid, t_final,
-                               dt=td.get("dt"), cfl=float(td.get("cfl", 0.5)))
+    result = time_domain_solve(cfg.material, h, initial, grid, cfg.t_final,
+                               dt=cfg.dt, cfl=cfg.cfl)
     write_energy_csv(out / "energy.csv", result.trace)
-    dump_field(out / "time_domain_final.bwpk", result.field, grid, time=t_final,
+    dump_field(out / "time_domain_final.bwpk", result.field, grid, time=cfg.t_final,
                h=h, theta=cfg.theta, omega=pipe.band.omega)
     e0, e1 = result.trace[0, 1], result.trace[-1, 1]
-    print(f"time-domain run to t={t_final}: energy drift {abs(e1-e0)/e0:.3e}, "
+    print(f"time-domain run to t={cfg.t_final}: energy drift {abs(e1-e0)/e0:.3e}, "
           f"wrote energy.csv and time_domain_final.bwpk")
 
 

@@ -57,8 +57,10 @@ class RunConfig:
     seeding: str
     seed: int
     output: str
-    time_domain: dict
     time_domain_grid: EnvelopeGrid  # time_domain.grid, or grid when absent
+    t_final: float                  # time_domain.t_final
+    dt: Optional[float]             # time_domain.dt; None: from the CFL number
+    cfl: float                      # time_domain.cfl
     theta_path: Tuple[np.ndarray, ...] = ()  # points tracked by `bands`, theta first
     raw: dict = field(default_factory=dict)
 
@@ -95,6 +97,22 @@ def _number(value, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
 
 
+def _positive(value, key: str) -> float:
+    """value as a finite positive float, or a ConfigError naming the key."""
+    num = _number(value, key)
+    _require(0 < num < np.inf, f"{key}: expected a finite positive number, got {value!r}")
+    return num
+
+
+def _integer(value, key: str, low: Optional[int] = None) -> int:
+    """value as an integer (no smaller than `low` when given), or a
+    ConfigError naming the key."""
+    num = _number(value, key)
+    _require(num.is_integer() and (low is None or num >= low),
+             f"{key}: expected an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+    return int(num)
+
+
 def _theta_path(section: dict, theta: np.ndarray) -> Tuple[np.ndarray, ...]:
     """`steps` evenly spaced points from theta to theta_path.to, both ends
     included (none when the section is absent or empty)."""
@@ -107,10 +125,7 @@ def _theta_path(section: dict, theta: np.ndarray) -> Tuple[np.ndarray, ...]:
         end = None
     _require(end is not None and end.shape == (3,) and np.all(np.isfinite(end)),
              f"theta_path.to: expected 3 numbers, got {section['to']!r}")
-    steps = _number(section.get("steps", 8), "theta_path.steps")
-    _require(steps >= 1 and steps.is_integer(),
-             f"theta_path.steps: expected a positive integer, got {section.get('steps')!r}")
-    steps = int(steps)
+    steps = _integer(section.get("steps", 8), "theta_path.steps", 1)
     path = tuple(theta + (end - theta) * s / max(steps - 1, 1) for s in range(steps))
     step = max((np.linalg.norm(b - a) for a, b in zip(path[:-1], path[1:])), default=0.0)
     _require(step <= MAX_TRACK_STEP, f"theta_path.steps: a step of {step:.4g} exceeds "
@@ -147,10 +162,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     for name, val in tol.items():
         _require(isinstance(val, (int, float)) and val > 0, f"tolerance {name} must be positive")
 
-    horizon = _number(doc.get("horizon", 1.0), "horizon")
-    envelope_dT = _number(doc.get("envelope_dT", 1e-3), "envelope_dT")
-    _require(horizon > 0, "horizon must be positive")
-    _require(envelope_dT > 0, "envelope_dT must be positive")
+    horizon = _positive(doc.get("horizon", 1.0), "horizon")
+    envelope_dT = _positive(doc.get("envelope_dT", 1e-3), "envelope_dT")
 
     grid = _grid(doc.get("grid", {"lengths": [16 * np.pi] * 3, "shape": [1, 192, 1]}), "grid")
     td = sections["time_domain"]
@@ -163,15 +176,23 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
                  "packet.weights entries must be [re, im] pairs")
         weights = np.array([complex(_number(re, "packet.weights"), _number(im, "packet.weights"))
                             for re, im in weights])
+    widths = pk.get("widths", [1.0, 1.5, 1.0])
+    _require(isinstance(widths, list) and len(widths) == 3,
+             f"packet.widths: expected 3 positive numbers, got {widths!r}")
+    axes = pk.get("axes", [1])
+    _require(isinstance(axes, list) and axes and all(a in (0, 1, 2) for a in axes),
+             f"packet.axes: expected a nonempty list of axes in {{0, 1, 2}}, got {axes!r}")
     packet = PacketConfig(
-        widths=tuple(pk.get("widths", (1.0, 1.5, 1.0))),
+        widths=tuple(_positive(w, "packet.widths") for w in widths),
         weights=weights,
-        axes=tuple(pk.get("axes", (1,))),
-        support_sigmas=float(pk.get("support_sigmas", 6.0)),
+        axes=tuple(int(a) for a in axes),
+        support_sigmas=_positive(pk.get("support_sigmas", 6.0), "packet.support_sigmas"),
     )
-    _require(all(0 <= a <= 2 for a in packet.axes), "packet axes must be in {0,1,2}")
-    _require(len(packet.widths) == 3 and all(w > 0 for w in packet.widths),
-             "packet widths must be 3 positive numbers")
+
+    band = dict(doc.get("band", {"index": 1}))
+    for key, read in (("index", _integer), ("omega_target", _number), ("kappa", _integer)):
+        if key in band:
+            band[key] = read(band[key], f"band.{key}")
 
     seeding = doc.get("seeding", "full_profile")
     _require(seeding in ("full_profile", "leading_only"),
@@ -181,8 +202,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         material=material,
         cutoff=cutoff,
         theta=theta,
-        band_selector=doc.get("band", {"index": 1}),
-        num_bands=int(doc.get("num_bands", 8)),
+        band_selector=band,
+        num_bands=_integer(doc.get("num_bands", 8), "num_bands", 1),
         packet=packet,
         h_list=h_list,
         horizon=horizon,
@@ -190,10 +211,12 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         envelope_dT=envelope_dT,
         tolerances=tol,
         seeding=seeding,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
         output=doc.get("output", "out"),
-        time_domain=td,
         time_domain_grid=td_grid,
+        t_final=_positive(td.get("t_final", 1.0), "time_domain.t_final"),
+        dt=None if td.get("dt") is None else _positive(td["dt"], "time_domain.dt"),
+        cfl=_positive(td.get("cfl", 0.5), "time_domain.cfl"),
         theta_path=_theta_path(sections["theta_path"], theta),
         raw=doc,
     )

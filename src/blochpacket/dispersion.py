@@ -23,7 +23,7 @@ from .errors import MultiplicityInconsistent, SpeedLimitViolation
 from .fourier import MaterialSpec, apply_mode_blocks, cross_matrix, symbol_matrix, trig_sum
 
 SCALAR_TOL = 1e-8
-# samples per structured axis of the y-grid that tau_max maximizes over
+# samples per structured axis of the y-grid that _tau_max maximizes over
 Y_SAMPLES = 17
 # margin below zero that speed_limit_check still accepts as round-off
 SPEED_TOL = 1e-9
@@ -229,8 +229,16 @@ def _symbol_tables(spec: MaterialSpec) -> np.ndarray:
 
 
 def _tau_max(xis: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """tau_max for each row of xis (S, 3): one product and one eigvalsh per
-    chunk of at most TAU_CHUNK symbol matrices (or of one direction)."""
+    """Largest root of the constant-coefficient symbol pencil for each row of
+    xis (S, 3), maximized over a y-sample grid of Y_SAMPLES points per axis
+    (tables: _symbol_tables of the medium).
+
+    Per point the nonzero roots satisfy tau^2 eps e = cross(xi)^T mu^{-1}
+    cross(xi) e, a 3x3 Hermitian-definite problem.  The grid maximum is a
+    lower bound of the true sup, exact up to grid resolution for smooth specs
+    (the grid collapses along axes the coefficients do not depend on).  One
+    product and one eigvalsh per chunk of at most TAU_CHUNK symbol matrices
+    (or of one direction)."""
     grid = tables.shape[1] // 9
     step = max(1, TAU_CHUNK // grid)
     tau2 = np.empty(len(xis))
@@ -239,18 +247,6 @@ def _tau_max(xis: np.ndarray, tables: np.ndarray) -> np.ndarray:
         m = ((xi[:, :, None] * xi[:, None, :]).reshape(-1, 9) @ tables).reshape(-1, 3, 3)
         tau2[s:s + step] = np.linalg.eigvalsh(m)[:, -1].reshape(len(xi), grid).max(axis=1)
     return np.sqrt(np.maximum(tau2, 0.0))
-
-
-def tau_max(spec: MaterialSpec, xi) -> float:
-    """Largest root of the constant-coefficient symbol pencil, maximized over
-    a y-sample grid of Y_SAMPLES points per axis.
-
-    Per point the nonzero roots satisfy tau^2 eps e = cross(xi)^T mu^{-1}
-    cross(xi) e, a 3x3 Hermitian-definite problem.  The grid maximum is a
-    lower bound of the true sup, exact up to grid resolution for smooth specs
-    (the grid collapses along axes the coefficients do not depend on).
-    """
-    return float(_tau_max(np.asarray(xi, dtype=float).reshape(1, 3), _symbol_tables(spec))[0])
 
 
 def speed_limit_check(spec: MaterialSpec, V, num_samples: int = 1000,

@@ -129,11 +129,6 @@ def dispersion_form(grid: EnvelopeGrid, hess: np.ndarray) -> np.ndarray:
     return q
 
 
-def dispersion_multiplier(grid: EnvelopeGrid, hess: np.ndarray, dT: float) -> np.ndarray:
-    """Fourier multiplier exp(+ (i/2) q(k,k) dT) of the exact dispersion flow."""
-    return np.exp(0.5j * dispersion_form(grid, hess) * dT)
-
-
 def _mass_profile(state: EnvelopeState):
     dens = np.sum(np.abs(state.values) ** 2, axis=0)
     total = float(dens.sum())

@@ -196,24 +196,15 @@ def transverse_pair(v):
     return u1, u2
 
 
-def transverse_basis(cutoff: LatticeCutoff, theta) -> np.ndarray:
-    """Orthonormal pair spanning (theta+n)^perp for each mode.
-
-    Returns (K, 2, 3): rows [i, 0] and [i, 1] are the transverse_pair u1, u2
-    of theta + n (theta != 0 guarantees theta + n != 0 for every integer n).
-    """
-    theta = _check_theta(theta)
-    u1, u2 = transverse_pair(wavevectors(cutoff, theta))
-    return np.stack([u1, u2], axis=1)
-
-
 def transverse_field_blocks(cutoff: LatticeCutoff, theta, modes=None) -> np.ndarray:
     """(K, 6, 4) per-mode transverse E/B unit fields, or, given an array of
     mode indices, those of its modes (shape modes.shape + (6, 4)).
 
     Column order per mode: (E,u1), (E,u2), (B,u1), (B,u2) with u1, u2 the
-    transverse_basis pair.  Per mode they span the plain-orthogonal
-    complement of the curl kernel.
+    transverse_pair of theta + n, an orthonormal pair spanning
+    (theta + n)^perp (theta != 0 guarantees theta + n != 0 for every integer
+    n).  Per mode they span the plain-orthogonal complement of the curl
+    kernel.
     """
     v = wavevectors(cutoff, _check_theta(theta))
     u = transverse_pair(v if modes is None else v[modes])

@@ -230,19 +230,21 @@ def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand, op: BlochO
                             points: Optional[np.ndarray] = None,
                             estimate_error: bool = True) -> Iterator[SynthesisResult]:
     """Exact solution of the purely periodic problem as a Bloch-wave integral,
-    one result per output time.
+    one result per output time, on exactly one of `grid` or `points`.
 
     Tensor Gauss-Legendre quadrature over the packet spectrum; per node the
     eigenpair comes from the gauge-aligned band (closed form for vacuum).
     The nodes do not depend on t: they are prepared once, in this call, and
     the per-time results are then produced lazily, so only one is held at a
     time.
-    With `grid`, returns the harmonic-resolved field {n: (6, shape)} such
-    that  u(t, x) = sum_n exp(i ((theta + n).x + omega_c t)/h ...) -- more
-    precisely each harmonic carries its own node frequencies; with `points`,
-    returns direct samples u(t, x_p).  The quadrature error is estimated by
-    comparing against the lower-order rule.
+    With `grid`, each result holds the harmonic-resolved field {n: (6, shape)}
+    in `harmonics`, such that u(t, x) = sum_n exp(i (theta + n).x / h) D_n(t, x)
+    (each D_n carries the nodes' own frequencies exp(i (x.zeta + omega t / h)));
+    with `points`, it holds the samples u(t, x_p), (P, 6), in `samples`.  The
+    quadrature error is estimated by comparing against the lower-order rule.
     """
+    if (grid is None) == (points is None):
+        raise ValueError("synthesize_exact_packet takes exactly one of grid or points")
     if not op.spec.is_static():
         raise ConfigError("exact synthesis requires a purely periodic medium")
     nodes = _NodeEigen(band, op, packet)
@@ -254,22 +256,27 @@ def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand, op: BlochO
         check = _synthesize(packet, band, op.cutoff, nodes, zeta_c, wts_c, grid, points)
 
     def result(t):
-        fields = main(t)
-        err = _synth_distance(fields, check(t)) if estimate_error else 0.0
-        return SynthesisResult(t=t, harmonics=fields[0], samples=fields[1],
+        field = main(t)
+        err = _synth_distance(field, check(t)) if estimate_error else 0.0
+        return SynthesisResult(t=t, harmonics=field if grid is not None else None,
+                               samples=field if points is not None else None,
                                quadrature_error=err, node_count=len(zeta))
 
     return map(result, times)
 
 
 def _synthesize(packet, band, cutoff, nodes, zeta, wts, grid, points):
-    """The quadrature sum over one node set as a function of t, returning
-    (harmonics, samples).  Only the node weights amp_q exp(i omega_q t / h)
-    depend on t: the (6K, Q) node vectors and the spatial phases
-    exp(i x.zeta_q) are built once, and each time is one product over nodes.
-    Only the modes whose node-vector rows are not all zero (the band's mode
-    class) enter the products and the harmonics; every other harmonic is
-    zero."""
+    """The quadrature sum over one node set as a function of t, on `grid`
+    (returning the harmonics {n: (6, shape)}) or at `points` (returning the
+    samples (P, 6)); exactly one of them is given.
+
+    Only the node weights amp_q exp(i omega_q t / h) depend on t: the
+    (6 |held|, Q) node vectors and the phases exp(i x.zeta_q) at the output
+    points (the grid's or the given ones) are built once, and each time is
+    one product over nodes, giving the values per mode.  On a grid these are
+    the harmonics; at points they are contracted with the carriers
+    exp(i (theta + n).x / h).  Only the modes whose node-vector rows are not
+    all zero (the band's mode class) enter: every other harmonic is zero."""
     amp = packet.spectrum_amplitude(zeta) * wts
     keep = np.flatnonzero(amp != 0.0)
     amp, zeta = amp[keep], zeta[keep]
@@ -280,41 +287,29 @@ def _synthesize(packet, band, cutoff, nodes, zeta, wts, grid, points):
     held = np.flatnonzero(np.any(vecs, axis=(1, 2)))
     vecs = vecs[held].reshape(6 * len(held), len(zeta))
     modes = cutoff.modes[held]
-    if grid is not None:
-        xs = grid.points().reshape(-1, 3)
-        grid_phase = np.exp(1j * (zeta @ xs.T))                             # (Q, M)
+    xs = (grid.points() if grid is not None else np.asarray(points, dtype=float)).reshape(-1, 3)
+    phase = np.exp(1j * (zeta @ xs.T))                                      # (Q, P)
     if points is not None:
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        point_phase = np.exp(1j * (pts @ zeta.T))                           # (P, Q)
-        # full physical phase: (P, |held|) carriers exp(i (theta + n).x / h) too
-        carrier = np.exp(1j * ((pts / packet.h) @ (band.theta[:, None] + modes.T)))
+        carrier = np.exp(1j * ((xs / packet.h) @ (band.theta[:, None] + modes.T)))  # (P, |held|)
 
     def at(t):
-        coef = amp * np.exp(1j * t * omegas / packet.h)
-        harmonics = samples = None
+        per_mode = ((vecs * (amp * np.exp(1j * t * omegas / packet.h))) @ phase
+                    ).reshape(len(held), 6, len(xs))
         if grid is not None:
-            acc = ((vecs * coef) @ grid_phase).reshape((len(held), 6) + grid.shape)
-            harmonics = {tuple(n): d for n, d in zip(modes, acc)}
-        if points is not None:
-            per_mode = ((point_phase * coef) @ vecs.T).reshape(len(pts), len(held), 6)
-            samples = np.einsum("pk,pkc->pc", carrier, per_mode)
-        return harmonics, samples
+            return {tuple(n): d.reshape((6,) + grid.shape) for n, d in zip(modes, per_mode)}
+        return np.einsum("pk,kcp->pc", carrier, per_mode)
 
     return at
 
 
 def _synth_distance(a, b) -> float:
-    ha, sa = a
-    hb, sb = b
-    err = 0.0
-    if ha is not None:
+    """Relative L2 distance of two synthesized fields (harmonics or samples)."""
+    if isinstance(a, dict):
         # an absent harmonic is zero
-        num = sum(np.linalg.norm(ha.get(n, 0) - hb.get(n, 0)) ** 2 for n in set(ha) | set(hb))
-        den = sum(np.linalg.norm(d) ** 2 for d in ha.values())
-        err = max(err, float(np.sqrt(num / max(den, 1e-300))))
-    if sa is not None:
-        err = max(err, float(np.linalg.norm(sa - sb) / max(np.linalg.norm(sa), 1e-300)))
-    return err
+        num = sum(np.linalg.norm(a.get(n, 0) - b.get(n, 0)) ** 2 for n in set(a) | set(b))
+        den = sum(np.linalg.norm(d) ** 2 for d in a.values())
+        return float(np.sqrt(num / max(den, 1e-300)))
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300))
 
 
 # ---------------------------------------------------------------------------

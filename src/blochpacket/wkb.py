@@ -196,10 +196,10 @@ class ProfileSet:
         return residual_orders(self)
 
     @cached_property
-    def residual_stacks(self) -> Dict[str, Tuple[np.ndarray, ...]]:
+    def residual_stacks(self) -> Dict[str, tuple]:
         """_stack of every table of residual_tables, kept beside them."""
-        dim = self.band.eigvecs.shape[0]
-        return {name: _stack(table, dim) for name, table in self.residual_tables.items()}
+        return {name: _stack(table, self.op.cutoff.num_modes)
+                for name, table in self.residual_tables.items()}
 
 
 def build_profiles(band: BlochBand, projectors: ProjectorPair,
@@ -271,44 +271,63 @@ def _field_values(profiles: ProfileSet, keys, T: float, pts: np.ndarray) -> Dict
     return dict(zip(keys, env.eval_hats_at(hats, pts)))
 
 
-def _phases(etas, t: float, x: np.ndarray) -> Dict[Eta, np.ndarray]:
-    """exp(i (eta_0 t + eta_x.x)) at points x of shape (..., 3), per eta."""
-    return {eta: np.exp(1j * (eta[0] * t + x @ np.asarray(eta[1:]))) for eta in etas}
+def _stack(table: TermTable, num_modes: int) -> Tuple[List[Tuple[Eta, FieldKey]], np.ndarray, np.ndarray]:
+    """The table as arrays: its entries (eta, key) whose vector is not
+    exactly zero, in table order; the held modes (sorted indices), on which
+    some kept vector has a nonzero row and so the only harmonics the table
+    can fill; and the kept vectors on the held modes, (E, 6 |held|)."""
+    entries = [idx for idx, vec in table.items() if np.any(vec)]
+    vecs = np.array([table[idx] for idx in entries], dtype=complex).reshape(len(entries), num_modes, 6)
+    held = np.flatnonzero(np.any(vecs, axis=(0, 2)))
+    return entries, held, vecs[:, held].reshape(len(entries), 6 * len(held))
 
 
-def _stack(table: TermTable, dim: int) -> Tuple[np.ndarray, ...]:
-    """The columns some vector of the table fills, the vectors on them as one
-    (E, columns) array in table order, and the vectors' norms (E,)."""
-    vecs = np.array(list(table.values()), dtype=complex).reshape(len(table), dim)
-    cols = np.flatnonzero(np.any(vecs, axis=0))
-    return cols, vecs[:, cols], np.array([np.linalg.norm(vec) for vec in vecs])
+def _product(stack, fields: Dict[FieldKey, np.ndarray], t: float, x: np.ndarray):
+    """A stacked table at points x (..., 3), with `fields` the envelope
+    values D_key there: the (P, E) entry coefficients exp(i eta.(t, x)) D_key
+    and their product with the stacked vectors, (P, 6 |held|)."""
+    entries, _held, vecs = stack
+    phases = {eta: np.exp(1j * (eta[0] * t + x @ np.asarray(eta[1:])))
+              for eta in {eta for (eta, _key) in entries}}
+    coef = np.array([phases[eta] * fields[key] for (eta, key) in entries],
+                    dtype=complex).reshape(len(entries), x[..., 0].size).T
+    return coef, coef @ vecs
+
+
+def _weighted_stack(profiles: ProfileSet, h: float, orders):
+    """_stack of the profiles of `orders` merged into one table, order j
+    weighted by h^j."""
+    tables = profiles.tables()
+    merged = _merge(*({idx: (h ** j) * vec for idx, vec in tables[j].items()} for j in orders))
+    return _stack(merged, profiles.op.cutoff.num_modes)
 
 
 def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
                    x_comoving: np.ndarray,
                    fields: Optional[Dict[FieldKey, np.ndarray]] = None,
-                   stack: Optional[Tuple[np.ndarray, ...]] = None):
+                   stack=None):
     """Evaluate a term table at slow time T, time t, and comoving points.
 
     Physical positions are x = x_comoving + V t; the envelope is evaluated at
     x_comoving directly.  `fields` (the envelope values at these points for
-    at least the table's keys) and `stack` (the table's vectors and norms,
-    _stack) come from a caller that computed them once, or are computed
-    here.  Returns (values (P, 6K), magnitude (P,)) where magnitude is the
-    triangle-inequality bound sum |coef| * |phi| used as the cancellation
-    scale; each is one product of the (P, E) entry coefficients.
+    at least the keys of the table's nonzero entries) and `stack` (the
+    table's _stack) come from a caller that computed them once, or are
+    computed here.  Returns (values (P, 6K), magnitude (P,)) where magnitude
+    is the triangle-inequality bound sum |coef| * |phi| used as the
+    cancellation scale; each is one product of the (P, E) entry
+    coefficients.
     """
     pts = np.asarray(x_comoving, dtype=float).reshape(-1, 3)
-    x_phys = pts + profiles.dispersion.V[None, :] * t
+    num_modes = profiles.op.cutoff.num_modes
+    if stack is None:
+        stack = _stack(table, num_modes)
+    entries, held, vecs = stack
     if fields is None:
-        fields = _field_values(profiles, {key for (_eta, key) in table}, T, pts)
-    cols, vecs, norms = _stack(table, profiles.band.eigvecs.shape[0]) if stack is None else stack
-    phases = _phases({eta for (eta, _key) in table}, t, x_phys)
-    coef = np.array([phases[eta] * fields[key] for (eta, key) in table],
-                    dtype=complex).reshape(len(table), len(pts)).T
-    vals = np.zeros((len(pts), profiles.band.eigvecs.shape[0]), dtype=complex)
-    vals[:, cols] = coef @ vecs
-    return vals, np.abs(coef) @ norms
+        fields = _field_values(profiles, {key for (_eta, key) in entries}, T, pts)
+    coef, per_mode = _product(stack, fields, t, pts + profiles.dispersion.V[None, :] * t)
+    vals = np.zeros((len(pts), num_modes, 6), dtype=complex)
+    vals[:, held] = per_mode.reshape(len(pts), len(held), 6)
+    return vals.reshape(len(pts), -1), np.abs(coef) @ np.linalg.norm(vecs, axis=1)
 
 
 def residual_orders(profiles: ProfileSet) -> Dict[str, TermTable]:
@@ -355,7 +374,8 @@ def residual(profiles: ProfileSet, hs, horizon: float, num_t: int = 5,
             axes.append(np.linspace(-L / 8, L / 8, num_x))
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
-    keys = {key for table in orders.values() for (_eta, key) in table}
+    keys = {key for (entries, _held, _vecs) in profiles.residual_stacks.values()
+            for (_eta, key) in entries}
     worst = {h: {name: [0.0, 0.0] for name in orders} for h in hs}
     for T in np.linspace(0.0, horizon, num_t):
         fields = _field_values(profiles, keys, T, pts)
@@ -393,44 +413,24 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
              orders: Tuple[int, ...] = (0, 1, 2)) -> WKBField:
     """Evaluate the triple-scale field at physical points.
 
-    Envelope factors are spectrally interpolated at x - V t (periodic box),
-    cell profiles summed directly at y = x / h, and the carrier phase
-    exp(i (omega t + theta.x)/h) applied exactly.
+    The orders are merged into one table (order j weighted by h^j) and
+    evaluated by one product (_product): envelope factors spectrally
+    interpolated at x - V t (periodic box), one value per held mode.  The
+    carrier exp(i (omega t + (theta + n).x)/h) of each held mode n is then
+    applied exactly, in one contraction over the held modes.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     band = profiles.band
-    cutoff = profiles.op.cutoff
-    T = h * t
-    x_comoving = pts - profiles.dispersion.V[None, :] * t
-
-    tables = [profiles.tables()[j] for j in orders]
-    held = _held_modes(tables, cutoff.num_modes)
-    ey = np.exp(1j * ((pts / h) @ cutoff.modes[held].T))  # (P, |held|)
-
-    fields = _field_values(profiles, {key for table in tables for (_eta, key) in table},
-                           T, x_comoving)
-    phases = _phases({eta for table in tables for (eta, _key) in table}, t, pts)
-
-    out = np.zeros((len(pts), 6), dtype=complex)
-    for j, table in zip(orders, tables):
-        for (eta, key), vec in table.items():
-            coef = (h ** j) * phases[eta] * fields[key]
-            out += coef[:, None] * (ey @ vec.reshape(-1, 6)[held])
-
-    carrier = np.exp(1j * (band.omega * t + pts @ band.theta) / h)
-    out *= carrier[:, None]
+    stack = _weighted_stack(profiles, h, orders)
+    entries, held, _vecs = stack
+    fields = _field_values(profiles, {key for (_eta, key) in entries}, h * t,
+                           pts - profiles.dispersion.V[None, :] * t)
+    _coef, per_mode = _product(stack, fields, t, pts)
+    carrier = np.exp(1j * ((pts / h) @ (band.theta[:, None] + profiles.op.cutoff.modes[held].T)
+                           + band.omega * t / h))
+    out = np.einsum("pk,pkc->pc", carrier, per_mode.reshape(len(pts), len(held), 6))
     return WKBField(h=h, t=t, theta=band.theta, omega=band.omega,
                     points=pts, samples=out)
-
-
-def _held_modes(tables, num_modes: int) -> np.ndarray:
-    """The modes (sorted indices) on which some entry of the tables has a
-    nonzero cell-profile row: the only harmonics the tables can fill."""
-    nonzero = np.zeros(num_modes, dtype=bool)
-    for table in tables:
-        for vec in table.values():
-            nonzero |= np.any(vec.reshape(-1, 6), axis=1)
-    return np.flatnonzero(nonzero)
 
 
 def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
@@ -440,34 +440,23 @@ def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
     Returns {n: (6, M1, M2, M3)} with the field equal to
     sum_n exp(i (theta + n).x / h + i omega t / h) D_n(x), holding only the
     modes on which some cell profile of the requested orders is nonzero
-    (every other harmonic is zero).  The envelope factors of all distinct
-    keys are transformed by one inverse FFT over the varying axes.
-    Requires every (t, x) frequency carried by the profiles to be
-    commensurate with the box (guaranteed for purely periodic media, where
-    no such frequencies occur).
+    (every other harmonic is zero).  The table is the one assemble
+    evaluates, by the same product (_product) at the grid points; the
+    envelope factors of its keys are transformed by one inverse FFT over
+    the varying axes.  Requires every (t, x) frequency carried by the
+    profiles to be commensurate with the box (guaranteed for purely
+    periodic media, where no such frequencies occur).
     """
-    band = profiles.band
-    T = h * t
     env = profiles.envelope
-    tables = [profiles.tables()[j] for j in orders]
+    stack = _weighted_stack(profiles, h, orders)
+    entries, held, _vecs = stack
     ks = grid.wave_meshgrid()
     vt = profiles.dispersion.V * t
-
     shift = np.exp(-1j * (ks[0] * vt[0] + ks[1] * vt[1] + ks[2] * vt[2]))
-    carrier_t = np.exp(1j * band.omega * t / h)
 
-    keys = sorted({key for table in tables for (_eta, key) in table})
-    hats = np.stack([env.field_hat(*key, T) * shift for key in keys])
+    keys = sorted({key for (_eta, key) in entries})
+    hats = np.stack([env.field_hat(*key, h * t) * shift for key in keys])
     envelope_on_grid = dict(zip(keys, np.fft.ifftn(hats, axes=varying_axes(hats))))
-    phases = _phases({eta for table in tables for (eta, _key) in table}, t, grid.points())
-
-    modes = profiles.op.cutoff.modes
-    held = _held_modes(tables, len(modes))
-    harm = np.zeros((len(held), 6) + grid.shape, dtype=complex)
-    for j, table in zip(orders, tables):
-        for (eta, key), vec in table.items():
-            coef = (h ** j) * carrier_t * phases[eta] * envelope_on_grid[key]
-            v6 = vec.reshape(-1, 6)[held]
-            rows = np.flatnonzero(np.any(v6, axis=1))
-            harm[rows] += v6[rows, :, None, None, None] * coef[None, None]
-    return {tuple(n): d for n, d in zip(modes[held], harm)}
+    _coef, per_mode = _product(stack, envelope_on_grid, t, grid.points())
+    harm = np.exp(1j * profiles.band.omega * t / h) * per_mode.T.reshape((len(held), 6) + grid.shape)
+    return {tuple(n): d for n, d in zip(profiles.op.cutoff.modes[held], harm)}

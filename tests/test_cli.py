@@ -103,9 +103,31 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
     ({"theta_path": {"to": [0.3, 0.1], "steps": 3}}, "theta_path.to"),
     ({"theta_path": {"to": [0.3, 0.1, 0.0], "steps": 0}}, "theta_path.steps"),
     ({"theta_path": {"to": [0.3, 0.6, 0.0], "steps": 2}}, "theta_path.steps"),
+    ({"time_domain": {"t_final": -1}}, "time_domain.t_final"),
+    ({"time_domain": {"t_final": "x"}}, "time_domain.t_final"),
+    ({"time_domain": {"t_final": "inf"}}, "time_domain.t_final"),
+    ({"time_domain": {"dt": -0.01}}, "time_domain.dt"),
+    ({"time_domain": {"dt": "x"}}, "time_domain.dt"),
+    ({"time_domain": {"cfl": -0.5}}, "time_domain.cfl"),
+    ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": [1], "support_sigmas": "x"}},
+     "packet.support_sigmas"),
+    ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": [1], "support_sigmas": -6}},
+     "packet.support_sigmas"),
+    ({"packet": {"widths": ["a", 1, 1], "axes": [1]}}, "packet.widths"),
+    ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": ["a"]}}, "packet.axes"),
+    ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": [3]}}, "packet.axes"),
+    ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": []}}, "packet.axes"),
+    ({"num_bands": "x"}, "num_bands"),
+    ({"num_bands": 0}, "num_bands"),
+    ({"seed": "x"}, "seed"),
+    ({"band": {"index": "x"}}, "band.index"),
 ], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT",
         "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps",
-        "path_step_over_tracking_bound"])
+        "path_step_over_tracking_bound", "negative_t_final", "non_numeric_t_final",
+        "infinite_t_final", "negative_dt", "non_numeric_dt", "negative_cfl",
+        "non_numeric_support_sigmas", "negative_support_sigmas", "non_numeric_width",
+        "non_numeric_axis", "axis_out_of_range", "no_axes", "non_numeric_num_bands",
+        "zero_num_bands", "non_numeric_seed", "non_numeric_band_index"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

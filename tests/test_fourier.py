@@ -10,7 +10,6 @@ from blochpacket.errors import GammaPointError, MaterialError
 from blochpacket.fourier import (
     LatticeCutoff,
     MaterialSpec,
-    transverse_basis,
     transverse_field_blocks,
     trig_sum,
     wavevectors,
@@ -185,11 +184,17 @@ def test_parseval_inner_product(rng):
 # Transverse / longitudinal splitting
 # ---------------------------------------------------------------------------
 
+def transverse_pairs(cutoff, theta):
+    """(K, 2, 3): per mode the pair u1, u2 that transverse_field_blocks puts
+    in its E columns."""
+    return np.swapaxes(transverse_field_blocks(cutoff, theta)[:, :3, :2].real, 1, 2)
+
+
 def test_transverse_pair_example():
     # single mode with theta + n = (0, 0, 1) has pair {e1, e2}
     cut = LatticeCutoff(0)
     theta = np.array([0.0, 0.0, 1.0 - 1e-12])
-    u = transverse_basis(cut, theta)
+    u = transverse_pairs(cut, theta)
     assert np.allclose(u[0, 0], [1, 0, 0], atol=1e-6)
     assert np.allclose(u[0, 1], [0, 1, 0], atol=1e-6)
 
@@ -197,7 +202,7 @@ def test_transverse_pair_example():
 def test_transverse_pair_orthonormal(rng):
     cut = LatticeCutoff(2)
     theta = np.array([0.3, 0.7, 0.1])
-    u = transverse_basis(cut, theta)
+    u = transverse_pairs(cut, theta)
     v = wavevectors(cut, theta)
     for i in range(cut.num_modes):
         gram = u[i] @ u[i].T
@@ -218,7 +223,7 @@ def test_transverse_span_meets_kernel_only_at_zero(rng):
 
 def test_transverse_rejects_gamma_point():
     with pytest.raises(GammaPointError):
-        transverse_basis(LatticeCutoff(1), np.zeros(3))
+        transverse_field_blocks(LatticeCutoff(1), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -292,9 +292,10 @@ def test_synthesize_matches_node_loop(which, identity_pipe, offaxis_layered_pipe
     nodes.prepare(zeta)
     grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (48, 1, 1))
     pts = np.random.default_rng(7).uniform(-8.0, 8.0, (29, 3))
-    synth = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, grid, pts)
+    on_grid = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, grid, None)
+    at_points = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, None, pts)
     for t in (0.0, 1.5, 4.0):
-        harmonics, samples = synth(t)
+        harmonics, samples = on_grid(t), at_points(t)
         ref_harmonics, ref_samples = synthesize_reference(packet, pipe.band, pipe.cutoff, nodes,
                                                           zeta, wts, t, grid, pts)
         # a harmonic is held, or absent and exactly zero in the reference
@@ -308,14 +309,21 @@ def test_synthesize_matches_node_loop(which, identity_pipe, offaxis_layered_pipe
 
 
 def test_synthesis_requires_static_medium(identity_pipe):
+    """A modulated medium is refused, and so is a call that gives both of
+    grid and points, or neither."""
     from blochpacket.presets import with_ohmic_loss
 
     spec = with_ohmic_loss(identity_material(), 0.1)
     packet = ExactPacketSpec(THETA, 1 / 8, (1.0, 1.5, 1.0), [1.0, 0.0], axes=(1,))
+    grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1))
     with pytest.raises(ConfigError):
         synthesize_exact_packet(packet, identity_pipe.band,
                                 BlochOperator.build(spec, identity_pipe.cutoff, THETA), [0.0],
-                                grid=EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1)))
+                                grid=grid)
+    for targets in ({}, {"grid": grid, "points": np.zeros((1, 3))}):
+        with pytest.raises(ValueError):
+            synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op, [0.0],
+                                    **targets)
 
 
 def test_synthesis_satisfies_time_domain_equations(identity_pipe):

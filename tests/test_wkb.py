@@ -33,6 +33,13 @@ def modulated_profiles(modulated_pipe):
     return modulated_pipe.profiles(env)
 
 
+@pytest.fixture(scope="module")
+def layered_profiles(offaxis_layered_pipe):
+    """Entries with many nonzero mode blocks."""
+    pipe = offaxis_layered_pipe
+    return pipe.profiles(pipe.envelope(GRID, (1.0, 1.5, 1.0), [1.0]))
+
+
 # ---------------------------------------------------------------------------
 # Profile structure
 # ---------------------------------------------------------------------------
@@ -175,7 +182,8 @@ def test_residual_shares_envelope_values_across_orders(monkeypatch):
 def test_evaluate_table_matches_entry_loop(which, identity_profiles, modulated_profiles):
     """Each residual order evaluated as one product over its stacked entries
     gives the entry-by-entry sum to 1e-14 of its magnitude, and the same
-    magnitude; an empty table gives zeros."""
+    magnitude; an empty table, or one whose entries are all zero, gives
+    zeros."""
     profs = identity_profiles if which == "identity" else modulated_profiles
     pts = np.stack([np.zeros(5), np.linspace(-6.0, 6.0, 5), np.zeros(5)], axis=-1)
     T, t = 0.25, 0.25 * 16
@@ -185,9 +193,38 @@ def test_evaluate_table_matches_entry_loop(which, identity_profiles, modulated_p
         scale = max(ref_mag.max(), 1e-300)
         assert np.abs(vals - ref_vals).max() <= 1e-14 * scale
         assert np.abs(mag - ref_mag).max() <= 1e-14 * scale
-    vals, mag = evaluate_table(profs, {}, T, t, pts)
-    assert vals.shape == (len(pts), profs.band.eigvecs.shape[0]) and not np.any(vals)
-    assert mag.shape == (len(pts),) and not np.any(mag)
+    zeros = {idx: np.zeros_like(vec) for idx, vec in profs.w1.items()}
+    for table in ({}, zeros):
+        vals, mag = evaluate_table(profs, table, T, t, pts)
+        assert vals.shape == (len(pts), profs.band.eigvecs.shape[0]) and not np.any(vals)
+        assert mag.shape == (len(pts),) and not np.any(mag)
+
+
+@pytest.mark.parametrize("which", ["identity", "modulated"])
+def test_evaluation_asks_only_for_carried_keys(which, monkeypatch, identity_profiles,
+                                               modulated_profiles):
+    """residual and assemble ask the envelope only for the keys that an entry
+    with a nonzero vector carries; the residual tables do hold exactly-zero
+    entries, whose keys are never asked for."""
+    profs = identity_profiles if which == "identity" else modulated_profiles
+    asked = set()
+    field_hat = EnvelopeSolution.field_hat
+
+    def counted(self, component, tder, alpha, T):
+        asked.add((component, tder, tuple(alpha)))
+        return field_hat(self, component, tder, alpha, T)
+
+    def carried(tables):
+        return {key for table in tables for (_eta, key), vec in table.items() if np.any(vec)}
+
+    monkeypatch.setattr(EnvelopeSolution, "field_hat", counted)
+    tables = profs.residual_tables.values()
+    residual(profs, [1 / 8], horizon=0.5, num_t=2, num_x=3)
+    assert asked == carried(tables)
+    assert asked < {key for table in tables for (_eta, key) in table}
+    asked.clear()
+    assemble(profs, 1 / 8, 2.0, np.array([[0.0, 1.0, 0.0], [0.5, -2.0, 0.7]]))
+    assert asked == carried(profs.tables())
 
 
 def test_residual_ablation_restores_first_order(modulated_profiles):
@@ -370,12 +407,9 @@ def test_assemble_deterministic(identity_profiles):
 
 @pytest.mark.parametrize("which", ["identity", "modulated", "layered"])
 def test_assemble_harmonics_matches_mode_loop(which, identity_profiles, modulated_profiles,
-                                              offaxis_layered_pipe):
-    if which == "layered":  # entries with many nonzero mode blocks
-        pipe = offaxis_layered_pipe
-        profs = pipe.profiles(pipe.envelope(GRID, (1.0, 1.5, 1.0), [1.0]))
-    else:
-        profs = identity_profiles if which == "identity" else modulated_profiles
+                                              layered_profiles, offaxis_layered_pipe):
+    profs = {"identity": identity_profiles, "modulated": modulated_profiles,
+             "layered": layered_profiles}[which]
     got = assemble_harmonics(profs, 1 / 8, 3.0, GRID)
     ref = assemble_harmonics_reference(profs, 1 / 8, 3.0, GRID)
     scale = max(np.abs(d).max() for d in ref.values())
@@ -387,7 +421,25 @@ def test_assemble_harmonics_matches_mode_loop(which, identity_profiles, modulate
         else:
             assert not np.any(ref[n])
     if which == "layered":
-        assert set(got) == band_class_modes(pipe)
+        assert set(got) == band_class_modes(offaxis_layered_pipe)
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0])
+@pytest.mark.parametrize("which", ["identity", "modulated", "layered"])
+def test_assemble_is_the_carrier_sum_of_harmonics(which, t, identity_profiles, modulated_profiles,
+                                                  layered_profiles):
+    """assemble at the envelope grid's points equals
+    sum_n exp(i (theta + n).x / h) assemble_harmonics(...)[n] to 1e-13 of
+    the field's maximum."""
+    profs = {"identity": identity_profiles, "modulated": modulated_profiles,
+             "layered": layered_profiles}[which]
+    h = 1 / 8
+    pts = GRID.points().reshape(-1, 3)
+    got = assemble(profs, h, t, pts).samples
+    expect = sum(np.exp(1j * (pts @ (profs.band.theta + np.asarray(n))) / h)[:, None]
+                 * d.reshape(6, -1).T
+                 for n, d in assemble_harmonics(profs, h, t, GRID).items())
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_norm_stable_in_h(identity_profiles):
