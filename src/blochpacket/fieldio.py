@@ -22,6 +22,8 @@ from .fourier import MaterialSpec
 
 FIELD_MAGIC = b"BWPK-FIELD-DUMP\x00"
 FIELD_VERSION = 1
+# the keys of a material description (the coefficient form)
+MATERIAL_KEYS = ("eps0", "mu0", "eps1", "mu1", "lower_order")
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,12 @@ def material_to_dict(spec: MaterialSpec) -> dict:
 
 
 def material_from_dict(doc: dict) -> MaterialSpec:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"material must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(MATERIAL_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown material keys {sorted(unknown)}; "
+                          f"settable: {sorted(MATERIAL_KEYS)}")
     try:
         def base(entries):
             return {tuple(e["n"]): decode_complex_matrix(e["matrix"]) for e in entries}

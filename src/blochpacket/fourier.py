@@ -152,12 +152,6 @@ def curl_matrix(cutoff: LatticeCutoff, theta) -> np.ndarray:
     return -1j * symbol_matrix(wavevectors(cutoff, theta))
 
 
-def apply_curl_direction(j: int, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the 6x6 block [[0, e_j^],[-e_j^, 0]] (the coefficient of d/dx_j in
-    the curl block, minus the symbol at e_j) to a (K, 6) array."""
-    return -(coeffs @ symbol_matrix(np.eye(3)[j]).T)
-
-
 # ---------------------------------------------------------------------------
 # Transverse splitting
 # ---------------------------------------------------------------------------
@@ -232,7 +226,9 @@ class MaterialSpec:
 
     Base coefficients must satisfy coef(-n) = coef(n)^H so the reconstructed
     matrices are Hermitian pointwise; reconstructed eps0, mu0 must be positive
-    definite (checked on a 9^3 sample grid, smallest eigenvalue > 1e-10).
+    definite (checked on a 9^3 sample grid, smallest eigenvalue > 1e-10).  A
+    key whose n is not 3 integers or whose eta is not 4 finite numbers is
+    refused (MaterialError) when the spec is built, before it could be rounded.
     """
 
     eps0: Dict[Mode, np.ndarray] = field(default_factory=dict)
@@ -242,13 +238,10 @@ class MaterialSpec:
     lower_order: Dict[ModKey, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.eps0 = {_mode_key(n): np.asarray(m, dtype=complex) for n, m in self.eps0.items()}
-        self.mu0 = {_mode_key(n): np.asarray(m, dtype=complex) for n, m in self.mu0.items()}
-        self.eps1 = {_mod_key(k): np.asarray(m, dtype=complex) for k, m in self.eps1.items()}
-        self.mu1 = {_mod_key(k): np.asarray(m, dtype=complex) for k, m in self.mu1.items()}
-        self.lower_order = {
-            _mod_key(k): np.asarray(m, dtype=complex) for k, m in self.lower_order.items()
-        }
+        for name in ("eps0", "mu0", "eps1", "mu1", "lower_order"):
+            read = _mode_key if name in ("eps0", "mu0") else _mod_key
+            setattr(self, name, {read(k, name): np.asarray(m, dtype=complex)
+                                 for k, m in getattr(self, name).items()})
 
     # -- validation --------------------------------------------------------
 
@@ -292,23 +285,34 @@ class MaterialSpec:
             etas.update(eta for (eta, _n) in coefs)
         return sorted(etas)
 
-    def modulation_at(self, eta):
-        """Per-eta cell-harmonic maps (eps1_n, mu1_n, lower_n) for frequency eta."""
-        eta = tuple(float(v) for v in eta)
-        pick = lambda coefs: {n: m for (e, n), m in coefs.items() if e == eta}
-        return pick(self.eps1), pick(self.mu1), pick(self.lower_order)
-
     def is_static(self) -> bool:
         return not (self.eps1 or self.mu1 or self.lower_order)
 
 
-def _mode_key(n) -> Mode:
-    return tuple(int(v) for v in n)
+def _floats(values) -> tuple:
+    """values as a tuple of floats, or () when they are not numbers."""
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        return ()
 
 
-def _mod_key(key) -> ModKey:
+def _mode_key(n, name: str) -> Mode:
+    """n as a cell harmonic, or a MaterialError unless it is 3 integers."""
+    mode = _floats(n)
+    if len(mode) != 3 or not all(v.is_integer() for v in mode):
+        raise MaterialError(f"{name}: cell harmonic {n!r} is not 3 integers")
+    return tuple(int(v) for v in mode)
+
+
+def _mod_key(key, name: str) -> ModKey:
+    """(eta, n) with eta a (t, x) frequency, or a MaterialError unless eta is
+    4 finite numbers and n 3 integers."""
     eta, n = key
-    return tuple(float(v) for v in eta), _mode_key(n)
+    freq = _floats(eta)
+    if len(freq) != 4 or not np.all(np.isfinite(freq)):
+        raise MaterialError(f"{name}: frequency {eta!r} is not 4 finite numbers")
+    return freq, _mode_key(n, name)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +322,8 @@ def _mod_key(key) -> ModKey:
 def conv_apply(coefs: Dict[Mode, np.ndarray], cutoff: LatticeCutoff, arr: np.ndarray) -> np.ndarray:
     """(A f)(m) = sum_k A(k) f(m-k), projected back onto the cutoff set.
 
-    arr has shape (K, d); each coefficient is d x d.
+    arr has shape (K, ..., d), mode first and component last; each
+    coefficient is d x d and acts on every index in between alike.
     """
     out = np.zeros_like(arr)
     for k, mat in coefs.items():
@@ -352,31 +357,20 @@ def base_material_matrix(spec: MaterialSpec, cutoff: LatticeCutoff,
     return [stack.reshape(len(stack), 6 * stack.shape[1], -1) for stack in stacks]
 
 
-def modulation_a01_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff,
-                         arr: np.ndarray) -> np.ndarray:
-    """Apply A0^1(eta, .) (eps1 on the E block, mu1 on the B block) to a
-    (K, 6) array."""
-    eps_n, mu_n, _low = spec.modulation_at(eta)
-    out = np.zeros_like(arr)
-    if eps_n:
-        out[:, :3] = conv_apply(eps_n, cutoff, arr[:, :3])
-    if mu_n:
-        out[:, 3:] = conv_apply(mu_n, cutoff, arr[:, 3:])
-    return out
-
-
-def modulation_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff, arr: np.ndarray,
-                     omega: float) -> np.ndarray:
-    """Apply i*omega*A0^1(eta, .) + lower_order(eta, .) to a (K, 6) array.
-
-    This is the y-multiplication operator carried by a single (t, x)-frequency
-    of the slow modulations.
-    """
-    out = 1j * omega * modulation_a01_apply(spec, eta, cutoff, arr)
-    low_n = spec.modulation_at(eta)[2]
-    if low_n:
-        out += conv_apply(low_n, cutoff, arr)
-    return out
+def modulation_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff, v: np.ndarray):
+    """The pair (A0^1(eta, .) v, M(eta, .) v) for v of shape (6K,) or (6K, m):
+    the y-multiplication operators carried by the single (t, x)-frequency eta
+    of the slow modulations, A0^1 with eps1 on the E block and mu1 on the B
+    block, M the lower-order term.  Each is one conv_apply over every
+    column."""
+    eta = tuple(float(x) for x in eta)
+    at_eta = lambda coefs: {n: m for (e, n), m in coefs.items() if e == eta}
+    arr = v.reshape(cutoff.num_modes, 6, -1).swapaxes(1, 2)  # (K, m, 6)
+    a01 = np.empty(arr.shape, dtype=complex)
+    a01[..., :3] = conv_apply(at_eta(spec.eps1), cutoff, arr[..., :3])
+    a01[..., 3:] = conv_apply(at_eta(spec.mu1), cutoff, arr[..., 3:])
+    low = conv_apply(at_eta(spec.lower_order), cutoff, arr)
+    return tuple(part.swapaxes(1, 2).reshape(v.shape) for part in (a01, low))
 
 
 # ---------------------------------------------------------------------------

@@ -86,23 +86,20 @@ def _ray_divisor(eta, V) -> float:
 # ---------------------------------------------------------------------------
 
 def build_gamma(band: BlochBand, op: BlochOperator) -> CouplingField:
-    """Assemble the coupling field mode by mode.
+    """Assemble the coupling field, one (t, x)-frequency eta of the
+    modulations at a time.
 
-    For each (t, x)-frequency eta of the modulations, the y-multiplication
-    operator i*omega*A0^1(eta,.) + M(eta,.) is sandwiched between the band
-    eigenvectors (all integrals done in coefficient space) and premultiplied
+    The y-multiplication operator i*omega*A0^1(eta,.) + M(eta,.) is applied
+    to all kappa band eigenvectors in one modulation_apply, sandwiched
+    between them (all integrals done in coefficient space) and premultiplied
     by the inverse of the projected mass matrix.
     """
     psi = band.eigvecs
     n = projected_mass(band, op)
     modes: Dict[Eta, np.ndarray] = {}
     for eta in op.spec.modulation_frequencies():
-        sandwich = np.empty((band.kappa, band.kappa), dtype=complex)
-        for a in range(band.kappa):
-            col = modulation_apply(op.spec, eta, op.cutoff, psi[:, a].reshape(-1, 6),
-                                   band.omega)
-            sandwich[:, a] = psi.conj().T @ col.reshape(-1)
-        modes[eta] = np.linalg.solve(n, sandwich)
+        a01, low = modulation_apply(op.spec, eta, op.cutoff, psi)
+        modes[eta] = np.linalg.solve(n, psi.conj().T @ (1j * band.omega * a01 + low))
     return CouplingField(modes=modes, kappa=band.kappa)
 
 

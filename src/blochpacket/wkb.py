@@ -15,8 +15,9 @@ fluctuation integral, D is a derivative field of the envelope solution
 (component a, slow-time derivative order m, spatial multi-index alpha,
 evaluated spectrally in the comoving frame), and phi is a cell profile in
 plane-wave coefficients.  The residual orders are then evaluated by applying
-the exact cell / envelope-scale / slow-scale operators to the term tables;
-no numerical differentiation of sampled data occurs anywhere.
+the exact cell / envelope-scale / slow-scale operators to the term tables,
+each operator once per table on its vectors stacked as columns; no
+numerical differentiation of sampled data occurs anywhere.
 
 Hierarchy: the leading profile lives in the eigenspace, the first corrector
 is fixed by the partial inverse acting on the envelope-scale operator (its
@@ -39,7 +40,7 @@ from .bands import BlochBand, BlochOperator, ProjectorPair
 from .dispersion import DispersionData
 from .envelope import EnvelopeSolution, varying_axes
 from .errors import CutoffMismatch
-from .fourier import apply_curl_direction, modulation_a01_apply, modulation_apply
+from .fourier import apply_mode_blocks, modulation_apply, symbol_matrix
 from .rays import Eta, RayAverageData
 
 FieldKey = Tuple[int, int, Tuple[int, int, int]]
@@ -80,86 +81,90 @@ def _bump_tder(key: FieldKey) -> FieldKey:
     return (a, m + 1, alpha)
 
 
-def _shift_eta(eta: Eta, other) -> Eta:
-    return tuple(float(a + b) for a, b in zip(eta, other))
+def _columns(table: TermTable, op: BlochOperator) -> Tuple[List[Tuple[Eta, FieldKey]], np.ndarray]:
+    """The table's entries (eta, key) and its vectors as the columns of one
+    (6K, E) array, in table order: the form every operator below applies
+    to once per table."""
+    entries = list(table)
+    vecs = np.array([table[idx] for idx in entries], dtype=complex)
+    return entries, vecs.reshape(len(entries), 6 * op.cutoff.num_modes).T
 
 
-def _modulation(op: BlochOperator, eta, vec: np.ndarray, omega: float) -> np.ndarray:
-    """i*omega*A0^1(eta,.) + M(eta,.)."""
-    return modulation_apply(op.spec, eta, op.cutoff, vec.reshape(-1, 6), omega).reshape(-1)
+def _map(table: TermTable, op: BlochOperator, apply) -> TermTable:
+    """The table with its vectors replaced by the columns of `apply` on its
+    stacked columns, each copied out so that the table holds its own vectors
+    rather than views that keep the whole stacked result alive."""
+    entries, vecs = _columns(table, op)
+    return {idx: col.copy() for idx, col in zip(entries, apply(vecs).T)}
 
 
-def _modulation_a01(op: BlochOperator, eta, vec: np.ndarray) -> np.ndarray:
-    """A0^1(eta,.) alone (no omega factor, no zero-order term)."""
-    return modulation_a01_apply(op.spec, eta, op.cutoff, vec.reshape(-1, 6)).reshape(-1)
+def _modulation_terms(table: TermTable, op: BlochOperator):
+    """The modulations' action on the table, one modulation_apply over its
+    stacked columns per modulation frequency eta': for each entry (eta, key),
+    (eta + eta', key, A0^1(eta') vec, M(eta') vec)."""
+    entries, vecs = _columns(table, op)
+    for eta_mod in op.spec.modulation_frequencies():
+        a01, low = modulation_apply(op.spec, eta_mod, op.cutoff, vecs)
+        for e, (eta, key) in enumerate(entries):
+            yield tuple(float(a + b) for a, b in zip(eta, eta_mod)), key, a01[:, e], low[:, e]
 
 
 def op_cell(table: TermTable, op: BlochOperator, omega: float) -> TermTable:
     """Bloch pencil i*omega*A0 - G at the carrier."""
-    out: TermTable = {}
-    for (eta, key), vec in table.items():
-        _add(out, eta, key, op.pencil(omega, vec))
-    return out
+    return _map(table, op, lambda vecs: op.pencil(omega, vecs))
 
 
 def op_envelope(table: TermTable, op: BlochOperator, V: np.ndarray) -> TermTable:
     """Envelope-scale operator A0 d_t - curl_x on exp(i eta.(t,x)) D(x - Vt) phi.
 
     d_t hits the phase (i eta_0) and transports D (-V.grad); each d_{x_j}
-    hits the phase (i eta_j) and D directly.
+    hits the phase (i eta_j) and D directly.  The coefficient C_j of d_{x_j}
+    in the curl block is minus the symbol at e_j.
     """
+    entries, vecs = _columns(table, op)
+    a0v = op.apply_a0(vecs)
+    cv = [-apply_mode_blocks(symbol, vecs) for symbol in symbol_matrix(np.eye(3))]
     out: TermTable = {}
-    for (eta, key), vec in table.items():
-        a0v = op.apply_a0(vec)
+    for e, (eta, key) in enumerate(entries):
         if eta[0] != 0.0:
-            _add(out, eta, key, 1j * eta[0] * a0v)
+            _add(out, eta, key, 1j * eta[0] * a0v[:, e])
         for j in range(3):
-            cjv = apply_curl_direction(j, vec.reshape(-1, 6)).reshape(-1)
             if eta[1 + j] != 0.0:
-                _add(out, eta, key, -1j * eta[1 + j] * cjv)
-            _add(out, eta, _bump_alpha(key, j), -V[j] * a0v - cjv)
+                _add(out, eta, key, -1j * eta[1 + j] * cv[j][:, e])
+            _add(out, eta, _bump_alpha(key, j), -V[j] * a0v[:, e] - cv[j][:, e])
     return out
 
 
 def op_slow(table: TermTable, op: BlochOperator, omega: float) -> TermTable:
     """Slow-scale operator A0 d_T + sum_eta' exp(i eta'.(t,x)) (i w A0^1 + M)."""
-    out: TermTable = {}
-    mod_etas = op.spec.modulation_frequencies()
-    for (eta, key), vec in table.items():
-        _add(out, eta, _bump_tder(key), op.apply_a0(vec))
-        for eta_mod in mod_etas:
-            mv = _modulation(op, eta_mod, vec, omega)
-            if np.any(mv):
-                _add(out, _shift_eta(eta, eta_mod), key, mv)
+    out = {(eta, _bump_tder(key)): vec
+           for (eta, key), vec in _map(table, op, op.apply_a0).items()}
+    for eta, key, a01, low in _modulation_terms(table, op):
+        mv = 1j * omega * a01 + low
+        if np.any(mv):
+            _add(out, eta, key, mv)
     return out
 
 
 def op_dt_modulation(table: TermTable, op: BlochOperator, V: np.ndarray) -> TermTable:
     """d_t (A0^1 .) -- the order-h^2 leftover of the slow material derivative."""
     out: TermTable = {}
-    mod_etas = op.spec.modulation_frequencies()
-    for (eta, key), vec in table.items():
-        for eta_mod in mod_etas:
-            mv = _modulation_a01(op, eta_mod, vec)
-            if not np.any(mv):
-                continue
-            eta_new = _shift_eta(eta, eta_mod)
-            if eta_new[0] != 0.0:
-                _add(out, eta_new, key, 1j * eta_new[0] * mv)
-            for j in range(3):
-                _add(out, eta_new, _bump_alpha(key, j), -V[j] * mv)
+    for eta, key, a01, _low in _modulation_terms(table, op):
+        if not np.any(a01):
+            continue
+        if eta[0] != 0.0:
+            _add(out, eta, key, 1j * eta[0] * a01)
+        for j in range(3):
+            _add(out, eta, _bump_alpha(key, j), -V[j] * a01)
     return out
 
 
 def op_dT_modulation(table: TermTable, op: BlochOperator) -> TermTable:
     """A0^1 d_T -- the order-h^3 leftover of the slow material derivative."""
     out: TermTable = {}
-    mod_etas = op.spec.modulation_frequencies()
-    for (eta, key), vec in table.items():
-        for eta_mod in mod_etas:
-            mv = _modulation_a01(op, eta_mod, vec)
-            if np.any(mv):
-                _add(out, _shift_eta(eta, eta_mod), _bump_tder(key), mv)
+    for eta, key, a01, _low in _modulation_terms(table, op):
+        if np.any(a01):
+            _add(out, eta, _bump_tder(key), a01)
     return out
 
 
@@ -233,9 +238,7 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
         _add(w0, _ZETA, (a, 0, (0, 0, 0)), psi[:, a])
 
     # complement part of the first corrector: -Q (envelope operator) w0
-    w1: TermTable = {}
-    for (eta, key), vec in op_envelope(w0, op, V).items():
-        _add(w1, eta, key, -projectors.apply_q(vec))
+    w1 = _map(op_envelope(w0, op, V), op, lambda vecs: -projectors.apply_q(vecs))
 
     # eigenspace part: -(fluctuation integral) w0
     if ray_data is not None:
@@ -251,9 +254,8 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
 
     # second corrector solves (cell pencil) w2 = -(what w1 and w0 leave at the
     # next order), complement part only
-    w2: TermTable = {}
-    for (eta, key), vec in _merge(op_envelope(w1, op, V), op_slow(w0, op, band.omega)).items():
-        _add(w2, eta, key, -projectors.apply_q(vec))
+    w2 = _map(_merge(op_envelope(w1, op, V), op_slow(w0, op, band.omega)), op,
+              lambda vecs: -projectors.apply_q(vecs))
 
     return ProfileSet(band=band, projectors=projectors, dispersion=dispersion,
                       ray_data=ray_data, envelope=envelope_solution, op=op,

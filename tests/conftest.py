@@ -13,7 +13,7 @@ import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import BandPipeline  # noqa: E402
+from helpers import BandPipeline, mixed_modulations  # noqa: E402
 
 from blochpacket.presets import (  # noqa: E402
     identity_material,
@@ -61,6 +61,11 @@ def aniso_pipe():
 @pytest.fixture(scope="session")
 def modulated_pipe():
     return BandPipeline(modulated_identity(), 1, THETA_AXIS, band_index=1)
+
+
+@pytest.fixture(scope="session")
+def mixed_pipe():
+    return BandPipeline(mixed_modulations(), 1, THETA_AXIS, band_index=1)
 
 
 @pytest.fixture(scope="session")

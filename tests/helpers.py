@@ -9,6 +9,7 @@ from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state,
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
                                  cross_matrix, transverse_pair, trig_sum, wavevectors)
 from blochpacket.oracles import _curl_plan, _curl_rows, _inward_neighbor, exact_constant_solution
+from blochpacket.presets import identity_material, with_cos_modulation
 from blochpacket.rays import (BETA_RAY_ORIGINS, BETA_STEPS_PER_PERIOD, build_gamma,
                               ray_average)
 from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
@@ -61,6 +62,16 @@ def cosine_3d(amplitude=0.2):
             n[a] = sign
             eps0[tuple(n)] = 0.5 * amplitude * eye
     return MaterialSpec(eps0=eps0, mu0={(0, 0, 0): eye}).validate()
+
+
+def mixed_modulations():
+    """Vacuum with every kind of modulation: eps1 on a traveling mode, mu1 on
+    cell harmonic (1, 0, 0) at eta = (0.5, 0, 0.3, 0), and an x-dependent
+    lower-order term at eta = (0, 0.2, 0, 0)."""
+    spec = with_cos_modulation(identity_material(), (0.7, -0.4, 0.0, 0.0), amplitude=0.15)
+    spec = with_cos_modulation(spec, (0.5, 0.0, 0.3, 0.0), amplitude=0.1, cell_mode=(1, 0, 0),
+                               target="mu1")
+    return with_cos_modulation(spec, (0.0, 0.2, 0.0, 0.0), amplitude=0.05, target="lower_order")
 
 
 def parity_layered():
@@ -123,6 +134,16 @@ def apply_curl_block(cutoff: LatticeCutoff, theta, coeffs: np.ndarray) -> np.nda
     return out
 
 
+def curl_direction(j: int, v: np.ndarray) -> np.ndarray:
+    """The coefficient of d/dx_j in the curl block on coefficients of shape
+    (6K,) or (6K, m), by cross products: per mode, (E, B) -> (e_j ^ B, -e_j ^ E)."""
+    arr = v.reshape(len(v) // 6, 6, -1)
+    e_j = np.eye(3)[j]
+    out = np.concatenate([np.cross(e_j, arr[:, 3:], axisb=1, axisc=1),
+                          -np.cross(e_j, arr[:, :3], axisb=1, axisc=1)], axis=1)
+    return out.reshape(v.shape)
+
+
 def apply_material(spec: MaterialSpec, cutoff: LatticeCutoff, coeffs: np.ndarray) -> np.ndarray:
     """Base material A0 on (K, 6) coefficients by convolution: eps0 on the E
     block, mu0 on the B block."""
@@ -138,6 +159,27 @@ def grid_values(cutoff: LatticeCutoff, theta, coeffs: np.ndarray, samples: int) 
     y = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     terms = {tuple(k): c[:, None] for k, c in zip(wavevectors(cutoff, theta), coeffs)}
     return trig_sum(terms, np.stack(np.meshgrid(y, y, y, indexing="ij"), axis=-1))
+
+
+def dense_modulation(spec, cutoff: LatticeCutoff, eta):
+    """Dense (6K, 6K) A0^1(eta, .) and M(eta, .), entry by entry from the
+    coefficients at eta: the block of mode m against mode m - n holds the
+    coefficient of cell harmonic n (eps1 on E, mu1 on B, lower_order on all six
+    components)."""
+    k6 = 6 * cutoff.num_modes
+    a01 = np.zeros((k6, k6), dtype=complex)
+    low = np.zeros((k6, k6), dtype=complex)
+    for out, coefs, comps in ((a01, spec.eps1, slice(0, 3)), (a01, spec.mu1, slice(3, 6)),
+                              (low, spec.lower_order, slice(0, 6))):
+        for (e, n), coef in coefs.items():
+            if e != tuple(eta):
+                continue
+            for i, m in enumerate(cutoff.modes):
+                src = m - np.asarray(n)
+                if cutoff.contains(src):
+                    j = cutoff.index_of(src)
+                    out[6 * i : 6 * i + 6, 6 * j : 6 * j + 6][comps, comps] += coef
+    return a01, low
 
 
 def dense_operator(spec, cutoff, theta):

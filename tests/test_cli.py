@@ -64,7 +64,7 @@ def test_unknown_tolerance_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section", ["packet", "band", "grid", "time_domain",
-                                     "time_domain.grid", "theta_path"])
+                                     "time_domain.grid", "theta_path", "material"])
 def test_unknown_section_key_exits_2(tmp_path, capsys, section):
     """A misspelt key in any config section exits 2 with a message that names
     it and lists the section's settable keys."""
@@ -78,6 +78,12 @@ def test_unknown_section_key_exits_2(tmp_path, capsys, section):
 def test_missing_config_exits_2(tmp_path):
     assert main(["bands", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_not_an_object_exits_2(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert main(["bands", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("overrides", [
@@ -121,13 +127,62 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
     ({"num_bands": 0}, "num_bands"),
     ({"seed": "x"}, "seed"),
     ({"band": {"index": "x"}}, "band.index"),
+    ({"packet": {"weights": [[0.0, 0.0], [0.0, 0.0]]}}, "packet.weights"),
+    ({"packet": {"weights": [[float("nan"), 0.0], [0.0, 0.0]]}}, "packet.weights"),
+    ({"h_list": 0.125}, "h_list"),
+    ({"theta": [0.3, "a", 0]}, "theta"),
+    ({"num_bands": 10**6}, "num_bands"),
+    ({"cutoff": 1.5}, "cutoff"),
+    ({"grid": {"lengths": [L, L, L], "shape": [1, 19.5, 1]}}, "grid.shape"),
+    ({"material": {"preset": "identity", "modulatons": []}}, "material keys ['modulatons']"),
+    ({"material": {"preset": "identity", "params": {"amp": 0.2}}},
+     "material.params keys ['amp']"),
+    ({"material": {"preset": "layered", "params": {"axis": 5}}}, "material.params.axis"),
+    ({"material": {"preset": "identity", "modulations": 5}}, "material.modulations"),
+    ({"material": {"preset": "identity", "modulations": [{"eta": [0.7, -0.4, 0, 0],
+                                                          "amplitud": 0.2}]}},
+     "material.modulations[0] keys ['amplitud']"),
+    ({"material": {"preset": "identity", "modulations": [{"kind": "ohmic"}]}},
+     "material.modulations[0].sigma"),
+    ({"material": {"preset": "identity", "modulations": [{"kind": "ohmic", "sigma": "x"}]}},
+     "material.modulations[0].sigma"),
+    ({"material": {"preset": "identity", "modulations": [{"kind": "sine"}]}},
+     "material.modulations[0].kind"),
+    ({"material": {"preset": "identity", "modulations": [{"amplitude": 0.1}]}},
+     "material.modulations[0].eta"),
+    ({"material": {"preset": "identity", "modulations": [{"eta": [0.7, -0.4]}]}},
+     "material.modulations[0].eta"),
+    ({"material": {"preset": "identity", "modulations": [{"eta": [0.7, -0.4, 0, 0, 1]}]}},
+     "material.modulations[0].eta"),
+    ({"material": {"preset": "identity", "modulations": [{"eta": [0.7, "a", 0, 0]}]}},
+     "material.modulations[0].eta"),
+    ({"material": {"preset": "identity", "modulations": [{"eta": [0.7, -0.4, 0, 0],
+                                                          "amplitude": "x"}]}},
+     "material.modulations[0].amplitude"),
+    ({"material": {"preset": "identity", "modulations": [{"eta": [0.7, -0.4, 0, 0],
+                                                          "cell_mode": [0.5, 0, 0]}]}},
+     "material.modulations[0].cell_mode"),
+    ({"material": {"preset": "identity", "modulations": [{"eta": [0.7, -0.4, 0, 0],
+                                                          "target": "eps2"}]}},
+     "material.modulations[0].target"),
+    ({"material": {"eps0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
+                   "mu0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
+                   "eps1": [{"eta": [0.7, -0.4, 0, 0], "n": [0.5, 0, 0],
+                             "matrix": [[[0.1, 0]] * 3] * 3}]}}, "eps1"),
 ], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT",
         "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps",
         "path_step_over_tracking_bound", "negative_t_final", "non_numeric_t_final",
         "infinite_t_final", "negative_dt", "non_numeric_dt", "negative_cfl",
         "non_numeric_support_sigmas", "negative_support_sigmas", "non_numeric_width",
         "non_numeric_axis", "axis_out_of_range", "no_axes", "non_numeric_num_bands",
-        "zero_num_bands", "non_numeric_seed", "non_numeric_band_index"])
+        "zero_num_bands", "non_numeric_seed", "non_numeric_band_index",
+        "zero_weights", "nan_weight", "scalar_h_list", "non_numeric_theta",
+        "num_bands_over_dynamic_dimension", "fractional_cutoff", "fractional_grid_size",
+        "misspelt_modulations", "unknown_preset_param", "preset_axis_out_of_range",
+        "modulations_not_a_list", "misspelt_amplitude", "ohmic_without_sigma",
+        "non_numeric_sigma", "unknown_modulation_kind", "modulation_without_eta",
+        "two_entry_eta", "five_entry_eta", "non_numeric_eta", "non_numeric_amplitude",
+        "fractional_cell_mode", "unknown_target", "fractional_coefficient_mode"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -3,13 +3,15 @@ Parseval, and the pointwise coercivity inequality."""
 
 import numpy as np
 import pytest
-from helpers import (apply_curl_block, apply_material, block_diagonal, dense_operator,
-                     grid_values, longitudinal_unit, random_coeffs)
+from helpers import (apply_curl_block, apply_material, block_diagonal, dense_modulation,
+                     dense_operator, grid_values, longitudinal_unit, mixed_modulations,
+                     random_coeffs)
 
 from blochpacket.errors import GammaPointError, MaterialError
 from blochpacket.fourier import (
     LatticeCutoff,
     MaterialSpec,
+    modulation_apply,
     transverse_field_blocks,
     trig_sum,
     wavevectors,
@@ -156,6 +158,43 @@ def test_material_validation_rejects_indefinite():
     bad = MaterialSpec(eps0={(0, 0, 0): -np.eye(3)}, mu0={(0, 0, 0): np.eye(3)})
     with pytest.raises(MaterialError):
         bad.validate()
+
+
+@pytest.mark.parametrize("key", [((0.5, 0.0, 0.0, 0.0), (0.5, 0, 0)),
+                                 ((0.5, 0.0, 0.0), (0, 0, 0)),
+                                 ((0.5, np.nan, 0.0, 0.0), (0, 0, 0)),
+                                 (("a", 0.0, 0.0, 0.0), (0, 0, 0))],
+                         ids=["fractional_mode", "three_entry_eta", "nan_eta", "text_eta"])
+def test_material_refuses_malformed_modulation_key(key):
+    """A modulation key is (eta, n) with eta 4 finite numbers and n 3
+    integers; anything else is refused when the spec is built, not truncated."""
+    with pytest.raises(MaterialError):
+        MaterialSpec(eps0={(0, 0, 0): np.eye(3)}, mu0={(0, 0, 0): np.eye(3)},
+                     eps1={key: 0.1 * np.eye(3)})
+
+
+def test_modulation_apply_matches_dense_columns(rng):
+    """modulation_apply on a (6K, m) stack equals, column by column, the dense
+    A0^1(eta) and M(eta) built from the coefficients, at every modulation
+    frequency of a medium with eps1, mu1 on a nonzero cell harmonic and a
+    lower-order term; a (6K,) vector gives its one column."""
+    spec = mixed_modulations()
+    cut = LatticeCutoff(1)
+    shape = (6 * cut.num_modes, 4)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tol = 1e-14 * np.abs(v).max()
+    nonzero = set()
+    for eta in spec.modulation_frequencies():
+        got = modulation_apply(spec, eta, cut, v)
+        single = modulation_apply(spec, eta, cut, v[:, 0])
+        for name, part, one, dense in zip(("A0^1", "M"), got, single,
+                                          dense_modulation(spec, cut, eta)):
+            if np.any(dense):
+                nonzero.add(name)
+            for col in range(v.shape[1]):
+                assert np.abs(part[:, col] - dense @ v[:, col]).max() <= tol
+            assert one.shape == (shape[0],) and np.abs(one - part[:, 0]).max() <= tol
+    assert nonzero == {"A0^1", "M"}
 
 
 # ---------------------------------------------------------------------------

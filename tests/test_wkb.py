@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from helpers import (L2, assemble_harmonics_reference, band_class_modes, dense_operator,
-                     evaluate_table_reference, residual_reference)
+from helpers import (L2, assemble_harmonics_reference, band_class_modes, curl_direction,
+                     dense_operator, evaluate_table_reference, residual_reference)
 
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.errors import CutoffMismatch
@@ -31,6 +31,12 @@ def identity_profiles(identity_pipe):
 def modulated_profiles(modulated_pipe):
     env = modulated_pipe.envelope(GRID, (1.0, 1.5, 1.0), [1.0, 0.5j], dT=2e-3)
     return modulated_pipe.profiles(env)
+
+
+@pytest.fixture(scope="module")
+def mixed_profiles(mixed_pipe):
+    env = mixed_pipe.envelope(GRID, (1.0, 1.5, 1.0), [1.0, 0.5j], dT=2e-3)
+    return mixed_pipe.profiles(env)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +109,6 @@ def test_schrodinger_operator_identity(identity_pipe, offaxis_layered_pipe, rng)
     i, which is where the sign convention of the operator identity lives);
     checked as kappa x kappa matrices."""
     from blochpacket.dispersion import projected_mass
-    from blochpacket.fourier import apply_curl_direction
 
     for pipe in (identity_pipe, offaxis_layered_pipe):
         a0, _g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
@@ -119,9 +124,7 @@ def test_schrodinger_operator_identity(identity_pipe, offaxis_layered_pipe, rng)
             def m_apply(block):
                 out = -1j * float(np.dot(v, xi)) * (a0 @ block)
                 for j in range(3):
-                    cols = [apply_curl_direction(j, block[:, a].reshape(-1, 6)).reshape(-1)
-                            for a in range(block.shape[1])]
-                    out = out - 1j * xi[j] * np.stack(cols, axis=1)
+                    out = out - 1j * xi[j] * curl_direction(j, block)
                 return out
 
             mpsi = m_apply(psi)
@@ -133,9 +136,11 @@ def test_schrodinger_operator_identity(identity_pipe, offaxis_layered_pipe, rng)
 # Residual hierarchy
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("which", ["identity", "modulated"])
-def test_residual_hierarchy_vanishes(which, identity_profiles, modulated_profiles):
-    profs = identity_profiles if which == "identity" else modulated_profiles
+@pytest.mark.parametrize("which", ["identity", "modulated", "mixed"])
+def test_residual_hierarchy_vanishes(which, request):
+    """mixed carries mu1 on a nonzero cell harmonic and an x-dependent
+    lower-order term beside the traveling eps1 mode."""
+    profs = request.getfixturevalue(f"{which}_profiles")
     rep = residual(profs, [1 / 8], horizon=0.5, num_t=3, num_x=3)[1 / 8]
     for order in ("r-1", "r0", "r1"):
         assert rep[order]["abs"] <= 1e-9 * max(rep["r1"]["scale"], 1e-12)
@@ -320,10 +325,7 @@ def test_residual_hand_assembled_order_two(identity_pipe):
             ej = np.zeros(3)
             ej[j] = 1.0
             dj = sum(c * w1_at(tt, xx + o * ej) for c, o in zip(c4, offs))
-            arr = dj.reshape(-1, 6)
-            from blochpacket.fourier import apply_curl_direction
-
-            out -= apply_curl_direction(j, arr).reshape(-1)
+            out -= curl_direction(j, dj)
         return out
 
     def nw0_at(tt, xx):
@@ -345,9 +347,7 @@ def test_residual_hand_assembled_order_two(identity_pipe):
             ej = np.zeros(3)
             ej[j] = 1.0
             dj = sum(c * w2_at(tt, xx + o * ej) for c, o in zip(c4, offs))
-            from blochpacket.fourier import apply_curl_direction
-
-            out -= apply_curl_direction(j, dj.reshape(-1, 6)).reshape(-1)
+            out -= curl_direction(j, dj)
         return out
 
     def nw1_at(tt, xx):
