@@ -31,6 +31,7 @@ from .envelope import (
 from .wkb import ProfileSet, WKBField, assemble, assemble_harmonics, build_profiles, residual
 from .oracles import (
     ExactPacketSpec,
+    chebyshev_solve,
     exact_constant_solution,
     synthesize_exact_packet,
     time_domain_solve,
@@ -69,6 +70,7 @@ __all__ = [
     "build_profiles",
     "residual",
     "ExactPacketSpec",
+    "chebyshev_solve",
     "exact_constant_solution",
     "synthesize_exact_packet",
     "time_domain_solve",

@@ -35,7 +35,13 @@ from .fieldio import (
     write_manifest,
 )
 from .harmonics import HarmonicField, difference, seminorm, weighted_indices
-from .oracles import ExactPacketSpec, synthesize_exact_packet, time_domain_solve
+from .oracles import (
+    ExactPacketSpec,
+    chebyshev_applies,
+    chebyshev_solve,
+    synthesize_exact_packet,
+    time_domain_solve,
+)
 from .rays import build_gamma, empirical_beta, ray_average
 from .wkb import assemble, assemble_harmonics, build_profiles, residual
 
@@ -306,8 +312,9 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> None:
     pts = grid.points().reshape(-1, 3)
     seed_field = assemble(profs, h, 0.0, pts, orders=pipe.orders)
     initial = seed_field.samples.T.reshape((6,) + grid.shape)
-    result = time_domain_solve(cfg.material, h, initial, grid, cfg.t_final,
-                               dt=cfg.dt, cfl=cfg.cfl)
+    # exact in time where the medium allows it, RK4 otherwise
+    solve = chebyshev_solve if chebyshev_applies(cfg.material) else time_domain_solve
+    result = solve(cfg.material, h, initial, grid, cfg.t_final, dt=cfg.dt, cfl=cfg.cfl)
     write_energy_csv(out / "energy.csv", result.trace)
     dump_field(out / "time_domain_final.bwpk", result.field, grid, time=cfg.t_final,
                h=h, theta=cfg.theta, omega=pipe.band.omega)

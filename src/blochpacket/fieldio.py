@@ -24,6 +24,9 @@ FIELD_MAGIC = b"BWPK-FIELD-DUMP\x00"
 FIELD_VERSION = 1
 # the keys of a material description (the coefficient form)
 MATERIAL_KEYS = ("eps0", "mu0", "eps1", "mu1", "lower_order")
+# the keys of each entry of a base (eps0, mu0) and of a modulation list
+BASE_ENTRY_KEYS = ("n", "matrix")
+MOD_ENTRY_KEYS = ("eta", "n", "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -70,25 +73,38 @@ def material_from_dict(doc: dict) -> MaterialSpec:
         raise ConfigError(f"unknown material keys {sorted(unknown)}; "
                           f"settable: {sorted(MATERIAL_KEYS)}")
     try:
-        def base(entries):
-            return {tuple(e["n"]): decode_complex_matrix(e["matrix"]) for e in entries}
+        def base(name):
+            return {tuple(e["n"]): decode_complex_matrix(e["matrix"])
+                    for e in _entries(doc, name, BASE_ENTRY_KEYS)}
 
-        def mod(entries):
-            return {
-                (tuple(e["eta"]), tuple(e["n"])): decode_complex_matrix(e["matrix"])
-                for e in entries
-            }
+        def mod(name):
+            return {(tuple(e["eta"]), tuple(e["n"])): decode_complex_matrix(e["matrix"])
+                    for e in _entries(doc, name, MOD_ENTRY_KEYS)}
 
-        spec = MaterialSpec(
-            eps0=base(doc.get("eps0", [])),
-            mu0=base(doc.get("mu0", [])),
-            eps1=mod(doc.get("eps1", [])),
-            mu1=mod(doc.get("mu1", [])),
-            lower_order=mod(doc.get("lower_order", [])),
-        )
-    except (KeyError, TypeError, IndexError) as exc:
+        spec = MaterialSpec(eps0=base("eps0"), mu0=base("mu0"), eps1=mod("eps1"),
+                            mu1=mod("mu1"), lower_order=mod("lower_order"))
+    except (TypeError, IndexError) as exc:
         raise ConfigError(f"malformed material description: {exc}") from exc
     return spec.validate()
+
+
+def _entries(doc: dict, name: str, keys) -> list:
+    """The entries of doc[name] (none when absent), each an object with
+    exactly `keys`; an extra or a missing key is refused by its path."""
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"material.{name}: expected a list of entries, got {entries!r}")
+    for i, entry in enumerate(entries):
+        where = f"material.{name}[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: expected an object with keys {list(keys)}, got {entry!r}")
+        extra = sorted(set(entry) - set(keys))
+        missing = [key for key in keys if key not in entry]
+        if extra or missing:
+            raise ConfigError(f"{where}.{(extra or missing)[0]}: "
+                              f"{'unknown key' if extra else 'missing'}; "
+                              f"an entry takes exactly {list(keys)}")
+    return entries
 
 
 # ---------------------------------------------------------------------------

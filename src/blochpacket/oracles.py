@@ -1,13 +1,24 @@
 """Independent reference solutions: the exactly solvable constant-coefficient
 medium, quadrature synthesis of exact wave packets from Bloch eigenpairs, and
-a pseudo-spectral time-domain integrator.
+two pseudo-spectral time-domain propagators.
 
 These provide the second route of the dual-route checks in the package: the
 eigensolver is checked against the constant-coefficient closed form and the
 multi-scale assembly against synthesized exact packets.  The time-domain
-integrator is seeded with the assembled field and reports its energy and
+route is seeded with the assembled field and reports its energy and
 divergence traces; comparing its field with the assembly is not implemented
-yet.
+yet.  It has two propagators with one set-up, trace and growth guard (_Run):
+
+* chebyshev_solve, for a static medium (every eta_0 = 0) without a
+  lower-order term M: the flux is exp(tL) d0 with L skew-adjoint in the
+  inv(A0)-weighted inner product, summed as a Chebyshev series in L to
+  round-off, so it has no time-step error;
+* time_domain_solve, RK4, for every medium: the only one for a medium with
+  M (L is then not skew) or with a t-dependent modulation (no single L).
+
+The `oracle` command takes the first where the medium allows it
+(chebyshev_applies) and the second otherwise.  For the Chebyshev sum dt and
+cfl only set the trace times, which are those of the RK4 schedule.
 """
 
 from __future__ import annotations
@@ -28,6 +39,13 @@ OVERLAP_TOL = 0.99
 NUM_TRACE = 65
 # admissible time-domain energy growth: exp(STABILITY_MARGIN * rate * t)
 STABILITY_MARGIN = 10.0
+# Chebyshev propagation: a trace row keeps its terms up to its last |c_k|
+# above CHEB_TOL; the written rows of CHEB_BLOCK successive terms are added
+# to CHEB_ROWS trace rows by one product (both small: the accumulator of all
+# trace rows is the one large array of the sum)
+CHEB_TOL = 1e-14
+CHEB_BLOCK = 6
+CHEB_ROWS = 4
 
 # ---------------------------------------------------------------------------
 # Constant-coefficient closed form
@@ -313,7 +331,7 @@ def _synth_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Time-domain integrator (pseudo-spectral RK4)
+# Time-domain propagators (pseudo-spectral: RK4, and Chebyshev in time)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -339,7 +357,7 @@ class _GridMaterial:
         self.h = float(h)
         self.points = grid.points()
         self.a00 = tuple(trig_sum(c, self.points / self.h) for c in (spec.eps0, spec.mu0))
-        self.static = all(eta[0] == 0.0 for eta in spec.modulation_frequencies())
+        self.static = _static(spec)
 
     def _waves(self, coefs, t: float) -> dict:
         """The (eta, n) modes of a modulation at time t as wave vectors
@@ -365,15 +383,26 @@ class _GridMaterial:
         return self.h * trig_sum(self._waves(self.spec.lower_order, t), self.points)
 
     def wave_speed_bound(self) -> float:
-        eps_min, mu_min = (np.linalg.eigvalsh(0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))).min()
-                           for b in self.a00)
-        return 1.0 / np.sqrt(max(eps_min * mu_min, 1e-300))
+        return _speed_bound(self.a00)
 
 
-def _grid_major(blocks) -> List[np.ndarray]:
-    """(M1, M2, M3, 3, 3) block stacks as (3, 3, M1, M2, M3) arrays, the
-    layout _apply_blocks reads."""
-    return [np.ascontiguousarray(np.moveaxis(b, (-2, -1), (0, 1))) for b in blocks]
+def _static(spec: MaterialSpec) -> bool:
+    """No modulation of the medium depends on t (every eta has eta_0 = 0)."""
+    return all(eta[0] == 0.0 for eta in spec.modulation_frequencies())
+
+
+def _speed_bound(blocks) -> float:
+    """1 / sqrt(min eig epsilon * min eig mu) over the grid, from the
+    Hermitian parts of the (epsilon, mu) block stacks."""
+    eps_min, mu_min = (np.linalg.eigvalsh(0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))).min()
+                       for b in blocks)
+    return 1.0 / np.sqrt(max(eps_min * mu_min, 1e-300))
+
+
+def _grid_major(blocks) -> np.ndarray:
+    """The two (M1, M2, M3, 3, 3) block stacks as one (2, 3, 3, M1, M2, M3)
+    array, the layout _apply_blocks and _rhs read."""
+    return np.ascontiguousarray(np.moveaxis(np.stack(blocks), (-2, -1), (1, 2)))
 
 
 def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
@@ -424,7 +453,12 @@ def _curl_rows(plan: _CurlPlan, u_read: np.ndarray) -> np.ndarray:
 
 
 def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
+    """The divergence of a (3, M1, M2, M3) field from the components along its
+    varying axes (plain fft and ifft when there is one, as in _curl_rows)."""
     axes = varying_axes(field3)
+    if len(axes) == 1:
+        a = axes[0]
+        return np.fft.ifft(1j * (ks[a] * np.fft.fft(field3[a], axis=a)), axis=a)
     hat = np.fft.fftn(field3[list(axes)], axes=axes)
     return np.fft.ifftn(1j * sum(ks[a] * h for a, h in zip(axes, hat)), axes=axes)
 
@@ -442,104 +476,250 @@ def _rhs(plan: _CurlPlan, d: np.ndarray, inv_rows, m: Optional[np.ndarray]) -> n
     return out - np.einsum("xyzab,bxyz->axyz", m, u)
 
 
+class _Run:
+    """What both time-domain propagators share: the grid and step checks, the
+    initial flux, the trace schedule, the diagnostics and the growth guard.
+
+    The grid must resolve the fast scale (>= 8 points per material period
+    2*pi*h) and dt must keep the CFL bound cfl * dx / c (dt = None takes the
+    bound).  t_final is cut into nsteps = ceil(t_final / dt) steps of
+    dt = t_final / nsteps; the trace holds about NUM_TRACE rows at the step
+    times s * dt, the first at t = 0 and the last at the final step.  a0 is
+    the (epsilon, mu) block stacks at t = 0 and d0 the initial flux.
+    """
+
+    def __init__(self, spec: MaterialSpec, h: float, initial: np.ndarray,
+                 grid: EnvelopeGrid, t_final: float, dt: Optional[float], cfl: float):
+        self.mat = _GridMaterial(spec, h, grid)
+        for a in range(3):
+            if grid.shape[a] > 1:
+                dx = grid.lengths[a] / grid.shape[a]
+                if dx > 2.0 * np.pi * h / 8.0:
+                    raise ConfigError(
+                        f"grid spacing {dx:.4f} along axis {a} does not resolve the "
+                        f"fast scale (need <= {2*np.pi*h/8:.4f})"
+                    )
+        dxs = [grid.lengths[a] / grid.shape[a] for a in range(3) if grid.shape[a] > 1]
+        dt_cfl = cfl * min(dxs) / self.mat.wave_speed_bound()
+        if dt is None:
+            dt = dt_cfl
+        elif dt > dt_cfl * (1 + 1e-12):
+            raise ConfigError(f"dt={dt:.3e} violates the CFL bound {dt_cfl:.3e}")
+
+        self.ks = grid.wave_meshgrid()
+        u0 = np.asarray(initial, dtype=complex)
+        if u0.shape != (6,) + grid.shape:
+            raise ConfigError(f"initial field shape {u0.shape} != {(6,) + grid.shape}")
+        self.plan = _curl_plan(grid.shape, self.ks)
+        self.a0 = self.mat.a0_at(0.0)
+        self.d0 = _apply_blocks(_grid_major(self.a0), u0)
+
+        self.nsteps = max(1, int(np.ceil(t_final / dt)))
+        self.dt = t_final / self.nsteps
+        every = max(1, self.nsteps // (NUM_TRACE - 1))
+        self.trace_steps = [s for s in range(self.nsteps + 1)
+                            if s % every == 0 or s == self.nsteps]
+        self.grid = grid
+        self.growth = _growth_rate_bound(spec, h)
+        self.trace: List[Tuple[float, float, float, float]] = []
+
+    def record(self, t: float, d: np.ndarray, inv_a0) -> None:
+        """Append the row (t, energy, div_eps_E, div_mu_B) of the flux d, with
+        inv(A0) as _grid_major blocks; StabilityAnomaly if the energy exceeds
+        the first row's by more than the admissible growth."""
+        dv = self.grid.cell_volume
+        u = _apply_blocks(inv_a0, d)
+        energy = float(np.real(np.sum(np.conj(u) * d)) * dv)
+        div_e = float(np.linalg.norm(_spectral_div(d[:3], self.ks)) * np.sqrt(dv))
+        div_b = float(np.linalg.norm(_spectral_div(d[3:], self.ks)) * np.sqrt(dv))
+        self.trace.append((t, energy, div_e, div_b))
+        e0 = self.trace[0][1]
+        bound = e0 * np.exp(STABILITY_MARGIN * max(self.growth, 1e-14) * t) + 1e-9 * e0
+        if energy > max(bound, e0 * (1 + 1e-6)):
+            raise StabilityAnomaly(
+                f"energy {energy:.6e} at t={t:.3f} exceeds the growth bound "
+                f"{bound:.6e} (rate {self.growth:.3e})"
+            )
+
+    def result(self, d: np.ndarray, inv_a0) -> TimeDomainResult:
+        return TimeDomainResult(grid=self.grid, field=_apply_blocks(inv_a0, d),
+                                trace=np.asarray(self.trace), dt=self.dt)
+
+
+def _comps(comps) -> slice:
+    """Components of E and B that a curl plan reads or writes (all three, or
+    the two across one varying axis) as a slice."""
+    return slice(comps[0], comps[-1] + 1, comps[1] - comps[0])
+
+
+def _row_view(d: np.ndarray, comps) -> np.ndarray:
+    """The rows (E_c, B_c), c in comps, of a (6, M1, M2, M3) flux as a
+    (2, len(comps), M1, M2, M3) view, in the order _rhs returns them."""
+    return d.reshape((2, 3) + d.shape[1:])[:, _comps(comps)]
+
+
 def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
                       grid: EnvelopeGrid, t_final: float, dt: Optional[float] = None,
                       cfl: float = 0.5) -> TimeDomainResult:
     """Integrate the dynamic equations with pseudo-spectral derivatives and RK4.
 
-    The stepped variable is the flux density (epsilon E, mu B); the grid must
-    resolve the fast scale (>= 8 points per material period 2*pi*h).  inv(A0)
-    is held as its two 3x3 block stacks, inverted once for a static medium
-    and once per distinct stage time otherwise: at the step's midpoint
-    (shared by k2 and k3) and at its end (shared by k4, the next step's k1
-    and the trace).  The step is planned once from the grid (_CurlPlan):
-    each stage applies only the inverse-block rows the curl reads, and
-    transforms only the components its varying axes reach.  Without a
-    lower-order term M the rows the curl does not write have zero RK4
-    increments, so they are held fixed and only the others step; with M all
-    six step.  The energy and the divergence invariants are traced; if the
-    energy exceeds the admissible growth bound a StabilityAnomaly is raised.
+    The stepped variable is the flux density (epsilon E, mu B); the grid and
+    step checks, the trace and the growth guard are _Run's.  inv(A0) is held
+    as its two 3x3 block stacks, inverted once for a static medium and once
+    per distinct stage time otherwise: at the step's midpoint (shared by k2
+    and k3) and at its end (shared by k4, the next step's k1 and the trace).
+    The step is planned once from the grid (_CurlPlan): each stage applies
+    only the inverse-block rows the curl reads, and transforms only the
+    components its varying axes reach.  Without a lower-order term M the rows
+    the curl does not write have zero RK4 increments, so they are held fixed
+    and only the others step, in place through a view (_row_view); with M
+    all six step.  If the energy exceeds the admissible growth bound a
+    StabilityAnomaly is raised.
     """
-    mat = _GridMaterial(spec, h, grid)
-    for a in range(3):
-        if grid.shape[a] > 1:
-            dx = grid.lengths[a] / grid.shape[a]
-            if dx > 2.0 * np.pi * h / 8.0:
-                raise ConfigError(
-                    f"grid spacing {dx:.4f} along axis {a} does not resolve the "
-                    f"fast scale (need <= {2*np.pi*h/8:.4f})"
-                )
-    dxs = [grid.lengths[a] / grid.shape[a] for a in range(3) if grid.shape[a] > 1]
-    cmax = mat.wave_speed_bound()
-    dt_cfl = cfl * min(dxs) / cmax
-    if dt is None:
-        dt = dt_cfl
-    elif dt > dt_cfl * (1 + 1e-12):
-        raise ConfigError(f"dt={dt:.3e} violates the CFL bound {dt_cfl:.3e}")
-
-    ks = grid.wave_meshgrid()
-    u0 = np.asarray(initial, dtype=complex)
-    if u0.shape != (6,) + grid.shape:
-        raise ConfigError(f"initial field shape {u0.shape} != {(6,) + grid.shape}")
-    plan = _curl_plan(grid.shape, ks)
-    # the components of E and B a stage reads, and the rows of the flux it steps
-    comps, stepped = [r for r in plan.read if r < 3], plan.write
+    run = _Run(spec, h, initial, grid, t_final, dt, cfl)
+    mat, plan, dt = run.mat, run.plan, run.dt
+    # the components of E and B a stage reads, and those of the flux it steps
+    comps, stepped = [r for r in plan.read if r < 3], [r for r in plan.write if r < 3]
     if spec.lower_order:
-        comps, stepped = [0, 1, 2], list(range(6))
+        comps = stepped = [0, 1, 2]
 
     def material(t):
         """inv(A0) as _grid_major blocks, their rows `comps` for _rhs, and M, at t."""
         inv_a0 = _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)])
-        return inv_a0, np.stack([b[comps] for b in inv_a0]), mat.m_at(t)
+        return inv_a0, inv_a0[:, _comps(comps)], mat.m_at(t)
 
-    def stage(d, c, k):
-        out = d.copy()
-        out[stepped] += c * k
-        return out
+    dvec = run.d0
+    buf = dvec.copy()  # the stage flux: its held rows are dvec's, which never change
+    rows, buf_rows = _row_view(dvec, stepped), _row_view(buf, stepped)
 
-    dvec = _apply_blocks(_grid_major(mat.a0_at(0.0)), u0)
+    def stage(c, k):
+        np.add(rows, c * k.reshape(rows.shape), out=buf_rows)
+        return buf
+
     now = material(0.0)
-
-    nsteps = max(1, int(np.ceil(t_final / dt)))
-    dt = t_final / nsteps
-    trace_every = max(1, nsteps // (NUM_TRACE - 1))
-
-    dv = grid.cell_volume
-    def diagnostics(d, inv_a0):
-        u = _apply_blocks(inv_a0, d)
-        energy = float(np.real(np.sum(np.conj(u) * d)) * dv)
-        div_e = float(np.linalg.norm(_spectral_div(d[:3], ks)) * np.sqrt(dv))
-        div_b = float(np.linalg.norm(_spectral_div(d[3:], ks)) * np.sqrt(dv))
-        return energy, div_e, div_b
-
-    trace = [(0.0, *diagnostics(dvec, now[0]))]
-    e0 = trace[0][1]
-    growth = _growth_rate_bound(spec, h)
-
+    traced = set(run.trace_steps)
+    run.record(0.0, dvec, now[0])
     t = 0.0
-    for step in range(1, nsteps + 1):
+    for step in range(1, run.nsteps + 1):
         # k2 and k3 share the midpoint; k4 shares the end with the trace and
         # the next step's k1
         mid, end = (now, now) if mat.static else (material(t + dt / 2), material(step * dt))
         t = step * dt
         k1 = _rhs(plan, dvec, *now[1:])
-        k2 = _rhs(plan, stage(dvec, dt / 2, k1), *mid[1:])
-        k3 = _rhs(plan, stage(dvec, dt / 2, k2), *mid[1:])
-        k4 = _rhs(plan, stage(dvec, dt, k3), *end[1:])
-        dvec[stepped] += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = _rhs(plan, stage(dt / 2, k1), *mid[1:])
+        k3 = _rhs(plan, stage(dt / 2, k2), *mid[1:])
+        k4 = _rhs(plan, stage(dt, k3), *end[1:])
+        rows += (dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(rows.shape)
         now = end
-        if step % trace_every == 0 or step == nsteps:
-            row = (t, *diagnostics(dvec, now[0]))
-            trace.append(row)
-            bound = e0 * np.exp(STABILITY_MARGIN * max(growth, 1e-14) * t) + 1e-9 * e0
-            if row[1] > max(bound, e0 * (1 + 1e-6)):
-                raise StabilityAnomaly(
-                    f"energy {row[1]:.6e} at t={t:.3f} exceeds the growth bound "
-                    f"{bound:.6e} (rate {growth:.3e})"
-                )
+        if step in traced:
+            run.record(t, dvec, now[0])
+    return run.result(dvec, now[0])
 
-    return TimeDomainResult(grid=grid, field=_apply_blocks(now[0], dvec),
-                            trace=np.asarray(trace), dt=dt)
+
+def chebyshev_applies(spec: MaterialSpec) -> bool:
+    """True when the flux evolves by exp(tL) with one L that is skew-adjoint
+    in the inv(A0)-weighted inner product: a static medium (every eta_0 = 0)
+    without a lower-order term M."""
+    return not spec.lower_order and _static(spec)
+
+
+def chebyshev_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
+                    grid: EnvelopeGrid, t_final: float, dt: Optional[float] = None,
+                    cfl: float = 0.5) -> TimeDomainResult:
+    """The flux exp(tL) d0 of a static medium without M, exact in time up to
+    the series tolerance CHEB_TOL (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+    3967 (1984)); any other medium is refused (ConfigError).
+
+    With rho = 1.01 c |k|max (c the wave speed bound of A0, |k|max the
+    largest grid wavenumber) Y = L / (i rho) has its spectrum in [-1, 1], and
+    exp(tL) d0 = sum_k c_k(rho t) T_k(Y) d0 with c_k(z) = (2 - delta_k0)
+    i^k J_k(z) (Jacobi-Anger).  One Chebyshev recurrence T_{k+1} = 2Y T_k -
+    T_{k-1} serves every trace row; a row at time t stops at its own last
+    coefficient above CHEB_TOL.  The grid and step checks, the trace rows at
+    the step times s * dt and the growth guard are _Run's, as for
+    time_domain_solve: dt and cfl set only the trace spacing here.  L writes
+    only the rows plan.write, so the others stay d0 (their T_k is T_k(0)
+    times d0); the written rows of CHEB_BLOCK successive terms are added to
+    the trace rows that still need them, CHEB_ROWS rows per product.
+    """
+    if not chebyshev_applies(spec):
+        raise ConfigError("Chebyshev propagation needs a static medium (every eta_0 = 0) "
+                          "without a lower-order term")
+    run = _Run(spec, h, initial, grid, t_final, dt, cfl)
+    plan = run.plan
+    inv_a0 = _grid_major([np.linalg.inv(b) for b in run.a0])
+    inv_rows = inv_a0[:, _comps([r for r in plan.read if r < 3])]
+    rho = _chebyshev_radius(run.a0, run.ks)
+    times = run.dt * np.array(run.trace_steps)
+    coefs, counts = _chebyshev_coefficients(rho * times)
+
+    d0 = run.d0
+    full = d0.copy()  # T_k d0: the written rows set per term, the others T_k(0) d0
+    comps = [r for r in plan.write if r < 3]
+    written = _row_view(full, comps)
+    fixed = [r for r in range(6) if r not in plan.write]
+
+    def l_of(k, tk):
+        """The written rows of L T_k d0, flat, where tk holds those of T_k d0."""
+        written[...] = tk.reshape(written.shape)
+        full[fixed] = (1, 0, -1, 0)[k % 4] * d0[fixed]
+        return _rhs(plan, full, inv_rows, None).ravel()
+
+    # T_k d0 (written rows) goes to slot k % CHEB_BLOCK, where the recurrence
+    # also finds T_{k-1} and T_{k-2}
+    nterms = coefs.shape[1]
+    block = np.empty((CHEB_BLOCK, written.size), dtype=complex)
+    acc = np.zeros((len(times), written.size), dtype=complex)
+    for k in range(nterms):
+        tk = block[k % CHEB_BLOCK]
+        if k == 0:
+            tk[:] = _row_view(d0, comps).ravel()
+        elif k == 1:
+            np.multiply(l_of(0, block[0]), 1 / (1j * rho), out=tk)
+        else:
+            np.multiply(l_of(k - 1, block[(k - 1) % CHEB_BLOCK]), 2 / (1j * rho), out=tk)
+            tk -= block[(k - 2) % CHEB_BLOCK]
+        if k % CHEB_BLOCK == CHEB_BLOCK - 1 or k == nterms - 1:
+            k0 = k - k % CHEB_BLOCK
+            # no row before `first` has a term left; the rows go in groups of
+            # CHEB_ROWS, so that the product needs no array the size of acc
+            first = int(np.argmax(counts > k0))
+            for j in range(first, len(times), CHEB_ROWS):
+                acc[j:j + CHEB_ROWS] += coefs[j:j + CHEB_ROWS, k0:k + 1] @ block[:k + 1 - k0]
+    del block, tk  # before the trace's own temporaries
+
+    d = d0.copy()
+    d_rows = _row_view(d, comps)
+    for t, row in zip(times, acc):
+        d_rows[...] = row.reshape(d_rows.shape)
+        run.record(float(t), d, inv_a0)
+    return run.result(d, inv_a0)
+
+
+def _chebyshev_radius(a0, ks) -> float:
+    """rho = 1.01 c |k|max, a bound on the spectral radius of L on the grid:
+    L is similar to A0^(-1/2) (curl B, -curl E) A0^(-1/2), which couples E
+    and B through eps^(-1/2) curl mu^(-1/2), of norm at most |k|max /
+    sqrt(min eig eps * min eig mu) = c |k|max."""
+    return 1.01 * _speed_bound(a0) * float(np.sqrt(sum(k**2 for k in ks)).max())
+
+
+def _chebyshev_coefficients(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev coefficients c_k(z) = (2 - delta_k0) i^k J_k(z) of
+    exp(i z Y) for each z >= 0 of a (J,) array, as a (J, K) array, and the
+    number of terms each row keeps: up to its last |c_k| above CHEB_TOL,
+    zero after it.  By Jacobi-Anger the c_k(z) are the cosine coefficients
+    of exp(i z cos s), so one FFT over s gives them all; the length puts
+    every |J_k| that aliases below round-off."""
+    zmax = float(np.max(z))
+    n = 1 << int(np.ceil(np.log2(2 * (zmax + 20 * zmax ** (1 / 3) + 64))))
+    s = 2 * np.pi / n * np.arange(n)
+    c = np.fft.fft(np.exp(1j * z[:, None] * np.cos(s)), axis=1)[:, :n // 2] / n
+    c[:, 1:] *= 2
+    counts = n // 2 - np.argmax(np.abs(c[:, ::-1]) > CHEB_TOL, axis=1)
+    c = c[:, :counts.max()].copy()
+    c[np.arange(c.shape[1]) >= counts[:, None]] = 0.0
+    return c, counts
 
 
 def _growth_rate_bound(spec: MaterialSpec, h: float) -> float:

@@ -169,6 +169,15 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
                    "mu0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
                    "eps1": [{"eta": [0.7, -0.4, 0, 0], "n": [0.5, 0, 0],
                              "matrix": [[[0.1, 0]] * 3] * 3}]}}, "eps1"),
+    ({"material": {"eps0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3, "weight": 3}],
+                   "mu0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}]}},
+     "material.eps0[0].weight"),
+    ({"material": {"eps0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
+                   "mu0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
+                   "eps1": [{"eat": [0.7, -0.4, 0, 0], "n": [0, 0, 0],
+                             "matrix": [[[0.1, 0]] * 3] * 3}]}}, "material.eps1[0].eat"),
+    ({"material": {"eps0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
+                   "mu0": [{"matrix": [[[1, 0]] * 3] * 3}]}}, "material.mu0[0].n"),
 ], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT",
         "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps",
         "path_step_over_tracking_bound", "negative_t_final", "non_numeric_t_final",
@@ -182,7 +191,8 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
         "modulations_not_a_list", "misspelt_amplitude", "ohmic_without_sigma",
         "non_numeric_sigma", "unknown_modulation_kind", "modulation_without_eta",
         "two_entry_eta", "five_entry_eta", "non_numeric_eta", "non_numeric_amplitude",
-        "fractional_cell_mode", "unknown_target", "fractional_coefficient_mode"])
+        "fractional_cell_mode", "unknown_target", "fractional_coefficient_mode",
+        "extra_coefficient_key", "misspelt_coefficient_eta", "missing_coefficient_n"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -393,6 +403,35 @@ def test_oracle_command(tmp_path):
     assert trace[0] == "t,energy,div_eps_E,div_mu_B"
     e = [float(r.split(",")[1]) for r in trace[1:]]
     assert abs(e[-1] - e[0]) < 1e-6 * e[0]
+
+
+@pytest.mark.parametrize("modulated", [False, True], ids=["static", "time_modulated"])
+def test_oracle_propagator_follows_the_medium(tmp_path, monkeypatch, modulated):
+    """oracle propagates a static medium without M by the Chebyshev sum and
+    a time-modulated one by RK4; both write energy.csv up to t_final."""
+    import blochpacket.cli as cli
+
+    called = []
+    for name in ("chebyshev_solve", "time_domain_solve"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k:
+                            called.append(_n) or _f(*a, **k))
+    mods = [{"kind": "cos", "eta": [0.7, 0.25, 0.0, 0.0], "amplitude": 0.1}] if modulated else []
+    td_grid = {"lengths": [L, 2 * np.pi, 2 * np.pi], "shape": [1024, 1, 1]}
+    cfg = write_config(tmp_path, {
+        "material": {"preset": "layered_anisotropic", "modulations": mods},
+        "cutoff": 2,
+        "theta": [0.3, 0.0, 0.0],
+        "packet": {"widths": [1.5, 1.0, 1.0], "weights": [[1.0, 0.0]], "axes": [0]},
+        "h_list": [0.25],
+        "grid": {"lengths": [L, 2 * np.pi, 2 * np.pi], "shape": [192, 1, 1]},
+        "time_domain": {"grid": td_grid, "t_final": 0.1, "dt": 0.01},
+    })
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
+    assert called == ["time_domain_solve" if modulated else "chebyshev_solve"]
+    trace = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)
+    assert trace.shape == (11, 4) and trace[-1, 0] == pytest.approx(0.1, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -574,3 +574,123 @@ def test_time_domain_rejects_unresolved_grid():
     u0 = np.zeros((6,) + grid.shape, dtype=complex)
     with pytest.raises(ConfigError):
         time_domain_solve(identity_material(), 1 / 32, u0, grid, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev propagation (static media without M)
+# ---------------------------------------------------------------------------
+
+def _packet_initial(grid, h, width=3.0):
+    """A Gaussian packet on the THETA carrier, E along y and B along z."""
+    x = grid.meshgrid()[0]
+    u0 = np.zeros((6,) + grid.shape, dtype=complex)
+    u0[1] = np.exp(-0.5 * (x / width) ** 2 + 1j * THETA[0] * x / h)
+    u0[5] = 0.7 * u0[1]
+    return u0
+
+
+def test_rk4_approaches_chebyshev_at_fourth_order():
+    """On the anisotropic layered medium (1024 points on the 16 pi box, t =
+    0.5) RK4's distance to the Chebyshev field falls by at least 12 per
+    halving of dt: the Chebyshev field is the exact-in-time limit."""
+    from blochpacket.oracles import chebyshev_solve
+
+    h = 1 / 4
+    spec = layered_anisotropic()
+    grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (1024, 1, 1))
+    u0 = _packet_initial(grid, h)
+    exact = chebyshev_solve(spec, h, u0, grid, 0.5, dt=0.01).field
+    dist = [np.linalg.norm(time_domain_solve(spec, h, u0, grid, 0.5, dt=dt).field - exact)
+            / np.linalg.norm(exact) for dt in (0.01, 0.005, 0.0025)]
+    assert dist[0] < 1e-8
+    assert dist[0] / dist[1] >= 12 and dist[1] / dist[2] >= 12
+
+
+@pytest.mark.parametrize("shape, theta", [((640, 1, 1), (0.3, 0.0, 0.0)),
+                                          ((32, 1, 32), (0.25, 0.0, 0.5))],
+                         ids=["one_axis", "two_axes"])
+def test_chebyshev_vacuum_plane_wave(shape, theta):
+    """Vacuum plane wave: the propagated field is exp(i omega t / h) u(0) to
+    1e-12, with one varying axis (4 rows written) and two (all six), and
+    the trace holds the RK4 schedule's times with constant energy."""
+    from blochpacket.oracles import chebyshev_solve
+
+    h, t_final = 1 / 4, 1.0
+    lengths = (10 * np.pi, 2 * np.pi, 2 * np.pi) if shape[2] == 1 else (2 * np.pi,) * 3
+    grid = EnvelopeGrid(lengths, shape)
+    u0, omega = _plane_wave_initial(grid, np.array(theta), (0, 0, 0), h)
+    res = chebyshev_solve(identity_material(), h, u0, grid, t_final, dt=0.01)
+    exact = np.exp(1j * omega * t_final / h) * u0
+    assert np.linalg.norm(res.field - exact) <= 1e-12 * np.linalg.norm(exact)
+    rk4 = time_domain_solve(identity_material(), h, u0, grid, t_final, dt=0.01)
+    assert np.array_equal(res.trace[:, 0], rk4.trace[:, 0]) and res.dt == rk4.dt
+    energy = res.trace[:, 1]
+    assert np.max(np.abs(energy - energy[0])) <= 1e-13 * energy[0]
+
+
+def test_chebyshev_refuses_time_dependent_or_lossy_medium():
+    """Only a static medium without M has one skew generator: a lower-order
+    term or a modulation with eta_0 != 0 is refused; a static eps1 is not."""
+    from blochpacket.oracles import chebyshev_applies, chebyshev_solve
+    from blochpacket.presets import with_cos_modulation, with_ohmic_loss
+
+    base = layered(amplitude=0.2)
+    grid = EnvelopeGrid((10 * np.pi, 2 * np.pi, 2 * np.pi), (640, 1, 1))
+    u0 = _packet_initial(grid, 1 / 4)
+    for spec in (with_ohmic_loss(base, 0.1),
+                 with_cos_modulation(base, (1.3, 0.25, 0.0, 0.0), amplitude=0.2)):
+        assert not chebyshev_applies(spec)
+        with pytest.raises(ConfigError):
+            chebyshev_solve(spec, 1 / 4, u0, grid, 0.1, dt=0.01)
+    static = with_cos_modulation(base, (0.0, 0.25, 0.0, 0.0), amplitude=0.2)
+    assert chebyshev_applies(static)
+    ref = time_domain_solve(static, 1 / 4, u0, grid, 0.2, dt=2.5e-3).field
+    got = chebyshev_solve(static, 1 / 4, u0, grid, 0.2, dt=2.5e-3).field
+    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("which", ["layered", "layered_anisotropic"])
+def test_chebyshev_radius_bounds_the_spectrum(which, rng):
+    """A power iteration on Y = L / (i rho) in the inv(A0)-weighted norm
+    stays at or below 1, and comes within 10% of it: rho bounds the spectrum
+    of L on the grid and is not loose."""
+    from blochpacket.oracles import (_apply_blocks, _chebyshev_radius, _comps, _grid_major,
+                                     _rhs, _Run)
+
+    spec = layered(amplitude=0.2) if which == "layered" else layered_anisotropic()
+    grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (1024, 1, 1))
+    u0 = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal((6,) + grid.shape)
+    run = _Run(spec, 1 / 4, u0, grid, 1.0, None, 0.5)
+    rho = _chebyshev_radius(run.a0, run.ks)
+    inv_a0 = _grid_major([np.linalg.inv(b) for b in run.a0])
+    inv_rows = inv_a0[:, _comps([r for r in run.plan.read if r < 3])]
+
+    def norm(v):
+        return np.sqrt(np.real(np.vdot(v, _apply_blocks(inv_a0, v))))
+
+    v = run.d0 / norm(run.d0)
+    ratios = []
+    for _ in range(60):
+        yv = np.zeros_like(v)
+        yv[run.plan.write] = _rhs(run.plan, v, inv_rows, None) / (1j * rho)
+        ratios.append(norm(yv))
+        v = yv / ratios[-1]
+    assert max(ratios) <= 1.0
+    assert ratios[-1] >= 0.9
+
+
+def test_chebyshev_coefficients_match_bessel():
+    """The FFT coefficients equal (2 - delta_k0) i^k J_k(z) to 1e-14, and
+    each row stops where |c_k| falls to CHEB_TOL for good."""
+    from scipy.special import jv
+
+    from blochpacket.oracles import CHEB_TOL, _chebyshev_coefficients
+
+    z = np.array([0.0, 0.5, 10.0, 161.3])
+    coefs, counts = _chebyshev_coefficients(z)
+    k = np.arange(coefs.shape[1])
+    ref = np.where(k == 0, 1, 2) * 1j ** k * jv(k[None, :], z[:, None])
+    kept = k[None, :] < counts[:, None]
+    assert np.max(np.abs(np.where(kept, coefs, 0) - np.where(kept, ref, 0))) <= 1e-14
+    assert np.all(coefs[~kept] == 0) and np.max(np.abs(ref[~kept])) <= CHEB_TOL
+    assert counts[0] == 1 and np.all(np.diff(counts) > 0)
