@@ -24,7 +24,6 @@ from .envelope import (
     EnvelopeGrid,
     EnvelopeSolution,
     EnvelopeState,
-    evolve,
     gaussian_state,
     weighted_norm,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "EnvelopeGrid",
     "EnvelopeSolution",
     "EnvelopeState",
-    "evolve",
     "gaussian_state",
     "weighted_norm",
     "ProfileSet",

@@ -58,7 +58,7 @@ def _cluster_covers(band, idx: int) -> bool:
 
 def select_band(cfg: RunConfig, op: BlochOperator):
     bands = solve_bands(op, cfg.num_bands)
-    sel = cfg.band_selector
+    sel = cfg.band
     if "index" in sel:
         idx = sel["index"]
         for b in bands:
@@ -68,12 +68,9 @@ def select_band(cfg: RunConfig, op: BlochOperator):
     if "omega_target" in sel:
         target = sel["omega_target"]
         best = min(bands, key=lambda b: abs(b.omega - target))
-        want_kappa = sel.get("kappa")
-        if want_kappa is not None and best.kappa != want_kappa:
-            raise ConfigError(
-                f"band nearest omega={target} has multiplicity {best.kappa}, "
-                f"expected {want_kappa}"
-            )
+        if sel.get("kappa", best.kappa) != best.kappa:
+            raise ConfigError(f"band nearest omega={target} has multiplicity {best.kappa}, "
+                              f"expected {sel['kappa']}")
         return best, bands
     raise ConfigError("band selector needs 'index' or 'omega_target'")
 
@@ -110,8 +107,7 @@ class Pipeline:
     def packet_weights(self) -> np.ndarray:
         w = self.cfg.packet.weights
         if w is None:
-            w = np.zeros(self.band.kappa, dtype=complex)
-            w[0] = 1.0
+            w = np.eye(self.band.kappa, dtype=complex)[0]
         if w.shape != (self.band.kappa,):
             raise ConfigError(
                 f"packet weights have {w.shape[0]} components, band multiplicity is {self.band.kappa}"
@@ -308,18 +304,19 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     profs = pipe.profiles()
     h = cfg.h_list[0]
-    grid = cfg.time_domain_grid
+    td = cfg.time_domain
+    grid = td["grid"]
     pts = grid.points().reshape(-1, 3)
     seed_field = assemble(profs, h, 0.0, pts, orders=pipe.orders)
     initial = seed_field.samples.T.reshape((6,) + grid.shape)
     # exact in time where the medium allows it, RK4 otherwise
     solve = chebyshev_solve if chebyshev_applies(cfg.material) else time_domain_solve
-    result = solve(cfg.material, h, initial, grid, cfg.t_final, dt=cfg.dt, cfl=cfg.cfl)
+    result = solve(cfg.material, h, initial, grid, td["t_final"], dt=td["dt"], cfl=td["cfl"])
     write_energy_csv(out / "energy.csv", result.trace)
-    dump_field(out / "time_domain_final.bwpk", result.field, grid, time=cfg.t_final,
+    dump_field(out / "time_domain_final.bwpk", result.field, grid, time=td["t_final"],
                h=h, theta=cfg.theta, omega=pipe.band.omega)
     e0, e1 = result.trace[0, 1], result.trace[-1, 1]
-    print(f"time-domain run to t={cfg.t_final}: energy drift {abs(e1-e0)/e0:.3e}, "
+    print(f"time-domain run to t={td['t_final']}: energy drift {abs(e1-e0)/e0:.3e}, "
           f"wrote energy.csv and time_domain_final.bwpk")
 
 

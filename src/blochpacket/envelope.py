@@ -171,13 +171,6 @@ def gaussian_state(grid: EnvelopeGrid, widths, weights) -> EnvelopeState:
     return EnvelopeState(grid, weights[:, None, None, None] * prof[None, ...])
 
 
-def evolve(state: EnvelopeState, hess: np.ndarray, mean_modes: Optional[Dict],
-           dT: float, steps: int) -> EnvelopeState:
-    """The state `steps` Strang steps of size dT after `state`, through
-    EnvelopeSolution (so with its box guards)."""
-    return EnvelopeSolution(state, hess, mean_modes, dT).state_at(state.T + steps * dT)
-
-
 # ---------------------------------------------------------------------------
 # On-demand solution with spectral field access (consumed by the multi-scale
 # assembly)

@@ -16,17 +16,13 @@ from typing import Dict, List
 
 import numpy as np
 
+from .config import material_from_dict  # noqa: F401  (the reader of material_to_dict's documents)
 from .envelope import EnvelopeGrid
 from .errors import ConfigError
 from .fourier import MaterialSpec
 
 FIELD_MAGIC = b"BWPK-FIELD-DUMP\x00"
 FIELD_VERSION = 1
-# the keys of a material description (the coefficient form)
-MATERIAL_KEYS = ("eps0", "mu0", "eps1", "mu1", "lower_order")
-# the keys of each entry of a base (eps0, mu0) and of a modulation list
-BASE_ENTRY_KEYS = ("n", "matrix")
-MOD_ENTRY_KEYS = ("eta", "n", "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +32,6 @@ MOD_ENTRY_KEYS = ("eta", "n", "matrix")
 def encode_complex_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def decode_complex_matrix(rows) -> np.ndarray:
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -63,48 +55,6 @@ def material_to_dict(spec: MaterialSpec) -> dict:
         "mu1": mod(spec.mu1),
         "lower_order": mod(spec.lower_order),
     }
-
-
-def material_from_dict(doc: dict) -> MaterialSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"material must be a JSON object, got {doc!r}")
-    unknown = set(doc) - set(MATERIAL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown material keys {sorted(unknown)}; "
-                          f"settable: {sorted(MATERIAL_KEYS)}")
-    try:
-        def base(name):
-            return {tuple(e["n"]): decode_complex_matrix(e["matrix"])
-                    for e in _entries(doc, name, BASE_ENTRY_KEYS)}
-
-        def mod(name):
-            return {(tuple(e["eta"]), tuple(e["n"])): decode_complex_matrix(e["matrix"])
-                    for e in _entries(doc, name, MOD_ENTRY_KEYS)}
-
-        spec = MaterialSpec(eps0=base("eps0"), mu0=base("mu0"), eps1=mod("eps1"),
-                            mu1=mod("mu1"), lower_order=mod("lower_order"))
-    except (TypeError, IndexError) as exc:
-        raise ConfigError(f"malformed material description: {exc}") from exc
-    return spec.validate()
-
-
-def _entries(doc: dict, name: str, keys) -> list:
-    """The entries of doc[name] (none when absent), each an object with
-    exactly `keys`; an extra or a missing key is refused by its path."""
-    entries = doc.get(name, [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"material.{name}: expected a list of entries, got {entries!r}")
-    for i, entry in enumerate(entries):
-        where = f"material.{name}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: expected an object with keys {list(keys)}, got {entry!r}")
-        extra = sorted(set(entry) - set(keys))
-        missing = [key for key in keys if key not in entry]
-        if extra or missing:
-            raise ConfigError(f"{where}.{(extra or missing)[0]}: "
-                              f"{'unknown key' if extra else 'missing'}; "
-                              f"an entry takes exactly {list(keys)}")
-    return entries
 
 
 # ---------------------------------------------------------------------------

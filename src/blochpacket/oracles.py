@@ -346,18 +346,26 @@ class _GridMaterial:
     """epsilon^h, mu^h, M^h evaluated on the spatial grid.
 
     A0 = diag(epsilon, mu) is held as its two 3x3 blocks, each an
-    (M1, M2, M3, 3, 3) stack.  The base periodic part is sampled at y = x/h
-    once; slow modulations are re-evaluated per requested time (cheap:
-    finitely many modes).  The medium is static when no modulation depends
-    on t (every eta has eta_0 = 0).
+    (M1, M2, M3, 3, 3) stack.  Its part that does not depend on t, a00 (the
+    base periodic part sampled at y = x/h, and the eps1, mu1 modes with eta_0
+    = 0), is sampled once; the other modes, `moving`, are re-evaluated per
+    requested time (cheap: finitely many modes).  The medium is static when
+    no modulation depends on t (every eta has eta_0 = 0).
     """
 
     def __init__(self, spec: MaterialSpec, h: float, grid: EnvelopeGrid):
         self.spec = spec
         self.h = float(h)
         self.points = grid.points()
-        self.a00 = tuple(trig_sum(c, self.points / self.h) for c in (spec.eps0, spec.mu0))
+        fixed = [{k: m for k, m in c.items() if k[0][0] == 0.0} for c in (spec.eps1, spec.mu1)]
+        self.moving = [{k: m for k, m in c.items() if k[0][0] != 0.0} for c in (spec.eps1, spec.mu1)]
+        self.a00 = tuple(self._add(trig_sum(c, self.points / self.h), f, 0.0)
+                         for c, f in zip((spec.eps0, spec.mu0), fixed))
         self.static = _static(spec)
+
+    def _add(self, block: np.ndarray, coefs, t: float) -> np.ndarray:
+        """block plus h^2 times the modulation modes `coefs` at time t."""
+        return block + self.h**2 * trig_sum(self._waves(coefs, t), self.points) if coefs else block
 
     def _waves(self, coefs, t: float) -> dict:
         """The (eta, n) modes of a modulation at time t as wave vectors
@@ -370,20 +378,12 @@ class _GridMaterial:
 
     def a0_at(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """The (epsilon, mu) block stacks at time t."""
-        eps, mu = self.a00
-        if self.spec.eps1:
-            eps = eps + self.h**2 * trig_sum(self._waves(self.spec.eps1, t), self.points)
-        if self.spec.mu1:
-            mu = mu + self.h**2 * trig_sum(self._waves(self.spec.mu1, t), self.points)
-        return eps, mu
+        return tuple(self._add(b, c, t) for b, c in zip(self.a00, self.moving))
 
     def m_at(self, t: float) -> Optional[np.ndarray]:
         if not self.spec.lower_order:
             return None
         return self.h * trig_sum(self._waves(self.spec.lower_order, t), self.points)
-
-    def wave_speed_bound(self) -> float:
-        return _speed_bound(self.a00)
 
 
 def _static(spec: MaterialSpec) -> bool:
@@ -391,12 +391,16 @@ def _static(spec: MaterialSpec) -> bool:
     return all(eta[0] == 0.0 for eta in spec.modulation_frequencies())
 
 
-def _speed_bound(blocks) -> float:
+def _speed_bound(blocks, lower=(0.0, 0.0)) -> float:
     """1 / sqrt(min eig epsilon * min eig mu) over the grid, from the
-    Hermitian parts of the (epsilon, mu) block stacks."""
-    eps_min, mu_min = (np.linalg.eigvalsh(0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))).min()
-                       for b in blocks)
-    return 1.0 / np.sqrt(max(eps_min * mu_min, 1e-300))
+    Hermitian parts of the (epsilon, mu) block stacks, each smallest
+    eigenvalue lowered by its entry of `lower`; a ConfigError when one is
+    not positive."""
+    eps_min, mu_min = (np.linalg.eigvalsh(0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))).min() - s
+                       for b, s in zip(blocks, lower))
+    if min(eps_min, mu_min) <= 0.0:
+        raise ConfigError(f"A0 is not positive definite on the grid ({eps_min:.3e}, {mu_min:.3e})")
+    return 1.0 / np.sqrt(eps_min * mu_min)
 
 
 def _grid_major(blocks) -> np.ndarray:
@@ -491,16 +495,16 @@ class _Run:
     def __init__(self, spec: MaterialSpec, h: float, initial: np.ndarray,
                  grid: EnvelopeGrid, t_final: float, dt: Optional[float], cfl: float):
         self.mat = _GridMaterial(spec, h, grid)
-        for a in range(3):
-            if grid.shape[a] > 1:
-                dx = grid.lengths[a] / grid.shape[a]
-                if dx > 2.0 * np.pi * h / 8.0:
-                    raise ConfigError(
-                        f"grid spacing {dx:.4f} along axis {a} does not resolve the "
-                        f"fast scale (need <= {2*np.pi*h/8:.4f})"
-                    )
-        dxs = [grid.lengths[a] / grid.shape[a] for a in range(3) if grid.shape[a] > 1]
-        dt_cfl = cfl * min(dxs) / self.mat.wave_speed_bound()
+        dxs = {a: grid.lengths[a] / grid.shape[a] for a in range(3) if grid.shape[a] > 1}
+        for a, dx in dxs.items():
+            if dx > 2.0 * np.pi * h / 8.0:
+                raise ConfigError(
+                    f"grid spacing {dx:.4f} along axis {a} does not resolve the "
+                    f"fast scale (need <= {2*np.pi*h/8:.4f})"
+                )
+        # at any t the moving modes lower a00's eigenvalues by at most h^2 sum ||m||_2 (Weyl)
+        lower = [h**2 * sum(np.linalg.norm(m, 2) for m in c.values()) for c in self.mat.moving]
+        dt_cfl = cfl * min(dxs.values()) / _speed_bound(self.mat.a00, lower)
         if dt is None:
             dt = dt_cfl
         elif dt > dt_cfl * (1 + 1e-12):

@@ -48,10 +48,7 @@ def with_cos_modulation(spec: MaterialSpec, eta, amplitude: float = 0.1,
     dim = 6 if target == "lower_order" else 3
     half = 0.5 * amplitude * np.eye(dim, dtype=complex)
     add = {(eta, tuple(cell_mode)): half, (neg, tuple(cell_mode)): half}
-    kw = dict(eps0=spec.eps0, mu0=spec.mu0, eps1=dict(spec.eps1),
-              mu1=dict(spec.mu1), lower_order=dict(spec.lower_order))
-    kw[target].update(add)
-    return MaterialSpec(**kw).validate()
+    return MaterialSpec(**{**vars(spec), target: {**getattr(spec, target), **add}}).validate()
 
 
 def with_ohmic_loss(spec: MaterialSpec, sigma: float) -> MaterialSpec:
@@ -61,5 +58,14 @@ def with_ohmic_loss(spec: MaterialSpec, sigma: float) -> MaterialSpec:
     low = dict(spec.lower_order)
     key = ((0.0, 0.0, 0.0, 0.0), (0, 0, 0))
     low[key] = low.get(key, 0.0) + m
-    return MaterialSpec(eps0=spec.eps0, mu0=spec.mu0, eps1=dict(spec.eps1),
-                        mu1=dict(spec.mu1), lower_order=low).validate()
+    return MaterialSpec(**{**vars(spec), "lower_order": low}).validate()
+
+
+# the presets and the modulations a run configuration names
+PRESETS = {
+    "identity": identity_material,
+    "scaled_identity": scaled_identity,
+    "layered": layered,
+    "layered_anisotropic": layered_anisotropic,
+}
+MODULATIONS = {"cos": with_cos_modulation, "ohmic": with_ohmic_loss}

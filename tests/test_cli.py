@@ -178,6 +178,11 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
                              "matrix": [[[0.1, 0]] * 3] * 3}]}}, "material.eps1[0].eat"),
     ({"material": {"eps0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
                    "mu0": [{"matrix": [[[1, 0]] * 3] * 3}]}}, "material.mu0[0].n"),
+    ({"horizon": True}, "horizon"),
+    ({"cutoff": True}, "cutoff"),
+    ({"tolerances": {"gap_tol": True}}, "tolerances.gap_tol"),
+    ({"tolerances": {"gap_tol": float("inf")}}, "tolerances.gap_tol"),
+    ({"output": 5}, "output"),
 ], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT",
         "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps",
         "path_step_over_tracking_bound", "negative_t_final", "non_numeric_t_final",
@@ -192,11 +197,62 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
         "non_numeric_sigma", "unknown_modulation_kind", "modulation_without_eta",
         "two_entry_eta", "five_entry_eta", "non_numeric_eta", "non_numeric_amplitude",
         "fractional_cell_mode", "unknown_target", "fractional_coefficient_mode",
-        "extra_coefficient_key", "misspelt_coefficient_eta", "missing_coefficient_n"])
+        "extra_coefficient_key", "misspelt_coefficient_eta", "missing_coefficient_n",
+        "boolean_horizon", "boolean_cutoff", "boolean_tolerance", "infinite_tolerance",
+        "non_string_output"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    """The README's configuration list names every key of the table."""
+    from blochpacket.config import SCHEMA
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    assert [key for key in SCHEMA if f"`{key}`" not in section] == []
+
+
+def _band_run(tmp_path, name, band):
+    """bands on BASE with `band` as its band section (None: without one):
+    the exit code and the tracked cluster's omega."""
+    doc = json.loads(json.dumps(BASE))
+    if band is None:
+        del doc["band"]
+    else:
+        doc["band"] = band
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / name
+    code = main(["bands", "--config", str(cfg), "--out", str(out)])
+    return code, json.loads((out / "dispersion.json").read_text())["omega"] if code == 0 else None
+
+
+def test_band_selection(tmp_path):
+    """The vacuum clusters at theta = 0.3 are +-0.3 and +-0.7, each of
+    multiplicity 2.  band.omega_target tracks the nearest one, band.kappa
+    must match its multiplicity, band.index is 1 when the section is absent,
+    and an empty section selects nothing."""
+    assert _band_run(tmp_path, "target", {"omega_target": 0.65}) == (0, pytest.approx(0.7))
+    assert (_band_run(tmp_path, "kappa", {"omega_target": -0.35, "kappa": 2})
+            == (0, pytest.approx(-0.3)))
+    assert _band_run(tmp_path, "mismatch", {"omega_target": 0.65, "kappa": 1}) == (2, None)
+    assert _band_run(tmp_path, "absent", None) == (0, pytest.approx(0.3))
+    assert _band_run(tmp_path, "empty", {}) == (2, None)
+
+
+def test_leading_only_seeding_drops_the_corrections(tmp_path):
+    """`"seeding": "leading_only"` assembles the leading profile alone, so
+    wkb's initial field differs from the full profile's."""
+    fields = {}
+    for seeding in ("full_profile", "leading_only"):
+        cfg = write_config(tmp_path, {"seeding": seeding}, name=f"{seeding}.json")
+        out = tmp_path / seeding
+        assert main(["wkb", "--config", str(cfg), "--out", str(out)]) == 0
+        fields[seeding] = (out / "wkb_initial.bwpk").read_bytes()
+    assert fields["full_profile"] != fields["leading_only"]
 
 
 def test_validate_identity_seminorm_stacks_one_harmonic(tmp_path, monkeypatch):

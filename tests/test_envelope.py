@@ -11,7 +11,6 @@ from blochpacket.envelope import (
     EnvelopeSolution,
     EnvelopeState,
     dispersion_form,
-    evolve,
     gaussian_state,
     weighted_norm,
 )
@@ -181,7 +180,7 @@ def test_box_guard_rejects_wide_packet():
     grid = EnvelopeGrid((1.0, 16.0, 1.0), (1, 64, 1))
     st = gaussian_state(grid, (1.0, 3.0, 1.0), [1.0])  # 16/4 = 4 < 2 sigma
     with pytest.raises(BoxTooSmall):
-        evolve(st, np.diag([0.0, 1.0, 0.0]), None, 1e-3, 10)
+        EnvelopeSolution(st, np.diag([0.0, 1.0, 0.0]), None, 1e-3).state_at(10e-3)
 
 
 @pytest.mark.parametrize("T", [2.2, 3.0])

@@ -569,6 +569,23 @@ def test_time_domain_rejects_cfl_violation():
         time_domain_solve(identity_material(), 1 / 4, u0, grid, 1.0, dt=1.0)
 
 
+@pytest.mark.parametrize("eta0", [0.0, 1.3], ids=["static", "time_modulated"])
+def test_cfl_bound_counts_the_modulation(eta0):
+    """layered(0.2) plus a cos eps1 of amplitude 0.4 at h = 1/4: the base
+    part alone gives the speed bound 1.118, so dt 0.02195 at CFL 0.5 on this
+    grid; the whole A0 (static), or the static part lowered by h^2 * 0.4 at
+    every t (time-modulated), gives 1.136, so dt 0.02161.  A dt between the
+    two is refused, and one just below the second runs."""
+    from blochpacket.presets import with_cos_modulation
+
+    spec = with_cos_modulation(layered(0.2), (eta0, 0.25, 0.0, 0.0), amplitude=0.4)
+    grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (1024, 1, 1))
+    u0 = np.zeros((6,) + grid.shape, dtype=complex)
+    with pytest.raises(ConfigError, match="CFL"):
+        time_domain_solve(spec, 1 / 4, u0, grid, 0.0218, dt=0.0218)
+    assert time_domain_solve(spec, 1 / 4, u0, grid, 0.0216, dt=0.0216).dt == 0.0216
+
+
 def test_time_domain_rejects_unresolved_grid():
     grid = EnvelopeGrid((8 * np.pi, 2 * np.pi, 2 * np.pi), (32, 1, 1))
     u0 = np.zeros((6,) + grid.shape, dtype=complex)
