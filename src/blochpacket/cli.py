@@ -17,6 +17,7 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -65,14 +66,12 @@ def select_band(cfg: RunConfig, op: BlochOperator):
             if _cluster_covers(b, idx):
                 return b, bands
         raise ConfigError(f"band index {idx} not among the first {cfg.num_bands} bands")
-    if "omega_target" in sel:
-        target = sel["omega_target"]
-        best = min(bands, key=lambda b: abs(b.omega - target))
-        if sel.get("kappa", best.kappa) != best.kappa:
-            raise ConfigError(f"band nearest omega={target} has multiplicity {best.kappa}, "
-                              f"expected {sel['kappa']}")
-        return best, bands
-    raise ConfigError("band selector needs 'index' or 'omega_target'")
+    target = sel["omega_target"]
+    best = min(bands, key=lambda b: abs(b.omega - target))
+    if sel.get("kappa", best.kappa) != best.kappa:
+        raise ConfigError(f"band nearest omega={target} has multiplicity {best.kappa}, "
+                          f"expected {sel['kappa']}")
+    return best, bands
 
 
 class Pipeline:
@@ -231,6 +230,20 @@ def _check_box(cfg: RunConfig, V: np.ndarray) -> None:
                     f"{shift + support:.4g} exceeds the half-box {half:.4g}")
 
 
+def sup_errors(profiles, packet: ExactPacketSpec, times, grid, pairs,
+               orders=(0, 1, 2)) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float]:
+    """{(beta, delta): the largest seminorm over `times` of the synthesized
+    exact packet minus the assembly at scale packet.h}, every time in one
+    stack: one synthesis, one assembly and one seminorm call."""
+    h = packet.h
+    synth = synthesize_exact_packet(packet, profiles.band, profiles.op, times, grid=grid,
+                                    estimate_error=False)
+    uh = HarmonicField(packet.theta_center, h, synth.t, grid, synth.harmonics)
+    vh = HarmonicField(packet.theta_center, h, synth.t, grid,
+                       assemble_harmonics(profiles, h, synth.t, grid, orders=orders))
+    return {bd: float(v.max()) for bd, v in seminorm(difference(uh, vh), pairs).items()}
+
+
 def cmd_validate(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
     if not cfg.material.is_static():
@@ -247,17 +260,8 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
                                  axes=cfg.packet.axes,
                                  support_sigmas=cfg.packet.support_sigmas,
                                  nodes=nodes, nodes_check=nodes - 20)
-        sup = {bd: 0.0 for bd in indices}
-        times = np.linspace(0.0, cfg.horizon / h, 9)
-        synths = synthesize_exact_packet(packet, pipe.band, pipe.op, times, grid=cfg.grid,
-                                         estimate_error=False)
-        for t, synth in zip(times, synths):
-            uh = HarmonicField(cfg.theta, h, t, cfg.grid, synth.harmonics)
-            vh = HarmonicField(cfg.theta, h, t, cfg.grid,
-                               assemble_harmonics(profs, h, t, cfg.grid, orders=pipe.orders))
-            for bd, value in seminorm(difference(uh, vh), indices).items():
-                sup[bd] = max(sup[bd], value)
-        return sup
+        return sup_errors(profs, packet, np.linspace(0.0, cfg.horizon / h, 9), cfg.grid,
+                          indices, orders=pipe.orders)
 
     rows = []
     sup0 = {}

@@ -70,8 +70,8 @@ def _require(cond, msg):
 # ---------------------------------------------------------------------------
 
 def _number(value, key: str) -> float:
-    """value as a float (a JSON boolean is not a number)."""
-    if not isinstance(value, bool):
+    """value as a float (a JSON boolean or string is not a number)."""
+    if not isinstance(value, (bool, str)):
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -204,6 +204,13 @@ def _material(section: dict, key: str) -> MaterialSpec:
     return spec
 
 
+def _band(section: dict, key: str) -> dict:
+    """The band selector: an index, or an omega_target (and kappa)."""
+    _require("index" in section or "omega_target" in section,
+             f"{key}: band selector needs 'index' or 'omega_target'")
+    return section
+
+
 def _theta_path(section: Optional[dict], theta: np.ndarray) -> Tuple[np.ndarray, ...]:
     """`steps` evenly spaced points from theta to theta_path.to, both ends
     included (none without a theta_path section)."""
@@ -235,7 +242,7 @@ SCHEMA = {
     "cutoff": (_cutoff, 1),
     "num_bands": (_count, 8),
     "theta": (_theta, [0.3, 0.0, 0.0]),
-    "band": (None, {"index": 1}),
+    "band": (_band, {"index": 1}),
     "band.index": (_integer, OPTIONAL),
     "band.omega_target": (_finite, OPTIONAL),
     "band.kappa": (_count, OPTIONAL),

@@ -2,24 +2,25 @@
 
 A fast-oscillatory field on a periodic box is stored per cell harmonic:
 
-    u(x) = sum_n exp(i (theta + n).x / h) D_n(x),
+    u(t, x) = sum_n exp(i (theta + n).x / h) D_n(t, x),
 
-with envelope-scale profiles D_n on the box grid.  When the carrier
-frequencies (theta + n)/h are commensurate with the box (arranged by the
-validation configs) the harmonics occupy disjoint frequency ranges, so L2
-norms and the semiclassical seminorms
+with envelope-scale profiles D_n on the box grid at J sample times t_j (one
+time is J = 1).  When the carrier frequencies (theta + n)/h are
+commensurate with the box (arranged by the validation configs) the
+harmonics occupy disjoint frequency ranges, so L2 norms and the
+semiclassical seminorms
 
-    || x^beta (h d_x)^delta u ||_{L2}
+    || x^beta (h d_x)^delta u(t_j) ||_{L2}
 
-are computed per harmonic and summed.  A field holds only the harmonics
-that can be nonzero (an absent harmonic is zero), so a field on one mode
-class holds that class's modes alone.  The held harmonics are stacked into
-one (|held|, 6, M1, M2, M3) array and transformed by one forward FFT over the
-axes with more than one point; (h d_x) acts per harmonic as the Fourier symbol
-i (theta + n + h k), so every distinct delta costs one inverse FFT of the
-stack, shared by all weights beta.  The polynomial weight multiplies the
-envelope values directly, in physical space (meaningful while the packet
-stays inside the box).
+are computed per harmonic and summed, one value per time.  A field holds
+only the harmonics that can be nonzero (an absent harmonic is zero), so a
+field on one mode class holds that class's modes alone.  The held harmonics
+are stacked into one (|held|, J, 6, M1, M2, M3) array and transformed by one
+forward FFT over the axes with more than one point; (h d_x) acts per
+harmonic as the Fourier symbol i (theta + n + h k), so every distinct delta
+costs one inverse FFT of the stack, for all times and shared by all weights
+beta.  The polynomial weight multiplies the envelope values directly, in
+physical space (meaningful while the packet stays inside the box).
 """
 
 from __future__ import annotations
@@ -37,20 +38,20 @@ Harmonics = Dict[Tuple[int, int, int], np.ndarray]
 
 @dataclass
 class HarmonicField:
-    """Harmonic-resolved field: data holds every cell harmonic n that can be
-    nonzero, and an absent harmonic is zero.  difference and seminorm work
-    on any key set."""
+    """Harmonic-resolved field at the times t: data holds every cell
+    harmonic n that can be nonzero, and an absent harmonic is zero.
+    difference and seminorm work on any key set."""
 
     theta: np.ndarray
     h: float
-    t: float
+    t: np.ndarray        # (J,)
     grid: EnvelopeGrid
-    data: Harmonics  # n -> (6, M1, M2, M3)
+    data: Harmonics      # n -> (J, 6, M1, M2, M3)
 
 
 def difference(a: HarmonicField, b: HarmonicField) -> HarmonicField:
-    if a.h != b.h or a.grid != b.grid:
-        raise ValueError("harmonic fields live on different grids or scales")
+    if a.h != b.h or a.grid != b.grid or not np.array_equal(a.t, b.t):
+        raise ValueError("harmonic fields live on different grids, scales or times")
     keys = set(a.data) | set(b.data)
     out = {}
     for n in keys:
@@ -83,12 +84,12 @@ def weighted_indices(order: int, axes: Tuple[int, ...]) -> List[Tuple[Tuple[int,
     return sorted(set(out))
 
 
-def seminorm(field: HarmonicField, pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float]:
-    """{(beta, delta): || x^beta (h d_x)^delta u ||_{L2}} for every pair,
-    derivatives applied before weights."""
+def seminorm(field: HarmonicField, pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], np.ndarray]:
+    """{(beta, delta): || x^beta (h d_x)^delta u(t_j) ||_{L2}, (J,)} for every
+    pair, derivatives applied before weights."""
     grid = field.grid
     keys = list(field.data)
-    stack = np.stack([field.data[n] for n in keys])
+    stack = np.stack([field.data[n] for n in keys])  # (|held|, J, 6, M1, M2, M3)
     carriers = field.theta[None, :] + np.asarray(keys, dtype=float)
     axes = varying_axes(stack)
     ks = grid.wave_meshgrid()
@@ -105,12 +106,12 @@ def seminorm(field: HarmonicField, pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[i
                 if delta[a]:
                     sym_a = 1j * (carriers[:, a, None, None, None] + field.h * ks[a][None])
                     symbol = symbol * sym_a ** delta[a]
-            vals = np.fft.ifftn(symbol[:, None] * hat, axes=axes)
-        density = np.sum(vals.real ** 2 + vals.imag ** 2, axis=(0, 1))
+            vals = np.fft.ifftn(symbol[:, None, None] * hat, axes=axes)
+        density = np.sum(vals.real ** 2 + vals.imag ** 2, axis=(0, 2))  # (J, M1, M2, M3)
         for beta in sorted({b for b, d in pairs if d == delta}):
             weight = np.ones(grid.shape)
             for a in range(3):
                 for _ in range(beta[a]):
                     weight = weight * xs[a]
-            out[(beta, delta)] = float(np.sqrt(np.sum(weight ** 2 * density) * dv))
+            out[(beta, delta)] = np.sqrt(np.sum(weight ** 2 * density, axis=(1, 2, 3)) * dv)
     return out

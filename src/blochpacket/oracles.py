@@ -4,7 +4,10 @@ two pseudo-spectral time-domain propagators.
 
 These provide the second route of the dual-route checks in the package: the
 eigensolver is checked against the constant-coefficient closed form and the
-multi-scale assembly against synthesized exact packets.  The time-domain
+multi-scale assembly against synthesized exact packets.  The synthesis
+evaluates all of its output times at once: its nodes are prepared once and
+every time is a row block of one product over them, so a result holds a
+leading time axis (one time is a time axis of length 1).  The time-domain
 route is seeded with the assembled field and reports its energy and
 divergence traces; comparing its field with the assembly is not implemented
 yet.  It has two propagators with one set-up, trace and growth guard (_Run):
@@ -12,19 +15,24 @@ yet.  It has two propagators with one set-up, trace and growth guard (_Run):
 * chebyshev_solve, for a static medium (every eta_0 = 0) without a
   lower-order term M: the flux is exp(tL) d0 with L skew-adjoint in the
   inv(A0)-weighted inner product, summed as a Chebyshev series in L to
-  round-off, so it has no time-step error;
+  round-off (real coefficients, the powers of i carried by the
+  recurrence), so it has no time-step error;
 * time_domain_solve, RK4, for every medium: the only one for a medium with
   M (L is then not skew) or with a t-dependent modulation (no single L).
 
 The `oracle` command takes the first where the medium allows it
 (chebyshev_applies) and the second otherwise.  For the Chebyshev sum dt and
-cfl only set the trace times, which are those of the RK4 schedule.
+cfl only set the trace times, which are those of the RK4 schedule.  Without
+M the rows the curl never writes keep their initial values, so when the
+divergences read only such rows (a grid varying along one axis) they are
+computed once, from d0.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -126,11 +134,25 @@ class ExactPacketSpec:
 
 @dataclass
 class SynthesisResult:
-    t: float
+    """The synthesized field at the output times t (J,): the harmonics
+    {n: (J, 6, M1, M2, M3)} on a grid or the samples (J, P, 6) at points
+    (the other None), and the quadrature error per time (J,)."""
+
+    t: np.ndarray
     harmonics: Optional[Dict[Tuple[int, int, int], np.ndarray]]
     samples: Optional[np.ndarray]
-    quadrature_error: float
+    quadrature_error: np.ndarray
     node_count: int
+
+
+@functools.cache
+def _legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of n nodes on [-1, 1], computed once per n and
+    kept read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def _gl_nodes(packet: ExactPacketSpec, n: int):
@@ -140,7 +162,7 @@ def _gl_nodes(packet: ExactPacketSpec, n: int):
     for a in range(3):
         if a in packet.axes:
             r = packet.support_sigmas / float(packet.widths[a])
-            x, w = np.polynomial.legendre.leggauss(n)
+            x, w = _legendre(n)
             axis_nodes.append(r * x)
             axis_wts.append(r * w)
         else:
@@ -243,58 +265,57 @@ def _is_vacuum(spec: MaterialSpec) -> bool:
 
 
 def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand, op: BlochOperator,
-                            times: Iterable[float],
-                            grid: Optional[EnvelopeGrid] = None,
+                            times, grid: Optional[EnvelopeGrid] = None,
                             points: Optional[np.ndarray] = None,
-                            estimate_error: bool = True) -> Iterator[SynthesisResult]:
-    """Exact solution of the purely periodic problem as a Bloch-wave integral,
-    one result per output time, on exactly one of `grid` or `points`.
+                            estimate_error: bool = True) -> SynthesisResult:
+    """Exact solution of the purely periodic problem as a Bloch-wave integral
+    at the output times (J,), on exactly one of `grid` or `points`.
 
     Tensor Gauss-Legendre quadrature over the packet spectrum; per node the
     eigenpair comes from the gauge-aligned band (closed form for vacuum).
-    The nodes do not depend on t: they are prepared once, in this call, and
-    the per-time results are then produced lazily, so only one is held at a
-    time.
-    With `grid`, each result holds the harmonic-resolved field {n: (6, shape)}
-    in `harmonics`, such that u(t, x) = sum_n exp(i (theta + n).x / h) D_n(t, x)
-    (each D_n carries the nodes' own frequencies exp(i (x.zeta + omega t / h)));
-    with `points`, it holds the samples u(t, x_p), (P, 6), in `samples`.  The
-    quadrature error is estimated by comparing against the lower-order rule.
+    The nodes do not depend on t: they are prepared once, and every time is
+    then one row block of a single product over the nodes (_synthesize), so
+    the result holds J times one time's field.
+    With `grid`, the result holds the harmonic-resolved field
+    {n: (J, 6, shape)} in `harmonics`, such that u(t, x) = sum_n
+    exp(i (theta + n).x / h) D_n(t, x) (each D_n carries the nodes' own
+    frequencies exp(i (x.zeta + omega t / h))); with `points`, it holds the
+    samples u(t_j, x_p), (J, P, 6), in `samples`.  With estimate_error the
+    quadrature error is estimated per time by comparing against the
+    lower-order rule (nodes_check), which is built and prepared only then;
+    otherwise it reads 0.
     """
     if (grid is None) == (points is None):
         raise ValueError("synthesize_exact_packet takes exactly one of grid or points")
     if not op.spec.is_static():
         raise ConfigError("exact synthesis requires a purely periodic medium")
+    times = np.asarray(times, dtype=float)
     nodes = _NodeEigen(band, op, packet)
     zeta, wts = _gl_nodes(packet, packet.nodes)
-    zeta_c, wts_c = _gl_nodes(packet, packet.nodes_check)
-    nodes.prepare(np.concatenate([zeta, zeta_c], axis=0) if estimate_error else zeta)
-    main = _synthesize(packet, band, op.cutoff, nodes, zeta, wts, grid, points)
-    if estimate_error:
-        check = _synthesize(packet, band, op.cutoff, nodes, zeta_c, wts_c, grid, points)
-
-    def result(t):
-        field = main(t)
-        err = _synth_distance(field, check(t)) if estimate_error else 0.0
-        return SynthesisResult(t=t, harmonics=field if grid is not None else None,
-                               samples=field if points is not None else None,
-                               quadrature_error=err, node_count=len(zeta))
-
-    return map(result, times)
+    check = _gl_nodes(packet, packet.nodes_check) if estimate_error else None
+    nodes.prepare(zeta if check is None else np.concatenate([zeta, check[0]], axis=0))
+    field = _synthesize(packet, band, op.cutoff, nodes, zeta, wts, times, grid, points)
+    err = (np.zeros(len(times)) if check is None else
+           _synth_distance(field, _synthesize(packet, band, op.cutoff, nodes, *check,
+                                              times, grid, points)))
+    return SynthesisResult(t=times, harmonics=field if grid is not None else None,
+                           samples=field if points is not None else None,
+                           quadrature_error=err, node_count=len(zeta))
 
 
-def _synthesize(packet, band, cutoff, nodes, zeta, wts, grid, points):
-    """The quadrature sum over one node set as a function of t, on `grid`
-    (returning the harmonics {n: (6, shape)}) or at `points` (returning the
-    samples (P, 6)); exactly one of them is given.
+def _synthesize(packet, band, cutoff, nodes, zeta, wts, times, grid, points):
+    """The quadrature sum over one node set at the times (J,), on `grid`
+    (returning the harmonics {n: (J, 6, shape)}) or at `points` (returning
+    the samples (J, P, 6)); exactly one of them is given.
 
-    Only the node weights amp_q exp(i omega_q t / h) depend on t: the
-    (6 |held|, Q) node vectors and the phases exp(i x.zeta_q) at the output
-    points (the grid's or the given ones) are built once, and each time is
-    one product over nodes, giving the values per mode.  On a grid these are
-    the harmonics; at points they are contracted with the carriers
-    exp(i (theta + n).x / h).  Only the modes whose node-vector rows are not
-    all zero (the band's mode class) enter: every other harmonic is zero."""
+    Only the node weights amp_q exp(i omega_q t_j / h), (J, Q), depend on t:
+    the (6 |held|, Q) node vectors, weighted per time, are stacked into one
+    (J 6 |held|, Q) matrix and multiplied once by the (Q, P) phases
+    exp(i x.zeta_q) at the output points (the grid's or the given ones),
+    giving the values per mode.  On a grid these are the harmonics; at
+    points they are contracted with the carriers exp(i (theta + n).x / h).
+    Only the modes whose node-vector rows are not all zero (the band's mode
+    class) enter: every other harmonic is zero."""
     amp = packet.spectrum_amplitude(zeta) * wts
     keep = np.flatnonzero(amp != 0.0)
     amp, zeta = amp[keep], zeta[keep]
@@ -307,27 +328,30 @@ def _synthesize(packet, band, cutoff, nodes, zeta, wts, grid, points):
     modes = cutoff.modes[held]
     xs = (grid.points() if grid is not None else np.asarray(points, dtype=float)).reshape(-1, 3)
     phase = np.exp(1j * (zeta @ xs.T))                                      # (Q, P)
-    if points is not None:
-        carrier = np.exp(1j * ((xs / packet.h) @ (band.theta[:, None] + modes.T)))  # (P, |held|)
-
-    def at(t):
-        per_mode = ((vecs * (amp * np.exp(1j * t * omegas / packet.h))) @ phase
-                    ).reshape(len(held), 6, len(xs))
-        if grid is not None:
-            return {tuple(n): d.reshape((6,) + grid.shape) for n, d in zip(modes, per_mode)}
-        return np.einsum("pk,kcp->pc", carrier, per_mode)
-
-    return at
+    node_wts = amp * np.exp(1j * times[:, None] * omegas / packet.h)        # (J, Q)
+    per_mode = ((vecs[None] * node_wts[:, None]).reshape(-1, len(zeta)) @ phase
+                ).reshape(len(times), len(held), 6, len(xs))
+    if grid is not None:
+        return {tuple(n): per_mode[:, i].reshape((len(times), 6) + grid.shape)
+                for i, n in enumerate(modes)}
+    carrier = np.exp(1j * ((xs / packet.h) @ (band.theta[:, None] + modes.T)))  # (P, |held|)
+    return np.einsum("pk,jkcp->jpc", carrier, per_mode)
 
 
-def _synth_distance(a, b) -> float:
-    """Relative L2 distance of two synthesized fields (harmonics or samples)."""
+def _synth_distance(a, b) -> np.ndarray:
+    """Relative L2 distance per time of two synthesized fields at the same J
+    times (harmonics or samples), (J,)."""
     if isinstance(a, dict):
         # an absent harmonic is zero
-        num = sum(np.linalg.norm(a.get(n, 0) - b.get(n, 0)) ** 2 for n in set(a) | set(b))
-        den = sum(np.linalg.norm(d) ** 2 for d in a.values())
-        return float(np.sqrt(num / max(den, 1e-300)))
-    return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300))
+        num = sum(_norms(a.get(n, 0) - b.get(n, 0)) ** 2 for n in set(a) | set(b))
+        den = sum(_norms(d) ** 2 for d in a.values())
+        return np.sqrt(num / np.maximum(den, 1e-300))
+    return _norms(a - b) / np.maximum(_norms(a), 1e-300)
+
+
+def _norms(arr: np.ndarray) -> np.ndarray:
+    """The L2 norm of each time of a (J, ...) array, (J,)."""
+    return np.linalg.norm(arr.reshape(len(arr), -1), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +534,7 @@ class _Run:
         elif dt > dt_cfl * (1 + 1e-12):
             raise ConfigError(f"dt={dt:.3e} violates the CFL bound {dt_cfl:.3e}")
 
+        self.grid = grid
         self.ks = grid.wave_meshgrid()
         u0 = np.asarray(initial, dtype=complex)
         if u0.shape != (6,) + grid.shape:
@@ -517,15 +542,26 @@ class _Run:
         self.plan = _curl_plan(grid.shape, self.ks)
         self.a0 = self.mat.a0_at(0.0)
         self.d0 = _apply_blocks(_grid_major(self.a0), u0)
+        # without M the rows the curl does not write have no time derivative:
+        # when the divergences read only such rows (the components along the
+        # varying axes), they are d0's at every trace row
+        self.stepped = list(range(6)) if spec.lower_order else self.plan.write
+        div_rows = {a % 3 + 3 * f for f in (0, 1) for a in self.plan.axes}
+        self.held_div = None if div_rows & set(self.stepped) else self._divergences(self.d0)
 
         self.nsteps = max(1, int(np.ceil(t_final / dt)))
         self.dt = t_final / self.nsteps
         every = max(1, self.nsteps // (NUM_TRACE - 1))
         self.trace_steps = [s for s in range(self.nsteps + 1)
                             if s % every == 0 or s == self.nsteps]
-        self.grid = grid
         self.growth = _growth_rate_bound(spec, h)
         self.trace: List[Tuple[float, float, float, float]] = []
+
+    def _divergences(self, d: np.ndarray) -> Tuple[float, float]:
+        """The L2 norms of div(eps E) and div(mu B) of the flux d."""
+        scale = np.sqrt(self.grid.cell_volume)
+        return tuple(float(np.linalg.norm(_spectral_div(f, self.ks)) * scale)
+                     for f in (d[:3], d[3:]))
 
     def record(self, t: float, d: np.ndarray, inv_a0) -> None:
         """Append the row (t, energy, div_eps_E, div_mu_B) of the flux d, with
@@ -534,8 +570,7 @@ class _Run:
         dv = self.grid.cell_volume
         u = _apply_blocks(inv_a0, d)
         energy = float(np.real(np.sum(np.conj(u) * d)) * dv)
-        div_e = float(np.linalg.norm(_spectral_div(d[:3], self.ks)) * np.sqrt(dv))
-        div_b = float(np.linalg.norm(_spectral_div(d[3:], self.ks)) * np.sqrt(dv))
+        div_e, div_b = self.held_div if self.held_div is not None else self._divergences(d)
         self.trace.append((t, energy, div_e, div_b))
         e0 = self.trace[0][1]
         bound = e0 * np.exp(STABILITY_MARGIN * max(self.growth, 1e-14) * t) + 1e-9 * e0
@@ -583,9 +618,8 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     run = _Run(spec, h, initial, grid, t_final, dt, cfl)
     mat, plan, dt = run.mat, run.plan, run.dt
     # the components of E and B a stage reads, and those of the flux it steps
-    comps, stepped = [r for r in plan.read if r < 3], [r for r in plan.write if r < 3]
-    if spec.lower_order:
-        comps = stepped = [0, 1, 2]
+    comps = [0, 1, 2] if spec.lower_order else [r for r in plan.read if r < 3]
+    stepped = [r for r in run.stepped if r < 3]
 
     def material(t):
         """inv(A0) as _grid_major blocks, their rows `comps` for _rhs, and M, at t."""
@@ -637,14 +671,17 @@ def chebyshev_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     With rho = 1.01 c |k|max (c the wave speed bound of A0, |k|max the
     largest grid wavenumber) Y = L / (i rho) has its spectrum in [-1, 1], and
     exp(tL) d0 = sum_k c_k(rho t) T_k(Y) d0 with c_k(z) = (2 - delta_k0)
-    i^k J_k(z) (Jacobi-Anger).  One Chebyshev recurrence T_{k+1} = 2Y T_k -
-    T_{k-1} serves every trace row; a row at time t stops at its own last
+    i^k J_k(z) (Jacobi-Anger).  The factor i^k goes into the recurrence: S_k
+    = i^k T_k(Y) d0 follows S_{k+1} = (2 / rho) L S_k + S_{k-1}, and exp(tL)
+    d0 = sum_k (2 - delta_k0) J_k(rho t) S_k has real coefficients.  One
+    recurrence serves every trace row; a row at time t stops at its own last
     coefficient above CHEB_TOL.  The grid and step checks, the trace rows at
     the step times s * dt and the growth guard are _Run's, as for
     time_domain_solve: dt and cfl set only the trace spacing here.  L writes
-    only the rows plan.write, so the others stay d0 (their T_k is T_k(0)
+    only the rows plan.write, so the others stay d0 (their S_k is i^k T_k(0)
     times d0); the written rows of CHEB_BLOCK successive terms are added to
-    the trace rows that still need them, CHEB_ROWS rows per product.
+    the trace rows that still need them, CHEB_ROWS rows per real product on
+    the (re, im) pairs.
     """
     if not chebyshev_applies(spec):
         raise ConfigError("Chebyshev propagation needs a static medium (every eta_0 = 0) "
@@ -658,39 +695,42 @@ def chebyshev_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     coefs, counts = _chebyshev_coefficients(rho * times)
 
     d0 = run.d0
-    full = d0.copy()  # T_k d0: the written rows set per term, the others T_k(0) d0
+    full = d0.copy()  # S_k = i^k T_k d0: the written rows set per term, the others held
     comps = [r for r in plan.write if r < 3]
     written = _row_view(full, comps)
     fixed = [r for r in range(6) if r not in plan.write]
 
-    def l_of(k, tk):
-        """The written rows of L T_k d0, flat, where tk holds those of T_k d0."""
-        written[...] = tk.reshape(written.shape)
-        full[fixed] = (1, 0, -1, 0)[k % 4] * d0[fixed]
+    def l_of(k, sk):
+        """The written rows of L S_k, flat, where sk holds those of S_k; the
+        rows L does not write are i^k T_k(0) d0: d0 for even k, 0 for odd."""
+        written[...] = sk.reshape(written.shape)
+        full[fixed] = d0[fixed] if k % 2 == 0 else 0.0
         return _rhs(plan, full, inv_rows, None).ravel()
 
-    # T_k d0 (written rows) goes to slot k % CHEB_BLOCK, where the recurrence
-    # also finds T_{k-1} and T_{k-2}
+    # S_k (written rows) goes to slot k % CHEB_BLOCK, where the recurrence
+    # also finds S_{k-1} and S_{k-2}; its coefficients c_k / i^k are real
     nterms = coefs.shape[1]
+    real = (coefs * np.array([1, -1j, -1, 1j])[np.arange(nterms) % 4]).real
     block = np.empty((CHEB_BLOCK, written.size), dtype=complex)
     acc = np.zeros((len(times), written.size), dtype=complex)
+    block_re, acc_re = block.view(float), acc.view(float)  # (re, im) pairs
     for k in range(nterms):
-        tk = block[k % CHEB_BLOCK]
+        sk = block[k % CHEB_BLOCK]
         if k == 0:
-            tk[:] = _row_view(d0, comps).ravel()
+            sk[:] = _row_view(d0, comps).ravel()
         elif k == 1:
-            np.multiply(l_of(0, block[0]), 1 / (1j * rho), out=tk)
+            np.multiply(l_of(0, block[0]), 1 / rho, out=sk)
         else:
-            np.multiply(l_of(k - 1, block[(k - 1) % CHEB_BLOCK]), 2 / (1j * rho), out=tk)
-            tk -= block[(k - 2) % CHEB_BLOCK]
+            np.multiply(l_of(k - 1, block[(k - 1) % CHEB_BLOCK]), 2 / rho, out=sk)
+            sk += block[(k - 2) % CHEB_BLOCK]
         if k % CHEB_BLOCK == CHEB_BLOCK - 1 or k == nterms - 1:
             k0 = k - k % CHEB_BLOCK
             # no row before `first` has a term left; the rows go in groups of
             # CHEB_ROWS, so that the product needs no array the size of acc
             first = int(np.argmax(counts > k0))
             for j in range(first, len(times), CHEB_ROWS):
-                acc[j:j + CHEB_ROWS] += coefs[j:j + CHEB_ROWS, k0:k + 1] @ block[:k + 1 - k0]
-    del block, tk  # before the trace's own temporaries
+                acc_re[j:j + CHEB_ROWS] += real[j:j + CHEB_ROWS, k0:k + 1] @ block_re[:k + 1 - k0]
+    del block, block_re, sk  # before the trace's own temporaries
 
     d = d0.copy()
     d_rows = _row_view(d, comps)

@@ -266,11 +266,16 @@ def build_profiles(band: BlochBand, projectors: ProjectorPair,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _field_values(profiles: ProfileSet, keys, T: float, pts: np.ndarray) -> Dict[FieldKey, np.ndarray]:
+def _field_values(profiles: ProfileSet, keys, T, pts: np.ndarray) -> Dict[FieldKey, np.ndarray]:
+    """The envelope values D_key at the slow times T (J,) and points pts
+    (P, 3), {key: (J, P)}, from one evaluation of every (T, key) spectrum;
+    the times are walked in order, as the envelope's spectra are kept for
+    the latest one."""
     env = profiles.envelope
     keys = list(keys)
-    hats = [env.field_hat(*key, T) for key in keys]
-    return dict(zip(keys, env.eval_hats_at(hats, pts)))
+    hats = [env.field_hat(*key, T_j) for T_j in T for key in keys]
+    vals = env.eval_hats_at(hats, pts).reshape(len(T), len(keys), len(pts))
+    return {key: vals[:, i] for i, key in enumerate(keys)}
 
 
 def _stack(table: TermTable, num_modes: int) -> Tuple[List[Tuple[Eta, FieldKey]], np.ndarray, np.ndarray]:
@@ -284,15 +289,21 @@ def _stack(table: TermTable, num_modes: int) -> Tuple[List[Tuple[Eta, FieldKey]]
     return entries, held, vecs[:, held].reshape(len(entries), 6 * len(held))
 
 
-def _product(stack, fields: Dict[FieldKey, np.ndarray], t: float, x: np.ndarray):
-    """A stacked table at points x (..., 3), with `fields` the envelope
-    values D_key there: the (P, E) entry coefficients exp(i eta.(t, x)) D_key
-    and their product with the stacked vectors, (P, 6 |held|)."""
+def _product(stack, fields: Dict[FieldKey, np.ndarray], t: np.ndarray, x: np.ndarray):
+    """A stacked table at the times t (J,) and points x, (J, P, 3) or (P, 3)
+    at every time, with `fields` the envelope values D_key there, (J, P):
+    the (J P, E) entry coefficients exp(i eta.(t_j, x)) D_key and their
+    product with the stacked vectors, (J P, 6 |held|), one row per (time,
+    point) pair, time major."""
     entries, _held, vecs = stack
+    t = np.asarray(t, dtype=float)[:, None]
     phases = {eta: np.exp(1j * (eta[0] * t + x @ np.asarray(eta[1:])))
               for eta in {eta for (eta, _key) in entries}}
-    coef = np.array([phases[eta] * fields[key] for (eta, key) in entries],
-                    dtype=complex).reshape(len(entries), x[..., 0].size).T
+    shape = np.broadcast_shapes(t.shape, x.shape[:-1])  # (J, P)
+    coef = np.empty((len(entries),) + shape, dtype=complex)
+    for row, (eta, key) in zip(coef, entries):
+        np.multiply(phases[eta], fields[key], out=row)
+    coef = coef.reshape(len(entries), shape[0] * shape[1]).T
     return coef, coef @ vecs
 
 
@@ -304,32 +315,35 @@ def _weighted_stack(profiles: ProfileSet, h: float, orders):
     return _stack(merged, profiles.op.cutoff.num_modes)
 
 
-def evaluate_table(profiles: ProfileSet, table: TermTable, T: float, t: float,
-                   x_comoving: np.ndarray,
+def evaluate_table(profiles: ProfileSet, table: TermTable, T, t, x_comoving: np.ndarray,
                    fields: Optional[Dict[FieldKey, np.ndarray]] = None,
                    stack=None):
-    """Evaluate a term table at slow time T, time t, and comoving points.
+    """Evaluate a term table at the slow times T and times t, both (J,), and
+    comoving points (P, 3).
 
-    Physical positions are x = x_comoving + V t; the envelope is evaluated at
-    x_comoving directly.  `fields` (the envelope values at these points for
-    at least the keys of the table's nonzero entries) and `stack` (the
-    table's _stack) come from a caller that computed them once, or are
-    computed here.  Returns (values (P, 6K), magnitude (P,)) where magnitude
-    is the triangle-inequality bound sum |coef| * |phi| used as the
-    cancellation scale; each is one product of the (P, E) entry
+    Physical positions are x = x_comoving + V t_j; the envelope is evaluated
+    at x_comoving directly.  `fields` (the envelope values at these points
+    for at least the keys of the table's nonzero entries, (J, P) each) and
+    `stack` (the table's _stack) come from a caller that computed them once,
+    or are computed here.  Returns (values (J, P, 6K), magnitude (J, P))
+    where magnitude is the triangle-inequality bound sum |coef| * |phi| used
+    as the cancellation scale; each is one product of the (J P, E) entry
     coefficients.
     """
     pts = np.asarray(x_comoving, dtype=float).reshape(-1, 3)
+    t = np.asarray(t, dtype=float)
     num_modes = profiles.op.cutoff.num_modes
     if stack is None:
         stack = _stack(table, num_modes)
     entries, held, vecs = stack
     if fields is None:
         fields = _field_values(profiles, {key for (_eta, key) in entries}, T, pts)
-    coef, per_mode = _product(stack, fields, t, pts + profiles.dispersion.V[None, :] * t)
-    vals = np.zeros((len(pts), num_modes, 6), dtype=complex)
-    vals[:, held] = per_mode.reshape(len(pts), len(held), 6)
-    return vals.reshape(len(pts), -1), np.abs(coef) @ np.linalg.norm(vecs, axis=1)
+    x = pts[None] + t[:, None, None] * profiles.dispersion.V
+    coef, per_mode = _product(stack, fields, t, x)
+    vals = np.zeros((len(coef), num_modes, 6), dtype=complex)
+    vals[:, held] = per_mode.reshape(len(coef), len(held), 6)
+    mag = np.abs(coef) @ np.linalg.norm(vecs, axis=1)
+    return vals.reshape(len(t), len(pts), -1), mag.reshape(len(t), len(pts))
 
 
 def residual_orders(profiles: ProfileSet) -> Dict[str, TermTable]:
@@ -357,9 +371,11 @@ def residual(profiles: ProfileSet, hs, horizon: float, num_t: int = 5,
     Samples follow rays: comoving points on a tensor grid in the packet core
     (central quarter of the envelope box per varying axis), slow times T in
     [0, horizon] with t = T/h.  The envelope values depend on T alone, so
-    one walk over T serves every h.  Per order the report carries the max
-    cell-L2 norm over samples ('abs'), the triangle-inequality magnitude of
-    the terms before cancellation ('scale'), and their ratio ('rel').
+    one walk over T serves every h, and each order is evaluated at every
+    (h, T) sample by one product (evaluate_table with one time axis).  Per
+    order the report carries the max cell-L2 norm over samples ('abs'), the
+    triangle-inequality magnitude of the terms before cancellation
+    ('scale'), and their ratio ('rel').
 
     Orders r_{-1}, r_0, r_1 vanish by construction; 'r2' and 'r3' are the
     leading surviving terms of the error budget.
@@ -378,21 +394,22 @@ def residual(profiles: ProfileSet, hs, horizon: float, num_t: int = 5,
 
     keys = {key for (entries, _held, _vecs) in profiles.residual_stacks.values()
             for (_eta, key) in entries}
-    worst = {h: {name: [0.0, 0.0] for name in orders} for h in hs}
-    for T in np.linspace(0.0, horizon, num_t):
-        fields = _field_values(profiles, keys, T, pts)
-        for h, per_order in worst.items():
-            for name, table in orders.items():
-                vals, mag = evaluate_table(profiles, table, T, T / h, pts, fields=fields,
-                                           stack=profiles.residual_stacks[name])
-                w = per_order[name]
-                w[0] = max(w[0], float(np.linalg.norm(vals, axis=1).max()))
-                w[1] = max(w[1], float(mag.max()))
-    return {
-        h: {name: {"abs": w_abs, "scale": w_scale, "rel": w_abs / max(w_scale, 1e-300)}
-            for name, (w_abs, w_scale) in per_order.items()}
-        for h, per_order in worst.items()
-    }
+    Ts = np.linspace(0.0, horizon, num_t)
+    fields = _field_values(profiles, keys, Ts, pts)
+    # every (h, T) sample as one time axis, h major: t = T/h
+    hs = list(hs)
+    fields = {key: np.tile(f, (len(hs), 1)) for key, f in fields.items()}
+    t_all = np.concatenate([Ts / h for h in hs])
+    report = {h: {} for h in hs}
+    for name, table in orders.items():
+        vals, mag = evaluate_table(profiles, table, np.tile(Ts, len(hs)), t_all, pts,
+                                   fields=fields, stack=profiles.residual_stacks[name])
+        worst_abs = np.linalg.norm(vals, axis=2).reshape(len(hs), -1).max(axis=1)
+        worst_scale = mag.reshape(len(hs), -1).max(axis=1)
+        for h, w_abs, w_scale in zip(hs, worst_abs.tolist(), worst_scale.tolist()):
+            report[h][name] = {"abs": w_abs, "scale": w_scale,
+                               "rel": w_abs / max(w_scale, 1e-300)}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +442,9 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
     band = profiles.band
     stack = _weighted_stack(profiles, h, orders)
     entries, held, _vecs = stack
-    fields = _field_values(profiles, {key for (_eta, key) in entries}, h * t,
+    fields = _field_values(profiles, {key for (_eta, key) in entries}, [h * t],
                            pts - profiles.dispersion.V[None, :] * t)
-    _coef, per_mode = _product(stack, fields, t, pts)
+    _coef, per_mode = _product(stack, fields, [t], pts)
     carrier = np.exp(1j * ((pts / h) @ (band.theta[:, None] + profiles.op.cutoff.modes[held].T)
                            + band.omega * t / h))
     out = np.einsum("pk,pkc->pc", carrier, per_mode.reshape(len(pts), len(held), 6))
@@ -435,30 +452,38 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
                     points=pts, samples=out)
 
 
-def assemble_harmonics(profiles: ProfileSet, h: float, t: float, grid,
+def assemble_harmonics(profiles: ProfileSet, h: float, times, grid,
                        orders: Tuple[int, ...] = (0, 1, 2)) -> Dict[Tuple[int, int, int], np.ndarray]:
-    """Harmonic-resolved assembly on an envelope grid.
+    """Harmonic-resolved assembly on an envelope grid at the times (J,).
 
-    Returns {n: (6, M1, M2, M3)} with the field equal to
-    sum_n exp(i (theta + n).x / h + i omega t / h) D_n(x), holding only the
-    modes on which some cell profile of the requested orders is nonzero
-    (every other harmonic is zero).  The table is the one assemble
-    evaluates, by the same product (_product) at the grid points; the
-    envelope factors of its keys are transformed by one inverse FFT over
-    the varying axes.  Requires every (t, x) frequency carried by the
-    profiles to be commensurate with the box (guaranteed for purely
-    periodic media, where no such frequencies occur).
+    Returns {n: (J, 6, M1, M2, M3)} with the field at t_j equal to
+    sum_n exp(i (theta + n).x / h + i omega t_j / h) D_n(t_j, x), holding
+    only the modes on which some cell profile of the requested orders is
+    nonzero (every other harmonic is zero).  The table is the one assemble
+    evaluates, built once for all times and evaluated by the same product
+    (_product) at every (time, grid point) pair; the envelope factors of
+    every (time, key) pair are transformed by one inverse FFT over the
+    varying axes.  Requires every (t, x) frequency carried by the profiles
+    to be commensurate with the box (guaranteed for purely periodic media,
+    where no such frequencies occur).
     """
     env = profiles.envelope
     stack = _weighted_stack(profiles, h, orders)
     entries, held, _vecs = stack
+    times = np.asarray(times, dtype=float)
     ks = grid.wave_meshgrid()
-    vt = profiles.dispersion.V * t
-    shift = np.exp(-1j * (ks[0] * vt[0] + ks[1] * vt[1] + ks[2] * vt[2]))
-
     keys = sorted({key for (_eta, key) in entries})
-    hats = np.stack([env.field_hat(*key, h * t) * shift for key in keys])
-    envelope_on_grid = dict(zip(keys, np.fft.ifftn(hats, axes=varying_axes(hats))))
-    _coef, per_mode = _product(stack, envelope_on_grid, t, grid.points())
-    harm = np.exp(1j * profiles.band.omega * t / h) * per_mode.T.reshape((len(held), 6) + grid.shape)
-    return {tuple(n): d for n, d in zip(profiles.op.cutoff.modes[held], harm)}
+    hats = np.empty((len(times), len(keys)) + grid.shape, dtype=complex)
+    for j, t in enumerate(times):
+        vt = profiles.dispersion.V * t
+        shift = np.exp(-1j * (ks[0] * vt[0] + ks[1] * vt[1] + ks[2] * vt[2]))
+        for i, key in enumerate(keys):
+            hats[j, i] = env.field_hat(*key, h * t) * shift
+    on_grid = np.fft.ifftn(hats, axes=varying_axes(hats)).reshape(len(times), len(keys), -1)
+    del hats  # before the product's arrays, each as large
+    envelope_on_grid = {key: on_grid[:, i] for i, key in enumerate(keys)}
+    _coef, per_mode = _product(stack, envelope_on_grid, times, grid.points().reshape(-1, 3))
+    per_mode = per_mode.reshape(len(times), -1, len(held), 6)
+    harm = np.exp(1j * profiles.band.omega * times / h)[:, None, None, None] * per_mode
+    harm = np.moveaxis(harm, (2, 3, 1), (1, 2, 3)).reshape((len(times), len(held), 6) + grid.shape)
+    return {tuple(n): harm[:, i] for i, n in enumerate(profiles.op.cutoff.modes[held])}

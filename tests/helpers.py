@@ -8,11 +8,13 @@ from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
                                  cross_matrix, transverse_pair, trig_sum, wavevectors)
-from blochpacket.oracles import _curl_plan, _curl_rows, _inward_neighbor, exact_constant_solution
+from blochpacket.harmonics import HarmonicField, difference, seminorm
+from blochpacket.oracles import (_curl_plan, _curl_rows, _inward_neighbor,
+                                 exact_constant_solution, synthesize_exact_packet)
 from blochpacket.presets import identity_material, with_cos_modulation
 from blochpacket.rays import (BETA_RAY_ORIGINS, BETA_STEPS_PER_PERIOD, build_gamma,
                               ray_average)
-from blochpacket.wkb import build_profiles, evaluate_table, residual_orders
+from blochpacket.wkb import assemble_harmonics, build_profiles, evaluate_table, residual_orders
 
 
 # the (beta, delta) pair of harmonics.seminorm that is the plain L2 norm
@@ -202,9 +204,10 @@ def dense_operator(spec, cutoff, theta):
 # Loop references for the batched transforms and products in src/
 # ---------------------------------------------------------------------------
 
-def seminorm_reference(field, beta, delta) -> float:
-    """|| x^beta (h d_x)^delta u ||_{L2} for one pair, harmonic by harmonic,
-    each derivative by its own forward and inverse 3-axis FFT."""
+def seminorm_reference(field, beta, delta) -> np.ndarray:
+    """|| x^beta (h d_x)^delta u ||_{L2} for one pair at each time, (J,),
+    harmonic by harmonic and time by time, each derivative by its own
+    forward and inverse 3-axis FFT."""
     grid = field.grid
     ks = grid.wave_meshgrid()
     xs = grid.meshgrid()
@@ -212,17 +215,18 @@ def seminorm_reference(field, beta, delta) -> float:
     for a in range(3):
         for _ in range(int(beta[a])):
             weight = weight * xs[a]
-    total = 0.0
-    for n, d in field.data.items():
+    total = np.zeros(len(field.t))
+    for n, per_time in field.data.items():
         carrier = field.theta + np.asarray(n, dtype=float)
-        cur = d
-        for a in range(3):
-            for _ in range(int(delta[a])):
-                hat = np.fft.fftn(cur, axes=(1, 2, 3))
-                dcur = np.fft.ifftn(1j * ks[a][None] * hat, axes=(1, 2, 3))
-                cur = 1j * carrier[a] * cur + field.h * dcur
-        total += float(np.sum(np.abs(weight[None] * cur) ** 2))
-    return float(np.sqrt(total * grid.cell_volume))
+        for j, d in enumerate(per_time):
+            cur = d
+            for a in range(3):
+                for _ in range(int(delta[a])):
+                    hat = np.fft.fftn(cur, axes=(1, 2, 3))
+                    dcur = np.fft.ifftn(1j * ks[a][None] * hat, axes=(1, 2, 3))
+                    cur = 1j * carrier[a] * cur + field.h * dcur
+            total[j] += float(np.sum(np.abs(weight[None] * cur) ** 2))
+    return np.sqrt(total * grid.cell_volume)
 
 
 def spectral_curl_reference(field3, ks):
@@ -283,6 +287,21 @@ def evaluate_table_reference(profiles, table, T, t, x_comoving):
     return vals, mag
 
 
+def sup_errors_reference(profiles, packet, times, grid, pairs, orders=(0, 1, 2)):
+    """cli.sup_errors time by time: one synthesis, assembly and seminorm call
+    per output time, each at that one time, the largest value kept per pair."""
+    sup = {bd: 0.0 for bd in pairs}
+    for t in times:
+        synth = synthesize_exact_packet(packet, profiles.band, profiles.op, [t], grid=grid,
+                                        estimate_error=False)
+        uh = HarmonicField(packet.theta_center, packet.h, synth.t, grid, synth.harmonics)
+        vh = HarmonicField(packet.theta_center, packet.h, synth.t, grid,
+                           assemble_harmonics(profiles, packet.h, [t], grid, orders=orders))
+        for bd, value in seminorm(difference(uh, vh), pairs).items():
+            sup[bd] = max(sup[bd], float(value[0]))
+    return sup
+
+
 def residual_reference(profiles, h, t_max, num_t=5, num_x=5):
     """wkb.residual with each order evaluating its own envelope values."""
     orders = residual_orders(profiles)
@@ -296,8 +315,8 @@ def residual_reference(profiles, h, t_max, num_t=5, num_x=5):
         worst_abs = 0.0
         worst_scale = 0.0
         for t in np.linspace(0.0, t_max, num_t):
-            vals, mag = evaluate_table(profiles, table, h * t, t, pts)
-            worst_abs = max(worst_abs, float(np.linalg.norm(vals, axis=1).max()))
+            vals, mag = evaluate_table(profiles, table, [h * t], [t], pts)
+            worst_abs = max(worst_abs, float(np.linalg.norm(vals, axis=2).max()))
             worst_scale = max(worst_scale, float(mag.max()))
         report[name] = {"abs": worst_abs, "scale": worst_scale,
                         "rel": worst_abs / max(worst_scale, 1e-300)}

@@ -183,6 +183,9 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
     ({"tolerances": {"gap_tol": True}}, "tolerances.gap_tol"),
     ({"tolerances": {"gap_tol": float("inf")}}, "tolerances.gap_tol"),
     ({"output": 5}, "output"),
+    ({"horizon": "0.5"}, "horizon"),
+    ({"cutoff": "1"}, "cutoff"),
+    ({"tolerances": {"gap_tol": "1e-6"}}, "tolerances.gap_tol"),
 ], ids=["non_numeric_h", "weight_not_a_pair", "negative_envelope_dT",
         "non_numeric_path_steps", "two_entry_path_end", "zero_path_steps",
         "path_step_over_tracking_bound", "negative_t_final", "non_numeric_t_final",
@@ -199,7 +202,7 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
         "fractional_cell_mode", "unknown_target", "fractional_coefficient_mode",
         "extra_coefficient_key", "misspelt_coefficient_eta", "missing_coefficient_n",
         "boolean_horizon", "boolean_cutoff", "boolean_tolerance", "infinite_tolerance",
-        "non_string_output"])
+        "non_string_output", "string_horizon", "string_cutoff", "string_tolerance"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -230,17 +233,26 @@ def _band_run(tmp_path, name, band):
     return code, json.loads((out / "dispersion.json").read_text())["omega"] if code == 0 else None
 
 
-def test_band_selection(tmp_path):
+def test_band_selection(tmp_path, monkeypatch, capsys):
     """The vacuum clusters at theta = 0.3 are +-0.3 and +-0.7, each of
     multiplicity 2.  band.omega_target tracks the nearest one, band.kappa
     must match its multiplicity, band.index is 1 when the section is absent,
-    and an empty section selects nothing."""
+    and an empty section selects nothing: it is refused when the config is
+    read, before any band solve."""
+    import blochpacket.cli as cli
+
     assert _band_run(tmp_path, "target", {"omega_target": 0.65}) == (0, pytest.approx(0.7))
     assert (_band_run(tmp_path, "kappa", {"omega_target": -0.35, "kappa": 2})
             == (0, pytest.approx(-0.3)))
     assert _band_run(tmp_path, "mismatch", {"omega_target": 0.65, "kappa": 1}) == (2, None)
     assert _band_run(tmp_path, "absent", None) == (0, pytest.approx(0.3))
+    solves = []
+    solve_bands = cli.solve_bands
+    monkeypatch.setattr(cli, "solve_bands", lambda *a, **k: solves.append(1) or solve_bands(*a, **k))
+    capsys.readouterr()
     assert _band_run(tmp_path, "empty", {}) == (2, None)
+    assert solves == []
+    assert "band: band selector needs 'index' or 'omega_target'" in capsys.readouterr().err
 
 
 def test_leading_only_seeding_drops_the_corrections(tmp_path):
@@ -257,20 +269,21 @@ def test_leading_only_seeding_drops_the_corrections(tmp_path):
 
 def test_validate_identity_seminorm_stacks_one_harmonic(tmp_path, monkeypatch):
     """On the shipped identity config every harmonic but n = 0 is zero, so
-    each seminorm call of validate holds that one harmonic."""
+    each seminorm call of validate holds that one harmonic, at all 9 output
+    times of its h."""
     import blochpacket.cli as cli
 
     sizes = []
     original = cli.seminorm
 
     def counted(field, pairs):
-        sizes.append(len(field.data))
+        sizes.append((len(field.data), len(field.t)))
         return original(field, pairs)
 
     monkeypatch.setattr(cli, "seminorm", counted)
     cfg = Path(__file__).parents[1] / "configs" / "validate_identity.json"
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert sizes == [1] * 27  # 9 output times for each of the 3 h
+    assert sizes == [(1, 9)] * 3  # one call for the 9 output times of each of the 3 h
 
 
 def test_gamma_and_wkb_share_the_divisor_tolerance(tmp_path):

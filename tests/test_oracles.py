@@ -95,9 +95,9 @@ def test_synthesis_initial_data_vs_uniform_rule(packet_setup):
     """Gauss-Legendre synthesis at t=0 against an independent uniform-grid
     (FFT-style trapezoid) quadrature of the same Bloch integral."""
     pipe, packet, grid = packet_setup
-    res, = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0],
-                                   grid=grid, estimate_error=False)
-    gl = res.harmonics[(0, 0, 0)]
+    res = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0],
+                                  grid=grid, estimate_error=False)
+    gl = res.harmonics[(0, 0, 0)][0]
 
     # uniform-rule reconstruction with the closed-form eigenpair gauge chained
     # from the band basis, matching the synthesis convention
@@ -181,9 +181,9 @@ def test_synthesis_quadrature_estimate(identity_pipe):
     for n in (41, 101):
         packet = ExactPacketSpec(THETA, h, (1.0, 1.5, 1.0), weights, axes=(1,),
                                  nodes=n, nodes_check=n - 10)
-        res, = synthesize_exact_packet(packet, pipe.band, pipe.op, [2.0],
-                                       grid=grid, estimate_error=False)
-        fields[n] = HarmonicField(THETA, h, 2.0, grid, res.harmonics)
+        res = synthesize_exact_packet(packet, pipe.band, pipe.op, [2.0],
+                                      grid=grid, estimate_error=False)
+        fields[n] = HarmonicField(THETA, h, res.t, grid, res.harmonics)
     diff = seminorm(difference(fields[41], fields[101]), [L2])[L2]
     assert diff < 1e-8 * seminorm(fields[101], [L2])[L2]
 
@@ -199,14 +199,14 @@ def test_synthesis_center_moves_at_group_velocity(identity_pipe):
     grid = EnvelopeGrid((16 * np.pi,) * 3, (192, 1, 1))
     x1 = grid.axis_coords(0)
 
-    def center(res):
-        dens = sum(np.sum(np.abs(d) ** 2, axis=0)[:, 0, 0] for d in res.harmonics.values())
+    def center(res, j):
+        dens = sum(np.sum(np.abs(d[j]) ** 2, axis=0)[:, 0, 0] for d in res.harmonics.values())
         return float(np.sum(x1 * dens) / np.sum(dens))
 
     t1 = 2.0
-    res0, res1 = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0, t1], grid=grid,
-                                         estimate_error=False)
-    speed = (center(res1) - center(res0)) / t1
+    res = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0, t1], grid=grid,
+                                  estimate_error=False)
+    speed = (center(res, 1) - center(res, 0)) / t1
     assert abs(speed - pipe.dispersion.V[0]) < 1e-2
 
 
@@ -257,21 +257,75 @@ def test_multi_time_synthesis_matches_single_times(monkeypatch):
                              nodes=21, nodes_check=15)
     grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1))
     times = [0.0, 1.5, 4.0]
-    multi = list(synthesize_exact_packet(packet, band, op, times, grid=grid))
+    multi = synthesize_exact_packet(packet, band, op, times, grid=grid)
     assert len(prepares) == 1
     node_solves = len(solves)
     assert node_solves > 0
 
-    for t, res in zip(times, multi):
+    for j, t in enumerate(times):
         prepares.clear()
         solves.clear()
-        single, = synthesize_exact_packet(packet, band, op, [t], grid=grid)
+        single = synthesize_exact_packet(packet, band, op, [t], grid=grid)
         assert len(prepares) == 1 and len(solves) == node_solves
-        assert res.t == single.t == t
-        assert res.quadrature_error == single.quadrature_error
-        assert res.harmonics.keys() == single.harmonics.keys()
-        for n in res.harmonics:
-            assert np.array_equal(res.harmonics[n], single.harmonics[n])
+        assert multi.t[j] == single.t[0] == t
+        assert multi.quadrature_error[j] == single.quadrature_error[0]
+        assert multi.harmonics.keys() == single.harmonics.keys()
+        for n in multi.harmonics:
+            assert np.array_equal(multi.harmonics[n][j], single.harmonics[n][0])
+
+
+def test_legendre_rule_is_computed_once_and_read_only():
+    """A second call for the same node count returns the first call's rule:
+    the leggauss arrays, which no caller can write."""
+    from blochpacket.oracles import _legendre
+
+    first, second = _legendre(7), _legendre(7)
+    for got, again, ref in zip(first, second, np.polynomial.legendre.leggauss(7)):
+        assert np.array_equal(got, ref) and np.array_equal(again, ref)
+        assert not got.flags.writeable and not again.flags.writeable
+    with pytest.raises(ValueError):
+        second[0][0] = 0.0
+
+
+def test_check_rule_is_built_only_to_estimate_the_error(identity_pipe, monkeypatch):
+    """The lower-order rule (nodes_check) is built, and its nodes prepared,
+    only when the quadrature error is estimated."""
+    import blochpacket.oracles as oracles
+
+    rules = []
+    gl_nodes = oracles._gl_nodes
+    monkeypatch.setattr(oracles, "_gl_nodes",
+                        lambda packet, n: rules.append(n) or gl_nodes(packet, n))
+    packet = ExactPacketSpec(THETA, 1 / 16, (1.0, 1.5, 1.0), [1.0, 0.0], axes=(1,),
+                             nodes=21, nodes_check=15)
+    grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1))
+    res = synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op, [0.0, 1.0],
+                                  grid=grid, estimate_error=False)
+    assert rules == [21] and np.all(res.quadrature_error == 0.0)
+    res = synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op, [0.0, 1.0],
+                                  grid=grid)
+    assert rules == [21, 21, 15] and np.all(res.quadrature_error > 0.0)
+
+
+def test_stacked_sweep_matches_per_time_loop(identity_pipe):
+    """validate's sup errors, every output time of an h in one stack, equal
+    those of a loop that synthesizes, assembles and measures one time at a
+    time, bit for bit, for every seminorm pair and h."""
+    from helpers import sup_errors_reference
+
+    from blochpacket.cli import sup_errors
+    from blochpacket.harmonics import weighted_indices
+
+    grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 96, 1))
+    widths, weights = (1.0, 1.5, 1.0), np.array([1.0, 0.5j]) / np.sqrt(1.25)
+    profs = identity_pipe.profiles(identity_pipe.envelope(grid, widths, weights))
+    pairs = weighted_indices(2, (1,))
+    for h in (1 / 8, 1 / 16):
+        packet = ExactPacketSpec(THETA, h, widths, weights, axes=(1,), nodes=31)
+        times = np.linspace(0.0, 0.5 / h, 5)
+        got = sup_errors(profs, packet, times, grid, pairs)
+        assert got == sup_errors_reference(profs, packet, times, grid, pairs)
+        assert got[L2] > 0.0
 
 
 @pytest.mark.parametrize("which", ["identity", "layered"])
@@ -292,10 +346,11 @@ def test_synthesize_matches_node_loop(which, identity_pipe, offaxis_layered_pipe
     nodes.prepare(zeta)
     grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (48, 1, 1))
     pts = np.random.default_rng(7).uniform(-8.0, 8.0, (29, 3))
-    on_grid = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, grid, None)
-    at_points = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, None, pts)
-    for t in (0.0, 1.5, 4.0):
-        harmonics, samples = on_grid(t), at_points(t)
+    times = np.array([0.0, 1.5, 4.0])
+    on_grid = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, times, grid, None)
+    at_points = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, times, None, pts)
+    for j, t in enumerate(times):
+        harmonics, samples = {n: d[j] for n, d in on_grid.items()}, at_points[j]
         ref_harmonics, ref_samples = synthesize_reference(packet, pipe.band, pipe.cutoff, nodes,
                                                           zeta, wts, t, grid, pts)
         # a harmonic is held, or absent and exactly zero in the reference
@@ -349,9 +404,9 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
     s = 1e-3
     c4 = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * s)
     times = t0 + np.array([-2, -1, 1, 2, 0]) * s
-    fields = [res.samples.T.reshape((6,) + grid.shape) for res in
+    fields = [samples.T.reshape((6,) + grid.shape) for samples in
               synthesize_exact_packet(packet, pipe.band, pipe.op, times, points=pts,
-                                      estimate_error=False)]
+                                      estimate_error=False).samples]
     dudt = sum(c * f for c, f in zip(c4, fields[:4]))
     u = fields[4]
     ks = grid.wave_meshgrid()
@@ -711,3 +766,44 @@ def test_chebyshev_coefficients_match_bessel():
     assert np.max(np.abs(np.where(kept, coefs, 0) - np.where(kept, ref, 0))) <= 1e-14
     assert np.all(coefs[~kept] == 0) and np.max(np.abs(ref[~kept])) <= CHEB_TOL
     assert counts[0] == 1 and np.all(np.diff(counts) > 0)
+
+
+@pytest.mark.parametrize("shape", [(256, 1, 1), (32, 1, 32)], ids=["one_axis", "two_axes"])
+@pytest.mark.parametrize("propagator", ["chebyshev", "rk4", "rk4_lossy"])
+def test_held_divergences_equal_each_rows_own(propagator, shape, monkeypatch):
+    """Every trace row's div_eps_E and div_mu_B are the floats that row's own
+    flux gives.  On one axis the divergences read only E_x and B_x, which
+    neither propagator changes without a lower-order term, so they are
+    computed once, from d0 (two _spectral_div calls for the whole trace);
+    with M (Ohmic loss) RK4 steps all six rows and they are computed per
+    row, as they are on two axes."""
+    import blochpacket.oracles as oracles
+    from blochpacket.presets import with_ohmic_loss
+
+    fluxes, divs = [], []
+    record, spectral_div = oracles._Run.record, oracles._spectral_div
+
+    def captured(self, t, d, inv_a0):
+        fluxes.append(d.copy())
+        return record(self, t, d, inv_a0)
+
+    monkeypatch.setattr(oracles._Run, "record", captured)
+    monkeypatch.setattr(oracles, "_spectral_div", lambda f, ks: divs.append(1) or spectral_div(f, ks))
+    h = 1 / 4
+    lengths = (10 * np.pi, 2 * np.pi, 2 * np.pi) if shape[2] == 1 else (2 * np.pi,) * 3
+    grid = EnvelopeGrid(lengths, shape)
+    x, _y, z = grid.meshgrid()
+    envelope = np.exp(-0.5 * ((x / 3.0) ** 2 + (z / 2.0) ** 2) + 1j * THETA[0] * x / h)
+    u0 = np.array([0.4, 1.0, 0.2j, -0.3, 0.1, 0.7])[:, None, None, None] * envelope
+    spec = layered(amplitude=0.2)
+    if propagator == "rk4_lossy":
+        spec = with_ohmic_loss(spec, 0.1)
+    solve = oracles.chebyshev_solve if propagator == "chebyshev" else time_domain_solve
+    res = solve(spec, h, u0, grid, 0.1, dt=0.01)
+    held = shape[2] == 1 and propagator != "rk4_lossy"
+    assert len(divs) == (2 if held else 2 * len(fluxes))
+    ks = grid.wave_meshgrid()
+    scale = np.sqrt(grid.cell_volume)
+    for row, d in zip(res.trace, fluxes):
+        own = [float(np.linalg.norm(spectral_div(f, ks)) * scale) for f in (d[:3], d[3:])]
+        assert list(row[2:]) == own and min(own) > 0.0
