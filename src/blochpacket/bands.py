@@ -34,17 +34,22 @@ along all three axes has one).  The classes are held one way, stacked by
 size: every stage (apply_blocks for A0 and the partial inverse, the reduced
 pencil, the projectors) makes one batched pass per class size.  Two entry
 points solve the pencil.  `solve_bands` returns the lowest bands; it
-computes the eigenvalues of every class.  `continue_band` follows one band
-to a nearby theta (path tracking, finite-difference stencils, synthesis
-quadrature nodes) through `op.at`, which reuses A0, its factor, its norms
-and the class groups.  It solves only the classes whose spectral floor
+computes the eigenvalues of every class.  `continue_bands` follows one band
+to a whole stack of nearby theta known up front (finite-difference
+stencils, a tracked path, synthesis quadrature nodes), each point
+continuing the band or an earlier point's continuation; `continue_band` is
+its one-theta case.  A0, its factor, its norms and the class groups serve
+every theta.  A continuation solves only the classes whose spectral floor
 (_floors: min |theta + n| over the class's modes over the inf-norm of its
 A0 block) lies below its candidate window, and reports the exact gap (a
 layered medium at cutoff 2 solves 1 of its 25 classes; a medium with one
-class always solves it).  It scores the candidate clusters on their
-orthonormal columns, and only the matched one is rotated onto the previous
-basis and gets a residual.  Either way eigenvectors are built only for the
-classes owning a cluster a caller inspects, and only those clusters are
+class always solves it).  Those classes are solved for the whole stack at
+once (_solve_pencils: per class size one batched pass over every (theta,
+class) pair, eigenvectors included, in chunks of at most STACK_ENTRIES
+reduced-matrix entries); the match then walks the points in order on those
+arrays.  It scores the candidate clusters on their orthonormal columns,
+and only the matched one keeps its rotation onto the previous basis and
+gets a residual.  Either way only the clusters a caller inspects are
 lifted to full 6K vectors.
 
 The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
@@ -57,7 +62,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -74,8 +79,9 @@ from .fourier import (
     apply_mode_blocks,
     base_material_matrix,
     curl_matrix,
+    symbol_matrix,
     transverse_field_blocks,
-    wavevectors,
+    transverse_frame,
     _check_theta,
 )
 
@@ -87,6 +93,10 @@ KERNEL_TOL = 1e-8
 GAUGE_TIE_TOL = 1e-8
 # largest theta step between successive points of a tracked path
 MAX_TRACK_STEP = 0.1
+# most reduced-matrix entries, (4m)^2 per (theta, class) pair, that one
+# batched pass of continue_bands solves (a theta that alone needs more is a
+# pass of its own)
+STACK_ENTRIES = 16384
 
 
 class ClusterStraddle(UserWarning):
@@ -224,53 +234,85 @@ def _inverse_factor(a0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Pencil(NamedTuple):
-    """The pencil on the transverse unknowns at one theta, group by group
-    (see the module docstring): W = li T, L L^H = W^H W and red = L^H Gt L
-    per solved class member.  vals holds every eigenvalue of the solved
-    members' red sorted by |omega| (negative first on exact ties); with
-    (g, c, k) = owner[:, i], eigenvalue i is column k of the c-th solved
-    member of group g, whose rows, li, W, L and red are the stacks in
-    blocks[g] (None when no member of the group was solved).  vecs keeps
-    inv(L)^H times the eigenvectors of red for the members whose clusters
-    were read; column k lifts to the eigenvector li^H W inv(L)^H y_k."""
+    """The pencil on the transverse unknowns of one operator at one theta of
+    a stack solved together (_solve_pencils), group by group (see the module
+    docstring): W = li T, L L^H = W^H W and red = L^H Gt L per solved
+    (theta, class member) pair.  vals holds every eigenvalue of the pairs at
+    this theta sorted by |omega| (negative first on exact ties); with
+    (g, c, k) = owner[:, i], eigenvalue i is column k of the c-th pair of
+    group g.  blocks[g] holds, per pair of group g, its member (an index
+    into the group), the symbols [[0,-k^],[k^,0]] at its wavevectors
+    k = theta + n (m, 6, 6) and its W, L and red (None when the group has no
+    pair).  vecs holds the eigenvectors y of red per pair (g, c) that has
+    them; column k lifts to the eigenvector li^H W inv(L)^H y_k.  blocks and
+    vecs are shared by the pencils of one stack."""
 
     op: BlochOperator
-    frame: Optional[np.ndarray]  # (K, 6, 4) transverse unit fields per mode
+    theta: np.ndarray
     blocks: List[Optional[Tuple[np.ndarray, ...]]]
     vals: np.ndarray
     owner: np.ndarray  # (3, number of eigenvalues)
     vecs: Dict[Tuple[int, int], np.ndarray]
 
 
-def _solve_pencil(op: BlochOperator, members: Optional[List[np.ndarray]] = None) -> _Pencil:
-    """The reduced pencil of every class member, or, given one boolean mask
-    per group, of the members it selects.  The transverse frame and Gt are
-    built for the solved members' modes only, so `frame` is the whole frame
-    when every member is solved and None otherwise."""
-    frame = transverse_field_blocks(op.cutoff, op.theta) if members is None else None
-    blocks, vals, owner = [], [], []
-    for g, (modes, rows, _a0, li) in enumerate(op.groups):
-        if members is not None and not members[g].all():
-            if not members[g].any():
-                blocks.append(None)
-                continue
-            modes, rows, li = modes[members[g]], rows[members[g]], li[members[g]]
-        n, m = modes.shape
-        t = transverse_field_blocks(op.cutoff, op.theta, modes) if frame is None else frame[modes]
-        g_t = _adjoint(t) @ (-1j * op.g_blocks[modes]) @ t
+def _solve_pencils(op: BlochOperator, thetas, members: Optional[List[np.ndarray]] = None,
+                   vectors: bool = False) -> List[_Pencil]:
+    """The reduced pencil at each of the (S, 3) thetas, of every class
+    member, or, given one (S, n) boolean mask per group, of the members it
+    selects at each theta.  Each group makes one batched pass over all of
+    its (theta, member) pairs: transverse frames, Gt, W, the Cholesky factor
+    of W^H W, the reduced matrix and its eigenvalues, and with `vectors` its
+    eigenvectors too.  Without, a pair's eigenvectors are computed when
+    _cluster_span first reads it: a full solve reads few of its members, a
+    continuation most of the few it solves.  One sort orders the
+    eigenvalues of every theta."""
+    thetas = np.array([_check_theta(t) for t in thetas]).reshape(-1, 3)
+    blocks: List[Optional[Tuple[np.ndarray, ...]]] = []
+    vals, owner, where = [np.zeros(0)], [np.zeros((3, 0), dtype=int)], [np.zeros(0, dtype=int)]
+    vecs: Dict[Tuple[int, int], np.ndarray] = {}
+    for g, (modes, _rows, _a0, li) in enumerate(op.groups):
+        at, which = np.nonzero(np.ones((len(thetas), len(modes)), dtype=bool)
+                               if members is None else members[g])
+        if not len(at):
+            blocks.append(None)
+            continue
+        n, m = len(at), modes.shape[1]
+        k = thetas[at, None, :] + op.cutoff.modes[modes[which]]
+        t = transverse_frame(k)
+        sym = symbol_matrix(k)
+        g_t = _adjoint(t) @ (-sym) @ t
+        # a lone pair takes its factor as a view
+        li_p = li[which] if n > 1 else li[which[0]][None]
         # W = li T one mode column block at a time: T couples no two modes
-        w = (li.reshape(n, 6 * m, m, 6).swapaxes(1, 2) @ t).swapaxes(1, 2)
+        w = (li_p.reshape(n, 6 * m, m, 6).swapaxes(1, 2) @ t).swapaxes(1, 2)
         w = w.reshape(n, 6 * m, 4 * m)
         chol = np.linalg.cholesky(_adjoint(w) @ w)
-        g_chol = (g_t @ chol.reshape(n, m, 4, 4 * m)).reshape(chol.shape)
-        red = _hermitian_part(_adjoint(chol) @ g_chol)
-        vals_g = np.linalg.eigvalsh(red)
-        blocks.append((rows, li, w, chol, red))
+        # L^H Gt L with Gt L one mode row block at a time (no temporary is named,
+        # so none outlives its use: a one-class member's blocks are large)
+        red = _adjoint(chol) @ (g_t @ chol.reshape(n, m, 4, 4 * m)).reshape(chol.shape)
+        red = _hermitian_part(red)
+        vals_g, y = np.linalg.eigh(red) if vectors else (np.linalg.eigvalsh(red), None)
+        blocks.append((which, sym, w, chol, red))
         vals.append(vals_g.ravel())
         owner.append(np.vstack([np.full(vals_g.size, g), np.indices(vals_g.shape).reshape(2, -1)]))
-    vals = np.concatenate(vals)
-    order = _by_magnitude(vals)
-    return _Pencil(op, frame, blocks, vals[order], np.concatenate(owner, axis=1)[:, order], {})
+        where.append(np.repeat(at, 4 * m))
+        if vectors:
+            vecs.update(((g, c), y_c) for c, y_c in enumerate(y))
+    vals, owner, where = np.concatenate(vals), np.hstack(owner), np.concatenate(where)
+    # by theta, then by |omega|, negative first on exact ties (as _by_magnitude)
+    order = np.lexsort((np.sign(vals), np.abs(vals), where))
+    vals, owner = vals[order], owner[:, order]
+    bounds = np.searchsorted(where[order], np.arange(len(thetas) + 1))
+    return [_Pencil(op, theta, blocks, vals[lo:hi], owner[:, lo:hi], vecs)
+            for theta, lo, hi in zip(thetas, bounds[:-1], bounds[1:])]
+
+
+def _solve_pencil(op: BlochOperator, theta, members: Optional[List[np.ndarray]] = None,
+                  vectors: bool = False) -> _Pencil:
+    """_solve_pencils at one theta, members given as one boolean mask per
+    group."""
+    return _solve_pencils(op, [theta], None if members is None else [m[None] for m in members],
+                          vectors)[0]
 
 
 def _by_magnitude(vals: np.ndarray) -> np.ndarray:
@@ -278,16 +320,18 @@ def _by_magnitude(vals: np.ndarray) -> np.ndarray:
     return np.lexsort((np.sign(vals), np.abs(vals)))
 
 
-def _floors(op: BlochOperator) -> List[np.ndarray]:
+def _floors(op: BlochOperator, thetas=None) -> List[np.ndarray]:
     """Per group, a lower bound on |omega| over the eigenvalues of each class
-    member's reduced pencil: min over its modes of |theta + n|, divided by
-    the inf-norm of its A0 block.  Every eigenvalue of L^H Gt L satisfies
+    member's reduced pencil at op.theta, shape (n,), or at each of the (S, 3)
+    thetas, shape (S, n): min over its modes of |theta + n|, divided by the
+    inf-norm of its A0 block.  Every eigenvalue of L^H Gt L satisfies
     |omega| >= sigma_min(Gt) lambda_min(T^H inv(A0) T); the 4x4 block of Gt
     at mode n has singular values |theta + n|, and T has orthonormal columns,
     so lambda_min(T^H inv(A0) T) >= 1 / lambda_max(A0) >= 1 / ||A0||_inf
     (A0 is Hermitian)."""
-    k = np.linalg.norm(wavevectors(op.cutoff, op.theta), axis=-1)
-    return [k[modes].min(axis=1) / norms
+    thetas = op.theta if thetas is None else np.asarray(thetas, dtype=float)
+    k = np.linalg.norm(thetas[..., None, :] + op.cutoff.modes, axis=-1)
+    return [k[..., modes].min(axis=-1) / norms
             for (modes, _rows, _a0, _li), norms in zip(op.groups, op.a0_norms)]
 
 
@@ -308,36 +352,54 @@ def _cluster_span(p: _Pencil, sel: List[int]) -> np.ndarray:
     psi = np.zeros((6 * p.op.cutoff.num_modes, len(sel)), dtype=complex)
     for j, i in enumerate(sel):
         g, c, k = p.owner[:, i].tolist()
-        rows, li, w, chol, red = p.blocks[g]
+        which, _sym, w, chol, red = p.blocks[g]
+        _modes, rows, _a0, li = p.op.groups[g]
         if (g, c) not in p.vecs:
-            p.vecs[g, c] = scipy.linalg.solve_triangular(
-                chol[c], np.linalg.eigh(red[c])[1], trans="C", lower=True)
-        psi[rows[c], j] = _adjoint(li[c]) @ (w[c] @ p.vecs[g, c][:, k])
+            p.vecs[g, c] = np.linalg.eigh(red[c])[1]
+        v = scipy.linalg.lapack.ztrtrs(chol[c], p.vecs[g, c][:, k], lower=1, trans=2)[0]
+        psi[rows[which[c]], j] = _adjoint(li[which[c]]) @ (w[c] @ v)
     return _orthonormalize(psi)
 
 
-def _band(p: _Pencil, psi: np.ndarray, omega: float, band_index: int) -> BlochBand:
-    """The band with eigenbasis psi at omega, with its residual in the pencil."""
+def _band(p: _Pencil, sel: List[int], psi: np.ndarray, omega: float,
+          band_index: int) -> BlochBand:
+    """The band of the cluster sel with eigenbasis psi at omega, with its
+    residual in the pencil."""
     return BlochBand(
-        theta=p.op.theta,
+        theta=p.theta,
         omega=float(omega),
         kappa=psi.shape[1],
         eigvecs=psi,
         band_index=band_index,
-        residual=_residual(p.op, psi, omega),
+        residual=_residual(p, sel, psi, omega),
     )
+
+
+def _residual(p: _Pencil, sel: List[int], psi: np.ndarray, omega: float) -> float:
+    """||(i*omega*A0 - G) psi|| / ||psi|| at p's theta, for psi spanning the
+    cluster sel, on the rows of the class members owning sel: psi vanishes
+    on every other row, and neither A0 nor G couples two classes."""
+    r = []
+    for g, c in dict.fromkeys(map(tuple, p.owner[:2, sel].T.tolist())):
+        which, sym, *_ = p.blocks[g]
+        _modes, rows, a0, _li = p.op.groups[g]
+        x = psi[rows[which[c]]]
+        # G is -i times the symbol, mode by mode
+        r.append(1j * omega * (a0[which[c]] @ x) - apply_mode_blocks(-1j * sym[c], x))
+    return float(np.linalg.norm(np.concatenate(r)) / max(np.linalg.norm(psi), 1e-300))
 
 
 def solve_bands(op: BlochOperator, num_bands: int) -> List[BlochBand]:
     """Bands sorted by |omega| (negative first when |omega| agree within the
     cluster tolerance), clustered by multiplicity.  num_bands counts eigenvalues including multiplicity; a
     cluster straddling the cut is kept whole (with a warning)."""
-    p = _solve_pencil(op)
+    p = _solve_pencil(op, op.theta)
     if num_bands > len(p.vals):
         raise ValueError(
             f"num_bands={num_bands} exceeds the dynamic subspace dimension {len(p.vals)}"
         )
 
+    frame = transverse_field_blocks(op.cutoff, op.theta)
     bands: List[BlochBand] = []
     count = 0
     indices = _band_indices(p.vals)
@@ -352,14 +414,35 @@ def solve_bands(op: BlochOperator, num_bands: int) -> List[BlochBand]:
                 ClusterStraddle,
             )
         count += len(sel)
-        psi = _fix_gauge(_cluster_span(p, sel), p.frame)
-        bands.append(_band(p, psi, omega, indices[sel[0]]))
+        psi = _fix_gauge(_cluster_span(p, sel), frame)
+        bands.append(_band(p, sel, psi, omega, indices[sel[0]]))
     return bands
+
+
+class Continuation(NamedTuple):
+    """One point of continue_bands: the continued band, its gap to the rest
+    of the spectrum, and the smallest singular value of the overlap
+    band.eigvecs^H prev.eigvecs with the band it continues."""
+
+    band: BlochBand
+    gap: float
+    overlap: float
 
 
 def continue_band(op: BlochOperator, theta, prev: BlochBand) -> Tuple[BlochBand, float]:
     """The continuation of `prev` at a nearby theta, and its gap to the rest
-    of the spectrum.
+    of the spectrum: continue_bands at one theta."""
+    band, gap, _overlap = next(continue_bands(op, [theta], prev))
+    return band, gap
+
+
+def continue_bands(op: BlochOperator, thetas, prev: BlochBand,
+                   parents: Optional[Sequence[int]] = None) -> Iterator[Continuation]:
+    """The continuation of `prev` to each of the (S, 3) thetas, yielded in
+    order.  With parents, point s continues the band of point parents[s]
+    (an earlier point) instead, or prev where parents[s] is -1: a path
+    walks with parents s - 1, a tree of quadrature nodes with their inward
+    neighbors.
 
     The continuation is matched by eigenvector overlap, not eigenvalue
     proximity: layered media have symmetry-allowed exact crossings where the
@@ -380,44 +463,84 @@ def continue_band(op: BlochOperator, theta, prev: BlochBand) -> Tuple[BlochBand,
     second pass solves every member left out whose floor lies within the
     first pass's gap of |omega|.  When no cluster is near, every member is
     solved.
+
+    The members that reach prev's own window are solved for every theta at
+    once by _solve_pencils, in chunks of at most STACK_ENTRIES reduced-matrix
+    entries (a theta that alone holds more is a chunk of its own).  The walk
+    then runs point by point on those arrays; a point whose parent's window
+    reaches a member the stack did not solve solves it there.
     """
-    op = op.at(theta)
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, 3)
+    parents = [-1] * len(thetas) if parents is None else list(parents)
+    floors = _floors(op, thetas)
+    stacked = _below(floors, abs(prev.omega) + 0.2 * max(1.0, abs(prev.omega)))
+    entries = sum(s.sum(axis=1) * (4 * modes.shape[1]) ** 2
+                  for s, (modes, _rows, _a0, _li) in zip(stacked, op.groups))
+    done: List[BlochBand] = []
+    for lo, hi in _chunks(entries, STACK_ENTRIES):
+        pencils = _solve_pencils(op, thetas[lo:hi], [s[lo:hi] for s in stacked], vectors=True)
+        for s in range(lo, hi):
+            parent = prev if parents[s] < 0 else done[parents[s]]
+            cont = _continue(pencils[s - lo], [f[s] for f in floors], [x[s] for x in stacked],
+                             parent)
+            done.append(cont.band)
+            yield cont
+        # one chunk's arrays at a time: release these before the next is solved
+        del pencils
+
+
+def _chunks(entries: np.ndarray, cap: int) -> Iterator[Tuple[int, int]]:
+    """Successive (lo, hi) runs of the points whose entries sum to at most
+    cap, or of one point that alone exceeds it."""
+    lo, total = 0, 0
+    for s, e in enumerate(entries.tolist()):
+        if s > lo and total + e > cap:
+            yield lo, s
+            lo, total = s, 0
+        total += e
+    if lo < len(entries):
+        yield lo, len(entries)
+
+
+def _continue(p: _Pencil, floors: List[np.ndarray], solved: List[np.ndarray],
+              prev: BlochBand) -> Continuation:
+    """One point of continue_bands: the continuation of prev at p's theta,
+    given the members solved in p and every member's floor there."""
     half = 0.2 * max(1.0, abs(prev.omega))
-    floors = _floors(op)
-    solved = _below(floors, abs(prev.omega) + half)
-    p = _solve_pencil(op, solved)
+    reach = _below(floors, abs(prev.omega) + half)
+    if any((r & ~s).any() for r, s in zip(reach, solved)):
+        solved = [r | s for r, s in zip(reach, solved)]
+        p = _solve_pencil(p.op, p.theta, solved, vectors=True)
     clusters, omegas = _cluster(p.vals)
     window = np.flatnonzero(np.abs(omegas - prev.omega) < half)
     if not len(window):
         solved = [np.ones_like(s) for s in solved]
-        p = _solve_pencil(op)
+        p = _solve_pencil(p.op, p.theta, vectors=True)
         clusters, omegas = _cluster(p.vals)
         window = range(len(clusters))
-    indices = _band_indices(p.vals)
 
     # the overlap depends on the span only, so candidates are scored on
-    # their orthonormal columns before any gauge is fixed
+    # their orthonormal columns; the winner's rotation fixes the gauge
     best, best_c, best_overlap = None, -1, -1.0
     for c in window:
-        span = _cluster_span(p, clusters[c])
-        s = np.linalg.svd(span.conj().T @ prev.eigvecs, compute_uv=False)
+        psi, s = procrustes_align(_cluster_span(p, clusters[c]), prev.eigvecs)
         overlap = s.min() if len(s) >= prev.kappa else 0.0
         if overlap > best_overlap:
-            best, best_c, best_overlap = span, c, overlap
-    if best.shape[1] != prev.kappa:
+            best, best_c, best_overlap = psi, c, overlap
+    sel = clusters[best_c]
+    if len(sel) != prev.kappa:
         raise MultiplicityInconsistent(
-            f"tracked cluster multiplicity changed from {prev.kappa} to {best.shape[1]} "
-            f"at theta={tuple(p.op.theta)}"
+            f"tracked cluster multiplicity changed from {prev.kappa} to {len(sel)} "
+            f"at theta={tuple(p.theta)}"
         )
     omega = omegas[best_c]
     gap = _gap(omegas, omega)
     more = [b & ~s for b, s in zip(_below(floors, abs(omega) + gap), solved)]
     if any(m.any() for m in more):
-        vals = np.concatenate([p.vals, _solve_pencil(op, more).vals])
+        vals = np.concatenate([p.vals, _solve_pencil(p.op, p.theta, more, vectors=True).vals])
         gap = _gap(_cluster(vals[_by_magnitude(vals)])[1], omega)
-    # the Procrustes rotation fixes the gauge from the span alone
-    psi = procrustes_align(best, prev.eigvecs)
-    return _band(p, psi, omega, indices[clusters[best_c][0]]), gap
+    band = _band(p, sel, best, omega, _band_indices(p.vals)[sel[0]])
+    return Continuation(band, gap, float(best_overlap))
 
 
 def _gap(omegas: np.ndarray, omega: float) -> float:
@@ -427,10 +550,12 @@ def _gap(omegas: np.ndarray, omega: float) -> float:
     return float(np.min(np.abs(others - omega))) if len(others) else np.inf
 
 
-def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """basis rotated by the unitary maximizing its overlap with ref."""
-    u, _s, vh = np.linalg.svd(basis.conj().T @ ref)
-    return basis @ (u @ vh)
+def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """basis rotated by the unitary maximizing its overlap with ref, and the
+    singular values of the overlap basis^H ref (those of the rotated basis's
+    overlap too)."""
+    u, s, vh = np.linalg.svd(basis.conj().T @ ref, full_matrices=False)
+    return basis @ (u @ vh), s
 
 
 def _cluster(vals: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
@@ -451,8 +576,9 @@ def _cluster(vals: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
         cur = [i]
         clusters.append(cur)
         open_cluster[v >= 0] = cur
-    clusters.sort(key=lambda sel: abs(w[sel[0]]))
-    # the |omega| of each cluster's tie group: the first cluster of the group
+    # clusters are opened in the order of vals, so by the |omega| of their
+    # first member; the |omega| of each cluster's tie group is that of the
+    # first cluster of the group
     keys, head = [], None
     for sel in clusters:
         if head is None or abs(w[sel[0]]) - abs(w[head]) >= tol[head]:
@@ -469,6 +595,8 @@ def _band_indices(vals: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(psi: np.ndarray) -> np.ndarray:
+    if psi.shape[1] == 1:
+        return psi / np.linalg.norm(psi)
     # thin SVD keeps the span, returns plain-orthonormal columns
     u, _s, vh = np.linalg.svd(psi, full_matrices=False)
     return u @ vh
@@ -510,11 +638,6 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + _adjoint(m))
-
-
-def _residual(op: BlochOperator, psi, omega) -> float:
-    r = op.pencil(omega, psi)
-    return float(np.linalg.norm(r) / max(np.linalg.norm(psi), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +693,11 @@ def track_band(op: BlochOperator, band: BlochBand, theta_path,
                gap_tol: float = DEFAULT_GAP_TOL) -> List[BlochBand]:
     """Follow the multiplicity-kappa cluster along a theta path.
 
-    Each point continues the previous one (continue_band), so successive
-    eigenbases are aligned by the maximal-overlap unitary.  If the cluster's
-    gap to the rest of the spectrum drops below gap_tol the
-    constant-multiplicity assumption failed and GapViolation is raised with
-    the offending theta.
+    The path is one continue_bands walk in which each point continues the
+    previous one, so successive eigenbases are aligned by the maximal-overlap
+    unitary.  If the cluster's gap to the rest of the spectrum drops below
+    gap_tol the constant-multiplicity assumption failed and GapViolation is
+    raised with the offending theta, before any later point is matched.
     """
     path = [np.asarray(t, dtype=float).reshape(3) for t in theta_path]
     for a, b in zip(path[:-1], path[1:]):
@@ -582,11 +705,11 @@ def track_band(op: BlochOperator, band: BlochBand, theta_path,
             raise ValueError("theta path step exceeds the tracking bound")
 
     tracked: List[BlochBand] = []
-    for theta in path:
-        if not tracked and np.allclose(theta, band.theta, rtol=0, atol=1e-15):
-            tracked.append(band)
-            continue
-        cur, gap = continue_band(op, theta, tracked[-1] if tracked else band)
+    if path and np.allclose(path[0], band.theta, rtol=0, atol=1e-15):
+        tracked.append(band)
+    rest = path[len(tracked):]
+    for theta, (cur, gap, _overlap) in zip(rest, continue_bands(
+            op, rest, band, parents=range(-1, len(rest) - 1))):
         if gap < gap_tol:
             raise GapViolation(theta, gap, gap_tol)
         tracked.append(cur)

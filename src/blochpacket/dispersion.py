@@ -3,8 +3,9 @@ with independent finite-difference oracles and the propagation speed-limit
 certificate.
 
 The finite-difference oracles differentiate the eigenvalue of the band's
-continuation (bands.continue_band) at shifted theta, so each stencil point
-follows the same branch as the perturbative route.
+continuation at shifted theta, so each stencil point follows the same branch
+as the perturbative route.  All the points of a stencil are one stacked
+continuation (bands.continue_bands).
 
 For a multiplicity-kappa cluster the first- and second-order kappa x kappa
 forms must be scalar multiples of the projected mass matrix Pi A0 Pi; the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BlochBand, BlochOperator, ProjectorPair, continue_band
+from .bands import BlochBand, BlochOperator, ProjectorPair, continue_bands
 from .errors import MultiplicityInconsistent, SpeedLimitViolation
 from .fourier import MaterialSpec, apply_mode_blocks, cross_matrix, symbol_matrix, trig_sum
 
@@ -163,45 +164,60 @@ def hessian(band: BlochBand, projectors: ProjectorPair, op: BlochOperator,
 # Finite-difference oracles
 # ---------------------------------------------------------------------------
 
-def _continued_omega(op: BlochOperator, band: BlochBand):
-    """omega(shift): the eigenvalue of the band continued to theta + shift."""
-    return lambda shift: continue_band(op, band.theta + shift, band)[0].omega
+def _continued_omegas(op: BlochOperator, band: BlochBand, shifts) -> np.ndarray:
+    """The eigenvalue of the band continued to theta + each shift, shifts of
+    shape (..., 3): one stacked continuation over all of them."""
+    shifts = np.asarray(shifts, dtype=float)
+    walk = continue_bands(op, band.theta + shifts.reshape(-1, 3), band)
+    return np.array([cont.band.omega for cont in walk]).reshape(shifts.shape[:-1])
 
 
-def _richardson(stencil, step: float) -> np.ndarray:
-    """One Richardson level over a second-order stencil(step)."""
-    coarse = stencil(step)
-    return (4 * stencil(step / 2) - coarse) / 3
+def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """One Richardson level over a second-order stencil at step and step / 2."""
+    return (4 * fine - coarse) / 3
 
 
 def fd_group_velocity(op: BlochOperator, band: BlochBand, step: float = 1e-3) -> np.ndarray:
     """Central finite differences of the continued eigenvalue with one
     Richardson level: V = -grad omega."""
-    omega = _continued_omega(op, band)
+    hs = np.array([step, step / 2])
+    e = hs[:, None, None] * np.eye(3)
+    omega = _continued_omegas(op, band, np.concatenate([e, -e], axis=1))  # (2, 6)
+    coarse, fine = ((w[:3] - w[3:]) / (2 * h) for h, w in zip(hs, omega))
+    return -_richardson(coarse, fine)
 
-    def stencil(hstep):
-        return np.array([(omega(e) - omega(-e)) / (2 * hstep) for e in hstep * np.eye(3)])
 
-    return -_richardson(stencil, step)
+# the off-diagonal entries of the Hessian stencil and the signs of the four
+# shifts +-e_i +-e_j each one reads
+OFF_DIAGONAL = ((0, 1), (0, 2), (1, 2))
+CORNERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _hessian_shifts(step: float) -> np.ndarray:
+    """The (2, 18, 3) theta shifts fd_hessian reads at step and step / 2:
+    +e_i, then -e_i, then the four corners of each off-diagonal entry."""
+    return np.array([[s * e[i] for s in (1, -1) for i in range(3)]
+                     + [a * e[i] + b * e[j] for i, j in OFF_DIAGONAL for a, b in CORNERS]
+                     for e in np.array([step, step / 2])[:, None, None] * np.eye(3)])
 
 
 def fd_hessian(op: BlochOperator, band: BlochBand, step: float = 5e-3) -> np.ndarray:
     """Second-order central differences of the continued eigenvalue
     omega(theta), one Richardson level.  Its truncation error falls as
-    step^4 (about 7e-9 at the default step on the shipped layered band)."""
-    omega = _continued_omega(op, band)
+    step^4 (about 7e-9 at the default step on the shipped layered band).
+    The 36 stencil points are one stacked continuation."""
+    omega = _continued_omegas(op, band, _hessian_shifts(step))  # (2, 18)
 
-    def stencil(h):
+    def stencil(h, w):
         hess = np.zeros((3, 3))
-        e = h * np.eye(3)
         for i in range(3):
-            hess[i, i] = (omega(e[i]) - 2 * band.omega + omega(-e[i])) / h**2
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            hess[i, j] = hess[j, i] = (omega(e[i] + e[j]) - omega(e[i] - e[j])
-                                       - omega(-e[i] + e[j]) + omega(-e[i] - e[j])) / (4 * h**2)
+            hess[i, i] = (w[i] - 2 * band.omega + w[3 + i]) / h**2
+        for n, (i, j) in enumerate(OFF_DIAGONAL):
+            pp, pm, mp, mm = w[6 + 4 * n:10 + 4 * n]
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h**2)
         return hess
 
-    return _richardson(stencil, step)
+    return _richardson(stencil(step, omega[0]), stencil(step / 2, omega[1]))
 
 
 # ---------------------------------------------------------------------------

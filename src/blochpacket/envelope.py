@@ -263,7 +263,8 @@ class EnvelopeSolution:
         since every caller walks its times in order."""
         if self._hats[0] == T:
             return self._hats[1]
-        c0 = np.fft.fftn(self.state_at(T).values, axes=(1, 2, 3))
+        w = self.state_at(T).values
+        c0 = np.fft.fftn(w, axes=varying_axes(w))
         hats = [c0]
         for _ in range(2):
             hats.append(self._slow_derivative(hats[-1]))
@@ -274,9 +275,10 @@ class EnvelopeSolution:
         """d/dT in Fourier space through the evolution equation."""
         out = 0.5j * self._q[None] * chat
         if self._pot is not None:
-            vals = np.fft.ifftn(chat, axes=(1, 2, 3))
+            axes = varying_axes(chat)
+            vals = np.fft.ifftn(chat, axes=axes)
             pot_vals = np.einsum("xyzab,bxyz->axyz", self._pot, vals)
-            out = out - np.fft.fftn(pot_vals, axes=(1, 2, 3))
+            out = out - np.fft.fftn(pot_vals, axes=axes)
         return out
 
     def field_hat(self, component: int, tder: int, alpha, T: float) -> np.ndarray:

@@ -190,18 +190,20 @@ def transverse_pair(v):
     return u1, u2
 
 
-def transverse_field_blocks(cutoff: LatticeCutoff, theta, modes=None) -> np.ndarray:
-    """(K, 6, 4) per-mode transverse E/B unit fields, or, given an array of
-    mode indices, those of its modes (shape modes.shape + (6, 4)).
-
-    Column order per mode: (E,u1), (E,u2), (B,u1), (B,u2) with u1, u2 the
-    transverse_pair of theta + n, an orthonormal pair spanning
-    (theta + n)^perp (theta != 0 guarantees theta + n != 0 for every integer
-    n).  Per mode they span the plain-orthogonal complement of the curl
-    kernel.
+def transverse_field_blocks(cutoff: LatticeCutoff, theta) -> np.ndarray:
+    """(K, 6, 4) per-mode transverse E/B unit fields at theta: the
+    transverse_frame of theta + n for every mode n (theta != 0 guarantees
+    theta + n != 0 for every integer n).  Per mode they span the
+    plain-orthogonal complement of the curl kernel.
     """
-    v = wavevectors(cutoff, _check_theta(theta))
-    u = transverse_pair(v if modes is None else v[modes])
+    return transverse_frame(wavevectors(cutoff, _check_theta(theta)))
+
+
+def transverse_frame(k) -> np.ndarray:
+    """(..., 6, 4) transverse E/B unit fields of nonzero wavevectors k of
+    shape (..., 3).  Column order: (E,u1), (E,u2), (B,u1), (B,u2) with u1, u2
+    the transverse_pair of k, an orthonormal pair spanning k^perp."""
+    u = transverse_pair(k)
     blocks = np.zeros(u[0].shape[:-1] + (6, 4), dtype=complex)
     for a in range(2):
         blocks[..., :3, a] = u[a]

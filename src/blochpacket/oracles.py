@@ -36,7 +36,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .bands import BlochBand, BlochOperator, continue_band, procrustes_align
+from .bands import BlochBand, BlochOperator, continue_bands, procrustes_align
 from .envelope import EnvelopeGrid, varying_axes
 from .errors import ConfigError, GaugeError, StabilityAnomaly
 from .fourier import LatticeCutoff, MaterialSpec, transverse_pair, trig_sum
@@ -179,11 +179,14 @@ class _NodeEigen:
     """Eigenpairs along the quadrature nodes with a continuous gauge.
 
     The center node carries the band's own eigenbasis; moving outward along
-    each spectrum axis, each node continues its inward neighbor's band
-    (bands.continue_band, which also rotates the basis by the maximal-overlap
-    unitary).  The vacuum medium takes the closed form instead, as an
-    independent route: evaluated for the whole node set at once, then
-    aligned node by node the same way.
+    each spectrum axis, each node continues its inward neighbor's band.  The
+    node set is one bands.continue_bands walk over the whole set, each node
+    with its inward neighbor as parent (so each basis is rotated onto its
+    neighbor's by the maximal-overlap unitary).  The vacuum medium takes the
+    closed form instead, as an independent route: evaluated for the whole
+    node set at once, then aligned node by node the same way.  Either way
+    the smallest singular value of each node's overlap with its neighbor
+    must reach OVERLAP_TOL.
     """
 
     def __init__(self, band: BlochBand, op: BlochOperator, packet: ExactPacketSpec):
@@ -203,7 +206,6 @@ class _NodeEigen:
     def prepare(self, zeta_nodes: np.ndarray):
         """Walk the tensor node set axis by axis from the center outward."""
         center = tuple(np.round(np.zeros(3), 14))
-        done = {center: self.band}
 
         # visit order: sort nodes by ordering along successive axes so each
         # node has an inward neighbor already visited
@@ -211,29 +213,31 @@ class _NodeEigen:
         uniq = [z for z in sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z)))
                 if z != center]
         thetas = self.band.theta + self.packet.h * np.array(uniq).reshape(-1, 3)
-        closed = self._vacuum_nodes(thetas) if self.vacuum else [None] * len(uniq)
-        visited = np.empty((len(uniq) + 1, 3))  # the keys of `done`, in visit order
-        visited[0] = center
-        for n, (z, theta, pair) in enumerate(zip(uniq, thetas, closed), start=1):
-            prev = done[tuple(visited[_inward_neighbor(z, visited[:n])])]
-            done[z] = self._solve_aligned(z, theta, prev, pair)
-            visited[n] = z
+        # the center, then the nodes in visit order; a node's parent is its
+        # inward neighbor's place among the nodes, -1 for the center
+        visited = np.array([center] + uniq).reshape(-1, 3)
+        parents = [_inward_neighbor(z, visited[:n]) - 1 for n, z in enumerate(uniq, start=1)]
+        walk = (self._vacuum_walk(thetas, parents) if self.vacuum else
+                ((c.band, c.overlap) for c in continue_bands(self.op, thetas, self.band, parents)))
+        done = {center: self.band}
+        for z, (node, overlap) in zip(uniq, walk):
+            if overlap < OVERLAP_TOL:
+                raise GaugeError(
+                    f"eigenbasis overlap {overlap:.4f} < {OVERLAP_TOL} between "
+                    f"adjacent quadrature nodes at zeta={tuple(z)}"
+                )
+            done[z] = node
         self._cache = done
 
-    def _solve_aligned(self, zeta, theta, prev: BlochBand, pair) -> BlochBand:
-        if pair is not None:
-            omega, basis = pair
-            node = BlochBand(theta, omega, 2, procrustes_align(basis, prev.eigvecs),
-                             self.band.band_index)
-        else:
-            node, _gap = continue_band(self.op, theta, prev)
-        sv = np.linalg.svd(node.eigvecs.conj().T @ prev.eigvecs, compute_uv=False)
-        if sv.min() < OVERLAP_TOL:
-            raise GaugeError(
-                f"eigenbasis overlap {sv.min():.4f} < {OVERLAP_TOL} between "
-                f"adjacent quadrature nodes at zeta={tuple(zeta)}"
-            )
-        return node
+    def _vacuum_walk(self, thetas: np.ndarray, parents):
+        """The closed-form band at each of the (Q, 3) thetas, rotated onto
+        its parent's (the band itself for -1), and the smallest singular
+        value of that overlap."""
+        done: List[BlochBand] = []
+        for theta, (omega, basis), j in zip(thetas, self._vacuum_nodes(thetas), parents):
+            psi, s = procrustes_align(basis, (self.band if j < 0 else done[j]).eigvecs)
+            done.append(BlochBand(theta, omega, 2, psi, self.band.band_index))
+            yield done[-1], s.min()
 
     def _vacuum_nodes(self, thetas: np.ndarray):
         """The closed-form (omega, (6K, 2) basis) at each of the (Q, 3) thetas:

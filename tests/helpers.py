@@ -334,7 +334,7 @@ def continue_band_reference(op, theta, prev):
     """bands.continue_band solving every class member at the new theta: the
     candidate clusters, the match by overlap, the band index and the gap all
     read the full spectrum."""
-    p = bands._solve_pencil(op.at(theta))
+    p = bands._solve_pencil(op, theta, vectors=True)
     clusters, omegas = bands._cluster(p.vals)
     near = np.abs(omegas - prev.omega) < 0.2 * max(1.0, abs(prev.omega))
     window = np.flatnonzero(near) if near.any() else range(len(clusters))
@@ -349,9 +349,9 @@ def continue_band_reference(op, theta, prev):
     omega = omegas[best_c]
     others = np.delete(omegas, best_c)
     gap = float(np.min(np.abs(others - omega))) if len(others) else np.inf
-    psi = bands.procrustes_align(best, prev.eigvecs)
+    psi, _s = bands.procrustes_align(best, prev.eigvecs)
     index = bands._band_indices(p.vals)[clusters[best_c][0]]
-    return bands._band(p, psi, omega, index), gap
+    return bands._band(p, clusters[best_c], psi, omega, index), gap
 
 
 def apply_a0_reference(op, v):
@@ -413,7 +413,24 @@ def vacuum_walk_reference(band, cutoff, h, zeta_nodes) -> dict:
         theta = band.theta + h * np.asarray(z)
         basis = np.stack([constant_eigenfield(cutoff, theta, (0, 0, 0), u, sign)
                           for u in transverse_pair(theta)], axis=1)
-        done[z] = (sign * np.linalg.norm(theta), bands.procrustes_align(basis, prev))
+        done[z] = (sign * np.linalg.norm(theta), bands.procrustes_align(basis, prev)[0])
+        visited.append(np.asarray(z))
+    return done
+
+
+def node_walk_reference(band, op, h, zeta_nodes) -> dict:
+    """oracles._NodeEigen.prepare on a non-vacuum medium, one node at a time:
+    in the same visit order, each node continue_band_reference of its
+    inward neighbour's band.  Returns {node key: (band, gap)}."""
+    center = tuple(np.round(np.zeros(3), 14))
+    done = {center: (band, np.inf)}
+    keys = [tuple(np.round(z, 14)) for z in zeta_nodes]
+    visited = [np.zeros(3)]
+    for z in sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z))):
+        if z in done:
+            continue
+        prev, _gap = done[tuple(visited[_inward_neighbor(z, np.array(visited))])]
+        done[z] = continue_band_reference(op, band.theta + h * np.asarray(z), prev)
         visited.append(np.asarray(z))
     return done
 

@@ -23,10 +23,12 @@ from blochpacket.bands import (
     _fix_gauge,
     build_projectors,
     continue_band,
+    continue_bands,
     mode_classes,
     solve_bands,
     track_band,
 )
+from blochpacket.dispersion import _hessian_shifts
 from blochpacket.errors import CutoffMismatch, GapViolation, MaterialError, MultiplicityInconsistent
 from blochpacket.fourier import (
     LatticeCutoff,
@@ -238,11 +240,17 @@ def _dense_pencil(op):
 
 
 def _pencils(monkeypatch):
-    """Every reduced pencil that the band solves build, in call order."""
+    """Every reduced pencil that the band solves build, one per theta, in
+    call order."""
     built = []
-    solve = bands._solve_pencil
-    monkeypatch.setattr(bands, "_solve_pencil",
-                        lambda op, members=None: built.append(solve(op, members)) or built[-1])
+    solve = bands._solve_pencils
+
+    def record(*args, **kwargs):
+        stack = solve(*args, **kwargs)
+        built.extend(stack)
+        return stack
+
+    monkeypatch.setattr(bands, "_solve_pencils", record)
     return built
 
 
@@ -289,8 +297,8 @@ def test_continuation_matches_dense_pencil(spec, cutoff):
 
 def test_eigenvectors_built_only_for_clusters_read(monkeypatch):
     """Layered medium, 25 classes: solve_bands builds eigenvectors only for
-    the members owning a returned cluster, continue_band only for members
-    owning a cluster near the tracked omega."""
+    the members owning a returned cluster, continue_band only for the
+    members it solves, those that can reach the tracked omega's window."""
     pencils = _pencils(monkeypatch)
     op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
     got = solve_bands(op, 4)
@@ -333,7 +341,7 @@ def test_class_floor_bounds_its_spectrum(spec, cutoff, theta):
     least its floor (up to round-off); on the identity, one mode per class,
     the floor is attained."""
     op = BlochOperator.build(spec, LatticeCutoff(cutoff), theta)
-    p = bands._solve_pencil(op)
+    p = bands._solve_pencil(op, op.theta)
     floors = bands._floors(op)
     lowest = {}
     for v, (g, c, _k) in zip(np.abs(p.vals), p.owner.T.tolist()):
@@ -426,6 +434,100 @@ def test_continuation_solves_one_of_25_classes(monkeypatch):
     (p,) = pencils
     assert sum(len(f) for f in bands._floors(op)) == 25
     assert len(set(map(tuple, p.owner[:2].T.tolist()))) == 1 and len(p.vals) == 20
+
+
+# ---------------------------------------------------------------------------
+# Stacked continuation against the per-point walk
+# ---------------------------------------------------------------------------
+
+def _stack_sizes(monkeypatch):
+    """The number of thetas of every stacked pencil solve, in call order."""
+    sizes = []
+    solve = bands._solve_pencils
+
+    def record(op, thetas, *args, **kwargs):
+        sizes.append(len(thetas))
+        return solve(op, thetas, *args, **kwargs)
+
+    monkeypatch.setattr(bands, "_solve_pencils", record)
+    return sizes
+
+
+def _assert_same_walk(conts, refs, prevs):
+    """continue_bands against continue_band_reference, theta by theta: omega
+    to 1e-13, the same band index, the gap to round-off, the bases equal up
+    to round-off, and the overlap with the band continued that of the bases."""
+    for cont, (ref, ref_gap), prev in zip(conts, refs, prevs, strict=True):
+        got = cont.band
+        assert abs(got.omega - ref.omega) <= 1e-13
+        assert (got.band_index, got.kappa) == (ref.band_index, ref.kappa)
+        assert abs(cont.gap - ref_gap) <= 1e-13
+        assert np.linalg.norm(got.eigvecs.conj().T @ ref.eigvecs - np.eye(got.kappa)) <= 1e-10
+        overlap = np.linalg.svd(got.eigvecs.conj().T @ prev.eigvecs, compute_uv=False)
+        assert abs(cont.overlap - overlap.min()) <= 1e-13
+
+
+def test_stacked_continuation_matches_per_point_at_fd_stencil(monkeypatch):
+    """The 36 fd_hessian stencil points of the bands_layered band are one
+    stacked solve, and each point is the per-point continuation of the
+    band."""
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    thetas = band.theta + _hessian_shifts(5e-3).reshape(-1, 3)
+    refs = [continue_band_reference(op, theta, band) for theta in thetas]
+    sizes = _stack_sizes(monkeypatch)
+    conts = list(continue_bands(op, thetas, band))
+    assert sizes == [36]
+    _assert_same_walk(conts, refs, [band] * 36)
+
+
+def test_stacked_path_matches_per_point_walk_across_crossing():
+    """A path through the symmetry-allowed crossing at theta2 = 1/2, each
+    point continuing the previous one."""
+    start = np.array([0.3, 0.45, 0.0])
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), start)
+    band = next(b for b in solve_bands(op, 4) if b.band_index == 1)
+    path = [start + [0.0, 0.035 * s, 0.0] for s in range(1, 5)]
+    refs, prevs = [], [band]
+    for theta in path:
+        refs.append(continue_band_reference(op, theta, prevs[-1]))
+        prevs.append(refs[-1][0])
+    conts = list(continue_bands(op, path, band, parents=range(-1, len(path) - 1)))
+    assert path[0][1] < 0.5 < path[1][1]
+    _assert_same_walk(conts, refs, prevs[:-1])
+
+
+def test_stacked_continuation_one_class_takes_one_theta_per_chunk(monkeypatch):
+    """cosine_3d at cutoff 1 is one class of 27 modes: one reduced matrix
+    (108^2 entries) fills most of a chunk, so every theta is solved alone."""
+    op = BlochOperator.build(cosine_3d(), LatticeCutoff(1), THETA_OFF)
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    thetas = band.theta + _hessian_shifts(5e-3)[0, :4]
+    refs = [continue_band_reference(op, theta, band) for theta in thetas]
+    sizes = _stack_sizes(monkeypatch)
+    conts = list(continue_bands(op, thetas, band))
+    assert len(op.groups) == 1 and sizes == [1] * 4
+    _assert_same_walk(conts, refs, [band] * 4)
+
+
+def test_track_band_raises_where_the_per_point_walk_does():
+    """Toward the layering axis the gap of band 1 closes (test_track_gap_
+    violation).  With gap_tol between the gaps at the second and third
+    points, the per-point walk stops at the third; track_band raises
+    GapViolation there too, before matching the later points, where the two
+    bands meet."""
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
+    band = next(b for b in solve_bands(op, 4) if b.band_index == 1)
+    path = [THETA_OFF + [0.0, -0.05 * s, 0.0] for s in range(5)]
+    gaps, prev = [], band
+    for theta in path[1:3]:
+        prev, gap = continue_band_reference(op, theta, prev)
+        gaps.append(gap)
+    assert gaps[0] > gaps[1]
+    gap_tol = np.sqrt(gaps[0] * gaps[1])
+    with pytest.raises(GapViolation) as exc:
+        track_band(op, band, path, gap_tol=gap_tol)
+    assert exc.value.theta == tuple(path[2]) and exc.value.gap == pytest.approx(gaps[1], abs=1e-13)
 
 
 def _dense_pi_q(proj):

@@ -238,18 +238,18 @@ def test_multi_time_synthesis_matches_single_times(monkeypatch):
     import blochpacket.oracles as oracles
 
     prepares, solves = [], []
-    prepare, continue_band = oracles._NodeEigen.prepare, oracles.continue_band
+    prepare, continue_bands = oracles._NodeEigen.prepare, oracles.continue_bands
 
     def counted_prepare(self, zeta):
         prepares.append(len(zeta))
         return prepare(self, zeta)
 
     def counted_continue(*args, **kwargs):
-        solves.append(args[1])
-        return continue_band(*args, **kwargs)
+        solves.extend(args[1])
+        return continue_bands(*args, **kwargs)
 
     monkeypatch.setattr(oracles._NodeEigen, "prepare", counted_prepare)
-    monkeypatch.setattr(oracles, "continue_band", counted_continue)
+    monkeypatch.setattr(oracles, "continue_bands", counted_continue)
 
     op = BlochOperator.build(scaled_identity(4.0), LatticeCutoff(1), THETA)
     band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
@@ -326,6 +326,27 @@ def test_stacked_sweep_matches_per_time_loop(identity_pipe):
         got = sup_errors(profs, packet, times, grid, pairs)
         assert got == sup_errors_reference(profs, packet, times, grid, pairs)
         assert got[L2] > 0.0
+
+
+def test_layered_node_walk_matches_per_node_walk(offaxis_layered_pipe):
+    """On a layered medium the node set is one stacked continuation: each
+    node's omega, band index and basis are those of continuing its inward
+    neighbour one node at a time."""
+    from helpers import node_walk_reference
+
+    from blochpacket.oracles import _NodeEigen, _gl_nodes
+
+    pipe = offaxis_layered_pipe
+    packet = ExactPacketSpec(pipe.theta, 1 / 32, (3.0, 2.0, 1.0), [1.0], axes=(0, 1), nodes=5)
+    zeta, _wts = _gl_nodes(packet, packet.nodes)
+    nodes = _NodeEigen(pipe.band, pipe.op, packet)
+    nodes.prepare(zeta)
+    ref = node_walk_reference(pipe.band, pipe.op, packet.h, zeta)
+    assert len(ref) == len(zeta)
+    for z, (want, _gap) in ref.items():
+        got = nodes._cache[z]
+        assert abs(got.omega - want.omega) <= 1e-13 and got.band_index == want.band_index
+        assert np.linalg.norm(got.eigvecs.conj().T @ want.eigvecs - np.eye(got.kappa)) <= 1e-10
 
 
 @pytest.mark.parametrize("which", ["identity", "layered"])
