@@ -35,7 +35,7 @@ from .fieldio import (
     write_energy_csv,
     write_manifest,
 )
-from .harmonics import HarmonicField, difference, seminorm, weighted_indices
+from .harmonics import difference, seminorm, weighted_indices
 from .oracles import (
     ExactPacketSpec,
     chebyshev_applies,
@@ -212,6 +212,19 @@ def _auto_nodes(cfg: RunConfig, V: np.ndarray, hess: np.ndarray) -> int:
     return int(np.ceil(phase / 2)) + 25
 
 
+def _check_axes(cfg: RunConfig) -> None:
+    """Refuse packet axes other than the grid's varying axes: the synthesis
+    spreads its spectrum over the packet axes and the assembly's envelope
+    (gaussian_state) over the axes with more than one grid point, so with
+    other axes the two packets differ whatever their accuracy."""
+    packet = sorted(cfg.packet.axes)
+    grid = [a for a in range(3) if cfg.grid.shape[a] > 1]
+    if packet != grid:
+        raise ConfigError(
+            f"packet.axes {packet} differ from the grid's varying axes {grid}: the "
+            f"synthesis spreads the packet over the first, the envelope over the second")
+
+
 def _check_box(cfg: RunConfig, V: np.ndarray) -> None:
     """Refuse a packet that transport carries to the box edge: by
     t = horizon/h it has moved |V_a| horizon/h along packet axis a, and
@@ -235,20 +248,18 @@ def sup_errors(profiles, packet: ExactPacketSpec, times, grid, pairs,
     """{(beta, delta): the largest seminorm over `times` of the synthesized
     exact packet minus the assembly at scale packet.h}, every time in one
     stack: one synthesis, one assembly and one seminorm call."""
-    h = packet.h
-    synth = synthesize_exact_packet(packet, profiles.band, profiles.op, times, grid=grid,
-                                    estimate_error=False)
-    uh = HarmonicField(packet.theta_center, h, synth.t, grid, synth.harmonics)
-    vh = HarmonicField(packet.theta_center, h, synth.t, grid,
-                       assemble_harmonics(profiles, h, synth.t, grid, orders=orders))
-    return {bd: float(v.max()) for bd, v in seminorm(difference(uh, vh), pairs).items()}
+    synth, _err = synthesize_exact_packet(packet, profiles.band, profiles.op, times, grid,
+                                          estimate_error=False)
+    assembled = assemble_harmonics(profiles, packet.h, times, grid, orders=orders)
+    return {bd: float(v.max()) for bd, v in seminorm(difference(synth, assembled), pairs).items()}
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> None:
-    pipe = Pipeline(cfg)
     if not cfg.material.is_static():
-        _validate_certificate(cfg, out, pipe)
+        _validate_certificate(cfg, out, Pipeline(cfg))
         return
+    _check_axes(cfg)
+    pipe = Pipeline(cfg)
     _check_box(cfg, pipe.dispersion.V)
     profs = pipe.profiles()
     nodes = _auto_nodes(cfg, pipe.dispersion.V, pipe.dispersion.hessian)

@@ -153,7 +153,9 @@ def _axis(value, key: str) -> int:
 def _axes(value, key: str) -> Tuple[int, ...]:
     _require(isinstance(value, list) and value,
              f"{key}: expected a nonempty list of axes in {{0, 1, 2}}, got {value!r}")
-    return tuple(_axis(a, key) for a in value)
+    axes = tuple(_axis(a, key) for a in value)
+    _require(len(set(axes)) == len(axes), f"{key}: expected distinct axes, got {value!r}")
+    return axes
 
 
 def _cutoff(value, key: str) -> LatticeCutoff:

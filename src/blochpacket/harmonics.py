@@ -16,11 +16,12 @@ are computed per harmonic and summed, one value per time.  A field holds
 only the harmonics that can be nonzero (an absent harmonic is zero), so a
 field on one mode class holds that class's modes alone.  The held harmonics
 are stacked into one (|held|, J, 6, M1, M2, M3) array and transformed by one
-forward FFT over the axes with more than one point; (h d_x) acts per
-harmonic as the Fourier symbol i (theta + n + h k), so every distinct delta
-costs one inverse FFT of the stack, for all times and shared by all weights
-beta.  The polynomial weight multiplies the envelope values directly, in
-physical space (meaningful while the packet stays inside the box).
+forward FFT over the axes with more than one point, made only when some
+pair has a derivative; (h d_x) acts per harmonic as the Fourier symbol
+i (theta + n + h k), so every distinct delta costs one inverse FFT of the
+stack, for all times and shared by all weights beta.  The polynomial
+weight multiplies the envelope values directly, in physical space
+(meaningful while the packet stays inside the box).
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ def seminorm(field: HarmonicField, pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[i
     xs = grid.meshgrid()
     dv = grid.cell_volume
     pairs = list(pairs)
-    hat = np.fft.fftn(stack, axes=axes)
+    deltas = sorted({d for _b, d in pairs})
+    hat = np.fft.fftn(stack, axes=axes) if any(map(any, deltas)) else None
     out = {}
-    for delta in sorted({d for _b, d in pairs}):
+    for delta in deltas:
         vals = stack
         if any(delta):
             symbol = np.ones((len(keys),) + grid.shape, dtype=complex)

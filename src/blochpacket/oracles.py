@@ -5,9 +5,12 @@ two pseudo-spectral time-domain propagators.
 These provide the second route of the dual-route checks in the package: the
 eigensolver is checked against the constant-coefficient closed form and the
 multi-scale assembly against synthesized exact packets.  The synthesis
-evaluates all of its output times at once: its nodes are prepared once and
-every time is a row block of one product over them, so a result holds a
-leading time axis (one time is a time axis of length 1).  The time-domain
+returns the harmonics.HarmonicField that `seminorm` reads, with its
+quadrature error per time.  One walk gives the band at every quadrature
+node, of the main and the check rule together, as arrays in the nodes' row
+order (_node_bands); the output times are then evaluated at once, each a row
+block of one product over the nodes, so the field holds a leading time axis
+(one time is a time axis of length 1).  The time-domain
 route is seeded with the assembled field and reports its energy and
 divergence traces; comparing its field with the assembly is not implemented
 yet.  It has two propagators with one set-up, trace and growth guard (_Run):
@@ -40,6 +43,7 @@ from .bands import BlochBand, BlochOperator, continue_bands, procrustes_align
 from .envelope import EnvelopeGrid, varying_axes
 from .errors import ConfigError, GaugeError, StabilityAnomaly
 from .fourier import LatticeCutoff, MaterialSpec, transverse_pair, trig_sum
+from .harmonics import HarmonicField, difference, seminorm
 
 # smallest singular value of the overlap between adjacent nodes' eigenbases
 OVERLAP_TOL = 0.99
@@ -132,19 +136,6 @@ class ExactPacketSpec:
         return amp
 
 
-@dataclass
-class SynthesisResult:
-    """The synthesized field at the output times t (J,): the harmonics
-    {n: (J, 6, M1, M2, M3)} on a grid or the samples (J, P, 6) at points
-    (the other None), and the quadrature error per time (J,)."""
-
-    t: np.ndarray
-    harmonics: Optional[Dict[Tuple[int, int, int], np.ndarray]]
-    samples: Optional[np.ndarray]
-    quadrature_error: np.ndarray
-    node_count: int
-
-
 @functools.cache
 def _legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The Gauss-Legendre rule of n nodes on [-1, 1], computed once per n and
@@ -175,80 +166,73 @@ def _gl_nodes(packet: ExactPacketSpec, n: int):
     return zeta, wts
 
 
-class _NodeEigen:
-    """Eigenpairs along the quadrature nodes with a continuous gauge.
+def _node_bands(band: BlochBand, op: BlochOperator, h: float,
+                zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The band at each of the (Q, 3) quadrature nodes zeta (at theta =
+    band.theta + h zeta) with a continuous gauge: the frequencies (Q,) and
+    eigenbases (Q, 6K, kappa), in zeta's row order.
 
-    The center node carries the band's own eigenbasis; moving outward along
-    each spectrum axis, each node continues its inward neighbor's band.  The
-    node set is one bands.continue_bands walk over the whole set, each node
-    with its inward neighbor as parent (so each basis is rotated onto its
-    neighbor's by the maximal-overlap unitary).  The vacuum medium takes the
-    closed form instead, as an independent route: evaluated for the whole
-    node set at once, then aligned node by node the same way.  Either way
-    the smallest singular value of each node's overlap with its neighbor
-    must reach OVERLAP_TOL.
+    Nodes equal to 14 decimals are one node.  The center carries the band's
+    own eigenbasis; the other nodes are visited outward (by max |zeta_a|,
+    then |zeta|, then zeta), each continuing the band of its inward
+    neighbor, the nearest node visited before it.  The walk is one
+    bands.continue_bands call over the whole set, each node with its inward
+    neighbor as parent (so each basis is rotated onto its neighbor's by the
+    maximal-overlap unitary).  The vacuum medium takes the closed form
+    instead, as an independent route: evaluated for the whole node set at
+    once, then aligned node by node the same way.  Either way the smallest
+    singular value of each node's overlap with its neighbor must reach
+    OVERLAP_TOL (GaugeError otherwise).
     """
+    uniq, row = np.unique(np.round(zeta, 14), axis=0, return_inverse=True)
+    outer = np.flatnonzero(np.any(uniq, axis=1))
+    outer = outer[np.lexsort((np.linalg.norm(uniq[outer], axis=1),
+                              np.abs(uniq[outer]).max(axis=1)))]
+    # the walk: the center, then the outer nodes; a node's parent is its
+    # inward neighbor's place in it
+    walked = np.concatenate([np.zeros((1, 3)), uniq[outer]])
+    parents = [_inward_neighbor(z, walked[:i]) for i, z in enumerate(walked[1:], start=1)]
+    place = np.zeros(len(uniq), dtype=int)
+    place[outer] = np.arange(1, len(walked))
+    thetas = band.theta + h * walked[1:]
+    walk = (_vacuum_walk(band, op.cutoff, thetas, parents) if _is_vacuum(op.spec) else
+            ((c.band.omega, c.band.eigvecs, c.overlap)
+             for c in continue_bands(op, thetas, band, [j - 1 for j in parents])))
+    omegas = np.empty(len(walked))
+    bases = np.empty((len(walked),) + band.eigvecs.shape, dtype=complex)
+    omegas[0], bases[0] = band.omega, band.eigvecs
+    for i, (omega, basis, overlap) in enumerate(walk, start=1):
+        if overlap < OVERLAP_TOL:
+            raise GaugeError(
+                f"eigenbasis overlap {overlap:.4f} < {OVERLAP_TOL} between "
+                f"adjacent quadrature nodes at zeta={tuple(walked[i].tolist())}"
+            )
+        omegas[i], bases[i] = omega, basis
+    at = place[row.reshape(-1)]  # numpy 2.0.0 shapes the inverse (Q, 1)
+    return omegas[at], bases[at]
 
-    def __init__(self, band: BlochBand, op: BlochOperator, packet: ExactPacketSpec):
-        self.band = band
-        self.op = op
-        self.packet = packet
-        self.vacuum = _is_vacuum(op.spec)
-        self._cache: Dict[Tuple[float, float, float], BlochBand] = {}
 
-    def eigen_at(self, zeta) -> Tuple[float, np.ndarray]:
-        key = tuple(np.round(zeta, 14))
-        if key not in self._cache:
-            raise KeyError("node outside prepared quadrature set")
-        node = self._cache[key]
-        return node.omega, node.eigvecs
+def _vacuum_walk(band: BlochBand, cutoff: LatticeCutoff, thetas: np.ndarray, parents):
+    """The closed-form (omega, basis) at each of the (Q, 3) thetas, the basis
+    rotated onto its parent's (the band itself for 0, theta j - 1 for j),
+    and the smallest singular value of that overlap."""
+    bases = [band.eigvecs]
+    for (omega, basis), j in zip(_vacuum_nodes(band, cutoff, thetas), parents):
+        psi, s = procrustes_align(basis, bases[j])
+        bases.append(psi)
+        yield omega, psi, s.min()
 
-    def prepare(self, zeta_nodes: np.ndarray):
-        """Walk the tensor node set axis by axis from the center outward."""
-        center = tuple(np.round(np.zeros(3), 14))
 
-        # visit order: sort nodes by ordering along successive axes so each
-        # node has an inward neighbor already visited
-        keys = [tuple(np.round(z, 14)) for z in zeta_nodes]
-        uniq = [z for z in sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z)))
-                if z != center]
-        thetas = self.band.theta + self.packet.h * np.array(uniq).reshape(-1, 3)
-        # the center, then the nodes in visit order; a node's parent is its
-        # inward neighbor's place among the nodes, -1 for the center
-        visited = np.array([center] + uniq).reshape(-1, 3)
-        parents = [_inward_neighbor(z, visited[:n]) - 1 for n, z in enumerate(uniq, start=1)]
-        walk = (self._vacuum_walk(thetas, parents) if self.vacuum else
-                ((c.band, c.overlap) for c in continue_bands(self.op, thetas, self.band, parents)))
-        done = {center: self.band}
-        for z, (node, overlap) in zip(uniq, walk):
-            if overlap < OVERLAP_TOL:
-                raise GaugeError(
-                    f"eigenbasis overlap {overlap:.4f} < {OVERLAP_TOL} between "
-                    f"adjacent quadrature nodes at zeta={tuple(z)}"
-                )
-            done[z] = node
-        self._cache = done
-
-    def _vacuum_walk(self, thetas: np.ndarray, parents):
-        """The closed-form band at each of the (Q, 3) thetas, rotated onto
-        its parent's (the band itself for -1), and the smallest singular
-        value of that overlap."""
-        done: List[BlochBand] = []
-        for theta, (omega, basis), j in zip(thetas, self._vacuum_nodes(thetas), parents):
-            psi, s = procrustes_align(basis, (self.band if j < 0 else done[j]).eigvecs)
-            done.append(BlochBand(theta, omega, 2, psi, self.band.band_index))
-            yield done[-1], s.min()
-
-    def _vacuum_nodes(self, thetas: np.ndarray):
-        """The closed-form (omega, (6K, 2) basis) at each of the (Q, 3) thetas:
-        the band's sign, both transverse_pair polarizations, in mode n = 0."""
-        sign = 1 if self.band.omega > 0 else -1
-        basis = np.zeros((len(thetas), self.op.cutoff.num_modes, 6, 2), dtype=complex)
-        i = self.op.cutoff.index_of((0, 0, 0))
-        for col, u in enumerate(transverse_pair(thetas)):
-            omega, basis[:, i, :3, col], basis[:, i, 3:, col] = exact_constant_solution(
-                thetas, e_pol=u, sign=sign)
-        return zip(omega, basis.reshape(len(thetas), -1, 2))
+def _vacuum_nodes(band: BlochBand, cutoff: LatticeCutoff, thetas: np.ndarray):
+    """The closed-form (omega, (6K, 2) basis) at each of the (Q, 3) thetas:
+    the band's sign, both transverse_pair polarizations, in mode n = 0."""
+    sign = 1 if band.omega > 0 else -1
+    basis = np.zeros((len(thetas), cutoff.num_modes, 6, 2), dtype=complex)
+    i = cutoff.index_of((0, 0, 0))
+    for col, u in enumerate(transverse_pair(thetas)):
+        omega, basis[:, i, :3, col], basis[:, i, 3:, col] = exact_constant_solution(
+            thetas, e_pol=u, sign=sign)
+    return zip(omega, basis.reshape(len(thetas), -1, 2))
 
 
 def _inward_neighbor(z, visited: np.ndarray) -> int:
@@ -269,93 +253,64 @@ def _is_vacuum(spec: MaterialSpec) -> bool:
 
 
 def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand, op: BlochOperator,
-                            times, grid: Optional[EnvelopeGrid] = None,
-                            points: Optional[np.ndarray] = None,
-                            estimate_error: bool = True) -> SynthesisResult:
+                            times, grid: EnvelopeGrid,
+                            estimate_error: bool = True) -> Tuple[HarmonicField, np.ndarray]:
     """Exact solution of the purely periodic problem as a Bloch-wave integral
-    at the output times (J,), on exactly one of `grid` or `points`.
+    at the output times (J,) on `grid`, and its quadrature error per time.
 
     Tensor Gauss-Legendre quadrature over the packet spectrum; per node the
-    eigenpair comes from the gauge-aligned band (closed form for vacuum).
-    The nodes do not depend on t: they are prepared once, and every time is
-    then one row block of a single product over the nodes (_synthesize), so
-    the result holds J times one time's field.
-    With `grid`, the result holds the harmonic-resolved field
-    {n: (J, 6, shape)} in `harmonics`, such that u(t, x) = sum_n
-    exp(i (theta + n).x / h) D_n(t, x) (each D_n carries the nodes' own
-    frequencies exp(i (x.zeta + omega t / h))); with `points`, it holds the
-    samples u(t_j, x_p), (J, P, 6), in `samples`.  With estimate_error the
-    quadrature error is estimated per time by comparing against the
-    lower-order rule (nodes_check), which is built and prepared only then;
-    otherwise it reads 0.
+    eigenpair comes from the gauge-aligned band (_node_bands, closed form
+    for vacuum).  The nodes do not depend on t: they are prepared once, and
+    every time is then one row block of a single product over the nodes
+    (_synthesize), so the field holds J times one time's harmonics
+    {n: (J, 6, shape)}, with u(t, x) = sum_n exp(i (theta + n).x / h)
+    D_n(t, x) (each D_n carries the nodes' own frequencies
+    exp(i (x.zeta + omega t / h))).  With estimate_error the quadrature
+    error (J,) is the L2 seminorm of the field minus that of the
+    lower-order rule (nodes_check), over the field's; the check rule is
+    built, and its nodes prepared in the same walk, only then.  Otherwise
+    the error reads 0.
     """
-    if (grid is None) == (points is None):
-        raise ValueError("synthesize_exact_packet takes exactly one of grid or points")
     if not op.spec.is_static():
         raise ConfigError("exact synthesis requires a purely periodic medium")
     times = np.asarray(times, dtype=float)
-    nodes = _NodeEigen(band, op, packet)
     zeta, wts = _gl_nodes(packet, packet.nodes)
     check = _gl_nodes(packet, packet.nodes_check) if estimate_error else None
-    nodes.prepare(zeta if check is None else np.concatenate([zeta, check[0]], axis=0))
-    field = _synthesize(packet, band, op.cutoff, nodes, zeta, wts, times, grid, points)
-    err = (np.zeros(len(times)) if check is None else
-           _synth_distance(field, _synthesize(packet, band, op.cutoff, nodes, *check,
-                                              times, grid, points)))
-    return SynthesisResult(t=times, harmonics=field if grid is not None else None,
-                           samples=field if points is not None else None,
-                           quadrature_error=err, node_count=len(zeta))
+    omegas, bases = _node_bands(band, op, packet.h,
+                                zeta if check is None else np.concatenate([zeta, check[0]]))
+    q = len(zeta)
+    field = _synthesize(packet, op.cutoff, omegas[:q], bases[:q], zeta, wts, times, grid)
+    if check is None:
+        return field, np.zeros(len(times))
+    coarse = _synthesize(packet, op.cutoff, omegas[q:], bases[q:], *check, times, grid)
+    l2 = ((0, 0, 0), (0, 0, 0))
+    return field, seminorm(difference(field, coarse), [l2])[l2] / seminorm(field, [l2])[l2]
 
 
-def _synthesize(packet, band, cutoff, nodes, zeta, wts, times, grid, points):
-    """The quadrature sum over one node set at the times (J,), on `grid`
-    (returning the harmonics {n: (J, 6, shape)}) or at `points` (returning
-    the samples (J, P, 6)); exactly one of them is given.
+def _synthesize(packet, cutoff, omegas, bases, zeta, wts, times, grid) -> HarmonicField:
+    """The quadrature sum over one node set, the (Q,) frequencies and
+    (Q, 6K, kappa) bases at the (Q, 3) nodes zeta, at the times (J,) on
+    `grid`.
 
     Only the node weights amp_q exp(i omega_q t_j / h), (J, Q), depend on t:
     the (6 |held|, Q) node vectors, weighted per time, are stacked into one
     (J 6 |held|, Q) matrix and multiplied once by the (Q, P) phases
-    exp(i x.zeta_q) at the output points (the grid's or the given ones),
-    giving the values per mode.  On a grid these are the harmonics; at
-    points they are contracted with the carriers exp(i (theta + n).x / h).
-    Only the modes whose node-vector rows are not all zero (the band's mode
-    class) enter: every other harmonic is zero."""
+    exp(i x.zeta_q) at the grid points, giving the harmonics.  Only the
+    modes whose node-vector rows are not all zero (the band's mode class)
+    enter: every other harmonic is zero."""
     amp = packet.spectrum_amplitude(zeta) * wts
     keep = np.flatnonzero(amp != 0.0)
-    amp, zeta = amp[keep], zeta[keep]
-    pairs = [nodes.eigen_at(z) for z in zeta]
-    omegas = np.array([omega for omega, _basis in pairs])
-    vecs = np.stack([basis @ packet.weights for _omega, basis in pairs], axis=1)
-    vecs = vecs.reshape(cutoff.num_modes, 6, len(zeta))
+    amp, zeta, omegas = amp[keep], zeta[keep], omegas[keep]
+    vecs = (bases[keep] @ packet.weights).T.reshape(cutoff.num_modes, 6, len(zeta))
     held = np.flatnonzero(np.any(vecs, axis=(1, 2)))
     vecs = vecs[held].reshape(6 * len(held), len(zeta))
-    modes = cutoff.modes[held]
-    xs = (grid.points() if grid is not None else np.asarray(points, dtype=float)).reshape(-1, 3)
+    xs = grid.points().reshape(-1, 3)
     phase = np.exp(1j * (zeta @ xs.T))                                      # (Q, P)
     node_wts = amp * np.exp(1j * times[:, None] * omegas / packet.h)        # (J, Q)
     per_mode = ((vecs[None] * node_wts[:, None]).reshape(-1, len(zeta)) @ phase
-                ).reshape(len(times), len(held), 6, len(xs))
-    if grid is not None:
-        return {tuple(n): per_mode[:, i].reshape((len(times), 6) + grid.shape)
-                for i, n in enumerate(modes)}
-    carrier = np.exp(1j * ((xs / packet.h) @ (band.theta[:, None] + modes.T)))  # (P, |held|)
-    return np.einsum("pk,jkcp->jpc", carrier, per_mode)
-
-
-def _synth_distance(a, b) -> np.ndarray:
-    """Relative L2 distance per time of two synthesized fields at the same J
-    times (harmonics or samples), (J,)."""
-    if isinstance(a, dict):
-        # an absent harmonic is zero
-        num = sum(_norms(a.get(n, 0) - b.get(n, 0)) ** 2 for n in set(a) | set(b))
-        den = sum(_norms(d) ** 2 for d in a.values())
-        return np.sqrt(num / np.maximum(den, 1e-300))
-    return _norms(a - b) / np.maximum(_norms(a), 1e-300)
-
-
-def _norms(arr: np.ndarray) -> np.ndarray:
-    """The L2 norm of each time of a (J, ...) array, (J,)."""
-    return np.linalg.norm(arr.reshape(len(arr), -1), axis=1)
+                ).reshape((len(times), len(held), 6) + grid.shape)
+    return HarmonicField(packet.theta_center, packet.h, times, grid,
+                         {tuple(n): per_mode[:, i] for i, n in enumerate(cutoff.modes[held])})
 
 
 # ---------------------------------------------------------------------------

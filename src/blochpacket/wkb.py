@@ -41,6 +41,7 @@ from .dispersion import DispersionData
 from .envelope import EnvelopeSolution, varying_axes
 from .errors import CutoffMismatch
 from .fourier import apply_mode_blocks, modulation_apply, symbol_matrix
+from .harmonics import HarmonicField
 from .rays import Eta, RayAverageData
 
 FieldKey = Tuple[int, int, Tuple[int, int, int]]
@@ -453,13 +454,14 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
 
 
 def assemble_harmonics(profiles: ProfileSet, h: float, times, grid,
-                       orders: Tuple[int, ...] = (0, 1, 2)) -> Dict[Tuple[int, int, int], np.ndarray]:
+                       orders: Tuple[int, ...] = (0, 1, 2)) -> HarmonicField:
     """Harmonic-resolved assembly on an envelope grid at the times (J,).
 
-    Returns {n: (J, 6, M1, M2, M3)} with the field at t_j equal to
-    sum_n exp(i (theta + n).x / h + i omega t_j / h) D_n(t_j, x), holding
-    only the modes on which some cell profile of the requested orders is
-    nonzero (every other harmonic is zero).  The table is the one assemble
+    Returns the HarmonicField whose harmonics {n: (J, 6, M1, M2, M3)} give
+    the field at t_j as sum_n exp(i (theta + n).x / h) D_n(t_j, x), each D_n
+    carrying exp(i omega t_j / h), holding only the modes on which some cell
+    profile of the requested orders is nonzero (every other harmonic is
+    zero).  The table is the one assemble
     evaluates, built once for all times and evaluated by the same product
     (_product) at every (time, grid point) pair; the envelope factors of
     every (time, key) pair are transformed by one inverse FFT over the
@@ -486,4 +488,5 @@ def assemble_harmonics(profiles: ProfileSet, h: float, times, grid,
     per_mode = per_mode.reshape(len(times), -1, len(held), 6)
     harm = np.exp(1j * profiles.band.omega * times / h)[:, None, None, None] * per_mode
     harm = np.moveaxis(harm, (2, 3, 1), (1, 2, 3)).reshape((len(times), len(held), 6) + grid.shape)
-    return {tuple(n): harm[:, i] for i, n in enumerate(profiles.op.cutoff.modes[held])}
+    return HarmonicField(profiles.band.theta, h, times, grid,
+                         {tuple(n): harm[:, i] for i, n in enumerate(profiles.op.cutoff.modes[held])})

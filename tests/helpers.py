@@ -8,7 +8,7 @@ from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
                                  cross_matrix, transverse_pair, trig_sum, wavevectors)
-from blochpacket.harmonics import HarmonicField, difference, seminorm
+from blochpacket.harmonics import difference, seminorm
 from blochpacket.oracles import (_curl_plan, _curl_rows, _inward_neighbor,
                                  exact_constant_solution, synthesize_exact_packet)
 from blochpacket.presets import identity_material, with_cos_modulation
@@ -292,12 +292,10 @@ def sup_errors_reference(profiles, packet, times, grid, pairs, orders=(0, 1, 2))
     per output time, each at that one time, the largest value kept per pair."""
     sup = {bd: 0.0 for bd in pairs}
     for t in times:
-        synth = synthesize_exact_packet(packet, profiles.band, profiles.op, [t], grid=grid,
-                                        estimate_error=False)
-        uh = HarmonicField(packet.theta_center, packet.h, synth.t, grid, synth.harmonics)
-        vh = HarmonicField(packet.theta_center, packet.h, synth.t, grid,
-                           assemble_harmonics(profiles, packet.h, [t], grid, orders=orders))
-        for bd, value in seminorm(difference(uh, vh), pairs).items():
+        synth, _err = synthesize_exact_packet(packet, profiles.band, profiles.op, [t], grid,
+                                              estimate_error=False)
+        assembled = assemble_harmonics(profiles, packet.h, [t], grid, orders=orders)
+        for bd, value in seminorm(difference(synth, assembled), pairs).items():
             sup[bd] = max(sup[bd], float(value[0]))
     return sup
 
@@ -362,77 +360,76 @@ def apply_a0_reference(op, v):
     return out
 
 
-def synthesize_reference(packet, band, cutoff, nodes, zeta, wts, t, grid, points):
+def synthesize_reference(packet, cutoff, omegas, bases, zeta, wts, t, grid):
     """The quadrature sum of oracles._synthesize at one time, node by node:
-    each node adds its full (K, 6, M) product (grid) or its per-point
-    carrier contraction (points)."""
+    each node adds its full (K, 6, M) product.  Returns {n: (6, shape)}."""
     amp = packet.spectrum_amplitude(zeta) * wts
-    h = packet.h
-    harmonics = None
-    samples = None
-    modes = cutoff.modes
-    if grid is not None:
-        xs = grid.meshgrid()
-        acc = np.zeros((cutoff.num_modes, 6) + grid.shape, dtype=complex)
-    if points is not None:
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        samp = np.zeros((len(pts), 6), dtype=complex)
+    xs = grid.meshgrid()
+    acc = np.zeros((cutoff.num_modes, 6) + grid.shape, dtype=complex)
     for q in range(len(zeta)):
         if amp[q] == 0.0:
             continue
-        omega_q, basis = nodes.eigen_at(zeta[q])
-        vec = (basis @ packet.weights).reshape(cutoff.num_modes, 6)
-        phase_t = np.exp(1j * t * omega_q / h)
-        if grid is not None:
-            ph = np.exp(1j * (zeta[q][0] * xs[0] + zeta[q][1] * xs[1] + zeta[q][2] * xs[2]))
-            acc += (amp[q] * phase_t) * vec[..., None, None, None] * ph[None, None, ...]
-        if points is not None:
-            ph = np.exp(1j * (pts @ zeta[q]))
-            carrier = np.exp(1j * ((pts / h) @ (band.theta[:, None] + modes.T)))
-            samp += (amp[q] * phase_t) * np.einsum("pk,kc,p->pc", carrier, vec, ph)
-    if grid is not None:
-        harmonics = {tuple(n): acc[i] for i, n in enumerate(modes)}
-    if points is not None:
-        samples = samp
-    return harmonics, samples
+        vec = (bases[q] @ packet.weights).reshape(cutoff.num_modes, 6)
+        phase_t = np.exp(1j * t * omegas[q] / packet.h)
+        ph = np.exp(1j * (zeta[q][0] * xs[0] + zeta[q][1] * xs[1] + zeta[q][2] * xs[2]))
+        acc += (amp[q] * phase_t) * vec[..., None, None, None] * ph[None, None, ...]
+    return {tuple(n): acc[i] for i, n in enumerate(cutoff.modes)}
 
 
-def vacuum_walk_reference(band, cutoff, h, zeta_nodes) -> dict:
-    """oracles._NodeEigen.prepare on the vacuum, one node at a time: in the
-    same visit order, each node's two constant_eigenfield vectors aligned to
-    its inward neighbour's basis.  Returns {node key: (omega, basis)}."""
-    sign = 1 if band.omega > 0 else -1
-    center = tuple(np.round(np.zeros(3), 14))
-    done = {center: (band.omega, band.eigvecs)}
+def physical_field(field):
+    """The field of a HarmonicField on its grid at its times, sum_n
+    exp(i (theta + n).x / h) D_n, (J, 6, M1, M2, M3)."""
+    xs = field.grid.meshgrid()
+    out = 0.0
+    for n, d in field.data.items():
+        k = field.theta + np.asarray(n)
+        out = out + np.exp(1j * (k[0] * xs[0] + k[1] * xs[1] + k[2] * xs[2]) / field.h) * d
+    return out
+
+
+def _walk_order(zeta_nodes):
+    """oracles._node_bands' walk over the (Q, 3) nodes: the distinct nodes
+    (to 14 decimals) other than the center, by max |zeta_a|, then |zeta|,
+    then zeta, and each node's key."""
     keys = [tuple(np.round(z, 14)) for z in zeta_nodes]
+    center = tuple(np.round(np.zeros(3), 14))
+    order = sorted(set(keys) - {center},
+                   key=lambda z: (np.abs(z).max(), np.linalg.norm(z), z))
+    return order, keys
+
+
+def vacuum_walk_reference(band, cutoff, h, zeta_nodes):
+    """oracles._node_bands on the vacuum, one node at a time: in the same
+    visit order, each node's two constant_eigenfield vectors aligned to its
+    inward neighbour's basis.  Returns the (omega, basis) of each node, in
+    zeta_nodes' row order."""
+    sign = 1 if band.omega > 0 else -1
+    order, keys = _walk_order(zeta_nodes)
+    done = {tuple(np.round(np.zeros(3), 14)): (band.omega, band.eigvecs)}
     visited = [np.zeros(3)]
-    for z in sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z))):
-        if z in done:
-            continue
+    for z in order:
         _omega, prev = done[tuple(visited[_inward_neighbor(z, np.array(visited))])]
         theta = band.theta + h * np.asarray(z)
         basis = np.stack([constant_eigenfield(cutoff, theta, (0, 0, 0), u, sign)
                           for u in transverse_pair(theta)], axis=1)
         done[z] = (sign * np.linalg.norm(theta), bands.procrustes_align(basis, prev)[0])
         visited.append(np.asarray(z))
-    return done
+    return [done[k] for k in keys]
 
 
-def node_walk_reference(band, op, h, zeta_nodes) -> dict:
-    """oracles._NodeEigen.prepare on a non-vacuum medium, one node at a time:
-    in the same visit order, each node continue_band_reference of its
-    inward neighbour's band.  Returns {node key: (band, gap)}."""
-    center = tuple(np.round(np.zeros(3), 14))
-    done = {center: (band, np.inf)}
-    keys = [tuple(np.round(z, 14)) for z in zeta_nodes]
+def node_walk_reference(band, op, h, zeta_nodes):
+    """oracles._node_bands on a non-vacuum medium, one node at a time: in the
+    same visit order, each node continue_band_reference of its inward
+    neighbour's band.  Returns the (band, gap) of each node, in zeta_nodes'
+    row order."""
+    order, keys = _walk_order(zeta_nodes)
+    done = {tuple(np.round(np.zeros(3), 14)): (band, np.inf)}
     visited = [np.zeros(3)]
-    for z in sorted(set(keys), key=lambda z: (np.abs(z).max(), np.linalg.norm(z))):
-        if z in done:
-            continue
+    for z in order:
         prev, _gap = done[tuple(visited[_inward_neighbor(z, np.array(visited))])]
         done[z] = continue_band_reference(op, band.theta + h * np.asarray(z), prev)
         visited.append(np.asarray(z))
-    return done
+    return [done[k] for k in keys]
 
 
 def eval_hat_at_reference(grid, hat, points):

@@ -1,6 +1,7 @@
 """CLI: config validation, artifact schemas, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,7 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
     ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": ["a"]}}, "packet.axes"),
     ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": [3]}}, "packet.axes"),
     ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": []}}, "packet.axes"),
+    ({"packet": {"widths": [1.0, 1.5, 1.0], "axes": [1, 1]}}, "packet.axes"),
     ({"num_bands": "x"}, "num_bands"),
     ({"num_bands": 0}, "num_bands"),
     ({"seed": "x"}, "seed"),
@@ -191,7 +193,8 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
         "path_step_over_tracking_bound", "negative_t_final", "non_numeric_t_final",
         "infinite_t_final", "negative_dt", "non_numeric_dt", "negative_cfl",
         "non_numeric_support_sigmas", "negative_support_sigmas", "non_numeric_width",
-        "non_numeric_axis", "axis_out_of_range", "no_axes", "non_numeric_num_bands",
+        "non_numeric_axis", "axis_out_of_range", "no_axes", "duplicate_axes",
+        "non_numeric_num_bands",
         "zero_num_bands", "non_numeric_seed", "non_numeric_band_index",
         "zero_weights", "nan_weight", "scalar_h_list", "non_numeric_theta",
         "num_bands_over_dynamic_dimension", "fractional_cutoff", "fractional_grid_size",
@@ -314,6 +317,46 @@ def test_validate_refuses_packet_carried_to_box_edge(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "box edge on axis 0 at h=0.015625" in err and "half-box 50.25" in err
+
+
+@pytest.mark.parametrize("packet, grid_shape", [
+    ({"axes": [2]}, [1, 192, 1]),
+    ({"axes": [1], "widths": [1.0, 1.5, 3.0]}, [1, 192, 64]),
+], ids=["packet_axis_not_varying", "varying_axis_not_in_packet"])
+def test_validate_refuses_packet_axes_other_than_grid_axes(tmp_path, capsys, monkeypatch,
+                                                           packet, grid_shape):
+    """The synthesis spreads its spectrum over the packet axes, the envelope
+    over the grid's varying axes: validate refuses the run when the two sets
+    differ, naming both, before any quadrature node is walked."""
+    import blochpacket.oracles as oracles
+
+    monkeypatch.setattr(oracles, "_node_bands", None)
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "validate_identity.json").read_text())
+    doc["packet"].update(packet)
+    doc["grid"]["shape"] = grid_shape
+    cfg = tmp_path / "axes.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    grid_axes = [a for a in range(3) if grid_shape[a] > 1]
+    assert f"packet.axes {packet['axes']}" in err and f"varying axes {grid_axes}" in err
+
+
+@pytest.mark.parametrize("name, code", [("bands_layered", 2), ("oracle_layered", 4),
+                                        ("wkb_modulated", 0), ("validate_identity", 0)])
+def test_validate_exit_code_on_each_shipped_config(tmp_path, capsys, name, code):
+    """validate on each shipped config: the layered packet spread along an
+    axis its grid does not vary on is refused (2), the anisotropic layered
+    walk loses the gauge between adjacent nodes (4, zeta printed as plain
+    numbers), and the modulated and vacuum configs pass (0)."""
+    cfg = Path(__file__).parents[1] / "configs" / f"{name}.json"
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if name == "bands_layered":
+        assert "packet.axes [0] differ from the grid's varying axes [1]" in err
+    if name == "oracle_layered":
+        assert re.search(r"nodes at zeta=\(-?\d+\.\d+, -?\d+\.\d+, -?\d+\.\d+\)$",
+                         err.strip()), err
 
 
 def test_hypothesis_violation_exits_3(tmp_path):

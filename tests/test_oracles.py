@@ -3,13 +3,13 @@ the time-domain integrator."""
 
 import numpy as np
 import pytest
-from helpers import L2, apply_curl_block, constant_eigenfield
+from helpers import L2, apply_curl_block, constant_eigenfield, physical_field
 
 from blochpacket.bands import BlochOperator, solve_bands
 from blochpacket.envelope import EnvelopeGrid
 from blochpacket.errors import ConfigError
 from blochpacket.fourier import LatticeCutoff
-from blochpacket.harmonics import HarmonicField, difference, seminorm
+from blochpacket.harmonics import difference, seminorm
 from blochpacket.oracles import (
     ExactPacketSpec,
     constant_spectrum,
@@ -95,20 +95,19 @@ def test_synthesis_initial_data_vs_uniform_rule(packet_setup):
     """Gauss-Legendre synthesis at t=0 against an independent uniform-grid
     (FFT-style trapezoid) quadrature of the same Bloch integral."""
     pipe, packet, grid = packet_setup
-    res = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0],
-                                  grid=grid, estimate_error=False)
-    gl = res.harmonics[(0, 0, 0)][0]
+    res, _err = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0], grid,
+                                        estimate_error=False)
+    gl = res.data[(0, 0, 0)][0]
 
     # uniform-rule reconstruction with the closed-form eigenpair gauge chained
     # from the band basis, matching the synthesis convention
-    from blochpacket.oracles import _NodeEigen, _gl_nodes
+    from blochpacket.oracles import _node_bands
 
-    nodes = _NodeEigen(pipe.band, pipe.op, packet)
     r = packet.support_sigmas / packet.widths[1]
     zs = np.linspace(-r, r, 4001)
     zeta = np.zeros((len(zs), 3))
     zeta[:, 1] = zs
-    nodes.prepare(zeta)
+    _omegas, bases = _node_bands(pipe.band, pipe.op, packet.h, zeta)
     amp = packet.spectrum_amplitude(zeta) * (zs[1] - zs[0])
     amp[0] *= 0.5
     amp[-1] *= 0.5
@@ -116,8 +115,7 @@ def test_synthesis_initial_data_vs_uniform_rule(packet_setup):
     acc = np.zeros((6, len(x2)), dtype=complex)
     i0 = pipe.cutoff.index_of((0, 0, 0))
     for q in range(len(zs)):
-        _omega, basis = nodes.eigen_at(zeta[q])
-        vec = (basis @ packet.weights).reshape(-1, 6)[i0]
+        vec = (bases[q] @ packet.weights).reshape(-1, 6)[i0]
         acc += amp[q] * vec[:, None] * np.exp(1j * x2 * zs[q])[None, :]
     got = gl[:, 0, :, 0]
     assert np.max(np.abs(got - acc)) < 1e-7 * np.max(np.abs(acc))
@@ -132,17 +130,15 @@ def test_batched_vacuum_walk_matches_node_by_node_walk(axes, identity_pipe):
     a line of nodes and on a tensor set with tied distances."""
     from helpers import vacuum_walk_reference
 
-    from blochpacket.oracles import _gl_nodes, _NodeEigen
+    from blochpacket.oracles import _gl_nodes, _node_bands
 
     pipe = identity_pipe
     packet = ExactPacketSpec(THETA, 1 / 32, (2.0, 2.0, 1.0), [1.0, 0.0], axes=axes, nodes=11)
     zeta, _wts = _gl_nodes(packet, packet.nodes)
-    nodes = _NodeEigen(pipe.band, pipe.op, packet)
-    nodes.prepare(zeta)
+    omegas, bases = _node_bands(pipe.band, pipe.op, packet.h, zeta)
     ref = vacuum_walk_reference(pipe.band, pipe.cutoff, packet.h, zeta)
-    for z in zeta:
-        omega, basis = nodes.eigen_at(z)
-        ref_omega, ref_basis = ref[tuple(np.round(z, 14))]
+    assert len(omegas) == len(bases) == len(ref) == len(zeta)
+    for omega, basis, (ref_omega, ref_basis) in zip(omegas, bases, ref):
         assert abs(omega - ref_omega) <= 4 * np.finfo(float).eps * abs(ref_omega)
         assert np.max(np.abs(basis - ref_basis)) <= 1e-14
 
@@ -181,9 +177,8 @@ def test_synthesis_quadrature_estimate(identity_pipe):
     for n in (41, 101):
         packet = ExactPacketSpec(THETA, h, (1.0, 1.5, 1.0), weights, axes=(1,),
                                  nodes=n, nodes_check=n - 10)
-        res = synthesize_exact_packet(packet, pipe.band, pipe.op, [2.0],
-                                      grid=grid, estimate_error=False)
-        fields[n] = HarmonicField(THETA, h, res.t, grid, res.harmonics)
+        fields[n], _err = synthesize_exact_packet(packet, pipe.band, pipe.op, [2.0], grid,
+                                                  estimate_error=False)
     diff = seminorm(difference(fields[41], fields[101]), [L2])[L2]
     assert diff < 1e-8 * seminorm(fields[101], [L2])[L2]
 
@@ -200,12 +195,12 @@ def test_synthesis_center_moves_at_group_velocity(identity_pipe):
     x1 = grid.axis_coords(0)
 
     def center(res, j):
-        dens = sum(np.sum(np.abs(d[j]) ** 2, axis=0)[:, 0, 0] for d in res.harmonics.values())
+        dens = sum(np.sum(np.abs(d[j]) ** 2, axis=0)[:, 0, 0] for d in res.data.values())
         return float(np.sum(x1 * dens) / np.sum(dens))
 
     t1 = 2.0
-    res = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0, t1], grid=grid,
-                                  estimate_error=False)
+    res, _err = synthesize_exact_packet(packet, pipe.band, pipe.op, [0.0, t1], grid,
+                                        estimate_error=False)
     speed = (center(res, 1) - center(res, 0)) / t1
     assert abs(speed - pipe.dispersion.V[0]) < 1e-2
 
@@ -215,7 +210,7 @@ def test_synthesis_nodes_cross_cell_boundary():
     spectrum support h*R = 0.25 around theta_1 = 0.95 crosses theta_1 = 1,
     and every node's omega matches the medium's closed form
     |theta + h*zeta - e_1| / 2 (eps = 4, band 1 sits on the mode n = -e_1)."""
-    from blochpacket.oracles import _NodeEigen, _gl_nodes
+    from blochpacket.oracles import _gl_nodes, _node_bands
 
     op = BlochOperator.build(scaled_identity(4.0), LatticeCutoff(1), np.array([0.95, 0.3, 0.0]))
     theta = op.theta
@@ -223,11 +218,9 @@ def test_synthesis_nodes_cross_cell_boundary():
     packet = ExactPacketSpec(theta, 1 / 8, (3.0, 1.0, 1.0), [1.0, 0.0], axes=(0,),
                              nodes=61)
     zeta, _wts = _gl_nodes(packet, packet.nodes)
-    nodes = _NodeEigen(band, op, packet)
-    nodes.prepare(zeta)
+    omegas, _bases = _node_bands(band, op, packet.h, zeta)
     e1 = np.array([1.0, 0.0, 0.0])
-    for z in zeta:
-        omega, _basis = nodes.eigen_at(z)
+    for z, omega in zip(zeta, omegas):
         assert abs(omega - np.linalg.norm(theta + packet.h * z - e1) / 2) < 1e-12
 
 
@@ -238,17 +231,17 @@ def test_multi_time_synthesis_matches_single_times(monkeypatch):
     import blochpacket.oracles as oracles
 
     prepares, solves = [], []
-    prepare, continue_bands = oracles._NodeEigen.prepare, oracles.continue_bands
+    node_bands, continue_bands = oracles._node_bands, oracles.continue_bands
 
-    def counted_prepare(self, zeta):
+    def counted_node_bands(band, op, h, zeta):
         prepares.append(len(zeta))
-        return prepare(self, zeta)
+        return node_bands(band, op, h, zeta)
 
     def counted_continue(*args, **kwargs):
         solves.extend(args[1])
         return continue_bands(*args, **kwargs)
 
-    monkeypatch.setattr(oracles._NodeEigen, "prepare", counted_prepare)
+    monkeypatch.setattr(oracles, "_node_bands", counted_node_bands)
     monkeypatch.setattr(oracles, "continue_bands", counted_continue)
 
     op = BlochOperator.build(scaled_identity(4.0), LatticeCutoff(1), THETA)
@@ -257,7 +250,7 @@ def test_multi_time_synthesis_matches_single_times(monkeypatch):
                              nodes=21, nodes_check=15)
     grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1))
     times = [0.0, 1.5, 4.0]
-    multi = synthesize_exact_packet(packet, band, op, times, grid=grid)
+    multi, multi_err = synthesize_exact_packet(packet, band, op, times, grid)
     assert len(prepares) == 1
     node_solves = len(solves)
     assert node_solves > 0
@@ -265,13 +258,13 @@ def test_multi_time_synthesis_matches_single_times(monkeypatch):
     for j, t in enumerate(times):
         prepares.clear()
         solves.clear()
-        single = synthesize_exact_packet(packet, band, op, [t], grid=grid)
+        single, single_err = synthesize_exact_packet(packet, band, op, [t], grid)
         assert len(prepares) == 1 and len(solves) == node_solves
         assert multi.t[j] == single.t[0] == t
-        assert multi.quadrature_error[j] == single.quadrature_error[0]
-        assert multi.harmonics.keys() == single.harmonics.keys()
-        for n in multi.harmonics:
-            assert np.array_equal(multi.harmonics[n][j], single.harmonics[n][0])
+        assert multi_err[j] == single_err[0]
+        assert multi.data.keys() == single.data.keys()
+        for n in multi.data:
+            assert np.array_equal(multi.data[n][j], single.data[n][0])
 
 
 def test_legendre_rule_is_computed_once_and_read_only():
@@ -299,12 +292,12 @@ def test_check_rule_is_built_only_to_estimate_the_error(identity_pipe, monkeypat
     packet = ExactPacketSpec(THETA, 1 / 16, (1.0, 1.5, 1.0), [1.0, 0.0], axes=(1,),
                              nodes=21, nodes_check=15)
     grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 32, 1))
-    res = synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op, [0.0, 1.0],
-                                  grid=grid, estimate_error=False)
-    assert rules == [21] and np.all(res.quadrature_error == 0.0)
-    res = synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op, [0.0, 1.0],
-                                  grid=grid)
-    assert rules == [21, 21, 15] and np.all(res.quadrature_error > 0.0)
+    _field, err = synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op,
+                                          [0.0, 1.0], grid, estimate_error=False)
+    assert rules == [21] and np.all(err == 0.0)
+    _field, err = synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op,
+                                          [0.0, 1.0], grid)
+    assert rules == [21, 21, 15] and np.all(err > 0.0)
 
 
 def test_stacked_sweep_matches_per_time_loop(identity_pipe):
@@ -328,65 +321,70 @@ def test_stacked_sweep_matches_per_time_loop(identity_pipe):
         assert got[L2] > 0.0
 
 
-def test_layered_node_walk_matches_per_node_walk(offaxis_layered_pipe):
+def test_layered_node_walk_matches_per_node_walk(offaxis_layered_pipe, monkeypatch):
     """On a layered medium the node set is one stacked continuation: each
     node's omega, band index and basis are those of continuing its inward
     neighbour one node at a time."""
     from helpers import node_walk_reference
 
-    from blochpacket.oracles import _NodeEigen, _gl_nodes
+    import blochpacket.oracles as oracles
 
+    walked, continue_bands = [], oracles.continue_bands
+
+    def recorded_continue(*args, **kwargs):
+        for cont in continue_bands(*args, **kwargs):
+            walked.append(cont.band)
+            yield cont
+
+    monkeypatch.setattr(oracles, "continue_bands", recorded_continue)
     pipe = offaxis_layered_pipe
     packet = ExactPacketSpec(pipe.theta, 1 / 32, (3.0, 2.0, 1.0), [1.0], axes=(0, 1), nodes=5)
-    zeta, _wts = _gl_nodes(packet, packet.nodes)
-    nodes = _NodeEigen(pipe.band, pipe.op, packet)
-    nodes.prepare(zeta)
+    zeta, _wts = oracles._gl_nodes(packet, packet.nodes)
+    omegas, bases = oracles._node_bands(pipe.band, pipe.op, packet.h, zeta)
     ref = node_walk_reference(pipe.band, pipe.op, packet.h, zeta)
-    assert len(ref) == len(zeta)
-    for z, (want, _gap) in ref.items():
-        got = nodes._cache[z]
-        assert abs(got.omega - want.omega) <= 1e-13 and got.band_index == want.band_index
-        assert np.linalg.norm(got.eigvecs.conj().T @ want.eigvecs - np.eye(got.kappa)) <= 1e-10
+    assert len(omegas) == len(bases) == len(ref) == len(zeta)
+    for omega, basis, (want, _gap) in zip(omegas, bases, ref):
+        assert abs(omega - want.omega) <= 1e-13
+        assert np.linalg.norm(basis.conj().T @ want.eigvecs - np.eye(want.kappa)) <= 1e-10
+    # every node but the center is walked once, with the reference's band index
+    index_at = {tuple(want.theta): want.band_index for want, _gap in ref}
+    assert len(walked) == len(zeta) - 1
+    assert all(index_at[tuple(got.theta)] == got.band_index for got in walked)
 
 
 @pytest.mark.parametrize("which", ["identity", "layered"])
 def test_synthesize_matches_node_loop(which, identity_pipe, offaxis_layered_pipe):
     """One matrix product over the nodes per output time gives the node-by-node
-    quadrature sum, on the grid and at points, to 1e-12 relative; the grid
-    harmonics held are the modes of the band's class."""
+    quadrature sum on the grid to 1e-12 relative; the harmonics held are the
+    modes of the band's class."""
     from helpers import band_class_modes, synthesize_reference
 
-    from blochpacket.oracles import _NodeEigen, _gl_nodes, _synthesize
+    from blochpacket.oracles import _gl_nodes, _node_bands, _synthesize
 
     pipe = identity_pipe if which == "identity" else offaxis_layered_pipe
     weights = np.ones(pipe.band.kappa) / np.sqrt(pipe.band.kappa)
     packet = ExactPacketSpec(pipe.theta, 1 / 32, (3.0, 1.0, 1.0), weights, axes=(0,),
                              nodes=21)
     zeta, wts = _gl_nodes(packet, packet.nodes)
-    nodes = _NodeEigen(pipe.band, pipe.op, packet)
-    nodes.prepare(zeta)
+    omegas, bases = _node_bands(pipe.band, pipe.op, packet.h, zeta)
     grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (48, 1, 1))
-    pts = np.random.default_rng(7).uniform(-8.0, 8.0, (29, 3))
     times = np.array([0.0, 1.5, 4.0])
-    on_grid = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, times, grid, None)
-    at_points = _synthesize(packet, pipe.band, pipe.cutoff, nodes, zeta, wts, times, None, pts)
+    field = _synthesize(packet, pipe.cutoff, omegas, bases, zeta, wts, times, grid)
     for j, t in enumerate(times):
-        harmonics, samples = {n: d[j] for n, d in on_grid.items()}, at_points[j]
-        ref_harmonics, ref_samples = synthesize_reference(packet, pipe.band, pipe.cutoff, nodes,
-                                                          zeta, wts, t, grid, pts)
+        harmonics = {n: d[j] for n, d in field.data.items()}
+        ref_harmonics = synthesize_reference(packet, pipe.cutoff, omegas, bases, zeta, wts, t,
+                                             grid)
         # a harmonic is held, or absent and exactly zero in the reference
         assert set(harmonics) <= set(ref_harmonics)
         assert all(not np.any(d) for n, d in ref_harmonics.items() if n not in harmonics)
         got = np.stack([harmonics[n] for n in harmonics])
         ref = np.stack([ref_harmonics[n] for n in harmonics])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.linalg.norm(samples - ref_samples) <= 1e-12 * np.linalg.norm(ref_samples)
     assert set(harmonics) == band_class_modes(pipe)
 
 
 def test_synthesis_requires_static_medium(identity_pipe):
-    """A modulated medium is refused, and so is a call that gives both of
-    grid and points, or neither."""
+    """A modulated medium is refused."""
     from blochpacket.presets import with_ohmic_loss
 
     spec = with_ohmic_loss(identity_material(), 0.1)
@@ -395,11 +393,7 @@ def test_synthesis_requires_static_medium(identity_pipe):
     with pytest.raises(ConfigError):
         synthesize_exact_packet(packet, identity_pipe.band,
                                 BlochOperator.build(spec, identity_pipe.cutoff, THETA), [0.0],
-                                grid=grid)
-    for targets in ({}, {"grid": grid, "points": np.zeros((1, 3))}):
-        with pytest.raises(ValueError):
-            synthesize_exact_packet(packet, identity_pipe.band, identity_pipe.op, [0.0],
-                                    **targets)
+                                grid)
 
 
 def test_synthesis_satisfies_time_domain_equations(identity_pipe):
@@ -418,16 +412,15 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
     packet = ExactPacketSpec(THETA, h, (2.0, 1.0, 1.0), weights, axes=(0,),
                              nodes=61, nodes_check=41)
     grid = EnvelopeGrid((10 * np.pi, 2 * np.pi, 2 * np.pi), (640, 1, 1))
-    xs = grid.meshgrid()
-    pts = np.stack([g.ravel() for g in xs], axis=-1)
 
     t0 = 0.5
     s = 1e-3
     c4 = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * s)
     times = t0 + np.array([-2, -1, 1, 2, 0]) * s
-    fields = [samples.T.reshape((6,) + grid.shape) for samples in
-              synthesize_exact_packet(packet, pipe.band, pipe.op, times, points=pts,
-                                      estimate_error=False).samples]
+    # the carriers exp(i (theta + n).x / h) are periodic on this box
+    synth, _err = synthesize_exact_packet(packet, pipe.band, pipe.op, times, grid,
+                                          estimate_error=False)
+    fields = physical_field(synth)
     dudt = sum(c * f for c, f in zip(c4, fields[:4]))
     u = fields[4]
     ks = grid.wave_meshgrid()

@@ -7,7 +7,7 @@ from helpers import (L2, assemble_harmonics_reference, band_class_modes, curl_di
 
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state
 from blochpacket.errors import CutoffMismatch
-from blochpacket.harmonics import HarmonicField, seminorm
+from blochpacket.harmonics import seminorm
 from blochpacket.wkb import (
     assemble,
     assemble_harmonics,
@@ -412,7 +412,7 @@ def test_assemble_harmonics_matches_mode_loop(which, identity_profiles, modulate
                                               layered_profiles, offaxis_layered_pipe):
     profs = {"identity": identity_profiles, "modulated": modulated_profiles,
              "layered": layered_profiles}[which]
-    got = {n: d[0] for n, d in assemble_harmonics(profs, 1 / 8, [3.0], GRID).items()}
+    got = {n: d[0] for n, d in assemble_harmonics(profs, 1 / 8, [3.0], GRID).data.items()}
     ref = assemble_harmonics_reference(profs, 1 / 8, 3.0, GRID)
     scale = max(np.abs(d).max() for d in ref.values())
     # a harmonic is held, or absent and exactly zero in the reference
@@ -431,7 +431,7 @@ def test_assemble_harmonics_matches_mode_loop(which, identity_profiles, modulate
 def test_assemble_is_the_carrier_sum_of_harmonics(which, t, identity_profiles, modulated_profiles,
                                                   layered_profiles):
     """assemble at the envelope grid's points equals
-    sum_n exp(i (theta + n).x / h) assemble_harmonics(...)[n] to 1e-13 of
+    sum_n exp(i (theta + n).x / h) assemble_harmonics(...).data[n] to 1e-13 of
     the field's maximum."""
     profs = {"identity": identity_profiles, "modulated": modulated_profiles,
              "layered": layered_profiles}[which]
@@ -440,7 +440,7 @@ def test_assemble_is_the_carrier_sum_of_harmonics(which, t, identity_profiles, m
     got = assemble(profs, h, t, pts).samples
     expect = sum(np.exp(1j * (pts @ (profs.band.theta + np.asarray(n))) / h)[:, None]
                  * d[0].reshape(6, -1).T
-                 for n, d in assemble_harmonics(profs, h, [t], GRID).items())
+                 for n, d in assemble_harmonics(profs, h, [t], GRID).data.items())
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -448,8 +448,7 @@ def test_norm_stable_in_h(identity_profiles):
     """||v(t)|| is h-independent to O(h) for a fixed envelope."""
     norms = {}
     for h in (1 / 8, 1 / 16, 1 / 32):
-        harm = assemble_harmonics(identity_profiles, h, [0.0], GRID)
-        field = HarmonicField(identity_profiles.band.theta, h, np.zeros(1), GRID, harm)
+        field = assemble_harmonics(identity_profiles, h, [0.0], GRID)
         norms[h] = seminorm(field, [L2])[L2][0]
     base = norms[1 / 32]
     assert abs(norms[1 / 8] - base) < 0.4 * base * (1 / 8)
