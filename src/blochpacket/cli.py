@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Dict, Tuple
 
@@ -346,7 +346,10 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    main() call in the process."""
     parser = argparse.ArgumentParser(
         prog="blochpacket",
         description="Bloch band structure, envelope dynamics, and wave-packet "
@@ -357,7 +360,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

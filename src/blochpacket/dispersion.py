@@ -21,7 +21,8 @@ import numpy as np
 
 from .bands import BlochBand, BlochOperator, ProjectorPair, continue_bands
 from .errors import MultiplicityInconsistent, SpeedLimitViolation
-from .fourier import MaterialSpec, apply_mode_blocks, cross_matrix, symbol_matrix, trig_sum
+from .fourier import (MaterialSpec, apply_mode_blocks, cell_points, cross_matrix, symbol_matrix,
+                      trig_sum)
 
 SCALAR_TOL = 1e-8
 # samples per structured axis of the y-grid that _tau_max maximizes over
@@ -29,6 +30,13 @@ Y_SAMPLES = 17
 # margin below zero that speed_limit_check still accepts as round-off
 SPEED_TOL = 1e-9
 TAU_CHUNK = 4096  # 3x3 symbol matrices per batched eigvalsh
+# y-index stride of the sub-grid whose margins bound the full-grid margins
+# from below: y-indices 0, 8 and 16 of the Y_SAMPLES per structured axis
+BOUND_STRIDE = 8
+# directions refined per pass, fewer when one chunk holds fewer
+REFINE_CHUNK = 16
+# how far a bound may exceed the worst margin and still be refined
+BOUND_SLACK = 1e-12
 
 
 @dataclass
@@ -225,14 +233,10 @@ def fd_hessian(op: BlochOperator, band: BlochBand, step: float = 5e-3) -> np.nda
 # ---------------------------------------------------------------------------
 
 def _symbol_tables(spec: MaterialSpec) -> np.ndarray:
-    """Rows T_ab = eps^{-1/2} cx(e_a)^H mu^{-1} cx(e_b) eps^{-1/2} (9, 9G) over
-    the y-sample grid: the symbol matrices at xi are sum xi_a xi_b T_ab."""
-    # the grid collapses along axes the coefficients do not depend on (exact
-    # by translation invariance)
-    modes = list(spec.eps0) + list(spec.mu0)
-    ys = [np.linspace(0.0, 2 * np.pi, Y_SAMPLES if any(n[a] != 0 for n in modes) else 1,
-                      endpoint=False) for a in range(3)]
-    pts = np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1)
+    """Rows T_ab = eps^{-1/2} cx(e_a)^H mu^{-1} cx(e_b) eps^{-1/2}, shape
+    (9, n1, n2, n3, 9), over the cell_points grid of Y_SAMPLES points per
+    structured axis: the symbol matrices at xi are sum xi_a xi_b T_ab."""
+    pts = cell_points(list(spec.eps0) + list(spec.mu0), Y_SAMPLES)
     eps, mu = (trig_sum(c, pts).reshape(-1, 3, 3) for c in (spec.eps0, spec.mu0))
     eps = 0.5 * (eps + np.conj(np.swapaxes(eps, -1, -2)))
     mu = 0.5 * (mu + np.conj(np.swapaxes(mu, -1, -2)))
@@ -241,42 +245,85 @@ def _symbol_tables(spec: MaterialSpec) -> np.ndarray:
     cx = cross_matrix(np.eye(3))[:, None]  # (3, 1, 3, 3)
     left = eps_inv_sqrt @ np.conj(np.swapaxes(cx, -1, -2)) @ np.linalg.inv(mu)
     right = cx @ eps_inv_sqrt
-    return (left[:, None] @ right[None, :]).reshape(9, -1)
+    return (left[:, None] @ right[None, :]).reshape(9, *pts.shape[:-1], 9)
 
 
 def _tau_max(xis: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Largest root of the constant-coefficient symbol pencil for each row of
-    xis (S, 3), maximized over a y-sample grid of Y_SAMPLES points per axis
-    (tables: _symbol_tables of the medium).
+    xis (S, 3), maximized over the grid points of tables (_symbol_tables of
+    the medium, or a sub-grid of its points).
 
     Per point the nonzero roots satisfy tau^2 eps e = cross(xi)^T mu^{-1}
     cross(xi) e, a 3x3 Hermitian-definite problem.  The grid maximum is a
-    lower bound of the true sup, exact up to grid resolution for smooth specs
-    (the grid collapses along axes the coefficients do not depend on).  One
+    lower bound of the true sup, exact up to grid resolution for smooth specs,
+    and a maximum over fewer of the grid's points is a lower bound of it.  One
     product and one eigvalsh per chunk of at most TAU_CHUNK symbol matrices
-    (or of one direction)."""
+    (or of one direction); a direction's result does not depend on its chunk."""
+    tables = tables.reshape(9, -1)
     grid = tables.shape[1] // 9
     step = max(1, TAU_CHUNK // grid)
     tau2 = np.empty(len(xis))
     for s in range(0, len(xis), step):
         xi = xis[s:s + step]
-        m = ((xi[:, :, None] * xi[:, None, :]).reshape(-1, 9) @ tables).reshape(-1, 3, 3)
+        w = (xi[:, :, None] * xi[:, None, :]).reshape(-1, 9)
+        # a lone row would take numpy's matrix-vector route, which rounds
+        # differently from a matrix product: where a chunk holds several
+        # directions, a last chunk of one goes through a matrix product too
+        m = (np.concatenate([w, w]) @ tables)[:1] if len(w) == 1 < step else w @ tables
+        m = m.reshape(-1, 3, 3)
         tau2[s:s + step] = np.linalg.eigvalsh(m)[:, -1].reshape(len(xi), grid).max(axis=1)
     return np.sqrt(np.maximum(tau2, 0.0))
 
 
+def _refined_margins(xis: np.ndarray, along_v: np.ndarray, tables: np.ndarray,
+                     coarse: np.ndarray) -> np.ndarray:
+    """Full-grid margins tau_max(-xi) - xi.V of every direction that can hold
+    the smallest one, +inf for the others.
+
+    The margin on the coarse sub-grid bounds each full-grid margin from below.
+    Directions are refined in order of that bound (stably) until the next
+    bound exceeds the worst full-grid margin found, so every direction
+    skipped has a margin above the worst, and the lowest index among equal
+    worst margins has been refined.  The slack covers a rounding difference
+    between the two grids' products."""
+    bound = _tau_max(-xis, coarse) - along_v
+    order = np.argsort(bound, kind="stable")
+    margins = np.full(len(xis), np.inf)
+    step = min(REFINE_CHUNK, max(1, TAU_CHUNK // int(np.prod(tables.shape[1:-1]))))
+    worst = np.inf
+    for s in range(0, len(xis), step):
+        if bound[order[s]] > worst + BOUND_SLACK:
+            break
+        idx = order[s:s + step]
+        margins[idx] = _tau_max(-xis[idx], tables) - along_v[idx]
+        worst = min(worst, margins[idx].min())
+    return margins
+
+
 def speed_limit_check(spec: MaterialSpec, V, num_samples: int = 1000,
                       seed: int = 0) -> dict:
-    """Verify xi.V <= tau_max(-xi) + SPEED_TOL over random unit directions.
+    """Verify xi.V <= tau_max(-xi) + SPEED_TOL over random unit directions,
+    tau_max over the Y_SAMPLES grid.
 
-    Returns {'worst_margin', 'worst_xi', 'num_samples'}; raises
-    SpeedLimitViolation if any margin drops below -SPEED_TOL (a solver bug: the
-    packet cannot outrun the medium).
+    Returns {'worst_margin', 'worst_xi', 'num_samples'}: the smallest
+    full-grid margin and its direction (lowest index on ties).  A medium that
+    varies along some axis first bounds every margin on the sub-grid of every
+    BOUND_STRIDE-th sample and refines only the directions whose bound does not
+    clear the worst margin (_refined_margins); the result is the one a full
+    pass over every direction gives.  Raises SpeedLimitViolation if the worst
+    margin drops below -SPEED_TOL (a solver bug: the packet cannot outrun the
+    medium).
     """
     xis = np.random.default_rng(seed).standard_normal((num_samples, 3))
     # row norms by the same dot product as np.linalg.norm of one row
     xis /= np.sqrt(xis[:, None, :] @ xis[:, :, None])[:, 0]
-    margins = _tau_max(-xis, _symbol_tables(spec)) - xis @ np.asarray(V, dtype=float)
+    along_v = xis @ np.asarray(V, dtype=float)
+    tables = _symbol_tables(spec)
+    coarse = tables[:, ::BOUND_STRIDE, ::BOUND_STRIDE, ::BOUND_STRIDE]
+    if coarse.size == tables.size:
+        margins = _tau_max(-xis, tables) - along_v
+    else:
+        margins = _refined_margins(xis, along_v, tables, coarse)
     worst, worst_xi = float(margins.min()), xis[np.argmin(margins)]
     if worst < -SPEED_TOL:
         raise SpeedLimitViolation(

@@ -38,7 +38,7 @@ from .errors import GammaPointError, MaterialError
 Mode = Tuple[int, int, int]
 ModKey = Tuple[Tuple[float, float, float, float], Mode]
 
-# y-grid used to validate reconstructed material positivity
+# samples per structured axis of the cell grid that validates positivity
 _POSITIVITY_GRID = 9
 _POSITIVITY_TOL = 1e-10
 
@@ -228,7 +228,8 @@ class MaterialSpec:
 
     Base coefficients must satisfy coef(-n) = coef(n)^H so the reconstructed
     matrices are Hermitian pointwise; reconstructed eps0, mu0 must be positive
-    definite (checked on a 9^3 sample grid, smallest eigenvalue > 1e-10).  A
+    definite (smallest eigenvalue > 1e-10 on the cell_points grid with 9
+    samples along each axis the coefficient varies on, 1 along the others).  A
     key whose n is not 3 integers or whose eta is not 4 finite numbers is
     refused (MaterialError) when the spec is built, before it could be rounded.
     """
@@ -259,14 +260,15 @@ class MaterialSpec:
                         f"{name}: coefficient at {neg} must equal the conjugate "
                         f"transpose of the coefficient at {n}"
                     )
-            y = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_GRID, endpoint=False)
-            grid = trig_sum(coefs, np.stack(np.meshgrid(y, y, y, indexing="ij"), axis=-1))
+            pts = cell_points(coefs, _POSITIVITY_GRID)
+            grid = trig_sum(coefs, pts)
             herm = 0.5 * (grid + np.conj(np.swapaxes(grid, -1, -2)))
             eigs = np.linalg.eigvalsh(herm)
             if eigs.min() <= _POSITIVITY_TOL:
+                shape = "x".join(str(n) for n in pts.shape[:-1])
                 raise MaterialError(
                     f"{name} reconstruction is not positive definite "
-                    f"(min eigenvalue {eigs.min():.3e} on a {_POSITIVITY_GRID}^3 grid)"
+                    f"(min eigenvalue {eigs.min():.3e} on a {shape} cell grid)"
                 )
         for name, coefs, dim in (
             ("eps1", self.eps1, 3),
@@ -378,6 +380,17 @@ def modulation_apply(spec: MaterialSpec, eta, cutoff: LatticeCutoff, v: np.ndarr
 # ---------------------------------------------------------------------------
 # Trigonometric sums
 # ---------------------------------------------------------------------------
+
+def cell_points(modes, m: int) -> np.ndarray:
+    """Cell sample points y_a = 2 pi k / m, shape (n1, n2, n3, 3): m samples
+    along each axis some cell harmonic in modes has a nonzero entry on, the
+    single sample y_a = 0 along the others.  A trigonometric sum over modes is
+    constant along those axes, so it takes the same values here as on the
+    full m^3 grid."""
+    ys = [np.linspace(0.0, 2 * np.pi, m if any(n[a] != 0 for n in modes) else 1,
+                      endpoint=False) for a in range(3)]
+    return np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1)
+
 
 def trig_sum(coefs: Dict, points) -> np.ndarray:
     """sum_k coef(k) exp(i k.p) at points p (..., d), frequencies k of length d

@@ -423,6 +423,38 @@ def test_bands_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_parser_built_once_serves_every_command(tmp_path, capsys):
+    """In one process bands, then dispersion, then a malformed argv go
+    through the parser built on first use: the artifacts are byte-identical
+    to those of runs that each build a fresh parser, and the malformed call
+    still exits with argparse's error."""
+    import blochpacket.cli as cli
+
+    cfg = write_config(tmp_path)
+    commands = ("bands", "dispersion")
+
+    def run(command, name):
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    fresh = {}
+    for command in commands:
+        cli._parser.cache_clear()
+        fresh[command] = run(command, f"fresh_{command}")
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    for command in commands:
+        assert run(command, f"shared_{command}") == fresh[command]
+    assert cli._parser() is parser
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["dispersion", "--out", str(tmp_path / "malformed")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    assert cli._parser() is parser
+
+
 def test_gamma_schema(tmp_path):
     cfg = write_config(tmp_path, {
         "material": {

@@ -11,6 +11,7 @@ from blochpacket.errors import GammaPointError, MaterialError
 from blochpacket.fourier import (
     LatticeCutoff,
     MaterialSpec,
+    cell_points,
     modulation_apply,
     transverse_field_blocks,
     trig_sum,
@@ -158,6 +159,29 @@ def test_material_validation_rejects_indefinite():
     bad = MaterialSpec(eps0={(0, 0, 0): -np.eye(3)}, mu0={(0, 0, 0): np.eye(3)})
     with pytest.raises(MaterialError):
         bad.validate()
+
+
+def test_positivity_grid_collapses_to_the_varying_axis():
+    """eps0 = 0.5 + 0.6 cos y2 is indefinite only through its harmonic along
+    axis 1: the check samples 9 points along that axis and 1 along the others,
+    still refuses it, and names that grid."""
+    bad = MaterialSpec(eps0={(0, 0, 0): 0.5 * np.eye(3), (0, 1, 0): 0.3 * np.eye(3),
+                             (0, -1, 0): 0.3 * np.eye(3)},
+                       mu0={(0, 0, 0): np.eye(3)})
+    assert cell_points(bad.eps0, 9).shape == (1, 9, 1, 3)
+    with pytest.raises(MaterialError, match=r"eps0 .* on a 1x9x1 cell grid"):
+        bad.validate()
+
+
+def test_cell_points_take_every_value_of_the_full_grid():
+    """A trigonometric sum on the collapsed grid takes exactly the values it
+    takes on the full 9^3 grid."""
+    coefs = layered_anisotropic().eps0
+    y = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
+    full = trig_sum(coefs, np.stack(np.meshgrid(y, y, y, indexing="ij"), axis=-1))
+    collapsed = trig_sum(coefs, cell_points(coefs, 9))
+    assert collapsed.shape[:3] == (9, 1, 1)
+    assert np.array_equal(full, np.broadcast_to(collapsed, full.shape))
 
 
 @pytest.mark.parametrize("key", [((0.5, 0.0, 0.0, 0.0), (0.5, 0, 0)),
