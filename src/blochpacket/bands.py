@@ -34,7 +34,10 @@ along all three axes has one).  The classes are held one way, stacked by
 size: every stage (apply_blocks for A0 and the partial inverse, the reduced
 pencil, the projectors) makes one batched pass per class size.  Two entry
 points solve the pencil.  `solve_bands` returns the lowest bands; it
-computes the eigenvalues of every class.  `continue_bands` follows one band
+solves only the classes whose spectral floor (_floors, below) can admit
+them: those it takes in floor order until they hold the bands asked for,
+then those whose floor lies below the last of those bands' |omega|
+(bands_layered solves 2 of its 25 classes).  `continue_bands` follows one band
 to a whole stack of nearby theta known up front (finite-difference
 stencils, a tracked path, synthesis quadrature nodes), each point
 continuing the band or an earlier point's continuation; `continue_band` is
@@ -50,7 +53,10 @@ reduced-matrix entries); the match then walks the points in order on those
 arrays.  It scores the candidate clusters on their orthonormal columns,
 and only the matched one keeps its rotation onto the previous basis and
 gets a residual.  Either way only the clusters a caller inspects are
-lifted to full 6K vectors.
+lifted to full 6K vectors.  build_projectors eigendecomposes only the
+classes whose floor admits the band's |omega| (they alone can hold the
+kernel); on the others the partial inverse is the pencil's inverse,
+applied by a linear solve where a vector has entries.
 
 The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
 phase that makes its largest entry real positive, kappa > 1 the rotation onto
@@ -124,26 +130,42 @@ class BlochBand:
 class ProjectorPair:
     """Eigenspace basis and partial inverse Q of the Bloch pencil
     L = i*omega*A0 - G.  With Pi = basis basis^H, Q Pi = Pi Q = 0 and
-    L Q = I - Pi.  Q is held as one (rows, stacked dense blocks) pair per
-    class size, like A0 in BlochOperator, and applied by apply_q; neither Pi
-    nor Q is formed as a 6K x 6K matrix.
+    L Q = I - Pi.  Q is block diagonal over the mode classes.  On the class
+    members build_projectors decomposed (`decomposed`, one mask per group of
+    op) it is held as one (rows, stacked dense blocks) pair per class size
+    in q_blocks; every other member's pencil is invertible, so there Q is
+    L^-1 = -i (omega A0 + iG)^-1, applied by one batched linear solve per
+    class size over the members on which v has a nonzero entry.  apply_q
+    does both; neither Pi nor Q is formed as a 6K x 6K matrix.
     """
 
     basis: np.ndarray  # (6K, kappa), the gauge actually used downstream
     omega: float
     theta: np.ndarray
     q_blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    op: BlochOperator
+    decomposed: Tuple[np.ndarray, ...]
 
     def apply_q(self, v: np.ndarray) -> np.ndarray:
         """Q v for v of shape (6K,) or (6K, m)."""
-        return apply_blocks(self.q_blocks, v)
+        out = apply_blocks(self.q_blocks, v)
+        # one flag per mode: does v have a nonzero entry on its 6 rows
+        live = v.reshape(len(self.op.g_blocks), -1).any(axis=1)
+        for g, ((modes, rows, _a0, _li), done) in enumerate(zip(self.op.groups, self.decomposed)):
+            solve = ~done & live[modes].any(axis=1)
+            if solve.any():
+                x = v[rows[solve]]
+                h = _shifted_pencil(self.op, g, solve, self.omega)
+                y = np.linalg.solve(h, x.reshape(x.shape[:2] + (-1,)))
+                out[rows[solve]] = -1j * y.reshape(x.shape)
+        return out
 
 
 def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
     """Apply a matrix that is block diagonal over the mode classes, given as
-    (rows (n, r), blocks (n, r, r)) pairs that together cover every row, to v
-    of shape (6K,) or (6K, m): one batched product per pair."""
-    out = np.empty(v.shape, dtype=complex)
+    (rows (n, r), blocks (n, r, r)) pairs, to v of shape (6K,) or (6K, m):
+    one batched product per pair; rows that no pair covers come out zero."""
+    out = np.zeros(v.shape, dtype=complex)
     for rows, stack in blocks:
         x = v[rows]
         out[rows] = (stack @ x.reshape(x.shape[:2] + (-1,))).reshape(x.shape)
@@ -391,15 +413,36 @@ def _residual(p: _Pencil, sel: List[int], psi: np.ndarray, omega: float) -> floa
 
 def solve_bands(op: BlochOperator, num_bands: int) -> List[BlochBand]:
     """Bands sorted by |omega| (negative first when |omega| agree within the
-    cluster tolerance), clustered by multiplicity.  num_bands counts eigenvalues including multiplicity; a
-    cluster straddling the cut is kept whole (with a warning)."""
-    p = _solve_pencil(op, op.theta)
-    if num_bands > len(p.vals):
-        raise ValueError(
-            f"num_bands={num_bands} exceeds the dynamic subspace dimension {len(p.vals)}"
-        )
+    cluster tolerance), clustered by multiplicity.  num_bands counts
+    eigenvalues including multiplicity; a cluster straddling the cut is kept
+    whole (with a warning).
 
-    frame = transverse_field_blocks(op.cutoff, op.theta)
+    Only the class members that can hold the first num_bands eigenvalues
+    are solved.  A first pass takes members in floor order (_floors; stable)
+    until they hold num_bands eigenvalues; their num_bands-th |omega| bounds
+    that of the full spectrum, so every eigenvalue up to it lies in a member
+    whose floor lies below it.  A second pass, made only when it adds a
+    member, solves those (_below, whose margin keeps the cut cluster and its
+    +- tie partners whole) with the first set.  The clusters, their means,
+    band indices, eigenvectors and residuals up to the cut are those of the
+    full spectrum.  A one-class medium, or a call for every band, is one
+    pass over every member."""
+    floors = _floors(op)
+    sizes = np.concatenate([np.full(len(f), 4 * modes.shape[1])
+                            for f, (modes, _rows, _a0, _li) in zip(floors, op.groups)])
+    if num_bands > sizes.sum():
+        raise ValueError(
+            f"num_bands={num_bands} exceeds the dynamic subspace dimension {sizes.sum()}"
+        )
+    members = _lowest_members(floors, sizes, num_bands)
+    p = _solve_pencil(op, op.theta, members)
+    if members is not None:
+        wider = [b | m for b, m in zip(_below(floors, abs(p.vals[num_bands - 1])), members)]
+        if any((w & ~m).any() for w, m in zip(wider, members)):
+            p = _solve_pencil(op, op.theta, wider)
+
+    # the gauge frame is read by kappa > 1 clusters only
+    frame = None
     bands: List[BlochBand] = []
     count = 0
     indices = _band_indices(p.vals)
@@ -414,9 +457,24 @@ def solve_bands(op: BlochOperator, num_bands: int) -> List[BlochBand]:
                 ClusterStraddle,
             )
         count += len(sel)
+        if len(sel) > 1 and frame is None:
+            frame = transverse_field_blocks(op.cutoff, op.theta)
         psi = _fix_gauge(_cluster_span(p, sel), frame)
         bands.append(_band(p, sel, psi, omega, indices[sel[0]]))
     return bands
+
+
+def _lowest_members(floors: List[np.ndarray], sizes: np.ndarray,
+                    count: int) -> Optional[List[np.ndarray]]:
+    """Per group, the mask of the members taken in floor order (stable, over
+    the groups' members in turn) until they hold at least count eigenvalues,
+    sizes[i] those of member i; None when that takes every member."""
+    order = np.argsort(np.concatenate(floors), kind="stable")
+    take = np.zeros(len(order), dtype=bool)
+    take[order[:np.searchsorted(np.cumsum(sizes[order]), count) + 1]] = True
+    if take.all():
+        return None
+    return np.split(take, np.cumsum([len(f) for f in floors])[:-1])
 
 
 class Continuation(NamedTuple):
@@ -647,28 +705,30 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
     """Projector onto ker(i*omega*A0 - G) and the Moore-Penrose partial inverse.
 
-    The pencil L = i*omega*A0 - G is anti-Hermitian, so -iL is Hermitian and
-    its eigendecomposition, one per mode class (one batched call per class
-    size), yields both the kernel projector and the pseudo-inverse with the
-    exact defining identities.  The kernel threshold is relative to the
-    largest |eigenvalue| over all classes.
+    The pencil L = i*omega*A0 - G is anti-Hermitian, so -iL is Hermitian.
+    Its kernel lies in the class members whose floor (_floors) admits
+    |omega|, those of _below(floors, |omega|): the pencil spectrum of any
+    other member lies beyond |omega|, so L is invertible there.  -iL is
+    eigendecomposed on those members only (one batched call per class
+    size), which yields both the kernel projector and the pseudo-inverse
+    there with the exact defining identities.  The kernel dimension is
+    counted over them against kappa; the kernel threshold is KERNEL_TOL
+    times the largest |eigenvalue| over the decomposed members.  On every
+    other member Q is the inverse of L, applied by a linear solve
+    (ProjectorPair.apply_q).
     """
     if band.residual > RESIDUAL_TOL:
         raise ValueError(
             f"band residual {band.residual:.3e} exceeds {RESIDUAL_TOL:.0e}; refuse to build projectors"
         )
     op.check_band(band)
-    # eigenpairs of -i * (i omega A0 - G) per class, stacked by class size;
-    # the matrix is not kept
-    spectra = []
-    for modes, rows, a0, _li in op.groups:
-        herm = band.omega * a0
-        n, m = modes.shape
-        i = np.arange(m)
-        # the paired mode index moves to the front of the indexed view
-        herm.reshape(n, m, 6, m, 6)[:, i, :, i, :] += 1j * op.g_blocks[modes].swapaxes(0, 1)
-        spectra.append((rows, *np.linalg.eigh(_hermitian_part(herm))))
-    smax = max(np.abs(s).max() for _rows, s, _u in spectra)
+    decomposed = tuple(_below(_floors(op), abs(band.omega)))
+    # eigenpairs of -i * (i omega A0 - G) per decomposed member, stacked by
+    # class size; the matrix is not kept
+    spectra = [(rows[sel], *np.linalg.eigh(_shifted_pencil(op, g, sel, band.omega)))
+               for g, ((_modes, rows, _a0, _li), sel) in enumerate(zip(op.groups, decomposed))
+               if sel.any()]
+    smax = max((np.abs(s).max() for _rows, s, _u in spectra), default=0.0)
     null_dim = sum(int(np.sum(np.abs(s) <= KERNEL_TOL * smax)) for _rows, s, _u in spectra)
     if null_dim != band.kappa:
         raise MultiplicityInconsistent(
@@ -682,7 +742,19 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
                         where=np.abs(s) > KERNEL_TOL * smax)
         q_blocks.append((rows, (u * inv[:, None, :]) @ _adjoint(u)))
     return ProjectorPair(basis=band.eigvecs, omega=band.omega, theta=band.theta,
-                         q_blocks=tuple(q_blocks))
+                         q_blocks=tuple(q_blocks), op=op, decomposed=decomposed)
+
+
+def _shifted_pencil(op: BlochOperator, g: int, sel: np.ndarray, omega: float) -> np.ndarray:
+    """-i * (i omega A0 - G) = omega A0 + iG on the members sel (a mask) of
+    group g, one Hermitian block per member."""
+    modes, _rows, a0, _li = op.groups[g]
+    herm = omega * a0[sel]
+    n, m = len(herm), modes.shape[1]
+    i = np.arange(m)
+    # the paired mode index moves to the front of the indexed view
+    herm.reshape(n, m, 6, m, 6)[:, i, :, i, :] += 1j * op.g_blocks[modes[sel]].swapaxes(0, 1)
+    return _hermitian_part(herm)
 
 
 # ---------------------------------------------------------------------------

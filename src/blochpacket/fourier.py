@@ -226,12 +226,14 @@ class MaterialSpec:
     lower_order : {(eta, n): 6x6 complex} -- zero-order term (e.g. Ohmic loss,
         conductivity sigma in the top-left block).
 
-    Base coefficients must satisfy coef(-n) = coef(n)^H so the reconstructed
-    matrices are Hermitian pointwise; reconstructed eps0, mu0 must be positive
-    definite (smallest eigenvalue > 1e-10 on the cell_points grid with 9
-    samples along each axis the coefficient varies on, 1 along the others).  A
-    key whose n is not 3 integers or whose eta is not 4 finite numbers is
-    refused (MaterialError) when the spec is built, before it could be rounded.
+    eps0 and mu0 each need at least one coefficient (validate refuses an
+    empty map).  Base coefficients must satisfy coef(-n) = coef(n)^H so the
+    reconstructed matrices are Hermitian pointwise; reconstructed eps0, mu0
+    must be positive definite (smallest eigenvalue > 1e-10 on the
+    cell_points grid with 9 samples along each axis the coefficient varies
+    on, 1 along the others).  A key whose n is not 3 integers or whose eta
+    is not 4 finite numbers is refused (MaterialError) when the spec is
+    built, before it could be rounded.
     """
 
     eps0: Dict[Mode, np.ndarray] = field(default_factory=dict)
@@ -249,7 +251,11 @@ class MaterialSpec:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        for name, coefs in (("eps0", self.eps0), ("mu0", self.mu0)):
+        base = (("eps0", self.eps0), ("mu0", self.mu0))
+        for name, coefs in base:
+            if not coefs:
+                raise MaterialError(f"{name} has no coefficients")
+        for name, coefs in base:
             for n, m in coefs.items():
                 if m.shape != (3, 3):
                     raise MaterialError(f"{name}[{n}] is not 3x3")

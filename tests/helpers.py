@@ -7,7 +7,8 @@ from blochpacket.bands import BlochOperator, build_projectors, mode_classes, sol
 from blochpacket.dispersion import hessian
 from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
-                                 cross_matrix, transverse_pair, trig_sum, wavevectors)
+                                 cross_matrix, transverse_field_blocks, transverse_pair, trig_sum,
+                                 wavevectors)
 from blochpacket.harmonics import difference, seminorm
 from blochpacket.oracles import (_curl_plan, _curl_rows, _inward_neighbor,
                                  exact_constant_solution, synthesize_exact_packet)
@@ -326,6 +327,22 @@ def class_blocks(op):
     per-size groups."""
     for modes, rows, a0, _li in op.groups:
         yield from zip(modes, rows, a0)
+
+
+def solve_bands_reference(op, num_bands):
+    """bands.solve_bands solving every class member in one pass: the
+    clusters, their band indices and their gauge read the full spectrum."""
+    p = bands._solve_pencil(op, op.theta)
+    frame = transverse_field_blocks(op.cutoff, op.theta)
+    indices = bands._band_indices(p.vals)
+    out, count = [], 0
+    for sel, omega in zip(*bands._cluster(p.vals)):
+        if count >= num_bands:
+            break
+        count += len(sel)
+        psi = bands._fix_gauge(bands._cluster_span(p, sel), frame)
+        out.append(bands._band(p, sel, psi, omega, indices[sel[0]]))
+    return out
 
 
 def continue_band_reference(op, theta, prev):

@@ -2,6 +2,8 @@
 refinement, and band tracking."""
 
 import dataclasses
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     dense_operator,
     longitudinal_field_blocks,
     parity_layered,
+    solve_bands_reference,
 )
 
 from blochpacket import bands
@@ -28,6 +31,8 @@ from blochpacket.bands import (
     solve_bands,
     track_band,
 )
+from blochpacket.cli import select_band
+from blochpacket.config import load_config
 from blochpacket.dispersion import _hessian_shifts
 from blochpacket.errors import CutoffMismatch, GapViolation, MaterialError, MultiplicityInconsistent
 from blochpacket.fourier import (
@@ -122,9 +127,17 @@ def test_indefinite_material_rejected():
         BlochOperator.build(bad, LatticeCutoff(1), THETA)
 
 
-def test_num_bands_exceeding_dynamic_dimension():
+def test_num_bands_exceeding_dynamic_dimension(monkeypatch):
+    """The dimension in the refusal is the sum of 4m over the class members,
+    counted without solving any."""
+    pencils = _pencils(monkeypatch)
     with pytest.raises(ValueError):
         solve_bands(BlochOperator.build(identity_material(), LatticeCutoff(0), THETA), 5)
+    op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
+    with pytest.raises(ValueError, match=r"^num_bands=501 exceeds the dynamic subspace "
+                                         r"dimension 500$"):
+        solve_bands(op, 501)
+    assert not pencils
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +450,112 @@ def test_continuation_solves_one_of_25_classes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The full band solve on the members the floors admit
+# ---------------------------------------------------------------------------
+
+def _members(pencils):
+    """(group, member) of every class member solved by any of the pencils."""
+    return {(g, p.blocks[g][0][c]) for p in pencils for g, c in p.owner[:2].T.tolist()}
+
+
+def _random_multiclass(seed):
+    """Random Hermitian eps0 and mu0 with harmonics (1, 0, 0) and (0, 2, 0):
+    at cutoff 2 the modes split by n3 and the parity of n2 into 10 classes,
+    of 15 and 10 modes.  The mean is at least the identity and the harmonics'
+    norms sum to 0.8, so both are positive definite."""
+    rng = np.random.default_rng(seed)
+
+    def coefs():
+        x = 0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        out = {(0, 0, 0): np.eye(3) + x @ x.conj().T}
+        for n in [(1, 0, 0), (0, 2, 0)]:
+            c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            out[n] = 0.2 * c / np.linalg.norm(c, 2)
+            out[tuple(-v for v in n)] = out[n].conj().T
+        return out
+
+    return MaterialSpec(eps0=coefs(), mu0=coefs()).validate()
+
+
+@pytest.mark.parametrize("spec, cutoff, theta", [
+    (layered(0.2), 2, THETA_OFF), (layered(0.2), 2, THETA), (parity_layered(), 2, THETA),
+    (cosine_3d(), 1, THETA), (identity_material(), 1, THETA),
+    (_random_multiclass(0), 2, [0.31, 0.17, 0.05]), (_random_multiclass(1), 2, [0.2, 0.4, 0.1]),
+], ids=["layered", "layered_axis", "parity", "cosine_3d", "identity", "random0", "random1"])
+def test_pruned_solve_matches_every_member(spec, cutoff, theta, monkeypatch):
+    """solve_bands against the solve of every member, for 1, 2 and 8 bands,
+    cuts inside the first multiple cluster and inside the first cluster
+    spread over several classes (on axis the polarizations, and the classes
+    related by the symmetries of the layers, are degenerate; the cluster is
+    returned whole with a warning), and every band (one pass over every
+    member): omega, band index, kappa and residual are bitwise equal, the
+    eigenvectors equal up to the gauge."""
+    op = BlochOperator.build(spec, LatticeCutoff(cutoff), theta)
+    dim = 4 * op.cutoff.num_modes
+    full = solve_bands_reference(op, dim)
+    starts = np.cumsum([0] + [b.kappa for b in full])
+    member = np.empty(len(full[0].eigvecs), dtype=int)
+    for i, rows in enumerate(r for _m, group_rows, _a0, _li in op.groups for r in group_rows):
+        member[rows] = i
+    spread = [len(set(member[np.flatnonzero(np.abs(b.eigvecs).sum(axis=1))])) for b in full]
+    straddle = sorted({next((s + 1 for s, b in zip(starts, full) if b.kappa > 1), dim),
+                       next((s + 1 for s, k in zip(starts, spread) if k > 1), dim)} - {dim})
+    # on axis the spectrum has multiple clusters to cut into
+    assert straddle or theta[1] != 0.0
+    pencils = _pencils(monkeypatch)
+    classes = sum(len(m) for m, *_rest in op.groups)
+    for num_bands in [1, 2, 8, *straddle, dim]:
+        pencils.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = solve_bands(op, num_bands)
+        assert [w.category for w in caught] == [bands.ClusterStraddle] * (num_bands not in starts)
+        ref = full[:len(got)]
+        assert sum(b.kappa for b in got) >= num_bands > sum(b.kappa for b in got[:-1])
+        for b, r in zip(got, ref, strict=True):
+            assert (b.omega, b.band_index, b.kappa, b.residual) == (
+                r.omega, r.band_index, r.kappa, r.residual)
+            aligned, _s = bands.procrustes_align(b.eigvecs, r.eigvecs)
+            assert np.max(np.abs(aligned - r.eigvecs)) <= 1e-12
+        if num_bands == dim or classes == 1:
+            (p,) = pencils
+            assert len(p.vals) == dim
+        elif num_bands <= 2:
+            assert len(_members(pencils)) < classes
+
+
+def test_band_stages_on_bands_layered_touch_few_classes(monkeypatch):
+    """configs/bands_layered.json (layered, cutoff 2, 25 classes, 8 bands):
+    select_band solves at most 2 members, and build_projectors decomposes
+    the one class that holds the band."""
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "bands_layered.json")
+    op = BlochOperator.build(cfg.material, cfg.cutoff, cfg.theta)
+    assert sum(len(f) for f in bands._floors(op)) == 25
+    pencils = _pencils(monkeypatch)
+    band, _all = select_band(cfg, op)
+    assert len(_members(pencils)) <= 2
+    proj = build_projectors(band, op)
+    assert sum(len(q) for _rows, q in proj.q_blocks) == 1
+    assert sum(int(d.sum()) for d in proj.decomposed) == 1
+
+
+def test_gauge_frame_built_only_for_a_multiple_cluster(monkeypatch):
+    """The transverse frame is read by kappa > 1 clusters alone: bands_layered's
+    eight bands (all kappa = 1) never build it, the vacuum's build it once."""
+    built = []
+
+    def frame(*args):
+        built.append(args)
+        return transverse_field_blocks(*args)
+
+    monkeypatch.setattr(bands, "transverse_field_blocks", frame)
+    got = solve_bands(BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF), 8)
+    assert {b.kappa for b in got} == {1} and not built
+    got = solve_bands(BlochOperator.build(identity_material(), LatticeCutoff(1), THETA), 8)
+    assert {b.kappa for b in got} == {2} and len(built) == 1
+
+
+# ---------------------------------------------------------------------------
 # Stacked continuation against the per-point walk
 # ---------------------------------------------------------------------------
 
@@ -640,10 +759,53 @@ def test_partial_inverse_matches_dense_pinv(identity_pipe):
         assert np.linalg.norm(q - dense) < 1e-9 * np.linalg.norm(dense)
 
 
+def test_partial_inverse_solves_outside_the_decomposed_class(offaxis_layered_pipe, rng,
+                                                             monkeypatch):
+    """bands_layered decomposes the band's class alone.  On vectors with
+    support on other classes apply_q solves exactly those (one batched solve
+    over them) and matches the dense pseudo-inverse to 1e-9 relative; it
+    stays zero on every class where the vector vanishes."""
+    pipe = offaxis_layered_pipe
+    proj = pipe.projectors
+    classes = mode_classes(pipe.spec, pipe.cutoff)
+    owner = np.empty(6 * pipe.cutoff.num_modes, dtype=int)
+    for c, modes in enumerate(classes):
+        owner[(6 * modes[:, None] + np.arange(6)).ravel()] = c
+    band_class = owner[np.flatnonzero(pipe.band.eigvecs[:, 0])[0]]
+    assert sum(int(d.sum()) for d in proj.decomposed) == 1
+    a0, g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
+    dense = np.linalg.pinv(1j * pipe.band.omega * a0 - g, rcond=1e-10)
+    solved = []
+    shifted = bands._shifted_pencil
+    monkeypatch.setattr(bands, "_shifted_pencil",
+                        lambda op, g, sel, omega: solved.append(int(sel.sum()))
+                        or shifted(op, g, sel, omega))
+    others = [c for c in range(len(classes)) if c != band_class]
+    for support, cols in [(rng.choice(others, 3, replace=False), (2,)),
+                          ([band_class, others[7]], ())]:
+        solved.clear()
+        live = np.isin(owner, support)
+        v = (rng.standard_normal((len(owner),) + cols)
+             + 1j * rng.standard_normal((len(owner),) + cols)) * live.reshape((-1,) + (1,) * len(cols))
+        got = proj.apply_q(v)
+        ref = dense @ v
+        assert np.linalg.norm(got - ref) < 1e-9 * np.linalg.norm(ref)
+        assert not np.any(got[~live])
+        assert solved == [len(support) - (band_class in support)]
+
+
 def test_projector_multiplicity_diagnostic(identity_pipe):
     band = dataclasses.replace(identity_pipe.band, kappa=3)
     with pytest.raises(MultiplicityInconsistent):
         build_projectors(band, identity_pipe.op)
+
+
+def test_projector_multiplicity_diagnostic_on_many_classes(offaxis_layered_pipe):
+    """25 classes, one decomposed: a forced kappa = 2 for a simple band is
+    refused as on the vacuum."""
+    band = dataclasses.replace(offaxis_layered_pipe.band, kappa=2)
+    with pytest.raises(MultiplicityInconsistent, match="kernel dimension 1 != kappa 2"):
+        build_projectors(band, offaxis_layered_pipe.op)
 
 
 def test_projectors_reject_operator_at_other_theta(identity_pipe):

@@ -180,6 +180,8 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
                              "matrix": [[[0.1, 0]] * 3] * 3}]}}, "material.eps1[0].eat"),
     ({"material": {"eps0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}],
                    "mu0": [{"matrix": [[[1, 0]] * 3] * 3}]}}, "material.mu0[0].n"),
+    ({"material": {"mu0": [{"n": [0, 0, 0], "matrix": [[[1, 0]] * 3] * 3}]}},
+     "eps0 has no coefficients"),
     ({"horizon": True}, "horizon"),
     ({"cutoff": True}, "cutoff"),
     ({"tolerances": {"gap_tol": True}}, "tolerances.gap_tol"),
@@ -204,6 +206,7 @@ def test_malformed_config_value_exits_2(tmp_path, overrides):
         "two_entry_eta", "five_entry_eta", "non_numeric_eta", "non_numeric_amplitude",
         "fractional_cell_mode", "unknown_target", "fractional_coefficient_mode",
         "extra_coefficient_key", "misspelt_coefficient_eta", "missing_coefficient_n",
+        "material_without_eps0",
         "boolean_horizon", "boolean_cutoff", "boolean_tolerance", "infinite_tolerance",
         "non_string_output", "string_horizon", "string_cutoff", "string_tolerance"])
 def test_malformed_value_names_its_key(tmp_path, capsys, overrides, key):

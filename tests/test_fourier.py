@@ -7,6 +7,7 @@ from helpers import (apply_curl_block, apply_material, block_diagonal, dense_mod
                      dense_operator, grid_values, longitudinal_unit, mixed_modulations,
                      random_coeffs)
 
+from blochpacket import fourier
 from blochpacket.errors import GammaPointError, MaterialError
 from blochpacket.fourier import (
     LatticeCutoff,
@@ -159,6 +160,17 @@ def test_material_validation_rejects_indefinite():
     bad = MaterialSpec(eps0={(0, 0, 0): -np.eye(3)}, mu0={(0, 0, 0): np.eye(3)})
     with pytest.raises(MaterialError):
         bad.validate()
+
+
+@pytest.mark.parametrize("empty", ["eps0", "mu0"])
+def test_material_validation_rejects_empty_base_map(empty, monkeypatch):
+    """A base coefficient map with no entry is refused, naming it, before
+    anything is sampled."""
+    spec = MaterialSpec(**{"eps0": {(0, 0, 0): np.eye(3)}, "mu0": {(0, 0, 0): np.eye(3)},
+                           empty: {}})
+    monkeypatch.setattr(fourier, "trig_sum", None)
+    with pytest.raises(MaterialError, match=f"^{empty} has no coefficients"):
+        spec.validate()
 
 
 def test_positivity_grid_collapses_to_the_varying_axis():
