@@ -12,7 +12,8 @@ so no advection appears on the grid).
 Integration is Strang splitting: half-step of the local kappa x kappa
 potential by matrix exponential, a full dispersion step that is exact and
 exactly unitary in Fourier space (multiplier exp(+i q(k,k) dT / 2)), then the
-second potential half-step.  With a zero-order-free, real-symmetric
+second potential half-step (the half-steps where two whole steps meet are
+applied as one, see EnvelopeSolution).  With a zero-order-free, real-symmetric
 modulation the weighted norm <Pi A0 Pi w, w> is conserved to roundoff.
 
 The periodic box stands in for free space: initial data must sit well inside
@@ -23,6 +24,7 @@ BoxTooSmall.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -158,6 +160,15 @@ def weighted_norm(state: EnvelopeState, weight: np.ndarray) -> float:
     return float(np.real(val) * state.grid.cell_volume)
 
 
+def _apply_blocks(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A (kappa, kappa, M1, M2, M3) block stack applied to a (kappa, M1, M2,
+    M3) field by multiply-adds over kappa."""
+    out = blocks[:, 0] * w[0]
+    for j in range(1, len(w)):
+        out += blocks[:, j] * w[j]
+    return out
+
+
 def gaussian_state(grid: EnvelopeGrid, widths, weights) -> EnvelopeState:
     """Packet exp((-x_a^2 / (2 widths_a^2)) summed over varying axes) times the
     kappa-component weight vector.  Axes with one grid point are skipped."""
@@ -181,10 +192,12 @@ class EnvelopeSolution:
     to derivative fields.
 
     state_at(T) is a function of T alone: a potential-free flow is one exact
-    multiplier step from the initial data; otherwise it takes floor(T/dT)
-    whole Strang steps (from the latest whole-step state held, or from the
-    initial data) and then one step of the remainder, which is never stepped
-    on from.  Only the initial and the latest whole-step state are kept.
+    multiplier step from the initial data; otherwise it takes n = floor(T/dT)
+    whole Strang steps H D H and then one step of the remainder, which is
+    never stepped on from.  Half-steps where two steps meet are fused: n
+    steps are H D (F D)^(n-1) H with F = H H = expm(-dT P), and the state
+    held is u_n = D (F D)^(n-1) H w_0 (w_n = H u_n), so a further step is one
+    block product and one FFT pair (_whole_step), all planned here.
 
     Provides, at any slow time T, the Fourier coefficients of
     (d/dT)^m d^alpha w_a, where d/dT is evaluated through the equation
@@ -205,35 +218,43 @@ class EnvelopeSolution:
             raise BoxTooSmall(f"initial envelope is not contained in the inner half-box "
                               f"(outside fraction {outside:.3e})")
         self._initial = initial.copy()
-        self._latest = (0, self._initial.values)  # (whole steps, values)
+        self._latest = (0, self._initial.values)  # (n, u_n), w_0 for n = 0
         self._hats = (None, None)  # (T, tables) of the latest T asked for
         self._ks = self.grid.wave_meshgrid()
         self._q = dispersion_form(self.grid, np.asarray(hess, dtype=float))
-        # the ray-averaged coupling on the grid, (M1, M2, M3, kappa, kappa)
-        self._pot = trig_sum(mean_modes, self.grid.points()) if mean_modes else None
-        self._step_ops = self._strang_ops(self.dT) if mean_modes else None
+        # transforms over the varying axes: plain fft and ifft when there is one
+        axes = varying_axes(initial.values)
+        if len(axes) == 1:
+            self._fft = functools.partial(np.fft.fft, axis=axes[0])
+            self._ifft = functools.partial(np.fft.ifft, axis=axes[0])
+        else:
+            self._fft = functools.partial(np.fft.fftn, axes=axes)
+            self._ifft = functools.partial(np.fft.ifftn, axes=axes)
+        self._mult = np.exp(0.5j * self._q * self.dT)
+        self._pot = None
+        if mean_modes:
+            # the ray-averaged coupling P on the grid, H and F, as block stacks
+            self._pot = np.ascontiguousarray(
+                np.moveaxis(trig_sum(mean_modes, self.grid.points()), (-2, -1), (0, 1)))
+            self._half = self._potential_step(0.5 * self.dT)
+            self._whole = (self._half[:, :, None] * self._half[None]).sum(axis=1)  # F = H H
 
     # -- stepping ----------------------------------------------------------
 
-    def _strang_ops(self, dT: float):
-        """Dispersion multiplier and potential half-step exponentials (None
-        without a potential) of one Strang step of size dT."""
-        mult = np.exp(0.5j * self._q * dT)
-        if self._pot is None:
-            return mult, None
-        half = scipy.linalg.expm(-0.5 * dT * self._pot.reshape(-1, self.kappa, self.kappa))
-        return mult, half.reshape(self._pot.shape)
+    def _potential_step(self, dT: float) -> np.ndarray:
+        """expm(-dT P) at each grid point, as a (kappa, kappa, M1, M2, M3)
+        block stack."""
+        pot = np.moveaxis(self._pot, (0, 1), (-2, -1))
+        return np.ascontiguousarray(np.moveaxis(scipy.linalg.expm(-dT * pot), (-2, -1), (0, 1)))
 
-    @staticmethod
-    def _strang(w: np.ndarray, ops) -> np.ndarray:
-        mult, half = ops
-        if half is not None:
-            w = np.einsum("xyzab,bxyz->axyz", half, w)
-        axes = varying_axes(w)
-        w = np.fft.ifftn(mult[None, ...] * np.fft.fftn(w, axes=axes), axes=axes)
-        if half is not None:
-            w = np.einsum("xyzab,bxyz->axyz", half, w)
-        return w
+    def _dispersed(self, w: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """The exact dispersion step with multiplier mult: one FFT pair."""
+        return self._ifft(mult[None, ...] * self._fft(w))
+
+    def _whole_step(self, u: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """One fused whole step D (block u): block is H from the initial data,
+        F from a held u_n."""
+        return self._dispersed(_apply_blocks(block, u), self._mult)
 
     def state_at(self, T: float) -> EnvelopeState:
         T = float(T)
@@ -242,13 +263,19 @@ class EnvelopeSolution:
             raise ValueError(f"T={T} precedes the initial data at T={self._initial.T}")
         # a potential-free flow is exact: no whole steps, one step of all of T
         nfull = 0 if self._pot is None else int(np.floor(elapsed / self.dT + 1e-12))
-        n, w = self._latest if self._latest[0] <= nfull else (0, self._initial.values)
-        for _ in range(nfull - n):
-            w = self._strang(w, self._step_ops)
-        self._latest = (nfull, w)
+        n, u = self._latest if self._latest[0] <= nfull else (0, self._initial.values)
+        for i in range(n, nfull):
+            u = self._whole_step(u, self._whole if i else self._half)
+        self._latest = (nfull, u)
+        w = _apply_blocks(self._half, u) if nfull else u
         rem = elapsed - nfull * self.dT
         if rem > 1e-14:
-            w = self._strang(w, self._strang_ops(rem))
+            mult = np.exp(0.5j * self._q * rem)
+            if self._pot is None:
+                w = self._dispersed(w, mult)
+            else:
+                half = self._potential_step(0.5 * rem)
+                w = _apply_blocks(half, self._dispersed(_apply_blocks(half, w), mult))
         out = EnvelopeState(self.grid, w, T)
         shell = _mass_profile(out)[1]
         if shell > SHELL_MASS_TOL:
@@ -263,8 +290,7 @@ class EnvelopeSolution:
         since every caller walks its times in order."""
         if self._hats[0] == T:
             return self._hats[1]
-        w = self.state_at(T).values
-        c0 = np.fft.fftn(w, axes=varying_axes(w))
+        c0 = self._fft(self.state_at(T).values)
         hats = [c0]
         for _ in range(2):
             hats.append(self._slow_derivative(hats[-1]))
@@ -275,10 +301,7 @@ class EnvelopeSolution:
         """d/dT in Fourier space through the evolution equation."""
         out = 0.5j * self._q[None] * chat
         if self._pot is not None:
-            axes = varying_axes(chat)
-            vals = np.fft.ifftn(chat, axes=axes)
-            pot_vals = np.einsum("xyzab,bxyz->axyz", self._pot, vals)
-            out = out - np.fft.fftn(pot_vals, axes=axes)
+            out = out - self._fft(_apply_blocks(self._pot, self._ifft(chat)))
         return out
 
     def field_hat(self, component: int, tder: int, alpha, T: float) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .bands import BlochBand, BlochOperator, continue_bands, procrustes_align
+from .bands import BlochBand, BlochOperator, continue_bands
 from .envelope import EnvelopeGrid, varying_axes
 from .errors import ConfigError, GaugeError, StabilityAnomaly
 from .fourier import LatticeCutoff, MaterialSpec, transverse_pair, trig_sum
@@ -47,6 +47,8 @@ from .harmonics import HarmonicField, difference, seminorm
 
 # smallest singular value of the overlap between adjacent nodes' eigenbases
 OVERLAP_TOL = 0.99
+# inward-neighbor search: at most this many node pairs' distances at once
+NEIGHBOR_ENTRIES = 1 << 16
 # time-domain trace: about this many rows, the first at t = 0
 NUM_TRACE = 65
 # admissible time-domain energy growth: exp(STABILITY_MARGIN * rate * t)
@@ -175,14 +177,14 @@ def _node_bands(band: BlochBand, op: BlochOperator, h: float,
     Nodes equal to 14 decimals are one node.  The center carries the band's
     own eigenbasis; the other nodes are visited outward (by max |zeta_a|,
     then |zeta|, then zeta), each continuing the band of its inward
-    neighbor, the nearest node visited before it.  The walk is one
-    bands.continue_bands call over the whole set, each node with its inward
-    neighbor as parent (so each basis is rotated onto its neighbor's by the
-    maximal-overlap unitary).  The vacuum medium takes the closed form
-    instead, as an independent route: evaluated for the whole node set at
-    once, then aligned node by node the same way.  Either way the smallest
+    neighbor, the nearest node visited before it (_inward_neighbors).  The
+    walk is one bands.continue_bands call over the whole set, each node with
+    its inward neighbor as parent (so each basis is rotated onto its
+    neighbor's by the maximal-overlap unitary).  The vacuum medium takes the
+    closed form instead, as an independent route, evaluated and aligned for
+    the whole node set at once (_vacuum_walk).  Either way the smallest
     singular value of each node's overlap with its neighbor must reach
-    OVERLAP_TOL (GaugeError otherwise).
+    OVERLAP_TOL: GaugeError for the first node in walk order that does not.
     """
     uniq, row = np.unique(np.round(zeta, 14), axis=0, return_inverse=True)
     outer = np.flatnonzero(np.any(uniq, axis=1))
@@ -191,53 +193,75 @@ def _node_bands(band: BlochBand, op: BlochOperator, h: float,
     # the walk: the center, then the outer nodes; a node's parent is its
     # inward neighbor's place in it
     walked = np.concatenate([np.zeros((1, 3)), uniq[outer]])
-    parents = [_inward_neighbor(z, walked[:i]) for i, z in enumerate(walked[1:], start=1)]
+    parents = _inward_neighbors(walked)
     place = np.zeros(len(uniq), dtype=int)
     place[outer] = np.arange(1, len(walked))
     thetas = band.theta + h * walked[1:]
-    walk = (_vacuum_walk(band, op.cutoff, thetas, parents) if _is_vacuum(op.spec) else
-            ((c.band.omega, c.band.eigvecs, c.overlap)
-             for c in continue_bands(op, thetas, band, [j - 1 for j in parents])))
-    omegas = np.empty(len(walked))
-    bases = np.empty((len(walked),) + band.eigvecs.shape, dtype=complex)
-    omegas[0], bases[0] = band.omega, band.eigvecs
-    for i, (omega, basis, overlap) in enumerate(walk, start=1):
-        if overlap < OVERLAP_TOL:
-            raise GaugeError(
-                f"eigenbasis overlap {overlap:.4f} < {OVERLAP_TOL} between "
-                f"adjacent quadrature nodes at zeta={tuple(walked[i].tolist())}"
-            )
-        omegas[i], bases[i] = omega, basis
+    if _is_vacuum(op.spec):
+        omegas, bases, overlaps = _vacuum_walk(band, op.cutoff, thetas, parents)
+    else:
+        omegas = np.empty(len(walked))
+        bases = np.empty((len(walked),) + band.eigvecs.shape, dtype=complex)
+        overlaps = np.ones(len(walked) - 1)
+        omegas[0], bases[0] = band.omega, band.eigvecs
+        for i, c in enumerate(continue_bands(op, thetas, band, parents - 1), start=1):
+            omegas[i], bases[i], overlaps[i - 1] = c.band.omega, c.band.eigvecs, c.overlap
+            if c.overlap < OVERLAP_TOL:
+                break
+    bad = np.flatnonzero(overlaps < OVERLAP_TOL)
+    if len(bad):
+        raise GaugeError(
+            f"eigenbasis overlap {overlaps[bad[0]]:.4f} < {OVERLAP_TOL} between "
+            f"adjacent quadrature nodes at zeta={tuple(walked[bad[0] + 1].tolist())}"
+        )
     at = place[row.reshape(-1)]  # numpy 2.0.0 shapes the inverse (Q, 1)
     return omegas[at], bases[at]
 
 
+def _inward_neighbors(walked: np.ndarray) -> np.ndarray:
+    """For each node of the (N, 3) walk after the first, the row of the
+    nearest node before it (the first one on ties), (N - 1,).  The distances
+    are taken for row chunks of at most NEIGHBOR_ENTRIES entries, never for
+    all pairs at once."""
+    n = len(walked)
+    parents = np.empty(n - 1, dtype=int)
+    chunk = max(1, NEIGHBOR_ENTRIES // n)
+    for i0 in range(1, n, chunk):
+        i1 = min(n, i0 + chunk)
+        # the distances as np.linalg.norm(z - visited, axis=1) sums them, so
+        # that ties are the same
+        dist = np.sqrt(sum((walked[i0:i1, a, None] - walked[None, :i1, a]) ** 2 for a in range(3)))
+        dist[np.arange(i1)[None, :] >= np.arange(i0, i1)[:, None]] = np.inf
+        parents[i0 - 1:i1 - 1] = np.argmin(dist, axis=1)
+    return parents
+
+
 def _vacuum_walk(band: BlochBand, cutoff: LatticeCutoff, thetas: np.ndarray, parents):
-    """The closed-form (omega, basis) at each of the (Q, 3) thetas, the basis
-    rotated onto its parent's (the band itself for 0, theta j - 1 for j),
-    and the smallest singular value of that overlap."""
-    bases = [band.eigvecs]
-    for (omega, basis), j in zip(_vacuum_nodes(band, cutoff, thetas), parents):
-        psi, s = procrustes_align(basis, bases[j])
-        bases.append(psi)
-        yield omega, psi, s.min()
-
-
-def _vacuum_nodes(band: BlochBand, cutoff: LatticeCutoff, thetas: np.ndarray):
-    """The closed-form (omega, (6K, 2) basis) at each of the (Q, 3) thetas:
-    the band's sign, both transverse_pair polarizations, in mode n = 0."""
+    """The frequencies and bases at the band's center (its own) and at the
+    (N, 3) thetas (the closed form B_j, in mode n = 0 only, rotated onto its
+    parent's basis), and the smallest singular value of each overlap (N,).
+    procrustes_align(B, R U) is B polar(B^H R) U for a unitary U, so one
+    batched SVD of the B_j^H B_parent(j) gives every overlap and rotation
+    P_j; U_j = P_j U_parent(j) is composed by pointer doubling."""
     sign = 1 if band.omega > 0 else -1
-    basis = np.zeros((len(thetas), cutoff.num_modes, 6, 2), dtype=complex)
     i = cutoff.index_of((0, 0, 0))
-    for col, u in enumerate(transverse_pair(thetas)):
-        omega, basis[:, i, :3, col], basis[:, i, 3:, col] = exact_constant_solution(
-            thetas, e_pol=u, sign=sign)
-    return zip(omega, basis.reshape(len(thetas), -1, 2))
-
-
-def _inward_neighbor(z, visited: np.ndarray) -> int:
-    """Row of the visited node nearest to z (the first one on ties)."""
-    return int(np.argmin(np.linalg.norm(np.asarray(z) - visited, axis=1)))
+    blocks = np.empty((len(thetas) + 1, 6, 2), dtype=complex)  # the mode-0 rows of B_j
+    blocks[0] = band.eigvecs[6 * i:6 * i + 6]
+    omegas = np.empty(len(thetas) + 1)
+    omegas[0] = band.omega
+    for col, pol in enumerate(transverse_pair(thetas)):
+        omegas[1:], blocks[1:, :3, col], blocks[1:, 3:, col] = exact_constant_solution(
+            thetas, e_pol=pol, sign=sign)
+    u, s, vh = np.linalg.svd(np.conj(np.swapaxes(blocks[1:], -1, -2)) @ blocks[parents])
+    rot = np.concatenate([np.eye(2, dtype=complex)[None], u @ vh])
+    up = np.concatenate([[0], parents])
+    while np.any(up):
+        rot, up = rot @ rot[up], up[up]
+    bases = np.zeros((len(thetas) + 1, cutoff.num_modes, 6, 2), dtype=complex)
+    bases[1:, i] = blocks[1:] @ rot[1:]
+    bases = bases.reshape(len(thetas) + 1, -1, 2)
+    bases[0] = band.eigvecs
+    return omegas, bases, s.min(axis=1)
 
 
 def _is_vacuum(spec: MaterialSpec) -> bool:
@@ -374,7 +398,7 @@ def _static(spec: MaterialSpec) -> bool:
     return all(eta[0] == 0.0 for eta in spec.modulation_frequencies())
 
 
-def _speed_bound(blocks, lower=(0.0, 0.0)) -> float:
+def _speed_bound(blocks, lower) -> float:
     """1 / sqrt(min eig epsilon * min eig mu) over the grid, from the
     Hermitian parts of the (epsilon, mu) block stacks, each smallest
     eigenvalue lowered by its entry of `lower`; a ConfigError when one is
@@ -402,13 +426,15 @@ class _CurlPlan(NamedTuple):
     """(curl B, -curl E) on one grid: the derivative along axis d reads and
     writes only the components across d, so the pair reads the rows `read`
     of a (6, M1, M2, M3) field (E, B) and writes the rows `write` (4 of 6
-    each when one axis varies).  terms[i] lists the (+-i k_d, position in
-    `read`) products that make written row i in Fourier space."""
+    each when one axis varies).  Written row i is, in Fourier space, the sum
+    over t of coefs[t, i] (+-i k_d, or 0 where the row has fewer terms)
+    times the transform of row srcs[t, i] of `read`, in the axis order."""
 
     axes: Tuple[int, ...]
     read: List[int]
     write: List[int]
-    terms: List[List[Tuple[np.ndarray, int]]]
+    coefs: np.ndarray  # (terms, len(write), M1, M2, M3)
+    srcs: np.ndarray   # (terms, len(write))
 
 
 def _curl_plan(shape, ks) -> _CurlPlan:
@@ -421,21 +447,26 @@ def _curl_plan(shape, ks) -> _CurlPlan:
         for row, coef, src in ((e1, -ik, 3 + e2), (e2, ik, 3 + e1),
                                (3 + e1, ik, e2), (3 + e2, -ik, e1)):
             terms.setdefault(row, []).append((coef, src))
-    read = sorted({src for row in terms.values() for _coef, src in row})
-    return _CurlPlan(axes, read, sorted(terms),
-                     [[(c, read.index(s)) for c, s in terms[row]] for row in sorted(terms)])
+    read, write = sorted({src for row in terms.values() for _coef, src in row}), sorted(terms)
+    depth = max(len(terms[row]) for row in write)
+    coefs = np.zeros((depth, len(write)) + tuple(shape), dtype=complex)
+    srcs = np.zeros((depth, len(write)), dtype=int)
+    for i, row in enumerate(write):
+        for t, (coef, src) in enumerate(terms[row]):
+            coefs[t, i], srcs[t, i] = coef, read.index(src)
+    return _CurlPlan(axes, read, write, coefs, srcs)
 
 
 def _curl_rows(plan: _CurlPlan, u_read: np.ndarray) -> np.ndarray:
     """The rows plan.write of (curl B, -curl E), from the rows plan.read of
-    the grid field (E, B): one forward FFT, one product per term and one
-    inverse FFT over the varying axes (plain fft and ifft when there is one)."""
+    the grid field (E, B): one forward FFT, one gathered product per term
+    depth and one inverse FFT over the varying axes (plain ones for one)."""
     one = len(plan.axes) == 1
     hat = np.fft.fft(u_read, axis=plan.axes[0]) if one else np.fft.fftn(u_read, axes=plan.axes)
-    out = np.zeros((len(plan.write),) + hat.shape[1:], dtype=complex)
-    for acc, terms in zip(out, plan.terms):
-        for coef, src in terms:
-            acc += coef * hat[src]
+    out = hat[plan.srcs[0]]
+    np.multiply(plan.coefs[0], out, out=out)
+    for coefs, srcs in zip(plan.coefs[1:], plan.srcs[1:]):
+        out += coefs * hat[srcs]
     return np.fft.ifft(out, axis=plan.axes[0]) if one else np.fft.ifftn(out, axes=plan.axes)
 
 
@@ -487,7 +518,8 @@ class _Run:
                 )
         # at any t the moving modes lower a00's eigenvalues by at most h^2 sum ||m||_2 (Weyl)
         lower = [h**2 * sum(np.linalg.norm(m, 2) for m in c.values()) for c in self.mat.moving]
-        dt_cfl = cfl * min(dxs.values()) / _speed_bound(self.mat.a00, lower)
+        self.speed = _speed_bound(self.mat.a00, lower)
+        dt_cfl = cfl * min(dxs.values()) / self.speed
         if dt is None:
             dt = dt_cfl
         elif dt > dt_cfl * (1 + 1e-12):
@@ -638,40 +670,30 @@ def chebyshev_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     the step times s * dt and the growth guard are _Run's, as for
     time_domain_solve: dt and cfl set only the trace spacing here.  L writes
     only the rows plan.write, so the others stay d0 (their S_k is i^k T_k(0)
-    times d0); the written rows of CHEB_BLOCK successive terms are added to
-    the trace rows that still need them, CHEB_ROWS rows per real product on
-    the (re, im) pairs.
+    times d0, applied by _held_row_operator); the written rows of CHEB_BLOCK
+    successive terms are added to the trace rows that still need them,
+    CHEB_ROWS rows per real product on the (re, im) pairs.
     """
     if not chebyshev_applies(spec):
         raise ConfigError("Chebyshev propagation needs a static medium (every eta_0 = 0) "
                           "without a lower-order term")
     run = _Run(spec, h, initial, grid, t_final, dt, cfl)
-    plan = run.plan
     inv_a0 = _grid_major([np.linalg.inv(b) for b in run.a0])
-    inv_rows = inv_a0[:, _comps([r for r in plan.read if r < 3])]
-    rho = _chebyshev_radius(run.a0, run.ks)
+    rho = _chebyshev_radius(run)
     times = run.dt * np.array(run.trace_steps)
     coefs, counts = _chebyshev_coefficients(rho * times)
 
     d0 = run.d0
-    full = d0.copy()  # S_k = i^k T_k d0: the written rows set per term, the others held
-    comps = [r for r in plan.write if r < 3]
-    written = _row_view(full, comps)
-    fixed = [r for r in range(6) if r not in plan.write]
-
-    def l_of(k, sk):
-        """The written rows of L S_k, flat, where sk holds those of S_k; the
-        rows L does not write are i^k T_k(0) d0: d0 for even k, 0 for odd."""
-        written[...] = sk.reshape(written.shape)
-        full[fixed] = d0[fixed] if k % 2 == 0 else 0.0
-        return _rhs(plan, full, inv_rows, None).ravel()
+    comps = [r for r in run.plan.write if r < 3]
+    l_of = _held_row_operator(run.plan, inv_a0, d0)
+    size = _row_view(d0, comps).size
 
     # S_k (written rows) goes to slot k % CHEB_BLOCK, where the recurrence
     # also finds S_{k-1} and S_{k-2}; its coefficients c_k / i^k are real
     nterms = coefs.shape[1]
     real = (coefs * np.array([1, -1j, -1, 1j])[np.arange(nterms) % 4]).real
-    block = np.empty((CHEB_BLOCK, written.size), dtype=complex)
-    acc = np.zeros((len(times), written.size), dtype=complex)
+    block = np.empty((CHEB_BLOCK, size), dtype=complex)
+    acc = np.zeros((len(times), size), dtype=complex)
     block_re, acc_re = block.view(float), acc.view(float)  # (re, im) pairs
     for k in range(nterms):
         sk = block[k % CHEB_BLOCK]
@@ -699,12 +721,36 @@ def chebyshev_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     return run.result(d, inv_a0)
 
 
-def _chebyshev_radius(a0, ks) -> float:
-    """rho = 1.01 c |k|max, a bound on the spectral radius of L on the grid:
-    L is similar to A0^(-1/2) (curl B, -curl E) A0^(-1/2), which couples E
-    and B through eps^(-1/2) curl mu^(-1/2), of norm at most |k|max /
-    sqrt(min eig eps * min eig mu) = c |k|max."""
-    return 1.01 * _speed_bound(a0) * float(np.sqrt(sum(k**2 for k in ks)).max())
+def _held_row_operator(plan: _CurlPlan, inv_a0, d0: np.ndarray):
+    """l_of(k, sk): the rows plan.write of L S_k, flat, from those of S_k =
+    i^k T_k(Y) d0 (flat in _row_view's order).  The other rows are d0 for
+    even k and 0 for odd, so their inv(A0) products are formed once; a term
+    multiplies inv(A0) over the written columns only and sums the columns in
+    _rhs's order, to the same bits."""
+    comps = [r for r in plan.write if r < 3]
+    held = [c for c in range(3) if c not in comps]
+    inv_rows = inv_a0[:, _comps([r for r in plan.read if r < 3])]
+    held_prod = inv_rows[:, :, held] * d0.reshape((2, 1, 3) + d0.shape[1:])[:, :, held]
+
+    def l_of(k: int, sk: np.ndarray) -> np.ndarray:
+        prods = np.empty(inv_rows.shape, dtype=complex)  # inv(A0)_rc d_c, (2, r, 3, M...)
+        prods[:, :, held] = held_prod if k % 2 == 0 else 0.0
+        x = sk.reshape((2, len(comps)) + d0.shape[1:])
+        for f, j in np.ndindex(2, len(comps)):  # per block column: no ufunc buffers
+            np.multiply(inv_rows[f, :, comps[j]], x[f, j], out=prods[f, :, comps[j]])
+        u = prods.sum(axis=2).reshape((-1,) + d0.shape[1:])
+        del prods
+        return _curl_rows(plan, u).ravel()
+
+    return l_of
+
+
+def _chebyshev_radius(run: _Run) -> float:
+    """rho = 1.01 c |k|max (c = run.speed), a bound on the spectral radius of
+    L on the grid: L is similar to A0^(-1/2) (curl B, -curl E) A0^(-1/2),
+    which couples E and B through eps^(-1/2) curl mu^(-1/2), of norm at most
+    |k|max / sqrt(min eig eps * min eig mu) = c |k|max."""
+    return 1.01 * run.speed * float(np.sqrt(sum(k**2 for k in run.ks)).max())
 
 
 def _chebyshev_coefficients(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -5,13 +5,14 @@ import numpy as np
 from blochpacket import bands
 from blochpacket.bands import BlochOperator, build_projectors, mode_classes, solve_bands
 from blochpacket.dispersion import hessian
-from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, gaussian_state, varying_axes
+from blochpacket.envelope import (EnvelopeGrid, EnvelopeSolution, dispersion_form, gaussian_state,
+                                  varying_axes)
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
                                  cross_matrix, transverse_field_blocks, transverse_pair, trig_sum,
                                  wavevectors)
 from blochpacket.harmonics import difference, seminorm
-from blochpacket.oracles import (_curl_plan, _curl_rows, _inward_neighbor,
-                                 exact_constant_solution, synthesize_exact_packet)
+from blochpacket.oracles import (_curl_plan, _curl_rows, exact_constant_solution,
+                                 synthesize_exact_packet)
 from blochpacket.presets import identity_material, with_cos_modulation
 from blochpacket.rays import (BETA_RAY_ORIGINS, BETA_STEPS_PER_PERIOD, build_gamma,
                               ray_average)
@@ -415,6 +416,16 @@ def _walk_order(zeta_nodes):
     return order, keys
 
 
+def nearest_visited(z, visited):
+    """The visited node nearest to z, the first one on ties, by a linear scan."""
+    best, bestd = None, np.inf
+    for cand in visited:
+        d = np.linalg.norm(np.asarray(z) - np.asarray(cand))
+        if d < bestd:
+            best, bestd = cand, d
+    return best
+
+
 def vacuum_walk_reference(band, cutoff, h, zeta_nodes):
     """oracles._node_bands on the vacuum, one node at a time: in the same
     visit order, each node's two constant_eigenfield vectors aligned to its
@@ -425,7 +436,7 @@ def vacuum_walk_reference(band, cutoff, h, zeta_nodes):
     done = {tuple(np.round(np.zeros(3), 14)): (band.omega, band.eigvecs)}
     visited = [np.zeros(3)]
     for z in order:
-        _omega, prev = done[tuple(visited[_inward_neighbor(z, np.array(visited))])]
+        _omega, prev = done[tuple(nearest_visited(z, visited))]
         theta = band.theta + h * np.asarray(z)
         basis = np.stack([constant_eigenfield(cutoff, theta, (0, 0, 0), u, sign)
                           for u in transverse_pair(theta)], axis=1)
@@ -443,10 +454,35 @@ def node_walk_reference(band, op, h, zeta_nodes):
     done = {tuple(np.round(np.zeros(3), 14)): (band, np.inf)}
     visited = [np.zeros(3)]
     for z in order:
-        prev, _gap = done[tuple(visited[_inward_neighbor(z, np.array(visited))])]
+        prev, _gap = done[tuple(nearest_visited(z, visited))]
         done[z] = continue_band_reference(op, band.theta + h * np.asarray(z), prev)
         visited.append(np.asarray(z))
     return [done[k] for k in keys]
+
+
+def strang_state_reference(initial, hess, mean_modes, dT, T):
+    """EnvelopeSolution.state_at(T) with the potential stepped as it was
+    before the walk was planned: floor(T / dT) whole Strang steps H D H and
+    one of the remainder, each half-step H = expm(-dT P / 2) applied per grid
+    point by einsum and the dispersion step D by fftn and ifftn."""
+    import scipy.linalg
+
+    q = dispersion_form(initial.grid, np.asarray(hess, dtype=float))
+    pot = trig_sum(mean_modes, initial.grid.points())  # (M1, M2, M3, kappa, kappa)
+
+    def step(w, dt):
+        half = scipy.linalg.expm(-0.5 * dt * pot.reshape((-1,) + pot.shape[-2:])).reshape(pot.shape)
+        w = np.einsum("xyzab,bxyz->axyz", half, w)
+        axes = varying_axes(w)
+        w = np.fft.ifftn(np.exp(0.5j * q * dt)[None] * np.fft.fftn(w, axes=axes), axes=axes)
+        return np.einsum("xyzab,bxyz->axyz", half, w)
+
+    nfull = int(np.floor(T / dT + 1e-12))
+    w = initial.values
+    for _ in range(nfull):
+        w = step(w, dT)
+    rem = T - nfull * dT
+    return step(w, rem) if rem > 1e-14 else w
 
 
 def eval_hat_at_reference(grid, hat, points):
@@ -555,6 +591,39 @@ def curl_pair_reference(u, ks):
     out = np.zeros(u.shape, dtype=complex)
     out[rows] = np.fft.ifftn(out_hat, axes=axes)
     return out
+
+
+def curl_rows_loop_reference(u_read, ks):
+    """oracles._curl_rows as it was before its terms were gathered: the rows
+    it writes, each accumulated term by term (axis order) into a zeroed
+    array between one FFT pair over the varying axes."""
+    axes = varying_axes(u_read)
+    terms = {}
+    for d in axes:
+        e1, e2 = (d + 1) % 3, (d + 2) % 3
+        ik = 1j * ks[d]
+        for row, coef, src in ((e1, -ik, 3 + e2), (e2, ik, 3 + e1),
+                               (3 + e1, ik, e2), (3 + e2, -ik, e1)):
+            terms.setdefault(row, []).append((coef, src))
+    read = sorted({src for row in terms.values() for _coef, src in row})
+    hat = np.fft.fftn(u_read, axes=axes)
+    out = np.zeros((len(terms),) + hat.shape[1:], dtype=complex)
+    for acc, row in zip(out, sorted(terms)):
+        for coef, src in terms[row]:
+            acc += coef * hat[read.index(src)]
+    return np.fft.ifftn(out, axes=axes)
+
+
+def rows_rhs_reference(plan, d, inv_rows, m, ks):
+    """oracles._rhs as it was before the curl's terms were gathered: u =
+    inv(A0) d from the given inverse-block rows, summed over the block
+    columns in order, then curl_rows_loop_reference (minus M u with M)."""
+    u = (inv_rows * d.reshape((2, 1, 3) + d.shape[1:])).sum(axis=2).reshape((-1,) + d.shape[1:])
+    if m is None:
+        return curl_rows_loop_reference(u, ks)
+    out = np.zeros_like(u)
+    out[plan.write] = curl_rows_loop_reference(u[plan.read], ks)
+    return out - np.einsum("xyzab,bxyz->axyz", m, u)
 
 
 def rhs_reference(d, inv_a0, m, ks):

@@ -258,3 +258,66 @@ def test_eval_hats_at_matches_per_key_reference(shape):
     for hat, row in zip(hats, got):
         ref = eval_hat_at_reference(grid, hat, pts)
         assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _wkb_modulated_coupling():
+    """The dispersion Hessian and the kappa = 2 ray-averaged coupling of the
+    shipped modulated config (lossy: the coupling is not Hermitian)."""
+    from blochpacket.cli import Pipeline
+    from blochpacket.config import load_config
+
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "wkb_modulated.json")
+    pipe = Pipeline(cfg)
+    return pipe.dispersion.hessian, pipe.ray.mean_modes, pipe.packet_weights()
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("shape", [(1, 96, 1), (32, 24, 1)])
+@pytest.mark.parametrize("nsteps", [40, 40.5])
+def test_planned_strang_walk_matches_unfused_steps(kappa, shape, nsteps):
+    """The fused walk H D (F D)^(n-1) H, with its block stacks and transforms
+    planned once, gives the state of n unfused H D H steps (einsum, fftn)
+    and of the remainder step to 1e-13 relative: for a scalar potential and
+    for the kappa = 2 lossy coupling, on a one-axis and a two-axis grid."""
+    from helpers import strang_state_reference
+
+    if kappa == 2:
+        hess, modes, weights = _wkb_modulated_coupling()
+    else:
+        hess = np.diag([0.7, 1.0, 0.0])
+        modes = {(0.0, 0.0, 0.0): np.array([[0.3 - 0.05j]]),
+                 (0.4, 0.25, 0.0): np.array([[0.2 + 0.1j]]),
+                 (-0.4, -0.25, 0.0): np.array([[0.2 - 0.1j]])}
+        weights = [1.0]
+    grid = EnvelopeGrid((16 * np.pi, 16 * np.pi, 1.0), shape)
+    init = gaussian_state(grid, (2.0, 2.0, 1.0), weights)
+    dT = 2e-3
+    got = EnvelopeSolution(init, hess, modes, dT=dT).state_at(nsteps * dT).values
+    ref = strang_state_reference(init, hess, modes, dT, nsteps * dT)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_whole_steps_make_one_fft_pair_and_one_block_product_each(monkeypatch):
+    """n whole steps from the initial data make n FFT pairs and n + 1 block
+    products (one per step and the closing half-step), and no einsum call."""
+    import blochpacket.envelope as envelope
+
+    hess, modes, weights = _wkb_modulated_coupling()
+    calls = {"fft": 0, "ifft": 0, "blocks": 0, "einsum": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, name + "n", counted(name, getattr(np.fft, name + "n")))
+    monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
+    monkeypatch.setattr(envelope, "_apply_blocks", counted("blocks", envelope._apply_blocks))
+    grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 96, 1))
+    env = EnvelopeSolution(gaussian_state(grid, (1.0, 2.0, 1.0), weights), hess, modes, dT=2e-3)
+    n = 25
+    env.state_at(n * 2e-3)
+    assert calls == {"fft": n, "ifft": n, "blocks": n + 1, "einsum": 0}

@@ -1,6 +1,8 @@
 """Reference oracles: constant-coefficient closed forms, packet synthesis, and
 the time-domain integrator."""
 
+import re
+
 import numpy as np
 import pytest
 from helpers import L2, apply_curl_block, constant_eigenfield, physical_field
@@ -144,25 +146,76 @@ def test_batched_vacuum_walk_matches_node_by_node_walk(axes, identity_pipe):
 
 
 def test_inward_neighbor_matches_reference_loop():
-    """The vectorized inward-neighbour search picks the node a linear scan
-    over the visited nodes picks, ties included (first minimum)."""
-    from blochpacket.oracles import _inward_neighbor
+    """The vectorized inward-neighbour search, in row chunks, picks for every
+    node the node a linear scan over the nodes before it picks, ties
+    included (first minimum)."""
+    from helpers import nearest_visited
+
+    import blochpacket.oracles as oracles
 
     x, _w = np.polynomial.legendre.leggauss(9)
     grids = np.meshgrid(4 * x, 4 * x, [0.0], indexing="ij")
     keys = {tuple(np.round(z, 14)) for z in np.stack([g.ravel() for g in grids], axis=-1)}
-    order = [tuple(np.round(np.zeros(3), 14))]
-    for z in sorted(keys, key=lambda z: (np.abs(z).max(), np.linalg.norm(z))):
-        if z in order:
-            continue
-        best, bestd = None, np.inf
-        for cand in order:
-            d = np.linalg.norm(np.asarray(z) - np.asarray(cand))
-            if d < bestd:
-                best, bestd = cand, d
-        assert order[_inward_neighbor(z, np.array(order))] == best
-        order.append(z)
+    center = tuple(np.round(np.zeros(3), 14))
+    order = [center] + sorted(keys - {center}, key=lambda z: (np.abs(z).max(), np.linalg.norm(z)))
     assert len(order) == 81
+    ref = [order.index(nearest_visited(z, order[:i])) for i, z in enumerate(order[1:], start=1)]
+    for entries in (oracles.NEIGHBOR_ENTRIES, 200):  # one chunk, and chunks of 2 rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "NEIGHBOR_ENTRIES", entries)
+            assert oracles._inward_neighbors(np.array(order)).tolist() == ref
+
+
+def test_vacuum_walk_raises_for_the_reference_walks_first_failing_node(identity_pipe,
+                                                                        monkeypatch):
+    """With OVERLAP_TOL set between the smallest and largest node overlaps,
+    the batched walk raises GaugeError naming the first node, in walk order,
+    whose overlap with its inward neighbour falls below it, as a
+    node-by-node walk finds it."""
+    from helpers import _walk_order, nearest_visited
+
+    import blochpacket.oracles as oracles
+    from blochpacket.bands import procrustes_align
+    from blochpacket.errors import GaugeError
+
+    pipe = identity_pipe
+    packet = ExactPacketSpec(THETA, 1 / 16, (2.0, 2.0, 1.0), [1.0, 0.0], axes=(0, 1), nodes=9)
+    zeta, _wts = oracles._gl_nodes(packet, packet.nodes)
+    order, _keys = _walk_order(zeta)
+    visited, bases, overlaps = [np.zeros(3)], {(0.0, 0.0, 0.0): pipe.band.eigvecs}, []
+    for z in order:
+        prev = bases[tuple(nearest_visited(z, visited))]
+        theta = pipe.band.theta + packet.h * np.asarray(z)
+        basis = np.stack([constant_eigenfield(pipe.cutoff, theta, (0, 0, 0), u, 1)
+                          for u in oracles.transverse_pair(theta)], axis=1)
+        bases[z], s = procrustes_align(basis, prev)
+        overlaps.append(s.min())
+        visited.append(np.asarray(z))
+    tol = 0.5 * (min(overlaps) + max(overlaps))
+    first = order[int(np.argmax(np.array(overlaps) < tol))]
+    monkeypatch.setattr(oracles, "OVERLAP_TOL", tol)
+    with pytest.raises(GaugeError, match=rf"at zeta={re.escape(str(tuple(map(float, first))))}"):
+        oracles._node_bands(pipe.band, pipe.op, packet.h, zeta)
+
+
+def test_vacuum_walk_runs_on_a_two_axis_set_of_89_squared_nodes(identity_pipe, monkeypatch):
+    """The main rule's two-axis node set at 89 nodes per axis (7921 nodes)
+    walks with one batched SVD: every node gets its closed-form omega and an
+    orthonormal basis."""
+    from blochpacket.oracles import _gl_nodes, _node_bands
+
+    pipe = identity_pipe
+    packet = ExactPacketSpec(THETA, 1 / 32, (2.0, 2.0, 1.0), [1.0, 0.0], axes=(0, 1), nodes=89)
+    zeta, _wts = _gl_nodes(packet, packet.nodes)
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    omegas, bases = _node_bands(pipe.band, pipe.op, packet.h, zeta)
+    assert len(svds) == 1
+    assert omegas.shape == (89 * 89,) and bases.shape == (89 * 89,) + pipe.band.eigvecs.shape
+    exact = np.linalg.norm(pipe.band.theta + packet.h * zeta, axis=1)
+    assert np.max(np.abs(omegas - exact)) <= 1e-14
+    gram = np.conj(np.swapaxes(bases, -1, -2)) @ bases
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
 
 
 def test_synthesis_quadrature_estimate(identity_pipe):
@@ -735,6 +788,61 @@ def test_chebyshev_refuses_time_dependent_or_lossy_medium():
     assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(48, 1, 1), (1, 48, 1), (1, 1, 48), (16, 1, 8), (8, 8, 8)])
+def test_planned_curl_and_held_rows_keep_the_bits(shape, rng):
+    """The gathered curl terms and the held rows' products formed once give
+    the bits of the term-by-term route: _rhs (with and without M) equals the
+    right-hand side that accumulates each curl term into a zeroed array, and
+    the Chebyshev L on the written rows equals that right-hand side of the
+    whole flux with the held rows set to d0 (even k) or 0 (odd k), on one-,
+    two- and three-axis grids (one axis along each direction)."""
+    from helpers import rows_rhs_reference
+
+    from blochpacket.oracles import _comps, _curl_plan, _held_row_operator, _rhs, _row_view
+
+    def rand(*lead):
+        return rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+
+    grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
+    ks = grid.wave_meshgrid()
+    plan = _curl_plan(shape, ks)
+    inv_a0 = rand(2, 3, 3)
+    inv_rows = inv_a0[:, _comps([r for r in plan.read if r < 3])]
+    d = rand(6)
+    assert np.array_equal(_bits(_rhs(plan, d, inv_rows, None)),
+                          _bits(rows_rhs_reference(plan, d, inv_rows, None, ks)))
+    m = np.moveaxis(rand(6, 6), (0, 1), (-2, -1))
+    assert np.array_equal(_bits(_rhs(plan, d, inv_a0, m)),
+                          _bits(rows_rhs_reference(plan, d, inv_a0, m, ks)))
+
+    comps = [r for r in plan.write if r < 3]
+    fixed = [r for r in range(6) if r not in plan.write]
+    l_of = _held_row_operator(plan, inv_a0, d)
+    for k in (2, 3):
+        sk = _row_view(rand(6), comps).ravel()
+        full = d.copy()
+        _row_view(full, comps)[...] = sk.reshape(_row_view(full, comps).shape)
+        full[fixed] = d[fixed] if k % 2 == 0 else 0.0
+        assert np.array_equal(_bits(l_of(k, sk)),
+                              _bits(rows_rhs_reference(plan, full, inv_rows, None, ks).ravel()))
+
+
+def test_chebyshev_solve_takes_the_runs_speed_bound(monkeypatch):
+    """The wave-speed bound of the CFL check is the one rho is built from:
+    _speed_bound runs once per chebyshev_solve."""
+    import blochpacket.oracles as oracles
+
+    calls, bound = [], oracles._speed_bound
+    monkeypatch.setattr(oracles, "_speed_bound", lambda *a: calls.append(1) or bound(*a))
+    grid = EnvelopeGrid((10 * np.pi, 2 * np.pi, 2 * np.pi), (640, 1, 1))
+    oracles.chebyshev_solve(layered(amplitude=0.2), 1 / 4, _packet_initial(grid, 1 / 4), grid, 0.1)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("which", ["layered", "layered_anisotropic"])
 def test_chebyshev_radius_bounds_the_spectrum(which, rng):
     """A power iteration on Y = L / (i rho) in the inv(A0)-weighted norm
@@ -747,7 +855,7 @@ def test_chebyshev_radius_bounds_the_spectrum(which, rng):
     grid = EnvelopeGrid((16 * np.pi, 2 * np.pi, 2 * np.pi), (1024, 1, 1))
     u0 = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal((6,) + grid.shape)
     run = _Run(spec, 1 / 4, u0, grid, 1.0, None, 0.5)
-    rho = _chebyshev_radius(run.a0, run.ks)
+    rho = _chebyshev_radius(run)
     inv_a0 = _grid_major([np.linalg.inv(b) for b in run.a0])
     inv_rows = inv_a0[:, _comps([r for r in run.plan.read if r < 3])]
 

@@ -168,14 +168,14 @@ def test_residual_shares_envelope_values_across_orders(monkeypatch):
         return residual_orders(profiles)
 
     steps = []
-    strang = EnvelopeSolution._strang
+    whole_step = EnvelopeSolution._whole_step
 
-    def counted_strang(w, ops):
+    def counted_step(self, u, block):
         steps.append(1)
-        return strang(w, ops)
+        return whole_step(self, u, block)
 
     monkeypatch.setattr(wkb, "residual_orders", counted_orders)
-    monkeypatch.setattr(EnvelopeSolution, "_strang", staticmethod(counted_strang))
+    monkeypatch.setattr(EnvelopeSolution, "_whole_step", counted_step)
     reports = residual(profs, cfg.h_list, cfg.horizon)
     assert list(reports) == list(cfg.h_list) and len(builds) == 1 and builds[0] is profs
     assert len(steps) == round(cfg.horizon / cfg.envelope_dT) == 500
