@@ -27,7 +27,7 @@ from .envelope import (
     gaussian_state,
     weighted_norm,
 )
-from .wkb import ProfileSet, WKBField, assemble, assemble_harmonics, build_profiles, residual
+from .wkb import ProfileSet, assemble, assemble_harmonics, build_profiles, residual
 from .oracles import (
     ExactPacketSpec,
     chebyshev_solve,
@@ -62,7 +62,6 @@ __all__ = [
     "gaussian_state",
     "weighted_norm",
     "ProfileSet",
-    "WKBField",
     "assemble",
     "assemble_harmonics",
     "build_profiles",

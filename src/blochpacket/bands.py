@@ -13,8 +13,8 @@ satisfies the discrete divergence constraints div(eps0 E) = div(mu0 B) = 0
 by construction (A0 x lies in the span of T, which is plain-orthogonal to
 the curl kernel).  inv(A0) enters as li^H li, li the inverse Cholesky
 factor of each class block of A0: BlochOperator.build computes it once
-(and raises MaterialError if A0 is not positive definite), and `op.at`
-shares it.
+(and raises MaterialError if A0 is not positive definite), and every theta
+that continue_bands reaches from the operator shares it.
 
 Eigenvalues are returned grouped into multiplicity clusters.  Band numbering
 counts nonzero eigenvalues outward from zero: positive frequencies ascending
@@ -40,17 +40,16 @@ then those whose floor lies below the last of those bands' |omega|
 (bands_layered solves 2 of its 25 classes).  `continue_bands` follows one band
 to a whole stack of nearby theta known up front (finite-difference
 stencils, a tracked path, synthesis quadrature nodes), each point
-continuing the band or an earlier point's continuation; `continue_band` is
-its one-theta case.  A0, its factor, its norms and the class groups serve
-every theta.  A continuation solves only the classes whose spectral floor
-(_floors: min |theta + n| over the class's modes over the inf-norm of its
-A0 block) lies below its candidate window, and reports the exact gap (a
-layered medium at cutoff 2 solves 1 of its 25 classes; a medium with one
-class always solves it).  Those classes are solved for the whole stack at
-once (_solve_pencils: per class size one batched pass over every (theta,
-class) pair, eigenvectors included, in chunks of at most STACK_ENTRIES
-reduced-matrix entries); the match then walks the points in order on those
-arrays.  It scores the candidate clusters on their orthonormal columns,
+continuing the band or an earlier point's continuation.  A0, its factor,
+its norms and the class groups serve every theta.  A continuation solves
+only the classes whose spectral floor (_floors: min |theta + n| over the
+class's modes over the inf-norm of its A0 block) lies below its candidate
+window, and reports the exact gap (a layered medium at cutoff 2 solves 1
+of its 25 classes; a medium with one class always solves it).  Those
+classes are solved for the whole stack at once (_solve_pencils: per class
+size one batched pass over every (theta, class) pair, eigenvectors
+included, in chunks of at most STACK_ENTRIES reduced-matrix entries); the
+match then walks the points in order on those arrays.  It scores the candidate clusters on their orthonormal columns,
 and only the matched one keeps its rotation onto the previous basis and
 gets a residual.  Either way only the clusters a caller inspects are
 lifted to full 6K vectors.  build_projectors eigendecomposes only the
@@ -65,7 +64,6 @@ transverse unit fields of the fourier.transverse_pair frame (see _fix_gauge).
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -82,9 +80,11 @@ from .errors import (
 from .fourier import (
     LatticeCutoff,
     MaterialSpec,
+    adjoint,
     apply_mode_blocks,
     base_material_matrix,
     curl_matrix,
+    hermitian_part,
     symbol_matrix,
     transverse_field_blocks,
     transverse_frame,
@@ -187,7 +187,8 @@ class BlochOperator:
     positive definite.  No array is 6K x 6K unless one class holds every
     mode.  a0_norms holds the inf-norm of each A0 block, which bounds its
     largest eigenvalue (see _floors).  A0, li, the groups and the norms do
-    not depend on theta, so `at` (nearby theta) shares them."""
+    not depend on theta, so continue_bands reads them at every theta it
+    solves."""
 
     spec: MaterialSpec
     cutoff: LatticeCutoff
@@ -207,12 +208,6 @@ class BlochOperator:
         return cls(spec, cutoff, theta, tuple(zip(modes, rows, a0, map(_inverse_factor, a0))),
                    curl_matrix(cutoff, theta),
                    tuple(np.abs(a).sum(axis=-1).max(axis=-1) for a in a0))
-
-    def at(self, theta) -> "BlochOperator":
-        """The same medium and cutoff at another theta (A0, its factor, its
-        norms and the groups shared, G rebuilt)."""
-        theta = _check_theta(theta)
-        return dataclasses.replace(self, theta=theta, g_blocks=curl_matrix(self.cutoff, theta))
 
     def apply_a0(self, v: np.ndarray) -> np.ndarray:
         """A0 v for v of shape (6K,) or (6K, m)."""
@@ -302,17 +297,17 @@ def _solve_pencils(op: BlochOperator, thetas, members: Optional[List[np.ndarray]
         k = thetas[at, None, :] + op.cutoff.modes[modes[which]]
         t = transverse_frame(k)
         sym = symbol_matrix(k)
-        g_t = _adjoint(t) @ (-sym) @ t
+        g_t = adjoint(t) @ (-sym) @ t
         # a lone pair takes its factor as a view
         li_p = li[which] if n > 1 else li[which[0]][None]
         # W = li T one mode column block at a time: T couples no two modes
         w = (li_p.reshape(n, 6 * m, m, 6).swapaxes(1, 2) @ t).swapaxes(1, 2)
         w = w.reshape(n, 6 * m, 4 * m)
-        chol = np.linalg.cholesky(_adjoint(w) @ w)
+        chol = np.linalg.cholesky(adjoint(w) @ w)
         # L^H Gt L with Gt L one mode row block at a time (no temporary is named,
         # so none outlives its use: a one-class member's blocks are large)
-        red = _adjoint(chol) @ (g_t @ chol.reshape(n, m, 4, 4 * m)).reshape(chol.shape)
-        red = _hermitian_part(red)
+        red = adjoint(chol) @ (g_t @ chol.reshape(n, m, 4, 4 * m)).reshape(chol.shape)
+        red = hermitian_part(red)
         vals_g, y = np.linalg.eigh(red) if vectors else (np.linalg.eigvalsh(red), None)
         blocks.append((which, sym, w, chol, red))
         vals.append(vals_g.ravel())
@@ -379,7 +374,7 @@ def _cluster_span(p: _Pencil, sel: List[int]) -> np.ndarray:
         if (g, c) not in p.vecs:
             p.vecs[g, c] = np.linalg.eigh(red[c])[1]
         v = scipy.linalg.lapack.ztrtrs(chol[c], p.vecs[g, c][:, k], lower=1, trans=2)[0]
-        psi[rows[which[c]], j] = _adjoint(li[which[c]]) @ (w[c] @ v)
+        psi[rows[which[c]], j] = adjoint(li[which[c]]) @ (w[c] @ v)
     return _orthonormalize(psi)
 
 
@@ -485,13 +480,6 @@ class Continuation(NamedTuple):
     band: BlochBand
     gap: float
     overlap: float
-
-
-def continue_band(op: BlochOperator, theta, prev: BlochBand) -> Tuple[BlochBand, float]:
-    """The continuation of `prev` at a nearby theta, and its gap to the rest
-    of the spectrum: continue_bands at one theta."""
-    band, gap, _overlap = next(continue_bands(op, [theta], prev))
-    return band, gap
 
 
 def continue_bands(op: BlochOperator, thetas, prev: BlochBand,
@@ -612,7 +600,7 @@ def procrustes_align(basis: np.ndarray, ref: np.ndarray) -> Tuple[np.ndarray, np
     """basis rotated by the unitary maximizing its overlap with ref, and the
     singular values of the overlap basis^H ref (those of the rotated basis's
     overlap too)."""
-    u, s, vh = np.linalg.svd(basis.conj().T @ ref, full_matrices=False)
+    u, s, vh = np.linalg.svd(adjoint(basis) @ ref, full_matrices=False)
     return basis @ (u @ vh), s
 
 
@@ -689,15 +677,6 @@ def _fix_gauge(psi: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return psi @ (u @ vh)
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + _adjoint(m))
-
-
 # ---------------------------------------------------------------------------
 # Projector and partial inverse
 # ---------------------------------------------------------------------------
@@ -740,7 +719,7 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
         # kernel columns get weight 0: Q is the inverse off the kernel only
         inv = np.divide(1.0, 1j * s, out=np.zeros(s.shape, dtype=complex),
                         where=np.abs(s) > KERNEL_TOL * smax)
-        q_blocks.append((rows, (u * inv[:, None, :]) @ _adjoint(u)))
+        q_blocks.append((rows, (u * inv[:, None, :]) @ adjoint(u)))
     return ProjectorPair(basis=band.eigvecs, omega=band.omega, theta=band.theta,
                          q_blocks=tuple(q_blocks), op=op, decomposed=decomposed)
 
@@ -754,7 +733,7 @@ def _shifted_pencil(op: BlochOperator, g: int, sel: np.ndarray, omega: float) ->
     i = np.arange(m)
     # the paired mode index moves to the front of the indexed view
     herm.reshape(n, m, 6, m, 6)[:, i, :, i, :] += 1j * op.g_blocks[modes[sel]].swapaxes(0, 1)
-    return _hermitian_part(herm)
+    return hermitian_part(herm)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,6 @@ class Pipeline:
         self.cfg = cfg
         self.op = BlochOperator.build(cfg.material, cfg.cutoff, cfg.theta)
         self.band, self.all_bands = select_band(cfg, self.op)
-        # profile orders assembled: all three for full-profile seeding
-        self.orders = (0, 1, 2) if cfg.seeding == "full_profile" else (0,)
 
     @cached_property
     def projectors(self):
@@ -122,6 +120,12 @@ class Pipeline:
     def profiles(self):
         return build_profiles(self.band, self.projectors, self.dispersion, self.ray,
                               self.envelope, self.op)
+
+    def seeded(self, profiles):
+        """The profiles the assembly seeds with: all three, or the leading
+        profile alone for leading_only seeding."""
+        leading = self.cfg.seeding == "leading_only"
+        return profiles.with_ablation(drop_w1=leading, drop_w2=leading)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +193,10 @@ def cmd_wkb(cfg: RunConfig, out: Path) -> None:
     rep = residual(profs, [h], cfg.horizon)[h]
     (out / "residual.json").write_text(json.dumps(rep, indent=1, sort_keys=True) + "\n")
     pts = cfg.grid.points().reshape(-1, 3)
+    seeded = pipe.seeded(profs)
     for label, t in (("initial", 0.0), ("final", cfg.horizon / h)):
-        fld = assemble(profs, h, t, pts, orders=pipe.orders)
-        dump_field(out / f"wkb_{label}.bwpk",
-                   fld.samples.T.reshape((6,) + cfg.grid.shape),
+        samples = assemble(seeded, h, t, pts)
+        dump_field(out / f"wkb_{label}.bwpk", samples.T.reshape((6,) + cfg.grid.shape),
                    cfg.grid, time=t, h=h, theta=cfg.theta, omega=pipe.band.omega)
     print(f"wrote wkb_initial.bwpk, wkb_final.bwpk and residual.json "
           f"(max |r1| rel {rep['r1']['rel']:.3e})")
@@ -218,7 +222,7 @@ def _check_axes(cfg: RunConfig) -> None:
     (gaussian_state) over the axes with more than one grid point, so with
     other axes the two packets differ whatever their accuracy."""
     packet = sorted(cfg.packet.axes)
-    grid = [a for a in range(3) if cfg.grid.shape[a] > 1]
+    grid = [a % 3 for a in cfg.grid.varying]
     if packet != grid:
         raise ConfigError(
             f"packet.axes {packet} differ from the grid's varying axes {grid}: the "
@@ -243,25 +247,25 @@ def _check_box(cfg: RunConfig, V: np.ndarray) -> None:
                     f"{shift + support:.4g} exceeds the half-box {half:.4g}")
 
 
-def sup_errors(profiles, packet: ExactPacketSpec, times, grid, pairs,
-               orders=(0, 1, 2)) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float]:
+def sup_errors(profiles, packet: ExactPacketSpec, times, grid,
+               pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float]:
     """{(beta, delta): the largest seminorm over `times` of the synthesized
     exact packet minus the assembly at scale packet.h}, every time in one
     stack: one synthesis, one assembly and one seminorm call."""
     synth, _err = synthesize_exact_packet(packet, profiles.band, profiles.op, times, grid,
                                           estimate_error=False)
-    assembled = assemble_harmonics(profiles, packet.h, times, grid, orders=orders)
+    assembled = assemble_harmonics(profiles, packet.h, times, grid)
     return {bd: float(v.max()) for bd, v in seminorm(difference(synth, assembled), pairs).items()}
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> None:
-    if not cfg.material.is_static():
+    if not cfg.material.is_periodic():
         _validate_certificate(cfg, out, Pipeline(cfg))
         return
     _check_axes(cfg)
     pipe = Pipeline(cfg)
     _check_box(cfg, pipe.dispersion.V)
-    profs = pipe.profiles()
+    profs = pipe.seeded(pipe.profiles())
     nodes = _auto_nodes(cfg, pipe.dispersion.V, pipe.dispersion.hessian)
     weights = pipe.packet_weights()
     indices = weighted_indices(2, tuple(a for a in cfg.packet.axes))
@@ -272,7 +276,7 @@ def cmd_validate(cfg: RunConfig, out: Path) -> None:
                                  support_sigmas=cfg.packet.support_sigmas,
                                  nodes=nodes, nodes_check=nodes - 20)
         return sup_errors(profs, packet, np.linspace(0.0, cfg.horizon / h, 9), cfg.grid,
-                          indices, orders=pipe.orders)
+                          indices)
 
     rows = []
     sup0 = {}
@@ -317,13 +321,11 @@ def _validate_certificate(cfg: RunConfig, out: Path, pipe: Pipeline) -> None:
 
 def cmd_oracle(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
-    profs = pipe.profiles()
     h = cfg.h_list[0]
     td = cfg.time_domain
     grid = td["grid"]
-    pts = grid.points().reshape(-1, 3)
-    seed_field = assemble(profs, h, 0.0, pts, orders=pipe.orders)
-    initial = seed_field.samples.T.reshape((6,) + grid.shape)
+    initial = assemble(pipe.seeded(pipe.profiles()), h, 0.0,
+                       grid.points().reshape(-1, 3)).T.reshape((6,) + grid.shape)
     # exact in time where the medium allows it, RK4 otherwise
     solve = chebyshev_solve if chebyshev_applies(cfg.material) else time_domain_solve
     result = solve(cfg.material, h, initial, grid, td["t_final"], dt=td["dt"], cfl=td["cfl"])

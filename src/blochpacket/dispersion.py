@@ -21,8 +21,8 @@ import numpy as np
 
 from .bands import BlochBand, BlochOperator, ProjectorPair, continue_bands
 from .errors import MultiplicityInconsistent, SpeedLimitViolation
-from .fourier import (MaterialSpec, apply_mode_blocks, cell_points, cross_matrix, symbol_matrix,
-                      trig_sum)
+from .fourier import (MaterialSpec, adjoint, apply_mode_blocks, cell_points, cross_matrix,
+                      hermitian_part, symbol_matrix, trig_sum)
 
 SCALAR_TOL = 1e-8
 # samples per structured axis of the y-grid that _tau_max maximizes over
@@ -57,8 +57,7 @@ def projected_mass(band: BlochBand, op: BlochOperator) -> np.ndarray:
     """kappa x kappa matrix of Pi A0 Pi in the band's eigenbasis.  Positive
     definite (the projected material is an isomorphism of the eigenspace)."""
     psi = band.eigvecs
-    n = psi.conj().T @ op.apply_a0(psi)
-    return 0.5 * (n + n.conj().T)
+    return hermitian_part(adjoint(psi) @ op.apply_a0(psi))
 
 
 def _scalar_part(f: np.ndarray, n: np.ndarray):
@@ -94,7 +93,7 @@ def group_velocity(band: BlochBand, op: BlochOperator,
     v = np.zeros(3)
     forms = []
     for j, symbol in enumerate(symbol_matrix(np.eye(3))):
-        f = psi.conj().T @ apply_mode_blocks(symbol, psi)
+        f = adjoint(psi) @ apply_mode_blocks(symbol, psi)
         s, dev = _scalar_part(f, n)
         forms.append((j, f, s, dev))
         # f ~ -(d_j omega) N, so d_j omega = -s and V_j = -d_j omega = s
@@ -118,7 +117,7 @@ def first_order_identity_residual(band: BlochBand, op: BlochOperator, xi, V) -> 
     xi = np.asarray(xi, dtype=float)
     domega = -float(np.dot(xi, V))
     lp = _pencil_derivative_apply(xi, domega, op, psi)
-    return float(np.linalg.norm(psi.conj().T @ lp))
+    return float(np.linalg.norm(adjoint(psi) @ lp))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +141,8 @@ def hessian(band: BlochBand, projectors: ProjectorPair, op: BlochOperator,
     devs = []
     for i in range(3):
         for j in range(i, 3):
-            m_ij = psi.conj().T @ _pencil_derivative_apply(axes[i], -v[i], op, q_lp_psi[j])
-            m_ji = psi.conj().T @ _pencil_derivative_apply(axes[j], -v[j], op, q_lp_psi[i])
+            m_ij = adjoint(psi) @ _pencil_derivative_apply(axes[i], -v[i], op, q_lp_psi[j])
+            m_ji = adjoint(psi) @ _pencil_derivative_apply(axes[j], -v[j], op, q_lp_psi[i])
             sym = 0.5 * (m_ij + m_ji)
             s, dev = _scalar_part(sym, n)
             devs.append((np.linalg.norm(sym), dev))
@@ -237,13 +236,11 @@ def _symbol_tables(spec: MaterialSpec) -> np.ndarray:
     (9, n1, n2, n3, 9), over the cell_points grid of Y_SAMPLES points per
     structured axis: the symbol matrices at xi are sum xi_a xi_b T_ab."""
     pts = cell_points(list(spec.eps0) + list(spec.mu0), Y_SAMPLES)
-    eps, mu = (trig_sum(c, pts).reshape(-1, 3, 3) for c in (spec.eps0, spec.mu0))
-    eps = 0.5 * (eps + np.conj(np.swapaxes(eps, -1, -2)))
-    mu = 0.5 * (mu + np.conj(np.swapaxes(mu, -1, -2)))
+    eps, mu = (hermitian_part(trig_sum(c, pts).reshape(-1, 3, 3)) for c in (spec.eps0, spec.mu0))
     w, u = np.linalg.eigh(eps)
     eps_inv_sqrt = np.einsum("nij,nj,nkj->nik", u, 1.0 / np.sqrt(w), u.conj())
     cx = cross_matrix(np.eye(3))[:, None]  # (3, 1, 3, 3)
-    left = eps_inv_sqrt @ np.conj(np.swapaxes(cx, -1, -2)) @ np.linalg.inv(mu)
+    left = eps_inv_sqrt @ adjoint(cx) @ np.linalg.inv(mu)
     right = cx @ eps_inv_sqrt
     return (left[:, None] @ right[None, :]).reshape(9, *pts.shape[:-1], 9)
 
@@ -306,11 +303,12 @@ def speed_limit_check(spec: MaterialSpec, V, num_samples: int = 1000,
     tau_max over the Y_SAMPLES grid.
 
     Returns {'worst_margin', 'worst_xi', 'num_samples'}: the smallest
-    full-grid margin and its direction (lowest index on ties).  A medium that
-    varies along some axis first bounds every margin on the sub-grid of every
-    BOUND_STRIDE-th sample and refines only the directions whose bound does not
-    clear the worst margin (_refined_margins); the result is the one a full
-    pass over every direction gives.  Raises SpeedLimitViolation if the worst
+    full-grid margin and its direction (lowest index on ties).  Every margin
+    is first bounded on the sub-grid of every BOUND_STRIDE-th sample (the
+    grid itself for a medium that varies along no axis), and only the
+    directions whose bound does not clear the worst margin are refined
+    (_refined_margins); the result is the one a full pass over every
+    direction gives.  Raises SpeedLimitViolation if the worst
     margin drops below -SPEED_TOL (a solver bug: the packet cannot outrun the
     medium).
     """
@@ -319,11 +317,8 @@ def speed_limit_check(spec: MaterialSpec, V, num_samples: int = 1000,
     xis /= np.sqrt(xis[:, None, :] @ xis[:, :, None])[:, 0]
     along_v = xis @ np.asarray(V, dtype=float)
     tables = _symbol_tables(spec)
-    coarse = tables[:, ::BOUND_STRIDE, ::BOUND_STRIDE, ::BOUND_STRIDE]
-    if coarse.size == tables.size:
-        margins = _tau_max(-xis, tables) - along_v
-    else:
-        margins = _refined_margins(xis, along_v, tables, coarse)
+    margins = _refined_margins(xis, along_v, tables,
+                               tables[:, ::BOUND_STRIDE, ::BOUND_STRIDE, ::BOUND_STRIDE])
     worst, worst_xi = float(margins.min()), xis[np.argmin(margins)]
     if worst < -SPEED_TOL:
         raise SpeedLimitViolation(

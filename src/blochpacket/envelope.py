@@ -24,8 +24,8 @@ BoxTooSmall.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -43,7 +43,12 @@ class EnvelopeGrid:
     """Periodic box [-L_a/2, L_a/2) with shape[a] points per axis.
 
     Axes with a single point represent directions the envelope does not vary
-    along; they contribute their full length to quadrature weights.
+    along; they contribute their full length to quadrature weights.  The
+    grid plans the transforms of its data (arrays whose last three axes are
+    the grid's): fft and ifft run over the varying axes only, since a
+    transform along a one-point axis is the identity (plain fft and ifft
+    when one axis varies, the same bits as fftn and ifftn at less call
+    overhead), and wavenumbers is their table, built once.
     """
 
     lengths: Tuple[float, float, float]
@@ -74,8 +79,28 @@ class EnvelopeGrid:
         """(M1, M2, M3, 3) stacked coordinates of the grid points."""
         return np.stack(self.meshgrid(), axis=-1)
 
-    def wave_meshgrid(self):
-        return np.meshgrid(*[self.axis_wavenumbers(a) for a in range(3)], indexing="ij")
+    @cached_property
+    def wavenumbers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three (M1, M2, M3) wavenumber arrays of the transforms,
+        read-only."""
+        ks = np.meshgrid(*[self.axis_wavenumbers(a) for a in range(3)], indexing="ij")
+        for k in ks:
+            k.flags.writeable = False
+        return tuple(ks)
+
+    @cached_property
+    def varying(self) -> Tuple[int, ...]:
+        """The axes with more than one point, counted from the end of grid
+        data (-3, -2, -1)."""
+        return tuple(a for a in (-3, -2, -1) if self.shape[a] > 1)
+
+    def fft(self, arr: np.ndarray) -> np.ndarray:
+        axes = self.varying
+        return np.fft.fft(arr, axis=axes[0]) if len(axes) == 1 else np.fft.fftn(arr, axes=axes)
+
+    def ifft(self, arr: np.ndarray) -> np.ndarray:
+        axes = self.varying
+        return np.fft.ifft(arr, axis=axes[0]) if len(axes) == 1 else np.fft.ifftn(arr, axes=axes)
 
     @property
     def cell_volume(self) -> float:
@@ -84,15 +109,6 @@ class EnvelopeGrid:
     @property
     def num_points(self) -> int:
         return int(np.prod(self.shape))
-
-
-def varying_axes(arr: np.ndarray) -> Tuple[int, ...]:
-    """The grid axes of arr (its last three) that have more than one point.
-
-    A transform along a size-1 axis is the identity, so these are the only
-    axes an FFT of grid data needs.
-    """
-    return tuple(a for a in (-3, -2, -1) if arr.shape[a] > 1)
 
 
 @dataclass
@@ -122,7 +138,7 @@ class EnvelopeState:
 
 def dispersion_form(grid: EnvelopeGrid, hess: np.ndarray) -> np.ndarray:
     """q(k, k) = sum_ij hess_ij k_i k_j on the grid's wavenumbers."""
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
     q = np.zeros(grid.shape)
     for i in range(3):
         for j in range(3):
@@ -160,7 +176,7 @@ def weighted_norm(state: EnvelopeState, weight: np.ndarray) -> float:
     return float(np.real(val) * state.grid.cell_volume)
 
 
-def _apply_blocks(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
+def apply_grid_blocks(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
     """A (kappa, kappa, M1, M2, M3) block stack applied to a (kappa, M1, M2,
     M3) field by multiply-adds over kappa."""
     out = blocks[:, 0] * w[0]
@@ -196,8 +212,10 @@ class EnvelopeSolution:
     whole Strang steps H D H and then one step of the remainder, which is
     never stepped on from.  Half-steps where two steps meet are fused: n
     steps are H D (F D)^(n-1) H with F = H H = expm(-dT P), and the state
-    held is u_n = D (F D)^(n-1) H w_0 (w_n = H u_n), so a further step is one
-    block product and one FFT pair (_whole_step), all planned here.
+    held is u_n = D (F D)^(n-1) H w_0 (w_n = H u_n) for the furthest n asked
+    for (a query that goes back walks from w_0 and keeps it), so a further
+    step is one block product and one FFT pair (_whole_step), all planned
+    here.
 
     Provides, at any slow time T, the Fourier coefficients of
     (d/dT)^m d^alpha w_a, where d/dT is evaluated through the equation
@@ -219,17 +237,8 @@ class EnvelopeSolution:
                               f"(outside fraction {outside:.3e})")
         self._initial = initial.copy()
         self._latest = (0, self._initial.values)  # (n, u_n), w_0 for n = 0
-        self._hats = (None, None)  # (T, tables) of the latest T asked for
-        self._ks = self.grid.wave_meshgrid()
+        self._hats = (None, None)  # (T, table) of the latest T asked for
         self._q = dispersion_form(self.grid, np.asarray(hess, dtype=float))
-        # transforms over the varying axes: plain fft and ifft when there is one
-        axes = varying_axes(initial.values)
-        if len(axes) == 1:
-            self._fft = functools.partial(np.fft.fft, axis=axes[0])
-            self._ifft = functools.partial(np.fft.ifft, axis=axes[0])
-        else:
-            self._fft = functools.partial(np.fft.fftn, axes=axes)
-            self._ifft = functools.partial(np.fft.ifftn, axes=axes)
         self._mult = np.exp(0.5j * self._q * self.dT)
         self._pot = None
         if mean_modes:
@@ -249,12 +258,12 @@ class EnvelopeSolution:
 
     def _dispersed(self, w: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """The exact dispersion step with multiplier mult: one FFT pair."""
-        return self._ifft(mult[None, ...] * self._fft(w))
+        return self.grid.ifft(mult[None, ...] * self.grid.fft(w))
 
     def _whole_step(self, u: np.ndarray, block: np.ndarray) -> np.ndarray:
         """One fused whole step D (block u): block is H from the initial data,
         F from a held u_n."""
-        return self._dispersed(_apply_blocks(block, u), self._mult)
+        return self._dispersed(apply_grid_blocks(block, u), self._mult)
 
     def state_at(self, T: float) -> EnvelopeState:
         T = float(T)
@@ -266,8 +275,9 @@ class EnvelopeSolution:
         n, u = self._latest if self._latest[0] <= nfull else (0, self._initial.values)
         for i in range(n, nfull):
             u = self._whole_step(u, self._whole if i else self._half)
-        self._latest = (nfull, u)
-        w = _apply_blocks(self._half, u) if nfull else u
+        if nfull >= self._latest[0]:
+            self._latest = (nfull, u)
+        w = apply_grid_blocks(self._half, u) if nfull else u
         rem = elapsed - nfull * self.dT
         if rem > 1e-14:
             mult = np.exp(0.5j * self._q * rem)
@@ -275,7 +285,7 @@ class EnvelopeSolution:
                 w = self._dispersed(w, mult)
             else:
                 half = self._potential_step(0.5 * rem)
-                w = _apply_blocks(half, self._dispersed(_apply_blocks(half, w), mult))
+                w = apply_grid_blocks(half, self._dispersed(apply_grid_blocks(half, w), mult))
         out = EnvelopeState(self.grid, w, T)
         shell = _mass_profile(out)[1]
         if shell > SHELL_MASS_TOL:
@@ -285,38 +295,30 @@ class EnvelopeSolution:
 
     # -- spectral derivative fields -----------------------------------------
 
-    def _hat_tables(self, T: float):
-        """Spectra of w, d_T w and d_T^2 w at T; only the latest T is kept,
-        since every caller walks its times in order."""
-        if self._hats[0] == T:
-            return self._hats[1]
-        c0 = self._fft(self.state_at(T).values)
-        hats = [c0]
-        for _ in range(2):
+    def _hat_tables(self, T: float, tder: int):
+        """Spectra of w, d_T w, ..., d_T^tder w at T, one table grown to the
+        order asked; only the latest T is kept, since every caller walks its
+        times in order."""
+        if self._hats[0] != T:
+            self._hats = (T, [self.grid.fft(self.state_at(T).values)])
+        hats = self._hats[1]
+        while len(hats) <= tder:
             hats.append(self._slow_derivative(hats[-1]))
-        self._hats = (T, hats)
         return hats
 
     def _slow_derivative(self, chat: np.ndarray) -> np.ndarray:
         """d/dT in Fourier space through the evolution equation."""
         out = 0.5j * self._q[None] * chat
         if self._pot is not None:
-            out = out - self._fft(_apply_blocks(self._pot, self._ifft(chat)))
+            out = out - self.grid.fft(apply_grid_blocks(self._pot, self.grid.ifft(chat)))
         return out
 
     def field_hat(self, component: int, tder: int, alpha, T: float) -> np.ndarray:
         """Fourier coefficients of (d/dT)^tder d^alpha w_component at time T."""
-        hats = self._hat_tables(T)
-        if tder >= len(hats):
-            base = hats[-1]
-            for _ in range(tder - len(hats) + 1):
-                base = self._slow_derivative(base)
-            hat = base[component]
-        else:
-            hat = hats[tder][component]
+        hat = self._hat_tables(T, tder)[tder][component]
         for a in range(3):
             for _ in range(int(alpha[a])):
-                hat = 1j * self._ks[a] * hat
+                hat = 1j * self.grid.wavenumbers[a] * hat
         return hat
 
     def eval_hats_at(self, hats, points: np.ndarray) -> np.ndarray:

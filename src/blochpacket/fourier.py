@@ -139,6 +139,15 @@ def symbol_matrix(xi) -> np.ndarray:
     return out
 
 
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + adjoint(m))
+
+
 def apply_mode_blocks(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply mode-diagonal 6x6 blocks, (K, 6, 6) or one (6, 6) for every mode,
     to coefficients of shape (6K,) or (6K, m) in mode-major order."""
@@ -261,15 +270,13 @@ class MaterialSpec:
                     raise MaterialError(f"{name}[{n}] is not 3x3")
                 neg = tuple(-v for v in n)
                 partner = coefs.get(neg)
-                if partner is None or not np.allclose(partner, m.conj().T, atol=1e-12):
+                if partner is None or not np.allclose(partner, adjoint(m), atol=1e-12):
                     raise MaterialError(
                         f"{name}: coefficient at {neg} must equal the conjugate "
                         f"transpose of the coefficient at {n}"
                     )
             pts = cell_points(coefs, _POSITIVITY_GRID)
-            grid = trig_sum(coefs, pts)
-            herm = 0.5 * (grid + np.conj(np.swapaxes(grid, -1, -2)))
-            eigs = np.linalg.eigvalsh(herm)
+            eigs = np.linalg.eigvalsh(hermitian_part(trig_sum(coefs, pts)))
             if eigs.min() <= _POSITIVITY_TOL:
                 shape = "x".join(str(n) for n in pts.shape[:-1])
                 raise MaterialError(
@@ -295,8 +302,13 @@ class MaterialSpec:
             etas.update(eta for (eta, _n) in coefs)
         return sorted(etas)
 
-    def is_static(self) -> bool:
+    def is_periodic(self) -> bool:
+        """No modulation at all: the medium is its cell-periodic base."""
         return not (self.eps1 or self.mu1 or self.lower_order)
+
+    def fixed_in_time(self) -> bool:
+        """No modulation depends on t (every eta has eta_0 = 0)."""
+        return all(eta[0] == 0.0 for eta in self.modulation_frequencies())
 
 
 def _floats(values) -> tuple:

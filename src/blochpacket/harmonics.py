@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .envelope import EnvelopeGrid, varying_axes
+from .envelope import EnvelopeGrid
 
 Harmonics = Dict[Tuple[int, int, int], np.ndarray]
 
@@ -92,13 +92,12 @@ def seminorm(field: HarmonicField, pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[i
     keys = list(field.data)
     stack = np.stack([field.data[n] for n in keys])  # (|held|, J, 6, M1, M2, M3)
     carriers = field.theta[None, :] + np.asarray(keys, dtype=float)
-    axes = varying_axes(stack)
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
     xs = grid.meshgrid()
     dv = grid.cell_volume
     pairs = list(pairs)
     deltas = sorted({d for _b, d in pairs})
-    hat = np.fft.fftn(stack, axes=axes) if any(map(any, deltas)) else None
+    hat = grid.fft(stack) if any(map(any, deltas)) else None
     out = {}
     for delta in deltas:
         vals = stack
@@ -108,7 +107,7 @@ def seminorm(field: HarmonicField, pairs) -> Dict[Tuple[Tuple[int, ...], Tuple[i
                 if delta[a]:
                     sym_a = 1j * (carriers[:, a, None, None, None] + field.h * ks[a][None])
                     symbol = symbol * sym_a ** delta[a]
-            vals = np.fft.ifftn(symbol[:, None, None] * hat, axes=axes)
+            vals = grid.ifft(symbol[:, None, None] * hat)
         density = np.sum(vals.real ** 2 + vals.imag ** 2, axis=(0, 2))  # (J, M1, M2, M3)
         for beta in sorted({b for b, d in pairs if d == delta}):
             weight = np.ones(grid.shape)

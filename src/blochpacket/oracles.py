@@ -10,25 +10,28 @@ quadrature error per time.  One walk gives the band at every quadrature
 node, of the main and the check rule together, as arrays in the nodes' row
 order (_node_bands); the output times are then evaluated at once, each a row
 block of one product over the nodes, so the field holds a leading time axis
-(one time is a time axis of length 1).  The time-domain
-route is seeded with the assembled field and reports its energy and
-divergence traces; comparing its field with the assembly is not implemented
-yet.  It has two propagators with one set-up, trace and growth guard (_Run):
+(one time is a time axis of length 1).  The time-domain route is seeded
+with the assembled field and reports its energy and divergence traces;
+comparing its field with the assembly is not implemented yet.  It has two
+propagators with one set-up, trace and growth guard (_Run).  A static
+medium here is one fixed in time (MaterialSpec.fixed_in_time: no
+modulation depends on t, every eta_0 = 0); the synthesis needs more, a
+purely periodic medium (MaterialSpec.is_periodic: no modulation at all).
 
-* chebyshev_solve, for a static medium (every eta_0 = 0) without a
-  lower-order term M: the flux is exp(tL) d0 with L skew-adjoint in the
-  inv(A0)-weighted inner product, summed as a Chebyshev series in L to
-  round-off (real coefficients, the powers of i carried by the
-  recurrence), so it has no time-step error;
+* chebyshev_solve, for a static medium without a lower-order term M: the
+  flux is exp(tL) d0 with L skew-adjoint in the inv(A0)-weighted inner
+  product, summed as a Chebyshev series in L to round-off (real
+  coefficients, the powers of i carried by the recurrence), so it has no
+  time-step error;
 * time_domain_solve, RK4, for every medium: the only one for a medium with
   M (L is then not skew) or with a t-dependent modulation (no single L).
 
 The `oracle` command takes the first where the medium allows it
-(chebyshev_applies) and the second otherwise.  For the Chebyshev sum dt and
-cfl only set the trace times, which are those of the RK4 schedule.  Without
-M the rows the curl never writes keep their initial values, so when the
-divergences read only such rows (a grid varying along one axis) they are
-computed once, from d0.
+(chebyshev_applies, which reads fixed_in_time and M) and the second
+otherwise.  For the Chebyshev sum dt and cfl only set the trace times,
+which are those of the RK4 schedule.  Without M the rows the curl never
+writes keep their initial values, so when the divergences read only such
+rows (a grid varying along one axis) they are computed once, from d0.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .bands import BlochBand, BlochOperator, continue_bands
-from .envelope import EnvelopeGrid, varying_axes
+from .envelope import EnvelopeGrid, apply_grid_blocks
 from .errors import ConfigError, GaugeError, StabilityAnomaly
-from .fourier import LatticeCutoff, MaterialSpec, transverse_pair, trig_sum
+from .fourier import (LatticeCutoff, MaterialSpec, adjoint, hermitian_part, transverse_pair,
+                      trig_sum)
 from .harmonics import HarmonicField, difference, seminorm
 
 # smallest singular value of the overlap between adjacent nodes' eigenbases
@@ -252,7 +256,7 @@ def _vacuum_walk(band: BlochBand, cutoff: LatticeCutoff, thetas: np.ndarray, par
     for col, pol in enumerate(transverse_pair(thetas)):
         omegas[1:], blocks[1:, :3, col], blocks[1:, 3:, col] = exact_constant_solution(
             thetas, e_pol=pol, sign=sign)
-    u, s, vh = np.linalg.svd(np.conj(np.swapaxes(blocks[1:], -1, -2)) @ blocks[parents])
+    u, s, vh = np.linalg.svd(adjoint(blocks[1:]) @ blocks[parents])
     rot = np.concatenate([np.eye(2, dtype=complex)[None], u @ vh])
     up = np.concatenate([[0], parents])
     while np.any(up):
@@ -265,7 +269,7 @@ def _vacuum_walk(band: BlochBand, cutoff: LatticeCutoff, thetas: np.ndarray, par
 
 
 def _is_vacuum(spec: MaterialSpec) -> bool:
-    if not spec.is_static():
+    if not spec.is_periodic():
         return False
     eye = np.eye(3)
     def _only_identity(coefs):
@@ -295,7 +299,7 @@ def synthesize_exact_packet(packet: ExactPacketSpec, band: BlochBand, op: BlochO
     built, and its nodes prepared in the same walk, only then.  Otherwise
     the error reads 0.
     """
-    if not op.spec.is_static():
+    if not op.spec.is_periodic():
         raise ConfigError("exact synthesis requires a purely periodic medium")
     times = np.asarray(times, dtype=float)
     zeta, wts = _gl_nodes(packet, packet.nodes)
@@ -356,8 +360,8 @@ class _GridMaterial:
     (M1, M2, M3, 3, 3) stack.  Its part that does not depend on t, a00 (the
     base periodic part sampled at y = x/h, and the eps1, mu1 modes with eta_0
     = 0), is sampled once; the other modes, `moving`, are re-evaluated per
-    requested time (cheap: finitely many modes).  The medium is static when
-    no modulation depends on t (every eta has eta_0 = 0).
+    requested time (cheap: finitely many modes): none when the medium is
+    fixed in time (MaterialSpec.fixed_in_time).
     """
 
     def __init__(self, spec: MaterialSpec, h: float, grid: EnvelopeGrid):
@@ -368,7 +372,6 @@ class _GridMaterial:
         self.moving = [{k: m for k, m in c.items() if k[0][0] != 0.0} for c in (spec.eps1, spec.mu1)]
         self.a00 = tuple(self._add(trig_sum(c, self.points / self.h), f, 0.0)
                          for c, f in zip((spec.eps0, spec.mu0), fixed))
-        self.static = _static(spec)
 
     def _add(self, block: np.ndarray, coefs, t: float) -> np.ndarray:
         """block plus h^2 times the modulation modes `coefs` at time t."""
@@ -393,17 +396,12 @@ class _GridMaterial:
         return self.h * trig_sum(self._waves(self.spec.lower_order, t), self.points)
 
 
-def _static(spec: MaterialSpec) -> bool:
-    """No modulation of the medium depends on t (every eta has eta_0 = 0)."""
-    return all(eta[0] == 0.0 for eta in spec.modulation_frequencies())
-
-
 def _speed_bound(blocks, lower) -> float:
     """1 / sqrt(min eig epsilon * min eig mu) over the grid, from the
     Hermitian parts of the (epsilon, mu) block stacks, each smallest
     eigenvalue lowered by its entry of `lower`; a ConfigError when one is
     not positive."""
-    eps_min, mu_min = (np.linalg.eigvalsh(0.5 * (b + np.conj(np.swapaxes(b, -1, -2)))).min() - s
+    eps_min, mu_min = (np.linalg.eigvalsh(hermitian_part(b)).min() - s
                        for b, s in zip(blocks, lower))
     if min(eps_min, mu_min) <= 0.0:
         raise ConfigError(f"A0 is not positive definite on the grid ({eps_min:.3e}, {mu_min:.3e})")
@@ -418,29 +416,30 @@ def _grid_major(blocks) -> np.ndarray:
 
 def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
     """diag(b_E, b_B) applied to a (6, M1, M2, M3) field, each block a
-    (3, 3, M1, M2, M3) array, by multiply-sums over the block columns."""
-    return np.concatenate([(b * w).sum(axis=1) for b, w in zip(blocks, (v[:3], v[3:]))])
+    (3, 3, M1, M2, M3) array."""
+    return np.concatenate([apply_grid_blocks(b, w) for b, w in zip(blocks, (v[:3], v[3:]))])
 
 
 class _CurlPlan(NamedTuple):
-    """(curl B, -curl E) on one grid: the derivative along axis d reads and
-    writes only the components across d, so the pair reads the rows `read`
-    of a (6, M1, M2, M3) field (E, B) and writes the rows `write` (4 of 6
-    each when one axis varies).  Written row i is, in Fourier space, the sum
-    over t of coefs[t, i] (+-i k_d, or 0 where the row has fewer terms)
-    times the transform of row srcs[t, i] of `read`, in the axis order."""
+    """(curl B, -curl E) on one grid: the derivative along a varying axis d
+    reads and writes only the components across d, so the pair reads the
+    rows `read` of a (6, M1, M2, M3) field (E, B) and writes the rows `write`
+    (4 of 6 each when one axis varies).  Written row i is, in Fourier space,
+    the sum over t of coefs[t, i] (+-i k_d, or 0 where the row has fewer
+    terms) times the transform of row srcs[t, i] of `read`, in the axis
+    order."""
 
-    axes: Tuple[int, ...]
+    grid: EnvelopeGrid
     read: List[int]
     write: List[int]
     coefs: np.ndarray  # (terms, len(write), M1, M2, M3)
     srcs: np.ndarray   # (terms, len(write))
 
 
-def _curl_plan(shape, ks) -> _CurlPlan:
-    axes = tuple(a for a in (-3, -2, -1) if shape[a] > 1)
+def _curl_plan(grid: EnvelopeGrid) -> _CurlPlan:
+    ks = grid.wavenumbers
     terms: Dict[int, List[Tuple[np.ndarray, int]]] = {}
-    for d in axes:
+    for d in grid.varying:
         # d/dx_d adds -d_d F_e2 to (curl F)_e1 and d_d F_e1 to (curl F)_e2
         e1, e2 = (d + 1) % 3, (d + 2) % 3
         ik = 1j * ks[d]
@@ -449,36 +448,32 @@ def _curl_plan(shape, ks) -> _CurlPlan:
             terms.setdefault(row, []).append((coef, src))
     read, write = sorted({src for row in terms.values() for _coef, src in row}), sorted(terms)
     depth = max(len(terms[row]) for row in write)
-    coefs = np.zeros((depth, len(write)) + tuple(shape), dtype=complex)
+    coefs = np.zeros((depth, len(write)) + grid.shape, dtype=complex)
     srcs = np.zeros((depth, len(write)), dtype=int)
     for i, row in enumerate(write):
         for t, (coef, src) in enumerate(terms[row]):
             coefs[t, i], srcs[t, i] = coef, read.index(src)
-    return _CurlPlan(axes, read, write, coefs, srcs)
+    return _CurlPlan(grid, read, write, coefs, srcs)
 
 
 def _curl_rows(plan: _CurlPlan, u_read: np.ndarray) -> np.ndarray:
     """The rows plan.write of (curl B, -curl E), from the rows plan.read of
     the grid field (E, B): one forward FFT, one gathered product per term
-    depth and one inverse FFT over the varying axes (plain ones for one)."""
-    one = len(plan.axes) == 1
-    hat = np.fft.fft(u_read, axis=plan.axes[0]) if one else np.fft.fftn(u_read, axes=plan.axes)
+    depth and one inverse FFT of the grid."""
+    hat = plan.grid.fft(u_read)
     out = hat[plan.srcs[0]]
     np.multiply(plan.coefs[0], out, out=out)
     for coefs, srcs in zip(plan.coefs[1:], plan.srcs[1:]):
         out += coefs * hat[srcs]
-    return np.fft.ifft(out, axis=plan.axes[0]) if one else np.fft.ifftn(out, axes=plan.axes)
+    return plan.grid.ifft(out)
 
 
-def _spectral_div(field3: np.ndarray, ks) -> np.ndarray:
-    """The divergence of a (3, M1, M2, M3) field from the components along its
-    varying axes (plain fft and ifft when there is one, as in _curl_rows)."""
-    axes = varying_axes(field3)
-    if len(axes) == 1:
-        a = axes[0]
-        return np.fft.ifft(1j * (ks[a] * np.fft.fft(field3[a], axis=a)), axis=a)
-    hat = np.fft.fftn(field3[list(axes)], axes=axes)
-    return np.fft.ifftn(1j * sum(ks[a] * h for a, h in zip(axes, hat)), axes=axes)
+def _spectral_div(field3: np.ndarray, grid: EnvelopeGrid) -> np.ndarray:
+    """The divergence of a (3, M1, M2, M3) field on the grid, from the
+    components along its varying axes."""
+    axes = grid.varying
+    terms = [grid.wavenumbers[a] * h for a, h in zip(axes, grid.fft(field3[list(axes)]))]
+    return grid.ifft(1j * sum(terms[1:], terms[0]))
 
 
 def _rhs(plan: _CurlPlan, d: np.ndarray, inv_rows, m: Optional[np.ndarray]) -> np.ndarray:
@@ -526,18 +521,17 @@ class _Run:
             raise ConfigError(f"dt={dt:.3e} violates the CFL bound {dt_cfl:.3e}")
 
         self.grid = grid
-        self.ks = grid.wave_meshgrid()
         u0 = np.asarray(initial, dtype=complex)
         if u0.shape != (6,) + grid.shape:
             raise ConfigError(f"initial field shape {u0.shape} != {(6,) + grid.shape}")
-        self.plan = _curl_plan(grid.shape, self.ks)
+        self.plan = _curl_plan(grid)
         self.a0 = self.mat.a0_at(0.0)
         self.d0 = _apply_blocks(_grid_major(self.a0), u0)
         # without M the rows the curl does not write have no time derivative:
         # when the divergences read only such rows (the components along the
         # varying axes), they are d0's at every trace row
         self.stepped = list(range(6)) if spec.lower_order else self.plan.write
-        div_rows = {a % 3 + 3 * f for f in (0, 1) for a in self.plan.axes}
+        div_rows = {a % 3 + 3 * f for f in (0, 1) for a in grid.varying}
         self.held_div = None if div_rows & set(self.stepped) else self._divergences(self.d0)
 
         self.nsteps = max(1, int(np.ceil(t_final / dt)))
@@ -551,7 +545,7 @@ class _Run:
     def _divergences(self, d: np.ndarray) -> Tuple[float, float]:
         """The L2 norms of div(eps E) and div(mu B) of the flux d."""
         scale = np.sqrt(self.grid.cell_volume)
-        return tuple(float(np.linalg.norm(_spectral_div(f, self.ks)) * scale)
+        return tuple(float(np.linalg.norm(_spectral_div(f, self.grid)) * scale)
                      for f in (d[:3], d[3:]))
 
     def record(self, t: float, d: np.ndarray, inv_a0) -> None:
@@ -608,6 +602,7 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     """
     run = _Run(spec, h, initial, grid, t_final, dt, cfl)
     mat, plan, dt = run.mat, run.plan, run.dt
+    fixed = spec.fixed_in_time()
     # the components of E and B a stage reads, and those of the flux it steps
     comps = [0, 1, 2] if spec.lower_order else [r for r in plan.read if r < 3]
     stepped = [r for r in run.stepped if r < 3]
@@ -632,7 +627,7 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
     for step in range(1, run.nsteps + 1):
         # k2 and k3 share the midpoint; k4 shares the end with the trace and
         # the next step's k1
-        mid, end = (now, now) if mat.static else (material(t + dt / 2), material(step * dt))
+        mid, end = (now, now) if fixed else (material(t + dt / 2), material(step * dt))
         t = step * dt
         k1 = _rhs(plan, dvec, *now[1:])
         k2 = _rhs(plan, stage(dt / 2, k1), *mid[1:])
@@ -647,9 +642,9 @@ def time_domain_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
 
 def chebyshev_applies(spec: MaterialSpec) -> bool:
     """True when the flux evolves by exp(tL) with one L that is skew-adjoint
-    in the inv(A0)-weighted inner product: a static medium (every eta_0 = 0)
+    in the inv(A0)-weighted inner product: a static medium (fixed in time)
     without a lower-order term M."""
-    return not spec.lower_order and _static(spec)
+    return not spec.lower_order and spec.fixed_in_time()
 
 
 def chebyshev_solve(spec: MaterialSpec, h: float, initial: np.ndarray,
@@ -750,7 +745,7 @@ def _chebyshev_radius(run: _Run) -> float:
     L on the grid: L is similar to A0^(-1/2) (curl B, -curl E) A0^(-1/2),
     which couples E and B through eps^(-1/2) curl mu^(-1/2), of norm at most
     |k|max / sqrt(min eig eps * min eig mu) = c |k|max."""
-    return 1.01 * run.speed * float(np.sqrt(sum(k**2 for k in run.ks)).max())
+    return 1.01 * run.speed * float(np.sqrt(sum(k**2 for k in run.grid.wavenumbers)).max())
 
 
 def _chebyshev_coefficients(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

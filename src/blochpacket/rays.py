@@ -28,7 +28,7 @@ import numpy as np
 from .bands import BlochBand, BlochOperator
 from .dispersion import projected_mass
 from .errors import BetaFitError, SmallDivisorWarning
-from .fourier import modulation_apply, trig_sum
+from .fourier import adjoint, modulation_apply, trig_sum
 
 Eta = Tuple[float, float, float, float]
 
@@ -99,7 +99,7 @@ def build_gamma(band: BlochBand, op: BlochOperator) -> CouplingField:
     modes: Dict[Eta, np.ndarray] = {}
     for eta in op.spec.modulation_frequencies():
         a01, low = modulation_apply(op.spec, eta, op.cutoff, psi)
-        modes[eta] = np.linalg.solve(n, psi.conj().T @ (1j * band.omega * a01 + low))
+        modes[eta] = np.linalg.solve(n, adjoint(psi) @ (1j * band.omega * a01 + low))
     return CouplingField(modes=modes, kappa=band.kappa)
 
 

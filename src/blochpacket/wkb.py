@@ -38,7 +38,7 @@ import numpy as np
 
 from .bands import BlochBand, BlochOperator, ProjectorPair
 from .dispersion import DispersionData
-from .envelope import EnvelopeSolution, varying_axes
+from .envelope import EnvelopeSolution
 from .errors import CutoffMismatch
 from .fourier import apply_mode_blocks, modulation_apply, symbol_matrix
 from .harmonics import HarmonicField
@@ -308,11 +308,11 @@ def _product(stack, fields: Dict[FieldKey, np.ndarray], t: np.ndarray, x: np.nda
     return coef, coef @ vecs
 
 
-def _weighted_stack(profiles: ProfileSet, h: float, orders):
-    """_stack of the profiles of `orders` merged into one table, order j
-    weighted by h^j."""
-    tables = profiles.tables()
-    merged = _merge(*({idx: (h ** j) * vec for idx, vec in tables[j].items()} for j in orders))
+def _weighted_stack(profiles: ProfileSet, h: float):
+    """_stack of the three profiles merged into one table, order j weighted
+    by h^j."""
+    merged = _merge(*({idx: (h ** j) * vec for idx, vec in table.items()}
+                      for j, table in enumerate(profiles.tables())))
     return _stack(merged, profiles.op.cutoff.num_modes)
 
 
@@ -417,23 +417,11 @@ def residual(profiles: ProfileSet, hs, horizon: float, num_t: int = 5,
 # Assembly at physical points
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WKBField:
-    """Sampled approximate solution at scale h and time t."""
+def assemble(profiles: ProfileSet, h: float, t: float, points) -> np.ndarray:
+    """The triple-scale field at scale h and time t at the physical points
+    (P, 3), as (P, 6) samples.
 
-    h: float
-    t: float
-    theta: np.ndarray
-    omega: float
-    points: np.ndarray   # (P, 3)
-    samples: np.ndarray  # (P, 6)
-
-
-def assemble(profiles: ProfileSet, h: float, t: float, points,
-             orders: Tuple[int, ...] = (0, 1, 2)) -> WKBField:
-    """Evaluate the triple-scale field at physical points.
-
-    The orders are merged into one table (order j weighted by h^j) and
+    The three orders are merged into one table (order j weighted by h^j) and
     evaluated by one product (_product): envelope factors spectrally
     interpolated at x - V t (periodic box), one value per held mode.  The
     carrier exp(i (omega t + (theta + n).x)/h) of each held mode n is then
@@ -441,39 +429,35 @@ def assemble(profiles: ProfileSet, h: float, t: float, points,
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     band = profiles.band
-    stack = _weighted_stack(profiles, h, orders)
+    stack = _weighted_stack(profiles, h)
     entries, held, _vecs = stack
     fields = _field_values(profiles, {key for (_eta, key) in entries}, [h * t],
                            pts - profiles.dispersion.V[None, :] * t)
     _coef, per_mode = _product(stack, fields, [t], pts)
     carrier = np.exp(1j * ((pts / h) @ (band.theta[:, None] + profiles.op.cutoff.modes[held].T)
                            + band.omega * t / h))
-    out = np.einsum("pk,pkc->pc", carrier, per_mode.reshape(len(pts), len(held), 6))
-    return WKBField(h=h, t=t, theta=band.theta, omega=band.omega,
-                    points=pts, samples=out)
+    return np.einsum("pk,pkc->pc", carrier, per_mode.reshape(len(pts), len(held), 6))
 
 
-def assemble_harmonics(profiles: ProfileSet, h: float, times, grid,
-                       orders: Tuple[int, ...] = (0, 1, 2)) -> HarmonicField:
+def assemble_harmonics(profiles: ProfileSet, h: float, times, grid) -> HarmonicField:
     """Harmonic-resolved assembly on an envelope grid at the times (J,).
 
     Returns the HarmonicField whose harmonics {n: (J, 6, M1, M2, M3)} give
     the field at t_j as sum_n exp(i (theta + n).x / h) D_n(t_j, x), each D_n
     carrying exp(i omega t_j / h), holding only the modes on which some cell
-    profile of the requested orders is nonzero (every other harmonic is
-    zero).  The table is the one assemble
-    evaluates, built once for all times and evaluated by the same product
-    (_product) at every (time, grid point) pair; the envelope factors of
-    every (time, key) pair are transformed by one inverse FFT over the
-    varying axes.  Requires every (t, x) frequency carried by the profiles
+    profile is nonzero (every other harmonic is zero).  The table is the one
+    assemble evaluates, built once for all times and evaluated by the same
+    product (_product) at every (time, grid point) pair; the envelope
+    factors of every (time, key) pair are transformed by one inverse FFT of
+    the grid.  Requires every (t, x) frequency carried by the profiles
     to be commensurate with the box (guaranteed for purely periodic media,
     where no such frequencies occur).
     """
     env = profiles.envelope
-    stack = _weighted_stack(profiles, h, orders)
+    stack = _weighted_stack(profiles, h)
     entries, held, _vecs = stack
     times = np.asarray(times, dtype=float)
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
     keys = sorted({key for (_eta, key) in entries})
     hats = np.empty((len(times), len(keys)) + grid.shape, dtype=complex)
     for j, t in enumerate(times):
@@ -481,7 +465,7 @@ def assemble_harmonics(profiles: ProfileSet, h: float, times, grid,
         shift = np.exp(-1j * (ks[0] * vt[0] + ks[1] * vt[1] + ks[2] * vt[2]))
         for i, key in enumerate(keys):
             hats[j, i] = env.field_hat(*key, h * t) * shift
-    on_grid = np.fft.ifftn(hats, axes=varying_axes(hats)).reshape(len(times), len(keys), -1)
+    on_grid = grid.ifft(hats).reshape(len(times), len(keys), -1)
     del hats  # before the product's arrays, each as large
     envelope_on_grid = {key: on_grid[:, i] for i, key in enumerate(keys)}
     _coef, per_mode = _product(stack, envelope_on_grid, times, grid.points().reshape(-1, 3))

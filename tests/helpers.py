@@ -5,8 +5,7 @@ import numpy as np
 from blochpacket import bands
 from blochpacket.bands import BlochOperator, build_projectors, mode_classes, solve_bands
 from blochpacket.dispersion import hessian
-from blochpacket.envelope import (EnvelopeGrid, EnvelopeSolution, dispersion_form, gaussian_state,
-                                  varying_axes)
+from blochpacket.envelope import EnvelopeGrid, EnvelopeSolution, dispersion_form, gaussian_state
 from blochpacket.fourier import (LatticeCutoff, MaterialSpec, _check_theta, conv_apply,
                                  cross_matrix, transverse_field_blocks, transverse_pair, trig_sum,
                                  wavevectors)
@@ -21,6 +20,11 @@ from blochpacket.wkb import assemble_harmonics, build_profiles, evaluate_table, 
 
 # the (beta, delta) pair of harmonics.seminorm that is the plain L2 norm
 L2 = ((0, 0, 0), (0, 0, 0))
+
+
+def varying_axes(arr):
+    """The grid axes of arr (its last three) that have more than one point."""
+    return tuple(a for a in (-3, -2, -1) if arr.shape[a] > 1)
 
 
 class BandPipeline:
@@ -211,7 +215,7 @@ def seminorm_reference(field, beta, delta) -> np.ndarray:
     harmonic by harmonic and time by time, each derivative by its own
     forward and inverse 3-axis FFT."""
     grid = field.grid
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
     xs = grid.meshgrid()
     weight = np.ones(grid.shape)
     for a in range(3):
@@ -248,20 +252,20 @@ def spectral_div_reference(field3, ks):
     return np.fft.ifftn(1j * (ks[0] * hats[0] + ks[1] * hats[1] + ks[2] * hats[2]))
 
 
-def assemble_harmonics_reference(profiles, h, t, grid, orders=(0, 1, 2)):
+def assemble_harmonics_reference(profiles, h, t, grid):
     """assemble_harmonics with every table entry added mode by mode."""
     T = h * t
     env = profiles.envelope
     tables = profiles.tables()
     xs = grid.meshgrid()
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
     vt = profiles.dispersion.V * t
     shift = np.exp(-1j * (ks[0] * vt[0] + ks[1] * vt[1] + ks[2] * vt[2]))
     carrier_t = np.exp(1j * profiles.band.omega * t / h)
     modes = profiles.op.cutoff.modes
     harm = {tuple(n): np.zeros((6,) + grid.shape, dtype=complex) for n in modes}
-    for j in orders:
-        for (eta, key), vec in tables[j].items():
+    for j, table in enumerate(tables):
+        for (eta, key), vec in table.items():
             a, m, alpha = key
             vals = np.fft.ifftn(env.field_hat(a, m, alpha, T) * shift)
             phase = np.exp(1j * (eta[0] * t + eta[1] * xs[0] + eta[2] * xs[1] + eta[3] * xs[2]))
@@ -289,14 +293,14 @@ def evaluate_table_reference(profiles, table, T, t, x_comoving):
     return vals, mag
 
 
-def sup_errors_reference(profiles, packet, times, grid, pairs, orders=(0, 1, 2)):
+def sup_errors_reference(profiles, packet, times, grid, pairs):
     """cli.sup_errors time by time: one synthesis, assembly and seminorm call
     per output time, each at that one time, the largest value kept per pair."""
     sup = {bd: 0.0 for bd in pairs}
     for t in times:
         synth, _err = synthesize_exact_packet(packet, profiles.band, profiles.op, [t], grid,
                                               estimate_error=False)
-        assembled = assemble_harmonics(profiles, packet.h, [t], grid, orders=orders)
+        assembled = assemble_harmonics(profiles, packet.h, [t], grid)
         for bd, value in seminorm(difference(synth, assembled), pairs).items():
             sup[bd] = max(sup[bd], float(value[0]))
     return sup
@@ -347,7 +351,7 @@ def solve_bands_reference(op, num_bands):
 
 
 def continue_band_reference(op, theta, prev):
-    """bands.continue_band solving every class member at the new theta: the
+    """bands.continue_bands at one theta solving every class member at the new theta: the
     candidate clusters, the match by overlap, the band index and the gap all
     read the full spectrum."""
     p = bands._solve_pencil(op, theta, vectors=True)
@@ -555,10 +559,10 @@ def rk4_rhs_reference(mat, t, d, ks):
     return out
 
 
-def planned_curl_pair(u, ks):
-    """The six rows of (curl B, -curl E) from oracles' planned curl: the rows
-    the plan writes, zero elsewhere."""
-    plan = _curl_plan(u.shape[1:], ks)
+def planned_curl_pair(u, grid):
+    """The six rows of (curl B, -curl E) on the grid from oracles' planned
+    curl: the rows the plan writes, zero elsewhere."""
+    plan = _curl_plan(grid)
     out = np.zeros(u.shape, dtype=complex)
     out[plan.write] = _curl_rows(plan, u[plan.read])
     return out
@@ -644,7 +648,7 @@ def six_row_rk4_reference(spec, h, u0, grid, t_final, dt):
     from blochpacket.oracles import _grid_major, _GridMaterial
 
     mat = _GridMaterial(spec, h, grid)
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
 
     def material(t):
         return _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)]), mat.m_at(t)
@@ -655,7 +659,7 @@ def six_row_rk4_reference(spec, h, u0, grid, t_final, dt):
     dt = t_final / nsteps
     t = 0.0
     for step in range(1, nsteps + 1):
-        mid, end = (now, now) if mat.static else (material(t + dt / 2), material(step * dt))
+        mid, end = (now, now) if spec.fixed_in_time() else (material(t + dt / 2), material(step * dt))
         t = step * dt
         k1 = rhs_reference(d, *now, ks)
         k2 = rhs_reference(d + dt / 2 * k1, *mid, ks)
@@ -673,7 +677,7 @@ def rk4_per_stage_reference(spec, h, u0, grid, t_final, dt):
     from blochpacket.oracles import _grid_major, _GridMaterial
 
     mat = _GridMaterial(spec, h, grid)
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
 
     def material(t):
         return _grid_major([np.linalg.inv(b) for b in mat.a0_at(t)]), mat.m_at(t)

@@ -248,7 +248,7 @@ def test_07_convergence_rate(identity_pipe):
     times = np.linspace(0.0, 1.0 / h, 9)
     synth, _err = synthesize_exact_packet(packet, pipe.band, pipe.op, times, grid,
                                           estimate_error=False)
-    assembled = assemble_harmonics(profs0, h, times, grid, orders=(0,))
+    assembled = assemble_harmonics(profs0, h, times, grid)
     worst0 = float(seminorm(difference(synth, assembled), [L2])[L2].max())
 
     elapsed = time.time() - t0

@@ -25,7 +25,6 @@ from blochpacket.bands import (
     BlochOperator,
     _fix_gauge,
     build_projectors,
-    continue_band,
     continue_bands,
     mode_classes,
     solve_bands,
@@ -165,8 +164,7 @@ def test_mode_class_counts():
 
 def test_single_class_yields_the_stored_block(monkeypatch):
     """A medium with one class solves on its stored A0 block: the one group
-    holds the array base_material_matrix filled, not a copy, and op.at
-    shares it."""
+    holds the array base_material_matrix filled, not a copy."""
     filled = []
 
     def keep(*args):
@@ -176,7 +174,7 @@ def test_single_class_yields_the_stored_block(monkeypatch):
     monkeypatch.setattr(bands, "base_material_matrix", keep)
     op = BlochOperator.build(cosine_3d(), LatticeCutoff(1), THETA_OFF)
     (_modes, rows, a0, _li), = op.groups
-    assert a0 is filled[0] and op.at(THETA).groups[0][2] is a0
+    assert a0 is filled[0]
     assert a0.shape == (1, 6 * op.cutoff.num_modes, 6 * op.cutoff.num_modes)
     assert np.array_equal(rows[0], np.arange(6 * op.cutoff.num_modes))
 
@@ -184,11 +182,9 @@ def test_single_class_yields_the_stored_block(monkeypatch):
 @pytest.mark.parametrize("spec", [cosine_3d(), parity_layered()], ids=["cosine_3d", "parity"])
 def test_at_shares_the_a0_factor(spec):
     """Each group's li is the inverse of the Cholesky factor of its A0
-    blocks, computed once by build: op.at holds the same array."""
+    blocks, computed once by build."""
     op = BlochOperator.build(spec, LatticeCutoff(2), THETA_OFF)
-    moved = op.at(THETA)
-    for (_m, _r, a0, li), (_m2, _r2, a0_at, li_at) in zip(op.groups, moved.groups):
-        assert a0_at is a0 and li_at is li
+    for _m, _r, a0, li in op.groups:
         eye = np.eye(a0.shape[-1])
         assert np.max(np.abs(li @ a0 @ li.conj().swapaxes(-1, -2) - eye)) < 1e-12
         assert not np.any(np.triu(li, 1))
@@ -292,14 +288,14 @@ def test_block_solve_matches_dense_pencil(spec, cutoff, monkeypatch):
 @pytest.mark.parametrize("spec, cutoff", [(layered(0.2), 2), (cosine_3d(), 1)],
                          ids=["layered", "cosine_3d"])
 def test_continuation_matches_dense_pencil(spec, cutoff):
-    """continue_band at a finite-difference stencil point: its eigenvalue is
+    """continue_bands at a finite-difference stencil point: its eigenvalue is
     the dense pencil's to 1e-12, and its eigenspace the dense eigenspace
     (projectors within 1e-9)."""
     op = BlochOperator.build(spec, LatticeCutoff(cutoff), THETA_OFF)
     band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
     theta = THETA_OFF + [5e-3, 2.5e-3, 0.0]
-    cont, _gap = continue_band(op, theta, band)
-    vals, vecs = _dense_pencil(op.at(theta))
+    cont, _gap, _overlap = next(continue_bands(op, [theta], band))
+    vals, vecs = _dense_pencil(BlochOperator.build(op.spec, op.cutoff, theta))
     sel = np.abs(vals - cont.omega) < 1e-8
     assert sel.sum() == cont.kappa
     assert np.max(np.abs(vals[sel] - cont.omega)) < 1e-12
@@ -310,12 +306,12 @@ def test_continuation_matches_dense_pencil(spec, cutoff):
 
 def test_eigenvectors_built_only_for_clusters_read(monkeypatch):
     """Layered medium, 25 classes: solve_bands builds eigenvectors only for
-    the members owning a returned cluster, continue_band only for the
+    the members owning a returned cluster, continue_bands only for the
     members it solves, those that can reach the tracked omega's window."""
     pencils = _pencils(monkeypatch)
     op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
     got = solve_bands(op, 4)
-    continue_band(op, THETA_OFF + [0.005, 0.0, 0.0], got[1])
+    next(continue_bands(op, [THETA_OFF + [0.005, 0.0, 0.0]], got[1]))
     solved, continued = pencils
     omegas = np.array([b.omega for b in got])
     near = np.abs(solved.vals[:, None] - omegas).min(axis=1) < 1e-8
@@ -333,8 +329,8 @@ def test_continuation_across_symmetry_allowed_crossing():
     op = BlochOperator.build(layered(0.2), LatticeCutoff(2), start)
     band = next(b for b in solve_bands(op, 4) if b.band_index == 1)
     end = start + [0.0, 0.1, 0.0]
-    cont, gap = continue_band(op, end, band)
-    nearest = min(solve_bands(op.at(end), 8), key=lambda b: abs(b.omega - band.omega))
+    cont, gap, _overlap = next(continue_bands(op, [end], band))
+    nearest = min(solve_bands(BlochOperator.build(op.spec, op.cutoff, end), 8), key=lambda b: abs(b.omega - band.omega))
     assert abs(nearest.omega - band.omega) < 1e-12 < abs(cont.omega - band.omega)
     assert np.linalg.norm(nearest.eigvecs.conj().T @ cont.eigvecs) == 0.0
     assert abs(cont.eigvecs.conj().T @ band.eigvecs).item() > 0.9
@@ -367,9 +363,9 @@ def test_class_floor_bounds_its_spectrum(spec, cutoff, theta):
 
 
 def _assert_same_continuation(op, theta, prev):
-    """continue_band against the all-classes reference: omega, band index and
-    gap agree exactly, the eigenvectors to 1e-14."""
-    got, gap = continue_band(op, theta, prev)
+    """continue_bands at one theta against the all-classes reference: omega,
+    band index and gap agree exactly, the eigenvectors to 1e-14."""
+    got, gap, _overlap = next(continue_bands(op, [theta], prev))
     ref, ref_gap = continue_band_reference(op, theta, prev)
     assert (got.omega, got.band_index, got.kappa, gap) == (ref.omega, ref.band_index,
                                                            ref.kappa, ref_gap)
@@ -443,7 +439,7 @@ def test_continuation_solves_one_of_25_classes(monkeypatch):
     op = BlochOperator.build(layered(0.2), LatticeCutoff(2), THETA_OFF)
     band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
     pencils.clear()
-    continue_band(op, THETA_OFF + [5e-3, 0.0, 0.0], band)
+    next(continue_bands(op, [THETA_OFF + [5e-3, 0.0, 0.0]], band))
     (p,) = pencils
     assert sum(len(f) for f in bands._floors(op)) == 25
     assert len(set(map(tuple, p.owner[:2].T.tolist()))) == 1 and len(p.vals) == 20
@@ -810,7 +806,9 @@ def test_projector_multiplicity_diagnostic_on_many_classes(offaxis_layered_pipe)
 
 def test_projectors_reject_operator_at_other_theta(identity_pipe):
     with pytest.raises(CutoffMismatch):
-        build_projectors(identity_pipe.band, identity_pipe.op.at(THETA + [0.01, 0.0, 0.0]))
+        op = identity_pipe.op
+        build_projectors(identity_pipe.band,
+                         BlochOperator.build(op.spec, op.cutoff, THETA + [0.01, 0.0, 0.0]))
 
 
 def test_projector_not_weighted_orthogonal(offaxis_layered_pipe):
@@ -847,7 +845,7 @@ def test_track_layered_matches_per_point_resolve(offaxis_layered_pipe):
     path = [pipe.theta + np.array([0.0, 0.02 * s, 0.0]) for s in range(4)]
     tracked = track_band(pipe.op, pipe.band, path)
     for tb, th in zip(tracked, path):
-        fresh = solve_bands(pipe.op.at(th), 8)
+        fresh = solve_bands(BlochOperator.build(pipe.op.spec, pipe.op.cutoff, th), 8)
         nearest = min(fresh, key=lambda b: abs(b.omega - tb.omega))
         assert abs(nearest.omega - tb.omega) < 1e-11
         overlap = np.linalg.svd(tb.eigvecs.conj().T @ nearest.eigvecs,

@@ -345,16 +345,53 @@ def test_validate_refuses_packet_axes_other_than_grid_axes(tmp_path, capsys, mon
     assert f"packet.axes {packet['axes']}" in err and f"varying axes {grid_axes}" in err
 
 
+SHIPPED = ("bands_layered", "oracle_layered", "wkb_modulated", "validate_identity")
+COMMANDS = ("bands", "dispersion", "gamma", "envelope", "wkb", "validate", "oracle")
+# the exit code of every command on every shipped config; all others exit 0
+SHIPPED_EXITS = {("bands_layered", "validate"): 2, ("bands_layered", "oracle"): 2,
+                 ("validate_identity", "oracle"): 2, ("wkb_modulated", "oracle"): 2,
+                 ("oracle_layered", "validate"): 4}
+
+
+@pytest.fixture(scope="module")
+def shipped_table(tmp_path_factory):
+    """Every command on every shipped config, the whole table run twice in
+    this one process: {(name, command): [(exit code, stderr, {file: bytes})
+    per pass]}."""
+    import contextlib
+    import io
+
+    root = tmp_path_factory.mktemp("shipped")
+    table = {}
+    for run in range(2):
+        for name in SHIPPED:
+            cfg = Path(__file__).parents[1] / "configs" / f"{name}.json"
+            for command in COMMANDS:
+                out, err = root / f"{run}_{name}_{command}", io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(cfg), "--out", str(out)])
+                files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+                table.setdefault((name, command), []).append((code, err.getvalue(), files))
+    return table
+
+
 @pytest.mark.parametrize("name, code", [("bands_layered", 2), ("oracle_layered", 4),
                                         ("wkb_modulated", 0), ("validate_identity", 0)])
-def test_validate_exit_code_on_each_shipped_config(tmp_path, capsys, name, code):
-    """validate on each shipped config: the layered packet spread along an
-    axis its grid does not vary on is refused (2), the anisotropic layered
-    walk loses the gauge between adjacent nodes (4, zeta printed as plain
-    numbers), and the modulated and vacuum configs pass (0)."""
-    cfg = Path(__file__).parents[1] / "configs" / f"{name}.json"
-    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
-    err = capsys.readouterr().err
+def test_validate_exit_code_on_each_shipped_config(shipped_table, name, code):
+    """Every command on each shipped config exits as pinned in SHIPPED_EXITS,
+    and the second pass of the whole table writes the first pass's exit
+    codes, messages and artifacts (manifest.json included) byte for byte, so
+    no cache kept across runs changes a result.  validate: the layered packet
+    spread along an axis its grid does not vary on is refused (2), the
+    anisotropic layered walk loses the gauge between adjacent nodes (4, zeta
+    printed as plain numbers), and the modulated and vacuum configs pass
+    (0)."""
+    for command in COMMANDS:
+        first, second = shipped_table[name, command]
+        assert first[0] == SHIPPED_EXITS.get((name, command), 0), (command, first[1])
+        assert first[2] and first == second, command
+    assert SHIPPED_EXITS.get((name, "validate"), 0) == code
+    err = shipped_table[name, "validate"][0][1]
     if name == "bands_layered":
         assert "packet.axes [0] differ from the grid's varying axes [1]" in err
     if name == "oracle_layered":

@@ -315,9 +315,52 @@ def test_whole_steps_make_one_fft_pair_and_one_block_product_each(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         monkeypatch.setattr(np.fft, name + "n", counted(name, getattr(np.fft, name + "n")))
     monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
-    monkeypatch.setattr(envelope, "_apply_blocks", counted("blocks", envelope._apply_blocks))
+    monkeypatch.setattr(envelope, "apply_grid_blocks", counted("blocks", envelope.apply_grid_blocks))
     grid = EnvelopeGrid((16 * np.pi,) * 3, (1, 96, 1))
     env = EnvelopeSolution(gaussian_state(grid, (1.0, 2.0, 1.0), weights), hess, modes, dT=2e-3)
     n = 25
     env.state_at(n * 2e-3)
     assert calls == {"fft": n, "ifft": n, "blocks": n + 1, "einsum": 0}
+
+
+def test_query_that_goes_back_keeps_the_furthest_held_state(monkeypatch):
+    """A query before the held whole-step state walks from the initial data
+    and leaves that state held: on the shipped modulated config's envelope
+    (dT = 2e-3) T = 1.0, 0.0, 1.0 make 500, 0 and 0 whole steps, and the
+    third query returns the first one's bits."""
+    from blochpacket.cli import Pipeline
+    from blochpacket.config import load_config
+
+    env = Pipeline(load_config(Path(__file__).parents[1] / "configs" / "wkb_modulated.json")).envelope
+    steps = []
+    whole_step = EnvelopeSolution._whole_step
+    monkeypatch.setattr(EnvelopeSolution, "_whole_step",
+                        lambda self, u, block: steps.append(1) or whole_step(self, u, block))
+    counts, states = [], []
+    for T in (1.0, 0.0, 1.0):
+        before = len(steps)
+        states.append(np.ascontiguousarray(env.state_at(T).values))
+        counts.append(len(steps) - before)
+    assert counts == [500, 0, 0]
+    assert np.array_equal(states[2].view(np.uint64), states[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(1, 48, 1), (12, 1, 10), (6, 8, 10)],
+                         ids=["one_axis", "two_axes", "three_axes"])
+def test_grid_transform_pair_is_fftn_over_the_varying_axes(shape, rng):
+    """EnvelopeGrid.fft and ifft give the bits of np.fft.fftn and ifftn over
+    the varying axes, on data with leading axes too, and the wavenumber
+    table is built once and read-only."""
+    grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
+    axes = tuple(a - 3 for a in range(3) if shape[a] > 1)
+    data = rng.standard_normal((2, 3) + shape) + 1j * rng.standard_normal((2, 3) + shape)
+    for got, ref in ((grid.fft(data), np.fft.fftn(data, axes=axes)),
+                     (grid.ifft(data), np.fft.ifftn(data, axes=axes))):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    ks = grid.wavenumbers
+    assert ks is grid.wavenumbers
+    for a, k in enumerate(ks):
+        assert k.shape == shape and not k.flags.writeable
+        assert np.array_equal(np.moveaxis(k, a, 0)[:, 0, 0], grid.axis_wavenumbers(a))
+        with pytest.raises(ValueError):
+            k[(0, 0, 0)] = 1.0

@@ -476,10 +476,9 @@ def test_synthesis_satisfies_time_domain_equations(identity_pipe):
     fields = physical_field(synth)
     dudt = sum(c * f for c, f in zip(c4, fields[:4]))
     u = fields[4]
-    ks = grid.wave_meshgrid()
     from helpers import planned_curl_pair
 
-    residual = dudt - planned_curl_pair(u, ks)  # vacuum: d/dt u - (curl B, -curl E) = 0
+    residual = dudt - planned_curl_pair(u, grid)  # vacuum: d/dt u - (curl B, -curl E) = 0
     scale = np.max(np.abs(u))
     assert np.max(np.abs(residual)) < 1e-7 * scale
 
@@ -498,13 +497,13 @@ def test_spectral_curl_div_match_3axis_reference(shape, rng):
     from blochpacket.oracles import _spectral_div
 
     grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
-    ks = grid.wave_meshgrid()
+    ks = grid.wavenumbers
     field3 = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
     field6 = np.concatenate([field3, np.roll(field3.conj(), 1, axis=0)])  # (E, B), B != E
     pair = np.concatenate([spectral_curl_reference(field6[3:], ks),
                            -spectral_curl_reference(field6[:3], ks)])
-    for got, ref in ((planned_curl_pair(field6, ks), pair),
-                     (_spectral_div(field3, ks), spectral_div_reference(field3, ks))):
+    for got, ref in ((planned_curl_pair(field6, grid), pair),
+                     (_spectral_div(field3, grid), spectral_div_reference(field3, ks))):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -527,8 +526,8 @@ def test_rk4_rhs_matches_6x6_reference(shape, lossy, rng):
         spec = with_ohmic_loss(spec, 0.3)
     grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
     mat = _GridMaterial(spec, 1 / 4, grid)
-    ks = grid.wave_meshgrid()
-    plan = _curl_plan(shape, ks)
+    ks = grid.wavenumbers
+    plan = _curl_plan(grid)
     read, rows = (plan.read, plan.write) if not lossy else (list(range(6)),) * 2
     d = rng.standard_normal((6,) + shape) + 1j * rng.standard_normal((6,) + shape)
     inv_a0 = _grid_major([np.linalg.inv(b) for b in mat.a0_at(0.0)])
@@ -808,8 +807,8 @@ def test_planned_curl_and_held_rows_keep_the_bits(shape, rng):
         return rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
 
     grid = EnvelopeGrid((9.0, 7.0, 5.0), shape)
-    ks = grid.wave_meshgrid()
-    plan = _curl_plan(shape, ks)
+    ks = grid.wavenumbers
+    plan = _curl_plan(grid)
     inv_a0 = rand(2, 3, 3)
     inv_rows = inv_a0[:, _comps([r for r in plan.read if r < 3])]
     d = rand(6)
@@ -910,7 +909,8 @@ def test_held_divergences_equal_each_rows_own(propagator, shape, monkeypatch):
         return record(self, t, d, inv_a0)
 
     monkeypatch.setattr(oracles._Run, "record", captured)
-    monkeypatch.setattr(oracles, "_spectral_div", lambda f, ks: divs.append(1) or spectral_div(f, ks))
+    monkeypatch.setattr(oracles, "_spectral_div",
+                        lambda f, grid: divs.append(1) or spectral_div(f, grid))
     h = 1 / 4
     lengths = (10 * np.pi, 2 * np.pi, 2 * np.pi) if shape[2] == 1 else (2 * np.pi,) * 3
     grid = EnvelopeGrid(lengths, shape)
@@ -924,8 +924,7 @@ def test_held_divergences_equal_each_rows_own(propagator, shape, monkeypatch):
     res = solve(spec, h, u0, grid, 0.1, dt=0.01)
     held = shape[2] == 1 and propagator != "rk4_lossy"
     assert len(divs) == (2 if held else 2 * len(fluxes))
-    ks = grid.wave_meshgrid()
     scale = np.sqrt(grid.cell_volume)
     for row, d in zip(res.trace, fluxes):
-        own = [float(np.linalg.norm(spectral_div(f, ks)) * scale) for f in (d[:3], d[3:])]
+        own = [float(np.linalg.norm(spectral_div(f, grid)) * scale) for f in (d[:3], d[3:])]
         assert list(row[2:]) == own and min(own) > 0.0

@@ -377,7 +377,7 @@ def test_assemble_constant_envelope_exact(identity_pipe):
     fld = assemble(profs, 1.0, 0.0, pts)
     # manual: exp(i theta.x) sum_n psi_hat(n) exp(i n.x) with weights
     vec = (pipe.band.eigvecs @ weights).reshape(-1, 6)
-    for p, sample in zip(pts, fld.samples):
+    for p, sample in zip(pts, fld):
         phases = np.exp(1j * (pipe.cutoff.modes @ p)) * np.exp(1j * np.dot(pipe.theta, p))
         expect = (phases[:, None] * vec).sum(axis=0)
         assert np.allclose(sample, expect, atol=1e-12)
@@ -397,14 +397,14 @@ def test_assemble_phase_periodicity(identity_pipe):
     t0 = 0.7
     f0 = assemble(profs, h, t0, pts)
     f1 = assemble(profs, h, t0 + 2 * np.pi * h / pipe.band.omega, pts)
-    assert np.allclose(f0.samples, f1.samples, atol=1e-12)
+    assert np.allclose(f0, f1, atol=1e-12)
 
 
 def test_assemble_deterministic(identity_profiles):
     pts = np.array([[0.0, 1.0, 0.0], [0.5, -2.0, 0.7]])
     a = assemble(identity_profiles, 1 / 8, 0.0, pts)
     b = assemble(identity_profiles, 1 / 8, 0.0, pts)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("which", ["identity", "modulated", "layered"])
@@ -437,7 +437,7 @@ def test_assemble_is_the_carrier_sum_of_harmonics(which, t, identity_profiles, m
              "layered": layered_profiles}[which]
     h = 1 / 8
     pts = GRID.points().reshape(-1, 3)
-    got = assemble(profs, h, t, pts).samples
+    got = assemble(profs, h, t, pts)
     expect = sum(np.exp(1j * (pts @ (profs.band.theta + np.asarray(n))) / h)[:, None]
                  * d[0].reshape(6, -1).T
                  for n, d in assemble_harmonics(profs, h, [t], GRID).data.items())
