@@ -13,7 +13,6 @@ from .bands import (
 )
 from .dispersion import (
     DispersionData,
-    fd_group_velocity,
     fd_hessian,
     group_velocity,
     hessian,
@@ -46,7 +45,6 @@ __all__ = [
     "solve_bands",
     "track_band",
     "DispersionData",
-    "fd_group_velocity",
     "fd_hessian",
     "group_velocity",
     "hessian",

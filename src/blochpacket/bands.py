@@ -31,8 +31,8 @@ and the transverse frame are diagonal over modes; so the
 pencil splits into one block per class of modes connected by that support
 (a layered medium at cutoff N has (2N+1)^2 classes, a medium structured
 along all three axes has one).  The classes are held one way, stacked by
-size: every stage (apply_blocks for A0 and the partial inverse, the reduced
-pencil, the projectors) makes one batched pass per class size.  Two entry
+size: every stage (A0, the reduced pencil, the kernel count and the
+partial inverse) makes one batched pass per class size.  Two entry
 points solve the pencil.  `solve_bands` returns the lowest bands; it
 solves only the classes whose spectral floor (_floors, below) can admit
 them: those it takes in floor order until they hold the bands asked for,
@@ -52,10 +52,10 @@ included, in chunks of at most STACK_ENTRIES reduced-matrix entries); the
 match then walks the points in order on those arrays.  It scores the candidate clusters on their orthonormal columns,
 and only the matched one keeps its rotation onto the previous basis and
 gets a residual.  Either way only the clusters a caller inspects are
-lifted to full 6K vectors.  build_projectors eigendecomposes only the
-classes whose floor admits the band's |omega| (they alone can hold the
-kernel); on the others the partial inverse is the pencil's inverse,
-applied by a linear solve where a vector has entries.
+lifted to full 6K vectors.  build_projectors certifies the kernel by
+eigenvalues alone, counted on the classes whose floor admits the band's
+|omega| (they alone can hold it); the partial inverse is then one deflated
+linear solve on every class where a vector has entries (ProjectorPair).
 
 The eigenbasis of a cluster is fixed by its span alone: kappa = 1 takes the
 phase that makes its largest entry real positive, kappa > 1 the rotation onto
@@ -72,6 +72,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    BandResidualError,
     CutoffMismatch,
     GapViolation,
     MaterialError,
@@ -130,46 +131,39 @@ class BlochBand:
 class ProjectorPair:
     """Eigenspace basis and partial inverse Q of the Bloch pencil
     L = i*omega*A0 - G.  With Pi = basis basis^H, Q Pi = Pi Q = 0 and
-    L Q = I - Pi.  Q is block diagonal over the mode classes.  On the class
-    members build_projectors decomposed (`decomposed`, one mask per group of
-    op) it is held as one (rows, stacked dense blocks) pair per class size
-    in q_blocks; every other member's pencil is invertible, so there Q is
-    L^-1 = -i (omega A0 + iG)^-1, applied by one batched linear solve per
-    class size over the members on which v has a nonzero entry.  apply_q
-    does both; neither Pi nor Q is formed as a 6K x 6K matrix.
+    L Q = I - Pi.  -iL = H = omega A0 + iG is Hermitian with kernel
+    span(basis), so H + Pi is invertible, commutes with Pi, and
+    Q = -i H^+ = -i (I - Pi) (H + Pi)^-1 (I - Pi).  H and Pi are block
+    diagonal over the mode classes (the kernel splits over them), so on
+    member c the solve is with H + U_c U_c^H, U_c the rows of the basis
+    there (zero on most members): apply_q makes one batched linear solve per
+    class size over the members on which (I - Pi) v has a nonzero entry.
+    Neither Pi nor Q is formed as a 6K x 6K matrix.
     """
 
     basis: np.ndarray  # (6K, kappa), the gauge actually used downstream
     omega: float
     theta: np.ndarray
-    q_blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     op: BlochOperator
-    decomposed: Tuple[np.ndarray, ...]
 
     def apply_q(self, v: np.ndarray) -> np.ndarray:
         """Q v for v of shape (6K,) or (6K, m)."""
-        out = apply_blocks(self.q_blocks, v)
+        v = self._deflate(v)
+        out = np.zeros(v.shape, dtype=complex)
         # one flag per mode: does v have a nonzero entry on its 6 rows
         live = v.reshape(len(self.op.g_blocks), -1).any(axis=1)
-        for g, ((modes, rows, _a0, _li), done) in enumerate(zip(self.op.groups, self.decomposed)):
-            solve = ~done & live[modes].any(axis=1)
+        for g, (modes, rows, _a0, _li) in enumerate(self.op.groups):
+            solve = live[modes].any(axis=1)
             if solve.any():
-                x = v[rows[solve]]
-                h = _shifted_pencil(self.op, g, solve, self.omega)
+                x, u = v[rows[solve]], self.basis[rows[solve]]
+                h = _shifted_pencil(self.op, g, solve, self.omega) + u @ adjoint(u)
                 y = np.linalg.solve(h, x.reshape(x.shape[:2] + (-1,)))
                 out[rows[solve]] = -1j * y.reshape(x.shape)
-        return out
+        return self._deflate(out)
 
-
-def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
-    """Apply a matrix that is block diagonal over the mode classes, given as
-    (rows (n, r), blocks (n, r, r)) pairs, to v of shape (6K,) or (6K, m):
-    one batched product per pair; rows that no pair covers come out zero."""
-    out = np.zeros(v.shape, dtype=complex)
-    for rows, stack in blocks:
-        x = v[rows]
-        out[rows] = (stack @ x.reshape(x.shape[:2] + (-1,))).reshape(x.shape)
-    return out
+    def _deflate(self, v: np.ndarray) -> np.ndarray:
+        """(I - Pi) v; exact on the rows where the basis vanishes."""
+        return v - self.basis @ (adjoint(self.basis) @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +204,13 @@ class BlochOperator:
                    tuple(np.abs(a).sum(axis=-1).max(axis=-1) for a in a0))
 
     def apply_a0(self, v: np.ndarray) -> np.ndarray:
-        """A0 v for v of shape (6K,) or (6K, m)."""
-        return apply_blocks([(rows, a0) for _modes, rows, a0, _li in self.groups], v)
+        """A0 v for v of shape (6K,) or (6K, m): one batched product per
+        class size."""
+        out = np.zeros(v.shape, dtype=complex)
+        for _modes, rows, a0, _li in self.groups:
+            x = v[rows]
+            out[rows] = (a0 @ x.reshape(x.shape[:2] + (-1,))).reshape(x.shape)
+        return out
 
     def pencil(self, omega: float, v: np.ndarray) -> np.ndarray:
         """(i*omega*A0 - G) v for v of shape (6K,) or (6K, m)."""
@@ -687,41 +686,29 @@ def build_projectors(band: BlochBand, op: BlochOperator) -> ProjectorPair:
     The pencil L = i*omega*A0 - G is anti-Hermitian, so -iL is Hermitian.
     Its kernel lies in the class members whose floor (_floors) admits
     |omega|, those of _below(floors, |omega|): the pencil spectrum of any
-    other member lies beyond |omega|, so L is invertible there.  -iL is
-    eigendecomposed on those members only (one batched call per class
-    size), which yields both the kernel projector and the pseudo-inverse
-    there with the exact defining identities.  The kernel dimension is
-    counted over them against kappa; the kernel threshold is KERNEL_TOL
-    times the largest |eigenvalue| over the decomposed members.  On every
-    other member Q is the inverse of L, applied by a linear solve
-    (ProjectorPair.apply_q).
+    other member lies beyond |omega|.  The kernel dimension is counted from
+    the eigenvalues of -iL on those members alone (one batched eigvalsh per
+    class size) against kappa, below KERNEL_TOL times the largest
+    |eigenvalue| over them; no eigenvector is computed.  That certifies
+    span(band.eigvecs) as the whole kernel, which is what ProjectorPair's
+    deflated solve needs.  Raises BandResidualError when the band's
+    residual exceeds RESIDUAL_TOL.
     """
     if band.residual > RESIDUAL_TOL:
-        raise ValueError(
+        raise BandResidualError(
             f"band residual {band.residual:.3e} exceeds {RESIDUAL_TOL:.0e}; refuse to build projectors"
         )
     op.check_band(band)
-    decomposed = tuple(_below(_floors(op), abs(band.omega)))
-    # eigenpairs of -i * (i omega A0 - G) per decomposed member, stacked by
-    # class size; the matrix is not kept
-    spectra = [(rows[sel], *np.linalg.eigh(_shifted_pencil(op, g, sel, band.omega)))
-               for g, ((_modes, rows, _a0, _li), sel) in enumerate(zip(op.groups, decomposed))
-               if sel.any()]
-    smax = max((np.abs(s).max() for _rows, s, _u in spectra), default=0.0)
-    null_dim = sum(int(np.sum(np.abs(s) <= KERNEL_TOL * smax)) for _rows, s, _u in spectra)
+    spectra = [np.linalg.eigvalsh(_shifted_pencil(op, g, sel, band.omega))
+               for g, sel in enumerate(_below(_floors(op), abs(band.omega))) if sel.any()]
+    smax = max((np.abs(s).max() for s in spectra), default=0.0)
+    null_dim = sum(int(np.sum(np.abs(s) <= KERNEL_TOL * smax)) for s in spectra)
     if null_dim != band.kappa:
         raise MultiplicityInconsistent(
             f"discrete kernel dimension {null_dim} != kappa {band.kappa}; "
             "check the cluster tolerance"
         )
-    q_blocks = []
-    for rows, s, u in spectra:
-        # kernel columns get weight 0: Q is the inverse off the kernel only
-        inv = np.divide(1.0, 1j * s, out=np.zeros(s.shape, dtype=complex),
-                        where=np.abs(s) > KERNEL_TOL * smax)
-        q_blocks.append((rows, (u * inv[:, None, :]) @ adjoint(u)))
-    return ProjectorPair(basis=band.eigvecs, omega=band.omega, theta=band.theta,
-                         q_blocks=tuple(q_blocks), op=op, decomposed=decomposed)
+    return ProjectorPair(basis=band.eigvecs, omega=band.omega, theta=band.theta, op=op)
 
 
 def _shifted_pencil(op: BlochOperator, g: int, sel: np.ndarray, omega: float) -> np.ndarray:

@@ -139,21 +139,22 @@ def cmd_bands(cfg: RunConfig, out: Path) -> None:
         rows.extend(track_band(pipe.op, pipe.band, cfg.theta_path,
                                gap_tol=cfg.tolerances["gap_tol"]))
     write_bands_csv(out / "bands.csv", rows)
-    margin = speed_limit_check(cfg.material, pipe.dispersion.V, num_samples=200,
-                               seed=cfg.seed)["worst_margin"]
+    margin = speed_limit_check(cfg.material, pipe.dispersion.V, seed=cfg.seed)["worst_margin"]
     write_dispersion_record(out / "dispersion.json", pipe.dispersion, margin)
     print(f"wrote {out/'bands.csv'} ({len(rows)} clusters) and dispersion.json")
 
 
 def cmd_dispersion(cfg: RunConfig, out: Path) -> None:
     pipe = Pipeline(cfg)
-    rep = speed_limit_check(cfg.material, pipe.dispersion.V, num_samples=1000, seed=cfg.seed)
+    rep = speed_limit_check(cfg.material, pipe.dispersion.V, seed=cfg.seed)
     write_dispersion_record(out / "dispersion.json", pipe.dispersion, rep["worst_margin"])
     fd = fd_hessian(pipe.op, pipe.band)
-    dev = float(np.max(np.abs(fd - pipe.dispersion.hessian)))
+    dev = float(np.max(np.abs(fd.hessian - pipe.dispersion.hessian)))
     (out / "dispersion_fd_check.json").write_text(json.dumps({
-        "hessian_fd": [[float(v) for v in r] for r in fd],
+        "hessian_fd": fd.hessian.tolist(),
         "max_abs_deviation": dev,
+        "velocity_fd": fd.V.tolist(),
+        "velocity_max_abs_deviation": float(np.max(np.abs(fd.V - pipe.dispersion.V))),
     }, indent=1) + "\n")
     print(f"wrote dispersion.json (speed margin {rep['worst_margin']:.3e}, fd dev {dev:.3e})")
 

@@ -16,6 +16,7 @@ deviation from scalarity is computed and shipped as a runtime certificate
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +135,8 @@ def hessian(band: BlochBand, projectors: ProjectorPair, op: BlochOperator,
     psi = band.eigvecs
 
     axes = np.eye(3)
-    lp_psi = [_pencil_derivative_apply(axes[j], -v[j], op, psi) for j in range(3)]
-    q_lp_psi = [projectors.apply_q(b) for b in lp_psi]
+    lp_psi = np.hstack([_pencil_derivative_apply(axes[j], -v[j], op, psi) for j in range(3)])
+    q_lp_psi = np.split(projectors.apply_q(lp_psi), 3, axis=1)
 
     h = np.zeros((3, 3))
     devs = []
@@ -184,16 +185,6 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return (4 * fine - coarse) / 3
 
 
-def fd_group_velocity(op: BlochOperator, band: BlochBand, step: float = 1e-3) -> np.ndarray:
-    """Central finite differences of the continued eigenvalue with one
-    Richardson level: V = -grad omega."""
-    hs = np.array([step, step / 2])
-    e = hs[:, None, None] * np.eye(3)
-    omega = _continued_omegas(op, band, np.concatenate([e, -e], axis=1))  # (2, 6)
-    coarse, fine = ((w[:3] - w[3:]) / (2 * h) for h, w in zip(hs, omega))
-    return -_richardson(coarse, fine)
-
-
 # the off-diagonal entries of the Hessian stencil and the signs of the four
 # shifts +-e_i +-e_j each one reads
 OFF_DIAGONAL = ((0, 1), (0, 2), (1, 2))
@@ -208,11 +199,20 @@ def _hessian_shifts(step: float) -> np.ndarray:
                      for e in np.array([step, step / 2])[:, None, None] * np.eye(3)])
 
 
-def fd_hessian(op: BlochOperator, band: BlochBand, step: float = 5e-3) -> np.ndarray:
+class FiniteDifferences(NamedTuple):
+    """fd_hessian's group velocity V = -grad omega and Hessian."""
+
+    V: np.ndarray
+    hessian: np.ndarray
+
+
+def fd_hessian(op: BlochOperator, band: BlochBand, step: float = 5e-3) -> FiniteDifferences:
     """Second-order central differences of the continued eigenvalue
-    omega(theta), one Richardson level.  Its truncation error falls as
-    step^4 (about 7e-9 at the default step on the shipped layered band).
-    The 36 stencil points are one stacked continuation."""
+    omega(theta), and central first differences from the same +-e_i values,
+    each with one Richardson level.  Their truncation errors fall as step^4
+    (about 7e-9 for the Hessian and 1.4e-9 for V at the default step on the
+    shipped layered band).  The 36 stencil points are one stacked
+    continuation."""
     omega = _continued_omegas(op, band, _hessian_shifts(step))  # (2, 18)
 
     def stencil(h, w):
@@ -222,9 +222,11 @@ def fd_hessian(op: BlochOperator, band: BlochBand, step: float = 5e-3) -> np.nda
         for n, (i, j) in enumerate(OFF_DIAGONAL):
             pp, pm, mp, mm = w[6 + 4 * n:10 + 4 * n]
             hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h**2)
-        return hess
+        # V = -grad omega, from the -e_i and +e_i values
+        return (w[3:6] - w[:3]) / (2 * h), hess
 
-    return _richardson(stencil(step, omega[0]), stencil(step / 2, omega[1]))
+    (v0, h0), (v1, h1) = stencil(step, omega[0]), stencil(step / 2, omega[1])
+    return FiniteDifferences(_richardson(v0, v1), _richardson(h0, h1))
 
 
 # ---------------------------------------------------------------------------

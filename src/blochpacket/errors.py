@@ -67,6 +67,10 @@ class BoxTooSmall(NumericalFailure):
     """Envelope mass reached the periodic box boundary."""
 
 
+class BandResidualError(NumericalFailure):
+    """A band's eigenvector residual is too large to build its projectors on."""
+
+
 class GaugeError(NumericalFailure):
     """Eigenvector gauge alignment across quadrature nodes lost continuity."""
 

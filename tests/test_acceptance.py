@@ -94,7 +94,7 @@ def test_02_perturbation_identities(identity_pipe, aniso_pipe, rng):
             xi = rng.standard_normal(3)
             worst_first = max(worst_first, first_order_identity_residual(
                 pipe.band, pipe.op, xi, pipe.dispersion.V))
-        fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
+        fd = fd_hessian(pipe.op, pipe.band, step=1e-2).hessian
         worst_hess = max(worst_hess, float(np.max(np.abs(fd - pipe.dispersion.hessian))))
     elapsed = time.time() - t0
     report(

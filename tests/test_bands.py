@@ -520,19 +520,33 @@ def test_pruned_solve_matches_every_member(spec, cutoff, theta, monkeypatch):
             assert len(_members(pencils)) < classes
 
 
+def _shifted_pencils(monkeypatch):
+    """The number of class members of every shifted pencil built (the
+    kernel count's and apply_q's solves), in call order."""
+    built = []
+    shifted = bands._shifted_pencil
+
+    def record(op, g, sel, omega):
+        built.append(int(sel.sum()))
+        return shifted(op, g, sel, omega)
+
+    monkeypatch.setattr(bands, "_shifted_pencil", record)
+    return built
+
+
 def test_band_stages_on_bands_layered_touch_few_classes(monkeypatch):
     """configs/bands_layered.json (layered, cutoff 2, 25 classes, 8 bands):
-    select_band solves at most 2 members, and build_projectors decomposes
-    the one class that holds the band."""
+    select_band solves at most 2 members, and build_projectors counts the
+    kernel on the one class that holds the band."""
     cfg = load_config(Path(__file__).parents[1] / "configs" / "bands_layered.json")
     op = BlochOperator.build(cfg.material, cfg.cutoff, cfg.theta)
     assert sum(len(f) for f in bands._floors(op)) == 25
     pencils = _pencils(monkeypatch)
     band, _all = select_band(cfg, op)
     assert len(_members(pencils)) <= 2
-    proj = build_projectors(band, op)
-    assert sum(len(q) for _rows, q in proj.q_blocks) == 1
-    assert sum(int(d.sum()) for d in proj.decomposed) == 1
+    shifted = _shifted_pencils(monkeypatch)
+    build_projectors(band, op)
+    assert shifted == [1]
 
 
 def test_gauge_frame_built_only_for_a_multiple_cluster(monkeypatch):
@@ -739,28 +753,45 @@ def test_projector_identities_random_probes(identity_pipe, rng):
         assert np.linalg.norm(lhs - rhs) < 1e-10 * np.linalg.norm(v)
 
 
+def _two_class_cluster():
+    """The vacuum at cutoff 1, theta = (0.5, 0.1, 0): modes (0, 0, 0) and
+    (-1, 0, 0) have |theta + n| equal, so band 1 is a kappa = 4 cluster
+    spread over two of the 27 one-mode classes."""
+    op = BlochOperator.build(identity_material(), LatticeCutoff(1), [0.5, 0.1, 0.0])
+    band = next(b for b in solve_bands(op, 8) if b.band_index == 1)
+    assert band.kappa == 4
+    return op, band
+
+
 def test_partial_inverse_matches_dense_pinv(identity_pipe):
-    """Also on parity_layered, whose classes come in two sizes: apply_q over
-    both stacks is the dense pseudo-inverse."""
+    """apply_q is the dense pseudo-inverse, and L Q = I - Pi and
+    Pi Q = Q Pi = 0 hold to round-off: on the vacuum; on parity_layered,
+    whose classes come in two sizes; on cosine_3d at cutoff 1, one class;
+    and on a cluster spread over two classes."""
     parity = BlochOperator.build(parity_layered(), LatticeCutoff(2), THETA_OFF)
     assert len(parity.groups) == 2
-    parity_band = next(b for b in solve_bands(parity, 4) if b.band_index == 1)
-    cases = [(identity_pipe.op, identity_pipe.band, identity_pipe.projectors),
-             (parity, parity_band, build_projectors(parity_band, parity))]
-    for op, band, projectors in cases:
+    cosine = BlochOperator.build(cosine_3d(), LatticeCutoff(1), THETA_OFF)
+    assert len(cosine.groups[0][0]) == 1
+    cases = [(identity_pipe.op, identity_pipe.band), _two_class_cluster()]
+    cases += [(op, next(b for b in solve_bands(op, 4) if b.band_index == 1))
+              for op in (parity, cosine)]
+    for op, band in cases:
         a0, g = dense_operator(op.spec, op.cutoff, op.theta)
         pencil = 1j * band.omega * a0 - g
         dense = np.linalg.pinv(pencil, rcond=1e-10)
-        _pi, q = _dense_pi_q(projectors)
+        pi, q = _dense_pi_q(build_projectors(band, op))
+        scale = np.linalg.norm(q)
         assert np.linalg.norm(q - dense) < 1e-9 * np.linalg.norm(dense)
+        assert np.linalg.norm(pencil @ q - (np.eye(len(pi)) - pi)) < 1e-13 * np.linalg.norm(pencil) * scale
+        assert np.linalg.norm(pi @ q) < 1e-14 * scale and np.linalg.norm(q @ pi) < 1e-14 * scale
 
 
-def test_partial_inverse_solves_outside_the_decomposed_class(offaxis_layered_pipe, rng,
-                                                             monkeypatch):
-    """bands_layered decomposes the band's class alone.  On vectors with
-    support on other classes apply_q solves exactly those (one batched solve
-    over them) and matches the dense pseudo-inverse to 1e-9 relative; it
-    stays zero on every class where the vector vanishes."""
+def test_partial_inverse_solves_the_live_classes(offaxis_layered_pipe, rng, monkeypatch):
+    """bands_layered's band lies in one of its 25 classes.  apply_q solves
+    exactly the classes where the vector has entries (one batched solve
+    over them), the band's own class included when live, and matches the
+    dense pseudo-inverse to 1e-9 relative; it stays zero on every class
+    where the vector vanishes."""
     pipe = offaxis_layered_pipe
     proj = pipe.projectors
     classes = mode_classes(pipe.spec, pipe.cutoff)
@@ -768,14 +799,9 @@ def test_partial_inverse_solves_outside_the_decomposed_class(offaxis_layered_pip
     for c, modes in enumerate(classes):
         owner[(6 * modes[:, None] + np.arange(6)).ravel()] = c
     band_class = owner[np.flatnonzero(pipe.band.eigvecs[:, 0])[0]]
-    assert sum(int(d.sum()) for d in proj.decomposed) == 1
     a0, g = dense_operator(pipe.spec, pipe.cutoff, pipe.theta)
     dense = np.linalg.pinv(1j * pipe.band.omega * a0 - g, rcond=1e-10)
-    solved = []
-    shifted = bands._shifted_pencil
-    monkeypatch.setattr(bands, "_shifted_pencil",
-                        lambda op, g, sel, omega: solved.append(int(sel.sum()))
-                        or shifted(op, g, sel, omega))
+    solved = _shifted_pencils(monkeypatch)
     others = [c for c in range(len(classes)) if c != band_class]
     for support, cols in [(rng.choice(others, 3, replace=False), (2,)),
                           ([band_class, others[7]], ())]:
@@ -787,7 +813,22 @@ def test_partial_inverse_solves_outside_the_decomposed_class(offaxis_layered_pip
         ref = dense @ v
         assert np.linalg.norm(got - ref) < 1e-9 * np.linalg.norm(ref)
         assert not np.any(got[~live])
-        assert solved == [len(support) - (band_class in support)]
+        assert solved == [len(support)]
+
+
+def test_partial_inverse_runs_no_eigendecomposition(offaxis_layered_pipe, monkeypatch):
+    """build_projectors certifies the kernel by eigenvalues alone and apply_q
+    solves: neither reaches np.linalg.eigh, on 25 classes or on a cluster
+    spread over two."""
+    cases = [(offaxis_layered_pipe.op, offaxis_layered_pipe.band), _two_class_cluster()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for op, band in cases:
+        proj = build_projectors(band, op)
+        assert proj.apply_q(np.ones((len(band.eigvecs), 2), dtype=complex)).any()
 
 
 def test_projector_multiplicity_diagnostic(identity_pipe):

@@ -399,6 +399,27 @@ def test_validate_exit_code_on_each_shipped_config(shipped_table, name, code):
                          err.strip()), err
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_bands_and_dispersion_write_one_speed_margin(shipped_table, name):
+    """bands and dispersion run the same speed-limit check, so they write
+    the same dispersion.json byte for byte."""
+    (bands_run, _), (dispersion_run, _) = (shipped_table[name, c] for c in ("bands", "dispersion"))
+    assert bands_run[0] == dispersion_run[0] == 0
+    assert bands_run[2]["dispersion.json"] == dispersion_run[2]["dispersion.json"]
+
+
+def test_band_residual_refusal_exits_4(tmp_path, monkeypatch, capsys):
+    """A band whose residual exceeds bands.RESIDUAL_TOL is refused as a
+    numerical failure."""
+    from blochpacket import bands
+
+    monkeypatch.setattr(bands, "RESIDUAL_TOL", 0.0)
+    cfg = Path(__file__).parents[1] / "configs" / "bands_layered.json"
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert re.search(r"^numerical failure: band residual \d\.\d{3}e-\d+ exceeds 0e\+00; "
+                     r"refuse to build projectors$", capsys.readouterr().err.strip())
+
+
 def test_hypothesis_violation_exits_3(tmp_path):
     """The on-axis layered kappa=2 cluster is not a constant-multiplicity band:
     the dispersion step must fail with exit code 3."""

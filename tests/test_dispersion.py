@@ -10,7 +10,6 @@ from blochpacket.dispersion import (
     _refined_margins,
     _symbol_tables,
     _tau_max,
-    fd_group_velocity,
     fd_hessian,
     first_order_identity_residual,
     group_velocity,
@@ -40,7 +39,7 @@ def test_mirror_band_group_velocity(identity_pipe_minus):
 
 def test_group_velocity_vs_finite_differences(identity_pipe):
     pipe = identity_pipe
-    fd = fd_group_velocity(pipe.op, pipe.band, step=1e-3)
+    fd = fd_hessian(pipe.op, pipe.band).V
     assert np.max(np.abs(fd - pipe.dispersion.V)) < 1e-6
 
 
@@ -48,13 +47,13 @@ def test_layered_group_velocity_vs_finite_differences(aniso_pipe):
     # the anisotropic layered band is well isolated, so the stencil stays
     # inside the band's analyticity ball
     pipe = aniso_pipe
-    fd = fd_group_velocity(pipe.op, pipe.band, step=1e-3)
+    fd = fd_hessian(pipe.op, pipe.band).V
     assert np.max(np.abs(fd - pipe.dispersion.V)) < 1e-6
 
 
 def test_offaxis_layered_group_velocity_vs_finite_differences(offaxis_layered_pipe):
     pipe = offaxis_layered_pipe
-    fd = fd_group_velocity(pipe.op, pipe.band, step=1e-3)
+    fd = fd_hessian(pipe.op, pipe.band).V
     assert np.max(np.abs(fd - pipe.dispersion.V)) < 1e-6
 
 
@@ -72,13 +71,13 @@ def test_identity_hessian_closed_form(identity_pipe):
 
 def test_identity_hessian_vs_finite_differences(identity_pipe):
     pipe = identity_pipe
-    fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
+    fd = fd_hessian(pipe.op, pipe.band, step=1e-2).hessian
     assert np.max(np.abs(fd - pipe.dispersion.hessian)) < 1e-5
 
 
 def test_layered_hessian_vs_finite_differences(aniso_pipe):
     pipe = aniso_pipe
-    fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
+    fd = fd_hessian(pipe.op, pipe.band, step=1e-2).hessian
     assert np.max(np.abs(fd - pipe.dispersion.hessian)) < 1e-5
 
 
@@ -88,7 +87,7 @@ def test_offaxis_hessian_in_plane_vs_finite_differences(offaxis_layered_pipe):
     stay on the analytic branch; the theta_3 rows are checked on the isolated
     anisotropic band above."""
     pipe = offaxis_layered_pipe
-    fd = fd_hessian(pipe.op, pipe.band, step=1e-2)
+    fd = fd_hessian(pipe.op, pipe.band, step=1e-2).hessian
     sub = np.ix_([0, 1], [0, 1])
     assert np.max(np.abs(fd[sub] - pipe.dispersion.hessian[sub])) < 1e-5
 
@@ -98,7 +97,8 @@ def test_fd_hessian_error_falls_as_step_to_the_fourth(offaxis_layered_pipe):
     the stencil's truncation error: with one Richardson level it falls as
     step^4, so each halving divides it by at least 8."""
     pipe = offaxis_layered_pipe
-    errs = [np.max(np.abs(fd_hessian(pipe.op, pipe.band, step=s) - pipe.dispersion.hessian))
+    errs = [np.max(np.abs(fd_hessian(pipe.op, pipe.band, step=s).hessian
+                          - pipe.dispersion.hessian))
             for s in (2e-2, 1e-2, 5e-3)]
     assert errs[0] > 8 * errs[1] > 64 * errs[2]
 
